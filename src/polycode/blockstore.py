@@ -307,44 +307,37 @@ class BlockStore:
                 out.append((node, fname, "ok"))
         return out
 
-    def _read_block_direct(self, stripe: StripeRecord, block_id: int) -> bytes:
-        record = next(b for b in stripe.blocks if b.block_id == block_id)
-        for node, fname in zip(record.nodes, record.files):
-            if node in self._down:
-                continue
-            fpath = self.root / fname
-            if not fpath.exists():
-                continue
-            body = fpath.read_bytes()
-            if _crc(body) == record.crc32:
-                return body
-            raise ChecksumMismatchError(f"{fname} failed its CRC check")
-        raise MissingBlockError(f"no live replica of block {block_id}")
-
     def _stripe_reader(self, stripe: StripeRecord, excluded_nodes: set[int]):
+        """Block accessor over the stripe's replicas: returns the first
+        replica that passes its CRC, skipping down or *excluded_nodes*,
+        missing files and corrupt copies.  Raises ChecksumMismatchError when
+        only corrupt replicas remain, MissingBlockError when none is left."""
         by_id = {b.block_id: b for b in stripe.blocks}
 
         def reader(block_id: int) -> bytes:
             record = by_id.get(block_id)
             if record is None:
                 raise MissingBlockError(f"unknown block {block_id}")
+            corrupt = None
             for node, fname in zip(record.nodes, record.files):
                 if node in self._down or node in excluded_nodes:
                     continue
-                fpath = self.root / fname
-                if not fpath.exists():
+                try:
+                    body = (self.root / fname).read_bytes()
+                except FileNotFoundError:
                     continue
-                body = fpath.read_bytes()
-                if _crc(body) != record.crc32:
-                    raise ChecksumMismatchError(f"{fname} failed its CRC check")
-                return body
+                if _crc(body) == record.crc32:
+                    return body
+                corrupt = fname
+            if corrupt is not None:
+                raise ChecksumMismatchError(f"{corrupt} failed its CRC check")
             raise MissingBlockError(f"no live replica of block {block_id}")
 
         return reader
 
     def get(self, name: str) -> bytes:
-        """Reassemble a stored file; fully-lost blocks are served through
-        degraded-read plans and their bandwidth is logged."""
+        """Reassemble a stored file; blocks with no good replica are served
+        through degraded-read plans and their bandwidth is logged."""
         manifest = self.load_manifest(name)
         scheme = parse_scheme(manifest.scheme)
         out = bytearray()
@@ -357,17 +350,17 @@ class BlockStore:
                 (b for b in stripe.blocks if b.role.startswith("data:")),
                 key=lambda b: int(b.role.split(":")[1]),
             )
+            reader = self._stripe_reader(stripe, set())
             for record in data_records:
-                statuses = self._replica_status(record)
-                good = [s for s in statuses if s[2] == "ok"]
-                if good:
-                    out += (self.root / good[0][1]).read_bytes()
+                try:
+                    out += reader(record.block_id)
                     continue
-                bad_slots = {slot_of[node] for node, _, _ in statuses}
+                except (MissingBlockError, ChecksumMismatchError):
+                    pass  # no good replica left: decode it from the stripe
+                bad_slots = {slot_of[node] for node in record.nodes}
                 plan = codes.plan_degraded_read(
                     scheme, record.block_id, down_slots | bad_slots
                 )
-                reader = self._stripe_reader(stripe, set())
                 recovered = codes.execute_plan(plan, reader)
                 body = recovered[record.block_id]
                 if _crc(body) != record.crc32:

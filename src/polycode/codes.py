@@ -33,9 +33,9 @@ import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .gf256 import gf_inv, gf_mul, gf_pow, scale_bytes, xor_bytes, xor_many
+from .gf256 import gf_inv, gf_mul, gf_pow, scale_bytes, xor_many
 
 
 class CodeError(Exception):
@@ -145,10 +145,6 @@ class HeptagonLocal:
 
 Scheme = Replication | RaidMirror | Polygon | HeptagonLocal
 
-GLOBAL_PARITY_NODE = 14
-_HEPTAGON = 7
-_HEPTA_BLOCKS = _HEPTAGON * (_HEPTAGON - 1) // 2  # 21
-
 
 def parse_scheme(text: str) -> Scheme:
     """Parse a scheme selector such as ``pentagon``, ``3-rep``, ``raidm-9``
@@ -162,8 +158,6 @@ def parse_scheme(text: str) -> Scheme:
         return HeptagonLocal()
     if t.endswith("-rep"):
         return Replication(int(t[: -len("-rep")]))
-    if t.startswith("rep-"):
-        return Replication(int(t[len("rep-"):]))
     if t.startswith("raidm-"):
         return RaidMirror(int(t[len("raidm-"):]))
     if t.startswith("polygon-"):
@@ -197,11 +191,38 @@ def polygon_edges(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-class _Geometry:
-    """Canonical block placement, roles and coefficient rows for a scheme.
+class _Group(NamedTuple):
+    """A complete-graph local group: local node i plays slot ``slots[i]``
+    and ``block_of[(i, j)]`` (i < j, lexicographic order) is the block on
+    edge (i, j).  The group's blocks XOR to zero."""
 
-    ``placements[b]`` lists the slots holding block b (replica order),
-    ``rows[b]`` is b's coefficient vector over the data symbols.
+    slots: tuple[int, ...]
+    block_of: dict[tuple[int, int], int]
+
+    def failed(self, down) -> list[int]:
+        """Local indices of the group's nodes in *down*, ascending."""
+        return [i for i, s in enumerate(self.slots) if s in down]
+
+    def internal(self, failed) -> list[tuple[tuple[int, int], int]]:
+        """(edge, block) for every edge joining two *failed* local nodes."""
+        return [(e, b) for e, b in self.block_of.items() if e[0] in failed and e[1] in failed]
+
+
+class _Geometry:
+    """Canonical block placement, roles and coefficient rows for a scheme:
+    the one description of a scheme's structure that encoding, planning,
+    the store, the locality simulator and the reliability chain read.
+
+    ``placements[b]``    slots holding block b, in replica order
+    ``roles[b]``         b's ``BlockRole``
+    ``rows[b]``          b's coefficient vector over the data symbols
+    ``data_block_of[i]`` block id of data symbol i
+    ``blocks_on[s]``     blocks stored on slot s
+    ``groups``           complete-graph local groups (``_Group``): one for a
+                         polygon, two for heptagon-local, none otherwise
+    ``group_of[b]``      the group whose edge carries block b
+    ``global_slot``      slot holding the global parities, or None
+    ``global_blocks``    global parity block ids in parity-index order
     """
 
     def __init__(self, scheme: Scheme):
@@ -211,6 +232,8 @@ class _Geometry:
         placements: dict[int, tuple[int, ...]] = {}
         roles: dict[int, BlockRole] = {}
         rows: dict[int, tuple[int, ...]] = {}
+        groups: list[_Group] = []
+        self.global_slot: int | None = None
 
         def unit(i):
             row = [0] * D
@@ -230,39 +253,33 @@ class _Geometry:
                 else:
                     roles[b] = BlockRole("local_parity", 0)
                     rows[b] = tuple([1] * D)
-        elif isinstance(scheme, Polygon):
-            edges = polygon_edges(scheme.nodes)
-            for b, (i, j) in enumerate(edges):
-                placements[b] = (i, j)
-                if b < D:
-                    roles[b] = BlockRole("data", b)
-                    rows[b] = unit(b)
-                else:
-                    roles[b] = BlockRole("local_parity", 0)
-                    rows[b] = tuple([1] * D)
-        elif isinstance(scheme, HeptagonLocal):
-            edges = polygon_edges(_HEPTAGON)
-            for group in (0, 1):
-                base_block = group * _HEPTA_BLOCKS
-                base_slot = group * _HEPTAGON
-                base_data = group * (_HEPTA_BLOCKS - 1)
-                for e, (i, j) in enumerate(edges):
-                    b = base_block + e
-                    placements[b] = (base_slot + i, base_slot + j)
-                    if e < _HEPTA_BLOCKS - 1:
-                        roles[b] = BlockRole("data", base_data + e)
-                        rows[b] = unit(base_data + e)
+        elif isinstance(scheme, (Polygon, HeptagonLocal)):
+            # heptagon-local: two heptagons on slots 0-6 and 7-13, each with
+            # its own XOR parity on its last edge, plus the global node
+            n, count = (scheme.nodes, 1) if isinstance(scheme, Polygon) else (7, 2)
+            edges = polygon_edges(n)
+            per_group = len(edges) - 1  # data blocks per group
+            for k in range(count):
+                slots = tuple(range(k * n, (k + 1) * n))
+                block_of = {e: k * len(edges) + x for x, e in enumerate(edges)}
+                groups.append(_Group(slots, block_of))
+                first = k * per_group
+                for x, (i, j) in enumerate(edges):
+                    b = block_of[(i, j)]
+                    placements[b] = (slots[i], slots[j])
+                    if x < per_group:
+                        roles[b] = BlockRole("data", first + x)
+                        rows[b] = unit(first + x)
                     else:
-                        roles[b] = BlockRole("local_parity", group)
-                        row = [0] * D
-                        for i2 in range(base_data, base_data + 20):
-                            row[i2] = 1
-                        rows[b] = tuple(row)
-            for g in (0, 1):
-                b = 2 * _HEPTA_BLOCKS + g
-                placements[b] = (GLOBAL_PARITY_NODE,)
-                roles[b] = BlockRole("global_parity", g)
-                rows[b] = tuple(gf_pow(2, (g + 1) * i) for i in range(D))
+                        roles[b] = BlockRole("local_parity", k)
+                        rows[b] = tuple(int(first <= d < first + per_group) for d in range(D))
+            if isinstance(scheme, HeptagonLocal):
+                self.global_slot = count * n
+                for g in (0, 1):
+                    b = count * len(edges) + g
+                    placements[b] = (self.global_slot,)
+                    roles[b] = BlockRole("global_parity", g)
+                    rows[b] = tuple(gf_pow(2, (g + 1) * i) for i in range(D))
         else:  # pragma: no cover
             raise TypeError(f"unknown scheme type: {scheme!r}")
 
@@ -275,6 +292,9 @@ class _Geometry:
         self.blocks_on: dict[int, tuple[int, ...]] = {
             s: tuple(b for b in placements if s in placements[b]) for s in range(L)
         }
+        self.groups = tuple(groups)
+        self.group_of = {b: g for g in groups for b in g.block_of.values()}
+        self.global_blocks = tuple(b for b in roles if roles[b].kind == "global_parity")
 
 
 @lru_cache(maxsize=None)
@@ -291,10 +311,6 @@ class StripeLayout:
 
     scheme: Scheme
     node_order: tuple[int, ...]
-
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return self.node_order
 
     @property
     def block_placements(self) -> dict[int, list[tuple[int, int]]]:
@@ -341,44 +357,21 @@ def build_layout(scheme: Scheme, node_pool: Iterable[int], seed: int) -> StripeL
 
 
 # ---------------------------------------------------------------------------
-# Encoding
+# GF(2^8) linear algebra
 
 
-def encode_stripe(scheme: Scheme, data: list[bytes]) -> dict[int, bytes]:
-    """Encode one stripe of data blocks into the scheme's coded blocks."""
-    D = scheme.data_block_count
-    if len(data) != D:
-        raise ValueError(f"expected {D} data blocks, got {len(data)}")
-    if data and any(len(b) != len(data[0]) for b in data):
-        raise ValueError("data blocks differ in length")
-
-    geo = _geometry(scheme)
-    out: dict[int, bytes] = {}
-    for b, role in geo.roles.items():
-        if role.kind == "data":
-            out[b] = bytes(data[role.index])
-    if isinstance(scheme, (RaidMirror, Polygon)):
-        out[scheme.block_count - 1] = xor_many(data)
-    elif isinstance(scheme, HeptagonLocal):
-        out[_HEPTA_BLOCKS - 1] = xor_many(data[:20])
-        out[2 * _HEPTA_BLOCKS - 1] = xor_many(data[20:])
-        n = len(data[0])
-        for g in (0, 1):
-            acc = bytes(n)
-            for i, d in enumerate(data):
-                acc = xor_bytes(acc, scale_bytes(gf_pow(2, (g + 1) * i), d))
-            out[2 * _HEPTA_BLOCKS + g] = acc
-    return out
+def _combine(terms) -> bytes:
+    """Sum of ``coef * block`` over (block, coef) terms: coefficient-1 blocks
+    are XORed unscaled and zero coefficients skipped."""
+    return xor_many(b if c == 1 else scale_bytes(c, b) for b, c in terms if c)
 
 
-# ---------------------------------------------------------------------------
-# Recoverability
-
-
-def _rank(rows: list[list[int]]) -> int:
-    """Rank of a matrix over GF(2^8); destroys *rows*."""
+def _eliminate(rows: list[list[int]], ncols: int) -> int:
+    """Gauss-Jordan over GF(2^8) on the first *ncols* columns of *rows*,
+    in place; further columns ride along.  Returns the rank r: afterwards
+    ``rows[:r]`` carry the pivots in column order and ``rows[r:]`` are zero
+    on the first *ncols* columns."""
     rank = 0
-    ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
         pivot = None
         for r in range(rank, len(rows)):
@@ -402,6 +395,57 @@ def _rank(rows: list[list[int]]) -> int:
     return rank
 
 
+def _transform(rows: list[list[int]], ncols: int) -> tuple[int, list[list[int]]]:
+    """Reduce ``[rows | I]``.  Returns (rank, T) where ``T[k]`` combines the
+    input rows into reduced row k; for a square full-rank matrix T is its
+    inverse."""
+    n = len(rows)
+    aug = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(rows)]
+    rank = _eliminate(aug, ncols)
+    return rank, [row[ncols:] for row in aug]
+
+
+def _solve(rows, consts: list[bytes], ncols: int) -> list[bytes]:
+    """Solve ``rows @ x == consts`` for *ncols* byte-block unknowns.
+
+    Raises UnrecoverableError when the rows do not determine x and
+    InconsistentStripeError when the constants contradict them.
+    """
+    rank, transform = _transform(rows, ncols)
+    if rank < ncols:
+        raise UnrecoverableError("surviving blocks do not determine the data")
+    zero = bytes(len(consts[0]))
+    if any(_combine(zip(consts, t)) != zero for t in transform[rank:]):
+        raise InconsistentStripeError("surviving bytes violate parity relations")
+    return [_combine(zip(consts, t)) for t in transform[:ncols]]
+
+
+# ---------------------------------------------------------------------------
+# Encoding
+
+
+def encode_stripe(scheme: Scheme, data: list[bytes]) -> dict[int, bytes]:
+    """Encode one stripe of data blocks into the scheme's coded blocks."""
+    D = scheme.data_block_count
+    if len(data) != D:
+        raise ValueError(f"expected {D} data blocks, got {len(data)}")
+    if data and any(len(b) != len(data[0]) for b in data):
+        raise ValueError("data blocks differ in length")
+
+    geo = _geometry(scheme)
+    out: dict[int, bytes] = {}
+    for b, role in geo.roles.items():
+        if role.kind == "data":
+            out[b] = bytes(data[role.index])
+        else:
+            out[b] = _combine(zip(data, geo.rows[b]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Recoverability
+
+
 def can_decode_from(scheme: Scheme, present_blocks: Iterable[int]) -> bool:
     """True iff the given set of distinct surviving blocks determines every
     data block (rank of the known-symbol system over GF(2^8))."""
@@ -420,20 +464,18 @@ def can_decode_from(scheme: Scheme, present_blocks: Iterable[int]) -> bool:
             rows.append(row)
     if len(rows) < len(unknown):
         return False
-    return _rank(rows) == len(unknown)
+    return _eliminate(rows, len(unknown)) == len(unknown)
 
 
 _RECOVERABLE_CACHE: dict[tuple[Scheme, int], bool] = {}
 
 
-def _pattern_mask(scheme: Scheme, failed_nodes: Iterable[int]) -> int:
-    mask = 0
+def _iter_pattern(scheme, pattern):
     L = scheme.code_length
-    for n in failed_nodes:
+    for n in pattern:
         if not 0 <= n < L:
             raise ValueError(f"node {n} outside code length {L}")
-        mask |= 1 << n
-    return mask
+        yield n
 
 
 def is_recoverable_mask(scheme: Scheme, mask: int) -> bool:
@@ -455,7 +497,13 @@ def is_recoverable_mask(scheme: Scheme, mask: int) -> bool:
 
 def is_recoverable(scheme: Scheme, failed_nodes: Iterable[int]) -> bool:
     """True iff the surviving blocks determine all data blocks."""
-    return is_recoverable_mask(scheme, _pattern_mask(scheme, failed_nodes))
+    mask = 0
+    L = scheme.code_length
+    for n in failed_nodes:
+        if not 0 <= n < L:
+            raise ValueError(f"node {n} outside code length {L}")
+        mask |= 1 << n
+    return is_recoverable_mask(scheme, mask)
 
 
 def tolerance(scheme: Scheme) -> int:
@@ -510,50 +558,6 @@ def _flatten_surviving(
     return present
 
 
-def _solve_linear(rows, consts, width):
-    """Gauss-Jordan over GF(2^8) with byte-block right-hand sides.
-
-    Returns per-column solutions; raises UnrecoverableError when rank is
-    deficient and InconsistentStripeError when the system is contradictory.
-    """
-    rows = [list(r) for r in rows]
-    consts = list(consts)
-    ncols = width
-    pivot_of: dict[int, int] = {}
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        consts[rank], consts[pivot] = consts[pivot], consts[rank]
-        inv = gf_inv(rows[rank][col])
-        if inv != 1:
-            rows[rank] = [gf_mul(inv, v) for v in rows[rank]]
-            consts[rank] = scale_bytes(inv, consts[rank])
-        prow, pconst = rows[rank], consts[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [v ^ gf_mul(f, p) for v, p in zip(rows[r], prow)]
-                consts[r] = xor_bytes(consts[r], scale_bytes(f, pconst))
-        pivot_of[col] = rank
-        rank += 1
-    if len(pivot_of) < ncols:
-        raise UnrecoverableError("surviving blocks do not determine the data")
-    zero = None
-    for r in range(rank, len(rows)):
-        if zero is None:
-            zero = bytes(len(consts[r]))
-        if consts[r] != zero:
-            raise InconsistentStripeError("surviving bytes violate parity relations")
-    return [consts[pivot_of[c]] for c in range(ncols)]
-
-
 def decode_stripe(
     scheme: Scheme,
     surviving: Mapping[int, Mapping[int, bytes]],
@@ -597,13 +601,10 @@ def decode_stripe(
             row = [row_full[i] for i in unknown]
             if not any(row):
                 continue
-            const = payload
-            for i, d in enumerate(data):
-                if d is not None and row_full[i]:
-                    const = xor_bytes(const, scale_bytes(row_full[i], d))
+            known = [(d, c) for d, c in zip(data, row_full) if d is not None]
             rows.append(row)
-            consts.append(const)
-        solved = _solve_linear(rows, consts, len(unknown))
+            consts.append(_combine([(payload, 1), *known]))
+        solved = _solve(rows, consts, len(unknown))
         for i, payload in zip(unknown, solved):
             data[i] = payload
 
@@ -626,7 +627,7 @@ def oracle_decode(scheme: Scheme, present: Mapping[int, bytes]) -> list[bytes]:
     order = sorted(present)
     rows = [list(geo.rows[b]) for b in order]
     consts = [bytes(present[b]) for b in order]
-    return _solve_linear(rows, consts, scheme.data_block_count)
+    return _solve(rows, consts, scheme.data_block_count)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +695,17 @@ class RepairPlan:
 
 
 class _PlanBuilder:
-    def __init__(self):
+    """Accumulates one plan's transfers and recoveries for a scheme and a
+    set of down slots.  ``recovered`` maps a data index rebuilt earlier in
+    the plan to the slot that holds the rebuilt copy; ``covers`` maps
+    (data index, destination) to the XOR partial terms already sent there
+    for a data block with no copy left."""
+
+    def __init__(self, scheme: Scheme, down: frozenset[int]):
+        self.geo = _geometry(scheme)
+        self.down = down
+        self.recovered: dict[int, int] = {}
+        self.covers: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self.transfers: list[Transfer] = []
         self.recoveries: list[Recovery] = []
 
@@ -712,182 +723,130 @@ class _PlanBuilder:
     def recover(self, block_id, terms) -> None:
         self.recoveries.append(Recovery(block_id, tuple(terms)))
 
-    def done(self, scheme, pattern, target=None) -> RepairPlan:
+    def done(self, target=None) -> RepairPlan:
         recs = tuple(sorted(self.recoveries, key=lambda r: r.ready_after))
-        return RepairPlan(scheme, frozenset(pattern), tuple(self.transfers), recs, target)
+        return RepairPlan(
+            self.geo.scheme, self.down, tuple(self.transfers), recs, target
+        )
 
 
-def _partial_cover(n: int, excluded_edge: tuple[int, int], failed: set[int]):
-    """Assign every K_n edge except *excluded_edge* to one survivor: edges
-    touching a failed node go to their surviving endpoint, survivor-survivor
-    edges to the lower-indexed endpoint.  Exact cover by construction."""
+def _group_xor(builder, group: _Group, failed: list[int], dst: int):
+    """One XOR partial per surviving node of *group*, sent to *dst*, that
+    together cover every block of the group not on an edge between two
+    *failed* nodes: an edge touching a failed node goes to its surviving
+    end, a survivor-survivor edge to its lower end.  Their sum is the XOR
+    of the blocks between failed nodes.  Returns (transfer, 1) terms."""
     cover: dict[int, list[tuple[int, int]]] = {}
-    for i, j in polygon_edges(n):
-        if (i, j) == excluded_edge:
-            continue
+    for (i, j), b in group.block_of.items():
         if i in failed and j in failed:
-            raise AssertionError("only the excluded edge may join two failed nodes")
+            continue
         owner = j if i in failed else i
-        cover.setdefault(owner, []).append((i, j))
-    return cover
+        cover.setdefault(owner, []).append((b, 1))
+    return [(builder.partial(group.slots[s], dst, cover[s]), 1) for s in sorted(cover)]
 
 
-def _polygon_repair_into(builder, n, failed_local, slot, blk):
-    """Emit transfers repairing 1 or 2 failed nodes of an n-gon group.
+def _global_terms(builder, block: int, dst: int, skip):
+    """Transfer terms, sent to *dst*, whose sum is global parity *block*'s
+    alpha-weighted sum over every data block whose index is not in *skip*.
 
-    *slot* maps local node index -> plan slot, *blk* maps local edge ->
-    global block id.
+    Each data block is read from its lowest live host, else from the slot
+    holding a copy rebuilt earlier in the plan, else through the XOR
+    partials of its group, sent once per destination.
     """
-    edges = polygon_edges(n)
-    eidx = {e: k for k, e in enumerate(edges)}
-    failed = sorted(failed_local)
-    if len(failed) == 1:
-        f = failed[0]
-        for j in range(n):
-            if j == f:
-                continue
-            e = (min(f, j), max(f, j))
-            builder.copy(slot(j), slot(f), blk(eidx[e]))
-        return
-    f1, f2 = failed
-    survivors = [s for s in range(n) if s not in (f1, f2)]
-    for s in survivors:
-        for f in (f1, f2):
-            e = (min(s, f), max(s, f))
-            builder.copy(slot(s), slot(f), blk(eidx[e]))
-    pair_block = blk(eidx[(f1, f2)])
-    cover = _partial_cover(n, (f1, f2), {f1, f2})
-    partial_idx = [
-        builder.partial(slot(s), slot(f1), [(blk(eidx[e]), 1) for e in cover[s]])
-        for s in survivors
-    ]
-    builder.recover(pair_block, [(i, 1) for i in partial_idx])
-    builder.copy(slot(f1), slot(f2), pair_block)
-
-
-def _invert_matrix(m):
-    """Inverse of a small square matrix over GF(2^8)."""
-    k = len(m)
-    aug = [list(row) + [1 if i == j else 0 for j in range(k)] for i, row in enumerate(m)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if aug[r][col]), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = gf_inv(aug[col][col])
-        aug[col] = [gf_mul(inv, v) for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v ^ gf_mul(f, p) for v, p in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
-
-
-def _hl_heptagon_maps(group: int):
-    base_slot = group * _HEPTAGON
-    base_block = group * _HEPTA_BLOCKS
-
-    def slot(i):
-        return base_slot + i
-
-    def blk(edge_index):
-        return base_block + edge_index
-
-    return slot, blk
-
-
-def _hl_lowest_surviving_source(geo, block_id, down: set[int]) -> int | None:
-    alive = [s for s in geo.placements[block_id] if s not in down]
-    return min(alive) if alive else None
-
-
-def _hl_global_constant_groups(builder, geo, down, dst, unknown_data, extra_sources):
-    """Emit the transfer groups whose XOR yields the two global-parity
-    constants, excluding *unknown_data* contributions.
-
-    *extra_sources* maps a data index with no surviving host to the slot
-    that will hold its recovered bytes when the transfer executes.  Returns
-    ``groups[g] = [transfer indices]`` for g in (0, 1).
-    """
-    groups = []
-    for g in (0, 1):
-        idxs = [builder.copy(GLOBAL_PARITY_NODE, dst, 2 * _HEPTA_BLOCKS + g, delivers=False)]
-        by_src: dict[int, list[tuple[int, int]]] = {}
-        for i in range(40):
-            if i in unknown_data:
-                continue
-            b = geo.data_block_of[i]
-            src = _hl_lowest_surviving_source(geo, b, down)
-            if src is None:
-                src = extra_sources[i]
-            by_src.setdefault(src, []).append((b, gf_pow(2, (g + 1) * i)))
-        for src in sorted(by_src):
-            idxs.append(builder.partial(src, dst, by_src[src]))
-        groups.append(idxs)
-    return groups
-
-
-def _hl_triple_system(builder, geo, group, failed_local, dst):
-    """Transfers and solve matrix for 3 failures inside one heptagon.
-
-    Returns (unknown block ids, constant groups, matrix M) such that
-    M @ unknowns == [XOR of each group's payloads].
-    """
-    slot, blk = _hl_heptagon_maps(group)
-    edges = polygon_edges(_HEPTAGON)
-    eidx = {e: k for k, e in enumerate(edges)}
-    failed = sorted(failed_local)
-    failed_set = set(failed)
-    survivors = [s for s in range(_HEPTAGON) if s not in failed_set]
-    internal = [
-        (failed[0], failed[1]),
-        (failed[0], failed[2]),
-        (failed[1], failed[2]),
-    ]
-    unknown_blocks = [blk(eidx[e]) for e in internal]
-    down = {slot(f) for f in failed}
-
-    # group 0: the heptagon's XOR relation (all 21 blocks XOR to zero)
-    cover: dict[int, list[int]] = {}
-    for e, k in eidx.items():
-        if e in internal:
+    geo = builder.geo
+    row = geo.rows[block]
+    by_src: dict[int, list[tuple[int, int]]] = {}
+    cover_terms = []
+    for i, b in geo.data_block_of.items():
+        if i in skip:
             continue
-        i, j = e
-        owner = j if i in failed_set else i
-        cover.setdefault(owner, []).append(blk(k))
-    xor_group = [
-        builder.partial(slot(s), dst, [(b, 1) for b in cover[s]])
-        for s in survivors
-        if s in cover
-    ]
-
-    unknown_data = {
-        geo.roles[b].index for b in unknown_blocks if geo.roles[b].kind == "data"
-    }
-    g_groups = _hl_global_constant_groups(builder, geo, down, dst, unknown_data, {})
-
-    matrix = []
-    matrix.append([1, 1, 1])
-    for g in (0, 1):
-        row = []
-        for b in unknown_blocks:
-            role = geo.roles[b]
-            row.append(gf_pow(2, (g + 1) * role.index) if role.kind == "data" else 0)
-        matrix.append(row)
-    return unknown_blocks, [xor_group, *g_groups], matrix
-
-
-def _recover_from_groups(builder, unknown_blocks, groups, matrix, wanted=None):
-    inv = _invert_matrix(matrix)
-    for j, b in enumerate(unknown_blocks):
-        if wanted is not None and b not in wanted:
+        alive = [s for s in geo.placements[b] if s not in builder.down]
+        if alive:
+            src = min(alive)
+        elif i in builder.recovered:
+            src = builder.recovered[i]
+        else:
+            cover = builder.covers.get((i, dst))
+            if cover is None:
+                group = geo.group_of[b]
+                cover = _group_xor(builder, group, group.failed(builder.down), dst)
+                builder.covers[i, dst] = cover
+            cover_terms.extend((idx, row[i]) for idx, _ in cover)
             continue
-        terms = []
-        for k, group in enumerate(groups):
-            c = inv[j][k]
-            if c:
-                terms.extend((idx, c) for idx in group)
-        builder.recover(b, terms)
+        by_src.setdefault(src, []).append((b, row[i]))
+    terms = [(builder.partial(src, dst, by_src[src]), 1) for src in sorted(by_src)]
+    return terms + cover_terms
+
+
+def _solve_group(builder, group: _Group, failed: list[int], dst: int, wanted):
+    """Rebuild at *dst* the blocks on edges between *failed* nodes of
+    *group* (every one of them, or those in *wanted*).
+
+    The group's XOR relation determines one lost block; more lost blocks
+    add the global parity relations, each read whole from the global node
+    and offset by the weighted sum of the known data.
+    """
+    geo = builder.geo
+    unknowns = [b for _, b in group.internal(failed)]
+    equations = [_group_xor(builder, group, failed, dst)]
+    matrix = [[1] * len(unknowns)]
+    if len(unknowns) > 1:
+        roles = [geo.roles[b] for b in unknowns]
+        unknown_data = {r.index for r in roles if r.kind == "data"}
+        for gb in geo.global_blocks:
+            whole = builder.copy(geo.global_slot, dst, gb, delivers=False)
+            terms = _global_terms(builder, gb, dst, unknown_data)
+            equations.append([(whole, 1), *terms])
+            row = geo.rows[gb]
+            matrix.append([row[r.index] if r.kind == "data" else 0 for r in roles])
+    _, inverse = _transform(matrix, len(unknowns))
+    for j, b in enumerate(unknowns):
+        if wanted is None or b in wanted:
+            terms = [
+                (idx, gf_mul(inverse[j][k], c))
+                for k, eq in enumerate(equations)
+                if inverse[j][k]
+                for idx, c in eq
+            ]
+            builder.recover(b, terms)
+
+
+def _repair_group(builder, group: _Group, failed: list[int]) -> None:
+    """Restore every block of *group* lost with its 1-3 *failed* nodes.
+
+    Survivors copy each failed node its edge blocks; the blocks between
+    failed nodes are solved at the lowest failed node and copied on to
+    their other hosts.  Triples are solved before the survivor copies and
+    pairs after, which fixes the plans' transfer order.
+    """
+    solver = group.slots[failed[0]]
+    if len(failed) == 3:
+        _solve_group(builder, group, failed, solver, None)
+    for s in range(len(group.slots)):
+        if s in failed:
+            continue
+        for f in failed:
+            builder.copy(group.slots[s], group.slots[f], group.block_of[min(s, f), max(s, f)])
+    if len(failed) == 2:
+        _solve_group(builder, group, failed, solver, None)
+    for edge, b in group.internal(failed):
+        for host in edge:
+            if group.slots[host] != solver:
+                builder.copy(solver, group.slots[host], b)
+        role = builder.geo.roles[b]
+        if role.kind == "data":
+            builder.recovered[role.index] = solver
+
+
+def _mirror_rebuild(builder, block: int, dst: int) -> None:
+    """Rebuild RAID+m *block* at *dst* as the XOR of a whole copy of every
+    other block of the stripe, each from its lowest live host."""
+    idxs = [
+        builder.copy(min(s for s in slots if s not in builder.down), dst, other, delivers=False)
+        for other, slots in sorted(builder.geo.placements.items())
+        if other != block
+    ]
+    builder.recover(block, [(i, 1) for i in idxs])
 
 
 def plan_repair(scheme: Scheme, pattern: Iterable[int]) -> RepairPlan:
@@ -903,32 +862,30 @@ def plan_repair(scheme: Scheme, pattern: Iterable[int]) -> RepairPlan:
         return RepairPlan(scheme, failed, ())
     if not is_recoverable(scheme, failed):
         raise UnrecoverableError(f"pattern {sorted(failed)} is fatal for {scheme.name}")
+    builder = _PlanBuilder(scheme, failed)
+    geo = builder.geo
 
-    if isinstance(scheme, Polygon):
-        if len(failed) > 2:
-            raise UnsupportedPatternError("polygon repair supports 1 or 2 failures")
-        builder = _PlanBuilder()
-        _polygon_repair_into(builder, scheme.nodes, sorted(failed), lambda i: i, lambda e: e)
-        return builder.done(scheme, failed)
-
-    if isinstance(scheme, HeptagonLocal):
-        if len(failed) > 3:
+    if geo.groups:
+        if isinstance(scheme, HeptagonLocal) and len(failed) > 3:
             raise UnsupportedPatternError("heptagon-local repair supports up to 3 failures")
-        builder = _build_hl_repair(scheme, failed)
-        return builder.done(scheme, failed)
+        for group in geo.groups:
+            lost = group.failed(failed)
+            if lost:
+                _repair_group(builder, group, lost)
+        if geo.global_slot in failed:
+            for gb in geo.global_blocks:
+                builder.recover(gb, _global_terms(builder, gb, geo.global_slot, ()))
+        return builder.done()
 
     if len(failed) > tolerance(scheme):
         raise UnsupportedPatternError("pattern exceeds scheme tolerance")
     if isinstance(scheme, Replication):
-        builder = _PlanBuilder()
         alive = min(s for s in range(scheme.copies) if s not in failed)
         for f in sorted(failed):
             builder.copy(alive, f, 0)
-        return builder.done(scheme, failed)
+        return builder.done()
 
     assert isinstance(scheme, RaidMirror)
-    builder = _PlanBuilder()
-    geo = _geometry(scheme)
     fully_lost = []
     for b, slots in sorted(geo.placements.items()):
         lost = [s for s in slots if s in failed]
@@ -942,87 +899,9 @@ def plan_repair(scheme: Scheme, pattern: Iterable[int]) -> RepairPlan:
             fully_lost.append(b)
     for b in fully_lost:
         dst = min(geo.placements[b])
-        idxs = []
-        for other, slots in sorted(geo.placements.items()):
-            if other == b:
-                continue
-            src = min(s for s in slots if s not in failed)
-            idxs.append(builder.copy(src, dst, other, delivers=False))
-        builder.recover(b, [(i, 1) for i in idxs])
+        _mirror_rebuild(builder, b, dst)
         builder.copy(dst, max(geo.placements[b]), b)
-    return builder.done(scheme, failed)
-
-
-def _build_hl_repair(scheme, failed):
-    geo = _geometry(scheme)
-    builder = _PlanBuilder()
-    a_failed = sorted(p for p in failed if p < _HEPTAGON)
-    b_failed = sorted(p - _HEPTAGON for p in failed if _HEPTAGON <= p < 2 * _HEPTAGON)
-
-    pair_source: dict[int, int] = {}
-    for group, gf in ((0, a_failed), (1, b_failed)):
-        if not gf:
-            continue
-        slot, blk = _hl_heptagon_maps(group)
-        if len(gf) == 3:
-            failed_sorted = sorted(gf)
-            solver = slot(failed_sorted[0])
-            unknowns, groups, matrix = _hl_triple_system(
-                builder, geo, group, failed_sorted, solver
-            )
-            _recover_from_groups(builder, unknowns, groups, matrix)
-            edges = polygon_edges(_HEPTAGON)
-            eidx = {e: k for k, e in enumerate(edges)}
-            fs = set(failed_sorted)
-            for s in range(_HEPTAGON):
-                if s in fs:
-                    continue
-                for f in failed_sorted:
-                    e = (min(s, f), max(s, f))
-                    builder.copy(slot(s), slot(f), blk(eidx[e]))
-            internal = [
-                (failed_sorted[0], failed_sorted[1]),
-                (failed_sorted[0], failed_sorted[2]),
-                (failed_sorted[1], failed_sorted[2]),
-            ]
-            for (i, j), b in zip(internal, unknowns):
-                for host in (i, j):
-                    if slot(host) != solver:
-                        builder.copy(solver, slot(host), b)
-        else:
-            _polygon_repair_into(builder, _HEPTAGON, gf, slot, blk)
-            if len(gf) == 2:
-                edges = polygon_edges(_HEPTAGON)
-                pair_block = blk(edges.index((gf[0], gf[1])))
-                role = geo.roles[pair_block]
-                if role.kind == "data":
-                    pair_source[role.index] = slot(gf[0])
-
-    if GLOBAL_PARITY_NODE in failed:
-        down = set(failed)
-        for g in (0, 1):
-            block = 2 * _HEPTA_BLOCKS + g
-            by_src: dict[int, list[tuple[int, int]]] = {}
-            for i in range(40):
-                b = geo.data_block_of[i]
-                src = _hl_lowest_surviving_source(geo, b, down)
-                if src is None:
-                    src = pair_source[i]
-                by_src.setdefault(src, []).append((b, gf_pow(2, (g + 1) * i)))
-            idxs = [
-                builder.partial(src, GLOBAL_PARITY_NODE, by_src[src])
-                for src in sorted(by_src)
-            ]
-            builder.recover(block, [(i, 1) for i in idxs])
-    return builder
-
-
-def _iter_pattern(scheme, pattern):
-    L = scheme.code_length
-    for n in pattern:
-        if not 0 <= n < L:
-            raise ValueError(f"node {n} outside code length {L}")
-        yield n
+    return builder.done()
 
 
 def plan_degraded_read(
@@ -1039,94 +918,19 @@ def plan_degraded_read(
         raise BlockAvailableError(f"block {block_id} still has a live copy")
     if not is_recoverable(scheme, down):
         raise UnrecoverableError(f"pattern {sorted(down)} is fatal for {scheme.name}")
-
-    builder = _PlanBuilder()
     if isinstance(scheme, Replication):
         raise UnrecoverableError("replication has no parity to decode from")
 
-    if isinstance(scheme, Polygon):
-        n = scheme.nodes
-        pair = tuple(sorted(hosts))
-        cover = _partial_cover(n, pair, set(down))
-        idxs = [
-            builder.partial(s, READER_NODE, [(_polygon_block(n, e), 1) for e in cover[s]])
-            for s in sorted(cover)
-        ]
-        builder.recover(block_id, [(i, 1) for i in idxs])
-        return builder.done(scheme, down, target=block_id)
-
-    if isinstance(scheme, RaidMirror):
-        idxs = []
-        for other, slots in sorted(geo.placements.items()):
-            if other == block_id:
-                continue
-            src = min(s for s in slots if s not in down)
-            idxs.append(builder.copy(src, READER_NODE, other, delivers=False))
-        builder.recover(block_id, [(i, 1) for i in idxs])
-        return builder.done(scheme, down, target=block_id)
-
-    assert isinstance(scheme, HeptagonLocal)
-    _hl_degraded_read(builder, geo, block_id, down)
-    return builder.done(scheme, down, target=block_id)
-
-
-def _polygon_block(n, edge):
-    return polygon_edges(n).index(edge)
-
-
-def _hl_degraded_read(builder, geo, block_id, down):
-    role = geo.roles[block_id]
-    if role.kind == "global_parity":
-        g = role.index
-        # rebuild the weighted sum; a fully-lost data block (the pair edge of
-        # a doubly-failed heptagon) is substituted by its local XOR cover
-        local_groups: dict[int, list[int]] = {}
-        by_src: dict[int, list[tuple[int, int]]] = {}
-        for i in range(40):
-            b = geo.data_block_of[i]
-            src = _hl_lowest_surviving_source(geo, b, down)
-            if src is not None:
-                by_src.setdefault(src, []).append((b, gf_pow(2, (g + 1) * i)))
-                continue
-            group = 0 if b < _HEPTA_BLOCKS else 1
-            slot, blk = _hl_heptagon_maps(group)
-            gfailed = sorted(s - group * _HEPTAGON for s in down if s in range(group * _HEPTAGON, group * _HEPTAGON + _HEPTAGON))
-            pair = tuple(sorted(gfailed))
-            cover = _partial_cover(_HEPTAGON, pair, set(pair))
-            edges = polygon_edges(_HEPTAGON)
-            eidx = {e: k for k, e in enumerate(edges)}
-            local_groups[i] = [
-                builder.partial(slot(s), READER_NODE, [(blk(eidx[e]), 1) for e in cover[s]])
-                for s in sorted(cover)
-            ]
-        terms = []
-        for src in sorted(by_src):
-            terms.append((builder.partial(src, READER_NODE, by_src[src]), 1))
-        for i, idxs in local_groups.items():
-            coef = gf_pow(2, (g + 1) * i)
-            terms.extend((idx, coef) for idx in idxs)
-        builder.recover(block_id, terms)
-        return
-
-    group = 0 if block_id < _HEPTA_BLOCKS else 1
-    slot, blk = _hl_heptagon_maps(group)
-    group_slots = set(range(group * _HEPTAGON, group * _HEPTAGON + _HEPTAGON))
-    gfailed = sorted(s - group * _HEPTAGON for s in down if s in group_slots)
-    edges = polygon_edges(_HEPTAGON)
-    eidx = {e: k for k, e in enumerate(edges)}
-    if len(gfailed) == 2:
-        pair = (gfailed[0], gfailed[1])
-        cover = _partial_cover(_HEPTAGON, pair, set(pair))
-        idxs = [
-            builder.partial(slot(s), READER_NODE, [(blk(eidx[e]), 1) for e in cover[s]])
-            for s in sorted(cover)
-        ]
-        builder.recover(block_id, [(i, 1) for i in idxs])
+    builder = _PlanBuilder(scheme, down)
+    if block_id in geo.global_blocks:
+        builder.recover(block_id, _global_terms(builder, block_id, READER_NODE, ()))
+    elif geo.groups:
+        group = geo.group_of[block_id]
+        _solve_group(builder, group, group.failed(down), READER_NODE, {block_id})
     else:
-        unknowns, groups, matrix = _hl_triple_system(
-            builder, geo, group, gfailed, READER_NODE
-        )
-        _recover_from_groups(builder, unknowns, groups, matrix, wanted={block_id})
+        assert isinstance(scheme, RaidMirror)
+        _mirror_rebuild(builder, block_id, READER_NODE)
+    return builder.done(target=block_id)
 
 
 # ---------------------------------------------------------------------------
@@ -1154,26 +958,14 @@ def execute_plan(plan: RepairPlan, reader: Callable[[int], bytes]) -> dict[int, 
         p = tr.payload
         if isinstance(p, WholeCopy):
             data = fetch(p.block_id)
-            payloads.append(data)
             if tr.delivers:
                 recovered[p.block_id] = data
         else:
-            acc = None
-            for b, coef in p.terms:
-                piece = fetch(b)
-                if coef != 1:
-                    piece = scale_bytes(coef, piece)
-                acc = piece if acc is None else xor_bytes(acc, piece)
-            payloads.append(acc)
+            data = _combine((fetch(b), coef) for b, coef in p.terms)
+        payloads.append(data)
         while pending and pending[-1].ready_after <= idx:
             rec = pending.pop()
-            acc = None
-            for i, coef in rec.terms:
-                piece = payloads[i]
-                if coef != 1:
-                    piece = scale_bytes(coef, piece)
-                acc = piece if acc is None else xor_bytes(acc, piece)
-            recovered[rec.block_id] = acc
+            recovered[rec.block_id] = _combine((payloads[i], coef) for i, coef in rec.terms)
     if pending:
         raise AssertionError("plan recoveries reference transfers that never ran")
     return recovered

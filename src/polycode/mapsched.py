@@ -22,9 +22,11 @@ Schedulers
 Loads above 100% are split into ``ceil(load/100)`` sequential waves by
 ``run_scheduler``; the schedulers themselves require tasks <= total slots.
 
-For the heptagon-local code only the two heptagons are placed: the global
-parity node hosts no map input and plays no role in task assignment, so it
-is left out of the simulated cluster.
+Block placements come from ``codes``: the cluster tiles each stripe's
+canonical slots (``codes._Geometry.placements``) onto a window of nodes.  For
+the heptagon-local code only the two heptagons are placed: the global parity
+node hosts no map input and plays no role in task assignment, so it is left
+out of the simulated cluster.
 
 Sweep cells are independent; every scheduler run is a deterministic function
 of (cluster, workload, parameters, seed).
@@ -38,15 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from statistics import mean, pstdev
 
-from .codes import (
-    HeptagonLocal,
-    Polygon,
-    RaidMirror,
-    Replication,
-    Scheme,
-    parse_scheme,
-    polygon_edges,
-)
+from .codes import RaidMirror, Replication, Scheme, _geometry, parse_scheme
 
 
 class OverloadError(Exception):
@@ -119,7 +113,12 @@ def build_cluster(
     """
     if slots_per_node < 1:
         raise ValueError("need at least one map slot per node")
-    width = 14 if isinstance(scheme, HeptagonLocal) else scheme.code_length
+    geo = _geometry(scheme)
+    # global parities host no map input, so their slot is not simulated
+    hosted = [
+        slots for b, slots in geo.placements.items() if b not in geo.global_blocks
+    ]
+    width = 1 + max(s for slots in hosted for s in slots)
     if node_count < width:
         raise ValueError(f"{scheme.name} needs at least {width} nodes")
     if stripes is None:
@@ -134,13 +133,13 @@ def build_cluster(
         catalog[next_block] = frozenset(hosts)
         next_block += 1
 
-    if isinstance(scheme, (Polygon, HeptagonLocal)):
+    if geo.groups:
         window_count = -(-node_count // width)
         windows = [
             [perm[(w * width + k) % node_count] for k in range(width)]
             for w in range(window_count)
         ]
-        per_node = width - 1 if isinstance(scheme, Polygon) else 6
+        per_node = len(geo.blocks_on[0])  # the same on every slot of a group
         load = [0] * node_count
         for _ in range(stripes):
             best = min(
@@ -150,13 +149,8 @@ def build_cluster(
             window = windows[best]
             for v in window:
                 load[v] += per_node
-            if isinstance(scheme, Polygon):
-                for i, j in polygon_edges(scheme.nodes):
-                    add((window[i], window[j]))
-            else:
-                for group in (0, 1):
-                    for i, j in polygon_edges(7):
-                        add((window[group * 7 + i], window[group * 7 + j]))
+            for slots in hosted:
+                add([window[s] for s in slots])
     elif isinstance(scheme, Replication):
         for _ in range(stripes):
             add(rng.sample(range(node_count), scheme.copies))

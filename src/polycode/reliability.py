@@ -30,6 +30,7 @@ nothing about the merged estimate.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import statistics
@@ -43,6 +44,7 @@ from .codes import (
     RaidMirror,
     Replication,
     Scheme,
+    _geometry,
     fatal_pattern_count,
     is_recoverable,
     is_recoverable_mask,
@@ -214,36 +216,26 @@ def build_markov_chain(scheme: Scheme, model: FailureModel) -> MarkovChain:
     elif isinstance(scheme, HeptagonLocal):
         # state (a, b, g): failures per heptagon plus the global node; the
         # exhaustive 2^15 recoverability scan shows this determines fate
-        fatal_sig = {}
-        for a in range(8):
-            for b in range(8):
-                for g in (0, 1):
-                    pattern = list(range(a)) + [7 + i for i in range(b)] + ([14] if g else [])
-                    fatal_sig[(a, b, g)] = not is_recoverable(scheme, pattern)
-        states = [s for s, fatal in sorted(fatal_sig.items()) if not fatal]
-        index = {s: i for i, s in enumerate(states)}
-        transitions = []
-        for a, b, g in states:
-            outs = []
-
-            def fail_to(sig, rate, outs=outs):
-                outs.append((LOSS if fatal_sig[sig] else sig, rate))
-
-            if a < 7:
-                fail_to((a + 1, b, g), (7 - a) * lam)
-            if b < 7:
-                fail_to((a, b + 1, g), (7 - b) * lam)
-            if not g:
-                fail_to((a, b, 1), lam)
-            shares = _repair_shares(
-                model.repair_mode, [Fraction(a), Fraction(b), Fraction(g)], mu
+        geo = _geometry(scheme)
+        parts = [g.slots for g in geo.groups] + [(geo.global_slot,)]
+        fatal_sig = {
+            sig: not is_recoverable(
+                scheme, [s for part, k in zip(parts, sig) for s in part[:k]]
             )
-            if a:
-                outs.append(((a - 1, b, g), shares[0]))
-            if b:
-                outs.append(((a, b - 1, g), shares[1]))
-            if g:
-                outs.append(((a, b, 0), shares[2]))
+            for sig in itertools.product(*(range(len(p) + 1) for p in parts))
+        }
+        states = [s for s, fatal in sorted(fatal_sig.items()) if not fatal]
+        transitions = []
+        for sig in states:
+            outs = []
+            for k, part in enumerate(parts):
+                if sig[k] < len(part):
+                    up = sig[:k] + (sig[k] + 1,) + sig[k + 1 :]
+                    outs.append((LOSS if fatal_sig[up] else up, (len(part) - sig[k]) * lam))
+            shares = _repair_shares(model.repair_mode, [Fraction(c) for c in sig], mu)
+            for k, count in enumerate(sig):
+                if count:
+                    outs.append((sig[:k] + (count - 1,) + sig[k + 1 :], shares[k]))
             transitions.append(outs)
         if model.repair_mode == "serial":
             assumptions.append(

@@ -270,8 +270,8 @@ def test_criterion_5_locality_trends(locality_rows):
                 failures.append(f"(d) matching beaten on instance {key}")
 
         assert not failures, (
-            "criterion 5 sub-checks failed (see notes/decisions.md for the"
-            " structural analysis):\n  " + "\n  ".join(failures)
+            "criterion 5 sub-checks failed (see the README paragraph on the"
+            " acceptance check expected to fail):\n  " + "\n  ".join(failures)
         )
 
 

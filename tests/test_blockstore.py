@@ -155,6 +155,23 @@ def test_get_unrecoverable(pentagon_store, tmp_path):
         pentagon_store.get("data.bin")
 
 
+def test_get_falls_back_past_corrupt_replica(pentagon_store, tmp_path):
+    path = write_file(tmp_path, 2 * 9 * BS, seed=12)
+    manifest = pentagon_store.put(path)
+    pentagon_store.kill_node(0)
+    pentagon_store.kill_node(1)
+    zeroed = 0
+    for stripe in manifest.stripes:
+        for record in stripe.blocks:
+            if 2 in record.nodes and {3, 4} & set(record.nodes):
+                target = pentagon_store.root / record.files[record.nodes.index(2)]
+                target.write_bytes(bytes(BS))
+                zeroed += 1
+    assert zeroed == 4  # edges (2,3) and (2,4) in each stripe
+    assert not pentagon_store.fsck().fatal_stripes
+    assert pentagon_store.get("data.bin") == path.read_bytes()
+
+
 def test_repair_bandwidth_matches_plans(pentagon_store, tmp_path):
     path = write_file(tmp_path, 3 * 9 * BS, seed=8)
     pentagon_store.put(path)

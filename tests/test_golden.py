@@ -1,0 +1,138 @@
+"""Golden outputs: sha256 digests of CLI and planner output bytes.
+
+The digests were recorded once from the code as it stood before the
+geometry / elimination refactor and must never be regenerated to make a
+change pass.  A mismatch means some output byte changed.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import itertools
+
+import pytest
+
+from polycode import cli, codes
+from polycode.cli import REPORT_SCHEMES, main
+from polycode.codes import (
+    BlockAvailableError,
+    CodeError,
+    WholeCopy,
+    parse_scheme,
+    plan_degraded_read,
+    tolerance,
+)
+
+GOLDEN = {
+    "report-schemes": "78d04520c218c599529e67194caf99e94bce411f0dcceabb72fd5edd7eedba67",
+    "sim-locality": "4829a78cbb4ea98bb0ea43b4c9c3a948c97f76f7cdd4d8b36241a7ca3e4044c4",
+    "sim-reliability": "b24214cbeb495ce9bad93686f30cb779ac12fcfd5d4452845483a6de7476141f",
+    "code-encode": "f77049a4630aeb95c3d8a8aecba45263de8319aaff7c5b499eb7fba8969a1675",
+    "repair-plans": "6dde10e9cfa208f3583e30ee3015cbac327561c35f26406f676e5747e43a94b4",
+    "degraded-reads": "bd1fa2957d4caaae23a8dc5dd966b4bcaa832ecd72ae9ae9b88c7372f87ba280",
+}
+
+
+def _run_main(*argv) -> bytes:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return f"exit {code}\n{out.getvalue()}\n--stderr--\n{err.getvalue()}".encode()
+
+
+def _report_schemes(tmp_path):
+    yield _run_main("report", "--kind", "schemes")
+
+
+def _sim_locality(tmp_path):
+    yield _run_main(
+        "sim", "locality",
+        "--scheme", "2-rep,pentagon,heptagon,heptagon-local,raidm-9",
+        "--scheduler", "matching,delay,peeling",
+        "--nodes", "25", "--slots", "2,4", "--load", "50,150",
+        "--reps", "2", "--seed", "17",
+    )
+
+
+def _sim_reliability(tmp_path):
+    yield _run_main(
+        "sim", "reliability",
+        "--scheme", "3-rep,pentagon,raidm-9,heptagon-local",
+        "--mttf-hours", "100", "--mttr-hours", "10",
+        "--trials", "200", "--seed", "23", "--threads", "1",
+    )
+
+
+def _code_encode(tmp_path):
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes((i * 131 + 7) % 251 for i in range(9000)))
+    for name in ("pentagon", "heptagon", "heptagon-local", "raidm-9", "3-rep"):
+        out_dir = tmp_path / name
+        yield _run_main(
+            "code", "encode", "--scheme", name, "--input", str(src),
+            "--out-dir", str(out_dir),
+        ).replace(str(out_dir).encode(), b"<out>")
+        for path in sorted(out_dir.iterdir()):
+            yield path.name.encode() + b"\n" + path.read_bytes()
+
+
+def _repair_plans(tmp_path):
+    for name in REPORT_SCHEMES:
+        scheme = parse_scheme(name)
+        for size in range(1, tolerance(scheme) + 1):
+            for pattern in itertools.combinations(range(scheme.code_length), size):
+                args = argparse.Namespace(
+                    scheme=name, failed=",".join(map(str, pattern))
+                )
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    cli._cmd_code_repair_plan(args)
+                yield f"{name} {pattern}\n{out.getvalue()}".encode()
+
+
+def _transfer_text(t) -> str:
+    if isinstance(t.payload, WholeCopy):
+        what = f"copy {t.payload.block_id}"
+    else:
+        what = "partial " + " ".join(f"{b}*{c}" for b, c in t.payload.terms)
+    return f"{t.src}->{t.dst} {what} delivers={t.delivers}"
+
+
+def _degraded_reads(tmp_path):
+    for name in REPORT_SCHEMES:
+        scheme = parse_scheme(name)
+        placements = codes._geometry(scheme).placements
+        for size in (1, 2, 3):
+            for pattern in itertools.combinations(range(scheme.code_length), size):
+                for block in sorted(placements):
+                    if not set(placements[block]) <= set(pattern):
+                        continue
+                    try:
+                        plan = plan_degraded_read(scheme, block, pattern)
+                    except BlockAvailableError:
+                        raise AssertionError("fully lost block reported available")
+                    except CodeError as exc:
+                        text = type(exc).__name__
+                    else:
+                        text = "\n".join(_transfer_text(t) for t in plan.transfers)
+                    yield f"{name} {pattern} {block}\n{text}\n".encode()
+
+
+PRODUCERS = {
+    "report-schemes": _report_schemes,
+    "sim-locality": _sim_locality,
+    "sim-reliability": _sim_reliability,
+    "code-encode": _code_encode,
+    "repair-plans": _repair_plans,
+    "degraded-reads": _degraded_reads,
+}
+
+
+@pytest.mark.parametrize("item", sorted(GOLDEN))
+def test_golden_output_digest(item, tmp_path):
+    h = hashlib.sha256()
+    for chunk in PRODUCERS[item](tmp_path):
+        h.update(len(chunk).to_bytes(8, "little"))
+        h.update(chunk)
+    assert h.hexdigest() == GOLDEN[item], f"{item} output bytes changed"
