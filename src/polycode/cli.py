@@ -399,11 +399,13 @@ def _cmd_sim_locality(args) -> int:
 def _cmd_sim_reliability(args) -> int:
     schemes = [parse_scheme(s) for s in _parse_str_list(args.scheme)]
     model = reliability.FailureModel.from_mttf_mttr(args.mttf_hours, args.mttr_hours, args.mode)
-    for scheme in schemes:
-        chain = reliability.build_markov_chain(scheme, model)
+    chains = [reliability.build_markov_chain(scheme, model) for scheme in schemes]
+    for scheme, chain in zip(schemes, chains):
         for note in chain.assumptions:
             print(f"# {scheme.name}: {note}", file=sys.stderr)
-    rows = reliability.reliability_rows(schemes, model, args.trials, args.seed, args.threads)
+    rows = reliability.reliability_rows(
+        schemes, model, args.trials, args.seed, args.threads, chains
+    )
     emit_report(rows, args.out, reliability.RELIABILITY_COLUMNS)
     return 0
 

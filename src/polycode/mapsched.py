@@ -17,7 +17,13 @@ Schedulers
               rounds, oldest first.
 ``peeling``   tasks with a single live hosting node are placed first; after
               that the task with the most slack across its hosts goes to its
-              least-contended host.
+              least-contended host.  Ties go to the earliest task in a
+              seed-shuffled order, the host is the live one minimising
+              ``(demand / free, node)``, and tasks left with no live host
+              are filled remotely in shuffled order.  Degrees and slacks are
+              kept in heaps and updated per placement, as in an LT-code
+              peeling decoder: about O(T*h*T/N) per wave of T tasks on N
+              nodes with h hosts per block, not O(T^2*h).
 
 Loads above 100% are split into ``ceil(load/100)`` sequential waves by
 ``run_scheduler``; the schedulers themselves require tasks <= total slots.
@@ -38,6 +44,7 @@ import random
 import zlib
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from statistics import mean, pstdev
 
 from .codes import RaidMirror, Replication, Scheme, _geometry, parse_scheme
@@ -348,7 +355,23 @@ def schedule_peeling(
 ) -> Assignment:
     """Modified peeling: degree-1 tasks (a single hosting node with free
     slots) are pinned first; otherwise the task with the greatest total
-    slack across its hosts is placed on its least-contended host."""
+    slack across its hosts is placed on its least-contended host.
+
+    Tie-breaks follow the seed-shuffled task order: the earliest degree-1
+    task goes first, and among tasks of maximal slack the earliest wins.
+    The host is ``min(live, key=(demand[v] / free[v], v))`` over the task's
+    hosts with a free slot, where ``demand[v]`` counts the pending tasks
+    hosted on ``v``.  A task whose degree reaches 0 joins the remote list in
+    shuffled order at the step its last host fills; remote tasks are then
+    placed by ``_fill_remote``.
+
+    Degrees, slacks and demands are updated as slots are taken, from a
+    min-heap of degree-1 positions and one min-heap of positions per slack
+    value (both with lazy deletion).  A placement touches only the tasks
+    hosted on the chosen node, so a wave costs about O(T*h*T/N) heap
+    operations for T tasks, h hosts per block and N nodes, against
+    O(T^2*h) for rescanning every pending task at every step.
+    """
     _check_capacity(cluster, workload)
     tasks = workload.tasks
     n_tasks = len(tasks)
@@ -357,35 +380,66 @@ def schedule_peeling(
     free = [cluster.slots_per_node] * cluster.node_count
     order = list(range(n_tasks))
     random.Random(seed).shuffle(order)
-    pending = list(order)
+    # from here on a task is named by its position p in the shuffled order
+    hosts = [sorted(cluster.catalog[tasks[ti]]) for ti in order]
+    on_node: list[list[int]] = [[] for _ in range(cluster.node_count)]
+    for p, hs in enumerate(hosts):
+        for v in hs:
+            on_node[v].append(p)  # ascending positions
+    demand = [len(ps) for ps in on_node]
+    degree = [len(hs) for hs in hosts]
+    slack = [d * cluster.slots_per_node for d in degree]
+    pending = [True] * n_tasks
+    singles = [p for p in range(n_tasks) if degree[p] == 1]  # sorted: a heap
+    top = max(slack, default=0)
+    buckets: list[list[int]] = [[] for _ in range(top + 1)]
+    for p, s in enumerate(slack):
+        buckets[s].append(p)  # ascending positions: each bucket is a heap
     remote: list[int] = []
+    left = n_tasks
 
-    while pending:
-        live: dict[int, list[int]] = {}
-        still = []
-        for ti in pending:
-            hosts = [v for v in sorted(cluster.catalog[tasks[ti]]) if free[v] > 0]
-            if hosts:
-                live[ti] = hosts
-                still.append(ti)
-            else:
-                remote.append(ti)
-        pending = still
-        if not pending:
-            break
-        choice = next((ti for ti in pending if len(live[ti]) == 1), None)
-        if choice is None:
-            choice = max(pending, key=lambda ti: sum(free[v] for v in live[ti]))
-        demand = {v: 0 for v in live[choice]}
-        for ti in pending:
-            for v in live[ti]:
-                if v in demand:
-                    demand[v] += 1
-        node = min(live[choice], key=lambda v: (demand[v] / free[v], v))
-        node_of[choice] = node
-        local[choice] = True
+    while left:
+        while singles and not (pending[singles[0]] and degree[singles[0]] == 1):
+            heappop(singles)
+        if singles:
+            p = heappop(singles)
+        else:
+            while True:
+                bucket = buckets[top]
+                while bucket and not (pending[bucket[0]] and slack[bucket[0]] == top):
+                    heappop(bucket)
+                if bucket:
+                    break
+                top -= 1
+            p = heappop(bucket)
+        node = min(
+            (v for v in hosts[p] if free[v]), key=lambda v: (demand[v] / free[v], v)
+        )
+        ti = order[p]
+        node_of[ti] = node
+        local[ti] = True
+        pending[p] = False
+        left -= 1
+        for v in hosts[p]:
+            demand[v] -= 1
         free[node] -= 1
-        pending.remove(choice)
+        full = not free[node]
+        for q in on_node[node]:
+            if not pending[q]:
+                continue
+            s = slack[q] - 1
+            slack[q] = s
+            if full:
+                d = degree[q] - 1
+                degree[q] = d
+                if d == 0:  # its last host just filled
+                    pending[q] = False
+                    left -= 1
+                    remote.append(order[q])
+                    continue
+                if d == 1:
+                    heappush(singles, q)
+            heappush(buckets[s], q)
 
     _fill_remote(free, remote, node_of, local)
     return Assignment(tuple(node_of), tuple(local))

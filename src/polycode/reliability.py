@@ -25,7 +25,9 @@ reproducing tabulated values; both caveats are carried in
 
 Monte Carlo trials are independent and derive their RNG from
 ``(seed, trial index)``, so partitioning trials across workers changes
-nothing about the merged estimate.
+nothing about the merged estimate.  Each worker's batch of trials keeps one
+table from failure mask to fate, filled from ``is_recoverable_mask`` the
+first time a mask occurs, so a failure event costs one dict lookup.
 """
 
 from __future__ import annotations
@@ -128,6 +130,9 @@ class MarkovChain:
 
 
 def _solve_fractions(a: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Gauss-Jordan over ``Fraction``.  Chain generators are sparse, so each
+    elimination touches only the nonzero columns of the scaled pivot row;
+    the arithmetic is exact, so skipping zeros changes no result."""
     n = len(a)
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
@@ -136,12 +141,15 @@ def _solve_fractions(a: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
         a[col], a[pivot] = a[pivot], a[col]
         rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
         inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
+        a[col] = row = [v * inv for v in a[col]]
         rhs[col] = rhs[col] * inv
+        nonzero = [(j, v) for j, v in enumerate(row) if v != 0]
         for r in range(n):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
-                a[r] = [v - f * p for v, p in zip(a[r], a[col])]
+                target = a[r]
+                for j, v in nonzero:
+                    target[j] -= f * v
                 rhs[r] = rhs[r] - f * rhs[col]
     return rhs
 
@@ -262,9 +270,14 @@ def build_markov_chain(scheme: Scheme, model: FailureModel) -> MarkovChain:
     )
 
 
-def mttdl_analytic(scheme: Scheme, model: FailureModel) -> float:
-    """Expected hours to data loss from the absorbing chain."""
-    return build_markov_chain(scheme, model).expected_hours_to_loss()
+def mttdl_analytic(
+    scheme: Scheme, model: FailureModel, chain: MarkovChain | None = None
+) -> float:
+    """Expected hours to data loss from the absorbing chain; *chain*, if
+    given, is the scheme's chain under *model*, already built."""
+    if chain is None:
+        chain = build_markov_chain(scheme, model)
+    return chain.expected_hours_to_loss()
 
 
 def system_mttdl(group_mttdl: float, groups: int) -> float:
@@ -282,7 +295,11 @@ def _trial_rng(seed: int, index: int) -> random.Random:
     return random.Random((seed * 0x1F123BB5) ^ index)
 
 
-def _simulate_trial(scheme: Scheme, model: FailureModel, rng: random.Random) -> float:
+def _simulate_trial(
+    scheme: Scheme, model: FailureModel, rng: random.Random, fate: dict[int, bool]
+) -> float:
+    """Hours until the first unrecoverable failure pattern.  *fate* maps
+    failure masks already seen to recoverability and is filled on a miss."""
     n = scheme.code_length
     lam = model.fail_rate
     mu = model.repair_rate
@@ -307,7 +324,10 @@ def _simulate_trial(scheme: Scheme, model: FailureModel, rng: random.Random) -> 
             up.pop()
             failed.append(node)
             mask |= 1 << node
-            if not is_recoverable_mask(scheme, mask):
+            ok = fate.get(mask)
+            if ok is None:
+                ok = fate[mask] = is_recoverable_mask(scheme, mask)
+            if not ok:
                 return t
         else:
             i = randrange(k) if parallel else 0  # serial repairs oldest first
@@ -317,8 +337,9 @@ def _simulate_trial(scheme: Scheme, model: FailureModel, rng: random.Random) -> 
 
 
 def _run_trials(scheme: Scheme, model: FailureModel, seed: int, start: int, count: int):
+    fate: dict[int, bool] = {}
     return [
-        _simulate_trial(scheme, model, _trial_rng(seed, start + i))
+        _simulate_trial(scheme, model, _trial_rng(seed, start + i), fate)
         for i in range(count)
     ]
 
@@ -392,10 +413,13 @@ def reliability_rows(
     trials: int,
     seed: int,
     workers: int = 1,
+    chains: list[MarkovChain] | None = None,
 ) -> list[dict]:
+    """One row per scheme.  *chains*, if given, are the schemes' chains
+    under *model*, already built by the caller."""
     rows = []
-    for scheme in schemes:
-        analytic = mttdl_analytic(scheme, model)
+    for i, scheme in enumerate(schemes):
+        analytic = mttdl_analytic(scheme, model, chains[i] if chains else None)
         mc = mttdl_montecarlo(scheme, model, trials, seed, workers)
         rows.append(
             {

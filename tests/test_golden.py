@@ -1,8 +1,10 @@
 """Golden outputs: sha256 digests of CLI and planner output bytes.
 
-The digests were recorded once from the code as it stood before the
-geometry / elimination refactor and must never be regenerated to make a
-change pass.  A mismatch means some output byte changed.
+The first six digests were recorded once from the code as it stood before
+the geometry / elimination refactor; ``sim-reliability-serial`` and
+``sim-locality-peeling`` were recorded before the incremental peeling
+scheduler and the per-run Monte Carlo loss table.  None may ever be
+regenerated to make a change pass.  A mismatch means some output byte changed.
 """
 
 import argparse
@@ -28,6 +30,8 @@ GOLDEN = {
     "report-schemes": "78d04520c218c599529e67194caf99e94bce411f0dcceabb72fd5edd7eedba67",
     "sim-locality": "4829a78cbb4ea98bb0ea43b4c9c3a948c97f76f7cdd4d8b36241a7ca3e4044c4",
     "sim-reliability": "b24214cbeb495ce9bad93686f30cb779ac12fcfd5d4452845483a6de7476141f",
+    "sim-reliability-serial": "7a9bab915bc1ceb53950a1ed30a32078b0f721cdf0a66f0c973db3345ca10e55",
+    "sim-locality-peeling": "b101659480aa63f4c38523d2e31a107434a067be2fa36c069201013b516f969f",
     "code-encode": "f77049a4630aeb95c3d8a8aecba45263de8319aaff7c5b499eb7fba8969a1675",
     "repair-plans": "6dde10e9cfa208f3583e30ee3015cbac327561c35f26406f676e5747e43a94b4",
     "degraded-reads": "bd1fa2957d4caaae23a8dc5dd966b4bcaa832ecd72ae9ae9b88c7372f87ba280",
@@ -61,6 +65,25 @@ def _sim_reliability(tmp_path):
         "--scheme", "3-rep,pentagon,raidm-9,heptagon-local",
         "--mttf-hours", "100", "--mttr-hours", "10",
         "--trials", "200", "--seed", "23", "--threads", "1",
+    )
+
+
+def _sim_reliability_serial(tmp_path):
+    yield _run_main(
+        "sim", "reliability",
+        "--scheme", "3-rep,pentagon,raidm-9,heptagon-local",
+        "--mttf-hours", "100", "--mttr-hours", "10", "--mode", "serial",
+        "--trials", "200", "--seed", "31", "--threads", "1",
+    )
+
+
+def _sim_locality_peeling(tmp_path):
+    yield _run_main(
+        "sim", "locality",
+        "--scheme", "2-rep,pentagon,heptagon,heptagon-local,raidm-9",
+        "--scheduler", "peeling",
+        "--nodes", "40", "--slots", "8", "--load", "100",
+        "--reps", "2", "--seed", "29",
     )
 
 
@@ -123,6 +146,8 @@ PRODUCERS = {
     "report-schemes": _report_schemes,
     "sim-locality": _sim_locality,
     "sim-reliability": _sim_reliability,
+    "sim-reliability-serial": _sim_reliability_serial,
+    "sim-locality-peeling": _sim_locality_peeling,
     "code-encode": _code_encode,
     "repair-plans": _repair_plans,
     "degraded-reads": _degraded_reads,

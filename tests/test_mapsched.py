@@ -1,8 +1,10 @@
 import collections
+import random
 
 import pytest
 
-from polycode.codes import HeptagonLocal, Polygon, RaidMirror, Replication
+from polycode.cli import REPORT_SCHEMES
+from polycode.codes import HeptagonLocal, Polygon, RaidMirror, Replication, parse_scheme
 from polycode.mapsched import (
     LOCALITY_COLUMNS,
     SUMMARY_COLUMNS,
@@ -10,6 +12,8 @@ from polycode.mapsched import (
     ClusterModel,
     OverloadError,
     Workload,
+    _check_capacity,
+    _fill_remote,
     build_cluster,
     generate_workload,
     locality_sweep,
@@ -178,6 +182,107 @@ def test_peeling_never_beats_matching():
         match = schedule_maxmatch(cluster, w)
         assert peel.local_tasks <= match.local_tasks
         assert occupancy_ok(cluster, peel)
+
+
+def _peeling_reference(cluster, workload, seed=0):
+    """The O(T^2*h) peeling loop that rescans every pending task at every
+    step; ``schedule_peeling`` must give exactly its assignments."""
+    _check_capacity(cluster, workload)
+    tasks = workload.tasks
+    n_tasks = len(tasks)
+    node_of = [None] * n_tasks
+    local = [False] * n_tasks
+    free = [cluster.slots_per_node] * cluster.node_count
+    order = list(range(n_tasks))
+    random.Random(seed).shuffle(order)
+    pending = list(order)
+    remote = []
+
+    while pending:
+        live = {}
+        still = []
+        for ti in pending:
+            hosts = [v for v in sorted(cluster.catalog[tasks[ti]]) if free[v] > 0]
+            if hosts:
+                live[ti] = hosts
+                still.append(ti)
+            else:
+                remote.append(ti)
+        pending = still
+        if not pending:
+            break
+        choice = next((ti for ti in pending if len(live[ti]) == 1), None)
+        if choice is None:
+            choice = max(pending, key=lambda ti: sum(free[v] for v in live[ti]))
+        demand = {v: 0 for v in live[choice]}
+        for ti in pending:
+            for v in live[ti]:
+                if v in demand:
+                    demand[v] += 1
+        node = min(live[choice], key=lambda v: (demand[v] / free[v], v))
+        node_of[choice] = node
+        local[choice] = True
+        free[node] -= 1
+        pending.remove(choice)
+
+    _fill_remote(free, remote, node_of, local)
+    return Assignment(tuple(node_of), tuple(local))
+
+
+def test_peeling_matches_reference_on_random_instances():
+    rng = random.Random(2024)
+    instances = 0
+    for name in REPORT_SCHEMES:
+        scheme = parse_scheme(name)
+        for nodes in (15, 25, 40):
+            if isinstance(scheme, RaidMirror) and nodes == 15:
+                continue  # a RAID+m stripe needs 2 * (k + 1) distinct nodes
+            for slots in (1, 2, 4, 8):
+                for _ in range(3):
+                    iseed = rng.randrange(1 << 30)
+                    stripes = rng.choice([None, 4, 12])
+                    cluster = build_cluster(scheme, nodes, slots, stripes, iseed)
+                    for load in rng.sample(range(10, 101), 4):
+                        w = generate_workload(cluster, load, iseed + load)
+                        seed = rng.randrange(1 << 30)
+                        assert schedule_peeling(cluster, w, seed) == _peeling_reference(
+                            cluster, w, seed
+                        ), (name, nodes, slots, load, iseed, seed)
+                        instances += 1
+    assert instances >= 800
+
+
+@pytest.mark.parametrize("load", [150, 200])
+def test_peeling_waves_match_reference(load):
+    for name in REPORT_SCHEMES:
+        cluster = build_cluster(parse_scheme(name), 25, 2, None, seed=load)
+        w = generate_workload(cluster, load, seed=load + 1)
+        expected_nodes, expected_local = [], []
+        size = cluster.total_slots
+        waves = [w.tasks[i : i + size] for i in range(0, len(w.tasks), size)]
+        assert len(waves) == 2
+        for k, wave in enumerate(waves):
+            a = _peeling_reference(cluster, Workload(wave, load), seed=7 + k)
+            expected_nodes.extend(a.node_of)
+            expected_local.extend(a.local)
+        got = run_scheduler(cluster, w, "peeling", seed=7)
+        assert got == Assignment(tuple(expected_nodes), tuple(expected_local)), name
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_peeling_remote_order_when_hosts_fill_together(seed):
+    # four tasks on block 0 (nodes 0 and 1, one slot each); nodes 2 and 3
+    # host nothing.  The first two tasks in shuffled order take nodes 0 and
+    # 1; when node 1 fills, the other two lose their last host at the same
+    # step and must be filled remotely in shuffled order: nodes 2, then 3.
+    cluster = make_cluster({0: {0, 1}}, 4, 1)
+    workload = Workload((0, 0, 0, 0), 100.0)
+    order = list(range(4))
+    random.Random(seed).shuffle(order)
+    a = schedule_peeling(cluster, workload, seed)
+    assert a == _peeling_reference(cluster, workload, seed)
+    assert [a.node_of[ti] for ti in order] == [0, 1, 2, 3]
+    assert [a.local[ti] for ti in order] == [True, True, False, False]
 
 
 def test_schedulers_fill_every_task():

@@ -1,7 +1,9 @@
+import collections
 import math
 
 import pytest
 
+from polycode import codes, reliability
 from polycode.codes import HeptagonLocal, Polygon, RaidMirror, Replication
 from polycode.reliability import (
     DEFAULT_MODEL,
@@ -151,6 +153,31 @@ def test_mc_deterministic_and_worker_invariant():
     assert a == b
     c = mttdl_montecarlo(Polygon(5), STRESS_MODEL, 500, seed=4)
     assert c.mean_hours != a.mean_hours
+
+
+@pytest.mark.parametrize("mode", ["parallel", "serial"])
+def test_mc_checks_each_failure_mask_once_per_run(monkeypatch, mode):
+    calls = collections.Counter()
+    real = codes.is_recoverable_mask
+
+    def counting(scheme, mask):
+        calls[mask] += 1
+        return real(scheme, mask)
+
+    # reliability holds its own binding of the name; patch both
+    for module in (codes, reliability):
+        monkeypatch.setattr(module, "is_recoverable_mask", counting)
+    model = FailureModel(0.01, 0.1, mode)
+    mttdl_montecarlo(HeptagonLocal(), model, 300, seed=11)
+    assert calls, "the loss test was never consulted"
+    assert max(calls.values()) == 1, calls.most_common(3)
+
+
+def test_mc_worker_count_changes_nothing():
+    for scheme in (RaidMirror(9), HeptagonLocal()):
+        one = mttdl_montecarlo(scheme, STRESS_MODEL, 300, seed=12, workers=1)
+        two = mttdl_montecarlo(scheme, STRESS_MODEL, 300, seed=12, workers=2)
+        assert one == two, scheme.name
 
 
 def test_mc_doubling_repair_rate_never_hurts():
