@@ -404,7 +404,7 @@ def _cmd_sim_reliability(args) -> int:
         for note in chain.assumptions:
             print(f"# {scheme.name}: {note}", file=sys.stderr)
     rows = reliability.reliability_rows(
-        schemes, model, args.trials, args.seed, args.threads, chains
+        schemes, model, chains, args.trials, args.seed, args.threads
     )
     emit_report(rows, args.out, reliability.RELIABILITY_COLUMNS)
     return 0

@@ -361,9 +361,10 @@ def schedule_peeling(
     task goes first, and among tasks of maximal slack the earliest wins.
     The host is ``min(live, key=(demand[v] / free[v], v))`` over the task's
     hosts with a free slot, where ``demand[v]`` counts the pending tasks
-    hosted on ``v``.  A task whose degree reaches 0 joins the remote list in
-    shuffled order at the step its last host fills; remote tasks are then
-    placed by ``_fill_remote``.
+    hosted on ``v``.  A task whose block has no host at all heads the remote
+    list; a task whose degree reaches 0 joins it in shuffled order at the
+    step its last host fills.  Remote tasks are then placed by
+    ``_fill_remote``.
 
     Degrees, slacks and demands are updated as slots are taken, from a
     min-heap of degree-1 positions and one min-heap of positions per slack
@@ -389,14 +390,14 @@ def schedule_peeling(
     demand = [len(ps) for ps in on_node]
     degree = [len(hs) for hs in hosts]
     slack = [d * cluster.slots_per_node for d in degree]
-    pending = [True] * n_tasks
+    pending = [d > 0 for d in degree]
+    remote = [order[p] for p in range(n_tasks) if not degree[p]]  # no host
     singles = [p for p in range(n_tasks) if degree[p] == 1]  # sorted: a heap
     top = max(slack, default=0)
     buckets: list[list[int]] = [[] for _ in range(top + 1)]
     for p, s in enumerate(slack):
         buckets[s].append(p)  # ascending positions: each bucket is a heap
-    remote: list[int] = []
-    left = n_tasks
+    left = n_tasks - len(remote)
 
     while left:
         while singles and not (pending[singles[0]] and degree[singles[0]] == 1):

@@ -410,16 +410,16 @@ RELIABILITY_COLUMNS = [
 def reliability_rows(
     schemes: list[Scheme],
     model: FailureModel,
+    chains: list[MarkovChain],
     trials: int,
     seed: int,
     workers: int = 1,
-    chains: list[MarkovChain] | None = None,
 ) -> list[dict]:
-    """One row per scheme.  *chains*, if given, are the schemes' chains
-    under *model*, already built by the caller."""
+    """One row per scheme.  *chains* are the schemes' chains under
+    *model*, already built by the caller."""
     rows = []
-    for i, scheme in enumerate(schemes):
-        analytic = mttdl_analytic(scheme, model, chains[i] if chains else None)
+    for scheme, chain in zip(schemes, chains):
+        analytic = mttdl_analytic(scheme, model, chain)
         mc = mttdl_montecarlo(scheme, model, trials, seed, workers)
         rows.append(
             {

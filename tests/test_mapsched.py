@@ -285,6 +285,20 @@ def test_peeling_remote_order_when_hosts_fill_together(seed):
     assert [a.local[ti] for ti in order] == [True, True, False, False]
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_peeling_hostless_block_goes_remote_first(seed):
+    # block 0 has no host at all: its tasks head the remote list in shuffled
+    # order, while both block-1 tasks are pinned to node 0
+    cluster = make_cluster({0: set(), 1: {0}}, 2, 2)
+    workload = Workload((0, 1, 0, 1), 100.0)
+    a = schedule_peeling(cluster, workload, seed)
+    assert a == _peeling_reference(cluster, workload, seed)
+    assert a.node_of == (1, 0, 1, 0)
+    assert a.local == (False, True, False, True)
+    single = schedule_peeling(make_cluster({0: set(), 1: {0}}, 2, 1), Workload((0, 1), 100.0))
+    assert single == Assignment((1, 0), (False, True))
+
+
 def test_schedulers_fill_every_task():
     cluster = build_cluster(Polygon(7), 25, 4, stripes=12, seed=3)
     w = generate_workload(cluster, 100, seed=4)

@@ -153,6 +153,10 @@ def test_mc_deterministic_and_worker_invariant():
     assert a == b
     c = mttdl_montecarlo(Polygon(5), STRESS_MODEL, 500, seed=4)
     assert c.mean_hours != a.mean_hours
+    for scheme in (RaidMirror(9), HeptagonLocal()):
+        one = mttdl_montecarlo(scheme, STRESS_MODEL, 300, seed=12, workers=1)
+        two = mttdl_montecarlo(scheme, STRESS_MODEL, 300, seed=12, workers=2)
+        assert one == two, scheme.name
 
 
 @pytest.mark.parametrize("mode", ["parallel", "serial"])
@@ -171,13 +175,6 @@ def test_mc_checks_each_failure_mask_once_per_run(monkeypatch, mode):
     mttdl_montecarlo(HeptagonLocal(), model, 300, seed=11)
     assert calls, "the loss test was never consulted"
     assert max(calls.values()) == 1, calls.most_common(3)
-
-
-def test_mc_worker_count_changes_nothing():
-    for scheme in (RaidMirror(9), HeptagonLocal()):
-        one = mttdl_montecarlo(scheme, STRESS_MODEL, 300, seed=12, workers=1)
-        two = mttdl_montecarlo(scheme, STRESS_MODEL, 300, seed=12, workers=2)
-        assert one == two, scheme.name
 
 
 def test_mc_doubling_repair_rate_never_hurts():
@@ -216,7 +213,8 @@ def test_system_mttdl():
 
 
 def test_reliability_rows_schema():
-    rows = reliability_rows([Replication(2)], STRESS_MODEL, trials=200, seed=8)
+    chains = [build_markov_chain(Replication(2), STRESS_MODEL)]
+    rows = reliability_rows([Replication(2)], STRESS_MODEL, chains, trials=200, seed=8)
     assert len(rows) == 1
     assert list(rows[0]) == RELIABILITY_COLUMNS
     assert rows[0]["scheme"] == "2-rep"
