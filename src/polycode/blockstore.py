@@ -337,7 +337,9 @@ class BlockStore:
 
     def get(self, name: str) -> bytes:
         """Reassemble a stored file; blocks with no good replica are served
-        through degraded-read plans and their bandwidth is logged."""
+        through degraded-read plans and each executed plan's bandwidth is
+        logged.  A plan also rebuilds the other blocks its solve determines,
+        and those are kept for the rest of the stripe."""
         manifest = self.load_manifest(name)
         scheme = parse_scheme(manifest.scheme)
         out = bytearray()
@@ -351,29 +353,31 @@ class BlockStore:
                 key=lambda b: int(b.role.split(":")[1]),
             )
             reader = self._stripe_reader(stripe, set())
+            rebuilt: dict[int, bytes] = {}
             for record in data_records:
                 try:
                     out += reader(record.block_id)
                     continue
                 except (MissingBlockError, ChecksumMismatchError):
                     pass  # no good replica left: decode it from the stripe
-                bad_slots = {slot_of[node] for node in record.nodes}
-                plan = codes.plan_degraded_read(
-                    scheme, record.block_id, down_slots | bad_slots
-                )
-                recovered = codes.execute_plan(plan, reader)
-                body = recovered[record.block_id]
+                if record.block_id not in rebuilt:
+                    bad_slots = {slot_of[node] for node in record.nodes}
+                    plan = codes.plan_degraded_read(
+                        scheme, record.block_id, down_slots | bad_slots
+                    )
+                    rebuilt.update(codes.execute_plan(plan, reader))
+                    self.degraded_log.append(
+                        (name, stripe.index, record.block_id, plan.bandwidth_blocks)
+                    )
+                    log.info(
+                        "degraded read: %s stripe %d block %d via %d transfers",
+                        name, stripe.index, record.block_id, plan.bandwidth_blocks,
+                    )
+                body = rebuilt[record.block_id]
                 if _crc(body) != record.crc32:
                     raise ChecksumMismatchError(
                         f"degraded read of block {record.block_id} failed its CRC check"
                     )
-                self.degraded_log.append(
-                    (name, stripe.index, record.block_id, plan.bandwidth_blocks)
-                )
-                log.info(
-                    "degraded read: %s stripe %d block %d via %d transfers",
-                    name, stripe.index, record.block_id, plan.bandwidth_blocks,
-                )
                 out += body
         return bytes(out[: manifest.size])
 

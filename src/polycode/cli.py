@@ -312,6 +312,8 @@ def _cmd_code_decode(args) -> int:
         if not hosts:
             continue
         body = (src / info["file"]).read_bytes()
+        if f"{zlib.crc32(body):08x}" != info["crc32"]:
+            raise codes.ChecksumMismatchError(f"{info['file']} failed its CRC check")
         surviving.setdefault(hosts[0], {})[block_id] = body
     data = codes.decode_stripe(scheme, surviving, killed)
     raw = b"".join(data)[: meta["original_size"]]

@@ -405,21 +405,6 @@ def _transform(rows: list[list[int]], ncols: int) -> tuple[int, list[list[int]]]
     return rank, [row[ncols:] for row in aug]
 
 
-def _solve(rows, consts: list[bytes], ncols: int) -> list[bytes]:
-    """Solve ``rows @ x == consts`` for *ncols* byte-block unknowns.
-
-    Raises UnrecoverableError when the rows do not determine x and
-    InconsistentStripeError when the constants contradict them.
-    """
-    rank, transform = _transform(rows, ncols)
-    if rank < ncols:
-        raise UnrecoverableError("surviving blocks do not determine the data")
-    zero = bytes(len(consts[0]))
-    if any(_combine(zip(consts, t)) != zero for t in transform[rank:]):
-        raise InconsistentStripeError("surviving bytes violate parity relations")
-    return [_combine(zip(consts, t)) for t in transform[:ncols]]
-
-
 # ---------------------------------------------------------------------------
 # Encoding
 
@@ -498,10 +483,7 @@ def is_recoverable_mask(scheme: Scheme, mask: int) -> bool:
 def is_recoverable(scheme: Scheme, failed_nodes: Iterable[int]) -> bool:
     """True iff the surviving blocks determine all data blocks."""
     mask = 0
-    L = scheme.code_length
-    for n in failed_nodes:
-        if not 0 <= n < L:
-            raise ValueError(f"node {n} outside code length {L}")
+    for n in _iter_pattern(scheme, failed_nodes):
         mask |= 1 << n
     return is_recoverable_mask(scheme, mask)
 
@@ -566,11 +548,13 @@ def decode_stripe(
     """Recover all data blocks from surviving node contents.
 
     *surviving* maps canonical slot -> {block id -> bytes}; *pattern* is the
-    failed-slot set (checked for recoverability up front).  Replica copies
-    are used directly, single missing blocks fall out of their XOR relation,
-    and heptagon-local multi-erasures are solved from the local relation
-    plus the two global Vandermonde rows.  A final parity verification pass
-    turns silent corruption into ``InconsistentStripeError``.
+    failed-slot set (checked for recoverability up front).  A data block
+    with a surviving copy is used as is.  One without is rebuilt by running
+    its degraded-read plan over the surviving blocks; the plan also rebuilds
+    every other block its solve determines, so each group that lost data is
+    solved once.  A final pass re-encodes the data and checks every
+    surviving block against it, which turns silent corruption into
+    ``InconsistentStripeError``.
     """
     failed = frozenset(pattern)
     if not is_recoverable(scheme, failed):
@@ -583,33 +567,22 @@ def decode_stripe(
     if any(len(v) != width for v in present.values()):
         raise ValueError("surviving blocks differ in length")
 
-    D = scheme.data_block_count
-    data: list[bytes | None] = [None] * D
-    for b, payload in present.items():
-        role = geo.roles[b]
-        if role.kind == "data":
-            data[role.index] = payload
+    def reader(block_id: int) -> bytes:
+        try:
+            return present[block_id]
+        except KeyError:
+            raise MissingBlockError(f"block {block_id} is not a surviving block") from None
 
-    unknown = [i for i in range(D) if data[i] is None]
-    if unknown:
-        rows = []
-        consts = []
-        for b, payload in present.items():
-            row_full = geo.rows[b]
-            if geo.roles[b].kind == "data":
-                continue
-            row = [row_full[i] for i in unknown]
-            if not any(row):
-                continue
-            known = [(d, c) for d, c in zip(data, row_full) if d is not None]
-            rows.append(row)
-            consts.append(_combine([(payload, 1), *known]))
-        solved = _solve(rows, consts, len(unknown))
-        for i, payload in zip(unknown, solved):
-            data[i] = payload
+    rebuilt: dict[int, bytes] = {}
+    result = []
+    for i in range(scheme.data_block_count):
+        b = geo.data_block_of[i]
+        if b not in present and b not in rebuilt:
+            # a block left out of *surviving* counts as lost on every host
+            plan = plan_degraded_read(scheme, b, failed | set(geo.placements[b]))
+            rebuilt.update(execute_plan(plan, reader))
+        result.append(present[b] if b in present else rebuilt[b])
 
-    result = [d for d in data if d is not None]
-    assert len(result) == D
     # verify every surviving coded block against a fresh re-encode
     recomputed = encode_stripe(scheme, result)
     for b, payload in present.items():
@@ -622,12 +595,24 @@ def decode_stripe(
 
 def oracle_decode(scheme: Scheme, present: Mapping[int, bytes]) -> list[bytes]:
     """Generic decode oracle: full Gaussian elimination of the surviving
-    linear system over GF(2^8), no scheme-specific shortcuts."""
+    linear system over GF(2^8), no scheme-specific shortcuts.  The only
+    full-stripe elimination in the package: it cross-checks the plan-based
+    ``decode_stripe``.
+
+    Raises UnrecoverableError when the surviving rows do not determine the
+    data and InconsistentStripeError when the bytes contradict them.
+    """
     geo = _geometry(scheme)
     order = sorted(present)
-    rows = [list(geo.rows[b]) for b in order]
+    D = scheme.data_block_count
     consts = [bytes(present[b]) for b in order]
-    return _solve(rows, consts, scheme.data_block_count)
+    rank, transform = _transform([list(geo.rows[b]) for b in order], D)
+    if rank < D:
+        raise UnrecoverableError("surviving blocks do not determine the data")
+    zero = bytes(len(consts[0]))
+    if any(_combine(zip(consts, t)) != zero for t in transform[rank:]):
+        raise InconsistentStripeError("surviving bytes violate parity relations")
+    return [_combine(zip(consts, t)) for t in transform[:D]]
 
 
 # ---------------------------------------------------------------------------
@@ -683,15 +668,6 @@ class RepairPlan:
     @property
     def bandwidth_blocks(self) -> int:
         return len(self.transfers)
-
-    def recovered_ids(self) -> set[int]:
-        out = {r.block_id for r in self.recoveries}
-        out.update(
-            t.payload.block_id
-            for t in self.transfers
-            if t.delivers and isinstance(t.payload, WholeCopy)
-        )
-        return out
 
 
 class _PlanBuilder:
@@ -778,9 +754,9 @@ def _global_terms(builder, block: int, dst: int, skip):
     return terms + cover_terms
 
 
-def _solve_group(builder, group: _Group, failed: list[int], dst: int, wanted):
-    """Rebuild at *dst* the blocks on edges between *failed* nodes of
-    *group* (every one of them, or those in *wanted*).
+def _solve_group(builder, group: _Group, failed: list[int], dst: int):
+    """Rebuild at *dst* every block on an edge between *failed* nodes of
+    *group*.
 
     The group's XOR relation determines one lost block; more lost blocks
     add the global parity relations, each read whole from the global node
@@ -801,14 +777,13 @@ def _solve_group(builder, group: _Group, failed: list[int], dst: int, wanted):
             matrix.append([row[r.index] if r.kind == "data" else 0 for r in roles])
     _, inverse = _transform(matrix, len(unknowns))
     for j, b in enumerate(unknowns):
-        if wanted is None or b in wanted:
-            terms = [
-                (idx, gf_mul(inverse[j][k], c))
-                for k, eq in enumerate(equations)
-                if inverse[j][k]
-                for idx, c in eq
-            ]
-            builder.recover(b, terms)
+        terms = [
+            (idx, gf_mul(inverse[j][k], c))
+            for k, eq in enumerate(equations)
+            if inverse[j][k]
+            for idx, c in eq
+        ]
+        builder.recover(b, terms)
 
 
 def _repair_group(builder, group: _Group, failed: list[int]) -> None:
@@ -821,14 +796,14 @@ def _repair_group(builder, group: _Group, failed: list[int]) -> None:
     """
     solver = group.slots[failed[0]]
     if len(failed) == 3:
-        _solve_group(builder, group, failed, solver, None)
+        _solve_group(builder, group, failed, solver)
     for s in range(len(group.slots)):
         if s in failed:
             continue
         for f in failed:
             builder.copy(group.slots[s], group.slots[f], group.block_of[min(s, f), max(s, f)])
     if len(failed) == 2:
-        _solve_group(builder, group, failed, solver, None)
+        _solve_group(builder, group, failed, solver)
     for edge, b in group.internal(failed):
         for host in edge:
             if group.slots[host] != solver:
@@ -908,7 +883,12 @@ def plan_degraded_read(
     scheme: Scheme, block_id: int, down_nodes: Iterable[int]
 ) -> RepairPlan:
     """Plan the minimal transfers that deliver one fully-lost block to a
-    designated reader (pseudo-node ``READER_NODE``)."""
+    designated reader (pseudo-node ``READER_NODE``).
+
+    The plan's recoveries also rebuild, from the same transfers, every other
+    block its solve determines: in a polygon group, each block on an edge
+    between the group's failed nodes.  ``target_block`` names the block the
+    plan was made for."""
     geo = _geometry(scheme)
     if block_id not in geo.placements:
         raise ValueError(f"unknown block id {block_id}")
@@ -926,7 +906,7 @@ def plan_degraded_read(
         builder.recover(block_id, _global_terms(builder, block_id, READER_NODE, ()))
     elif geo.groups:
         group = geo.group_of[block_id]
-        _solve_group(builder, group, group.failed(down), READER_NODE, {block_id})
+        _solve_group(builder, group, group.failed(down), READER_NODE)
     else:
         assert isinstance(scheme, RaidMirror)
         _mirror_rebuild(builder, block_id, READER_NODE)

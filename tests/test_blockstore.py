@@ -146,6 +146,27 @@ def test_degraded_get_logs_three_transfers(pentagon_store, tmp_path):
     assert all(bw == 3 for *_, bw in pentagon_store.degraded_log)
 
 
+def test_degraded_get_plans_once_per_stripe(tmp_path, monkeypatch):
+    store = BlockStore.create(tmp_path / "hl", HeptagonLocal(), nodes=15, block_size=64, seed=3)
+    path = write_file(tmp_path, 3 * 40 * 64, seed=14)
+    store.put(path)
+    for node in (0, 1, 2):
+        store.kill_node(node)
+    calls = []
+    real = codes.plan_degraded_read
+
+    def counting(scheme, block_id, down):
+        calls.append(block_id)
+        return real(scheme, block_id, down)
+
+    monkeypatch.setattr(codes, "plan_degraded_read", counting)
+    store.degraded_log.clear()
+    assert store.get("data.bin") == path.read_bytes()
+    # the three lost data blocks of each stripe come from one plan
+    assert [stripe for _, stripe, *_ in store.degraded_log] == [0, 1, 2]
+    assert len(calls) == 3
+
+
 def test_get_unrecoverable(pentagon_store, tmp_path):
     path = write_file(tmp_path, 9 * BS, seed=7)
     pentagon_store.put(path)

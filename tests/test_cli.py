@@ -71,6 +71,24 @@ def test_decode_unrecoverable_exit_one(tmp_path, capsys):
     assert "unrecoverable" in err.lower() or "fatal" in err.lower()
 
 
+def test_decode_rejects_block_file_failing_its_crc(tmp_path, capsys):
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(7).randbytes(36864))
+    stripe = tmp_path / "stripe"
+    run(capsys, "code", "encode", "--scheme", "pentagon",
+        "--input", str(src), "--out-dir", str(stripe))
+    blk = stripe / "b5.blk"
+    body = bytearray(blk.read_bytes())
+    body[100] ^= 0x01
+    blk.write_bytes(bytes(body))
+    out_file = tmp_path / "out.bin"
+    code, _, err = run(capsys, "code", "decode", "--in-dir", str(stripe),
+                       "--killed", "0,1", "--output", str(out_file))
+    assert code == 1
+    assert "b5.blk" in err and "crc" in err.lower()
+    assert not out_file.exists()
+
+
 def test_repair_plan_bandwidth(capsys):
     code, out, _ = run(capsys, "code", "repair-plan", "--scheme", "pentagon", "--failed", "0,1")
     assert code == 0

@@ -315,6 +315,49 @@ def test_heptagon_local_triple_decode_uses_vandermonde_rows():
         assert out == data
 
 
+def test_decode_plans_once_per_group(monkeypatch):
+    rng = random.Random(10)
+    scheme = HeptagonLocal()
+    data, blocks = full_blocks(scheme, rng, size=64)
+    calls = []
+    real = codes.plan_degraded_read
+
+    def counting(scheme, block_id, down):
+        calls.append(block_id)
+        return real(scheme, block_id, down)
+
+    monkeypatch.setattr(codes, "plan_degraded_read", counting)
+    # three nodes of one heptagon: three lost data blocks, one solve
+    pattern = (0, 1, 2)
+    assert decode_stripe(scheme, surviving_view(scheme, blocks, set(pattern)), pattern) == data
+    assert len(calls) == 1, calls
+
+
+def test_decode_block_left_out_of_surviving_view():
+    rng = random.Random(12)
+    scheme = Polygon(5)
+    data, blocks = full_blocks(scheme, rng, size=64)
+    views = surviving_view(scheme, blocks, {0})
+    views[1] = {b: v for b, v in views[1].items() if b != 0}  # edge (0,1)
+    assert decode_stripe(scheme, views, {0}) == data
+
+
+def test_decode_verifies_blocks_the_plan_never_reads():
+    rng = random.Random(11)
+    scheme = HeptagonLocal()
+    data, blocks = full_blocks(scheme, rng, size=64)
+    blocks = dict(blocks)
+    blocks[42] = bytes(64)  # zero out global parity 0
+    # one lost block per group is rebuilt from its XOR relation alone, so
+    # only the verification pass can see the bad global parity
+    pattern = (0, 1)
+    plan = plan_degraded_read(scheme, 0, pattern)
+    assert all(isinstance(t.payload, PartialParity) for t in plan.transfers)
+    assert 42 not in {b for t in plan.transfers for b, _ in t.payload.terms}
+    with pytest.raises(InconsistentStripeError):
+        decode_stripe(scheme, surviving_view(scheme, blocks, set(pattern)), pattern)
+
+
 def test_decode_unrecoverable():
     rng = random.Random(3)
     data, blocks = full_blocks(Polygon(5), rng)
@@ -492,7 +535,10 @@ def test_heptagon_local_degraded_reads_exhaustive():
                 if all(s in down for s in slots):
                     plan = plan_degraded_read(scheme, block, down)
                     assert not [t for t in plan.transfers if t.src in down], (pattern, block)
-                    assert execute_plan(plan, reader)[block] == blocks[block]
+                    recovered = execute_plan(plan, reader)
+                    assert block in recovered, (pattern, block)
+                    for b, body in recovered.items():
+                        assert body == blocks[b], (pattern, block, b)
                     planned += 1
     assert planned == 11678
 

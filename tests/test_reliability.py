@@ -1,5 +1,6 @@
 import collections
 import math
+import random
 
 import pytest
 
@@ -120,6 +121,42 @@ def test_chain_metadata():
     assert any("not reproduced" in note or "orderings" in note for note in chain.assumptions)
     serial_chain = build_markov_chain(HeptagonLocal(), FailureModel(0.01, 0.1, "serial"))
     assert any("serial" in note for note in serial_chain.assumptions)
+
+
+def test_heptagon_local_signature_decides_recoverability():
+    # the chain lumps every failure mask into (failures per heptagon, global
+    # node down); each of the 2^15 masks must share its signature's fate
+    scheme = HeptagonLocal()
+    geo = codes._geometry(scheme)
+    parts = [g.slots for g in geo.groups] + [(geo.global_slot,)]
+    fate = {}
+    for mask in range(1 << scheme.code_length):
+        sig = tuple(sum((mask >> s) & 1 for s in part) for part in parts)
+        ok = codes.is_recoverable_mask(scheme, mask)
+        assert fate.setdefault(sig, ok) == ok, (sig, bin(mask))
+    assert len(fate) == 8 * 8 * 2
+    chain = build_markov_chain(scheme, DEFAULT_MODEL)
+    assert set(chain.states) == {sig for sig, ok in fate.items() if ok}
+
+
+def _pair_rule(scheme, mask):
+    # recoverable iff at most one mirror pair is fully down
+    pairs = codes._geometry(scheme).placements.values()
+    return sum(all((mask >> s) & 1 for s in pair) for pair in pairs) <= 1
+
+
+@pytest.mark.parametrize("scheme", [RaidMirror(3), RaidMirror(4)])
+def test_raidm_pair_rule_exhaustive(scheme):
+    for mask in range(1 << scheme.code_length):
+        assert codes.is_recoverable_mask(scheme, mask) == _pair_rule(scheme, mask), bin(mask)
+
+
+def test_raidm_pair_rule_sampled():
+    scheme = RaidMirror(9)
+    rng = random.Random(23)
+    for _ in range(3000):
+        mask = rng.getrandbits(scheme.code_length)
+        assert codes.is_recoverable_mask(scheme, mask) == _pair_rule(scheme, mask), bin(mask)
 
 
 def test_mttdl_monotone_in_rates():
