@@ -342,7 +342,10 @@ class BlockStore:
         and those are kept for the rest of the stripe."""
         manifest = self.load_manifest(name)
         scheme = parse_scheme(manifest.scheme)
-        out = bytearray()
+        # sized up front: growing it block by block reallocates and can leave
+        # the outgrown buffers resident
+        out = bytearray(manifest.stripe_count * scheme.data_block_count * manifest.block_size)
+        pos = 0
         for stripe in manifest.stripes:
             slot_of = {node: s for s, node in enumerate(stripe.node_order)}
             down_slots = {
@@ -356,7 +359,9 @@ class BlockStore:
             rebuilt: dict[int, bytes] = {}
             for record in data_records:
                 try:
-                    out += reader(record.block_id)
+                    body = reader(record.block_id)
+                    out[pos : pos + len(body)] = body
+                    pos += len(body)
                     continue
                 except (MissingBlockError, ChecksumMismatchError):
                     pass  # no good replica left: decode it from the stripe
@@ -378,8 +383,10 @@ class BlockStore:
                     raise ChecksumMismatchError(
                         f"degraded read of block {record.block_id} failed its CRC check"
                     )
-                out += body
-        return bytes(out[: manifest.size])
+                out[pos : pos + len(body)] = body
+                pos += len(body)
+        del out[manifest.size :]  # trim in place: slicing would copy twice
+        return bytes(out)
 
     # -- fault injection ----------------------------------------------------
 

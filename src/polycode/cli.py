@@ -311,7 +311,10 @@ def _cmd_code_decode(args) -> int:
         hosts = [n for n in info["nodes"] if n not in killed]
         if not hosts:
             continue
-        body = (src / info["file"]).read_bytes()
+        try:
+            body = (src / info["file"]).read_bytes()
+        except FileNotFoundError:
+            continue  # a lost block: decode_stripe rebuilds it if the code can
         if f"{zlib.crc32(body):08x}" != info["crc32"]:
             raise codes.ChecksumMismatchError(f"{info['file']} failed its CRC check")
         surviving.setdefault(hosts[0], {})[block_id] = body

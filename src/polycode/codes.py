@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .gf256 import gf_inv, gf_mul, gf_pow, scale_bytes, xor_many
+from .gf256 import gf_inv, gf_mul, gf_pow, scale_bytes
 
 
 class CodeError(Exception):
@@ -360,10 +360,62 @@ def build_layout(scheme: Scheme, node_pool: Iterable[int], seed: int) -> StripeL
 # GF(2^8) linear algebra
 
 
-def _combine(terms) -> bytes:
-    """Sum of ``coef * block`` over (block, coef) terms: coefficient-1 blocks
-    are XORed unscaled and zero coefficients skipped."""
-    return xor_many(b if c == 1 else scale_bytes(c, b) for b, c in terms if c)
+class _Sums:
+    """GF(2^8)-linear sums over a set of inputs, built by feeding each input
+    once.  ``terms[target]`` lists a target's (input key, coefficient)
+    pairs; an input may appear in many targets, or twice in one.
+
+    Blocks are summed as little-endian ints.  GF(2^8) multiplication
+    distributes over XOR, so a target's terms that share a coefficient are
+    XORed and their sum is scaled once, when the target is taken.  A lone
+    term with a coefficient other than 1 is scaled straight from the
+    input's bytes.  Coefficient 1 is never scaled and 0 is skipped.  An
+    input's int form is made at most once, and nothing of it is kept once
+    it has been fed.
+    """
+
+    def __init__(self, terms: Mapping, width: int | None = None):
+        self.width = width  # block length in bytes; may be set before the first feed
+        self._uses: dict = {}  # input key -> [(target, coef, lone)]
+        self._shared: dict = {}  # target -> coefficients other than 1 on 2+ terms
+        for target, pairs in terms.items():
+            count: dict[int, int] = {}
+            for _, coef in pairs:
+                count[coef] = count.get(coef, 0) + 1
+            self._shared[target] = [c for c, n in count.items() if c > 1 and n > 1]
+            for key, coef in pairs:
+                if coef:
+                    self._uses.setdefault(key, []).append((target, coef, count[coef] == 1))
+        self._acc: dict = {}  # target -> XOR of its finished terms
+        self._pending: dict = {}  # (target, coef) -> XOR of the inputs awaiting coef
+
+    def feed(self, key, data: bytes | None, value: int | None = None) -> int | None:
+        """Add input *key*, given as bytes *data*, int *value* or both, to
+        every target that uses it.  Returns its int form: *value*, the one
+        made here, or None if no target needed one."""
+        acc, pending = self._acc, self._pending
+        for target, coef, lone in self._uses.pop(key, ()):
+            if lone and coef != 1:
+                if data is None:
+                    data = value.to_bytes(self.width, "little")
+                term = int.from_bytes(scale_bytes(coef, data), "little")
+                acc[target] = acc.get(target, 0) ^ term
+                continue
+            if value is None:
+                value = int.from_bytes(data, "little")
+            if coef == 1:
+                acc[target] = acc.get(target, 0) ^ value
+            else:
+                pending[target, coef] = pending.get((target, coef), 0) ^ value
+        return value
+
+    def take(self, target) -> int:
+        """*target*'s finished sum as an int; the sums forget it."""
+        value = self._acc.pop(target, 0)
+        for coef in self._shared.pop(target, ()):
+            total = self._pending.pop((target, coef), 0).to_bytes(self.width, "little")
+            value ^= int.from_bytes(scale_bytes(coef, total), "little")
+        return value
 
 
 def _eliminate(rows: list[list[int]], ncols: int) -> int:
@@ -418,12 +470,17 @@ def encode_stripe(scheme: Scheme, data: list[bytes]) -> dict[int, bytes]:
         raise ValueError("data blocks differ in length")
 
     geo = _geometry(scheme)
+    width = len(data[0]) if data else 0
+    parities = [b for b, role in geo.roles.items() if role.kind != "data"]
+    sums = _Sums({b: list(enumerate(geo.rows[b])) for b in parities}, width)
+    for i, block in enumerate(data):
+        sums.feed(i, block)
     out: dict[int, bytes] = {}
     for b, role in geo.roles.items():
         if role.kind == "data":
             out[b] = bytes(data[role.index])
         else:
-            out[b] = _combine(zip(data, geo.rows[b]))
+            out[b] = sums.take(b).to_bytes(width, "little")
     return out
 
 
@@ -563,6 +620,9 @@ def decode_stripe(
     present = _flatten_surviving(scheme, surviving, failed)
     if not present:
         raise UnrecoverableError("no surviving blocks given")
+    if not can_decode_from(scheme, present):
+        # a block left out of *surviving* may be lost on a live slot too
+        raise UnrecoverableError("the surviving blocks do not determine the data")
     width = len(next(iter(present.values())))
     if any(len(v) != width for v in present.values()):
         raise ValueError("surviving blocks differ in length")
@@ -609,10 +669,15 @@ def oracle_decode(scheme: Scheme, present: Mapping[int, bytes]) -> list[bytes]:
     rank, transform = _transform([list(geo.rows[b]) for b in order], D)
     if rank < D:
         raise UnrecoverableError("surviving blocks do not determine the data")
-    zero = bytes(len(consts[0]))
-    if any(_combine(zip(consts, t)) != zero for t in transform[rank:]):
+    width = len(consts[0])
+    if any(len(c) != width for c in consts):
+        raise ValueError("blocks differ in length")
+    sums = _Sums({k: list(enumerate(t)) for k, t in enumerate(transform)}, width)
+    for i, const in enumerate(consts):
+        sums.feed(i, const)
+    if any(sums.take(k) for k in range(rank, len(transform))):
         raise InconsistentStripeError("surviving bytes violate parity relations")
-    return [_combine(zip(consts, t)) for t in transform[:D]]
+    return [sums.take(k).to_bytes(width, "little") for k in range(D)]
 
 
 # ---------------------------------------------------------------------------
@@ -923,30 +988,85 @@ def execute_plan(plan: RepairPlan, reader: Callable[[int], bytes]) -> dict[int, 
     The accessor serves surviving blocks and may raise MissingBlockError or
     ChecksumMismatchError; blocks recovered earlier in the plan are readable
     by later transfers.
+
+    Read once: each source block is read from the accessor once, at the
+    first transfer that needs it, and becomes an int at most once.  Free
+    after last use: a block is fed into every partial parity that uses it
+    as soon as it is read or recovered and then dropped, unless a later
+    whole copy still has to send it; a payload is fed into every recovery
+    that uses it as soon as its transfer runs and then dropped.  A partial
+    parity stays an int, a whole copy keeps the bytes the accessor returned,
+    and each recovered block becomes bytes once.
     """
-    recovered: dict[int, bytes] = {}
-    payloads: list[bytes] = []
-    pending = list(plan.recoveries)
-    pending.reverse()  # pop from the end, lowest ready_after first
-
-    def fetch(block_id: int) -> bytes:
-        if block_id in recovered:
-            return recovered[block_id]
-        return reader(block_id)
-
-    for idx, tr in enumerate(plan.transfers):
+    transfers, recoveries = plan.transfers, plan.recoveries
+    # a block is keyed by version: 0 as the accessor serves it, n as its
+    # n-th recovery in the plan leaves it
+    rec_keys = []
+    count: dict[int, int] = {}
+    for rec in recoveries:
+        count[rec.block_id] = count.get(rec.block_id, 0) + 1
+        rec_keys.append((rec.block_id, count[rec.block_id]))
+    partials: dict[int, list] = {}  # transfer -> its terms over block versions
+    copies: dict[tuple, list[int]] = {}  # block version -> transfers copying it whole
+    first_reads: dict[int, list] = {}  # transfer -> blocks it is first to read
+    read: set[int] = set()
+    version: dict[int, int] = {}
+    k = 0
+    for idx, tr in enumerate(transfers):
+        while k < len(recoveries) and recoveries[k].ready_after < idx:
+            version[rec_keys[k][0]] = rec_keys[k][1]
+            k += 1
         p = tr.payload
         if isinstance(p, WholeCopy):
-            data = fetch(p.block_id)
-            if tr.delivers:
-                recovered[p.block_id] = data
+            key = (p.block_id, version.get(p.block_id, 0))
+            copies.setdefault(key, []).append(idx)
+            keys = [key]
         else:
-            data = _combine((fetch(b), coef) for b, coef in p.terms)
-        payloads.append(data)
-        while pending and pending[-1].ready_after <= idx:
-            rec = pending.pop()
-            recovered[rec.block_id] = _combine((payloads[i], coef) for i, coef in rec.terms)
-    if pending:
+            keys = [(b, version.get(b, 0)) for b, _ in p.terms]
+            partials[idx] = [(key, coef) for key, (_, coef) in zip(keys, p.terms)]
+        for b, v in keys:
+            if v == 0 and b not in read:
+                read.add(b)
+                first_reads.setdefault(idx, []).append(b)
+
+    blocks = _Sums(partials)  # partial parities over block versions
+    payloads = _Sums({k: rec.terms for k, rec in enumerate(recoveries)})
+    summed = {i for rec in recoveries for i, _ in rec.terms}
+    held: dict[int, list] = {}  # whole copy's transfer -> [bytes, int or None]
+    recovered: dict[int, bytes] = {}
+    width = None
+
+    def feed(key, data: bytes, value: int | None = None) -> None:
+        value = blocks.feed(key, data, value)
+        whole = copies.get(key, ())
+        # keep the int form only for a copy that a recovery sums
+        form = [data, value if any(idx in summed for idx in whole) else None]
+        for idx in whole:
+            held[idx] = form
+
+    k = 0
+    for idx, tr in enumerate(transfers):
+        for b in first_reads.get(idx, ()):
+            data = reader(b)
+            if width is None:
+                width = blocks.width = payloads.width = len(data)
+            elif len(data) != width:
+                raise ValueError("blocks differ in length")
+            feed((b, 0), data)
+        p = tr.payload
+        if isinstance(p, WholeCopy):
+            form = held.pop(idx)
+            if tr.delivers:
+                recovered[p.block_id] = form[0]
+            form[1] = payloads.feed(idx, *form)
+        else:
+            payloads.feed(idx, None, blocks.take(idx))
+        while k < len(recoveries) and recoveries[k].ready_after <= idx:
+            value = payloads.take(k)
+            data = recovered[rec_keys[k][0]] = value.to_bytes(width, "little")
+            feed(rec_keys[k], data, value)
+            k += 1
+    if k < len(recoveries):
         raise AssertionError("plan recoveries reference transfers that never ran")
     return recovered
 

@@ -98,8 +98,9 @@ _self_check()
 
 
 # ---------------------------------------------------------------------------
-# Block-level helpers: a "block" is an opaque bytes payload treated as a
-# vector over GF(2^8), one field element per byte position.
+# Block scaling: a "block" is an opaque bytes payload treated as a vector
+# over GF(2^8), one field element per byte position.  Adding blocks needs no
+# helper here: callers XOR the blocks' little-endian int forms.
 
 _SCALE_TABLES: dict[int, bytes] = {}
 
@@ -121,25 +122,3 @@ def scale_bytes(coef: int, data: bytes) -> bytes:
         return bytes(data)
     return bytes(data).translate(_scale_table(coef))
 
-
-def xor_bytes(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    n = len(a)
-    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(n, "little")
-
-
-def xor_many(blocks, length: int | None = None) -> bytes:
-    """XOR an iterable of equal-length blocks; *length* sizes the result
-    when the iterable may be empty."""
-    acc = 0
-    n = length
-    for blk in blocks:
-        if n is None:
-            n = len(blk)
-        elif len(blk) != n:
-            raise ValueError("blocks differ in length")
-        acc ^= int.from_bytes(blk, "little")
-    if n is None:
-        raise ValueError("no blocks and no explicit length")
-    return acc.to_bytes(n, "little")

@@ -36,7 +36,6 @@ import itertools
 import math
 import random
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -377,6 +376,9 @@ def mttdl_montecarlo(
         ranges = [
             (start, min(chunk, trials - start)) for start in range(0, trials, chunk)
         ]
+        # imported here so that starting the CLI does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_trials, scheme, model, seed, start, count)

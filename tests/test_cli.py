@@ -1,9 +1,14 @@
 import csv
 import io
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polycode
 from polycode.cli import emit_report, main
 
 
@@ -87,6 +92,44 @@ def test_decode_rejects_block_file_failing_its_crc(tmp_path, capsys):
     assert code == 1
     assert "b5.blk" in err and "crc" in err.lower()
     assert not out_file.exists()
+
+
+def encode_and_lose_b5(tmp_path, capsys):
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(5).randbytes(5000))
+    stripe = tmp_path / "stripe"
+    run(capsys, "code", "encode", "--scheme", "pentagon",
+        "--input", str(src), "--out-dir", str(stripe))
+    (stripe / "b5.blk").unlink()
+    return src, stripe
+
+
+def test_decode_rebuilds_a_missing_block_file(tmp_path, capsys):
+    src, stripe = encode_and_lose_b5(tmp_path, capsys)
+    out_file = tmp_path / "out.bin"
+    code, _, err = run(capsys, "code", "decode", "--in-dir", str(stripe),
+                       "--output", str(out_file))
+    assert code == 0, err
+    assert out_file.read_bytes() == src.read_bytes()
+
+
+def test_decode_missing_block_file_beyond_tolerance_exits_one(tmp_path, capsys):
+    _, stripe = encode_and_lose_b5(tmp_path, capsys)
+    out_file = tmp_path / "out.bin"
+    code, _, err = run(capsys, "code", "decode", "--in-dir", str(stripe),
+                       "--killed", "0,1", "--output", str(out_file))
+    assert code == 1
+    assert err.startswith("error:") and "determine the data" in err
+    assert "Traceback" not in err
+    assert not out_file.exists()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(polycode.__file__).parent.parent))
+    probe = "import sys, polycode.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_repair_plan_bandwidth(capsys):

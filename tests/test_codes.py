@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -17,7 +18,10 @@ from polycode.codes import (
     PartialParity,
     Polygon,
     RaidMirror,
+    Recovery,
+    RepairPlan,
     Replication,
+    Transfer,
     UnrecoverableError,
     UnsupportedPatternError,
     WholeCopy,
@@ -36,6 +40,7 @@ from polycode.codes import (
     storage_overhead,
     tolerance,
 )
+from polycode.gf256 import scale_bytes
 
 ALL_SCHEMES = [
     Replication(2),
@@ -64,6 +69,10 @@ def surviving_view(scheme, blocks, pattern):
         for n in range(scheme.code_length)
         if n not in pattern
     }
+
+
+def xor(a, b):
+    return bytes(x ^ y for x, y in zip(a, b, strict=True))
 
 
 def present_view(scheme, blocks, pattern):
@@ -187,7 +196,7 @@ def test_pentagon_zero_data_gives_zero_parity():
 def test_pentagon_blocks_xor_to_zero():
     rng = random.Random(1)
     _, blocks = full_blocks(Polygon(5), rng)
-    assert codes.xor_many(blocks.values()) == bytes(256)
+    assert functools.reduce(xor, blocks.values()) == bytes(256)
 
 
 def test_heptagon_local_unit_data_globals():
@@ -581,6 +590,93 @@ def test_execute_plan_missing_block():
     plan = plan_repair(scheme, {0})
     with pytest.raises(MissingBlockError):
         execute_plan(plan, make_checked_reader({}))
+
+
+def test_heptagon_local_triple_plans_read_once_and_scale_per_coefficient(monkeypatch):
+    # 74 alpha-weighted source-side terms plus at most 3 scalings for each of
+    # the 3 recoveries; every surviving block the plans touch is read once
+    scheme = HeptagonLocal()
+    data, blocks = full_blocks(scheme, random.Random(42), size=64)
+    down = {0, 1, 2}
+    scalings = []
+    real_scale = codes.scale_bytes
+
+    def counting_scale(coef, body):
+        scalings.append(coef)
+        return real_scale(coef, body)
+
+    monkeypatch.setattr(codes, "scale_bytes", counting_scale)
+    source = make_checked_reader(present_view(scheme, blocks, down))
+    reads = []
+
+    def reader(block_id):
+        reads.append(block_id)
+        return source(block_id)
+
+    recovered = execute_plan(plan_degraded_read(scheme, 0, down), reader)
+    assert recovered[0] == blocks[0]
+    assert len(scalings) <= 83
+    assert len(reads) == 40 == len(set(reads))
+
+    scalings.clear()
+    reads.clear()
+    recovered = execute_plan(plan_repair(scheme, down), reader)
+    for b in {b for n in down for b in geometry(scheme).blocks_on[n]}:
+        assert recovered[b] == blocks[b]
+    assert len(scalings) <= 83
+    assert len(reads) == len(set(reads))
+
+
+COEFS = st.one_of(st.sampled_from([0, 1, 2, 0x8E]), st.integers(0, 255))
+
+
+@st.composite
+def blocks_and_terms(draw):
+    width = draw(st.sampled_from([0, 1, 7, 16]))
+    count = draw(st.integers(1, 5))
+    bodies = [draw(st.binary(min_size=width, max_size=width)) for _ in range(count)]
+    terms = draw(st.lists(st.tuples(st.integers(0, count - 1), COEFS), max_size=12))
+    return width, bodies, terms
+
+
+def naive_sum(width, bodies, terms):
+    return functools.reduce(
+        xor, (scale_bytes(c, bodies[k]) for k, c in terms), bytes(width)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks_and_terms())
+def test_sums_match_per_term_scaling(case):
+    width, bodies, terms = case
+    sums = codes._Sums({"t": terms}, width)
+    for k, body in enumerate(bodies):
+        sums.feed(k, body)
+    assert sums.take("t").to_bytes(width, "little") == naive_sum(width, bodies, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    blocks_and_terms(),
+    st.lists(st.lists(st.tuples(st.integers(0, 2), COEFS), min_size=1, max_size=6), max_size=3),
+)
+def test_execute_plan_matches_per_term_scaling(case, recovery_terms):
+    # three partial parities over the source blocks, then recoveries that
+    # combine them; the source terms are reused so keys repeat across sums
+    width, bodies, terms = case
+    parts = [terms[i::3] or [(0, 1)] for i in range(3)]
+    transfers = tuple(Transfer(0, 1, PartialParity(tuple(p))) for p in parts)
+    recs = tuple(
+        sorted(
+            (Recovery(100 + j, tuple(t)) for j, t in enumerate(recovery_terms)),
+            key=lambda r: r.ready_after,
+        )
+    )
+    plan = RepairPlan(Polygon(5), frozenset(), transfers, recs)
+    recovered = execute_plan(plan, make_checked_reader(dict(enumerate(bodies))))
+    sums = [naive_sum(width, bodies, p) for p in parts]
+    for j, t in enumerate(recovery_terms):
+        assert recovered[100 + j] == naive_sum(width, sums, t)
 
 
 # ---------------------------------------------------------------------------
