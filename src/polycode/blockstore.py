@@ -30,7 +30,6 @@ from .codes import (
     ChecksumMismatchError,
     MissingBlockError,
     Scheme,
-    UnrecoverableError,
     parse_scheme,
 )
 
@@ -148,10 +147,11 @@ class BlockStore:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        cfg_path = self.root / "store.json"
-        if not cfg_path.exists():
-            raise StoreError(f"no store at {self.root}")
-        cfg = json.loads(cfg_path.read_text())
+        self._root = str(self.root)
+        try:
+            cfg = json.loads((self.root / "store.json").read_text())
+        except (FileNotFoundError, NotADirectoryError):
+            raise StoreError(f"no store at {self.root}") from None
         self.scheme: Scheme = parse_scheme(cfg["scheme"])
         self.node_count: int = cfg["nodes"]
         self.block_size: int = cfg["block_size"]
@@ -220,16 +220,33 @@ class BlockStore:
         return self.root / f"{name}.manifest.json"
 
     def load_manifest(self, name: str) -> StoreManifest:
-        path = self._manifest_path(name)
-        if not path.exists():
-            raise StoreError(f"no such stored file: {name}")
-        return StoreManifest.from_dict(json.loads(path.read_text()))
+        try:
+            text = self._manifest_path(name).read_text()
+        except (FileNotFoundError, NotADirectoryError):
+            raise StoreError(f"no such stored file: {name}") from None
+        return StoreManifest.from_dict(json.loads(text))
 
     def manifests(self) -> list[StoreManifest]:
         return [
             StoreManifest.from_dict(json.loads(p.read_text()))
             for p in sorted(self.root.glob("*.manifest.json"))
         ]
+
+    # -- block files --------------------------------------------------------
+    # The only code that reads or writes a block file; *fname* is the
+    # root-relative name a BlockRecord keeps.
+
+    def _read_file(self, fname: str) -> bytes | None:
+        """The file's bytes, or None when it does not exist."""
+        try:
+            with open(f"{self._root}/{fname}", "rb") as fh:
+                return fh.read()
+        except (FileNotFoundError, NotADirectoryError):
+            return None
+
+    def _write_file(self, fname: str, body: bytes) -> None:
+        with open(f"{self._root}/{fname}", "wb") as fh:
+            fh.write(body)
 
     # -- write path ---------------------------------------------------------
 
@@ -280,7 +297,7 @@ class BlockStore:
                     files = []
                     for copy, node in enumerate(nodes):
                         fname = f"n{node}/s{stripe_id}_b{block_id}_r{copy}.blk"
-                        (self.root / fname).write_bytes(body)
+                        self._write_file(fname, body)
                         files.append(fname)
                     role = layout.block_roles[block_id].as_string()
                     records.append(BlockRecord(block_id, role, nodes, files, _crc(body)))
@@ -298,10 +315,10 @@ class BlockStore:
         """(node, file, state) per replica with state in {ok, missing, corrupt}."""
         out = []
         for node, fname in zip(record.nodes, record.files):
-            fpath = self.root / fname
-            if node in self._down or not fpath.exists():
+            body = None if node in self._down else self._read_file(fname)
+            if body is None:
                 out.append((node, fname, "missing"))
-            elif _crc(fpath.read_bytes()) != record.crc32:
+            elif _crc(body) != record.crc32:
                 out.append((node, fname, "corrupt"))
             else:
                 out.append((node, fname, "ok"))
@@ -322,9 +339,8 @@ class BlockStore:
             for node, fname in zip(record.nodes, record.files):
                 if node in self._down or node in excluded_nodes:
                     continue
-                try:
-                    body = (self.root / fname).read_bytes()
-                except FileNotFoundError:
+                body = self._read_file(fname)
+                if body is None:
                     continue
                 if _crc(body) == record.crc32:
                     return body
@@ -335,7 +351,7 @@ class BlockStore:
 
         return reader
 
-    def get(self, name: str) -> bytes:
+    def get(self, name: str) -> bytearray:
         """Reassemble a stored file; blocks with no good replica are served
         through degraded-read plans and each executed plan's bandwidth is
         logged.  A plan also rebuilds the other blocks its solve determines,
@@ -386,7 +402,7 @@ class BlockStore:
                 out[pos : pos + len(body)] = body
                 pos += len(body)
         del out[manifest.size :]  # trim in place: slicing would copy twice
-        return bytes(out)
+        return out  # as is: bytes(out) would fault in as many fresh pages again
 
     # -- fault injection ----------------------------------------------------
 
@@ -486,7 +502,7 @@ class BlockStore:
                             raise codes.InconsistentStripeError(
                                 f"repaired block {record.block_id} fails its CRC"
                             )
-                        (self.root / fname).write_bytes(body)
+                        self._write_file(fname, body)
                 plans += 1
                 bandwidth += plan.bandwidth_blocks
             return RepairResult(plans, bandwidth)

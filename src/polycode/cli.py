@@ -75,100 +75,102 @@ def _parse_str_list(text: str) -> list[str]:
     return [x.strip() for x in text.split(",") if x.strip()]
 
 
-def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+_REQUIRED = {"required": True}
+_ROOT = ("--root", _REQUIRED)
+
+# Every leaf command, keyed "<group> <leaf>" (or "report"), with its options
+# in help order as (flag, add_argument keywords).  Group and leaf order here
+# is the order help lists them in.
+COMMANDS: dict[str, list[tuple[str, dict]]] = {
+    "code info": [("--scheme", _REQUIRED)],
+    "code encode": [
+        ("--scheme", _REQUIRED),
+        ("--input", _REQUIRED),
+        ("--out-dir", _REQUIRED),
+        ("--block-size", {"type": int, "default": 0, "help": "0 = fit input in one stripe"}),
+    ],
+    "code decode": [
+        ("--in-dir", _REQUIRED),
+        ("--killed", {"default": "", "help": "comma-separated failed node ids"}),
+        ("--output", _REQUIRED),
+    ],
+    "code repair-plan": [
+        ("--scheme", _REQUIRED),
+        ("--failed", {"required": True, "help": "comma-separated failed node ids"}),
+    ],
+    "store init": [
+        _ROOT,
+        ("--scheme", _REQUIRED),
+        ("--nodes", {"type": int, "default": 0, "help": "0 = code length"}),
+        ("--block-size", {"type": int, "default": 4 * 1024 * 1024}),
+        ("--seed", {"type": int, "required": True}),
+    ],
+    "store put": [_ROOT, ("--file", _REQUIRED), ("--name", {})],
+    "store get": [_ROOT, ("--name", _REQUIRED), ("--output", _REQUIRED)],
+    "store kill": [_ROOT, ("--node", {"type": int, "required": True})],
+    "store revive": [_ROOT, ("--node", {"type": int, "required": True})],
+    "store fsck": [_ROOT],
+    "store repair": [_ROOT],
+    "sim locality": [
+        ("--scheme", {"required": True, "help": "comma-separated scheme names"}),
+        ("--scheduler", {"default": "delay", "help": "comma-separated: matching,delay,peeling"}),
+        ("--nodes", {"type": int, "default": 25}),
+        ("--slots", {"default": "4", "help": "comma-separated map slots per node"}),
+        ("--load", {"default": "100", "help": "comma-separated load percentages"}),
+        ("--reps", {"type": int, "default": 20}),
+        ("--seed", {"type": int, "required": True}),
+        ("--stripes", {"type": int, "default": 0, "help": "0 = default dataset size"}),
+        ("--delay-rounds", {"type": int, "default": 1}),
+        ("--summary", {"action": "store_true", "help": "aggregate per cell"}),
+        ("--out", {"default": "-"}),
+    ],
+    "sim reliability": [
+        ("--scheme", {"required": True, "help": "comma-separated scheme names"}),
+        ("--mttf-hours", {"type": float, "default": 4 * reliability.HOURS_PER_YEAR}),
+        ("--mttr-hours", {"type": float, "default": 24.0}),
+        ("--mode", {"choices": ["parallel", "serial"], "default": "parallel"}),
+        ("--trials", {"type": int, "default": 1000}),
+        ("--seed", {"type": int, "required": True}),
+        ("--threads", {"type": int, "default": 1}),
+        ("--out", {"default": "-"}),
+    ],
+    "report": [
+        ("--kind", {"choices": ["schemes", "locality-summary"], "required": True}),
+        ("--input", {"help": "detail CSV for locality-summary"}),
+        ("--out", {"default": "-"}),
+    ],
+}
+
+
+def build_parser(argv: list[str] | None = None) -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and the leaf parsers it holds, by COMMANDS key.
+
+    When argv names a leaf, only the group and leaf parsers on its path are
+    built, which is all parse_args visits; otherwise (no argv, help above a
+    leaf, an unknown command) the whole tree is, so help and usage errors
+    list every choice.
+    """
+    key = _command_key(argv or [], adjacent=True)
+    keys = [key] if key in COMMANDS else list(COMMANDS)
     parser = _Parser(prog="polycode", description=__doc__)
     parser.add_argument("--config", help="key=value file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    groups = {}  # group name -> its subparsers action
     registry: dict[str, _Parser] = {}
-
-    def register(name, p):
-        registry[name] = p
+    for name in keys:
+        group, _, leaf = name.partition(" ")
+        if not leaf:
+            p = sub.add_parser(group)
+        else:
+            if group not in groups:
+                groups[group] = sub.add_parser(group).add_subparsers(
+                    dest="subcommand", required=True, parser_class=_Parser
+                )
+            p = groups[group].add_parser(leaf)
+        for flag, kwargs in COMMANDS[name]:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--config", help=argparse.SUPPRESS)
-
-    code = sub.add_parser("code")
-    code_sub = code.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    p = code_sub.add_parser("info")
-    p.add_argument("--scheme", required=True)
-    register("code info", p)
-
-    p = code_sub.add_parser("encode")
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--block-size", type=int, default=0, help="0 = fit input in one stripe")
-    register("code encode", p)
-
-    p = code_sub.add_parser("decode")
-    p.add_argument("--in-dir", required=True)
-    p.add_argument("--killed", default="", help="comma-separated failed node ids")
-    p.add_argument("--output", required=True)
-    register("code decode", p)
-
-    p = code_sub.add_parser("repair-plan")
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--failed", required=True, help="comma-separated failed node ids")
-    register("code repair-plan", p)
-
-    store = sub.add_parser("store")
-    store_sub = store.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    p = store_sub.add_parser("init")
-    p.add_argument("--root", required=True)
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--nodes", type=int, default=0, help="0 = code length")
-    p.add_argument("--block-size", type=int, default=4 * 1024 * 1024)
-    p.add_argument("--seed", type=int, required=True)
-    register("store init", p)
-
-    for name, extra in [
-        ("put", [("--file", str, True), ("--name", str, False)]),
-        ("get", [("--name", str, True), ("--output", str, True)]),
-        ("kill", [("--node", int, True)]),
-        ("revive", [("--node", int, True)]),
-        ("fsck", []),
-        ("repair", []),
-    ]:
-        p = store_sub.add_parser(name)
-        p.add_argument("--root", required=True)
-        for flag, flag_type, required in extra:
-            p.add_argument(flag, type=flag_type, required=required)
-        register(f"store {name}", p)
-
-    sim = sub.add_parser("sim")
-    sim_sub = sim.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    p = sim_sub.add_parser("locality")
-    p.add_argument("--scheme", required=True, help="comma-separated scheme names")
-    p.add_argument("--scheduler", default="delay", help="comma-separated: matching,delay,peeling")
-    p.add_argument("--nodes", type=int, default=25)
-    p.add_argument("--slots", default="4", help="comma-separated map slots per node")
-    p.add_argument("--load", default="100", help="comma-separated load percentages")
-    p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--stripes", type=int, default=0, help="0 = default dataset size")
-    p.add_argument("--delay-rounds", type=int, default=1)
-    p.add_argument("--summary", action="store_true", help="aggregate per cell")
-    p.add_argument("--out", default="-")
-    register("sim locality", p)
-
-    p = sim_sub.add_parser("reliability")
-    p.add_argument("--scheme", required=True, help="comma-separated scheme names")
-    p.add_argument("--mttf-hours", type=float, default=4 * reliability.HOURS_PER_YEAR)
-    p.add_argument("--mttr-hours", type=float, default=24.0)
-    p.add_argument("--mode", choices=["parallel", "serial"], default="parallel")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--out", default="-")
-    register("sim reliability", p)
-
-    p = sub.add_parser("report")
-    p.add_argument("--kind", choices=["schemes", "locality-summary"], required=True)
-    p.add_argument("--input", help="detail CSV for locality-summary")
-    p.add_argument("--out", default="-")
-    register("report", p)
-
+        registry[name] = p
     return parser, registry
 
 
@@ -183,18 +185,19 @@ def _extract_config_path(argv: list[str]) -> str | None:
     return None
 
 
-def _command_key(argv: list[str]) -> str | None:
-    """The '<command> <subcommand>' registry key named by argv, config
-    tokens excluded."""
+def _command_key(argv: list[str], adjacent: bool = False) -> str | None:
+    """The '<command> <subcommand>' (or 'report') key named by argv, config
+    tokens excluded; it need not be a key of COMMANDS.  With *adjacent*,
+    None when config tokens split command from subcommand, because the
+    command's parser then reads the first of them as its subcommand."""
     rest = []
+    split = False
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok == "--config":
-            i += 2
-            continue
-        if tok.startswith("--config="):
-            i += 1
+        if tok == "--config" or tok.startswith("--config="):
+            i += 1 if "=" in tok else 2
+            split = split or len(rest) == 1
             continue
         rest.append(tok)
         i += 1
@@ -202,12 +205,12 @@ def _command_key(argv: list[str]) -> str | None:
         return None
     if rest[0] == "report":
         return "report"
-    if len(rest) >= 2 and not rest[1].startswith("-"):
+    if len(rest) >= 2 and not rest[1].startswith("-") and not (adjacent and split):
         return f"{rest[0]} {rest[1]}"
     return None
 
 
-def _apply_config(parser, registry, argv: list[str]) -> None:
+def _apply_config(registry: dict[str, _Parser], argv: list[str]) -> None:
     """Install config values as the target subcommand's defaults (and lift
     their required flags), so explicit argv flags keep precedence."""
     config_path = _extract_config_path(argv)
@@ -227,7 +230,7 @@ def _apply_config(parser, registry, argv: list[str]) -> None:
         values[key.strip().replace("-", "_")] = value.strip()
 
     key = _command_key(argv)
-    if key is None or key not in registry:
+    if key not in COMMANDS:
         raise UsageError("--config requires a recognizable subcommand")
     known = {
         a.dest: a for a in registry[key]._actions if a.dest not in ("help", "config")
@@ -462,9 +465,9 @@ def _cmd_report(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = build_parser()
+    parser, registry = build_parser(argv)
     try:
-        _apply_config(parser, registry, argv)
+        _apply_config(registry, argv)
         args = parser.parse_args(argv)
         if args.command == "code":
             handler = {

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -1070,18 +1069,3 @@ def execute_plan(plan: RepairPlan, reader: Callable[[int], bytes]) -> dict[int, 
         raise AssertionError("plan recoveries reference transfers that never ran")
     return recovered
 
-
-def make_checked_reader(blocks: Mapping[int, bytes]) -> Callable[[int], bytes]:
-    """Accessor over an in-memory block map that snapshots CRC32s at
-    creation and verifies them on every read."""
-    crcs = {b: zlib.crc32(data) for b, data in blocks.items()}
-
-    def reader(block_id: int) -> bytes:
-        if block_id not in blocks:
-            raise MissingBlockError(f"block {block_id} not available")
-        data = blocks[block_id]
-        if zlib.crc32(data) != crcs[block_id]:
-            raise ChecksumMismatchError(f"block {block_id} failed its CRC check")
-        return data
-
-    return reader

@@ -279,13 +279,6 @@ def mttdl_analytic(
     return chain.expected_hours_to_loss()
 
 
-def system_mttdl(group_mttdl: float, groups: int) -> float:
-    """Independent-groups approximation: first loss among *groups* groups."""
-    if groups < 1:
-        raise ValueError("need at least one group")
-    return group_mttdl / groups
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo
 

@@ -22,7 +22,6 @@ from polycode.codes import (
     encode_stripe,
     execute_plan,
     is_recoverable,
-    make_checked_reader,
     oracle_decode,
     plan_degraded_read,
     plan_repair,
@@ -37,6 +36,8 @@ from polycode.reliability import (
     mttdl_analytic,
     mttdl_montecarlo,
 )
+
+from helpers import make_checked_reader
 
 TABLE_SCHEMES = [
     Replication(2),

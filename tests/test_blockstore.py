@@ -1,7 +1,11 @@
+import builtins
+import io
 import itertools
 import json
+import os
 import random
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -132,6 +136,60 @@ def test_fsck_reports(pentagon_store, tmp_path):
     report = pentagon_store.fsck()
     assert [entry[2] for entry in report.corrupt] == [2]
     assert not report.missing and not report.fatal_stripes
+
+
+def test_fsck_opens_each_replica_once_without_a_stat(pentagon_store, tmp_path, monkeypatch):
+    pentagon_store.put(write_file(tmp_path, 9 * BS, seed=5))
+    opened, statted = Counter(), Counter()
+    real_open, real_stat = builtins.open, os.stat
+
+    def counting_open(file, *args, **kwargs):
+        if str(file).endswith(".blk"):
+            opened[os.path.basename(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    def counting_stat(path, *args, **kwargs):
+        if str(path).endswith(".blk"):
+            statted[os.path.basename(path)] += 1
+        return real_stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)  # pathlib opens through io.open
+    monkeypatch.setattr(os, "stat", counting_stat)  # Path.exists and os.path.exists
+    assert pentagon_store.fsck().is_clean
+    assert len(opened) == 20 and set(opened.values()) == {1}
+    assert not statted
+
+
+def test_fsck_reads_deleted_replica_as_missing_and_flipped_byte_as_corrupt(
+    pentagon_store, tmp_path
+):
+    manifest = pentagon_store.put(write_file(tmp_path, 9 * BS, seed=5))
+    stripe = manifest.stripes[0]
+    gone, flipped = stripe.blocks[1], stripe.blocks[4]
+    (pentagon_store.root / gone.files[0]).unlink()  # its node stays up
+    target = pentagon_store.root / flipped.files[1]
+    body = bytearray(target.read_bytes())
+    body[0] ^= 0x01
+    target.write_bytes(bytes(body))
+    report = pentagon_store.fsck()
+    assert report.missing == [("data.bin", stripe.index, gone.block_id, gone.nodes[0])]
+    assert report.corrupt == [("data.bin", stripe.index, flipped.block_id, flipped.nodes[1])]
+    assert not report.fatal_stripes
+    assert pentagon_store.get("data.bin") == (tmp_path / "data.bin").read_bytes()
+
+
+def test_open_errors_keep_their_messages(pentagon_store, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(StoreError, match=r"^no store at nope$"):
+        BlockStore("nope")
+    (tmp_path / "plain").write_text("")  # a file where the root should be
+    with pytest.raises(StoreError, match=r"^no store at plain$"):
+        BlockStore("plain")
+    with pytest.raises(StoreError, match=r"^no such stored file: nope$"):
+        pentagon_store.load_manifest("nope")
+    with pytest.raises(StoreError, match=r"^no such stored file: store.json/x$"):
+        pentagon_store.load_manifest("store.json/x")
 
 
 def test_degraded_get_logs_three_transfers(pentagon_store, tmp_path):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import polycode
+from polycode import cli
 from polycode.cli import emit_report, main
 
 
@@ -268,3 +269,62 @@ def test_emit_report_header_only_and_stability(tmp_path):
     assert path.read_bytes() == first
     with pytest.raises(ValueError):
         emit_report([{"a": 1}], path, ["a", "b"])
+
+
+@pytest.mark.parametrize("key", list(cli.COMMANDS))
+def test_path_only_build_gives_the_full_tree_help(key):
+    _, path_only = cli.build_parser([*key.split(), "--help"])
+    _, full = cli.build_parser()
+    assert list(path_only) == [key]
+    assert path_only[key].format_help() == full[key].format_help()
+
+
+@pytest.mark.parametrize("key", list(cli.COMMANDS))
+def test_path_only_build_gives_the_full_tree_usage_errors(key, tmp_path, capsys, monkeypatch):
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text("bogus=1\n")
+    empty_cfg = tmp_path / "empty.cfg"
+    empty_cfg.write_text("")
+    words = key.split()
+    cases = [
+        words,  # a missing required flag
+        [*words, "--bogus"],
+        ["--config", str(bad_cfg), *words],
+        [*words, "--config", str(bad_cfg)],
+        ["--config", str(empty_cfg), *words],
+        [*words, "--config", str(empty_cfg)],
+    ]
+    cases += [[*words, flag, "bogus"] for flag, kw in cli.COMMANDS[key] if "choices" in kw]
+    if len(words) == 2:  # the group parser reads the config path as its leaf
+        cases.append([words[0], "--config", str(empty_cfg), words[1]])
+
+    def outcomes():
+        return [run(capsys, *argv) for argv in cases]
+
+    path_only = outcomes()
+    assert all(code == 2 for code, *_ in path_only)
+    build_full_tree = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: build_full_tree())
+    assert outcomes() == path_only
+
+
+def test_a_leaf_command_builds_only_the_parsers_on_its_path(tmp_path, monkeypatch, capsys):
+    root = tmp_path / "store"
+    src = tmp_path / "f.bin"
+    src.write_bytes(b"polycode" * 100)
+    assert main(["store", "init", "--root", str(root), "--scheme", "pentagon",
+                 "--block-size", "256", "--seed", "1"]) == 0
+    assert main(["store", "put", "--root", str(root), "--file", str(src)]) == 0
+    built = []
+    real_init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    out_file = tmp_path / "g.bin"
+    assert main(["store", "get", "--root", str(root), "--name", "f.bin",
+                 "--output", str(out_file)]) == 0
+    assert out_file.read_bytes() == src.read_bytes()
+    assert len(built) <= 3, built

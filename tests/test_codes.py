@@ -31,7 +31,6 @@ from polycode.codes import (
     encode_stripe,
     execute_plan,
     is_recoverable,
-    make_checked_reader,
     oracle_decode,
     parse_scheme,
     plan_degraded_read,
@@ -41,6 +40,8 @@ from polycode.codes import (
     tolerance,
 )
 from polycode.gf256 import scale_bytes
+
+from helpers import make_checked_reader
 
 ALL_SCHEMES = [
     Replication(2),

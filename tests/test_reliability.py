@@ -16,7 +16,6 @@ from polycode.reliability import (
     mttdl_analytic,
     mttdl_montecarlo,
     reliability_rows,
-    system_mttdl,
 )
 
 TABLE_SCHEMES = [
@@ -237,16 +236,6 @@ def test_mc_serial_mode_matches_serial_chain_for_count_schemes():
 
 # ---------------------------------------------------------------------------
 # aggregation and reporting
-
-
-def test_system_mttdl():
-    assert system_mttdl(1000.0, 1) == 1000.0
-    assert system_mttdl(1000.0, 10) == 100.0
-    # 25-node pentagon system: 5 disjoint groups
-    group = mttdl_analytic(Polygon(5), DEFAULT_MODEL)
-    assert system_mttdl(group, 5) == pytest.approx(group / 5)
-    with pytest.raises(ValueError):
-        system_mttdl(1000.0, 0)
 
 
 def test_reliability_rows_schema():
