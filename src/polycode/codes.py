@@ -213,6 +213,7 @@ class _Geometry:
     the store, the locality simulator and the reliability chain read.
 
     ``placements[b]``    slots holding block b, in replica order
+    ``slot_masks[b]``    the same slots as a bitmask (bit s set == slot s)
     ``roles[b]``         b's ``BlockRole``
     ``rows[b]``          b's coefficient vector over the data symbols
     ``data_block_of[i]`` block id of data symbol i
@@ -283,6 +284,7 @@ class _Geometry:
             raise TypeError(f"unknown scheme type: {scheme!r}")
 
         self.placements = placements
+        self.slot_masks = {b: sum(1 << s for s in slots) for b, slots in placements.items()}
         self.roles = roles
         self.rows = rows
         self.data_block_of = {
@@ -310,14 +312,6 @@ class StripeLayout:
 
     scheme: Scheme
     node_order: tuple[int, ...]
-
-    @property
-    def block_placements(self) -> dict[int, list[tuple[int, int]]]:
-        geo = _geometry(self.scheme)
-        return {
-            b: [(self.node_order[s], r) for r, s in enumerate(slots)]
-            for b, slots in geo.placements.items()
-        }
 
     @property
     def block_roles(self) -> dict[int, BlockRole]:
@@ -525,12 +519,8 @@ def is_recoverable_mask(scheme: Scheme, mask: int) -> bool:
     cached = _RECOVERABLE_CACHE.get(key)
     if cached is not None:
         return cached
-    geo = _geometry(scheme)
-    present = [
-        b
-        for b, slots in geo.placements.items()
-        if any(not (mask >> s) & 1 for s in slots)
-    ]
+    up = ~mask
+    present = [b for b, slots in _geometry(scheme).slot_masks.items() if slots & up]
     result = can_decode_from(scheme, present)
     _RECOVERABLE_CACHE[key] = result
     return result
@@ -608,9 +598,10 @@ def decode_stripe(
     with a surviving copy is used as is.  One without is rebuilt by running
     its degraded-read plan over the surviving blocks; the plan also rebuilds
     every other block its solve determines, so each group that lost data is
-    solved once.  A final pass re-encodes the data and checks every
-    surviving block against it, which turns silent corruption into
-    ``InconsistentStripeError``.
+    solved once.  If a plan needs a block that is missing on a live slot,
+    the stripe is decoded by ``oracle_decode`` instead.  A final pass
+    re-encodes the data and checks every surviving block against it, which
+    turns silent corruption into ``InconsistentStripeError``.
     """
     failed = frozenset(pattern)
     if not is_recoverable(scheme, failed):
@@ -634,13 +625,18 @@ def decode_stripe(
 
     rebuilt: dict[int, bytes] = {}
     result = []
-    for i in range(scheme.data_block_count):
-        b = geo.data_block_of[i]
-        if b not in present and b not in rebuilt:
-            # a block left out of *surviving* counts as lost on every host
-            plan = plan_degraded_read(scheme, b, failed | set(geo.placements[b]))
-            rebuilt.update(execute_plan(plan, reader))
-        result.append(present[b] if b in present else rebuilt[b])
+    try:
+        for i in range(scheme.data_block_count):
+            b = geo.data_block_of[i]
+            if b not in present and b not in rebuilt:
+                # a block left out of *surviving* counts as lost on every host
+                plan = plan_degraded_read(scheme, b, failed | set(geo.placements[b]))
+                rebuilt.update(execute_plan(plan, reader))
+            result.append(present[b] if b in present else rebuilt[b])
+    except MissingBlockError:
+        # plans see only slots, so one may route through a block missing on
+        # a live slot; can_decode_from above shows the full solve succeeds
+        result = oracle_decode(scheme, present)
 
     # verify every surviving coded block against a fresh re-encode
     recomputed = encode_stripe(scheme, result)

@@ -23,11 +23,21 @@ not public, so this module is for orderings and cross-checks, not for
 reproducing tabulated values; both caveats are carried in
 ``MarkovChain.assumptions``.
 
+The chain is solved in integers: every rate is a ``Fraction`` (of a float,
+so its denominator is a power of two unless serial repair divides it), each
+generator row is scaled by the LCM of its denominators, and fraction-free
+Bareiss elimination yields the expected time as one exact quotient, so the
+float it returns is the correctly rounded exact answer.
+
 Monte Carlo trials are independent and derive their RNG from
 ``(seed, trial index)``, so partitioning trials across workers changes
 nothing about the merged estimate.  Each worker's batch of trials keeps one
 table from failure mask to fate, filled from ``is_recoverable_mask`` the
-first time a mask occurs, so a failure event costs one dict lookup.
+first time a mask occurs.  Within a trial, the event rates and the bit width
+of each node draw are read from small tables indexed by the failed count,
+and ``randrange`` is inlined as the ``getrandbits`` draws it makes.  An
+event makes one ``expovariate`` and one ``random`` call, then the node draw's
+``getrandbits`` calls: the same calls, in the same order, as ``randrange``.
 """
 
 from __future__ import annotations
@@ -113,44 +123,57 @@ class MarkovChain:
     assumptions: tuple[str, ...]
 
     def expected_hours_to_loss(self) -> float:
-        """Expected absorption time from the all-up state, solved exactly."""
+        """Expected absorption time from the all-up state, solved exactly.
+
+        The system is (R_i) T_i - sum_j r_ij T_j = 1 over the transient
+        states.  Each row is scaled by the LCM of its rates' denominators,
+        so every entry is an integer, and fraction-free (Bareiss) elimination
+        runs with the columns in reverse order: the last pivot row then
+        reads ``den * T_0 = num``.  The quotient is the exact rational the
+        system defines, rounded once to a float.
+        """
         m = len(self.states)
-        # (R_i) T_i - sum_j r_ij T_j = 1 over non-absorbing states
-        a = [[Fraction(0)] * m for _ in range(m)]
-        rhs = [Fraction(1)] * m
+        rows = []
         for i, outs in enumerate(self.transitions):
-            total = sum(r for _, r in outs)
-            a[i][i] = total
+            scale = math.lcm(*(r.denominator for _, r in outs))
+            row = [0] * (m + 1)  # row[m - 1 - j] holds T_j's coefficient
+            row[m] = scale  # the right-hand side, 1 * scale
             for target, rate in outs:
+                r = rate.numerator * (scale // rate.denominator)
+                row[m - 1 - i] += r
                 if target is not LOSS:
-                    a[i][target] -= rate
-        sol = _solve_fractions(a, rhs)
-        return float(sol[0])
+                    row[m - 1 - target] -= r
+            rows.append(row)
+        num, den = _bareiss_last_row(rows)
+        return num / den  # int / int rounds the exact quotient correctly
 
 
-def _solve_fractions(a: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gauss-Jordan over ``Fraction``.  Chain generators are sparse, so each
-    elimination touches only the nonzero columns of the scaled pivot row;
-    the arithmetic is exact, so skipping zeros changes no result."""
-    n = len(a)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+def _bareiss_last_row(rows: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free elimination of the integer system ``rows`` (each row
+    its coefficients then its right-hand side), with row pivoting.  Returns
+    the last row's (right-hand side, pivot): after elimination that row
+    reads ``pivot * x_last = rhs``.  Every division is exact and every
+    entry is a minor of the input matrix (Bareiss, Math. Comp. 1968)."""
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if rows[r][k]), None)
         if pivot is None:
             raise ArithmeticError("singular chain generator")
-        a[col], a[pivot] = a[pivot], a[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = 1 / a[col][col]
-        a[col] = row = [v * inv for v in a[col]]
-        rhs[col] = rhs[col] * inv
-        nonzero = [(j, v) for j, v in enumerate(row) if v != 0]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                target = a[r]
-                for j, v in nonzero:
-                    target[j] -= f * v
-                rhs[r] = rhs[r] - f * rhs[col]
-    return rhs
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        p = rows[k][k]
+        tail = rows[k][k + 1 :]
+        for i in range(k + 1, n):
+            row = rows[i]
+            f = row[k]
+            if f:
+                rows[i] = [0] * (k + 1) + [
+                    (p * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)
+                ]
+            else:
+                rows[i] = [0] * (k + 1) + [p * x // prev for x in row[k + 1 :]]
+        prev = p
+    return rows[-1][n], rows[-1][n - 1]
 
 
 def _repair_shares(mode: str, counts: list[Fraction], mu: Fraction):
@@ -291,26 +314,39 @@ def _simulate_trial(
     scheme: Scheme, model: FailureModel, rng: random.Random, fate: dict[int, bool]
 ) -> float:
     """Hours until the first unrecoverable failure pattern.  *fate* maps
-    failure masks already seen to recoverability and is filled on a miss."""
+    failure masks already seen to recoverability and is filled on a miss.
+
+    Rates and draw widths depend only on the failed count k, so they are
+    tabled once per trial.  ``rng.randrange(m)`` is inlined as CPython's
+    ``_randbelow_with_getrandbits``: draw ``m.bit_length()`` bits and redraw
+    while the value is at least m, which consumes the same random stream.
+    """
     n = scheme.code_length
     lam = model.fail_rate
     mu = model.repair_rate
     parallel = model.repair_mode == "parallel"
+    frates = [(n - k) * lam for k in range(n + 1)]
+    totals = [
+        frates[k] + (k * mu if parallel else (mu if k else 0.0)) for k in range(n + 1)
+    ]
+    widths = [m.bit_length() for m in range(n + 1)]
     up = list(range(n))
     failed: list[int] = []
     mask = 0
     t = 0.0
     expovariate = rng.expovariate
     rand = rng.random
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     while True:
         k = len(failed)
-        frate = (n - k) * lam
-        rrate = k * mu if parallel else (mu if k else 0.0)
-        total = frate + rrate
+        total = totals[k]
         t += expovariate(total)
-        if rand() * total < frate:
-            i = randrange(n - k)
+        if rand() * total < frates[k]:
+            m = n - k
+            w = widths[m]
+            i = getrandbits(w)
+            while i >= m:
+                i = getrandbits(w)
             node = up[i]
             up[i] = up[-1]
             up.pop()
@@ -322,7 +358,13 @@ def _simulate_trial(
             if not ok:
                 return t
         else:
-            i = randrange(k) if parallel else 0  # serial repairs oldest first
+            if parallel:
+                w = widths[k]
+                i = getrandbits(w)
+                while i >= k:
+                    i = getrandbits(w)
+            else:
+                i = 0  # serial repairs oldest first
             node = failed.pop(i)
             mask &= ~(1 << node)
             up.append(node)

@@ -276,6 +276,26 @@ def test_criterion_5_locality_trends(locality_rows):
         )
 
 
+def test_single_wave_caps_the_delay_gap_below_the_matching_gap(locality_rows):
+    # README's account of the red criterion 5(b): at mu=2 and load 100 the
+    # matching-optimal 2-rep/pentagon gap clears 5 points, but delay
+    # scheduling's single wave loses more on 2-rep and stays below 5
+    summary = summarize_locality(locality_rows)
+
+    def gap(scheduler):
+        means = {
+            c["scheme"]: c["locality_mean"]
+            for c in summary
+            if c["scheduler"] == scheduler and c["slots"] == 2 and c["load_pct"] == 100
+        }
+        return means["2-rep"] - means["pentagon"]
+
+    matching, delay = gap("matching"), gap("delay")
+    assert matching >= 5.0
+    assert delay < 5.0
+    assert matching > delay
+
+
 def test_criterion_6_reliability(capsys):
     with criterion(6, "analytic vs Monte Carlo CI overlap + default ordering", 60.0):
         for scheme in TABLE_SCHEMES:

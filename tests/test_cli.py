@@ -114,6 +114,21 @@ def test_decode_rebuilds_a_missing_block_file(tmp_path, capsys):
     assert out_file.read_bytes() == src.read_bytes()
 
 
+def test_decode_heptagon_local_block_missing_on_live_slots(tmp_path, capsys):
+    # b11 is edge (2, 3), which the plans for slots 0 and 1 read from
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(11).randbytes(5000))
+    stripe = tmp_path / "stripe"
+    run(capsys, "code", "encode", "--scheme", "heptagon-local",
+        "--input", str(src), "--out-dir", str(stripe))
+    (stripe / "b11.blk").unlink()
+    out_file = tmp_path / "out.bin"
+    code, _, err = run(capsys, "code", "decode", "--in-dir", str(stripe),
+                       "--killed", "0,1", "--output", str(out_file))
+    assert code == 0, err
+    assert out_file.read_bytes() == src.read_bytes()
+
+
 def test_decode_missing_block_file_beyond_tolerance_exits_one(tmp_path, capsys):
     _, stripe = encode_and_lose_b5(tmp_path, capsys)
     out_file = tmp_path / "out.bin"

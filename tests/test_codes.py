@@ -133,8 +133,7 @@ def test_block_role_strings():
 
 def test_pentagon_layout_is_the_edge_construction():
     layout = build_layout(Polygon(5), range(5), seed=0)
-    placements = layout.block_placements
-    assert placements[0] == [(0, 0), (1, 1)]  # edge (0,1)
+    assert layout.replicas(0) == (0, 1)  # edge (0,1)
     assert set(layout.blocks_on(0)) == {0, 1, 2, 3}  # edges (0,1)..(0,4)
     for node in range(5):
         assert len(layout.blocks_on(node)) == 4
@@ -146,8 +145,8 @@ def test_pentagon_layout_is_the_edge_construction():
 def test_polygon_every_block_on_two_nodes():
     for n in (5, 7):
         layout = build_layout(Polygon(n), range(n), seed=0)
-        for block, nodes in layout.block_placements.items():
-            assert len({node for node, _ in nodes}) == 2
+        for block in layout.block_roles:
+            assert len(set(layout.replicas(block))) == 2
         for node in range(n):
             assert len(layout.blocks_on(node)) == n - 1
 
@@ -175,9 +174,9 @@ def test_random_layouts_deterministic_and_distinct(scheme):
     a = build_layout(scheme, pool, seed=11)
     b = build_layout(scheme, pool, seed=11)
     assert a == b
-    for block, nodes in a.block_placements.items():
-        ids = [node for node, _ in nodes]
-        assert len(set(ids)) == len(ids)
+    for block in a.block_roles:
+        ids = a.replicas(block)
+        assert len(set(ids)) == len(ids) == len(geometry(scheme).placements[block])
 
 
 def test_layout_pool_too_small():
@@ -350,6 +349,33 @@ def test_decode_block_left_out_of_surviving_view():
     views = surviving_view(scheme, blocks, {0})
     views[1] = {b: v for b, v in views[1].items() if b != 0}  # edge (0,1)
     assert decode_stripe(scheme, views, {0}) == data
+
+
+def test_decode_falls_back_to_oracle_when_a_plan_needs_a_missing_block(monkeypatch):
+    rng = random.Random(13)
+    scheme = HeptagonLocal()
+    data, blocks = full_blocks(scheme, rng, size=64)
+    calls = []
+    real = codes.oracle_decode
+
+    def counting(scheme, present):
+        calls.append(scheme)
+        return real(scheme, present)
+
+    monkeypatch.setattr(codes, "oracle_decode", counting)
+    pattern = {0, 1}
+    assert decode_stripe(scheme, surviving_view(scheme, blocks, pattern), pattern) == data
+    assert calls == []  # every block a plan reads is present: plans alone
+    # block 11 is edge (2, 3): missing on both its live hosts, and the
+    # degraded reads of the blocks lost with slots 0 and 1 route through it
+    views = {
+        n: {b: v for b, v in blocks_on.items() if b != 11}
+        for n, blocks_on in surviving_view(scheme, blocks, pattern).items()
+    }
+    present = {b for blocks_on in views.values() for b in blocks_on}
+    assert can_decode_from(scheme, present)
+    assert decode_stripe(scheme, views, pattern) == data
+    assert len(calls) == 1
 
 
 def test_decode_verifies_blocks_the_plan_never_reads():

@@ -5,18 +5,22 @@ import random
 import pytest
 
 from polycode import codes, reliability
-from polycode.codes import HeptagonLocal, Polygon, RaidMirror, Replication
+from polycode.cli import REPORT_SCHEMES
+from polycode.codes import HeptagonLocal, Polygon, RaidMirror, Replication, parse_scheme
 from polycode.reliability import (
     DEFAULT_MODEL,
     RELIABILITY_COLUMNS,
     STRESS_MODEL,
     FailureModel,
+    MarkovChain,
     build_markov_chain,
     fatal_fraction,
     mttdl_analytic,
     mttdl_montecarlo,
     reliability_rows,
 )
+
+from helpers import expected_hours_reference, simulate_trial_reference
 
 TABLE_SCHEMES = [
     Replication(2),
@@ -104,6 +108,31 @@ def test_three_rep_closed_form():
     t1 = a1 + b1 * t2
     t0 = a0 + b0 * t1
     assert mttdl_analytic(Replication(3), model) == pytest.approx(float(t0), rel=1e-9)
+
+
+# the golden CSVs round their floats, so only an exact comparison with the
+# Fraction solve catches a last-bit drift in the integer one
+EXACT_MODELS = [
+    DEFAULT_MODEL,
+    STRESS_MODEL,
+    FailureModel.from_mttf_mttr(100.0, 10.0, "serial"),
+    FailureModel(0.013, 0.37, "serial"),
+]
+
+
+@pytest.mark.parametrize("name", REPORT_SCHEMES)
+def test_integer_solve_equals_fraction_reference(name):
+    scheme = parse_scheme(name)
+    for model in EXACT_MODELS:
+        chain = build_markov_chain(scheme, model)
+        assert chain.expected_hours_to_loss() == expected_hours_reference(chain), model
+
+
+def test_singular_generator_raises():
+    # a transient state with no way out never absorbs
+    chain = MarkovChain("stuck", 1, 0, 1.0, 1.0, "parallel", ((0,),), ((),), ())
+    with pytest.raises(ArithmeticError):
+        chain.expected_hours_to_loss()
 
 
 def test_mttdl_ordering_under_default_model():
@@ -211,6 +240,66 @@ def test_mc_checks_each_failure_mask_once_per_run(monkeypatch, mode):
     mttdl_montecarlo(HeptagonLocal(), model, 300, seed=11)
     assert calls, "the loss test was never consulted"
     assert max(calls.values()) == 1, calls.most_common(3)
+
+
+TRIAL_SCHEMES = [Polygon(5), RaidMirror(9), HeptagonLocal()]
+TRIAL_MODELS = [STRESS_MODEL, FailureModel.from_mttf_mttr(100.0, 10.0, "serial")]
+
+
+@pytest.mark.parametrize("scheme", TRIAL_SCHEMES, ids=lambda s: s.name)
+@pytest.mark.parametrize("model", TRIAL_MODELS, ids=lambda m: m.repair_mode)
+def test_simulate_trial_equals_reference_loop(scheme, model):
+    fate, ref_fate = {}, {}
+    for i in range(300):
+        got = reliability._simulate_trial(scheme, model, reliability._trial_rng(21, i), fate)
+        want = simulate_trial_reference(scheme, model, reliability._trial_rng(21, i), ref_fate)
+        assert got == want, i
+    assert fate == ref_fate
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 2**40 + 3])
+def test_bit_draw_equals_randrange(seed):
+    # _simulate_trial inlines randrange(m) as CPython's getrandbits draw;
+    # a change to random._randbelow must fail here first
+    a, b = random.Random(seed), random.Random(seed)
+    for m in list(range(1, 26)) * 8:
+        w = m.bit_length()
+        i = a.getrandbits(w)
+        while i >= m:
+            i = a.getrandbits(w)
+        assert i == b.randrange(m)
+    assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("scheme", TRIAL_SCHEMES, ids=lambda s: s.name)
+def test_one_expovariate_call_per_event(monkeypatch, scheme):
+    # wrap each trial's expovariate the way the benchmark tracer does: on
+    # the RNG instance, after the module-level factory returns it
+    counts = collections.Counter()
+    factory = reliability._trial_rng
+
+    def counted_rng(seed, index):
+        rng = factory(seed, index)
+        expovariate = rng.expovariate
+        counts["trials"] += 1
+
+        def counted(rate):
+            counts["events"] += 1
+            return expovariate(rate)
+
+        rng.expovariate = counted
+        return rng
+
+    monkeypatch.setattr(reliability, "_trial_rng", counted_rng)
+    mttdl_montecarlo(scheme, STRESS_MODEL, 300, seed=31)
+    assert counts["trials"] == 300
+    traced = counts["events"]
+    counts.clear()
+    # the reference loop calls expovariate once per event by construction
+    fate = {}
+    for i in range(300):
+        simulate_trial_reference(scheme, STRESS_MODEL, counted_rng(31, i), fate)
+    assert counts["events"] == traced > 300
 
 
 def test_mc_doubling_repair_rate_never_hurts():
