@@ -263,7 +263,11 @@ class BlockStore:
         vary per file; each manifest records its own.
         """
         path = Path(path)
-        name = name or path.name
+        if name is None:
+            name = path.name
+        # a manifest is root/<name>.manifest.json: no other directory
+        if name in ("", ".", "..") or "/" in name or "\0" in name:
+            raise StoreError(f"invalid file name: {name!r}")
         scheme = scheme or self.scheme
         block_size = block_size or self.block_size
         if block_size <= 0:

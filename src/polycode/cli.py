@@ -490,6 +490,10 @@ def main(argv: list[str] | None = None) -> int:
     except (CodeError, blockstore.StoreError, mapsched.OverloadError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # a path that cannot be read or written
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

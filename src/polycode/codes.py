@@ -213,7 +213,9 @@ class _Geometry:
     the store, the locality simulator and the reliability chain read.
 
     ``placements[b]``    slots holding block b, in replica order
-    ``slot_masks[b]``    the same slots as a bitmask (bit s set == slot s)
+    ``data_masks``       (slot mask, data index) per data block, by block id;
+                         bit s of a slot mask set == the block is on slot s
+    ``parity_masks``     (slot mask, row) per parity block, by block id
     ``roles[b]``         b's ``BlockRole``
     ``rows[b]``          b's coefficient vector over the data symbols
     ``data_block_of[i]`` block id of data symbol i
@@ -284,7 +286,13 @@ class _Geometry:
             raise TypeError(f"unknown scheme type: {scheme!r}")
 
         self.placements = placements
-        self.slot_masks = {b: sum(1 << s for s in slots) for b, slots in placements.items()}
+        slot_masks = {b: sum(1 << s for s in slots) for b, slots in placements.items()}
+        self.data_masks = tuple(
+            (slot_masks[b], roles[b].index) for b in roles if roles[b].kind == "data"
+        )
+        self.parity_masks = tuple(
+            (slot_masks[b], rows[b]) for b in roles if roles[b].kind != "data"
+        )
         self.roles = roles
         self.rows = rows
         self.data_block_of = {
@@ -490,16 +498,22 @@ def can_decode_from(scheme: Scheme, present_blocks: Iterable[int]) -> bool:
     unknown = [i for i in range(scheme.data_block_count) if i not in known]
     if not unknown:
         return True
-    rows = []
-    for b in present:
-        if geo.roles[b].kind == "data":
-            continue
-        row = [geo.rows[b][i] for i in unknown]
-        if any(row):
-            rows.append(row)
-    if len(rows) < len(unknown):
+    return _solves(
+        [geo.rows[b] for b in present if geo.roles[b].kind != "data"], unknown
+    )
+
+
+def _solves(rows: Iterable[tuple[int, ...]], unknown: list[int]) -> bool:
+    """True iff the parity *rows* determine the data symbols *unknown*, the
+    others being known: their columns of *rows* have full rank."""
+    reduced = []
+    for row in rows:
+        part = [row[i] for i in unknown]
+        if any(part):
+            reduced.append(part)
+    if len(reduced) < len(unknown):
         return False
-    return _eliminate(rows, len(unknown)) == len(unknown)
+    return _eliminate(reduced, len(unknown)) == len(unknown)
 
 
 _RECOVERABLE_CACHE: dict[tuple[Scheme, int], bool] = {}
@@ -514,14 +528,20 @@ def _iter_pattern(scheme, pattern):
 
 
 def is_recoverable_mask(scheme: Scheme, mask: int) -> bool:
-    """Bitmask variant of ``is_recoverable`` (bit i set == slot i failed)."""
+    """Bitmask variant of ``is_recoverable`` (bit i set == slot i failed).
+
+    A miss reads the geometry's slot masks: with no data block lost on
+    every slot it is True at once, and otherwise the parity rows still live
+    somewhere must solve for the lost data symbols."""
     key = (scheme, mask)
     cached = _RECOVERABLE_CACHE.get(key)
     if cached is not None:
         return cached
-    up = ~mask
-    present = [b for b, slots in _geometry(scheme).slot_masks.items() if slots & up]
-    result = can_decode_from(scheme, present)
+    geo = _geometry(scheme)
+    lost = [i for slots, i in geo.data_masks if slots & mask == slots]
+    result = not lost or _solves(
+        (row for slots, row in geo.parity_masks if slots & ~mask), lost
+    )
     _RECOVERABLE_CACHE[key] = result
     return result
 

@@ -7,14 +7,19 @@ their input block.
 
 Schedulers
 ----------
-``matching``  maximum-cardinality bipartite matching between tasks and the
-              slot-expanded hosting nodes (Hopcroft-Karp); locality is
-              provably maximal for the instance.
+``matching``  maximum matching of tasks to their hosting nodes, each node
+              holding up to ``slots_per_node`` tasks: a greedy pass, then
+              one BFS augmenting-path search per task left over.  Locality
+              is provably maximal for the instance.  A wave of T tasks
+              costs O(T*h) plus O(T*h + N) per search, for h hosts per
+              block on N nodes; the graph is never expanded per slot.
 ``delay``     free slots heartbeat in seed-shuffled round-robin order; a
               heartbeat launches a pending task hosted on its node
               (fewest-options-first), and tasks start accepting remote
               slots only after waiting a configurable number of full
-              rounds, oldest first.
+              rounds, oldest first.  Options are counted per task and
+              lowered when a node fills: about O(T*h*T/N) per wave, plus
+              one pass over the slots per round.
 ``peeling``   tasks with a single live hosting node are placed first; after
               that the task with the most slack across its hosts goes to its
               least-contended host.  Ties go to the earliest task in a
@@ -29,7 +34,9 @@ Loads above 100% are split into ``ceil(load/100)`` sequential waves by
 ``run_scheduler``; the schedulers themselves require tasks <= total slots.
 
 Block placements come from ``codes``: the cluster tiles each stripe's
-canonical slots (``codes._Geometry.placements``) onto a window of nodes.  For
+canonical slots (``codes._Geometry.placements``) onto a window of nodes,
+picked from per-window integer scores kept as stripes land; replicated and
+RAID+m hosts are seed-random, drawn by ``_sample_range``.  For
 the heptagon-local code only the two heptagons are placed: the global parity
 node hosts no map input and plays no role in task assignment, so it is left
 out of the simulated cluster.
@@ -45,6 +52,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from math import ceil, log
 from statistics import mean, pstdev
 
 from .codes import RaidMirror, Replication, Scheme, _geometry, parse_scheme
@@ -102,6 +110,41 @@ def default_stripes(scheme: Scheme, target_data_blocks: int = 720) -> int:
     return -(-target_data_blocks // scheme.data_block_count)
 
 
+def _sample_range(getrandbits, n: int, k: int) -> list[int]:
+    """``random.Random.sample(range(n), k)`` replayed from the same
+    generator's bound *getrandbits*: the same draws and the same result.
+
+    CPython draws below ``m`` as ``getrandbits(m.bit_length())``, drawing
+    again while the value is ``>= m``.  When an n-list is smaller than a
+    k-set it runs a partial Fisher-Yates over a pool, kept here as a dict of
+    the positions that moved; otherwise it draws below n until it hits a
+    value not yet picked.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("sample larger than population or is negative")
+    setsize = 21  # the size test random.sample makes, to pick the same branch
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    picked: list[int] = []
+    if n <= setsize:
+        moved: dict[int, int] = {}  # pool[j] where it is not j
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            picked.append(moved.get(j, j))
+            moved[j] = moved.get(m - 1, m - 1)
+    else:
+        bits = n.bit_length()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in picked:
+                j = getrandbits(bits)
+            picked.append(j)
+    return picked
+
+
 def build_cluster(
     scheme: Scheme,
     node_count: int,
@@ -115,8 +158,13 @@ def build_cluster(
     of a seed-shuffled node permutation, one window per ``code length``
     stride (wrapping when the width does not divide the node count, so
     every node hosts data).  Each stripe goes to the window that keeps
-    per-node block counts most balanced.  Replication and RAID+m blocks
-    land on seed-random distinct nodes.
+    per-node block counts most balanced: the first window minimising the
+    sum of squared per-node counts after the stripe lands.  Replication and
+    RAID+m blocks land on seed-random distinct nodes.
+
+    Each window's score is kept as a running integer and each window's
+    host sets (its tile) are made once, so a stripe costs O(windows) to
+    place.  Every draw goes through ``_sample_range``.
     """
     if slots_per_node < 1:
         raise ValueError("need at least one map slot per node")
@@ -130,15 +178,9 @@ def build_cluster(
         raise ValueError(f"{scheme.name} needs at least {width} nodes")
     if stripes is None:
         stripes = default_stripes(scheme)
-    rng = random.Random(seed)
-    perm = rng.sample(range(node_count), node_count)
+    getrandbits = random.Random(seed).getrandbits
+    perm = _sample_range(getrandbits, node_count, node_count)
     catalog: dict[int, frozenset[int]] = {}
-    next_block = 0
-
-    def add(hosts):
-        nonlocal next_block
-        catalog[next_block] = frozenset(hosts)
-        next_block += 1
 
     if geo.groups:
         window_count = -(-node_count // width)
@@ -146,25 +188,32 @@ def build_cluster(
             [perm[(w * width + k) % node_count] for k in range(width)]
             for w in range(window_count)
         ]
-        per_node = len(geo.blocks_on[0])  # the same on every slot of a group
-        load = [0] * node_count
-        for _ in range(stripes):
-            best = min(
-                range(window_count),
-                key=lambda w: sum((load[v] + per_node) ** 2 for v in windows[w]),
-            )
-            window = windows[best]
+        tiles = [[frozenset(window[s] for s in slots) for slots in hosted] for window in windows]
+        windows_of: list[list[int]] = [[] for _ in range(node_count)]
+        for w, window in enumerate(windows):
             for v in window:
-                load[v] += per_node
-            for slots in hosted:
-                add([window[s] for s in slots])
-    elif isinstance(scheme, Replication):
+                windows_of[v].append(w)
+        p = len(geo.blocks_on[0])  # blocks per node, the same on every slot of a group
+        load = [0] * node_count
+        # sum((l + p)**2) over a window is sum(l**2) + 2p*sum(l) + width*p**2;
+        # the last term is the same for every window, so score the rest
+        score = [0] * window_count
         for _ in range(stripes):
-            add(rng.sample(range(node_count), scheme.copies))
-    elif isinstance(scheme, RaidMirror):
-        for _ in range(stripes):
-            for _ in range(scheme.block_count):
-                add(rng.sample(range(node_count), 2))
+            best = score.index(min(score))
+            for v in windows[best]:
+                l = load[v]
+                load[v] = l + p
+                # the rise of l**2 + 2p*l when l grows by p
+                for w in windows_of[v]:
+                    score[w] += 2 * p * l + 3 * p * p
+            for hosts in tiles[best]:
+                catalog[len(catalog)] = hosts
+    elif isinstance(scheme, (Replication, RaidMirror)):
+        copies, per_stripe = (
+            (scheme.copies, 1) if isinstance(scheme, Replication) else (2, scheme.block_count)
+        )
+        for _ in range(stripes * per_stripe):
+            catalog[len(catalog)] = frozenset(_sample_range(getrandbits, node_count, copies))
     else:  # pragma: no cover
         raise TypeError(f"unknown scheme type: {scheme!r}")
     return ClusterModel(scheme.name, node_count, slots_per_node, catalog)
@@ -205,78 +254,62 @@ def _fill_remote(free: list[int], task_ids, node_of, local):
         local[ti] = False
 
 
-class _HopcroftKarp:
-    """Maximum bipartite matching between task indices and slot ids."""
-
-    INF = -1
-
-    def __init__(self, adjacency: list[list[int]]):
-        self.adj = adjacency
-        self.match_left: list[int | None] = [None] * len(adjacency)
-        self.match_right: dict[int, int] = {}
-        self.dist: list[int] = [0] * len(adjacency)
-
-    def _bfs(self) -> bool:
-        queue = deque()
-        for u, m in enumerate(self.match_left):
-            if m is None:
-                self.dist[u] = 0
-                queue.append(u)
-            else:
-                self.dist[u] = self.INF
-        found = False
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:
-                w = self.match_right.get(v)
-                if w is None:
-                    found = True
-                elif self.dist[w] == self.INF:
-                    self.dist[w] = self.dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def _dfs(self, u: int) -> bool:
-        for v in self.adj[u]:
-            w = self.match_right.get(v)
-            if w is None or (self.dist[w] == self.dist[u] + 1 and self._dfs(w)):
-                self.match_left[u] = v
-                self.match_right[v] = u
-                return True
-        self.dist[u] = self.INF
-        return False
-
-    def solve(self) -> list[int | None]:
-        while self._bfs():
-            for u in range(len(self.adj)):
-                if self.match_left[u] is None:
-                    self._dfs(u)
-        return self.match_left
+def _augment(start: int, hosts, node_of, on_node, free) -> bool:
+    """Breadth-first search for an augmenting path from the unmatched task
+    *start*: task -> one of its hosts -> a task matched there -> ... -> a
+    node with a free slot.  Flips the path and returns True if one exists."""
+    via: dict[int, int] = {}  # node -> the task that reached it
+    queue = [start]
+    for u in queue:
+        for v in hosts[u]:
+            if v in via:
+                continue
+            via[v] = u
+            if free[v]:
+                free[v] -= 1
+                while True:  # each task on the path moves to the node it reached
+                    u = via[v]
+                    old = node_of[u]
+                    node_of[u] = v
+                    on_node[v].append(u)
+                    if old is None:
+                        return True
+                    on_node[old].remove(u)
+                    v = old
+            queue.extend(on_node[v])
+    return False
 
 
 def schedule_maxmatch(cluster: ClusterModel, workload: Workload) -> Assignment:
-    """Locality-optimal assignment via maximum matching on the bipartite
-    task/slot graph, remainders filled remotely."""
+    """Locality-optimal assignment: a maximum matching of tasks to their
+    hosting nodes, each node holding up to ``slots_per_node`` tasks, with
+    the remainder filled remotely.
+
+    Tasks are first placed greedily, then every task left over searches
+    once for an augmenting path (Kuhn's algorithm with node capacities): a
+    task with none keeps none after later augmentations, so the local
+    count is the maximum.  Each search is a BFS over at most T tasks and
+    N nodes.
+    """
     _check_capacity(cluster, workload)
-    mu = cluster.slots_per_node
-    adjacency = [
-        [host * mu + s for host in sorted(cluster.catalog[b]) for s in range(mu)]
-        for b in workload.tasks
-    ]
-    match = _HopcroftKarp(adjacency).solve()
-    node_of: list[int | None] = [None] * len(workload.tasks)
-    local = [False] * len(workload.tasks)
-    free = [mu] * cluster.node_count
+    catalog = cluster.catalog
+    hosts = [sorted(catalog[b]) for b in workload.tasks]
+    node_of: list[int | None] = [None] * len(hosts)
+    on_node: list[list[int]] = [[] for _ in range(cluster.node_count)]
+    free = [cluster.slots_per_node] * cluster.node_count
     unmatched = []
-    for ti, slot in enumerate(match):
-        if slot is None:
-            unmatched.append(ti)
+    for ti, hs in enumerate(hosts):
+        for v in hs:
+            if free[v]:
+                free[v] -= 1
+                node_of[ti] = v
+                on_node[v].append(ti)
+                break
         else:
-            node = slot // mu
-            node_of[ti] = node
-            local[ti] = True
-            free[node] -= 1
-    _fill_remote(free, unmatched, node_of, local)
+            unmatched.append(ti)
+    remote = [ti for ti in unmatched if not _augment(ti, hosts, node_of, on_node, free)]
+    local = [v is not None for v in node_of]
+    _fill_remote(free, remote, node_of, local)
     return Assignment(tuple(node_of), tuple(local))
 
 
@@ -288,9 +321,16 @@ def schedule_delay(
 ) -> Assignment:
     """Delay scheduling: individual free slots heartbeat in seed-shuffled
     round-robin order; a heartbeat launches a pending task hosted on its
-    node (preferring the task with the fewest remaining placement options),
-    and tasks accept remote slots only after waiting
-    *rounds_before_remote* full rounds, oldest first."""
+    node (preferring the task with the fewest remaining placement options,
+    then the earliest), and tasks accept remote slots only after waiting
+    *rounds_before_remote* full rounds, oldest first.
+
+    A task's placement options are its hosts with a free slot; the count is
+    kept per task and lowered for the tasks hosted on a node when it fills.
+    Each node's list of hosted tasks drops the placed ones at its next
+    heartbeat, so a wave of T tasks costs about O(T*h*T/N) for h hosts per
+    block on N nodes, plus one pass over the slots per round.
+    """
     if rounds_before_remote < 0:
         raise ValueError("rounds_before_remote must be >= 0")
     _check_capacity(cluster, workload)
@@ -300,36 +340,30 @@ def schedule_delay(
     node_of: list[int | None] = [None] * n_tasks
     local = [False] * n_tasks
     free = [cluster.slots_per_node] * cluster.node_count
-    slots = [
-        (v, s)
-        for v in range(cluster.node_count)
-        for s in range(cluster.slots_per_node)
-    ]
+    # the node of each slot, (node, slot) order; the shuffle draws depend
+    # only on the length
+    slots = [v for v in range(cluster.node_count) for _ in range(cluster.slots_per_node)]
     random.Random(seed).shuffle(slots)
     slot_used = [False] * len(slots)
 
-    hosted: dict[int, list[int]] = {v: [] for v in range(cluster.node_count)}
+    hosted: list[list[int]] = [[] for _ in range(cluster.node_count)]
     for ti, b in enumerate(tasks):
         for host in catalog[b]:
-            hosted[host].append(ti)
+            hosted[host].append(ti)  # ascending task ids
+    live = [len(catalog[b]) for b in tasks]  # hosts with a free slot
     fifo = deque(range(n_tasks))
     pending = n_tasks
     rounds_waited = 0
 
     while pending:
         progress = False
-        for si, (v, _) in enumerate(slots):
+        for si, v in enumerate(slots):
             if slot_used[si]:
                 continue
-            candidates = [t for t in hosted[v] if node_of[t] is None]
+            candidates = hosted[v] = [t for t in hosted[v] if node_of[t] is None]
             if candidates:
-                ti = min(
-                    candidates,
-                    key=lambda t: (
-                        sum(1 for h in catalog[tasks[t]] if free[h] > 0),
-                        t,
-                    ),
-                )
+                # min keeps the first of equal counts: the earliest task
+                ti = min(candidates, key=live.__getitem__)
                 local[ti] = True
             elif rounds_waited >= rounds_before_remote:
                 while fifo and node_of[fifo[0]] is not None:
@@ -341,6 +375,9 @@ def schedule_delay(
                 continue  # hold the slot hoping a local task frees up
             node_of[ti] = v
             free[v] -= 1
+            if not free[v]:
+                for t in candidates:
+                    live[t] -= 1
             slot_used[si] = True
             pending -= 1
             progress = True

@@ -2,10 +2,27 @@
 
 import random
 import zlib
+from collections import deque
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from polycode.codes import ChecksumMismatchError, MissingBlockError, Scheme, is_recoverable_mask
+from polycode.codes import (
+    ChecksumMismatchError,
+    MissingBlockError,
+    Replication,
+    Scheme,
+    _geometry,
+    is_recoverable_mask,
+)
+from polycode.mapsched import (
+    Assignment,
+    ClusterModel,
+    OverloadError,
+    Workload,
+    _check_capacity,
+    _fill_remote,
+    default_stripes,
+)
 from polycode.reliability import LOSS, FailureModel, MarkovChain
 
 
@@ -93,3 +110,191 @@ def simulate_trial_reference(
             node = failed.pop(i)
             mask &= ~(1 << node)
             up.append(node)
+
+
+def build_cluster_reference(
+    scheme: Scheme, node_count: int, slots_per_node: int, stripes: int | None, seed: int
+) -> ClusterModel:
+    """``mapsched.build_cluster`` with ``rng.sample`` draws and every window
+    re-scored per stripe: the reference the tabled builder must match."""
+    if slots_per_node < 1:
+        raise ValueError("need at least one map slot per node")
+    geo = _geometry(scheme)
+    hosted = [
+        slots for b, slots in geo.placements.items() if b not in geo.global_blocks
+    ]
+    width = 1 + max(s for slots in hosted for s in slots)
+    if node_count < width:
+        raise ValueError(f"{scheme.name} needs at least {width} nodes")
+    if stripes is None:
+        stripes = default_stripes(scheme)
+    rng = random.Random(seed)
+    perm = rng.sample(range(node_count), node_count)
+    catalog: dict[int, frozenset[int]] = {}
+
+    def add(hosts):
+        catalog[len(catalog)] = frozenset(hosts)
+
+    if geo.groups:
+        window_count = -(-node_count // width)
+        windows = [
+            [perm[(w * width + k) % node_count] for k in range(width)]
+            for w in range(window_count)
+        ]
+        per_node = len(geo.blocks_on[0])
+        load = [0] * node_count
+        for _ in range(stripes):
+            best = min(
+                range(window_count),
+                key=lambda w: sum((load[v] + per_node) ** 2 for v in windows[w]),
+            )
+            window = windows[best]
+            for v in window:
+                load[v] += per_node
+            for slots in hosted:
+                add([window[s] for s in slots])
+    elif isinstance(scheme, Replication):
+        for _ in range(stripes):
+            add(rng.sample(range(node_count), scheme.copies))
+    else:
+        for _ in range(stripes):
+            for _ in range(scheme.block_count):
+                add(rng.sample(range(node_count), 2))
+    return ClusterModel(scheme.name, node_count, slots_per_node, catalog)
+
+
+class _HopcroftKarp:
+    """Maximum bipartite matching between task indices and slot ids."""
+
+    INF = -1
+
+    def __init__(self, adjacency: list[list[int]]):
+        self.adj = adjacency
+        self.match_left: list[int | None] = [None] * len(adjacency)
+        self.match_right: dict[int, int] = {}
+        self.dist: list[int] = [0] * len(adjacency)
+
+    def _bfs(self) -> bool:
+        queue = deque()
+        for u, m in enumerate(self.match_left):
+            if m is None:
+                self.dist[u] = 0
+                queue.append(u)
+            else:
+                self.dist[u] = self.INF
+        found = False
+        while queue:
+            u = queue.popleft()
+            for v in self.adj[u]:
+                w = self.match_right.get(v)
+                if w is None:
+                    found = True
+                elif self.dist[w] == self.INF:
+                    self.dist[w] = self.dist[u] + 1
+                    queue.append(w)
+        return found
+
+    def _dfs(self, u: int) -> bool:
+        for v in self.adj[u]:
+            w = self.match_right.get(v)
+            if w is None or (self.dist[w] == self.dist[u] + 1 and self._dfs(w)):
+                self.match_left[u] = v
+                self.match_right[v] = u
+                return True
+        self.dist[u] = self.INF
+        return False
+
+    def solve(self) -> list[int | None]:
+        while self._bfs():
+            for u in range(len(self.adj)):
+                if self.match_left[u] is None:
+                    self._dfs(u)
+        return self.match_left
+
+
+def maxmatch_reference(cluster: ClusterModel, workload: Workload) -> Assignment:
+    """``mapsched.schedule_maxmatch`` as Hopcroft-Karp on the slot-expanded
+    task/slot graph: the reference for the local count."""
+    _check_capacity(cluster, workload)
+    mu = cluster.slots_per_node
+    adjacency = [
+        [host * mu + s for host in sorted(cluster.catalog[b]) for s in range(mu)]
+        for b in workload.tasks
+    ]
+    match = _HopcroftKarp(adjacency).solve()
+    node_of: list[int | None] = [None] * len(workload.tasks)
+    local = [False] * len(workload.tasks)
+    free = [mu] * cluster.node_count
+    unmatched = []
+    for ti, slot in enumerate(match):
+        if slot is None:
+            unmatched.append(ti)
+        else:
+            node = slot // mu
+            node_of[ti] = node
+            local[ti] = True
+            free[node] -= 1
+    _fill_remote(free, unmatched, node_of, local)
+    return Assignment(tuple(node_of), tuple(local))
+
+
+def delay_reference(
+    cluster: ClusterModel, workload: Workload, rounds_before_remote: int = 1, seed: int = 0
+) -> Assignment:
+    """``mapsched.schedule_delay`` re-summing each candidate's live hosts
+    at every heartbeat: the reference the counted loop must match."""
+    _check_capacity(cluster, workload)
+    tasks = workload.tasks
+    n_tasks = len(tasks)
+    catalog = cluster.catalog
+    node_of: list[int | None] = [None] * n_tasks
+    local = [False] * n_tasks
+    free = [cluster.slots_per_node] * cluster.node_count
+    slots = [
+        (v, s)
+        for v in range(cluster.node_count)
+        for s in range(cluster.slots_per_node)
+    ]
+    random.Random(seed).shuffle(slots)
+    slot_used = [False] * len(slots)
+
+    hosted: dict[int, list[int]] = {v: [] for v in range(cluster.node_count)}
+    for ti, b in enumerate(tasks):
+        for host in catalog[b]:
+            hosted[host].append(ti)
+    fifo = deque(range(n_tasks))
+    pending = n_tasks
+    rounds_waited = 0
+
+    while pending:
+        progress = False
+        for si, (v, _) in enumerate(slots):
+            if slot_used[si]:
+                continue
+            candidates = [t for t in hosted[v] if node_of[t] is None]
+            if candidates:
+                ti = min(
+                    candidates,
+                    key=lambda t: (
+                        sum(1 for h in catalog[tasks[t]] if free[h] > 0),
+                        t,
+                    ),
+                )
+                local[ti] = True
+            elif rounds_waited >= rounds_before_remote:
+                while fifo and node_of[fifo[0]] is not None:
+                    fifo.popleft()
+                if not fifo:
+                    break
+                ti = fifo.popleft()
+            else:
+                continue
+            node_of[ti] = v
+            free[v] -= 1
+            slot_used[si] = True
+            pending -= 1
+            progress = True
+        rounds_waited += 1
+        if pending and not progress and rounds_waited > rounds_before_remote:
+            raise OverloadError("pending tasks but no free slots")
+    return Assignment(tuple(node_of), tuple(local))

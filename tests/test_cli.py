@@ -181,6 +181,53 @@ def test_store_init_requires_seed(capsys):
     assert code == 2
 
 
+def _pentagon_store(tmp_path, capsys):
+    root = tmp_path / "store"
+    code, *_ = run(capsys, "store", "init", "--root", str(root), "--scheme", "pentagon",
+                   "--block-size", "1024", "--seed", "4")
+    assert code == 0
+    return root
+
+
+@pytest.mark.parametrize("name", ["a/b", "../escape", ".", "..", "", "a\0b"])
+def test_store_put_rejects_a_name_that_is_not_one_file_in_the_root(tmp_path, capsys, name):
+    root = _pentagon_store(tmp_path, capsys)
+    src = tmp_path / "f.bin"
+    src.write_bytes(random.Random(3).randbytes(5000))
+    code, _, err = run(capsys, "store", "put", "--root", str(root), "--file", str(src),
+                       "--name", name)
+    assert code == 1 and err.startswith("error: invalid file name")
+    assert not list(root.rglob("*.blk"))
+    assert not list(tmp_path.rglob("*.manifest.json"))
+    code, out, _ = run(capsys, "store", "fsck", "--root", str(root))
+    assert code == 0 and "clean" in out
+
+
+def test_store_put_missing_file_is_an_error(tmp_path, capsys):
+    root = _pentagon_store(tmp_path, capsys)
+    missing = tmp_path / "missing.bin"
+    code, out, err = run(capsys, "store", "put", "--root", str(root), "--file", str(missing))
+    assert (code, out) == (1, "")
+    assert err == f"error: {missing}: No such file or directory\n"
+    assert not list(root.rglob("*.blk"))
+
+
+def test_code_encode_missing_input_is_an_error(tmp_path, capsys):
+    missing = tmp_path / "missing.bin"
+    code, out, err = run(capsys, "code", "encode", "--scheme", "pentagon",
+                         "--input", str(missing), "--out-dir", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert err == f"error: {missing}: No such file or directory\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_missing_input_is_an_error(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    code, out, err = run(capsys, "report", "--kind", "locality-summary", "--input", str(missing))
+    assert (code, out) == (1, "")
+    assert err == f"error: {missing}: No such file or directory\n"
+
+
 def test_sim_locality_csv(tmp_path, capsys):
     out_file = tmp_path / "loc.csv"
     argv = ["sim", "locality", "--scheme", "heptagon", "--nodes", "25", "--slots", "8",

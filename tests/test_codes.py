@@ -31,6 +31,7 @@ from polycode.codes import (
     encode_stripe,
     execute_plan,
     is_recoverable,
+    is_recoverable_mask,
     oracle_decode,
     parse_scheme,
     plan_degraded_read,
@@ -294,6 +295,41 @@ def test_can_decode_from_direct():
     assert can_decode_from(scheme, range(9))  # all data, no parity
     assert can_decode_from(scheme, range(1, 10))  # parity replaces one block
     assert not can_decode_from(scheme, range(2, 10))
+
+
+def _live_blocks(scheme, mask):
+    """Blocks with a replica on a slot whose bit in *mask* is clear."""
+    placements = codes._geometry(scheme).placements
+    return [b for b, slots in placements.items() if any(not mask >> s & 1 for s in slots)]
+
+
+@pytest.mark.parametrize(
+    "name", ["pentagon", "heptagon", "heptagon-local", "3-rep", "raidm-3", "raidm-4"]
+)
+def test_recoverable_mask_miss_agrees_with_can_decode_from_exhaustive(name, monkeypatch):
+    monkeypatch.setattr(codes, "_RECOVERABLE_CACHE", {})  # every call a miss
+    scheme = parse_scheme(name)
+    for mask in range(1 << scheme.code_length):
+        want = can_decode_from(scheme, _live_blocks(scheme, mask))
+        assert is_recoverable_mask(scheme, mask) == want, (name, mask)
+    assert len(codes._RECOVERABLE_CACHE) == 1 << scheme.code_length
+
+
+@pytest.mark.parametrize("name", ["raidm-9", "raidm-11"])
+def test_recoverable_mask_miss_agrees_with_can_decode_from_sampled(name, monkeypatch):
+    monkeypatch.setattr(codes, "_RECOVERABLE_CACHE", {})
+    scheme = parse_scheme(name)
+    rng = random.Random(name)
+    L = scheme.code_length
+    fates = set()
+    for _ in range(5000):
+        # failure counts spread over 0..L, so both answers come up often
+        mask = sum(1 << s for s in rng.sample(range(L), rng.randrange(L + 1)))
+        want = can_decode_from(scheme, _live_blocks(scheme, mask))
+        codes._RECOVERABLE_CACHE.pop((scheme, mask), None)
+        assert is_recoverable_mask(scheme, mask) == want, (name, mask)
+        fates.add(want)
+    assert fates == {True, False}
 
 
 # ---------------------------------------------------------------------------

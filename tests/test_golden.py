@@ -5,6 +5,12 @@ the geometry / elimination refactor; ``sim-reliability-serial`` and
 ``sim-locality-peeling`` were recorded before the incremental peeling
 scheduler and the per-run Monte Carlo loss table.  None may ever be
 regenerated to make a change pass.  A mismatch means some output byte changed.
+
+The four ``sim-locality-draws-*`` digests were recorded, and checked, at the
+code as it stood before the tabled cluster builder, the slot-capacity
+matching and the live-host delay scheduler.  They cover the replicated and
+RAID+m host draws on both of ``random.sample``'s branches (20 nodes fit its
+pool, 25 take its set) and both delay settings that bracket the default.
 """
 
 import argparse
@@ -32,6 +38,10 @@ GOLDEN = {
     "sim-reliability": "b24214cbeb495ce9bad93686f30cb779ac12fcfd5d4452845483a6de7476141f",
     "sim-reliability-serial": "7a9bab915bc1ceb53950a1ed30a32078b0f721cdf0a66f0c973db3345ca10e55",
     "sim-locality-peeling": "b101659480aa63f4c38523d2e31a107434a067be2fa36c069201013b516f969f",
+    "sim-locality-draws-20-r0": "5c1289536de87f0a0783864523fd8fa605dc8c6b8c839ef179dc7b2e9cd4259e",
+    "sim-locality-draws-20-r2": "761de5c24cccc219f05934e8217a5f030c23aa1697f84bf535c61fdfb39590dc",
+    "sim-locality-draws-25-r0": "de7f3df7eda1e25809e59dbb23f3f1462251ef059ab2e69f068cba5cd42fab51",
+    "sim-locality-draws-25-r2": "e180cf47e399c13c6f7f322c419da555e348834f1ec9f720563dda0efe41589c",
     "code-encode": "f77049a4630aeb95c3d8a8aecba45263de8319aaff7c5b499eb7fba8969a1675",
     "repair-plans": "6dde10e9cfa208f3583e30ee3015cbac327561c35f26406f676e5747e43a94b4",
     "degraded-reads": "bd1fa2957d4caaae23a8dc5dd966b4bcaa832ecd72ae9ae9b88c7372f87ba280",
@@ -85,6 +95,19 @@ def _sim_locality_peeling(tmp_path):
         "--nodes", "40", "--slots", "8", "--load", "100",
         "--reps", "2", "--seed", "29",
     )
+
+
+def _sim_locality_draws(nodes, rounds):
+    def produce(tmp_path):
+        yield _run_main(
+            "sim", "locality",
+            "--scheme", "2-rep,3-rep,raidm-9",
+            "--scheduler", "matching,delay",
+            "--nodes", str(nodes), "--slots", "1,4", "--load", "50,200",
+            "--reps", "2", "--seed", "41", "--delay-rounds", str(rounds),
+        )
+
+    return produce
 
 
 def _code_encode(tmp_path):
@@ -148,6 +171,10 @@ PRODUCERS = {
     "sim-reliability": _sim_reliability,
     "sim-reliability-serial": _sim_reliability_serial,
     "sim-locality-peeling": _sim_locality_peeling,
+    "sim-locality-draws-20-r0": _sim_locality_draws(20, 0),
+    "sim-locality-draws-20-r2": _sim_locality_draws(20, 2),
+    "sim-locality-draws-25-r0": _sim_locality_draws(25, 0),
+    "sim-locality-draws-25-r2": _sim_locality_draws(25, 2),
     "code-encode": _code_encode,
     "repair-plans": _repair_plans,
     "degraded-reads": _degraded_reads,

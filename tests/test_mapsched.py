@@ -14,6 +14,7 @@ from polycode.mapsched import (
     Workload,
     _check_capacity,
     _fill_remote,
+    _sample_range,
     build_cluster,
     generate_workload,
     locality_sweep,
@@ -23,6 +24,8 @@ from polycode.mapsched import (
     schedule_peeling,
     summarize_locality,
 )
+
+from helpers import build_cluster_reference, delay_reference, maxmatch_reference
 
 
 def make_cluster(catalog, nodes, slots):
@@ -111,6 +114,81 @@ def test_workload_determinism_and_validation():
     empty = ClusterModel("x", 4, 2, {})
     with pytest.raises(ValueError):
         generate_workload(empty, 50, seed=1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 + 5])
+def test_sample_range_replays_random_sample(seed):
+    # n <= 21 (or larger n against k > 5) takes sample's pool branch, the
+    # rest its set branch; k == n is the permutation build_cluster draws
+    for n in range(1, 91):
+        for k in [*range(1, min(n, 8) + 1), n]:
+            rng = random.Random(seed * 1000 + n)
+            ours = random.Random(seed * 1000 + n)
+            for _ in range(3):  # the stream continues the same way too
+                assert _sample_range(ours.getrandbits, n, k) == rng.sample(range(n), k), (n, k)
+    assert _sample_range(random.Random(seed).getrandbits, 5, 0) == []
+    with pytest.raises(ValueError):
+        _sample_range(random.Random(seed).getrandbits, 3, 4)
+
+
+def _fits(scheme, nodes):
+    return nodes >= scheme.code_length - (1 if isinstance(scheme, HeptagonLocal) else 0)
+
+
+def test_build_cluster_matches_reference():
+    rng = random.Random(77)
+    for name in REPORT_SCHEMES:
+        scheme = parse_scheme(name)
+        for nodes in (15, 20, 25, 40):
+            if not _fits(scheme, nodes):
+                continue
+            for stripes in (None, 1, 7, 33):
+                for _ in range(3):
+                    seed = rng.randrange(1 << 32)
+                    got = build_cluster(scheme, nodes, 2, stripes, seed)
+                    want = build_cluster_reference(scheme, nodes, 2, stripes, seed)
+                    assert got == want, (name, nodes, stripes, seed)
+
+
+def test_matching_and_delay_match_references():
+    rng = random.Random(91)
+    instances = 0
+    for name in REPORT_SCHEMES:
+        scheme = parse_scheme(name)
+        for nodes in (15, 20, 25, 40):
+            if not _fits(scheme, nodes):
+                continue
+            for slots in (1, 2, 4, 8):
+                iseed = rng.randrange(1 << 30)
+                cluster = build_cluster(scheme, nodes, slots, rng.choice([None, 5]), iseed)
+                for load in (10, rng.randrange(11, 100), 100, rng.randrange(101, 200), 200):
+                    w = generate_workload(cluster, load, iseed + load)
+                    size = cluster.total_slots
+                    for k in range(0, len(w.tasks), size):
+                        wave = Workload(w.tasks[k : k + size], load)
+                        got = schedule_maxmatch(cluster, wave)
+                        want = maxmatch_reference(cluster, wave)
+                        assert got.local_tasks == want.local_tasks, (name, nodes, slots, load)
+                        assert occupancy_ok(cluster, got)
+                        assert all(
+                            (v in cluster.catalog[b]) == ok
+                            for v, b, ok in zip(got.node_of, wave.tasks, got.local)
+                        )
+                        for rounds in range(4):
+                            seed = rng.randrange(1 << 30)
+                            assert schedule_delay(cluster, wave, rounds, seed) == delay_reference(
+                                cluster, wave, rounds, seed
+                            ), (name, nodes, slots, load, rounds, seed)
+                        instances += 1
+    assert instances >= 600
+
+
+def test_maxmatch_augments_through_a_full_node():
+    # greedy puts task 0 on node 0, its first host; task 1 can only use
+    # node 0, so task 0 must move to node 1 for both to be local
+    cluster = make_cluster({0: {0, 1}, 1: {0}}, 2, 1)
+    a = schedule_maxmatch(cluster, Workload((0, 1), 100.0))
+    assert a == Assignment((1, 0), (True, True))
 
 
 # ---------------------------------------------------------------------------
