@@ -2,26 +2,37 @@
 
 Tree layout::
 
-    root/store.json             store config and node status
+    root/store.json             store config and the set of down nodes
+    root/.lock                  taken by every mutating operation
     root/n<k>/                  one directory per simulated node
     root/<name>.manifest.json   one manifest per stored file
-    n<k>/s<stripe>_b<block>_r<copy>.blk   block replica files
+    n<k>/<name>.s<stripe>_b<block>_r<copy>.blk   block replica files
 
-Stripe indices are store-global, so block file names never collide across
-files.  CRC32 (IEEE polynomial) of every replica is recorded in the manifest
-as 8 hex characters.  Killing a node wipes its directory, which forces real
-repair traffic instead of replica re-registration.
+Stripes are numbered from 0 within each file, whose name prefixes its block
+files, so puts share no counter and no block file.  CRC32 (IEEE polynomial)
+of every replica is recorded in the manifest as 8 hex characters.  Killing a
+node wipes its directory, which forces real repair traffic instead of
+replica re-registration.
 
-Concurrency: mutating operations (put, kill, revive, repair) serialize on a
-store-wide lock; reads may proceed concurrently with each other.
+Every JSON file is written to a temp file and renamed over its target.  The
+commit points are ``store.json`` for ``create``, the manifest for ``put``,
+and the last ``store.json`` write for ``repair``, which marks nodes up only
+after their blocks are written.  A write that fails earlier leaves at most
+block files that no manifest names.  Nothing is fsynced.
+
+Concurrency: put, kill, revive and repair take an exclusive ``flock`` on
+``root/.lock``, which holds across handles, threads and processes, and
+re-read the down set inside it.  Reads take no lock.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
-import threading
+import os
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,7 +73,7 @@ class BlockRecord:
 
 @dataclass
 class StripeRecord:
-    index: int  # store-global stripe id
+    index: int  # stripe number within its file
     node_order: list[int]
     blocks: list[BlockRecord]
 
@@ -142,23 +153,26 @@ def _crc(data: bytes) -> str:
     return f"{zlib.crc32(data):08x}"
 
 
+def _write_json(path: Path, obj: dict) -> None:
+    """Write *obj* to a temp file and rename it over *path*."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
+    os.replace(tmp, path)
+
+
 class BlockStore:
     """A directory-per-node block store for one coding scheme."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self._root = str(self.root)
-        try:
-            cfg = json.loads((self.root / "store.json").read_text())
-        except (FileNotFoundError, NotADirectoryError):
-            raise StoreError(f"no store at {self.root}") from None
+        cfg = self._read_config()
         self.scheme: Scheme = parse_scheme(cfg["scheme"])
         self.node_count: int = cfg["nodes"]
         self.block_size: int = cfg["block_size"]
         self.seed: int = cfg["seed"]
         self._down: set[int] = set(cfg["down"])
-        self._next_stripe: int = cfg["next_stripe"]
-        self._lock = threading.RLock()
         self.degraded_log: list[tuple[str, int, int, int]] = []
 
     @classmethod
@@ -175,31 +189,36 @@ class BlockStore:
         root.mkdir(parents=True, exist_ok=True)
         if (root / "store.json").exists():
             raise StoreError(f"store already exists at {root}")
+        # store.json is the commit point: a crashed create leaves node
+        # directories that the next create reuses
         for i in range(nodes):
-            (root / f"n{i}").mkdir()
-        cfg = {
-            "scheme": scheme.name,
-            "nodes": nodes,
-            "block_size": block_size,
-            "seed": seed,
-            "down": [],
-            "next_stripe": 0,
-        }
-        (root / "store.json").write_text(json.dumps(cfg, indent=2) + "\n")
+            (root / f"n{i}").mkdir(exist_ok=True)
+        cfg = {"scheme": scheme.name, "nodes": nodes,
+               "block_size": block_size, "seed": seed, "down": []}
+        _write_json(root / "store.json", cfg)
         return cls(root)
 
     # -- bookkeeping --------------------------------------------------------
 
+    def _read_config(self) -> dict:
+        try:
+            return json.loads((self.root / "store.json").read_text())
+        except (FileNotFoundError, NotADirectoryError):
+            raise StoreError(f"no store at {self.root}") from None
+
     def _save_config(self) -> None:
-        cfg = {
-            "scheme": self.scheme.name,
-            "nodes": self.node_count,
-            "block_size": self.block_size,
-            "seed": self.seed,
-            "down": sorted(self._down),
-            "next_stripe": self._next_stripe,
-        }
-        (self.root / "store.json").write_text(json.dumps(cfg, indent=2) + "\n")
+        cfg = {"scheme": self.scheme.name, "nodes": self.node_count,
+               "block_size": self.block_size, "seed": self.seed, "down": sorted(self._down)}
+        _write_json(self.root / "store.json", cfg)
+
+    @contextmanager
+    def _locked(self):
+        """Hold the store's lock, with the down set as store.json has it.
+        The lock is released when its file is closed."""
+        with open(f"{self._root}/.lock", "a") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            self._down = set(self._read_config()["down"])
+            yield
 
     def node_dir(self, node_id: int) -> Path:
         return self.root / f"n{node_id}"
@@ -260,7 +279,9 @@ class BlockStore:
         """Stripe, encode and place a file; persists and returns its manifest.
 
         Scheme and block size default to the store's configuration but may
-        vary per file; each manifest records its own.
+        vary per file; each manifest records its own.  The manifest's rename
+        commits the file.  A put that fails before it may leave block files
+        that no manifest names; a retry of the same name overwrites them.
         """
         path = Path(path)
         if name is None:
@@ -272,7 +293,7 @@ class BlockStore:
         block_size = block_size or self.block_size
         if block_size <= 0:
             raise StoreError("block size must be positive")
-        with self._lock:
+        with self._locked():
             if self._manifest_path(name).exists():
                 raise StoreError(f"{name} is already stored")
             pool = self.up_nodes()
@@ -286,9 +307,7 @@ class BlockStore:
             for k in range(n_stripes):
                 chunk = data[k * stripe_bytes : (k + 1) * stripe_bytes]
                 chunk = chunk.ljust(stripe_bytes, b"\0")
-                stripe_id = self._next_stripe
-                self._next_stripe += 1
-                layout_seed = zlib.crc32(f"{self.seed}:{name}:{stripe_id}".encode())
+                layout_seed = zlib.crc32(f"{self.seed}:{name}:{k}".encode())
                 layout = codes.build_layout(scheme, pool, layout_seed)
                 payload = [
                     chunk[i * block_size : (i + 1) * block_size] for i in range(D)
@@ -300,33 +319,32 @@ class BlockStore:
                     nodes = list(layout.replicas(block_id))
                     files = []
                     for copy, node in enumerate(nodes):
-                        fname = f"n{node}/s{stripe_id}_b{block_id}_r{copy}.blk"
+                        fname = f"n{node}/{name}.s{k}_b{block_id}_r{copy}.blk"
                         self._write_file(fname, body)
                         files.append(fname)
                     role = layout.block_roles[block_id].as_string()
                     records.append(BlockRecord(block_id, role, nodes, files, _crc(body)))
-                stripes.append(StripeRecord(stripe_id, list(layout.node_order), records))
+                stripes.append(StripeRecord(k, list(layout.node_order), records))
             manifest = StoreManifest(name, len(data), scheme.name, block_size, stripes)
-            self._manifest_path(name).write_text(
-                json.dumps(manifest.to_dict(), indent=2) + "\n"
-            )
-            self._save_config()
+            _write_json(self._manifest_path(name), manifest.to_dict())
             return manifest
 
     # -- read path ----------------------------------------------------------
 
-    def _replica_status(self, record: BlockRecord) -> list[tuple[int, str, str]]:
-        """(node, file, state) per replica with state in {ok, missing, corrupt}."""
-        out = []
-        for node, fname in zip(record.nodes, record.files):
-            body = None if node in self._down else self._read_file(fname)
-            if body is None:
-                out.append((node, fname, "missing"))
-            elif _crc(body) != record.crc32:
-                out.append((node, fname, "corrupt"))
-            else:
-                out.append((node, fname, "ok"))
-        return out
+    def _scan(self, stripe: StripeRecord) -> tuple[set[int], list]:
+        """Read every replica of the stripe once.  Returns the ids of the
+        blocks with a good replica and each bad replica as (record, node,
+        file, corrupt), in manifest order; a replica on a down node is
+        missing without being read."""
+        present, bad = set(), []
+        for record in stripe.blocks:
+            for node, fname in zip(record.nodes, record.files):
+                body = None if node in self._down else self._read_file(fname)
+                if body is not None and _crc(body) == record.crc32:
+                    present.add(record.block_id)
+                else:
+                    bad.append((record, node, fname, body is not None))
+        return present, bad
 
     def _stripe_reader(self, stripe: StripeRecord, excluded_nodes: set[int]):
         """Block accessor over the stripe's replicas: returns the first
@@ -413,7 +431,7 @@ class BlockStore:
     def kill_node(self, node_id: int) -> NodeState:
         """Mark a node down and destroy its contents (idempotent)."""
         state = self.node_state(node_id)
-        with self._lock:
+        with self._locked():
             for f in state.path.glob("*.blk"):
                 f.unlink()
             self._down.add(node_id)
@@ -423,7 +441,7 @@ class BlockStore:
     def revive_node(self, node_id: int) -> NodeState:
         """Bring a node back up, empty; its blocks need repair."""
         self.node_state(node_id)
-        with self._lock:
+        with self._locked():
             self._down.discard(node_id)
             self._save_config()
         return self.node_state(node_id)
@@ -436,77 +454,57 @@ class BlockStore:
         for manifest in self.manifests():
             scheme = parse_scheme(manifest.scheme)
             for stripe in manifest.stripes:
-                present = set()
-                for record in stripe.blocks:
-                    ok = False
-                    for node, fname, state in self._replica_status(record):
-                        if state == "missing":
-                            report.missing.append(
-                                (manifest.name, stripe.index, record.block_id, node)
-                            )
-                        elif state == "corrupt":
-                            report.corrupt.append(
-                                (manifest.name, stripe.index, record.block_id, node)
-                            )
-                        else:
-                            ok = True
-                    if ok:
-                        present.add(record.block_id)
+                present, bad = self._scan(stripe)
+                for record, node, _, corrupt in bad:
+                    (report.corrupt if corrupt else report.missing).append(
+                        (manifest.name, stripe.index, record.block_id, node)
+                    )
                 if not codes.can_decode_from(scheme, present):
                     report.fatal_stripes.append((manifest.name, stripe.index))
         return report
 
     def repair(self) -> RepairResult:
-        """Re-provision down nodes and restore every damaged stripe.
+        """Restore every damaged stripe, then bring the down nodes back up.
 
         Measured bandwidth is the sum of the executed plans' transfer
         counts.  Raises FatalStripeError (before touching anything) when a
-        stripe is unrecoverable.
+        stripe is unrecoverable.  Down nodes are marked up only after every
+        block is written back, so a repair that fails leaves them down and
+        the next repair writes their blocks again.
         """
-        with self._lock:
+        with self._locked():
             # scan everything first so a fatal stripe aborts without mutation
             jobs = []
             for manifest in self.manifests():
                 scheme = parse_scheme(manifest.scheme)
                 for stripe in manifest.stripes:
-                    slot_of = {node: s for s, node in enumerate(stripe.node_order)}
-                    damaged: dict[int, list[tuple[BlockRecord, str]]] = {}
-                    present = set()
-                    for record in stripe.blocks:
-                        for node, fname, state in self._replica_status(record):
-                            if state == "ok":
-                                present.add(record.block_id)
-                            else:
-                                damaged.setdefault(node, []).append((record, fname))
-                    if not damaged:
+                    present, bad = self._scan(stripe)
+                    if not bad:
                         continue
                     if not codes.can_decode_from(scheme, present):
                         raise FatalStripeError(
                             f"{manifest.name} stripe {stripe.index} is unrecoverable"
                         )
-                    pattern = frozenset(slot_of[n] for n in damaged)
-                    jobs.append((manifest, scheme, stripe, damaged, pattern))
+                    jobs.append((scheme, stripe, bad))
 
-            # provision replacements: every down node comes back empty
-            for node in sorted(self._down):
-                log.info("repair: reviving node %d as an empty replacement", node)
-            self._down.clear()
-            self._save_config()
-
-            plans = 0
-            bandwidth = 0
-            for manifest, scheme, stripe, damaged, pattern in jobs:
-                plan = codes.plan_repair(scheme, pattern)
-                reader = self._stripe_reader(stripe, set(damaged))
-                recovered = codes.execute_plan(plan, reader)
-                for entries in damaged.values():
-                    for record, fname in entries:
-                        body = recovered[record.block_id]
-                        if _crc(body) != record.crc32:
-                            raise codes.InconsistentStripeError(
-                                f"repaired block {record.block_id} fails its CRC"
-                            )
-                        self._write_file(fname, body)
+            plans = bandwidth = 0
+            for scheme, stripe, bad in jobs:
+                slot_of = {node: s for s, node in enumerate(stripe.node_order)}
+                damaged = {node for _, node, _, _ in bad}
+                plan = codes.plan_repair(scheme, frozenset(slot_of[n] for n in damaged))
+                recovered = codes.execute_plan(plan, self._stripe_reader(stripe, damaged))
+                for record, _, fname, _ in bad:
+                    body = recovered[record.block_id]
+                    if _crc(body) != record.crc32:
+                        raise codes.InconsistentStripeError(
+                            f"repaired block {record.block_id} fails its CRC"
+                        )
+                    self._write_file(fname, body)
                 plans += 1
                 bandwidth += plan.bandwidth_blocks
+
+            # every down node now holds its blocks again
+            log.info("repair: nodes %s are back up", sorted(self._down))
+            self._down.clear()
+            self._save_config()
             return RepairResult(plans, bandwidth)

@@ -1,10 +1,15 @@
 import builtins
+import errno
 import io
 import itertools
 import json
 import os
 import random
+import re
+import subprocess
+import sys
 import tempfile
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -12,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycode import codes
+from polycode import blockstore, codes
 from polycode.blockstore import BlockStore, FatalStripeError, StoreError
 from polycode.codes import HeptagonLocal, Polygon, RaidMirror, Replication, UnrecoverableError
 
@@ -93,8 +98,8 @@ def test_manifest_schema(pentagon_store, tmp_path):
         assert set(record) == {"block", "role", "nodes", "files", "crc32"}
         assert len(record["crc32"]) == 8
         int(record["crc32"], 16)
-        for node, fname in zip(record["nodes"], record["files"]):
-            assert fname.startswith(f"n{node}/s")
+        for copy, (node, fname) in enumerate(zip(record["nodes"], record["files"])):
+            assert fname == f"n{node}/data.bin.s0_b{record['block']}_r{copy}.blk"
             assert (pentagon_store.root / fname).exists()
     roles = [r["role"] for r in stripe["blocks"]]
     assert roles.count("local_parity:0") == 1
@@ -382,3 +387,208 @@ def test_store_reopen(tmp_path, pentagon_store):
     assert reopened.node_state(2).status == "down"
     assert reopened.get("data.bin") == path.read_bytes()
     assert [m.name for m in reopened.manifests()] == ["data.bin"]
+
+
+# -- several handles and processes on one root ------------------------------
+
+
+def test_two_handles_on_one_root_keep_both_files(tmp_path):
+    root = BlockStore.create(tmp_path / "store", Polygon(5), nodes=5, block_size=BS, seed=7).root
+    a, b = BlockStore(root), BlockStore(root)
+    x = write_file(tmp_path, 30_000, seed=31, name="x.bin")
+    y = write_file(tmp_path, 30_000, seed=32, name="y.bin")
+    a.put(x)
+    b.put(y)
+    assert BlockStore(root).fsck().is_clean
+    assert a.get("x.bin") == x.read_bytes()
+    assert b.get("y.bin") == y.read_bytes()
+
+
+def test_a_kill_through_another_handle_holds(pentagon_store, tmp_path):
+    early = BlockStore(pentagon_store.root)
+    pentagon_store.kill_node(1)
+    with pytest.raises(StoreError, match="^insufficient up nodes$"):
+        early.put(write_file(tmp_path, 9 * BS, seed=33))
+    assert BlockStore(pentagon_store.root).node_state(1).status == "down"
+    assert not list(pentagon_store.root.glob("*.manifest.json"))
+
+
+def test_a_put_waits_for_the_lock_another_handle_holds(pentagon_store, tmp_path):
+    other = BlockStore(pentagon_store.root)
+    src = write_file(tmp_path, 9 * BS, seed=36)
+    with pentagon_store._locked():
+        worker = threading.Thread(target=other.put, args=(src,))
+        worker.start()
+        worker.join(0.5)
+        assert worker.is_alive()
+        assert not pentagon_store.manifests()
+    worker.join(60)
+    assert not worker.is_alive()
+    assert pentagon_store.get("data.bin") == src.read_bytes()
+
+
+# Opens its handle, says so, and waits for its stdin to close before it puts
+# the files named in argv, so that every writer holds an open handle first.
+WRITER = """
+import sys
+from polycode.blockstore import BlockStore
+store = BlockStore(sys.argv[1])
+print("ready", flush=True)
+sys.stdin.read()
+for path in sys.argv[2:]:
+    store.put(path)
+"""
+
+
+def test_concurrent_writer_processes(tmp_path):
+    root = BlockStore.create(tmp_path / "store", Polygon(5), nodes=5, block_size=BS, seed=7).root
+    env = dict(os.environ, PYTHONPATH=str(Path(blockstore.__file__).parent.parent))
+    payloads, writers = {}, []
+    for w in range(3):
+        paths = [write_file(tmp_path, 9 * BS * (1 + f) - 100 * w, seed=10 * w + f,
+                            name=f"w{w}f{f}.bin") for f in range(3)]
+        payloads.update((p.name, p.read_bytes()) for p in paths)
+        writers.append(subprocess.Popen(
+            [sys.executable, "-c", WRITER, str(root), *map(str, paths)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=env,
+        ))
+    try:
+        for proc in writers:
+            assert proc.stdout.readline() == "ready\n"
+        for proc in writers:
+            proc.stdin.close()
+        for proc in writers:
+            proc.wait(timeout=120)
+            assert proc.returncode == 0, proc.stderr.read()
+    finally:
+        for proc in writers:
+            proc.kill()
+            proc.wait()
+            for pipe in (proc.stdin, proc.stdout, proc.stderr):
+                pipe.close()
+    store = BlockStore(root)
+    assert store.fsck().is_clean
+    for name, data in payloads.items():
+        assert store.get(name) == data
+
+
+# -- a write that fails at any step -----------------------------------------
+
+
+class _DiskFull:
+    """A file open for writing that takes half of what it is given and then
+    fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def fail_step(monkeypatch, step: int, writes: int) -> list[str]:
+    """Make write step *step* of the store fail.  Steps 0 to writes-1 are
+    the files the store opens for writing, in order; step *writes* is the
+    rename that follows them.  Returns the files opened for writing."""
+    real_open, opened = builtins.open, []
+
+    def open_(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" not in mode:
+            return fh
+        opened.append(str(file))
+        return _DiskFull(fh) if len(opened) - 1 == step else fh
+
+    def replace(*args):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(blockstore, "open", open_, raising=False)
+    if step == writes:
+        monkeypatch.setattr(os, "replace", replace)
+    return opened
+
+
+@pytest.mark.parametrize("step", range(22))  # 20 replica files, the temp manifest, its rename
+def test_put_failing_at_any_write_commits_nothing(pentagon_store, tmp_path, monkeypatch, step):
+    kept = write_file(tmp_path, 2 * 9 * BS - 300, seed=21, name="kept.bin")
+    pentagon_store.put(kept)
+    src = write_file(tmp_path, 9 * BS, seed=22, name="new.bin")
+    with monkeypatch.context() as m:
+        opened = fail_step(m, step, writes=21)
+        with pytest.raises(OSError):
+            pentagon_store.put(src)
+    assert len(opened) == min(step + 1, 21)
+    assert opened[-1].endswith(".blk" if step < 20 else "/new.bin.manifest.json.tmp")
+    store = BlockStore(pentagon_store.root)  # as the next process finds it
+    assert store.get("kept.bin") == kept.read_bytes()
+    assert store.fsck().is_clean
+    assert [m.name for m in store.manifests()] == ["kept.bin"]
+    store.put(src)
+    assert store.get("new.bin") == src.read_bytes()
+    assert store.get("kept.bin") == kept.read_bytes()
+    assert store.fsck().is_clean
+
+
+@pytest.mark.parametrize("step", range(10))  # 8 replica files, the temp store.json, its rename
+def test_repair_failing_at_any_write_leaves_the_nodes_down(pentagon_store, tmp_path,
+                                                           monkeypatch, step):
+    src = write_file(tmp_path, 9 * BS, seed=23)
+    pentagon_store.put(src)
+    pentagon_store.kill_node(0)
+    pentagon_store.kill_node(1)
+    with monkeypatch.context() as m:
+        opened = fail_step(m, step, writes=9)
+        with pytest.raises(OSError):
+            pentagon_store.repair()
+    assert opened[-1].endswith(".blk" if step < 8 else "/store.json.tmp")
+    store = BlockStore(pentagon_store.root)
+    assert [n.status for n in store.nodes()] == ["down", "down", "up", "up", "up"]
+    assert store.repair().plans_executed == 1
+    assert store.up_nodes() == [0, 1, 2, 3, 4]
+    assert store.fsck().is_clean
+    assert store.get("data.bin") == src.read_bytes()
+
+
+# -- stores written before stripes were numbered per file -------------------
+
+
+def test_old_format_store_opens_reads_repairs_and_takes_puts(tmp_path):
+    """store.json keeps a store-global next_stripe and the block files are
+    named s<stripe>_b<block>_r<copy>.blk, with no file name."""
+    root = tmp_path / "old"
+    src = write_file(tmp_path, 3 * 9 * BS - 200, seed=34, name="old.bin")
+    raw = BlockStore.create(root, Polygon(5), nodes=5, block_size=BS, seed=7).put(src).to_dict()
+    for stripe in raw["stripes"]:
+        stripe["index"] += 4  # a file stored earlier held stripes 0-3
+        for record in stripe["blocks"]:
+            for copy, fname in enumerate(record["files"]):
+                old = re.sub(r"/old\.bin\.s\d+_", f"/s{stripe['index']}_", fname)
+                (root / fname).rename(root / old)
+                record["files"][copy] = old
+    (root / "old.bin.manifest.json").write_text(json.dumps(raw, indent=2) + "\n")
+    config = {"scheme": "pentagon", "nodes": 5, "block_size": BS, "seed": 7, "down": [],
+              "next_stripe": 7}
+    (root / "store.json").write_text(json.dumps(config, indent=2) + "\n")
+    on_n2 = sorted(p.name for p in (root / "n2").iterdir())
+    assert len(on_n2) == 12 and all(re.fullmatch(r"s[456]_b\d_r[01]\.blk", n) for n in on_n2)
+
+    store = BlockStore(root)
+    assert store.get("old.bin") == src.read_bytes()
+    assert store.fsck().is_clean
+    store.kill_node(2)
+    assert store.repair().plans_executed == 3
+    assert sorted(p.name for p in (root / "n2").iterdir()) == on_n2
+    assert store.fsck().is_clean
+    new = write_file(tmp_path, 2 * 9 * BS, seed=35, name="new.bin")
+    assert [s.index for s in store.put(new).stripes] == [0, 1]
+    assert store.fsck().is_clean
+    assert store.get("old.bin") == src.read_bytes()
+    assert store.get("new.bin") == new.read_bytes()

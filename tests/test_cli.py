@@ -203,6 +203,37 @@ def test_store_put_rejects_a_name_that_is_not_one_file_in_the_root(tmp_path, cap
     assert code == 0 and "clean" in out
 
 
+def test_store_init_after_a_crashed_init(tmp_path, capsys):
+    root = tmp_path / "store"
+    (root / "n0").mkdir(parents=True)  # made before the crash; store.json never was
+    code, out, err = run(capsys, "store", "init", "--root", str(root), "--scheme", "pentagon",
+                         "--block-size", "1024", "--seed", "4")
+    assert (code, err) == (0, "") and out.startswith("initialized pentagon store")
+    src = tmp_path / "f.bin"
+    src.write_bytes(random.Random(5).randbytes(12000))
+    assert main(["store", "put", "--root", str(root), "--file", str(src)]) == 0
+    out_file = tmp_path / "g.bin"
+    assert main(["store", "get", "--root", str(root), "--name", "f.bin",
+                 "--output", str(out_file)]) == 0
+    assert out_file.read_bytes() == src.read_bytes()
+
+
+@pytest.mark.parametrize("spare", [len(".manifest.json"), 5])
+def test_store_put_name_too_long_for_its_files_is_an_error(tmp_path, capsys, spare):
+    # the first name leaves room for the manifest and the block files but not
+    # for the temp manifest; the second for none of them
+    root = _pentagon_store(tmp_path, capsys)
+    name = "x" * (os.pathconf(root, "PC_NAME_MAX") - spare)
+    src = tmp_path / "f.bin"
+    src.write_bytes(random.Random(6).randbytes(5000))
+    code, out, err = run(capsys, "store", "put", "--root", str(root), "--file", str(src),
+                         "--name", name)
+    assert (code, out) == (1, "") and err.startswith("error:")
+    assert not list(root.glob("*.manifest.json*"))
+    code, out, _ = run(capsys, "store", "fsck", "--root", str(root))
+    assert code == 0 and out.endswith("clean\n")
+
+
 def test_store_put_missing_file_is_an_error(tmp_path, capsys):
     root = _pentagon_store(tmp_path, capsys)
     missing = tmp_path / "missing.bin"
