@@ -14,8 +14,11 @@ of every replica is recorded in the manifest as 8 hex characters.  Killing a
 node wipes its directory, which forces real repair traffic instead of
 replica re-registration.
 
-Every JSON file is written to a temp file and renamed over its target.  The
-commit points are ``store.json`` for ``create``, the manifest for ``put``,
+Three helpers, ``_read_file``, ``_write_file`` and ``_remove_files``, are the
+only code that opens or removes a block file; ``store.json`` and the
+manifests are read through ``_read_file`` too.  Every JSON file is written
+compact (no indent, so ``json`` uses its C encoder) to a temp file and
+renamed over its target.  The commit points are ``store.json`` for ``create``, the manifest for ``put``,
 and the last ``store.json`` write for ``repair``, which marks nodes up only
 after their blocks are written.  A write that fails earlier leaves at most
 block files that no manifest names.  Nothing is fsynced.
@@ -157,8 +160,21 @@ def _write_json(path: Path, obj: dict) -> None:
     """Write *obj* to a temp file and rename it over *path*."""
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        fh.write(json.dumps(obj, indent=2) + "\n")
+        fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
     os.replace(tmp, path)
+
+
+def _source_reader(sources: dict[int, bytes]):
+    """Block accessor over bytes already read and checked; a block with no
+    good replica left raises MissingBlockError, as a stripe reader does."""
+
+    def reader(block_id: int) -> bytes:
+        body = sources.get(block_id)
+        if body is None:
+            raise MissingBlockError(f"no live replica of block {block_id}")
+        return body
+
+    return reader
 
 
 class BlockStore:
@@ -201,10 +217,10 @@ class BlockStore:
     # -- bookkeeping --------------------------------------------------------
 
     def _read_config(self) -> dict:
-        try:
-            return json.loads((self.root / "store.json").read_text())
-        except (FileNotFoundError, NotADirectoryError):
-            raise StoreError(f"no store at {self.root}") from None
+        text = self._read_file("store.json")
+        if text is None:
+            raise StoreError(f"no store at {self.root}")
+        return json.loads(text)
 
     def _save_config(self) -> None:
         cfg = {"scheme": self.scheme.name, "nodes": self.node_count,
@@ -239,33 +255,44 @@ class BlockStore:
         return self.root / f"{name}.manifest.json"
 
     def load_manifest(self, name: str) -> StoreManifest:
-        try:
-            text = self._manifest_path(name).read_text()
-        except (FileNotFoundError, NotADirectoryError):
-            raise StoreError(f"no such stored file: {name}") from None
+        text = self._read_file(f"{name}.manifest.json")
+        if text is None:
+            raise StoreError(f"no such stored file: {name}")
         return StoreManifest.from_dict(json.loads(text))
 
     def manifests(self) -> list[StoreManifest]:
-        return [
-            StoreManifest.from_dict(json.loads(p.read_text()))
-            for p in sorted(self.root.glob("*.manifest.json"))
-        ]
+        with os.scandir(self._root) as entries:
+            names = sorted(e.name for e in entries if e.name.endswith(".manifest.json"))
+        return [StoreManifest.from_dict(json.loads(self._read_file(n))) for n in names]
 
     # -- block files --------------------------------------------------------
-    # The only code that reads or writes a block file; *fname* is the
-    # root-relative name a BlockRecord keeps.
+    # The only code that opens or removes a block file; *fname* is the
+    # root-relative name a BlockRecord keeps.  store.json and the manifests
+    # are read through _read_file too.
 
     def _read_file(self, fname: str) -> bytes | None:
-        """The file's bytes, or None when it does not exist."""
+        """The file's bytes, or None when it does not exist.  Unbuffered:
+        the file is read whole, so a buffer would only add a copy."""
         try:
-            with open(f"{self._root}/{fname}", "rb") as fh:
-                return fh.read()
+            with open(f"{self._root}/{fname}", "rb", buffering=0) as fh:
+                return fh.readall()
         except (FileNotFoundError, NotADirectoryError):
             return None
 
     def _write_file(self, fname: str, body: bytes) -> None:
         with open(f"{self._root}/{fname}", "wb") as fh:
             fh.write(body)
+
+    def _remove_files(self, node_id: int) -> None:
+        """Remove every block file on the node, named by a manifest or not."""
+        try:
+            entries = os.scandir(f"{self._root}/n{node_id}")
+        except FileNotFoundError:
+            return
+        with entries:
+            for entry in entries:
+                if entry.name.endswith(".blk"):
+                    os.unlink(entry.path)
 
     # -- write path ---------------------------------------------------------
 
@@ -331,20 +358,22 @@ class BlockStore:
 
     # -- read path ----------------------------------------------------------
 
-    def _scan(self, stripe: StripeRecord) -> tuple[set[int], list]:
-        """Read every replica of the stripe once.  Returns the ids of the
-        blocks with a good replica and each bad replica as (record, node,
-        file, corrupt), in manifest order; a replica on a down node is
-        missing without being read."""
-        present, bad = set(), []
+    def _scan(self, stripe: StripeRecord, keep: bool) -> tuple[dict, list]:
+        """Read every replica of the stripe once.  Returns each good replica
+        by (block id, node), with its bytes when *keep* is set and None
+        otherwise, and each bad replica as (record, node, file, corrupt),
+        both in manifest order; a replica on a down node is missing without
+        being read.  Dropping the bytes of a scan that does not need them
+        lets each read reuse the memory of the one before."""
+        good, bad = {}, []
         for record in stripe.blocks:
             for node, fname in zip(record.nodes, record.files):
                 body = None if node in self._down else self._read_file(fname)
                 if body is not None and _crc(body) == record.crc32:
-                    present.add(record.block_id)
+                    good[record.block_id, node] = body if keep else None
                 else:
                     bad.append((record, node, fname, body is not None))
-        return present, bad
+        return good, bad
 
     def _stripe_reader(self, stripe: StripeRecord, excluded_nodes: set[int]):
         """Block accessor over the stripe's replicas: returns the first
@@ -430,10 +459,9 @@ class BlockStore:
 
     def kill_node(self, node_id: int) -> NodeState:
         """Mark a node down and destroy its contents (idempotent)."""
-        state = self.node_state(node_id)
+        self.node_state(node_id)
         with self._locked():
-            for f in state.path.glob("*.blk"):
-                f.unlink()
+            self._remove_files(node_id)
             self._down.add(node_id)
             self._save_config()
         return self.node_state(node_id)
@@ -454,12 +482,12 @@ class BlockStore:
         for manifest in self.manifests():
             scheme = parse_scheme(manifest.scheme)
             for stripe in manifest.stripes:
-                present, bad = self._scan(stripe)
+                good, bad = self._scan(stripe, keep=False)
                 for record, node, _, corrupt in bad:
                     (report.corrupt if corrupt else report.missing).append(
                         (manifest.name, stripe.index, record.block_id, node)
                     )
-                if not codes.can_decode_from(scheme, present):
+                if not codes.can_decode_from(scheme, {block_id for block_id, _ in good}):
                     report.fatal_stripes.append((manifest.name, stripe.index))
         return report
 
@@ -467,41 +495,47 @@ class BlockStore:
         """Restore every damaged stripe, then bring the down nodes back up.
 
         Measured bandwidth is the sum of the executed plans' transfer
-        counts.  Raises FatalStripeError (before touching anything) when a
-        stripe is unrecoverable.  Down nodes are marked up only after every
-        block is written back, so a repair that fails leaves them down and
-        the next repair writes their blocks again.
+        counts.  Each damaged stripe is rebuilt from the bytes its scan read
+        and written back before the next is scanned.  A stripe that cannot
+        be rebuilt does not stop the others: FatalStripeError names the
+        first one after every other stripe is restored.  Down nodes are
+        marked up only after every block is written back, so a repair that
+        fails leaves them down and the next repair writes their blocks
+        again.
         """
         with self._locked():
-            # scan everything first so a fatal stripe aborts without mutation
-            jobs = []
+            plans = bandwidth = 0
+            fatal = None
             for manifest in self.manifests():
                 scheme = parse_scheme(manifest.scheme)
                 for stripe in manifest.stripes:
-                    present, bad = self._scan(stripe)
+                    good, bad = self._scan(stripe, keep=True)
                     if not bad:
                         continue
-                    if not codes.can_decode_from(scheme, present):
-                        raise FatalStripeError(
-                            f"{manifest.name} stripe {stripe.index} is unrecoverable"
-                        )
-                    jobs.append((scheme, stripe, bad))
-
-            plans = bandwidth = 0
-            for scheme, stripe, bad in jobs:
-                slot_of = {node: s for s, node in enumerate(stripe.node_order)}
-                damaged = {node for _, node, _, _ in bad}
-                plan = codes.plan_repair(scheme, frozenset(slot_of[n] for n in damaged))
-                recovered = codes.execute_plan(plan, self._stripe_reader(stripe, damaged))
-                for record, _, fname, _ in bad:
-                    body = recovered[record.block_id]
-                    if _crc(body) != record.crc32:
-                        raise codes.InconsistentStripeError(
-                            f"repaired block {record.block_id} fails its CRC"
-                        )
-                    self._write_file(fname, body)
-                plans += 1
-                bandwidth += plan.bandwidth_blocks
+                    if not codes.can_decode_from(scheme, {block_id for block_id, _ in good}):
+                        fatal = fatal or f"{manifest.name} stripe {stripe.index} is unrecoverable"
+                        continue
+                    # the plan reads what _stripe_reader(stripe, damaged) would:
+                    # each block's first good replica off the damaged nodes
+                    damaged = {node for _, node, _, _ in bad}
+                    sources: dict[int, bytes] = {}
+                    for (block_id, node), body in good.items():
+                        if node not in damaged:
+                            sources.setdefault(block_id, body)
+                    slot_of = {node: s for s, node in enumerate(stripe.node_order)}
+                    plan = codes.plan_repair(scheme, frozenset(slot_of[n] for n in damaged))
+                    recovered = codes.execute_plan(plan, _source_reader(sources))
+                    for record, _, fname, _ in bad:
+                        body = recovered[record.block_id]
+                        if _crc(body) != record.crc32:
+                            raise codes.InconsistentStripeError(
+                                f"repaired block {record.block_id} fails its CRC"
+                            )
+                        self._write_file(fname, body)
+                    plans += 1
+                    bandwidth += plan.bandwidth_blocks
+            if fatal is not None:
+                raise FatalStripeError(fatal)
 
             # every down node now holds its blocks again
             log.info("repair: nodes %s are back up", sorted(self._down))

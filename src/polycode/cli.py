@@ -174,6 +174,59 @@ def build_parser(argv: list[str] | None = None) -> tuple[_Parser, dict[str, _Par
     return parser, registry
 
 
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace build_parser(argv)[0].parse_args(argv) gives, read
+    straight from COMMANDS, for a plain argv: a leaf command followed by
+    exact '--flag value' pairs and bare store_true flags, no value starting
+    with '-' other than '-' itself.  None for any other argv (help,
+    --config, abbreviations, '--flag=value', negative numbers, unknown
+    tokens, a failed conversion or choice, a missing required flag), which
+    argparse then parses and reports as it always has."""
+    if argv[:1] == ["report"]:
+        key, pos, values = "report", 1, {"command": "report"}
+    elif len(argv) >= 2 and f"{argv[0]} {argv[1]}" in COMMANDS:
+        key, pos = f"{argv[0]} {argv[1]}", 2
+        values = {"command": argv[0], "subcommand": argv[1]}
+    else:
+        return None
+    options = dict(COMMANDS[key])
+    given = {}
+    while pos < len(argv):
+        flag = argv[pos]
+        kwargs = options.get(flag)
+        if kwargs is None:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            pos += 1
+            continue
+        if pos + 1 == len(argv):
+            return None
+        value = argv[pos + 1]
+        if value.startswith("-") and value != "-":
+            return None
+        if "type" in kwargs:  # each occurrence is converted, as argparse does
+            try:
+                value = kwargs["type"](value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+        pos += 2
+    for flag, kwargs in COMMANDS[key]:
+        if flag in given:
+            value = given[flag]
+        elif kwargs.get("required"):
+            return None
+        elif kwargs.get("action") == "store_true":
+            value = False
+        else:
+            value = kwargs.get("default")
+        values[flag[2:].replace("-", "_")] = value
+    return argparse.Namespace(config=None, **values)
+
+
 def _extract_config_path(argv: list[str]) -> str | None:
     for i, tok in enumerate(argv):
         if tok == "--config":
@@ -465,10 +518,12 @@ def _cmd_report(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = build_parser(argv)
     try:
-        _apply_config(registry, argv)
-        args = parser.parse_args(argv)
+        args = _parse_plain(argv)
+        if args is None:
+            parser, registry = build_parser(argv)
+            _apply_config(registry, argv)
+            args = parser.parse_args(argv)
         if args.command == "code":
             handler = {
                 "info": _cmd_code_info,

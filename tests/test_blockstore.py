@@ -1,3 +1,4 @@
+import ast
 import builtins
 import errno
 import io
@@ -166,6 +167,66 @@ def test_fsck_opens_each_replica_once_without_a_stat(pentagon_store, tmp_path, m
     assert not statted
 
 
+def test_repair_opens_each_live_replica_once(pentagon_store, tmp_path, monkeypatch):
+    src = write_file(tmp_path, 9 * BS, seed=6)
+    pentagon_store.put(src)
+    pentagon_store.kill_node(0)
+    read, written = Counter(), Counter()
+    real_open = builtins.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if str(file).endswith(".blk"):
+            (written if "w" in mode else read)[os.path.basename(file)] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert pentagon_store.repair().plans_executed == 1
+    # the 16 replicas off node 0, each once: the plan runs from the scan's bytes
+    assert len(read) == 16 and set(read.values()) == {1}
+    assert len(written) == 4 and set(written.values()) == {1}
+    assert not set(read) & set(written)
+    monkeypatch.undo()
+    assert pentagon_store.fsck().is_clean
+    assert pentagon_store.get("data.bin") == src.read_bytes()
+
+
+def test_block_files_are_opened_and_removed_by_three_helpers_only():
+    """Each function of the module that opens, removes or lists files, and
+    what it calls to do so.  Besides the three block-file helpers only the
+    JSON writer, the lock and put's read of its input file touch a file."""
+    calls = {}
+    for fn in ast.walk(ast.parse(Path(blockstore.__file__).read_text())):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                name = ast.unparse(node.func) if isinstance(node, ast.Call) else ""
+                if re.fullmatch(r"open|os\.\w+|.*\.(unlink|open|glob|iterdir|(read|write)_(bytes|text))",
+                                name):
+                    calls.setdefault(fn.name, set()).add(name)
+    assert calls == {
+        "_write_json": {"open", "os.replace"},
+        "_locked": {"open"},
+        "_read_file": {"open"},
+        "_write_file": {"open"},
+        "_remove_files": {"os.scandir", "os.unlink"},
+        "manifests": {"os.scandir"},
+        "put": {"path.read_bytes"},
+    }
+
+
+def test_kill_removes_orphan_block_files(pentagon_store, tmp_path):
+    pentagon_store.put(write_file(tmp_path, 9 * BS, seed=3))
+    orphan = pentagon_store.node_dir(2) / "gone.bin.s0_b0_r0.blk"  # a failed put's
+    orphan.write_bytes(b"x")
+    keep = pentagon_store.node_dir(2) / "notes.txt"
+    keep.write_bytes(b"y")
+    pentagon_store.kill_node(2)
+    assert sorted(p.name for p in pentagon_store.node_dir(2).iterdir()) == ["notes.txt"]
+    for f in pentagon_store.node_dir(3).iterdir():  # a node directory that is gone
+        f.unlink()
+    pentagon_store.node_dir(3).rmdir()
+    assert pentagon_store.kill_node(3).status == "down"
+
+
 def test_fsck_reads_deleted_replica_as_missing_and_flipped_byte_as_corrupt(
     pentagon_store, tmp_path
 ):
@@ -304,6 +365,27 @@ def test_repair_fatal_stripe_aborts_untouched(pentagon_store, tmp_path):
         pentagon_store.repair()
     # nodes remain down: the failed repair must not have revived anything
     assert {n.node_id for n in pentagon_store.nodes() if n.status == "down"} == {0, 1, 2}
+
+
+def test_repair_restores_the_other_stripes_before_reporting_a_fatal_one(pentagon_store,
+                                                                        tmp_path):
+    kept = write_file(tmp_path, 2 * 9 * BS - 100, seed=13, name="kept.bin")
+    pentagon_store.put(kept)
+    lost = pentagon_store.put(write_file(tmp_path, 9 * BS, seed=14, name="lost.bin"))
+    pentagon_store.kill_node(0)
+    for record in lost.stripes[0].blocks:  # lost.bin now misses nodes 0, 1 and 2
+        for node, fname in zip(record.nodes, record.files):
+            if node in (1, 2):
+                (pentagon_store.root / fname).unlink()
+    with pytest.raises(FatalStripeError, match=r"^lost.bin stripe 0 is unrecoverable$"):
+        pentagon_store.repair()
+    store = BlockStore(pentagon_store.root)
+    assert [n.status for n in store.nodes()] == ["down", "up", "up", "up", "up"]
+    store.revive_node(0)
+    report = store.fsck()
+    assert {entry[0] for entry in report.missing} == {"lost.bin"}
+    assert report.fatal_stripes == [("lost.bin", 0)] and not report.corrupt
+    assert store.get("kept.bin") == kept.read_bytes() and not store.degraded_log
 
 
 def test_roundtrip_under_every_recoverable_downset(tmp_path):

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polycode
 from polycode import cli
@@ -420,4 +422,109 @@ def test_a_leaf_command_builds_only_the_parsers_on_its_path(tmp_path, monkeypatc
     assert main(["store", "get", "--root", str(root), "--name", "f.bin",
                  "--output", str(out_file)]) == 0
     assert out_file.read_bytes() == src.read_bytes()
-    assert len(built) <= 3, built
+    assert built == []  # a plain argv is parsed from COMMANDS
+    out_file.unlink()
+    cfg = tmp_path / "get.cfg"
+    cfg.write_text(f"output={out_file}\n")
+    assert main(["store", "get", "--config", str(cfg), "--root", str(root),
+                 "--name", "f.bin"]) == 0
+    assert out_file.read_bytes() == src.read_bytes()
+    assert 0 < len(built) <= 3, built
+
+
+# -- the plain-argv fast path -----------------------------------------------
+
+# values that argparse reads as values and as something else, that convert
+# and that fail to
+VALUES = ["-", "", "0", "7", "-3", "-0.5", "2.5", "1e3", "abc", "a b", "x=1", "--",
+          "parallel", "serial", "schemes", "locality-summary", "-x", "--root", "-h"]
+
+
+def _same_namespace(fast, slow):
+    # by repr: NaN equals itself and 1 differs from True
+    assert repr(sorted(vars(fast).items())) == repr(sorted(vars(slow).items()))
+
+
+def _argparse_namespace(argv):
+    return cli.build_parser(argv)[0].parse_args(argv)
+
+
+def _plain_value(kwargs) -> str:
+    if "choices" in kwargs:
+        return kwargs["choices"][-1]
+    return {int: "3", float: "1.5"}.get(kwargs.get("type"), "x")
+
+
+@st.composite
+def _argvs(draw):
+    key = draw(st.sampled_from(list(cli.COMMANDS)))
+    options = cli.COMMANDS[key]
+    flags = [flag for flag, _ in options]
+    tokens = []
+    for flag, kwargs in options:
+        if not draw(st.integers(0, 7)):  # leave out about one in eight
+            continue
+        tokens.append([flag])
+        if kwargs.get("action") != "store_true":
+            plain = _plain_value(kwargs)
+            tokens[-1].append(draw(st.one_of(
+                st.just(plain), st.just(plain), st.sampled_from(VALUES),
+                st.integers(-5, 99).map(str), st.text(max_size=3),
+            )))
+    tokens = draw(st.permutations(tokens))
+    odd = st.one_of(
+        st.sampled_from(flags).map(lambda f: [f, _plain_value(dict(options)[f])]),  # duplicates
+        st.sampled_from(flags).map(lambda f: [f]),
+        st.sampled_from(flags).map(lambda f: [f"{f}=1"]),
+        st.sampled_from(flags).map(lambda f: [f[:-1]]),  # an abbreviation
+        st.sampled_from(VALUES).map(lambda v: [v]),
+        st.sampled_from(["--config", "-h", "--help", "--bogus", "--kind"]).map(lambda f: [f]),
+    )
+    for extra in draw(st.lists(odd, max_size=2)):
+        tokens.insert(draw(st.integers(0, len(tokens))), extra)
+    return [*key.split(), *(tok for group in tokens for tok in group)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_the_fast_path_gives_what_argparse_gives(argv):
+    fast = cli._parse_plain(argv)
+    if fast is not None:
+        _same_namespace(fast, _argparse_namespace(argv))
+
+
+@pytest.mark.parametrize("key", list(cli.COMMANDS))
+def test_every_leaf_with_its_flags_takes_the_fast_path(key):
+    required = [key.split()]
+    every = [key.split()]
+    for flag, kwargs in cli.COMMANDS[key]:
+        pair = [flag] if kwargs.get("action") == "store_true" else [flag, _plain_value(kwargs)]
+        every.append(pair)
+        if kwargs.get("required"):
+            required.append(pair)
+    for argv in (required, every, [every[0], *reversed(every[1:])]):
+        argv = [tok for group in argv for tok in group]
+        fast = cli._parse_plain(argv)
+        assert fast is not None, argv
+        _same_namespace(fast, _argparse_namespace(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["store", "get", "--root", "r", "--name", "n"],  # a required flag missing
+    ["store", "get", "--root", "r", "--name", "n", "--output"],
+    ["store", "get", "--root", "r", "--name", "n", "--out", "o"],  # an abbreviation
+    ["store", "get", "--root=r", "--name", "n", "--output", "o"],
+    ["store", "kill", "--root", "r", "--node", "-1"],
+    ["store", "kill", "--root", "r", "--node", "one"],
+    ["store", "kill", "--root", "r", "--node", "1", "--node", "x"],
+    ["store", "kill", "--root", "r", "--node", "x", "--node", "1"],
+    ["store", "kill", "--root", "r", "--node", "1", "extra"],
+    ["store", "fsck", "--root", "r", "--config", "c"],
+    ["--config", "c", "store", "fsck", "--root", "r"],
+    ["store", "fsck", "--root", "r", "-h"],
+    ["store", "fsck", "--"],
+    ["report", "--kind", "bogus"],
+    ["store"], ["store", "bogus"], ["report", "report"], [],
+])
+def test_other_argv_is_left_to_argparse(argv):
+    assert cli._parse_plain(argv) is None
