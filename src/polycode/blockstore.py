@@ -14,6 +14,16 @@ of every replica is recorded in the manifest as 8 hex characters.  Killing a
 node wipes its directory, which forces real repair traffic instead of
 replica re-registration.
 
+Memory: no operation holds a file.  ``put`` reads its input a data block at
+a time into one buffer that feeds ``codes.StripeEncoder`` and is written to
+the block's replicas at once; the parities are written at the stripe's end.
+``read`` yields a stored file's bytes in order, a data block at a time with
+the tail cut off, and holds one block plus what a degraded-read plan holds;
+``get`` builds its ``bytearray`` from it, and the CLI streams it to a temp
+file that replaces the output only once every block is written, so a failed
+read leaves the output as it was.  ``repair`` holds one stripe: one good
+body per block and the plan's sums.  ``fsck`` holds one replica.
+
 Three helpers, ``_read_file``, ``_write_file`` and ``_remove_files``, are the
 only code that opens or removes a block file; ``store.json`` and the
 manifests are read through ``_read_file`` too.  Every JSON file is written
@@ -38,6 +48,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from . import codes
 from .codes import (
@@ -164,6 +175,24 @@ def _write_json(path: Path, obj: dict) -> None:
     os.replace(tmp, path)
 
 
+def _valid_name(name: str) -> bool:
+    """A stored file's name: its manifest is root/<name>.manifest.json, so
+    the name must be one file name, in the root and no other directory."""
+    return name not in ("", ".", "..") and "/" not in name and "\0" not in name
+
+
+def fill(src, view: memoryview) -> int:
+    """Read from *src* into *view* until it is full or the input ends;
+    returns the count read."""
+    n = 0
+    while n < len(view):
+        got = src.readinto(view[n:])
+        if not got:
+            break
+        n += got
+    return n
+
+
 def _source_reader(sources: dict[int, bytes]):
     """Block accessor over bytes already read and checked; a block with no
     good replica left raises MissingBlockError, as a stripe reader does."""
@@ -255,7 +284,7 @@ class BlockStore:
         return self.root / f"{name}.manifest.json"
 
     def load_manifest(self, name: str) -> StoreManifest:
-        text = self._read_file(f"{name}.manifest.json")
+        text = self._read_file(f"{name}.manifest.json") if _valid_name(name) else None
         if text is None:
             raise StoreError(f"no such stored file: {name}")
         return StoreManifest.from_dict(json.loads(text))
@@ -305,6 +334,12 @@ class BlockStore:
     ) -> StoreManifest:
         """Stripe, encode and place a file; persists and returns its manifest.
 
+        The file is read one data block at a time into one buffer: each block
+        is fed to the parity sums and its replicas are written at once, and
+        the parities are written at the end of the stripe, so a put holds a
+        block and the parity sums, never a stripe or the file.  The input
+        may be any readable file, a pipe included; it is read to its end.
+
         Scheme and block size default to the store's configuration but may
         vary per file; each manifest records its own.  The manifest's rename
         commits the file.  A put that fails before it may leave block files
@@ -313,8 +348,7 @@ class BlockStore:
         path = Path(path)
         if name is None:
             name = path.name
-        # a manifest is root/<name>.manifest.json: no other directory
-        if name in ("", ".", "..") or "/" in name or "\0" in name:
+        if not _valid_name(name):
             raise StoreError(f"invalid file name: {name!r}")
         scheme = scheme or self.scheme
         block_size = block_size or self.block_size
@@ -326,51 +360,64 @@ class BlockStore:
             pool = self.up_nodes()
             if len(pool) < scheme.code_length:
                 raise StoreError("insufficient up nodes")
-            data = path.read_bytes()
             D = scheme.data_block_count
-            stripe_bytes = D * block_size
-            n_stripes = -(-len(data) // stripe_bytes) if data else 0
+            block = bytearray(block_size)
+            view = memoryview(block)
+            size = 0
             stripes: list[StripeRecord] = []
-            for k in range(n_stripes):
-                chunk = data[k * stripe_bytes : (k + 1) * stripe_bytes]
-                chunk = chunk.ljust(stripe_bytes, b"\0")
-                layout_seed = zlib.crc32(f"{self.seed}:{name}:{k}".encode())
-                layout = codes.build_layout(scheme, pool, layout_seed)
-                payload = [
-                    chunk[i * block_size : (i + 1) * block_size] for i in range(D)
-                ]
-                encoded = codes.encode_stripe(scheme, payload)
-                records = []
-                for block_id in sorted(encoded):
-                    body = encoded[block_id]
-                    nodes = list(layout.replicas(block_id))
-                    files = []
-                    for copy, node in enumerate(nodes):
-                        fname = f"n{node}/{name}.s{k}_b{block_id}_r{copy}.blk"
-                        self._write_file(fname, body)
-                        files.append(fname)
-                    role = layout.block_roles[block_id].as_string()
-                    records.append(BlockRecord(block_id, role, nodes, files, _crc(body)))
-                stripes.append(StripeRecord(k, list(layout.node_order), records))
-            manifest = StoreManifest(name, len(data), scheme.name, block_size, stripes)
+            with open(path, "rb", buffering=0) as src:
+                while n := fill(src, view):
+                    k = len(stripes)
+                    layout_seed = zlib.crc32(f"{self.seed}:{name}:{k}".encode())
+                    layout = codes.build_layout(scheme, pool, layout_seed)
+                    roles = layout.block_roles
+                    data_block_of = {r.index: b for b, r in roles.items() if r.kind == "data"}
+                    records = {}
+                    encoder = codes.StripeEncoder(scheme, block_size)
+                    for i in range(D):
+                        if i:
+                            n = fill(src, view)
+                        if n < block_size:  # the file's end: pad the stripe with zeros
+                            view[n:] = bytes(block_size - n)
+                        size += n
+                        encoder.feed(i, block)
+                        b = data_block_of[i]
+                        records[b] = self._place(f"{name}.s{k}", layout, roles[b], b, block)
+                    for b, body in encoder.parities().items():
+                        records[b] = self._place(f"{name}.s{k}", layout, roles[b], b, body)
+                    blocks = [records[b] for b in sorted(records)]
+                    stripes.append(StripeRecord(k, list(layout.node_order), blocks))
+            manifest = StoreManifest(name, size, scheme.name, block_size, stripes)
             _write_json(self._manifest_path(name), manifest.to_dict())
             return manifest
+
+    def _place(self, prefix: str, layout, role, block_id: int, body) -> BlockRecord:
+        """Write each replica of a block as n<node>/<prefix>_b<id>_r<copy>.blk."""
+        nodes = list(layout.replicas(block_id))
+        files = [f"n{node}/{prefix}_b{block_id}_r{copy}.blk" for copy, node in enumerate(nodes)]
+        for fname in files:
+            self._write_file(fname, body)
+        return BlockRecord(block_id, role.as_string(), nodes, files, _crc(body))
 
     # -- read path ----------------------------------------------------------
 
     def _scan(self, stripe: StripeRecord, keep: bool) -> tuple[dict, list]:
         """Read every replica of the stripe once.  Returns each good replica
-        by (block id, node), with its bytes when *keep* is set and None
-        otherwise, and each bad replica as (record, node, file, corrupt),
-        both in manifest order; a replica on a down node is missing without
-        being read.  Dropping the bytes of a scan that does not need them
-        lets each read reuse the memory of the one before."""
+        by (block id, node) and each bad replica as (record, node, file,
+        corrupt), both in manifest order; a replica on a down node is
+        missing without being read.  With *keep*, a block's first good
+        replica maps to its bytes, which serve for all of them because good
+        replicas pass the same CRC; every other good replica maps to None.
+        Dropping the bytes a scan does not need lets each read reuse the
+        memory of the one before."""
         good, bad = {}, []
         for record in stripe.blocks:
+            want = keep
             for node, fname in zip(record.nodes, record.files):
                 body = None if node in self._down else self._read_file(fname)
                 if body is not None and _crc(body) == record.crc32:
-                    good[record.block_id, node] = body if keep else None
+                    good[record.block_id, node] = body if want else None
+                    want = False
                 else:
                     bad.append((record, node, fname, body is not None))
         return good, bad
@@ -402,17 +449,22 @@ class BlockStore:
 
         return reader
 
-    def get(self, name: str) -> bytearray:
-        """Reassemble a stored file; blocks with no good replica are served
-        through degraded-read plans and each executed plan's bandwidth is
-        logged.  A plan also rebuilds the other blocks its solve determines,
-        and those are kept for the rest of the stripe."""
-        manifest = self.load_manifest(name)
+    def read(self, name: str) -> Iterator[bytes | memoryview]:
+        """The stored file's bytes in order, one data block at a time, the
+        last block cut to the file's size and blocks wholly past it left
+        out (each is still read and checked).  The manifest is loaded here,
+        so a missing file raises before anything is read.
+
+        A block with no good replica is served through a degraded-read
+        plan, and each executed plan's bandwidth is logged.  A plan also
+        rebuilds the other blocks its solve determines, and those are kept
+        for the rest of the stripe; nothing else outlives the block it
+        belongs to, so a read holds a block plus what a plan holds."""
+        return self._read_blocks(self.load_manifest(name))
+
+    def _read_blocks(self, manifest: StoreManifest) -> Iterator[bytes | memoryview]:
         scheme = parse_scheme(manifest.scheme)
-        # sized up front: growing it block by block reallocates and can leave
-        # the outgrown buffers resident
-        out = bytearray(manifest.stripe_count * scheme.data_block_count * manifest.block_size)
-        pos = 0
+        left = manifest.size
         for stripe in manifest.stripes:
             slot_of = {node: s for s, node in enumerate(stripe.node_order)}
             down_slots = {
@@ -427,32 +479,43 @@ class BlockStore:
             for record in data_records:
                 try:
                     body = reader(record.block_id)
-                    out[pos : pos + len(body)] = body
-                    pos += len(body)
-                    continue
                 except (MissingBlockError, ChecksumMismatchError):
-                    pass  # no good replica left: decode it from the stripe
-                if record.block_id not in rebuilt:
-                    bad_slots = {slot_of[node] for node in record.nodes}
-                    plan = codes.plan_degraded_read(
-                        scheme, record.block_id, down_slots | bad_slots
-                    )
-                    rebuilt.update(codes.execute_plan(plan, reader))
-                    self.degraded_log.append(
-                        (name, stripe.index, record.block_id, plan.bandwidth_blocks)
-                    )
-                    log.info(
-                        "degraded read: %s stripe %d block %d via %d transfers",
-                        name, stripe.index, record.block_id, plan.bandwidth_blocks,
-                    )
-                body = rebuilt[record.block_id]
-                if _crc(body) != record.crc32:
-                    raise ChecksumMismatchError(
-                        f"degraded read of block {record.block_id} failed its CRC check"
-                    )
-                out[pos : pos + len(body)] = body
-                pos += len(body)
-        del out[manifest.size :]  # trim in place: slicing would copy twice
+                    # no good replica left: decode it from the stripe
+                    if record.block_id not in rebuilt:
+                        bad_slots = {slot_of[node] for node in record.nodes}
+                        plan = codes.plan_degraded_read(
+                            scheme, record.block_id, down_slots | bad_slots
+                        )
+                        rebuilt.update(codes.execute_plan(plan, reader))
+                        self.degraded_log.append(
+                            (manifest.name, stripe.index, record.block_id, plan.bandwidth_blocks)
+                        )
+                        log.info(
+                            "degraded read: %s stripe %d block %d via %d transfers",
+                            manifest.name, stripe.index, record.block_id,
+                            plan.bandwidth_blocks,
+                        )
+                    body = rebuilt[record.block_id]
+                    if _crc(body) != record.crc32:
+                        raise ChecksumMismatchError(
+                            f"degraded read of block {record.block_id} failed its CRC check"
+                        )
+                if len(body) > left:
+                    body = memoryview(body)[:left]
+                if body:
+                    left -= len(body)
+                    yield body
+
+    def get(self, name: str) -> bytearray:
+        """Reassemble a stored file from ``read``."""
+        manifest = self.load_manifest(name)
+        # sized up front: growing it block by block reallocates and can leave
+        # the outgrown buffers resident
+        out = bytearray(manifest.size)
+        pos = 0
+        for body in self._read_blocks(manifest):
+            out[pos : pos + len(body)] = body
+            pos += len(body)
         return out  # as is: bytes(out) would fault in as many fresh pages again
 
     # -- fault injection ----------------------------------------------------
@@ -515,13 +578,10 @@ class BlockStore:
                     if not codes.can_decode_from(scheme, {block_id for block_id, _ in good}):
                         fatal = fatal or f"{manifest.name} stripe {stripe.index} is unrecoverable"
                         continue
-                    # the plan reads what _stripe_reader(stripe, damaged) would:
-                    # each block's first good replica off the damaged nodes
+                    # the plan reads only blocks on undamaged nodes, whose every
+                    # replica is good, so each block it reads has kept bytes
                     damaged = {node for _, node, _, _ in bad}
-                    sources: dict[int, bytes] = {}
-                    for (block_id, node), body in good.items():
-                        if node not in damaged:
-                            sources.setdefault(block_id, body)
+                    sources = {b: body for (b, _), body in good.items() if body is not None}
                     slot_of = {node: s for s, node in enumerate(stripe.node_order)}
                     plan = codes.plan_repair(scheme, frozenset(slot_of[n] for n in damaged))
                     recovered = codes.execute_plan(plan, _source_reader(sources))

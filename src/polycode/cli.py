@@ -18,7 +18,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
+import os
+import stat
 import sys
 import zlib
 from pathlib import Path
@@ -311,6 +314,88 @@ def _apply_config(registry: dict[str, _Parser], argv: list[str]) -> None:
 # Subcommand implementations
 
 
+# An output is written one writev per _WRITE_BATCH bytes: a small file (a
+# pentagon stripe of 4 KiB blocks is 36 KiB) takes one write, and a large one
+# holds a batch and a block at most, where a writev per stripe would hold the
+# whole stripe.
+_WRITE_BATCH = 256 * 1024
+_IOV_MAX = 1024  # buffers one writev takes on Linux
+
+
+def _writev_all(fd: int, buffers: list) -> None:
+    """Write every byte of *buffers*: one writev, then the rest of a short one."""
+    done = os.writev(fd, buffers)
+    for buf in buffers:  # after a short write, as to a pipe: the rest piece by piece
+        if done >= len(buf):
+            done -= len(buf)
+            continue
+        view = memoryview(buf)[done:]
+        done = 0
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def _write_blocks(fd: int, blocks) -> int:
+    """Write the bytes-like *blocks* in order, batched; returns the count."""
+    total, batch, pending = 0, [], 0
+    for block in blocks:
+        batch.append(block)
+        pending += len(block)
+        if pending >= _WRITE_BATCH or len(batch) == _IOV_MAX:
+            _writev_all(fd, batch)
+            total += pending
+            batch, pending = [], 0
+    if batch:
+        _writev_all(fd, batch)
+    return total + pending
+
+
+def _write_output(path: str, blocks) -> int:
+    """Write the bytes-like *blocks* to *path* and return the byte count.
+
+    All or nothing: the blocks go to a temp file beside *path* that is
+    renamed over it once the last one is written, so an error part way,
+    such as a block that cannot be read, leaves *path* as it was and no
+    temp file behind.  An existing *path* that is not a regular file (a
+    FIFO, /dev/stdout) is written in place and never renamed over; through
+    a symlink, its target is replaced.  An error opening the output is
+    reported against *path*, as writing it in place would report it.
+    """
+    try:
+        info = os.stat(path)
+    except FileNotFoundError:
+        info = None
+    if info is not None and not stat.S_ISREG(info.st_mode):
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            return _write_blocks(fd, blocks)
+        finally:
+            os.close(fd)
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    directory, base = os.path.split(target)
+    for n in itertools.count():
+        tmp = os.path.join(directory, f".{base}.{os.getpid()}.{n}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        try:
+            if info is not None:  # the output keeps its permissions
+                os.fchmod(fd, stat.S_IMODE(info.st_mode))
+            size = _write_blocks(fd, blocks)
+        finally:
+            os.close(fd)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return size
+
+
 def _cmd_code_info(args) -> int:
     scheme = parse_scheme(args.scheme)
     print(f"scheme: {scheme.name}")
@@ -325,34 +410,53 @@ def _cmd_code_info(args) -> int:
 
 def _cmd_code_encode(args) -> int:
     scheme = parse_scheme(args.scheme)
-    data = Path(args.input).read_bytes()
     D = scheme.data_block_count
-    block_size = args.block_size or max(1, -(-len(data) // D))
-    if len(data) > D * block_size:
-        raise UsageError("input exceeds one stripe; raise --block-size or use the store")
-    padded = data.ljust(D * block_size, b"\0")
-    payload = [padded[i * block_size : (i + 1) * block_size] for i in range(D)]
-    encoded = codes.encode_stripe(scheme, payload)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    layout = codes.build_layout(scheme, range(scheme.code_length), 0)
+    with open(args.input, "rb", buffering=0) as src:
+        info = os.fstat(src.fileno())
+        size = info.st_size
+        if not stat.S_ISREG(info.st_mode):  # a pipe has no size to plan the stripe by
+            data = src.readall()
+            size, src = len(data), io.BytesIO(data)
+        block_size = args.block_size or max(1, -(-size // D))
+        if size > D * block_size:
+            raise UsageError("input exceeds one stripe; raise --block-size or use the store")
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        layout = codes.build_layout(scheme, range(scheme.code_length), 0)
+        roles = layout.block_roles
+        entries = {}
+
+        def write_block(block_id: int, body) -> None:
+            name = f"b{block_id}.blk"
+            (out / name).write_bytes(body)
+            entries[block_id] = {
+                "file": name,
+                "role": roles[block_id].as_string(),
+                "nodes": list(layout.replicas(block_id)),
+                "crc32": f"{zlib.crc32(body):08x}",
+            }
+
+        # one data block at a time through one buffer, as the store's put does
+        data_block_of = {r.index: b for b, r in roles.items() if r.kind == "data"}
+        encoder = codes.StripeEncoder(scheme, block_size)
+        block = bytearray(block_size)
+        view = memoryview(block)
+        for i in range(D):
+            n = blockstore.fill(src, view)
+            if n < block_size:  # the input's end: pad the stripe with zeros
+                view[n:] = bytes(block_size - n)
+            encoder.feed(i, block)
+            write_block(data_block_of[i], block)
+    for block_id, body in encoder.parities().items():
+        write_block(block_id, body)
     meta = {
         "scheme": scheme.name,
         "block_size": block_size,
-        "original_size": len(data),
-        "blocks": {},
+        "original_size": size,
+        "blocks": {str(b): entries[b] for b in sorted(entries)},
     }
-    for block_id in sorted(encoded):
-        name = f"b{block_id}.blk"
-        (out / name).write_bytes(encoded[block_id])
-        meta["blocks"][str(block_id)] = {
-            "file": name,
-            "role": layout.block_roles[block_id].as_string(),
-            "nodes": list(layout.replicas(block_id)),
-            "crc32": f"{zlib.crc32(encoded[block_id]):08x}",
-        }
     (out / "stripe.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    print(f"encoded {len(data)} bytes into {len(encoded)} blocks under {out}")
+    print(f"encoded {size} bytes into {len(entries)} blocks under {out}")
     return 0
 
 
@@ -375,9 +479,12 @@ def _cmd_code_decode(args) -> int:
             raise codes.ChecksumMismatchError(f"{info['file']} failed its CRC check")
         surviving.setdefault(hosts[0], {})[block_id] = body
     data = codes.decode_stripe(scheme, surviving, killed)
-    raw = b"".join(data)[: meta["original_size"]]
-    Path(args.output).write_bytes(raw)
-    print(f"decoded {len(raw)} bytes to {args.output}")
+    size, width = meta["original_size"], len(data[0])
+    written = _write_output(
+        args.output,
+        (memoryview(b)[: size - i * width] for i, b in enumerate(data) if i * width < size),
+    )
+    print(f"decoded {written} bytes to {args.output}")
     return 0
 
 
@@ -410,10 +517,9 @@ def _cmd_store(args) -> int:
         manifest = store.put(args.file, args.name)
         print(f"stored {manifest.name}: {manifest.size} bytes in {manifest.stripe_count} stripes")
     elif sub == "get":
-        data = store.get(args.name)
-        Path(args.output).write_bytes(data)
+        size = _write_output(args.output, store.read(args.name))
         degraded = sum(bw for *_, bw in store.degraded_log)
-        print(f"read {len(data)} bytes; degraded transfers: {degraded}")
+        print(f"read {size} bytes; degraded transfers: {degraded}")
     elif sub == "kill":
         state = store.kill_node(args.node)
         print(f"node {state.node_id} is {state.status}")

@@ -462,27 +462,48 @@ def _transform(rows: list[list[int]], ncols: int) -> tuple[int, list[list[int]]]
 # Encoding
 
 
+class StripeEncoder:
+    """Encode one stripe fed a data block at a time.  Each block goes into
+    the parity sums as it arrives and nothing of it is kept, so a caller
+    may read every block into the same buffer.  ``parities()`` returns the
+    parity blocks once each data block has been fed exactly once."""
+
+    def __init__(self, scheme: Scheme, width: int):
+        geo = _geometry(scheme)
+        self.width = width
+        self._parities = [b for b, role in geo.roles.items() if role.kind != "data"]
+        self._sums = _Sums({b: list(enumerate(geo.rows[b])) for b in self._parities}, width)
+        self._unfed = set(range(scheme.data_block_count))
+
+    def feed(self, index: int, block) -> None:
+        """Add data block *index* (any bytes-like object of ``width`` bytes)."""
+        if len(block) != self.width:
+            raise ValueError("data blocks differ in length")
+        if index not in self._unfed:
+            raise ValueError(f"data block {index} is unknown or already fed")
+        self._unfed.remove(index)
+        self._sums.feed(index, block)
+
+    def parities(self) -> dict[int, bytes]:
+        """Parity block id -> bytes, in block-role order."""
+        if self._unfed:
+            raise ValueError(f"data blocks {sorted(self._unfed)} were not fed")
+        return {b: self._sums.take(b).to_bytes(self.width, "little") for b in self._parities}
+
+
 def encode_stripe(scheme: Scheme, data: list[bytes]) -> dict[int, bytes]:
     """Encode one stripe of data blocks into the scheme's coded blocks."""
     D = scheme.data_block_count
     if len(data) != D:
         raise ValueError(f"expected {D} data blocks, got {len(data)}")
-    if data and any(len(b) != len(data[0]) for b in data):
-        raise ValueError("data blocks differ in length")
-
-    geo = _geometry(scheme)
-    width = len(data[0]) if data else 0
-    parities = [b for b, role in geo.roles.items() if role.kind != "data"]
-    sums = _Sums({b: list(enumerate(geo.rows[b])) for b in parities}, width)
+    encoder = StripeEncoder(scheme, len(data[0]) if data else 0)
     for i, block in enumerate(data):
-        sums.feed(i, block)
-    out: dict[int, bytes] = {}
-    for b, role in geo.roles.items():
-        if role.kind == "data":
-            out[b] = bytes(data[role.index])
-        else:
-            out[b] = sums.take(b).to_bytes(width, "little")
-    return out
+        encoder.feed(i, block)
+    parities = encoder.parities()
+    return {
+        b: bytes(data[role.index]) if role.kind == "data" else parities[b]
+        for b, role in _geometry(scheme).roles.items()
+    }
 
 
 # ---------------------------------------------------------------------------

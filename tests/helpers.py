@@ -4,8 +4,18 @@ import random
 import zlib
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable, Mapping
 
+from polycode import codes
+from polycode.blockstore import (
+    BlockRecord,
+    BlockStore,
+    StoreManifest,
+    StripeRecord,
+    _crc,
+    _write_json,
+)
 from polycode.codes import (
     ChecksumMismatchError,
     MissingBlockError,
@@ -298,3 +308,41 @@ def delay_reference(
         if pending and not progress and rounds_waited > rounds_before_remote:
             raise OverloadError("pending tasks but no free slots")
     return Assignment(tuple(node_of), tuple(local))
+
+
+def put_reference(
+    store: BlockStore, path: Path, scheme: Scheme | None = None, block_size: int | None = None
+) -> StoreManifest:
+    """``BlockStore.put`` as it read the whole file, then padded, encoded
+    and wrote a stripe at a time: the reference whose manifest and block
+    files the streaming put must equal byte for byte.  Name checks and the
+    lock are left out."""
+    name = path.name
+    scheme = scheme or store.scheme
+    block_size = block_size or store.block_size
+    data = path.read_bytes()
+    D = scheme.data_block_count
+    stripe_bytes = D * block_size
+    n_stripes = -(-len(data) // stripe_bytes) if data else 0
+    stripes = []
+    for k in range(n_stripes):
+        chunk = data[k * stripe_bytes : (k + 1) * stripe_bytes].ljust(stripe_bytes, b"\0")
+        layout_seed = zlib.crc32(f"{store.seed}:{name}:{k}".encode())
+        layout = codes.build_layout(scheme, store.up_nodes(), layout_seed)
+        payload = [chunk[i * block_size : (i + 1) * block_size] for i in range(D)]
+        encoded = codes.encode_stripe(scheme, payload)
+        records = []
+        for block_id in sorted(encoded):
+            body = encoded[block_id]
+            nodes = list(layout.replicas(block_id))
+            files = []
+            for copy, node in enumerate(nodes):
+                fname = f"n{node}/{name}.s{k}_b{block_id}_r{copy}.blk"
+                (store.root / fname).write_bytes(body)
+                files.append(fname)
+            role = layout.block_roles[block_id].as_string()
+            records.append(BlockRecord(block_id, role, nodes, files, _crc(body)))
+        stripes.append(StripeRecord(k, list(layout.node_order), records))
+    manifest = StoreManifest(name, len(data), scheme.name, block_size, stripes)
+    _write_json(store.root / f"{name}.manifest.json", manifest.to_dict())
+    return manifest

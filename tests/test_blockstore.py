@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycode import blockstore, codes
+from helpers import put_reference
+from polycode import blockstore, cli, codes
 from polycode.blockstore import BlockStore, FatalStripeError, StoreError
 from polycode.codes import HeptagonLocal, Polygon, RaidMirror, Replication, UnrecoverableError
 
@@ -209,7 +211,7 @@ def test_block_files_are_opened_and_removed_by_three_helpers_only():
         "_write_file": {"open"},
         "_remove_files": {"os.scandir", "os.unlink"},
         "manifests": {"os.scandir"},
-        "put": {"path.read_bytes"},
+        "put": {"open"},
     }
 
 
@@ -674,3 +676,112 @@ def test_old_format_store_opens_reads_repairs_and_takes_puts(tmp_path):
     assert store.fsck().is_clean
     assert store.get("old.bin") == src.read_bytes()
     assert store.get("new.bin") == new.read_bytes()
+
+
+# -- the streaming data path ------------------------------------------------
+
+
+def tree(root: Path) -> dict[str, bytes]:
+    """Every file under *root* but the lock, by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*")
+            if p.is_file() and p.name != ".lock"}
+
+
+@pytest.mark.parametrize("scheme,block", [(Polygon(5), 64), (HeptagonLocal(), 16),
+                                          (RaidMirror(3), 32), (Replication(2), 8)])
+def test_put_writes_the_bytes_the_whole_file_put_wrote(tmp_path, scheme, block):
+    stripe = scheme.data_block_count * block
+    sizes = [0, 1, block - 1, stripe - 1, stripe, stripe + 1, 3 * stripe - block]
+    streamed = BlockStore.create(tmp_path / "new", scheme, nodes=scheme.code_length + 2,
+                                 block_size=block, seed=5)
+    reference = BlockStore.create(tmp_path / "ref", scheme, nodes=scheme.code_length + 2,
+                                  block_size=block, seed=5)
+    for i, size in enumerate(sizes):
+        src = write_file(tmp_path, size, seed=i, name=f"f{i}.bin")
+        assert streamed.put(src) == put_reference(reference, src)
+        assert streamed.get(src.name) == src.read_bytes()
+    new, ref = tree(streamed.root), tree(reference.root)
+    assert new == ref and len(new) > len(sizes)
+
+
+def test_put_reads_a_pipe_to_its_end(pentagon_store, tmp_path):
+    payload = random.Random(40).randbytes(2 * 9 * BS + 5)
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            for i in range(0, len(payload), 1000):  # short reads on the other end
+                fh.write(payload[i : i + 1000])
+                fh.flush()
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    manifest = pentagon_store.put(fifo, name="piped.bin")
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (manifest.size, manifest.stripe_count) == (len(payload), 3)
+    assert pentagon_store.get("piped.bin") == payload
+
+
+HL_BLOCK = 64 * 1024
+HL_STRIPE = 40 * HL_BLOCK
+
+
+@pytest.fixture
+def hl_file(tmp_path):
+    """A 3-stripe file in a heptagon-local store with 64 KiB blocks."""
+    store = BlockStore.create(tmp_path / "hl", HeptagonLocal(), nodes=15,
+                              block_size=HL_BLOCK, seed=3)
+    return store, write_file(tmp_path, 3 * HL_STRIPE, seed=41)
+
+
+def peak_stripes(fn) -> float:
+    """The most memory *fn* held at once, allocations before it not
+    counted, in heptagon-local stripes of 64 KiB blocks."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / HL_STRIPE
+    finally:
+        tracemalloc.stop()
+
+
+def test_put_holds_less_than_half_a_stripe(hl_file):
+    store, src = hl_file
+    assert peak_stripes(lambda: store.put(src)) < 0.5  # 6.4 when put read the file whole
+    assert store.get(src.name) == src.read_bytes()
+
+
+def cli_get(store, name, out):
+    assert cli.main(["store", "get", "--root", str(store.root), "--name", name,
+                     "--output", str(out)]) == 0
+
+
+def test_cli_get_holds_a_fraction_of_a_stripe(hl_file, capsys):
+    store, src = hl_file
+    store.put(src)
+    out = src.with_name("out.bin")
+    assert peak_stripes(lambda: cli_get(store, src.name, out)) < 0.25  # 3.1 for the whole file
+    assert out.read_bytes() == src.read_bytes()
+
+
+def test_degraded_cli_get_holds_less_than_a_stripe(hl_file, capsys):
+    store, src = hl_file
+    store.put(src)
+    for node in (0, 1, 2):
+        store.kill_node(node)
+    out = src.with_name("out.bin")
+    assert peak_stripes(lambda: cli_get(store, src.name, out)) < 1  # 3.7 for the whole file
+    assert out.read_bytes() == src.read_bytes()
+    assert capsys.readouterr().out.endswith("; degraded transfers: 72\n")  # 24 a stripe
+
+
+def test_repair_holds_one_body_per_block(hl_file):
+    store, src = hl_file
+    store.put(src)
+    for node in (0, 1, 2):
+        store.kill_node(node)
+    assert peak_stripes(store.repair) < 3  # 3.5 with every good replica kept
+    assert store.fsck().is_clean
+    assert store.get(src.name) == src.read_bytes()

@@ -2,8 +2,10 @@ import csv
 import io
 import os
 import random
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -203,6 +205,141 @@ def test_store_put_rejects_a_name_that_is_not_one_file_in_the_root(tmp_path, cap
     assert not list(tmp_path.rglob("*.manifest.json"))
     code, out, _ = run(capsys, "store", "fsck", "--root", str(root))
     assert code == 0 and "clean" in out
+
+
+def test_store_get_rejects_a_name_that_leaves_the_root(tmp_path, capsys):
+    root = _pentagon_store(tmp_path, capsys)
+    src = tmp_path / "outside"
+    src.write_bytes(random.Random(7).randbytes(5000))
+    assert run(capsys, "store", "put", "--root", str(root), "--file", str(src))[0] == 0
+    (root / "outside.manifest.json").rename(tmp_path / "outside.manifest.json")
+    out_file = tmp_path / "o.bin"
+    code, out, err = run(capsys, "store", "get", "--root", str(root), "--name", "../outside",
+                         "--output", str(out_file))
+    assert (code, out) == (1, "") and err == "error: no such stored file: ../outside\n"
+    assert not out_file.exists()
+
+
+def _stored_pentagon_file(tmp_path, capsys):
+    root = _pentagon_store(tmp_path, capsys)
+    src = tmp_path / "f.bin"
+    src.write_bytes(random.Random(8).randbytes(3 * 9 * 1024 - 10))
+    assert run(capsys, "store", "put", "--root", str(root), "--file", str(src))[0] == 0
+    return root, src
+
+
+def test_a_failed_store_get_leaves_the_output_as_it_was(tmp_path, capsys):
+    root, _ = _stored_pentagon_file(tmp_path, capsys)
+    for node in (0, 1, 2):
+        assert main(["store", "kill", "--root", str(root), "--node", str(node)]) == 0
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out_file = out_dir / "g.bin"
+    out_file.write_bytes(b"kept")
+    code, _, err = run(capsys, "store", "get", "--root", str(root), "--name", "f.bin",
+                       "--output", str(out_file))
+    assert code == 1 and err.startswith("error:")
+    assert [p.name for p in out_dir.iterdir()] == ["g.bin"]
+    assert out_file.read_bytes() == b"kept"
+
+
+def test_store_get_replaces_an_output_file_and_keeps_its_mode(tmp_path, capsys):
+    root, src = _stored_pentagon_file(tmp_path, capsys)
+    out_file = tmp_path / "g.bin"
+    out_file.write_bytes(b"old" * 10**5)
+    out_file.chmod(0o640)
+    link = tmp_path / "link.bin"
+    link.symlink_to(out_file.name)
+    code, out, _ = run(capsys, "store", "get", "--root", str(root), "--name", "f.bin",
+                       "--output", str(link))
+    assert (code, out) == (0, f"read {3 * 9 * 1024 - 10} bytes; degraded transfers: 0\n")
+    assert link.is_symlink() and out_file.read_bytes() == src.read_bytes()
+    assert stat.S_IMODE(out_file.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin", "g.bin", "link.bin", "store"]
+
+
+def test_store_get_output_errors_name_the_output(tmp_path, capsys):
+    root, _ = _stored_pentagon_file(tmp_path, capsys)
+    for output, reason in [(tmp_path / "no" / "g.bin", "No such file or directory"),
+                           (tmp_path, "Is a directory")]:
+        code, out, err = run(capsys, "store", "get", "--root", str(root), "--name", "f.bin",
+                             "--output", str(output))
+        assert (code, out, err) == (1, "", f"error: {output}: {reason}\n")
+    assert not (tmp_path / "no").exists()
+
+
+def _drain(fifo: Path, into: list) -> threading.Thread:
+    def read():
+        with open(fifo, "rb") as fh:
+            into.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    return reader
+
+
+def test_store_get_writes_a_fifo_in_place(tmp_path, capsys):
+    root, src = _stored_pentagon_file(tmp_path, capsys)
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = _drain(fifo, got)
+    assert main(["store", "get", "--root", str(root), "--name", "f.bin",
+                 "--output", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got == [src.read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def test_store_get_writes_dev_stdout_when_it_is_a_pipe(tmp_path, capsys):
+    root, src = _stored_pentagon_file(tmp_path, capsys)
+    env = dict(os.environ, PYTHONPATH=str(Path(polycode.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-m", "polycode", "store", "get", "--root", str(root),
+                           "--name", "f.bin", "--output", "/dev/stdout"],
+                          env=env, capture_output=True, check=True)
+    assert done.stdout == src.read_bytes() + b"read 27638 bytes; degraded transfers: 0\n"
+
+
+def test_store_get_finishes_a_short_write(tmp_path, capsys, monkeypatch):
+    root, src = _stored_pentagon_file(tmp_path, capsys)
+    real = os.writev
+    monkeypatch.setattr(os, "writev", lambda fd, buffers: real(fd, [bytes(buffers[0])[:10]]))
+    out_file = tmp_path / "g.bin"
+    assert main(["store", "get", "--root", str(root), "--name", "f.bin",
+                 "--output", str(out_file)]) == 0
+    assert out_file.read_bytes() == src.read_bytes()
+
+
+def test_code_encode_reads_a_pipe(tmp_path, capsys):
+    payload = random.Random(9).randbytes(5000)
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(payload)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    code, out, _ = run(capsys, "code", "encode", "--scheme", "pentagon", "--input", str(fifo),
+                       "--out-dir", str(tmp_path / "enc"))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert code == 0 and out.startswith("encoded 5000 bytes into 10 blocks")
+    src = tmp_path / "in.bin"
+    src.write_bytes(payload)
+    assert main(["code", "encode", "--scheme", "pentagon", "--input", str(src),
+                 "--out-dir", str(tmp_path / "ref")]) == 0
+    assert ((tmp_path / "enc" / "stripe.json").read_bytes()
+            == (tmp_path / "ref" / "stripe.json").read_bytes())
+    fifo_out = tmp_path / "out.fifo"
+    os.mkfifo(fifo_out)
+    got = []
+    reader = _drain(fifo_out, got)
+    assert main(["code", "decode", "--in-dir", str(tmp_path / "enc"), "--killed", "0,1",
+                 "--output", str(fifo_out)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got == [payload]
 
 
 def test_store_init_after_a_crashed_init(tmp_path, capsys):
