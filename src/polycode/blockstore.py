@@ -336,9 +336,10 @@ class BlockStore:
 
         The file is read one data block at a time into one buffer: each block
         is fed to the parity sums and its replicas are written at once, and
-        the parities are written at the end of the stripe, so a put holds a
-        block and the parity sums, never a stripe or the file.  The input
-        may be any readable file, a pipe included; it is read to its end.
+        the parities are written at the end of the stripe, each as it is
+        made, so a put holds a block and the parity sums, never a stripe or
+        the file.  The input may be any readable file, a pipe included; it
+        is read to its end.
 
         Scheme and block size default to the store's configuration but may
         vary per file; each manifest records its own.  The manifest's rename
@@ -383,7 +384,7 @@ class BlockStore:
                         encoder.feed(i, block)
                         b = data_block_of[i]
                         records[b] = self._place(f"{name}.s{k}", layout, roles[b], b, block)
-                    for b, body in encoder.parities().items():
+                    for b, body in encoder.parities():
                         records[b] = self._place(f"{name}.s{k}", layout, roles[b], b, body)
                     blocks = [records[b] for b in sorted(records)]
                     stripes.append(StripeRecord(k, list(layout.node_order), blocks))

@@ -447,7 +447,7 @@ def _cmd_code_encode(args) -> int:
                 view[n:] = bytes(block_size - n)
             encoder.feed(i, block)
             write_block(data_block_of[i], block)
-    for block_id, body in encoder.parities().items():
+    for block_id, body in encoder.parities():
         write_block(block_id, body)
     meta = {
         "scheme": scheme.name,

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .gf256 import gf_inv, gf_mul, gf_pow, scale_bytes
 
@@ -361,44 +361,112 @@ def build_layout(scheme: Scheme, node_pool: Iterable[int], seed: int) -> StripeL
 # GF(2^8) linear algebra
 
 
+_WIDE = 8  # a target with more distinct coefficients than this, 0 and 1 aside, is wide
+
+
+def _reduced_basis(vectors: Iterable[int]) -> list[int]:
+    """A reduced GF(2) basis of the span of *vectors*, ints read as bit
+    vectors: the lowest set bit of each basis vector, its pivot, is clear in
+    every other, so a vector of the span is the XOR of the basis vectors
+    whose pivots it has set."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            if v & b & -b:
+                v ^= b
+        if v:
+            low = v & -v
+            basis = [b ^ v if b & low else b for b in basis]
+            basis.append(v)
+    return basis
+
+
 class _Sums:
     """GF(2^8)-linear sums over a set of inputs, built by feeding each input
     once.  ``terms[target]`` lists a target's (input key, coefficient)
     pairs; an input may appear in many targets, or twice in one.
 
-    Blocks are summed as little-endian ints.  GF(2^8) multiplication
-    distributes over XOR, so a target's terms that share a coefficient are
-    XORed and their sum is scaled once, when the target is taken.  A lone
-    term with a coefficient other than 1 is scaled straight from the
-    input's bytes.  Coefficient 1 is never scaled and 0 is skipped.  An
-    input's int form is made at most once, and nothing of it is kept once
-    it has been fed.
+    Blocks are summed as little-endian ints, an input's int form is made at
+    most once, and nothing of an input is kept once it has been fed.
+    Coefficient 1 is never scaled and 0 is skipped.
+
+    A narrow target's terms that share a coefficient are XORed and their
+    sum is scaled once, when the target is taken: GF(2^8) multiplication
+    distributes over XOR.  A lone term with a coefficient other than 1 is
+    scaled straight from the input's bytes.
+
+    A target with more than ``_WIDE`` distinct coefficients other than 0
+    and 1 is wide.  Multiplying by c is GF(2)-linear: c*d is the XOR of
+    2^b*d over the set bits b of c.  So each input's coefficients across
+    the wide targets stack into one bit vector, 8 bits a target, and over a
+    reduced GF(2) basis B_j of those vectors every wide target is the sum,
+    over j, of its byte of B_j times plane j, the XOR of the inputs whose
+    vectors have B_j's pivot set.  An input is only XORed into its planes
+    as it is fed.  When the first wide target is taken, which needs every
+    input fed, each plane becomes bytes once, is scaled at most once per
+    wide target and is dropped.  The two heptagon-local global parities
+    need 8 planes, not 16: their coefficients are alpha^i and
+    alpha^(2i) = (alpha^i)^2, and squaring is GF(2)-linear.
     """
 
     def __init__(self, terms: Mapping, width: int | None = None):
         self.width = width  # block length in bytes; may be set before the first feed
         self._uses: dict = {}  # input key -> [(target, coef, lone)]
         self._shared: dict = {}  # target -> coefficients other than 1 on 2+ terms
+        self._acc: dict = {}  # target -> XOR of its finished terms
+        self._pending: dict = {}  # (target, coef) -> XOR of the inputs awaiting coef
+        self._planes: list[int] = []  # plane -> XOR of the inputs fed into it
+        self._coords: dict = {}  # input key -> the planes it goes into
+        self._rows: list[list] = []  # plane -> [(wide target, nonzero coef)]
+        self._wide: set = set()
+        counts = {}
         for target, pairs in terms.items():
-            count: dict[int, int] = {}
+            count = counts[target] = {}
             for _, coef in pairs:
                 count[coef] = count.get(coef, 0) + 1
+        wide = [t for t, count in counts.items() if sum(c > 1 for c in count) > _WIDE]
+        if wide:
+            vectors: dict = {}
+            for w, target in enumerate(wide):
+                for key, coef in terms[target]:
+                    vectors[key] = vectors.get(key, 0) ^ coef << 8 * w
+            basis = _reduced_basis(vectors.values())
+            # unit coefficients first, so a plane's int can go once it is bytes
+            self._rows = [
+                sorted(
+                    ((t, b >> 8 * w & 0xFF) for w, t in enumerate(wide) if b >> 8 * w & 0xFF),
+                    key=lambda tc: tc[1] != 1,
+                )
+                for b in basis
+            ]
+            self._planes = [0] * len(basis)
+            self._wide = set(wide)
+            pivots = [b & -b for b in basis]
+            for key, v in vectors.items():
+                planes = [j for j, p in enumerate(pivots) if v & p]
+                if planes:
+                    self._coords[key] = planes
+        for target, pairs in terms.items():
+            if target in self._wide:
+                continue
+            count = counts[target]
             self._shared[target] = [c for c, n in count.items() if c > 1 and n > 1]
             for key, coef in pairs:
                 if coef:
                     self._uses.setdefault(key, []).append((target, coef, count[coef] == 1))
-        self._acc: dict = {}  # target -> XOR of its finished terms
-        self._pending: dict = {}  # (target, coef) -> XOR of the inputs awaiting coef
 
-    def feed(self, key, data: bytes | None, value: int | None = None) -> int | None:
-        """Add input *key*, given as bytes *data*, int *value* or both, to
-        every target that uses it.  Returns its int form: *value*, the one
-        made here, or None if no target needed one."""
+    def feed(self, key, data) -> None:
+        """Add input *key*, any bytes-like object of ``width`` bytes, to
+        every target that uses it."""
+        value = None
+        planes = self._coords.pop(key, ())
+        if planes:
+            value = int.from_bytes(data, "little")
+            for j in planes:
+                self._planes[j] ^= value
         acc, pending = self._acc, self._pending
         for target, coef, lone in self._uses.pop(key, ()):
             if lone and coef != 1:
-                if data is None:
-                    data = value.to_bytes(self.width, "little")
                 term = int.from_bytes(scale_bytes(coef, data), "little")
                 acc[target] = acc.get(target, 0) ^ term
                 continue
@@ -408,15 +476,36 @@ class _Sums:
                 acc[target] = acc.get(target, 0) ^ value
             else:
                 pending[target, coef] = pending.get((target, coef), 0) ^ value
-        return value
 
     def take(self, target) -> int:
         """*target*'s finished sum as an int; the sums forget it."""
+        if target in self._wide and self._rows:
+            self._spread()
         value = self._acc.pop(target, 0)
         for coef in self._shared.pop(target, ()):
             total = self._pending.pop((target, coef), 0).to_bytes(self.width, "little")
             value ^= int.from_bytes(scale_bytes(coef, total), "little")
         return value
+
+    def _spread(self) -> None:
+        """Add each plane, scaled, into every wide target, one plane at a
+        time, dropping each plane once it is scaled."""
+        if self._coords:
+            raise ValueError("a wide sum is taken before every input is fed")
+        acc, planes, rows = self._acc, self._planes, self._rows
+        self._planes, self._rows = [], []
+        for j, row in enumerate(rows):
+            plane, planes[j] = planes[j], 0
+            body = None
+            for target, coef in row:
+                if coef == 1:
+                    term = plane
+                else:
+                    if body is None:
+                        body, plane = plane.to_bytes(self.width, "little"), None
+                    term = int.from_bytes(scale_bytes(coef, body), "little")
+                acc[target] = acc[target] ^ term if target in acc else term
+                del term  # before the next term is made
 
 
 def _eliminate(rows: list[list[int]], ncols: int) -> int:
@@ -465,8 +554,10 @@ def _transform(rows: list[list[int]], ncols: int) -> tuple[int, list[list[int]]]
 class StripeEncoder:
     """Encode one stripe fed a data block at a time.  Each block goes into
     the parity sums as it arrives and nothing of it is kept, so a caller
-    may read every block into the same buffer.  ``parities()`` returns the
-    parity blocks once each data block has been fed exactly once."""
+    may read every block into the same buffer.  The XOR parities are plain
+    sums; the heptagon-local global parities are ``_Sums``' wide targets,
+    summed through 8 shared bit-planes.  ``parities()`` yields the parity
+    blocks once each data block has been fed exactly once."""
 
     def __init__(self, scheme: Scheme, width: int):
         geo = _geometry(scheme)
@@ -484,11 +575,13 @@ class StripeEncoder:
         self._unfed.remove(index)
         self._sums.feed(index, block)
 
-    def parities(self) -> dict[int, bytes]:
-        """Parity block id -> bytes, in block-role order."""
+    def parities(self) -> Iterator[tuple[int, bytes]]:
+        """(parity block id, bytes) in block-role order, each made as it is
+        asked for, so a caller that writes and drops it holds one."""
         if self._unfed:
             raise ValueError(f"data blocks {sorted(self._unfed)} were not fed")
-        return {b: self._sums.take(b).to_bytes(self.width, "little") for b in self._parities}
+        for b in self._parities:
+            yield b, self._sums.take(b).to_bytes(self.width, "little")
 
 
 def encode_stripe(scheme: Scheme, data: list[bytes]) -> dict[int, bytes]:
@@ -499,7 +592,7 @@ def encode_stripe(scheme: Scheme, data: list[bytes]) -> dict[int, bytes]:
     encoder = StripeEncoder(scheme, len(data[0]) if data else 0)
     for i, block in enumerate(data):
         encoder.feed(i, block)
-    parities = encoder.parities()
+    parities = dict(encoder.parities())
     return {
         b: bytes(data[role.index]) if role.kind == "data" else parities[b]
         for b, role in _geometry(scheme).roles.items()
@@ -1018,6 +1111,18 @@ def plan_degraded_read(
 # Plan execution
 
 
+def _compose(pairs) -> dict[int, int]:
+    """The sum of coef * form over (form, coef) *pairs*, each form a map
+    from source block to coefficient."""
+    out: dict[int, int] = {}
+    for form, coef in pairs:
+        if not coef:
+            continue
+        for b, c in form.items():
+            out[b] = out.get(b, 0) ^ (c if coef == 1 else gf_mul(coef, c))
+    return out
+
+
 def execute_plan(plan: RepairPlan, reader: Callable[[int], bytes]) -> dict[int, bytes]:
     """Run a plan against a block accessor, returning recovered blocks.
 
@@ -1025,84 +1130,64 @@ def execute_plan(plan: RepairPlan, reader: Callable[[int], bytes]) -> dict[int, 
     ChecksumMismatchError; blocks recovered earlier in the plan are readable
     by later transfers.
 
-    Read once: each source block is read from the accessor once, at the
-    first transfer that needs it, and becomes an int at most once.  Free
-    after last use: a block is fed into every partial parity that uses it
-    as soon as it is read or recovered and then dropped, unless a later
-    whole copy still has to send it; a payload is fed into every recovery
-    that uses it as soon as its transfer runs and then dropped.  A partial
-    parity stays an int, a whole copy keeps the bytes the accessor returned,
-    and each recovered block becomes bytes once.
+    The plan is composed before any byte moves.  One pass walks the
+    transfers in plan order and writes each payload, and each recovery as
+    it becomes ready, as a GF(2^8)-linear map over the blocks the accessor
+    serves, substituting a recovered block's map wherever a later transfer
+    reads it.  Then each source block is read once, in first-need order,
+    and fed into one ``_Sums`` whose targets are the blocks the plan
+    returns, so the terms of every recovery meet in one sum and the wide
+    ones share bit-planes.  A source is dropped once fed unless a
+    delivering whole copy returns it: such a block is the accessor's bytes.
+    Each recovered block becomes bytes once, one at a time.
     """
     transfers, recoveries = plan.transfers, plan.recoveries
-    # a block is keyed by version: 0 as the accessor serves it, n as its
-    # n-th recovery in the plan leaves it
-    rec_keys = []
-    count: dict[int, int] = {}
-    for rec in recoveries:
-        count[rec.block_id] = count.get(rec.block_id, 0) + 1
-        rec_keys.append((rec.block_id, count[rec.block_id]))
-    partials: dict[int, list] = {}  # transfer -> its terms over block versions
-    copies: dict[tuple, list[int]] = {}  # block version -> transfers copying it whole
-    first_reads: dict[int, list] = {}  # transfer -> blocks it is first to read
-    read: set[int] = set()
-    version: dict[int, int] = {}
+    sources: dict[int, None] = {}  # blocks the accessor serves, in first-need order
+    version: dict[int, dict] = {}  # block -> its latest recovered form
+    forms: list[dict] = []  # transfer -> its payload's form
+    out: dict[int, dict | None] = {}  # block returned -> its form, None for served bytes
+
+    def form(b: int) -> dict:
+        f = version.get(b)
+        if f is None:
+            sources[b] = None
+            return {b: 1}
+        return f
+
     k = 0
-    for idx, tr in enumerate(transfers):
+    for idx in range(len(transfers) + 1):  # the last round settles the recoveries left
         while k < len(recoveries) and recoveries[k].ready_after < idx:
-            version[rec_keys[k][0]] = rec_keys[k][1]
+            rec = recoveries[k]
+            version[rec.block_id] = out[rec.block_id] = _compose(
+                (forms[i], c) for i, c in rec.terms
+            )
             k += 1
+        if idx == len(transfers):
+            break
+        tr = transfers[idx]
         p = tr.payload
         if isinstance(p, WholeCopy):
-            key = (p.block_id, version.get(p.block_id, 0))
-            copies.setdefault(key, []).append(idx)
-            keys = [key]
+            if tr.delivers and p.block_id not in version:
+                out[p.block_id] = None
+            forms.append(form(p.block_id))
         else:
-            keys = [(b, version.get(b, 0)) for b, _ in p.terms]
-            partials[idx] = [(key, coef) for key, (_, coef) in zip(keys, p.terms)]
-        for b, v in keys:
-            if v == 0 and b not in read:
-                read.add(b)
-                first_reads.setdefault(idx, []).append(b)
-
-    blocks = _Sums(partials)  # partial parities over block versions
-    payloads = _Sums({k: rec.terms for k, rec in enumerate(recoveries)})
-    summed = {i for rec in recoveries for i, _ in rec.terms}
-    held: dict[int, list] = {}  # whole copy's transfer -> [bytes, int or None]
-    recovered: dict[int, bytes] = {}
-    width = None
-
-    def feed(key, data: bytes, value: int | None = None) -> None:
-        value = blocks.feed(key, data, value)
-        whole = copies.get(key, ())
-        # keep the int form only for a copy that a recovery sums
-        form = [data, value if any(idx in summed for idx in whole) else None]
-        for idx in whole:
-            held[idx] = form
-
-    k = 0
-    for idx, tr in enumerate(transfers):
-        for b in first_reads.get(idx, ()):
-            data = reader(b)
-            if width is None:
-                width = blocks.width = payloads.width = len(data)
-            elif len(data) != width:
-                raise ValueError("blocks differ in length")
-            feed((b, 0), data)
-        p = tr.payload
-        if isinstance(p, WholeCopy):
-            form = held.pop(idx)
-            if tr.delivers:
-                recovered[p.block_id] = form[0]
-            form[1] = payloads.feed(idx, *form)
-        else:
-            payloads.feed(idx, None, blocks.take(idx))
-        while k < len(recoveries) and recoveries[k].ready_after <= idx:
-            value = payloads.take(k)
-            data = recovered[rec_keys[k][0]] = value.to_bytes(width, "little")
-            feed(rec_keys[k], data, value)
-            k += 1
+            forms.append(_compose((form(b), c) for b, c in p.terms))
     if k < len(recoveries):
         raise AssertionError("plan recoveries reference transfers that never ran")
-    return recovered
 
+    sums = _Sums({b: list(f.items()) for b, f in out.items() if f is not None})
+    served: dict[int, bytes] = {}
+    for b in sources:
+        data = reader(b)
+        if sums.width is None:
+            sums.width = len(data)
+        elif len(data) != sums.width:
+            raise ValueError("blocks differ in length")
+        sums.feed(b, data)
+        if b in out and out[b] is None:
+            served[b] = data
+        del data  # not held while the next source is read or the sums are taken
+    return {
+        b: served.pop(b) if f is None else sums.take(b).to_bytes(sums.width, "little")
+        for b, f in out.items()
+    }

@@ -19,11 +19,14 @@ from polycode.blockstore import (
 from polycode.codes import (
     ChecksumMismatchError,
     MissingBlockError,
+    RepairPlan,
     Replication,
     Scheme,
+    WholeCopy,
     _geometry,
     is_recoverable_mask,
 )
+from polycode.gf256 import scale_bytes
 from polycode.mapsched import (
     Assignment,
     ClusterModel,
@@ -346,3 +349,152 @@ def put_reference(
     manifest = StoreManifest(name, len(data), scheme.name, block_size, stripes)
     _write_json(store.root / f"{name}.manifest.json", manifest.to_dict())
     return manifest
+
+
+class SumsReference:
+    """``codes._Sums`` before bit-planes: GF(2^8)-linear sums over a set of
+    inputs, built by feeding each input once.  ``terms[target]`` lists a target's (input key, coefficient)
+    pairs; an input may appear in many targets, or twice in one.
+
+    Blocks are summed as little-endian ints.  GF(2^8) multiplication
+    distributes over XOR, so a target's terms that share a coefficient are
+    XORed and their sum is scaled once, when the target is taken.  A lone
+    term with a coefficient other than 1 is scaled straight from the
+    input's bytes.  Coefficient 1 is never scaled and 0 is skipped.  An
+    input's int form is made at most once, and nothing of it is kept once
+    it has been fed.
+    """
+
+    def __init__(self, terms: Mapping, width: int | None = None):
+        self.width = width  # block length in bytes; may be set before the first feed
+        self._uses: dict = {}  # input key -> [(target, coef, lone)]
+        self._shared: dict = {}  # target -> coefficients other than 1 on 2+ terms
+        for target, pairs in terms.items():
+            count: dict[int, int] = {}
+            for _, coef in pairs:
+                count[coef] = count.get(coef, 0) + 1
+            self._shared[target] = [c for c, n in count.items() if c > 1 and n > 1]
+            for key, coef in pairs:
+                if coef:
+                    self._uses.setdefault(key, []).append((target, coef, count[coef] == 1))
+        self._acc: dict = {}  # target -> XOR of its finished terms
+        self._pending: dict = {}  # (target, coef) -> XOR of the inputs awaiting coef
+
+    def feed(self, key, data: bytes | None, value: int | None = None) -> int | None:
+        """Add input *key*, given as bytes *data*, int *value* or both, to
+        every target that uses it.  Returns its int form: *value*, the one
+        made here, or None if no target needed one."""
+        acc, pending = self._acc, self._pending
+        for target, coef, lone in self._uses.pop(key, ()):
+            if lone and coef != 1:
+                if data is None:
+                    data = value.to_bytes(self.width, "little")
+                term = int.from_bytes(scale_bytes(coef, data), "little")
+                acc[target] = acc.get(target, 0) ^ term
+                continue
+            if value is None:
+                value = int.from_bytes(data, "little")
+            if coef == 1:
+                acc[target] = acc.get(target, 0) ^ value
+            else:
+                pending[target, coef] = pending.get((target, coef), 0) ^ value
+        return value
+
+    def take(self, target) -> int:
+        """*target*'s finished sum as an int; the sums forget it."""
+        value = self._acc.pop(target, 0)
+        for coef in self._shared.pop(target, ()):
+            total = self._pending.pop((target, coef), 0).to_bytes(self.width, "little")
+            value ^= int.from_bytes(scale_bytes(coef, total), "little")
+        return value
+
+
+def execute_plan_reference(plan: RepairPlan, reader: Callable[[int], bytes]) -> dict[int, bytes]:
+    """``codes.execute_plan`` as it ran each transfer in turn, summing its
+    payload and each recovery from the bytes: the reference whose results
+    and errors the composed executor must equal.
+
+    The accessor serves surviving blocks and may raise MissingBlockError or
+    ChecksumMismatchError; blocks recovered earlier in the plan are readable
+    by later transfers.
+
+    Read once: each source block is read from the accessor once, at the
+    first transfer that needs it, and becomes an int at most once.  Free
+    after last use: a block is fed into every partial parity that uses it
+    as soon as it is read or recovered and then dropped, unless a later
+    whole copy still has to send it; a payload is fed into every recovery
+    that uses it as soon as its transfer runs and then dropped.  A partial
+    parity stays an int, a whole copy keeps the bytes the accessor returned,
+    and each recovered block becomes bytes once.
+    """
+    transfers, recoveries = plan.transfers, plan.recoveries
+    # a block is keyed by version: 0 as the accessor serves it, n as its
+    # n-th recovery in the plan leaves it
+    rec_keys = []
+    count: dict[int, int] = {}
+    for rec in recoveries:
+        count[rec.block_id] = count.get(rec.block_id, 0) + 1
+        rec_keys.append((rec.block_id, count[rec.block_id]))
+    partials: dict[int, list] = {}  # transfer -> its terms over block versions
+    copies: dict[tuple, list[int]] = {}  # block version -> transfers copying it whole
+    first_reads: dict[int, list] = {}  # transfer -> blocks it is first to read
+    read: set[int] = set()
+    version: dict[int, int] = {}
+    k = 0
+    for idx, tr in enumerate(transfers):
+        while k < len(recoveries) and recoveries[k].ready_after < idx:
+            version[rec_keys[k][0]] = rec_keys[k][1]
+            k += 1
+        p = tr.payload
+        if isinstance(p, WholeCopy):
+            key = (p.block_id, version.get(p.block_id, 0))
+            copies.setdefault(key, []).append(idx)
+            keys = [key]
+        else:
+            keys = [(b, version.get(b, 0)) for b, _ in p.terms]
+            partials[idx] = [(key, coef) for key, (_, coef) in zip(keys, p.terms)]
+        for b, v in keys:
+            if v == 0 and b not in read:
+                read.add(b)
+                first_reads.setdefault(idx, []).append(b)
+
+    blocks = SumsReference(partials)  # partial parities over block versions
+    payloads = SumsReference({k: rec.terms for k, rec in enumerate(recoveries)})
+    summed = {i for rec in recoveries for i, _ in rec.terms}
+    held: dict[int, list] = {}  # whole copy's transfer -> [bytes, int or None]
+    recovered: dict[int, bytes] = {}
+    width = None
+
+    def feed(key, data: bytes, value: int | None = None) -> None:
+        value = blocks.feed(key, data, value)
+        whole = copies.get(key, ())
+        # keep the int form only for a copy that a recovery sums
+        form = [data, value if any(idx in summed for idx in whole) else None]
+        for idx in whole:
+            held[idx] = form
+
+    k = 0
+    for idx, tr in enumerate(transfers):
+        for b in first_reads.get(idx, ()):
+            data = reader(b)
+            if width is None:
+                width = blocks.width = payloads.width = len(data)
+            elif len(data) != width:
+                raise ValueError("blocks differ in length")
+            feed((b, 0), data)
+        p = tr.payload
+        if isinstance(p, WholeCopy):
+            form = held.pop(idx)
+            if tr.delivers:
+                recovered[p.block_id] = form[0]
+            form[1] = payloads.feed(idx, *form)
+        else:
+            payloads.feed(idx, None, blocks.take(idx))
+        while k < len(recoveries) and recoveries[k].ready_after <= idx:
+            value = payloads.take(k)
+            data = recovered[rec_keys[k][0]] = value.to_bytes(width, "little")
+            feed(rec_keys[k], data, value)
+            k += 1
+    if k < len(recoveries):
+        raise AssertionError("plan recoveries reference transfers that never ran")
+    return recovered

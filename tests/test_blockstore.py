@@ -777,6 +777,18 @@ def test_degraded_cli_get_holds_less_than_a_stripe(hl_file, capsys):
     assert capsys.readouterr().out.endswith("; degraded transfers: 72\n")  # 24 a stripe
 
 
+def test_degraded_cli_get_holds_less_than_half_a_stripe(hl_file, capsys):
+    # a 3-loss plan holds its 9 bit-planes, then the 3 recoveries: 0.445;
+    # 0.657 when every partial parity of the plan was summed at once
+    store, src = hl_file
+    store.put(src)
+    for node in (0, 1, 2):
+        store.kill_node(node)
+    out = src.with_name("out.bin")
+    assert peak_stripes(lambda: cli_get(store, src.name, out)) < 0.5
+    assert out.read_bytes() == src.read_bytes()
+
+
 def test_repair_holds_one_body_per_block(hl_file):
     store, src = hl_file
     store.put(src)

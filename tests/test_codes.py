@@ -12,6 +12,7 @@ from polycode.codes import (
     BlockAvailableError,
     BlockRole,
     ChecksumMismatchError,
+    CodeError,
     HeptagonLocal,
     InconsistentStripeError,
     MissingBlockError,
@@ -42,7 +43,7 @@ from polycode.codes import (
 )
 from polycode.gf256 import scale_bytes
 
-from helpers import make_checked_reader
+from helpers import execute_plan_reference, make_checked_reader
 
 ALL_SCHEMES = [
     Replication(2),
@@ -655,12 +656,8 @@ def test_execute_plan_missing_block():
         execute_plan(plan, make_checked_reader({}))
 
 
-def test_heptagon_local_triple_plans_read_once_and_scale_per_coefficient(monkeypatch):
-    # 74 alpha-weighted source-side terms plus at most 3 scalings for each of
-    # the 3 recoveries; every surviving block the plans touch is read once
-    scheme = HeptagonLocal()
-    data, blocks = full_blocks(scheme, random.Random(42), size=64)
-    down = {0, 1, 2}
+def count_scalings(monkeypatch) -> list[int]:
+    """Patch ``codes.scale_bytes`` to record each coefficient it scales by."""
     scalings = []
     real_scale = codes.scale_bytes
 
@@ -669,6 +666,16 @@ def test_heptagon_local_triple_plans_read_once_and_scale_per_coefficient(monkeyp
         return real_scale(coef, body)
 
     monkeypatch.setattr(codes, "scale_bytes", counting_scale)
+    return scalings
+
+
+def test_heptagon_local_triple_plans_read_once_and_scale_per_coefficient(monkeypatch):
+    # every surviving block the plans touch is read once; 83 scalings is the
+    # bound of scaling per term and coefficient, the next test pins planes'
+    scheme = HeptagonLocal()
+    data, blocks = full_blocks(scheme, random.Random(42), size=64)
+    down = {0, 1, 2}
+    scalings = count_scalings(monkeypatch)
     source = make_checked_reader(present_view(scheme, blocks, down))
     reads = []
 
@@ -688,6 +695,93 @@ def test_heptagon_local_triple_plans_read_once_and_scale_per_coefficient(monkeyp
         assert recovered[b] == blocks[b]
     assert len(scalings) <= 83
     assert len(reads) == len(set(reads))
+
+
+def test_heptagon_local_operations_scale_a_plane_per_wide_target(monkeypatch):
+    # one scaling per (plane, wide target) at most: 8 planes for the two
+    # global parities and 9 for a triple solve's three recoveries; per term
+    # and coefficient it was 78 for encode, 83 for each plan and 161 for decode
+    scheme = HeptagonLocal()
+    data, blocks = full_blocks(scheme, random.Random(43), size=64)
+    down = {0, 1, 2}
+    reader = make_checked_reader(present_view(scheme, blocks, down))
+    scalings = count_scalings(monkeypatch)
+    assert encode_stripe(scheme, data) == blocks
+    assert len(scalings) <= 16
+    scalings.clear()
+    assert execute_plan(plan_degraded_read(scheme, 0, down), reader)[0] == blocks[0]
+    assert len(scalings) <= 24
+    scalings.clear()
+    recovered = execute_plan(plan_repair(scheme, down), reader)
+    assert all(recovered[b] == blocks[b] for n in down for b in geometry(scheme).blocks_on[n])
+    assert len(scalings) <= 24
+    scalings.clear()
+    assert decode_stripe(scheme, surviving_view(scheme, blocks, down), down) == data
+    assert len(scalings) <= 40
+
+
+def test_global_parities_share_eight_planes():
+    geo = geometry(HeptagonLocal())
+    sums = codes._Sums({b: list(enumerate(geo.rows[b])) for b in geo.global_blocks}, 1)
+    assert len(sums._rows) == 8
+    for i in range(39):
+        sums.feed(i, b"\x01")
+    with pytest.raises(ValueError):  # a plane still lacks data block 39
+        sums.take(geo.global_blocks[0])
+
+
+def run_executor(execute, plan, present, victim=None, corrupt=False):
+    """(result or exception type, blocks read in order) of one run of
+    *execute*; *victim* is left out of *present*, or corrupted after the
+    reader takes its CRCs."""
+    source = dict(present)
+    if victim is not None and not corrupt:
+        del source[victim]
+    checked = make_checked_reader(source)
+    if corrupt:
+        source[victim] = bytes(len(source[victim]))
+    reads = []
+
+    def reader(block_id):
+        reads.append(block_id)
+        return checked(block_id)
+
+    try:
+        return execute(plan, reader), reads
+    except CodeError as exc:
+        return type(exc), reads
+
+
+@pytest.mark.parametrize(
+    "scheme", [HeptagonLocal(), Polygon(5), Polygon(7), RaidMirror(3)], ids=lambda s: s.name
+)
+def test_execute_plan_matches_reference_executor(scheme):
+    # every recoverable repair and degraded-read pattern up to 3 losses
+    # (heptagon-local) or the tolerance: the same bytes, the same blocks
+    # read in the same order, and the same error for a missing or corrupt
+    # source, here the last one read and the first
+    geo = geometry(scheme)
+    data, blocks = full_blocks(scheme, random.Random(52), size=16)
+    limit = 3 if isinstance(scheme, HeptagonLocal) else tolerance(scheme)
+    plans = 0
+    for size in range(1, limit + 1):
+        for pattern in itertools.combinations(range(scheme.code_length), size):
+            down = set(pattern)
+            if not is_recoverable(scheme, down):
+                continue
+            present = present_view(scheme, blocks, down)
+            lost = [b for b, slots in geo.placements.items() if all(s in down for s in slots)]
+            for plan in [plan_repair(scheme, down)] + [
+                plan_degraded_read(scheme, b, down) for b in lost
+            ]:
+                expected, reads = run_executor(execute_plan_reference, plan, present)
+                assert run_executor(execute_plan, plan, present) == (expected, reads)
+                for victim, corrupt in [(reads[-1], False), (reads[0], True)]:
+                    ref = run_executor(execute_plan_reference, plan, present, victim, corrupt)
+                    new = run_executor(execute_plan, plan, present, victim, corrupt)
+                    assert new[0] == ref[0] in (MissingBlockError, ChecksumMismatchError)
+                plans += 1
+    assert plans > 0
 
 
 COEFS = st.one_of(st.sampled_from([0, 1, 2, 0x8E]), st.integers(0, 255))
@@ -716,6 +810,37 @@ def test_sums_match_per_term_scaling(case):
     for k, body in enumerate(bodies):
         sums.feed(k, body)
     assert sums.take("t").to_bytes(width, "little") == naive_sum(width, bodies, terms)
+
+
+@st.composite
+def wide_sums(draw):
+    width = draw(st.sampled_from([0, 1, 7, 16]))
+    count = draw(st.integers(1, 24))
+    bodies = [draw(st.binary(min_size=width, max_size=width)) for _ in range(count)]
+    key = st.integers(0, count - 1)
+    pool = draw(st.lists(st.integers(2, 255), min_size=1, max_size=4))
+    mixed = st.tuples(key, st.one_of(st.sampled_from([0, 1]), st.sampled_from(pool), COEFS))
+    targets = []
+    for _ in range(draw(st.integers(1, 4))):
+        # most targets get 9+ distinct coefficients above 1, which makes them wide
+        least = draw(st.sampled_from([0, 9, 9, 9]))
+        spread = draw(st.lists(st.integers(2, 255), min_size=least, max_size=20, unique=True))
+        rest = draw(st.lists(mixed, min_size=max(0, 9 - len(spread)), max_size=40 - len(spread)))
+        targets.append(draw(st.permutations([(draw(key), c) for c in spread] + rest)))
+    return width, bodies, targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_sums())
+def test_wide_sums_match_per_term_scaling(case):
+    # 1-4 targets of 9-40 terms over shared inputs, repeated within a
+    # target, with 0, 1 and repeated coefficients
+    width, bodies, targets = case
+    sums = codes._Sums(dict(enumerate(targets)), width)
+    for k, body in enumerate(bodies):
+        sums.feed(k, body)
+    for t, terms in enumerate(targets):
+        assert sums.take(t).to_bytes(width, "little") == naive_sum(width, bodies, terms)
 
 
 @settings(max_examples=100, deadline=None)
