@@ -6,13 +6,22 @@ Tree layout::
     root/.lock                  taken by every mutating operation
     root/n<k>/                  one directory per simulated node
     root/<name>.manifest.json   one manifest per stored file
-    n<k>/<name>.s<stripe>_b<block>_r<copy>.blk   block replica files
+    n<k>/<name>.s<stripe>.blk   node k's blocks of one stripe
 
-Stripes are numbered from 0 within each file, whose name prefixes its block
-files, so puts share no counter and no block file.  CRC32 (IEEE polynomial)
-of every replica is recorded in the manifest as 8 hex characters.  Killing a
-node wipes its directory, which forces real repair traffic instead of
-replica re-registration.
+The codes keep several blocks of a stripe on one node, and a node keeps
+them in one file: its blocks of the stripe concatenated in block-id order,
+``block_size`` bytes each, with no header.  The manifest names no file: a
+replica's file follows from (name, stripe, node) and its offset from the
+block's rank among that node's blocks of the stripe.  Stripes are numbered
+from 0 within each file, whose name prefixes its block files, so puts share
+no counter and no block file.  CRC32 (IEEE polynomial) of every block is
+recorded in the manifest as 8 hex characters.  Killing a node wipes its
+directory, which forces real repair traffic instead of replica
+re-registration.
+
+``fsck`` reports a node file that is not there as missing, once, so its
+``missing`` count is the number of block files the killed nodes held; a
+replica that fails its CRC, or that a short file cuts off, is corrupt.
 
 Memory: no operation holds a file.  ``put`` reads its input a data block at
 a time into one buffer that feeds ``codes.StripeEncoder`` and is written to
@@ -25,13 +34,15 @@ read leaves the output as it was.  ``repair`` holds one stripe: one good
 body per block and the plan's sums.  ``fsck`` holds one replica.
 
 Three helpers, ``_read_file``, ``_write_file`` and ``_remove_files``, are the
-only code that opens or removes a block file; ``store.json`` and the
-manifests are read through ``_read_file`` too.  Every JSON file is written
-compact (no indent, so ``json`` uses its C encoder) to a temp file and
-renamed over its target.  The commit points are ``store.json`` for ``create``, the manifest for ``put``,
-and the last ``store.json`` write for ``repair``, which marks nodes up only
-after their blocks are written.  A write that fails earlier leaves at most
-block files that no manifest names.  Nothing is fsynced.
+only code that opens or removes a block file, and they read and write it a
+block range at a time.  ``store.json`` and the manifests are read by
+``_read_json`` and written compact (no indent, so ``json`` uses its C
+encoder) by ``_write_json``, to a temp file that is renamed over its target.
+The commit points are ``store.json`` for ``create``, the manifest for
+``put``, and the last ``store.json`` write for ``repair``, which marks nodes
+up only after their blocks are written.  A write that fails earlier leaves
+at most block files that no manifest names, or a replica that the next
+repair rewrites.  Nothing is fsynced.
 
 Concurrency: put, kill, revive and repair take an exclusive ``flock`` on
 ``root/.lock``, which holds across handles, threads and processes, and
@@ -81,7 +92,6 @@ class BlockRecord:
     block_id: int
     role: str
     nodes: list[int]
-    files: list[str]
     crc32: str
 
 
@@ -120,7 +130,6 @@ class StoreManifest:
                             "block": b.block_id,
                             "role": b.role,
                             "nodes": b.nodes,
-                            "files": b.files,
                             "crc32": b.crc32,
                         }
                         for b in s.blocks
@@ -132,12 +141,17 @@ class StoreManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StoreManifest":
+        if any("files" in b for s in d["stripes"] for b in s["blocks"]):
+            raise StoreError(
+                f"{d['file']} is stored in the old layout of one file per replica"
+                " (its manifest lists 'files'), which this store does not read"
+            )
         stripes = [
             StripeRecord(
                 index=s["index"],
                 node_order=list(s["node_order"]),
                 blocks=[
-                    BlockRecord(b["block"], b["role"], list(b["nodes"]), list(b["files"]), b["crc32"])
+                    BlockRecord(b["block"], b["role"], list(b["nodes"]), b["crc32"])
                     for b in s["blocks"]
                 ],
             )
@@ -148,7 +162,9 @@ class StoreManifest:
 
 @dataclass
 class FsckReport:
-    missing: list[tuple[str, int, int, int]] = field(default_factory=list)
+    # missing node files as (file, stripe, node); corrupt replicas as
+    # (file, stripe, block, node)
+    missing: list[tuple[str, int, int]] = field(default_factory=list)
     corrupt: list[tuple[str, int, int, int]] = field(default_factory=list)
     fatal_stripes: list[tuple[str, int]] = field(default_factory=list)
 
@@ -165,6 +181,16 @@ class RepairResult:
 
 def _crc(data: bytes) -> str:
     return f"{zlib.crc32(data):08x}"
+
+
+def _read_json(path: str) -> dict | None:
+    """The JSON file's object, or None when the file does not exist.
+    Unbuffered: the file is read whole, so a buffer would only add a copy."""
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            return json.loads(fh.readall())
+    except (FileNotFoundError, NotADirectoryError):
+        return None
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -191,6 +217,44 @@ def fill(src, view: memoryview) -> int:
             break
         n += got
     return n
+
+
+def _node_files(name: str, index: int, replicas) -> dict[int, tuple[str, list[int]]]:
+    """Each node's block file of stripe *index* of *name*, with the ids of
+    the blocks it holds in file order.  *replicas* pairs each block id with
+    its nodes; a node's blocks follow each other in block-id order."""
+    held: dict[int, list[int]] = {}
+    for block_id, nodes in sorted(replicas):
+        for node in nodes:
+            held.setdefault(node, []).append(block_id)
+    return {node: (f"n{node}/{name}.s{index}.blk", ids) for node, ids in held.items()}
+
+
+def _stripe_files(manifest: StoreManifest, stripe: StripeRecord):
+    """``_node_files`` of a stored stripe."""
+    return _node_files(manifest.name, stripe.index, ((b.block_id, b.nodes) for b in stripe.blocks))
+
+
+def _places(files: dict[int, tuple[str, list[int]]], size: int) -> dict[tuple[int, int], tuple]:
+    """(file, offset) of each replica, keyed (block id, node), for blocks of
+    *size* bytes in the node files *files*."""
+    return {
+        (block_id, node): (fname, rank * size)
+        for node, (fname, ids) in files.items()
+        for rank, block_id in enumerate(ids)
+    }
+
+
+def _preads(fd: int, offsets, size: int, buffer: bytearray | None):
+    """Read *size* bytes at each of *offsets* from *fd*, then close it."""
+    try:
+        for offset in offsets:
+            if buffer is None:
+                yield os.pread(fd, size, offset)
+            else:
+                yield memoryview(buffer)[: os.preadv(fd, [buffer], offset)]
+    finally:
+        os.close(fd)
 
 
 def _source_reader(sources: dict[int, bytes]):
@@ -246,10 +310,10 @@ class BlockStore:
     # -- bookkeeping --------------------------------------------------------
 
     def _read_config(self) -> dict:
-        text = self._read_file("store.json")
-        if text is None:
+        cfg = _read_json(f"{self._root}/store.json")
+        if cfg is None:
             raise StoreError(f"no store at {self.root}")
-        return json.loads(text)
+        return cfg
 
     def _save_config(self) -> None:
         cfg = {"scheme": self.scheme.name, "nodes": self.node_count,
@@ -284,33 +348,54 @@ class BlockStore:
         return self.root / f"{name}.manifest.json"
 
     def load_manifest(self, name: str) -> StoreManifest:
-        text = self._read_file(f"{name}.manifest.json") if _valid_name(name) else None
-        if text is None:
+        d = _read_json(f"{self._root}/{name}.manifest.json") if _valid_name(name) else None
+        if d is None:
             raise StoreError(f"no such stored file: {name}")
-        return StoreManifest.from_dict(json.loads(text))
+        return StoreManifest.from_dict(d)
 
     def manifests(self) -> list[StoreManifest]:
         with os.scandir(self._root) as entries:
             names = sorted(e.name for e in entries if e.name.endswith(".manifest.json"))
-        return [StoreManifest.from_dict(json.loads(self._read_file(n))) for n in names]
+        return [StoreManifest.from_dict(_read_json(f"{self._root}/{n}")) for n in names]
 
     # -- block files --------------------------------------------------------
-    # The only code that opens or removes a block file; *fname* is the
-    # root-relative name a BlockRecord keeps.  store.json and the manifests
-    # are read through _read_file too.
+    # The only code that opens or removes a block file; *fname* is a node
+    # file's root-relative name, n<node>/<name>.s<stripe>.blk.
 
-    def _read_file(self, fname: str) -> bytes | None:
-        """The file's bytes, or None when it does not exist.  Unbuffered:
-        the file is read whole, so a buffer would only add a copy."""
+    def _read_file(self, fname: str, offsets, size: int, buffer: bytearray | None = None):
+        """Read *size* bytes at each of *offsets* through one open of the
+        file, or return None when it does not exist.  The iterator yields
+        each read as new bytes or, given *buffer*, as a view of it that the
+        next read overwrites; a read past the file's end comes back short.
+        The file is closed when the iterator ends, so read it to its end."""
         try:
-            with open(f"{self._root}/{fname}", "rb", buffering=0) as fh:
-                return fh.readall()
+            fd = os.open(f"{self._root}/{fname}", os.O_RDONLY)
         except (FileNotFoundError, NotADirectoryError):
             return None
+        return _preads(fd, offsets, size, buffer)
 
-    def _write_file(self, fname: str, body: bytes) -> None:
-        with open(f"{self._root}/{fname}", "wb") as fh:
-            fh.write(body)
+    @contextmanager
+    def _write_file(self, fnames, whole: bool):
+        """Open the files for writing, made empty first when *whole*, and
+        yield write(fname, offset, body), which writes *body* at *offset*
+        of one of them.  Each file is opened once and closed on the way
+        out; a file written in place keeps every byte it is not given."""
+        flags = os.O_WRONLY | os.O_CREAT | (os.O_TRUNC if whole else 0)
+        fds = {}
+        try:
+            for fname in fnames:
+                fds[fname] = os.open(f"{self._root}/{fname}", flags, 0o666)
+
+            def write(fname: str, offset: int, body) -> None:
+                fd, view = fds[fname], memoryview(body)
+                while view:
+                    n = os.pwrite(fd, view, offset)
+                    view, offset = view[n:], offset + n
+
+            yield write
+        finally:
+            for fd in fds.values():
+                os.close(fd)
 
     def _remove_files(self, node_id: int) -> None:
         """Remove every block file on the node, named by a manifest or not."""
@@ -338,8 +423,10 @@ class BlockStore:
         is fed to the parity sums and its replicas are written at once, and
         the parities are written at the end of the stripe, each as it is
         made, so a put holds a block and the parity sums, never a stripe or
-        the file.  The input may be any readable file, a pipe included; it
-        is read to its end.
+        the file.  Each replica is written at its offset in its node's file
+        of the stripe; the stripe's node files are opened once each, and
+        closed before the next stripe.  The input may be any readable file,
+        a pipe included; it is read to its end.
 
         Scheme and block size default to the store's configuration but may
         vary per file; each manifest records its own.  The manifest's rename
@@ -373,79 +460,93 @@ class BlockStore:
                     layout = codes.build_layout(scheme, pool, layout_seed)
                     roles = layout.block_roles
                     data_block_of = {r.index: b for b, r in roles.items() if r.kind == "data"}
+                    hosts = {b: list(layout.replicas(b)) for b in roles}
+                    files = _node_files(name, k, hosts.items())
+                    places = _places(files, block_size)
                     records = {}
                     encoder = codes.StripeEncoder(scheme, block_size)
-                    for i in range(D):
-                        if i:
-                            n = fill(src, view)
-                        if n < block_size:  # the file's end: pad the stripe with zeros
-                            view[n:] = bytes(block_size - n)
-                        size += n
-                        encoder.feed(i, block)
-                        b = data_block_of[i]
-                        records[b] = self._place(f"{name}.s{k}", layout, roles[b], b, block)
-                    for b, body in encoder.parities():
-                        records[b] = self._place(f"{name}.s{k}", layout, roles[b], b, body)
+                    with self._write_file([f for f, _ in files.values()], whole=True) as write:
+
+                        def place(b: int, body) -> None:
+                            for node in hosts[b]:
+                                write(*places[b, node], body)
+                            records[b] = BlockRecord(b, roles[b].as_string(), hosts[b], _crc(body))
+
+                        for i in range(D):
+                            if i:
+                                n = fill(src, view)
+                            if n < block_size:  # the file's end: pad the stripe with zeros
+                                view[n:] = bytes(block_size - n)
+                            size += n
+                            encoder.feed(i, block)
+                            place(data_block_of[i], block)
+                        for b, body in encoder.parities():
+                            place(b, body)
                     blocks = [records[b] for b in sorted(records)]
                     stripes.append(StripeRecord(k, list(layout.node_order), blocks))
             manifest = StoreManifest(name, size, scheme.name, block_size, stripes)
             _write_json(self._manifest_path(name), manifest.to_dict())
             return manifest
 
-    def _place(self, prefix: str, layout, role, block_id: int, body) -> BlockRecord:
-        """Write each replica of a block as n<node>/<prefix>_b<id>_r<copy>.blk."""
-        nodes = list(layout.replicas(block_id))
-        files = [f"n{node}/{prefix}_b{block_id}_r{copy}.blk" for copy, node in enumerate(nodes)]
-        for fname in files:
-            self._write_file(fname, body)
-        return BlockRecord(block_id, role.as_string(), nodes, files, _crc(body))
-
     # -- read path ----------------------------------------------------------
 
-    def _scan(self, stripe: StripeRecord, keep: bool) -> tuple[dict, list]:
-        """Read every replica of the stripe once.  Returns each good replica
-        by (block id, node) and each bad replica as (record, node, file,
-        corrupt), both in manifest order; a replica on a down node is
-        missing without being read.  With *keep*, a block's first good
-        replica maps to its bytes, which serve for all of them because good
-        replicas pass the same CRC; every other good replica maps to None.
-        Dropping the bytes a scan does not need lets each read reuse the
-        memory of the one before."""
-        good, bad = {}, []
-        for record in stripe.blocks:
-            want = keep
-            for node, fname in zip(record.nodes, record.files):
-                body = None if node in self._down else self._read_file(fname)
-                if body is not None and _crc(body) == record.crc32:
-                    good[record.block_id, node] = body if want else None
-                    want = False
-                else:
-                    bad.append((record, node, fname, body is not None))
-        return good, bad
-
-    def _stripe_reader(self, stripe: StripeRecord, excluded_nodes: set[int]):
-        """Block accessor over the stripe's replicas: returns the first
-        replica that passes its CRC, skipping down or *excluded_nodes*,
-        missing files and corrupt copies.  Raises ChecksumMismatchError when
-        only corrupt replicas remain, MissingBlockError when none is left."""
+    def _scan(self, manifest: StoreManifest, stripe: StripeRecord, keep: bool):
+        """Read each live node file of the stripe once, a block at a time
+        into one buffer.  Returns (good, corrupt, missing): the ids of the
+        blocks with a good replica, each corrupt replica as (record, node),
+        and the nodes whose file is missing, in node order; a down node's
+        file is missing without being read, and a replica that a short file
+        cuts off is corrupt.  With *keep*, each good block id maps to a copy
+        of its first good replica, which serves for all of them because
+        good replicas pass the same CRC; else it maps to None."""
+        size = manifest.block_size
+        buffer = bytearray(size)
         by_id = {b.block_id: b for b in stripe.blocks}
+        good, corrupt, missing = {}, [], []
+        for node, (fname, ids) in sorted(_stripe_files(manifest, stripe).items()):
+            reads = None
+            if node not in self._down:
+                reads = self._read_file(fname, range(0, len(ids) * size, size), size, buffer)
+            if reads is None:
+                missing.append(node)
+                continue
+            for block_id, body in zip(ids, reads, strict=True):
+                record = by_id[block_id]
+                if len(body) == size and _crc(body) == record.crc32:
+                    if good.get(block_id) is None:
+                        good[block_id] = bytes(body) if keep else None
+                else:
+                    corrupt.append((record, node))
+        return good, corrupt, missing
+
+    def _stripe_reader(self, manifest: StoreManifest, stripe: StripeRecord):
+        """Block accessor over the stripe's replicas: returns the first
+        replica, in the record's node order, that passes its CRC, skipping
+        down nodes, missing files and corrupt copies.  Raises
+        ChecksumMismatchError when only corrupt replicas remain,
+        MissingBlockError when none is left."""
+        size = manifest.block_size
+        by_id = {b.block_id: b for b in stripe.blocks}
+        places = _places(_stripe_files(manifest, stripe), size)
 
         def reader(block_id: int) -> bytes:
             record = by_id.get(block_id)
             if record is None:
                 raise MissingBlockError(f"unknown block {block_id}")
             corrupt = None
-            for node, fname in zip(record.nodes, record.files):
-                if node in self._down or node in excluded_nodes:
+            for node in record.nodes:
+                if node in self._down:
                     continue
-                body = self._read_file(fname)
-                if body is None:
+                fname, offset = places[block_id, node]
+                reads = self._read_file(fname, (offset,), size)
+                if reads is None:
                     continue
-                if _crc(body) == record.crc32:
+                (body,) = reads
+                if len(body) == size and _crc(body) == record.crc32:
                     return body
                 corrupt = fname
             if corrupt is not None:
-                raise ChecksumMismatchError(f"{corrupt} failed its CRC check")
+                raise ChecksumMismatchError(f"block {block_id} in {corrupt} failed its CRC check")
             raise MissingBlockError(f"no live replica of block {block_id}")
 
         return reader
@@ -475,7 +576,7 @@ class BlockStore:
                 (b for b in stripe.blocks if b.role.startswith("data:")),
                 key=lambda b: int(b.role.split(":")[1]),
             )
-            reader = self._stripe_reader(stripe, set())
+            reader = self._stripe_reader(manifest, stripe)
             rebuilt: dict[int, bytes] = {}
             for record in data_records:
                 try:
@@ -541,17 +642,17 @@ class BlockStore:
     # -- scrub and repair ---------------------------------------------------
 
     def fsck(self) -> FsckReport:
-        """Read-only scan: missing replicas, CRC failures, fatal stripes."""
+        """Read-only scan: missing node files, replicas that fail their CRC
+        or that a short file cuts off, fatal stripes."""
         report = FsckReport()
         for manifest in self.manifests():
             scheme = parse_scheme(manifest.scheme)
             for stripe in manifest.stripes:
-                good, bad = self._scan(stripe, keep=False)
-                for record, node, _, corrupt in bad:
-                    (report.corrupt if corrupt else report.missing).append(
-                        (manifest.name, stripe.index, record.block_id, node)
-                    )
-                if not codes.can_decode_from(scheme, {block_id for block_id, _ in good}):
+                good, corrupt, missing = self._scan(manifest, stripe, keep=False)
+                report.missing += [(manifest.name, stripe.index, node) for node in missing]
+                report.corrupt += [(manifest.name, stripe.index, record.block_id, node)
+                                   for record, node in corrupt]
+                if not codes.can_decode_from(scheme, good):
                     report.fatal_stripes.append((manifest.name, stripe.index))
         return report
 
@@ -560,7 +661,9 @@ class BlockStore:
 
         Measured bandwidth is the sum of the executed plans' transfer
         counts.  Each damaged stripe is rebuilt from the bytes its scan read
-        and written back before the next is scanned.  A stripe that cannot
+        and written back before the next is scanned: a missing node file is
+        written whole, and a corrupt replica in place, so a write that fails
+        touches no good replica.  A stripe that cannot
         be rebuilt does not stop the others: FatalStripeError names the
         first one after every other stripe is restored.  Down nodes are
         marked up only after every block is written back, so a repair that
@@ -573,26 +676,34 @@ class BlockStore:
             for manifest in self.manifests():
                 scheme = parse_scheme(manifest.scheme)
                 for stripe in manifest.stripes:
-                    good, bad = self._scan(stripe, keep=True)
-                    if not bad:
+                    good, corrupt, missing = self._scan(manifest, stripe, keep=True)
+                    if not (corrupt or missing):
                         continue
-                    if not codes.can_decode_from(scheme, {block_id for block_id, _ in good}):
+                    if not codes.can_decode_from(scheme, good):
                         fatal = fatal or f"{manifest.name} stripe {stripe.index} is unrecoverable"
                         continue
                     # the plan reads only blocks on undamaged nodes, whose every
                     # replica is good, so each block it reads has kept bytes
-                    damaged = {node for _, node, _, _ in bad}
-                    sources = {b: body for (b, _), body in good.items() if body is not None}
+                    rewrite = {node: None for node in missing}  # None: the whole file
+                    for record, node in corrupt:
+                        rewrite.setdefault(node, set()).add(record.block_id)
                     slot_of = {node: s for s, node in enumerate(stripe.node_order)}
-                    plan = codes.plan_repair(scheme, frozenset(slot_of[n] for n in damaged))
-                    recovered = codes.execute_plan(plan, _source_reader(sources))
-                    for record, _, fname, _ in bad:
-                        body = recovered[record.block_id]
-                        if _crc(body) != record.crc32:
-                            raise codes.InconsistentStripeError(
-                                f"repaired block {record.block_id} fails its CRC"
-                            )
-                        self._write_file(fname, body)
+                    plan = codes.plan_repair(scheme, frozenset(slot_of[n] for n in rewrite))
+                    recovered = codes.execute_plan(plan, _source_reader(good))
+                    files = _stripe_files(manifest, stripe)
+                    crc = {b.block_id: b.crc32 for b in stripe.blocks}
+                    for node, ids in sorted(rewrite.items()):
+                        fname, held = files[node]
+                        with self._write_file([fname], whole=ids is None) as write:
+                            for rank, block_id in enumerate(held):
+                                if ids is not None and block_id not in ids:
+                                    continue
+                                body = recovered[block_id]
+                                if _crc(body) != crc[block_id]:
+                                    raise codes.InconsistentStripeError(
+                                        f"repaired block {block_id} fails its CRC"
+                                    )
+                                write(fname, rank * manifest.block_size, body)
                     plans += 1
                     bandwidth += plan.bandwidth_blocks
             if fatal is not None:

@@ -734,8 +734,9 @@ def decode_stripe(
     every other block its solve determines, so each group that lost data is
     solved once.  If a plan needs a block that is missing on a live slot,
     the stripe is decoded by ``oracle_decode`` instead.  A final pass
-    re-encodes the data and checks every surviving block against it, which
-    turns silent corruption into ``InconsistentStripeError``.
+    checks every surviving block against the data, each parity as a fresh
+    encode yields it, which turns silent corruption into
+    ``InconsistentStripeError``.
     """
     failed = frozenset(pattern)
     if not is_recoverable(scheme, failed):
@@ -772,13 +773,17 @@ def decode_stripe(
         # a live slot; can_decode_from above shows the full solve succeeds
         result = oracle_decode(scheme, present)
 
-    # verify every surviving coded block against a fresh re-encode
-    recomputed = encode_stripe(scheme, result)
-    for b, payload in present.items():
-        if recomputed[b] != payload:
-            raise InconsistentStripeError(
-                f"block {b} violates the stripe's parity relations"
-            )
+    # verify every surviving block against the data: a data block as is, a
+    # parity as a fresh encode yields it, so one parity is held at a time
+    encoder = StripeEncoder(scheme, width)
+    for i, block in enumerate(result):
+        b = geo.data_block_of[i]
+        if b in present and present[b] != block:
+            raise InconsistentStripeError(f"block {b} violates the stripe's parity relations")
+        encoder.feed(i, block)
+    for b, parity in encoder.parities():
+        if b in present and present[b] != parity:
+            raise InconsistentStripeError(f"block {b} violates the stripe's parity relations")
     return result
 
 

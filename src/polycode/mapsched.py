@@ -145,6 +145,21 @@ def _sample_range(getrandbits, n: int, k: int) -> list[int]:
     return picked
 
 
+def _shuffle(getrandbits, x: list) -> None:
+    """``random.Random.shuffle(x)`` replayed from the same generator's bound
+    *getrandbits*: the same draws and the same order, without a Python-level
+    ``_randbelow`` call per element.  Swaps ``x[i]`` with a draw below
+    ``i + 1`` for i from the end down to 1, drawing as ``_sample_range``
+    explains."""
+    for i in range(len(x) - 1, 0, -1):
+        m = i + 1
+        bits = m.bit_length()
+        j = getrandbits(bits)
+        while j >= m:
+            j = getrandbits(bits)
+        x[i], x[j] = x[j], x[i]
+
+
 def build_cluster(
     scheme: Scheme,
     node_count: int,
@@ -343,7 +358,7 @@ def schedule_delay(
     # the node of each slot, (node, slot) order; the shuffle draws depend
     # only on the length
     slots = [v for v in range(cluster.node_count) for _ in range(cluster.slots_per_node)]
-    random.Random(seed).shuffle(slots)
+    _shuffle(random.Random(seed).getrandbits, slots)
     slot_used = [False] * len(slots)
 
     hosted: list[list[int]] = [[] for _ in range(cluster.node_count)]
@@ -417,7 +432,7 @@ def schedule_peeling(
     local = [False] * n_tasks
     free = [cluster.slots_per_node] * cluster.node_count
     order = list(range(n_tasks))
-    random.Random(seed).shuffle(order)
+    _shuffle(random.Random(seed).getrandbits, order)
     # from here on a task is named by its position p in the shuffled order
     hosts = [sorted(cluster.catalog[tasks[ti]]) for ti in order]
     on_node: list[list[int]] = [[] for _ in range(cluster.node_count)]

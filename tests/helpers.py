@@ -3,19 +3,13 @@
 import random
 import zlib
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping
 
-from polycode import codes
-from polycode.blockstore import (
-    BlockRecord,
-    BlockStore,
-    StoreManifest,
-    StripeRecord,
-    _crc,
-    _write_json,
-)
+from polycode import blockstore, codes
+from polycode.blockstore import BlockStore, StripeRecord, _crc, _write_json
 from polycode.codes import (
     ChecksumMismatchError,
     MissingBlockError,
@@ -311,6 +305,30 @@ def delay_reference(
         if pending and not progress and rounds_waited > rounds_before_remote:
             raise OverloadError("pending tasks but no free slots")
     return Assignment(tuple(node_of), tuple(local))
+
+
+@dataclass
+class BlockRecord:
+    """A manifest record of the one-file-per-replica layout, which named
+    each replica's file, n<node>/<name>.s<stripe>_b<block>_r<copy>.blk."""
+
+    block_id: int
+    role: str
+    nodes: list[int]
+    files: list[str]
+    crc32: str
+
+
+class StoreManifest(blockstore.StoreManifest):
+    """A manifest of the one-file-per-replica layout: each block record
+    lists its replicas' files."""
+
+    def to_dict(self) -> dict:
+        d = super().to_dict()
+        for stripe, raw in zip(self.stripes, d["stripes"]):
+            for record, block in zip(stripe.blocks, raw["blocks"]):
+                block["files"] = record.files
+        return d
 
 
 def put_reference(

@@ -319,13 +319,18 @@ def test_criterion_7_blockstore_property_suite(tmp_path):
         rng = random.Random(7)
         store = BlockStore.create(tmp_path / "s", Polygon(5), 5, block_size, seed=9)
 
-        # 36 MiB == one pentagon stripe -> 20 block files over 5 node dirs
+        # 36 MiB == one pentagon stripe -> 20 replicas in one file of 4
+        # blocks on each of the 5 node dirs
         exact = rng.randbytes(9 * block_size)
         src = tmp_path / "exact.bin"
         src.write_bytes(exact)
         manifest = store.put(src)
         assert manifest.stripe_count == 1
-        assert len(list(store.root.glob("n*/*.blk"))) == 20
+        files = sorted(store.root.glob("n*/*.blk"))
+        assert [f.relative_to(store.root).as_posix() for f in files] == [
+            f"n{k}/exact.bin.s0.blk" for k in range(5)
+        ]
+        assert all(f.stat().st_size == 4 * block_size for f in files)
 
         # 37 MiB -> 2 stripes with recorded padding
         padded = rng.randbytes(37 * 1024 * 1024)

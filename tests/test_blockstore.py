@@ -39,6 +39,20 @@ def write_file(tmp_path, size, seed=0, name="data.bin"):
     return path
 
 
+def replica(store, manifest, stripe, block_id, node) -> tuple[Path, int]:
+    """The node file that holds a replica, and the replica's offset in it:
+    a node's blocks of a stripe follow each other in block-id order."""
+    held = sorted(b.block_id for b in stripe.blocks if node in b.nodes)
+    path = store.root / f"n{node}" / f"{manifest.name}.s{stripe.index}.blk"
+    return path, held.index(block_id) * manifest.block_size
+
+
+def overwrite(path: Path, offset: int, data: bytes) -> None:
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        fh.write(data)
+
+
 def test_create_validates(tmp_path):
     with pytest.raises(StoreError):
         BlockStore.create(tmp_path / "s1", Polygon(5), nodes=4, block_size=BS, seed=0)
@@ -50,17 +64,43 @@ def test_create_validates(tmp_path):
 
 
 def test_put_get_roundtrip_exact_stripe(pentagon_store, tmp_path):
-    # 9 data blocks * BS bytes == exactly one stripe -> 20 block files
+    # 9 data blocks * BS bytes == exactly one stripe -> 20 replicas in 5
+    # node files of 4 blocks each
     path = write_file(tmp_path, 9 * BS, seed=1)
     manifest = pentagon_store.put(path)
     assert manifest.stripe_count == 1
-    files = list(pentagon_store.root.glob("n*/*.blk"))
-    assert len(files) == 20
-    per_node = {n: 0 for n in range(5)}
-    for f in files:
-        per_node[int(f.parent.name[1:])] += 1
-    assert all(count == 4 for count in per_node.values())
+    files = sorted(pentagon_store.root.glob("n*/*.blk"))
+    assert [str(f.relative_to(pentagon_store.root)) for f in files] == [
+        f"n{node}/data.bin.s0.blk" for node in range(5)
+    ]
+    assert all(f.stat().st_size == 4 * BS for f in files)
     assert pentagon_store.get("data.bin") == path.read_bytes()
+
+
+def test_one_stripe_pentagon_put_creates_five_block_files(pentagon_store, tmp_path,
+                                                          monkeypatch):
+    src = write_file(tmp_path, 9 * BS, seed=1)
+    created = []
+    real_open, real_os_open = builtins.open, os.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if str(file).endswith(".blk") and "w" in mode:
+            created.append(str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    def counting_os_open(path, flags, *args, **kwargs):
+        if str(path).endswith(".blk") and flags & os.O_CREAT:
+            created.append(str(path))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(os, "open", counting_os_open)
+    pentagon_store.put(src)
+    monkeypatch.undo()
+    assert sorted(created) == [f"{pentagon_store.root}/n{node}/data.bin.s0.blk"
+                               for node in range(5)]  # 20 at one file per replica
+    assert pentagon_store.get("data.bin") == src.read_bytes()
 
 
 def test_put_pads_partial_stripe(pentagon_store, tmp_path):
@@ -98,12 +138,11 @@ def test_manifest_schema(pentagon_store, tmp_path):
     (stripe,) = raw["stripes"]
     assert len(stripe["blocks"]) == 10
     for record in stripe["blocks"]:
-        assert set(record) == {"block", "role", "nodes", "files", "crc32"}
+        assert set(record) == {"block", "role", "nodes", "crc32"}
         assert len(record["crc32"]) == 8
         int(record["crc32"], 16)
-        for copy, (node, fname) in enumerate(zip(record["nodes"], record["files"])):
-            assert fname == f"n{node}/data.bin.s0_b{record['block']}_r{copy}.blk"
-            assert (pentagon_store.root / fname).exists()
+        for node in record["nodes"]:
+            assert (pentagon_store.root / f"n{node}/data.bin.s0.blk").exists()
     roles = [r["role"] for r in stripe["blocks"]]
     assert roles.count("local_parity:0") == 1
 
@@ -130,31 +169,37 @@ def test_fsck_reports(pentagon_store, tmp_path):
 
     pentagon_store.kill_node(0)
     report = pentagon_store.fsck()
-    assert len(report.missing) == 4  # node 0 hosted 4 replicas
+    assert report.missing == [("data.bin", 0, 0)]  # node 0's one file, of its 4 replicas
     assert not report.corrupt and not report.fatal_stripes
 
     pentagon_store.revive_node(0)
     pentagon_store.repair()
-    # flip one byte in one replica file
-    fname = manifest.stripes[0].blocks[2].files[0]
-    target = pentagon_store.root / fname
+    # flip one byte of one replica
+    stripe = manifest.stripes[0]
+    record = stripe.blocks[2]
+    target, offset = replica(pentagon_store, manifest, stripe, 2, record.nodes[0])
     body = bytearray(target.read_bytes())
-    body[10] ^= 0xFF
+    body[offset + 10] ^= 0xFF
     target.write_bytes(bytes(body))
     report = pentagon_store.fsck()
-    assert [entry[2] for entry in report.corrupt] == [2]
+    assert report.corrupt == [("data.bin", 0, 2, record.nodes[0])]
     assert not report.missing and not report.fatal_stripes
 
 
 def test_fsck_opens_each_replica_once_without_a_stat(pentagon_store, tmp_path, monkeypatch):
     pentagon_store.put(write_file(tmp_path, 9 * BS, seed=5))
     opened, statted = Counter(), Counter()
-    real_open, real_stat = builtins.open, os.stat
+    real_open, real_os_open, real_stat = builtins.open, os.open, os.stat
 
     def counting_open(file, *args, **kwargs):
         if str(file).endswith(".blk"):
-            opened[os.path.basename(file)] += 1
+            opened[file] += 1
         return real_open(file, *args, **kwargs)
+
+    def counting_os_open(path, *args, **kwargs):
+        if str(path).endswith(".blk"):
+            opened[path] += 1
+        return real_os_open(path, *args, **kwargs)
 
     def counting_stat(path, *args, **kwargs):
         if str(path).endswith(".blk"):
@@ -163,9 +208,11 @@ def test_fsck_opens_each_replica_once_without_a_stat(pentagon_store, tmp_path, m
 
     monkeypatch.setattr(builtins, "open", counting_open)
     monkeypatch.setattr(io, "open", counting_open)  # pathlib opens through io.open
+    monkeypatch.setattr(os, "open", counting_os_open)
     monkeypatch.setattr(os, "stat", counting_stat)  # Path.exists and os.path.exists
     assert pentagon_store.fsck().is_clean
-    assert len(opened) == 20 and set(opened.values()) == {1}
+    # each node file once, which reads its 4 replicas: 20 opens at one file a replica
+    assert len(opened) == 5 and set(opened.values()) == {1}
     assert not statted
 
 
@@ -174,19 +221,26 @@ def test_repair_opens_each_live_replica_once(pentagon_store, tmp_path, monkeypat
     pentagon_store.put(src)
     pentagon_store.kill_node(0)
     read, written = Counter(), Counter()
-    real_open = builtins.open
+    real_open, real_os_open = builtins.open, os.open
 
     def counting_open(file, mode="r", *args, **kwargs):
         if str(file).endswith(".blk"):
             (written if "w" in mode else read)[os.path.basename(file)] += 1
         return real_open(file, mode, *args, **kwargs)
 
+    def counting_os_open(path, flags, *args, **kwargs):
+        if str(path).endswith(".blk"):
+            (written if flags & os.O_WRONLY else read)[path] += 1
+        return real_os_open(path, flags, *args, **kwargs)
+
     monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(os, "open", counting_os_open)
     assert pentagon_store.repair().plans_executed == 1
-    # the 16 replicas off node 0, each once: the plan runs from the scan's bytes
-    assert len(read) == 16 and set(read.values()) == {1}
-    assert len(written) == 4 and set(written.values()) == {1}
-    assert not set(read) & set(written)
+    # the 4 node files off node 0, holding 16 replicas, each once: the plan
+    # runs from the scan's bytes
+    assert len(read) == 4 and set(read.values()) == {1}
+    assert list(written) == [f"{pentagon_store.root}/n0/data.bin.s0.blk"]
+    assert set(written.values()) == {1}
     monkeypatch.undo()
     assert pentagon_store.fsck().is_clean
     assert pentagon_store.get("data.bin") == src.read_bytes()
@@ -194,8 +248,10 @@ def test_repair_opens_each_live_replica_once(pentagon_store, tmp_path, monkeypat
 
 def test_block_files_are_opened_and_removed_by_three_helpers_only():
     """Each function of the module that opens, removes or lists files, and
-    what it calls to do so.  Besides the three block-file helpers only the
-    JSON writer, the lock and put's read of its input file touch a file."""
+    what it calls to do so.  Besides the three block-file helpers (and the
+    reads and writes they hand out on the descriptors they open) only the
+    JSON reader and writer, the lock and put's read of its input file touch
+    a file."""
     calls = {}
     for fn in ast.walk(ast.parse(Path(blockstore.__file__).read_text())):
         if isinstance(fn, ast.FunctionDef):
@@ -205,10 +261,13 @@ def test_block_files_are_opened_and_removed_by_three_helpers_only():
                                 name):
                     calls.setdefault(fn.name, set()).add(name)
     assert calls == {
+        "_read_json": {"open"},
         "_write_json": {"open", "os.replace"},
+        "_preads": {"os.pread", "os.preadv", "os.close"},
         "_locked": {"open"},
-        "_read_file": {"open"},
-        "_write_file": {"open"},
+        "_read_file": {"os.open"},
+        "_write_file": {"os.open", "os.pwrite", "os.close"},
+        "write": {"os.pwrite"},
         "_remove_files": {"os.scandir", "os.unlink"},
         "manifests": {"os.scandir"},
         "put": {"open"},
@@ -234,17 +293,35 @@ def test_fsck_reads_deleted_replica_as_missing_and_flipped_byte_as_corrupt(
 ):
     manifest = pentagon_store.put(write_file(tmp_path, 9 * BS, seed=5))
     stripe = manifest.stripes[0]
-    gone, flipped = stripe.blocks[1], stripe.blocks[4]
-    (pentagon_store.root / gone.files[0]).unlink()  # its node stays up
-    target = pentagon_store.root / flipped.files[1]
+    gone = stripe.blocks[1].nodes[0]
+    flipped = next(b for b in stripe.blocks if gone not in b.nodes)
+    (pentagon_store.root / f"n{gone}/data.bin.s0.blk").unlink()  # its node stays up
+    target, offset = replica(pentagon_store, manifest, stripe, flipped.block_id, flipped.nodes[1])
     body = bytearray(target.read_bytes())
-    body[0] ^= 0x01
+    body[offset] ^= 0x01
     target.write_bytes(bytes(body))
     report = pentagon_store.fsck()
-    assert report.missing == [("data.bin", stripe.index, gone.block_id, gone.nodes[0])]
+    assert report.missing == [("data.bin", stripe.index, gone)]
     assert report.corrupt == [("data.bin", stripe.index, flipped.block_id, flipped.nodes[1])]
     assert not report.fatal_stripes
     assert pentagon_store.get("data.bin") == (tmp_path / "data.bin").read_bytes()
+
+
+def test_fsck_reads_replicas_a_short_file_cuts_off_as_corrupt(pentagon_store, tmp_path):
+    src = write_file(tmp_path, 9 * BS, seed=15)
+    manifest = pentagon_store.put(src)
+    stripe = manifest.stripes[0]
+    target = pentagon_store.root / "n3/data.bin.s0.blk"
+    held = sorted(b.block_id for b in stripe.blocks if 3 in b.nodes)
+    with open(target, "r+b") as fh:
+        fh.truncate(2 * BS + 100)  # keeps two replicas whole and cuts the third
+    report = pentagon_store.fsck()
+    assert report.corrupt == [("data.bin", 0, b, 3) for b in held[2:]]
+    assert not report.missing and not report.fatal_stripes
+    assert pentagon_store.get("data.bin") == src.read_bytes()
+    assert pentagon_store.repair().plans_executed == 1
+    assert target.stat().st_size == 4 * BS
+    assert pentagon_store.fsck().is_clean
 
 
 def test_open_errors_keep_their_messages(pentagon_store, tmp_path, monkeypatch):
@@ -311,8 +388,8 @@ def test_get_falls_back_past_corrupt_replica(pentagon_store, tmp_path):
     for stripe in manifest.stripes:
         for record in stripe.blocks:
             if 2 in record.nodes and {3, 4} & set(record.nodes):
-                target = pentagon_store.root / record.files[record.nodes.index(2)]
-                target.write_bytes(bytes(BS))
+                overwrite(*replica(pentagon_store, manifest, stripe, record.block_id, 2),
+                          bytes(BS))
                 zeroed += 1
     assert zeroed == 4  # edges (2,3) and (2,4) in each stripe
     assert not pentagon_store.fsck().fatal_stripes
@@ -349,9 +426,9 @@ def test_repair_noop(pentagon_store, tmp_path):
 def test_repair_fixes_corruption(pentagon_store, tmp_path):
     path = write_file(tmp_path, 9 * BS, seed=10)
     manifest = pentagon_store.put(path)
-    fname = manifest.stripes[0].blocks[0].files[1]
-    target = pentagon_store.root / fname
-    target.write_bytes(b"garbage" * 100)
+    stripe = manifest.stripes[0]
+    target, offset = replica(pentagon_store, manifest, stripe, 0, stripe.blocks[0].nodes[1])
+    overwrite(target, offset, b"garbage" * 100)
     result = pentagon_store.repair()
     assert result.plans_executed == 1
     assert pentagon_store.fsck().is_clean
@@ -375,17 +452,15 @@ def test_repair_restores_the_other_stripes_before_reporting_a_fatal_one(pentagon
     pentagon_store.put(kept)
     lost = pentagon_store.put(write_file(tmp_path, 9 * BS, seed=14, name="lost.bin"))
     pentagon_store.kill_node(0)
-    for record in lost.stripes[0].blocks:  # lost.bin now misses nodes 0, 1 and 2
-        for node, fname in zip(record.nodes, record.files):
-            if node in (1, 2):
-                (pentagon_store.root / fname).unlink()
+    for node in (1, 2):  # lost.bin now misses nodes 0, 1 and 2
+        (pentagon_store.root / f"n{node}/lost.bin.s0.blk").unlink()
     with pytest.raises(FatalStripeError, match=r"^lost.bin stripe 0 is unrecoverable$"):
         pentagon_store.repair()
     store = BlockStore(pentagon_store.root)
     assert [n.status for n in store.nodes()] == ["down", "up", "up", "up", "up"]
     store.revive_node(0)
     report = store.fsck()
-    assert {entry[0] for entry in report.missing} == {"lost.bin"}
+    assert report.missing == [("lost.bin", 0, node) for node in (0, 1, 2)]
     assert report.fatal_stripes == [("lost.bin", 0)] and not report.corrupt
     assert store.get("kept.bin") == kept.read_bytes() and not store.degraded_log
 
@@ -580,37 +655,56 @@ class _DiskFull:
 
 def fail_step(monkeypatch, step: int, writes: int) -> list[str]:
     """Make write step *step* of the store fail.  Steps 0 to writes-1 are
-    the files the store opens for writing, in order; step *writes* is the
-    rename that follows them.  Returns the files opened for writing."""
-    real_open, opened = builtins.open, []
+    the store's writes in order: each replica written into its node file,
+    and each temp JSON file opened for writing; step *writes* is the rename
+    that follows them.  The failing write writes half of its bytes first.
+    Returns the file of each write step taken."""
+    real_open, real_os_open, real_pwrite = builtins.open, os.open, os.pwrite
+    path_of, written = {}, []
+
+    def failing(path: str) -> bool:
+        written.append(path)
+        return len(written) - 1 == step
 
     def open_(file, mode="r", *args, **kwargs):
         fh = real_open(file, mode, *args, **kwargs)
         if "w" not in mode:
             return fh
-        opened.append(str(file))
-        return _DiskFull(fh) if len(opened) - 1 == step else fh
+        return _DiskFull(fh) if failing(str(file)) else fh
+
+    def os_open(path, *args, **kwargs):
+        fd = real_os_open(path, *args, **kwargs)
+        path_of[fd] = str(path)
+        return fd
+
+    def pwrite(fd, data, offset):
+        if failing(path_of[fd]):
+            real_pwrite(fd, memoryview(data)[: len(data) // 2], offset)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_pwrite(fd, data, offset)
 
     def replace(*args):
         raise OSError(errno.EIO, "Input/output error")
 
     monkeypatch.setattr(blockstore, "open", open_, raising=False)
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(os, "pwrite", pwrite)
     if step == writes:
         monkeypatch.setattr(os, "replace", replace)
-    return opened
+    return written
 
 
-@pytest.mark.parametrize("step", range(22))  # 20 replica files, the temp manifest, its rename
+@pytest.mark.parametrize("step", range(22))  # 20 replica writes, the temp manifest, its rename
 def test_put_failing_at_any_write_commits_nothing(pentagon_store, tmp_path, monkeypatch, step):
     kept = write_file(tmp_path, 2 * 9 * BS - 300, seed=21, name="kept.bin")
     pentagon_store.put(kept)
     src = write_file(tmp_path, 9 * BS, seed=22, name="new.bin")
     with monkeypatch.context() as m:
-        opened = fail_step(m, step, writes=21)
+        written = fail_step(m, step, writes=21)
         with pytest.raises(OSError):
             pentagon_store.put(src)
-    assert len(opened) == min(step + 1, 21)
-    assert opened[-1].endswith(".blk" if step < 20 else "/new.bin.manifest.json.tmp")
+    assert len(written) == min(step + 1, 21)
+    assert written[-1].endswith(".blk" if step < 20 else "/new.bin.manifest.json.tmp")
     store = BlockStore(pentagon_store.root)  # as the next process finds it
     assert store.get("kept.bin") == kept.read_bytes()
     assert store.fsck().is_clean
@@ -621,7 +715,7 @@ def test_put_failing_at_any_write_commits_nothing(pentagon_store, tmp_path, monk
     assert store.fsck().is_clean
 
 
-@pytest.mark.parametrize("step", range(10))  # 8 replica files, the temp store.json, its rename
+@pytest.mark.parametrize("step", range(10))  # 8 replica writes, the temp store.json, its rename
 def test_repair_failing_at_any_write_leaves_the_nodes_down(pentagon_store, tmp_path,
                                                            monkeypatch, step):
     src = write_file(tmp_path, 9 * BS, seed=23)
@@ -629,10 +723,10 @@ def test_repair_failing_at_any_write_leaves_the_nodes_down(pentagon_store, tmp_p
     pentagon_store.kill_node(0)
     pentagon_store.kill_node(1)
     with monkeypatch.context() as m:
-        opened = fail_step(m, step, writes=9)
+        written = fail_step(m, step, writes=9)
         with pytest.raises(OSError):
             pentagon_store.repair()
-    assert opened[-1].endswith(".blk" if step < 8 else "/store.json.tmp")
+    assert written[-1].endswith(".blk" if step < 8 else "/store.json.tmp")
     store = BlockStore(pentagon_store.root)
     assert [n.status for n in store.nodes()] == ["down", "down", "up", "up", "up"]
     assert store.repair().plans_executed == 1
@@ -641,41 +735,68 @@ def test_repair_failing_at_any_write_leaves_the_nodes_down(pentagon_store, tmp_p
     assert store.get("data.bin") == src.read_bytes()
 
 
-# -- stores written before stripes were numbered per file -------------------
+def test_repair_failing_partway_keeps_the_good_replicas_of_its_file(pentagon_store, tmp_path,
+                                                                     monkeypatch):
+    src = write_file(tmp_path, 9 * BS, seed=24)
+    manifest = pentagon_store.put(src)
+    stripe = manifest.stripes[0]
+    target = pentagon_store.root / "n2/data.bin.s0.blk"
+    held = sorted(b.block_id for b in stripe.blocks if 2 in b.nodes)
+    before = target.read_bytes()
+    junk = random.Random(25).randbytes(BS)
+    for rank in (1, 3):
+        overwrite(target, rank * BS, junk)
+    with monkeypatch.context() as m:
+        written = fail_step(m, 1, writes=3)  # rank 1 is rewritten, rank 3 fails halfway
+        with pytest.raises(OSError):
+            pentagon_store.repair()
+    assert written == [str(target)] * 2
+    after = target.read_bytes()
+    assert len(after) == 4 * BS
+    for rank in (0, 1, 2):
+        assert after[rank * BS : (rank + 1) * BS] == before[rank * BS : (rank + 1) * BS]
+    report = pentagon_store.fsck()
+    assert report.corrupt == [("data.bin", 0, held[3], 2)]
+    assert not report.missing and not report.fatal_stripes
+    assert pentagon_store.repair().plans_executed == 1
+    assert target.read_bytes() == before
+    assert pentagon_store.fsck().is_clean
 
 
-def test_old_format_store_opens_reads_repairs_and_takes_puts(tmp_path):
-    """store.json keeps a store-global next_stripe and the block files are
-    named s<stripe>_b<block>_r<copy>.blk, with no file name."""
+# -- stores written in an older format ---------------------------------------
+
+
+def test_old_format_store_json_opens_and_old_layout_manifest_is_refused(tmp_path):
+    """store.json keeps a store-global next_stripe, which is ignored; a
+    manifest that lists a file per replica is refused by every command that
+    reads it, and new puts still work."""
     root = tmp_path / "old"
-    src = write_file(tmp_path, 3 * 9 * BS - 200, seed=34, name="old.bin")
-    raw = BlockStore.create(root, Polygon(5), nodes=5, block_size=BS, seed=7).put(src).to_dict()
-    for stripe in raw["stripes"]:
-        stripe["index"] += 4  # a file stored earlier held stripes 0-3
-        for record in stripe["blocks"]:
-            for copy, fname in enumerate(record["files"]):
-                old = re.sub(r"/old\.bin\.s\d+_", f"/s{stripe['index']}_", fname)
-                (root / fname).rename(root / old)
-                record["files"][copy] = old
-    (root / "old.bin.manifest.json").write_text(json.dumps(raw, indent=2) + "\n")
+    BlockStore.create(root, Polygon(5), nodes=5, block_size=BS, seed=7)
     config = {"scheme": "pentagon", "nodes": 5, "block_size": BS, "seed": 7, "down": [],
               "next_stripe": 7}
     (root / "store.json").write_text(json.dumps(config, indent=2) + "\n")
-    on_n2 = sorted(p.name for p in (root / "n2").iterdir())
-    assert len(on_n2) == 12 and all(re.fullmatch(r"s[456]_b\d_r[01]\.blk", n) for n in on_n2)
+    src = write_file(tmp_path, 3 * 9 * BS - 200, seed=34, name="old.bin")
+    old = put_reference(BlockStore(root), src).to_dict()
+    assert all("files" in b for s in old["stripes"] for b in s["blocks"])
 
     store = BlockStore(root)
-    assert store.get("old.bin") == src.read_bytes()
-    assert store.fsck().is_clean
-    store.kill_node(2)
-    assert store.repair().plans_executed == 3
-    assert sorted(p.name for p in (root / "n2").iterdir()) == on_n2
-    assert store.fsck().is_clean
+    message = r"^old\.bin is stored in the old layout of one file per replica"
+    for read in (lambda: store.get("old.bin"), store.fsck, store.repair):
+        with pytest.raises(StoreError, match=message):
+            read()
+    code = cli.main(["store", "fsck", "--root", str(root)])
+    assert code == 1
+
+    (root / "old.bin.manifest.json").unlink()
     new = write_file(tmp_path, 2 * 9 * BS, seed=35, name="new.bin")
     assert [s.index for s in store.put(new).stripes] == [0, 1]
     assert store.fsck().is_clean
-    assert store.get("old.bin") == src.read_bytes()
     assert store.get("new.bin") == new.read_bytes()
+    store.kill_node(4)  # the next config write drops next_stripe
+    assert json.loads((root / "store.json").read_text())["down"] == [4]
+    assert "next_stripe" not in json.loads((root / "store.json").read_text())
+    assert store.repair().plans_executed == 2
+    assert store.fsck().is_clean
 
 
 # -- the streaming data path ------------------------------------------------
@@ -690,6 +811,9 @@ def tree(root: Path) -> dict[str, bytes]:
 @pytest.mark.parametrize("scheme,block", [(Polygon(5), 64), (HeptagonLocal(), 16),
                                           (RaidMirror(3), 32), (Replication(2), 8)])
 def test_put_writes_the_bytes_the_whole_file_put_wrote(tmp_path, scheme, block):
+    """The reference writes a file per replica and names them in its
+    manifest.  The put must record the same manifest without the names,
+    and hold each replica's bytes at its offset in its node's file."""
     stripe = scheme.data_block_count * block
     sizes = [0, 1, block - 1, stripe - 1, stripe, stripe + 1, 3 * stripe - block]
     streamed = BlockStore.create(tmp_path / "new", scheme, nodes=scheme.code_length + 2,
@@ -698,10 +822,34 @@ def test_put_writes_the_bytes_the_whole_file_put_wrote(tmp_path, scheme, block):
                                   block_size=block, seed=5)
     for i, size in enumerate(sizes):
         src = write_file(tmp_path, size, seed=i, name=f"f{i}.bin")
-        assert streamed.put(src) == put_reference(reference, src)
+        ref = put_reference(reference, src).to_dict()
+        new = streamed.put(src)
         assert streamed.get(src.name) == src.read_bytes()
+        for raw in ref["stripes"]:
+            for record in raw["blocks"]:
+                files = record.pop("files")
+                assert len(files) == len(record["nodes"])
+        assert new.to_dict() == ref
     new, ref = tree(streamed.root), tree(reference.root)
-    assert new == ref and len(new) > len(sizes)
+    expected = {name: body for name, body in ref.items() if not name.endswith(".blk")}
+    for name in ref:
+        if name.endswith(".manifest.json"):
+            raw = json.loads(ref[name])
+            for record in (b for stripe in raw["stripes"] for b in stripe["blocks"]):
+                del record["files"]
+            expected[name] = (json.dumps(raw, separators=(",", ":")) + "\n").encode()
+    for manifest in streamed.manifests():
+        for stripe in manifest.stripes:
+            for record in stripe.blocks:
+                for copy, node in enumerate(record.nodes):
+                    path, offset = replica(streamed, manifest, stripe, record.block_id, node)
+                    fname = str(path.relative_to(streamed.root))
+                    old = f"{manifest.name}.s{stripe.index}_b{record.block_id}_r{copy}.blk"
+                    body = ref[f"n{node}/{old}"]
+                    file = bytearray(expected.setdefault(fname, b""))
+                    file[offset : offset + block] = body
+                    expected[fname] = bytes(file)
+    assert new == expected and len(new) > len(sizes)
 
 
 def test_put_reads_a_pipe_to_its_end(pentagon_store, tmp_path):

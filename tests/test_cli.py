@@ -180,6 +180,36 @@ def test_store_cycle(tmp_path, capsys):
     assert "clean" in out
 
 
+@pytest.mark.parametrize("scheme,nodes,data_blocks,stripes,killed", [
+    ("pentagon", 5, 9, [1, 1, 2], [0, 1]),
+    ("heptagon-local", 15, 40, [2, 1], [0, 1, 2]),
+])
+def test_store_fsck_missing_counts_the_block_files_of_the_killed_nodes(
+    tmp_path, capsys, scheme, nodes, data_blocks, stripes, killed
+):
+    """The check the benchmark cycle makes: after the kills, fsck's
+    missing count equals the block files the killed nodes held."""
+    root, block = tmp_path / "store", 64
+    assert main(["store", "init", "--root", str(root), "--scheme", scheme, "--nodes",
+                 str(nodes), "--block-size", str(block), "--seed", "7"]) == 0
+    rng = random.Random(8)
+    for i, count in enumerate(stripes):
+        src = tmp_path / f"f{i}.bin"
+        src.write_bytes(rng.randbytes(count * data_blocks * block - rng.randrange(32, 96)))
+        assert main(["store", "put", "--root", str(root), "--file", str(src)]) == 0
+    held = sum(len(list((root / f"n{k}").glob("*.blk"))) for k in killed)
+    assert held == sum(stripes) * len(killed)  # one file per node and stripe
+    for k in killed:
+        assert main(["store", "kill", "--root", str(root), "--node", str(k)]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, "store", "fsck", "--root", str(root))
+    assert code == 0
+    assert out == f"missing: {held}\ncorrupt: 0\nfatal_stripes: 0\ndamaged\n"
+    assert main(["store", "repair", "--root", str(root)]) == 0
+    capsys.readouterr()
+    assert run(capsys, "store", "fsck", "--root", str(root))[1].endswith("clean\n")
+
+
 def test_store_init_requires_seed(capsys):
     code, _, err = run(capsys, "store", "init", "--root", "/tmp/x", "--scheme", "pentagon")
     assert code == 2

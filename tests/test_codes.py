@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -460,6 +461,28 @@ def test_decode_detects_parity_violation():
     views = surviving_view(scheme, blocks, {3})  # parity still present via node 4
     with pytest.raises(InconsistentStripeError):
         decode_stripe(scheme, views, {3})
+
+
+@pytest.mark.parametrize("pattern,bound", [
+    ((0, 1, 2), 0.42),  # the 3-loss plan: 0.409; 0.430 when the check re-encoded the stripe
+    ((), 0.335),  # the check alone: 0.325; 0.346 when it re-encoded the stripe
+])
+def test_heptagon_local_decode_checks_one_parity_at_a_time(pattern, bound):
+    """The most memory decode_stripe holds at once beyond its inputs, in
+    stripes of 64 KiB blocks.  The check of the surviving blocks feeds the
+    decoded data to an encoder and compares each parity as it is made."""
+    scheme, width = HeptagonLocal(), 64 * 1024
+    data, blocks = full_blocks(scheme, random.Random(14), size=width)
+    views = surviving_view(scheme, blocks, set(pattern))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = decode_stripe(scheme, views, pattern)
+        peak = (tracemalloc.get_traced_memory()[1] - before) / (40 * width)
+    finally:
+        tracemalloc.stop()
+    assert out == data
+    assert peak < bound
 
 
 # ---------------------------------------------------------------------------

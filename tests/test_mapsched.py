@@ -2,6 +2,8 @@ import collections
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycode.cli import REPORT_SCHEMES
 from polycode.codes import HeptagonLocal, Polygon, RaidMirror, Replication, parse_scheme
@@ -15,6 +17,7 @@ from polycode.mapsched import (
     _check_capacity,
     _fill_remote,
     _sample_range,
+    _shuffle,
     build_cluster,
     generate_workload,
     locality_sweep,
@@ -129,6 +132,20 @@ def test_sample_range_replays_random_sample(seed):
     assert _sample_range(random.Random(seed).getrandbits, 5, 0) == []
     with pytest.raises(ValueError):
         _sample_range(random.Random(seed).getrandbits, 3, 4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**64), draws=st.integers(0, 3))
+def test_shuffle_replays_random_shuffle(seed, draws):
+    rng, ours = random.Random(seed), random.Random(seed)
+    for _ in range(draws):  # a stream already drawn from
+        assert ours.getrandbits(7) == rng.getrandbits(7)
+    for n in range(301):  # every length, one after another on the same stream
+        expected, got = list(range(n)), list(range(n))
+        rng.shuffle(expected)
+        _shuffle(ours.getrandbits, got)
+        assert got == expected, n
+        assert ours.getstate() == rng.getstate(), n
 
 
 def _fits(scheme, nodes):
