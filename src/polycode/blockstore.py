@@ -10,12 +10,19 @@ Tree layout::
 
 The codes keep several blocks of a stripe on one node, and a node keeps
 them in one file: its blocks of the stripe concatenated in block-id order,
-``block_size`` bytes each, with no header.  The manifest names no file: a
-replica's file follows from (name, stripe, node) and its offset from the
-block's rank among that node's blocks of the stripe.  Stripes are numbered
-from 0 within each file, whose name prefixes its block files, so puts share
-no counter and no block file.  CRC32 (IEEE polynomial) of every block is
-recorded in the manifest as 8 hex characters.  Killing a node wipes its
+``block_size`` bytes each, with no header.  Where each block goes follows
+from the scheme alone, so a stripe's manifest record holds two things: its
+``node_order``, the node that plays each of the scheme's slots, and the
+CRC32 (IEEE polynomial) of every block, by block id, as 8 hex characters.
+The store works in slots and reads the rest from ``codes._geometry``: a
+block's slots from ``placements``, the data blocks' order from
+``data_block_of``, and a replica's offset from the block's rank in
+``blocks_on`` of its slot, which lists a slot's blocks in ascending order.
+A node id appears only in a block file's name and in ``FsckReport``.  A
+manifest in the format that also recorded each block's role and nodes still
+loads: those are checked against the geometry and dropped.  Stripes are
+numbered from 0 within each file, whose name prefixes its block files, so
+puts share no counter and no block file.  Killing a node wipes its
 directory, which forces real repair traffic instead of replica
 re-registration.
 
@@ -31,11 +38,12 @@ the tail cut off, and holds one block plus what a degraded-read plan holds;
 ``get`` builds its ``bytearray`` from it, and the CLI streams it to a temp
 file that replaces the output only once every block is written, so a failed
 read leaves the output as it was.  ``repair`` holds one stripe: one good
-body per block and the plan's sums.  ``fsck`` holds one replica.
+body per block and the plan's sums.  ``fsck`` reads each node file with one
+read into one buffer, sized to the stripe's largest node file, and holds it.
 
 Three helpers, ``_read_file``, ``_write_file`` and ``_remove_files``, are the
-only code that opens or removes a block file, and they read and write it a
-block range at a time.  ``store.json`` and the manifests are read by
+only code that opens or removes a block file; a read is one range of it, and
+a write one block.  ``store.json`` and the manifests are read by
 ``_read_json`` and written compact (no indent, so ``json`` uses its C
 encoder) by ``_write_json``, to a temp file that is renamed over its target.
 The commit points are ``store.json`` for ``create``, the manifest for
@@ -88,18 +96,10 @@ class NodeState:
 
 
 @dataclass
-class BlockRecord:
-    block_id: int
-    role: str
-    nodes: list[int]
-    crc32: str
-
-
-@dataclass
 class StripeRecord:
     index: int  # stripe number within its file
-    node_order: list[int]
-    blocks: list[BlockRecord]
+    node_order: list[int]  # node_order[s] is the node that plays slot s
+    crc32: list[str]  # by block id
 
 
 @dataclass
@@ -122,42 +122,43 @@ class StoreManifest:
             "block_size": self.block_size,
             "stripe_count": self.stripe_count,
             "stripes": [
-                {
-                    "index": s.index,
-                    "node_order": s.node_order,
-                    "blocks": [
-                        {
-                            "block": b.block_id,
-                            "role": b.role,
-                            "nodes": b.nodes,
-                            "crc32": b.crc32,
-                        }
-                        for b in s.blocks
-                    ],
-                }
+                {"index": s.index, "node_order": s.node_order, "crc32": s.crc32}
                 for s in self.stripes
             ],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "StoreManifest":
-        if any("files" in b for s in d["stripes"] for b in s["blocks"]):
-            raise StoreError(
-                f"{d['file']} is stored in the old layout of one file per replica"
-                " (its manifest lists 'files'), which this store does not read"
-            )
-        stripes = [
-            StripeRecord(
-                index=s["index"],
-                node_order=list(s["node_order"]),
-                blocks=[
-                    BlockRecord(b["block"], b["role"], list(b["nodes"]), b["crc32"])
-                    for b in s["blocks"]
-                ],
-            )
-            for s in d["stripes"]
-        ]
+        scheme = parse_scheme(d["scheme"])
+        stripes = [_stripe_record(d, s, scheme) for s in d["stripes"]]
         return cls(d["file"], d["size"], d["scheme"], d["block_size"], stripes)
+
+
+def _stripe_record(d: dict, stripe: dict, scheme: Scheme) -> StripeRecord:
+    """A manifest's stripe record, refused unless it fits the scheme's
+    layout.  Of a record that lists its blocks with their role and nodes
+    only the CRCs are kept, and the roles and nodes must be the ones the
+    scheme's geometry and the record's node order give."""
+    order = stripe["node_order"]
+    unfit = StoreError(f"{d['file']} stripe {stripe['index']} disagrees with"
+                       f" the {scheme.name} layout")
+    if len(order) != scheme.code_length:
+        raise unfit
+    if "blocks" not in stripe:
+        if len(stripe["crc32"]) != scheme.block_count:
+            raise unfit
+        return StripeRecord(stripe["index"], list(order), list(stripe["crc32"]))
+    if any("files" in b for b in stripe["blocks"]):
+        raise StoreError(
+            f"{d['file']} is stored in the old layout of one file per replica"
+            " (its manifest lists 'files'), which this store does not read"
+        )
+    geo = codes._geometry(scheme)
+    expected = [(b, geo.roles[b].as_string(), [order[s] for s in geo.placements[b]])
+                for b in sorted(geo.placements)]
+    if [(b.get("block"), b.get("role"), b.get("nodes")) for b in stripe["blocks"]] != expected:
+        raise unfit
+    return StripeRecord(stripe["index"], list(order), [b["crc32"] for b in stripe["blocks"]])
 
 
 @dataclass
@@ -219,42 +220,9 @@ def fill(src, view: memoryview) -> int:
     return n
 
 
-def _node_files(name: str, index: int, replicas) -> dict[int, tuple[str, list[int]]]:
-    """Each node's block file of stripe *index* of *name*, with the ids of
-    the blocks it holds in file order.  *replicas* pairs each block id with
-    its nodes; a node's blocks follow each other in block-id order."""
-    held: dict[int, list[int]] = {}
-    for block_id, nodes in sorted(replicas):
-        for node in nodes:
-            held.setdefault(node, []).append(block_id)
-    return {node: (f"n{node}/{name}.s{index}.blk", ids) for node, ids in held.items()}
-
-
-def _stripe_files(manifest: StoreManifest, stripe: StripeRecord):
-    """``_node_files`` of a stored stripe."""
-    return _node_files(manifest.name, stripe.index, ((b.block_id, b.nodes) for b in stripe.blocks))
-
-
-def _places(files: dict[int, tuple[str, list[int]]], size: int) -> dict[tuple[int, int], tuple]:
-    """(file, offset) of each replica, keyed (block id, node), for blocks of
-    *size* bytes in the node files *files*."""
-    return {
-        (block_id, node): (fname, rank * size)
-        for node, (fname, ids) in files.items()
-        for rank, block_id in enumerate(ids)
-    }
-
-
-def _preads(fd: int, offsets, size: int, buffer: bytearray | None):
-    """Read *size* bytes at each of *offsets* from *fd*, then close it."""
-    try:
-        for offset in offsets:
-            if buffer is None:
-                yield os.pread(fd, size, offset)
-            else:
-                yield memoryview(buffer)[: os.preadv(fd, [buffer], offset)]
-    finally:
-        os.close(fd)
+def _node_file(name: str, index: int, node: int) -> str:
+    """The root-relative name of *node*'s block file of stripe *index*."""
+    return f"n{node}/{name}.s{index}.blk"
 
 
 def _source_reader(sources: dict[int, bytes]):
@@ -362,17 +330,21 @@ class BlockStore:
     # The only code that opens or removes a block file; *fname* is a node
     # file's root-relative name, n<node>/<name>.s<stripe>.blk.
 
-    def _read_file(self, fname: str, offsets, size: int, buffer: bytearray | None = None):
-        """Read *size* bytes at each of *offsets* through one open of the
-        file, or return None when it does not exist.  The iterator yields
-        each read as new bytes or, given *buffer*, as a view of it that the
-        next read overwrites; a read past the file's end comes back short.
-        The file is closed when the iterator ends, so read it to its end."""
+    def _read_file(self, fname: str, offset: int, size: int, buffer: bytearray | None = None):
+        """Read *size* bytes at *offset* of the file, or return None when it
+        does not exist.  The read comes back as new bytes or, given
+        *buffer*, as a view of its start; a read past the file's end comes
+        back short."""
         try:
             fd = os.open(f"{self._root}/{fname}", os.O_RDONLY)
         except (FileNotFoundError, NotADirectoryError):
             return None
-        return _preads(fd, offsets, size, buffer)
+        try:
+            if buffer is None:
+                return os.pread(fd, size, offset)
+            return memoryview(buffer)[: os.preadv(fd, [memoryview(buffer)[:size]], offset)]
+        finally:
+            os.close(fd)
 
     @contextmanager
     def _write_file(self, fnames, whole: bool):
@@ -448,7 +420,7 @@ class BlockStore:
             pool = self.up_nodes()
             if len(pool) < scheme.code_length:
                 raise StoreError("insufficient up nodes")
-            D = scheme.data_block_count
+            geo = codes._geometry(scheme)
             block = bytearray(block_size)
             view = memoryview(block)
             size = 0
@@ -457,92 +429,87 @@ class BlockStore:
                 while n := fill(src, view):
                     k = len(stripes)
                     layout_seed = zlib.crc32(f"{self.seed}:{name}:{k}".encode())
-                    layout = codes.build_layout(scheme, pool, layout_seed)
-                    roles = layout.block_roles
-                    data_block_of = {r.index: b for b, r in roles.items() if r.kind == "data"}
-                    hosts = {b: list(layout.replicas(b)) for b in roles}
-                    files = _node_files(name, k, hosts.items())
-                    places = _places(files, block_size)
-                    records = {}
+                    order = codes.build_layout(scheme, pool, layout_seed)
+                    fnames = [_node_file(name, k, node) for node in order]
+                    crcs = [""] * scheme.block_count
                     encoder = codes.StripeEncoder(scheme, block_size)
-                    with self._write_file([f for f, _ in files.values()], whole=True) as write:
+                    with self._write_file(fnames, whole=True) as write:
 
                         def place(b: int, body) -> None:
-                            for node in hosts[b]:
-                                write(*places[b, node], body)
-                            records[b] = BlockRecord(b, roles[b].as_string(), hosts[b], _crc(body))
+                            for s in geo.placements[b]:
+                                write(fnames[s], geo.blocks_on[s].index(b) * block_size, body)
+                            crcs[b] = _crc(body)
 
-                        for i in range(D):
+                        for i in range(scheme.data_block_count):
                             if i:
                                 n = fill(src, view)
                             if n < block_size:  # the file's end: pad the stripe with zeros
                                 view[n:] = bytes(block_size - n)
                             size += n
                             encoder.feed(i, block)
-                            place(data_block_of[i], block)
+                            place(geo.data_block_of[i], block)
                         for b, body in encoder.parities():
                             place(b, body)
-                    blocks = [records[b] for b in sorted(records)]
-                    stripes.append(StripeRecord(k, list(layout.node_order), blocks))
+                    stripes.append(StripeRecord(k, list(order), crcs))
             manifest = StoreManifest(name, size, scheme.name, block_size, stripes)
             _write_json(self._manifest_path(name), manifest.to_dict())
             return manifest
 
     # -- read path ----------------------------------------------------------
 
-    def _scan(self, manifest: StoreManifest, stripe: StripeRecord, keep: bool):
-        """Read each live node file of the stripe once, a block at a time
-        into one buffer.  Returns (good, corrupt, missing): the ids of the
-        blocks with a good replica, each corrupt replica as (record, node),
-        and the nodes whose file is missing, in node order; a down node's
-        file is missing without being read, and a replica that a short file
-        cuts off is corrupt.  With *keep*, each good block id maps to a copy
-        of its first good replica, which serves for all of them because
-        good replicas pass the same CRC; else it maps to None."""
-        size = manifest.block_size
-        buffer = bytearray(size)
-        by_id = {b.block_id: b for b in stripe.blocks}
+    def _scan(self, manifest: StoreManifest, stripe: StripeRecord, geo, keep: bool):
+        """Read each live node file of the stripe with one read into one
+        buffer, sized to the largest of them, and check each block's slice.
+        Returns (good, corrupt, missing): the ids of the blocks with a good
+        replica, each corrupt replica as (block id, slot), and the slots
+        whose file is missing, in node order; a down node's file is missing
+        without being read, and a replica that a short file cuts off is
+        corrupt.  With *keep*, each good block id maps to a copy of its
+        first good replica, which serves for all of them because good
+        replicas pass the same CRC; else it maps to None."""
+        size, order = manifest.block_size, stripe.node_order
+        buffer = bytearray(size * max(map(len, geo.blocks_on.values())))
         good, corrupt, missing = {}, [], []
-        for node, (fname, ids) in sorted(_stripe_files(manifest, stripe).items()):
-            reads = None
-            if node not in self._down:
-                reads = self._read_file(fname, range(0, len(ids) * size, size), size, buffer)
-            if reads is None:
-                missing.append(node)
+        for slot in sorted(range(len(order)), key=order.__getitem__):
+            ids = geo.blocks_on[slot]
+            body = None
+            if order[slot] not in self._down:
+                fname = _node_file(manifest.name, stripe.index, order[slot])
+                body = self._read_file(fname, 0, len(ids) * size, buffer)
+            if body is None:
+                missing.append(slot)
                 continue
-            for block_id, body in zip(ids, reads, strict=True):
-                record = by_id[block_id]
-                if len(body) == size and _crc(body) == record.crc32:
+            for rank, block_id in enumerate(ids):
+                block = body[rank * size : (rank + 1) * size]
+                if len(block) == size and _crc(block) == stripe.crc32[block_id]:
                     if good.get(block_id) is None:
-                        good[block_id] = bytes(body) if keep else None
+                        good[block_id] = bytes(block) if keep else None
                 else:
-                    corrupt.append((record, node))
+                    corrupt.append((block_id, slot))
         return good, corrupt, missing
 
-    def _stripe_reader(self, manifest: StoreManifest, stripe: StripeRecord):
+    def _stripe_reader(self, manifest: StoreManifest, stripe: StripeRecord, geo):
         """Block accessor over the stripe's replicas: returns the first
-        replica, in the record's node order, that passes its CRC, skipping
+        replica, in the block's slot order, that passes its CRC, skipping
         down nodes, missing files and corrupt copies.  Raises
         ChecksumMismatchError when only corrupt replicas remain,
         MissingBlockError when none is left."""
         size = manifest.block_size
-        by_id = {b.block_id: b for b in stripe.blocks}
-        places = _places(_stripe_files(manifest, stripe), size)
 
         def reader(block_id: int) -> bytes:
-            record = by_id.get(block_id)
-            if record is None:
+            slots = geo.placements.get(block_id)
+            if slots is None:
                 raise MissingBlockError(f"unknown block {block_id}")
             corrupt = None
-            for node in record.nodes:
+            for slot in slots:
+                node = stripe.node_order[slot]
                 if node in self._down:
                     continue
-                fname, offset = places[block_id, node]
-                reads = self._read_file(fname, (offset,), size)
-                if reads is None:
+                fname = _node_file(manifest.name, stripe.index, node)
+                body = self._read_file(fname, geo.blocks_on[slot].index(block_id) * size, size)
+                if body is None:
                     continue
-                (body,) = reads
-                if len(body) == size and _crc(body) == record.crc32:
+                if len(body) == size and _crc(body) == stripe.crc32[block_id]:
                     return body
                 corrupt = fname
             if corrupt is not None:
@@ -566,41 +533,34 @@ class BlockStore:
 
     def _read_blocks(self, manifest: StoreManifest) -> Iterator[bytes | memoryview]:
         scheme = parse_scheme(manifest.scheme)
+        geo = codes._geometry(scheme)
         left = manifest.size
         for stripe in manifest.stripes:
-            slot_of = {node: s for s, node in enumerate(stripe.node_order)}
-            down_slots = {
-                slot_of[n] for n in stripe.node_order if n in self._down
-            }
-            data_records = sorted(
-                (b for b in stripe.blocks if b.role.startswith("data:")),
-                key=lambda b: int(b.role.split(":")[1]),
-            )
-            reader = self._stripe_reader(manifest, stripe)
+            down_slots = {s for s, node in enumerate(stripe.node_order) if node in self._down}
+            reader = self._stripe_reader(manifest, stripe, geo)
             rebuilt: dict[int, bytes] = {}
-            for record in data_records:
+            for i in range(scheme.data_block_count):
+                block_id = geo.data_block_of[i]
                 try:
-                    body = reader(record.block_id)
+                    body = reader(block_id)
                 except (MissingBlockError, ChecksumMismatchError):
                     # no good replica left: decode it from the stripe
-                    if record.block_id not in rebuilt:
-                        bad_slots = {slot_of[node] for node in record.nodes}
+                    if block_id not in rebuilt:
                         plan = codes.plan_degraded_read(
-                            scheme, record.block_id, down_slots | bad_slots
+                            scheme, block_id, down_slots.union(geo.placements[block_id])
                         )
                         rebuilt.update(codes.execute_plan(plan, reader))
                         self.degraded_log.append(
-                            (manifest.name, stripe.index, record.block_id, plan.bandwidth_blocks)
+                            (manifest.name, stripe.index, block_id, plan.bandwidth_blocks)
                         )
                         log.info(
                             "degraded read: %s stripe %d block %d via %d transfers",
-                            manifest.name, stripe.index, record.block_id,
-                            plan.bandwidth_blocks,
+                            manifest.name, stripe.index, block_id, plan.bandwidth_blocks,
                         )
-                    body = rebuilt[record.block_id]
-                    if _crc(body) != record.crc32:
+                    body = rebuilt[block_id]
+                    if _crc(body) != stripe.crc32[block_id]:
                         raise ChecksumMismatchError(
-                            f"degraded read of block {record.block_id} failed its CRC check"
+                            f"degraded read of block {block_id} failed its CRC check"
                         )
                 if len(body) > left:
                     body = memoryview(body)[:left]
@@ -647,11 +607,13 @@ class BlockStore:
         report = FsckReport()
         for manifest in self.manifests():
             scheme = parse_scheme(manifest.scheme)
+            geo = codes._geometry(scheme)
             for stripe in manifest.stripes:
-                good, corrupt, missing = self._scan(manifest, stripe, keep=False)
-                report.missing += [(manifest.name, stripe.index, node) for node in missing]
-                report.corrupt += [(manifest.name, stripe.index, record.block_id, node)
-                                   for record, node in corrupt]
+                good, corrupt, missing = self._scan(manifest, stripe, geo, keep=False)
+                order = stripe.node_order
+                report.missing += [(manifest.name, stripe.index, order[s]) for s in missing]
+                report.corrupt += [(manifest.name, stripe.index, block_id, order[s])
+                                   for block_id, s in corrupt]
                 if not codes.can_decode_from(scheme, good):
                     report.fatal_stripes.append((manifest.name, stripe.index))
         return report
@@ -659,53 +621,59 @@ class BlockStore:
     def repair(self) -> RepairResult:
         """Restore every damaged stripe, then bring the down nodes back up.
 
-        Measured bandwidth is the sum of the executed plans' transfer
-        counts.  Each damaged stripe is rebuilt from the bytes its scan read
-        and written back before the next is scanned: a missing node file is
-        written whole, and a corrupt replica in place, so a write that fails
-        touches no good replica.  A stripe that cannot
-        be rebuilt does not stop the others: FatalStripeError names the
-        first one after every other stripe is restored.  Down nodes are
-        marked up only after every block is written back, so a repair that
-        fails leaves them down and the next repair writes their blocks
-        again.
+        A corrupt replica whose block has a good replica is copied whole
+        from it, one transfer; the code rebuilds the rest through one repair
+        plan over the slots whose file is missing and the slots of blocks
+        with no good replica left.  Measured bandwidth is the plans'
+        transfer counts plus the copies.  Each damaged stripe is rebuilt
+        from the bytes its scan read and written back before the next is
+        scanned: a missing node file is written whole, and a corrupt replica
+        in place, so a write that fails touches no good replica.  A stripe
+        that cannot be rebuilt does not stop the others: FatalStripeError
+        names the first one after every other stripe is restored.  Down
+        nodes are marked up only after every block is written back, so a
+        repair that fails leaves them down and the next repair writes their
+        blocks again.
         """
         with self._locked():
             plans = bandwidth = 0
             fatal = None
             for manifest in self.manifests():
                 scheme = parse_scheme(manifest.scheme)
+                geo = codes._geometry(scheme)
+                size, name = manifest.block_size, manifest.name
                 for stripe in manifest.stripes:
-                    good, corrupt, missing = self._scan(manifest, stripe, keep=True)
+                    good, corrupt, missing = self._scan(manifest, stripe, geo, keep=True)
                     if not (corrupt or missing):
                         continue
                     if not codes.can_decode_from(scheme, good):
-                        fatal = fatal or f"{manifest.name} stripe {stripe.index} is unrecoverable"
+                        fatal = fatal or f"{name} stripe {stripe.index} is unrecoverable"
                         continue
-                    # the plan reads only blocks on undamaged nodes, whose every
-                    # replica is good, so each block it reads has kept bytes
-                    rewrite = {node: None for node in missing}  # None: the whole file
-                    for record, node in corrupt:
-                        rewrite.setdefault(node, set()).add(record.block_id)
-                    slot_of = {node: s for s, node in enumerate(stripe.node_order)}
-                    plan = codes.plan_repair(scheme, frozenset(slot_of[n] for n in rewrite))
-                    recovered = codes.execute_plan(plan, _source_reader(good))
-                    files = _stripe_files(manifest, stripe)
-                    crc = {b.block_id: b.crc32 for b in stripe.blocks}
-                    for node, ids in sorted(rewrite.items()):
-                        fname, held = files[node]
+                    # a block the plan reads has a replica off the failed
+                    # slots, which is good or has a good twin, so it has kept bytes
+                    failed = set(missing) | {s for block_id, s in corrupt if block_id not in good}
+                    rewrite = {s: None for s in missing}  # None: the whole file
+                    for block_id, s in corrupt:
+                        rewrite.setdefault(s, set()).add(block_id)
+                    if failed:
+                        plan = codes.plan_repair(scheme, frozenset(failed))
+                        good.update(codes.execute_plan(plan, _source_reader(good)))
+                        bandwidth += plan.bandwidth_blocks
+                    bandwidth += sum(s not in failed for _, s in corrupt)
+                    order = stripe.node_order
+                    for s in sorted(rewrite, key=order.__getitem__):
+                        ids, fname = rewrite[s], _node_file(name, stripe.index, order[s])
                         with self._write_file([fname], whole=ids is None) as write:
-                            for rank, block_id in enumerate(held):
+                            for rank, block_id in enumerate(geo.blocks_on[s]):
                                 if ids is not None and block_id not in ids:
                                     continue
-                                body = recovered[block_id]
-                                if _crc(body) != crc[block_id]:
+                                body = good[block_id]
+                                if _crc(body) != stripe.crc32[block_id]:
                                     raise codes.InconsistentStripeError(
                                         f"repaired block {block_id} fails its CRC"
                                     )
-                                write(fname, rank * manifest.block_size, body)
+                                write(fname, rank * size, body)
                     plans += 1
-                    bandwidth += plan.bandwidth_blocks
             if fatal is not None:
                 raise FatalStripeError(fatal)
 

@@ -422,8 +422,8 @@ def _cmd_code_encode(args) -> int:
             raise UsageError("input exceeds one stripe; raise --block-size or use the store")
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        layout = codes.build_layout(scheme, range(scheme.code_length), 0)
-        roles = layout.block_roles
+        order = codes.build_layout(scheme, range(scheme.code_length), 0)
+        geo = codes._geometry(scheme)
         entries = {}
 
         def write_block(block_id: int, body) -> None:
@@ -431,13 +431,12 @@ def _cmd_code_encode(args) -> int:
             (out / name).write_bytes(body)
             entries[block_id] = {
                 "file": name,
-                "role": roles[block_id].as_string(),
-                "nodes": list(layout.replicas(block_id)),
+                "role": geo.roles[block_id].as_string(),
+                "nodes": [order[s] for s in geo.placements[block_id]],
                 "crc32": f"{zlib.crc32(body):08x}",
             }
 
         # one data block at a time through one buffer, as the store's put does
-        data_block_of = {r.index: b for b, r in roles.items() if r.kind == "data"}
         encoder = codes.StripeEncoder(scheme, block_size)
         block = bytearray(block_size)
         view = memoryview(block)
@@ -446,7 +445,7 @@ def _cmd_code_encode(args) -> int:
             if n < block_size:  # the input's end: pad the stripe with zeros
                 view[n:] = bytes(block_size - n)
             encoder.feed(i, block)
-            write_block(data_block_of[i], block)
+            write_block(geo.data_block_of[i], block)
     for block_id, body in encoder.parities():
         write_block(block_id, body)
     meta = {

@@ -177,13 +177,6 @@ class BlockRole:
     def as_string(self) -> str:
         return f"{self.kind}:{self.index}"
 
-    @classmethod
-    def from_string(cls, text: str) -> "BlockRole":
-        kind, _, idx = text.partition(":")
-        if kind not in ("data", "local_parity", "global_parity"):
-            raise ValueError(f"bad block role: {text!r}")
-        return cls(kind, int(idx))
-
 
 def polygon_edges(n: int) -> list[tuple[int, int]]:
     """Edges of K_n in lexicographic order; block id == position."""
@@ -219,7 +212,8 @@ class _Geometry:
     ``roles[b]``         b's ``BlockRole``
     ``rows[b]``          b's coefficient vector over the data symbols
     ``data_block_of[i]`` block id of data symbol i
-    ``blocks_on[s]``     blocks stored on slot s
+    ``blocks_on[s]``     blocks stored on slot s, ascending: the order of a
+                         node's file of a stripe in the block store
     ``groups``           complete-graph local groups (``_Group``): one for a
                          polygon, two for heptagon-local, none otherwise
     ``group_of[b]``      the group whose edge carries block b
@@ -311,36 +305,9 @@ def _geometry(scheme: Scheme) -> _Geometry:
     return _Geometry(scheme)
 
 
-@dataclass(frozen=True)
-class StripeLayout:
-    """Placement of one stripe's blocks onto concrete node ids.
-
-    ``node_order[slot]`` is the node playing canonical slot ``slot``.
-    """
-
-    scheme: Scheme
-    node_order: tuple[int, ...]
-
-    @property
-    def block_roles(self) -> dict[int, BlockRole]:
-        return dict(_geometry(self.scheme).roles)
-
-    def replicas(self, block_id: int) -> tuple[int, ...]:
-        geo = _geometry(self.scheme)
-        return tuple(self.node_order[s] for s in geo.placements[block_id])
-
-    def blocks_on(self, node_id: int) -> tuple[int, ...]:
-        return _geometry(self.scheme).blocks_on[self.slot_of(node_id)]
-
-    def slot_of(self, node_id: int) -> int:
-        try:
-            return self.node_order.index(node_id)
-        except ValueError:
-            raise ValueError(f"node {node_id} not part of this stripe") from None
-
-
-def build_layout(scheme: Scheme, node_pool: Iterable[int], seed: int) -> StripeLayout:
-    """Map the scheme's canonical slots onto nodes from *node_pool*.
+def build_layout(scheme: Scheme, node_pool: Iterable[int], seed: int) -> tuple[int, ...]:
+    """Map the scheme's canonical slots onto nodes from *node_pool*: the
+    node order, whose entry s is the node that plays slot s.
 
     Polygon and heptagon-local layouts are fixed by construction (first
     ``code_length`` pool nodes in order); replication and RAID+m draw
@@ -351,10 +318,8 @@ def build_layout(scheme: Scheme, node_pool: Iterable[int], seed: int) -> StripeL
     if len(pool) < L:
         raise ValueError(f"node pool too small: {len(pool)} < {L}")
     if isinstance(scheme, (Polygon, HeptagonLocal)):
-        order = tuple(pool[:L])
-    else:
-        order = tuple(random.Random(seed).sample(pool, L))
-    return StripeLayout(scheme, order)
+        return tuple(pool[:L])
+    return tuple(random.Random(seed).sample(pool, L))
 
 
 # ---------------------------------------------------------------------------

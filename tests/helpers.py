@@ -3,13 +3,12 @@
 import random
 import zlib
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping
 
-from polycode import blockstore, codes
-from polycode.blockstore import BlockStore, StripeRecord, _crc, _write_json
+from polycode import codes
+from polycode.blockstore import BlockStore, _crc, _write_json
 from polycode.codes import (
     ChecksumMismatchError,
     MissingBlockError,
@@ -307,40 +306,19 @@ def delay_reference(
     return Assignment(tuple(node_of), tuple(local))
 
 
-@dataclass
-class BlockRecord:
-    """A manifest record of the one-file-per-replica layout, which named
-    each replica's file, n<node>/<name>.s<stripe>_b<block>_r<copy>.blk."""
-
-    block_id: int
-    role: str
-    nodes: list[int]
-    files: list[str]
-    crc32: str
-
-
-class StoreManifest(blockstore.StoreManifest):
-    """A manifest of the one-file-per-replica layout: each block record
-    lists its replicas' files."""
-
-    def to_dict(self) -> dict:
-        d = super().to_dict()
-        for stripe, raw in zip(self.stripes, d["stripes"]):
-            for record, block in zip(stripe.blocks, raw["blocks"]):
-                block["files"] = record.files
-        return d
-
-
 def put_reference(
     store: BlockStore, path: Path, scheme: Scheme | None = None, block_size: int | None = None
-) -> StoreManifest:
+) -> dict:
     """``BlockStore.put`` as it read the whole file, then padded, encoded
-    and wrote a stripe at a time: the reference whose manifest and block
-    files the streaming put must equal byte for byte.  Name checks and the
-    lock are left out."""
+    and wrote a stripe at a time, a file per replica named
+    n<node>/<name>.s<stripe>_b<block>_r<copy>.blk: the reference whose
+    block bytes and manifest the streaming put must equal.  Its manifest
+    lists each block's role, nodes and files; it is written and returned
+    as a dict.  Name checks and the lock are left out."""
     name = path.name
     scheme = scheme or store.scheme
     block_size = block_size or store.block_size
+    geo = codes._geometry(scheme)
     data = path.read_bytes()
     D = scheme.data_block_count
     stripe_bytes = D * block_size
@@ -349,23 +327,25 @@ def put_reference(
     for k in range(n_stripes):
         chunk = data[k * stripe_bytes : (k + 1) * stripe_bytes].ljust(stripe_bytes, b"\0")
         layout_seed = zlib.crc32(f"{store.seed}:{name}:{k}".encode())
-        layout = codes.build_layout(scheme, store.up_nodes(), layout_seed)
+        order = codes.build_layout(scheme, store.up_nodes(), layout_seed)
         payload = [chunk[i * block_size : (i + 1) * block_size] for i in range(D)]
         encoded = codes.encode_stripe(scheme, payload)
         records = []
         for block_id in sorted(encoded):
             body = encoded[block_id]
-            nodes = list(layout.replicas(block_id))
+            nodes = [order[s] for s in geo.placements[block_id]]
             files = []
             for copy, node in enumerate(nodes):
                 fname = f"n{node}/{name}.s{k}_b{block_id}_r{copy}.blk"
                 (store.root / fname).write_bytes(body)
                 files.append(fname)
-            role = layout.block_roles[block_id].as_string()
-            records.append(BlockRecord(block_id, role, nodes, files, _crc(body)))
-        stripes.append(StripeRecord(k, list(layout.node_order), records))
-    manifest = StoreManifest(name, len(data), scheme.name, block_size, stripes)
-    _write_json(store.root / f"{name}.manifest.json", manifest.to_dict())
+            role = geo.roles[block_id].as_string()
+            records.append({"block": block_id, "role": role, "nodes": nodes,
+                            "crc32": _crc(body), "files": files})
+        stripes.append({"index": k, "node_order": list(order), "blocks": records})
+    manifest = {"file": name, "size": len(data), "scheme": scheme.name,
+                "block_size": block_size, "stripe_count": n_stripes, "stripes": stripes}
+    _write_json(store.root / f"{name}.manifest.json", manifest)
     return manifest
 
 

@@ -39,10 +39,16 @@ def write_file(tmp_path, size, seed=0, name="data.bin"):
     return path
 
 
+def hosts(manifest, stripe, block_id) -> list[int]:
+    """The nodes that hold a block's replicas, in replica order."""
+    geo = codes._geometry(codes.parse_scheme(manifest.scheme))
+    return [stripe.node_order[s] for s in geo.placements[block_id]]
+
+
 def replica(store, manifest, stripe, block_id, node) -> tuple[Path, int]:
     """The node file that holds a replica, and the replica's offset in it:
     a node's blocks of a stripe follow each other in block-id order."""
-    held = sorted(b.block_id for b in stripe.blocks if node in b.nodes)
+    held = [b for b in range(len(stripe.crc32)) if node in hosts(manifest, stripe, b)]
     path = store.root / f"n{node}" / f"{manifest.name}.s{stripe.index}.blk"
     return path, held.index(block_id) * manifest.block_size
 
@@ -136,15 +142,21 @@ def test_manifest_schema(pentagon_store, tmp_path):
     assert raw["block_size"] == BS
     assert raw["stripe_count"] == 1
     (stripe,) = raw["stripes"]
-    assert len(stripe["blocks"]) == 10
-    for record in stripe["blocks"]:
-        assert set(record) == {"block", "role", "nodes", "crc32"}
-        assert len(record["crc32"]) == 8
-        int(record["crc32"], 16)
-        for node in record["nodes"]:
+    assert set(stripe) == {"index", "node_order", "crc32"}
+    assert stripe["index"] == 0 and stripe["node_order"] == [0, 1, 2, 3, 4]
+    assert len(stripe["crc32"]) == 10
+    for crc in stripe["crc32"]:
+        assert len(crc) == 8
+        int(crc, 16)
+    geo = codes._geometry(Polygon(5))
+    for block_id, slots in geo.placements.items():  # a file for every (slot, block)
+        for slot in slots:
+            node = stripe["node_order"][slot]
             assert (pentagon_store.root / f"n{node}/data.bin.s0.blk").exists()
-    roles = [r["role"] for r in stripe["blocks"]]
+    roles = [geo.roles[b].as_string() for b in range(len(stripe["crc32"]))]
     assert roles.count("local_parity:0") == 1
+    size = (pentagon_store.root / "data.bin.manifest.json").stat().st_size
+    assert size <= 260  # 759 when each block record named its role and nodes
 
 
 def test_kill_revive_cycle(pentagon_store, tmp_path):
@@ -176,13 +188,13 @@ def test_fsck_reports(pentagon_store, tmp_path):
     pentagon_store.repair()
     # flip one byte of one replica
     stripe = manifest.stripes[0]
-    record = stripe.blocks[2]
-    target, offset = replica(pentagon_store, manifest, stripe, 2, record.nodes[0])
+    node = hosts(manifest, stripe, 2)[0]
+    target, offset = replica(pentagon_store, manifest, stripe, 2, node)
     body = bytearray(target.read_bytes())
     body[offset + 10] ^= 0xFF
     target.write_bytes(bytes(body))
     report = pentagon_store.fsck()
-    assert report.corrupt == [("data.bin", 0, 2, record.nodes[0])]
+    assert report.corrupt == [("data.bin", 0, 2, node)]
     assert not report.missing and not report.fatal_stripes
 
 
@@ -263,9 +275,8 @@ def test_block_files_are_opened_and_removed_by_three_helpers_only():
     assert calls == {
         "_read_json": {"open"},
         "_write_json": {"open", "os.replace"},
-        "_preads": {"os.pread", "os.preadv", "os.close"},
         "_locked": {"open"},
-        "_read_file": {"os.open"},
+        "_read_file": {"os.open", "os.pread", "os.preadv", "os.close"},
         "_write_file": {"os.open", "os.pwrite", "os.close"},
         "write": {"os.pwrite"},
         "_remove_files": {"os.scandir", "os.unlink"},
@@ -293,16 +304,17 @@ def test_fsck_reads_deleted_replica_as_missing_and_flipped_byte_as_corrupt(
 ):
     manifest = pentagon_store.put(write_file(tmp_path, 9 * BS, seed=5))
     stripe = manifest.stripes[0]
-    gone = stripe.blocks[1].nodes[0]
-    flipped = next(b for b in stripe.blocks if gone not in b.nodes)
+    gone = hosts(manifest, stripe, 1)[0]
+    flipped = next(b for b in range(len(stripe.crc32)) if gone not in hosts(manifest, stripe, b))
+    node = hosts(manifest, stripe, flipped)[1]
     (pentagon_store.root / f"n{gone}/data.bin.s0.blk").unlink()  # its node stays up
-    target, offset = replica(pentagon_store, manifest, stripe, flipped.block_id, flipped.nodes[1])
+    target, offset = replica(pentagon_store, manifest, stripe, flipped, node)
     body = bytearray(target.read_bytes())
     body[offset] ^= 0x01
     target.write_bytes(bytes(body))
     report = pentagon_store.fsck()
     assert report.missing == [("data.bin", stripe.index, gone)]
-    assert report.corrupt == [("data.bin", stripe.index, flipped.block_id, flipped.nodes[1])]
+    assert report.corrupt == [("data.bin", stripe.index, flipped, node)]
     assert not report.fatal_stripes
     assert pentagon_store.get("data.bin") == (tmp_path / "data.bin").read_bytes()
 
@@ -312,7 +324,7 @@ def test_fsck_reads_replicas_a_short_file_cuts_off_as_corrupt(pentagon_store, tm
     manifest = pentagon_store.put(src)
     stripe = manifest.stripes[0]
     target = pentagon_store.root / "n3/data.bin.s0.blk"
-    held = sorted(b.block_id for b in stripe.blocks if 3 in b.nodes)
+    held = sorted(b for b in range(len(stripe.crc32)) if 3 in hosts(manifest, stripe, b))
     with open(target, "r+b") as fh:
         fh.truncate(2 * BS + 100)  # keeps two replicas whole and cuts the third
     report = pentagon_store.fsck()
@@ -386,10 +398,10 @@ def test_get_falls_back_past_corrupt_replica(pentagon_store, tmp_path):
     pentagon_store.kill_node(1)
     zeroed = 0
     for stripe in manifest.stripes:
-        for record in stripe.blocks:
-            if 2 in record.nodes and {3, 4} & set(record.nodes):
-                overwrite(*replica(pentagon_store, manifest, stripe, record.block_id, 2),
-                          bytes(BS))
+        for block_id in range(len(stripe.crc32)):
+            nodes = hosts(manifest, stripe, block_id)
+            if 2 in nodes and {3, 4} & set(nodes):
+                overwrite(*replica(pentagon_store, manifest, stripe, block_id, 2), bytes(BS))
                 zeroed += 1
     assert zeroed == 4  # edges (2,3) and (2,4) in each stripe
     assert not pentagon_store.fsck().fatal_stripes
@@ -427,12 +439,35 @@ def test_repair_fixes_corruption(pentagon_store, tmp_path):
     path = write_file(tmp_path, 9 * BS, seed=10)
     manifest = pentagon_store.put(path)
     stripe = manifest.stripes[0]
-    target, offset = replica(pentagon_store, manifest, stripe, 0, stripe.blocks[0].nodes[1])
+    target, offset = replica(pentagon_store, manifest, stripe, 0, hosts(manifest, stripe, 0)[1])
     overwrite(target, offset, b"garbage" * 100)
     result = pentagon_store.repair()
     assert result.plans_executed == 1
     assert pentagon_store.fsck().is_clean
     assert pentagon_store.get("data.bin") == path.read_bytes()
+
+
+@pytest.mark.parametrize("scheme,bad", [
+    (Polygon(5), {0: 0, 5: 1, 7: 2}),  # block: the node of its corrupt replica
+    (Polygon(5), {0: 0, 7: 2}),
+    (HeptagonLocal(), {0: 0, 6: 1, 11: 2, 15: 3}),
+])
+def test_repair_copies_a_corrupt_replica_from_its_good_twin(tmp_path, scheme, bad):
+    store = BlockStore.create(tmp_path / "s", scheme, nodes=scheme.code_length, block_size=64,
+                              seed=3)
+    src = write_file(tmp_path, scheme.data_block_count * 64, seed=26)
+    manifest = store.put(src)
+    stripe = manifest.stripes[0]
+    for block_id, node in bad.items():
+        overwrite(*replica(store, manifest, stripe, block_id, node), b"\xff" * 64)
+    report = store.fsck()
+    assert sorted(report.corrupt) == sorted(("data.bin", 0, b, n) for b, n in bad.items())
+    assert not report.fatal_stripes
+    assert store.get("data.bin") == src.read_bytes()
+    result = store.repair()
+    assert (result.plans_executed, result.bandwidth_blocks) == (1, len(bad))
+    assert store.fsck().is_clean
+    assert store.get("data.bin") == src.read_bytes()
 
 
 def test_repair_fatal_stripe_aborts_untouched(pentagon_store, tmp_path):
@@ -741,7 +776,7 @@ def test_repair_failing_partway_keeps_the_good_replicas_of_its_file(pentagon_sto
     manifest = pentagon_store.put(src)
     stripe = manifest.stripes[0]
     target = pentagon_store.root / "n2/data.bin.s0.blk"
-    held = sorted(b.block_id for b in stripe.blocks if 2 in b.nodes)
+    held = sorted(b for b in range(len(stripe.crc32)) if 2 in hosts(manifest, stripe, b))
     before = target.read_bytes()
     junk = random.Random(25).randbytes(BS)
     for rank in (1, 3):
@@ -776,7 +811,7 @@ def test_old_format_store_json_opens_and_old_layout_manifest_is_refused(tmp_path
               "next_stripe": 7}
     (root / "store.json").write_text(json.dumps(config, indent=2) + "\n")
     src = write_file(tmp_path, 3 * 9 * BS - 200, seed=34, name="old.bin")
-    old = put_reference(BlockStore(root), src).to_dict()
+    old = put_reference(BlockStore(root), src)
     assert all("files" in b for s in old["stripes"] for b in s["blocks"])
 
     store = BlockStore(root)
@@ -799,7 +834,220 @@ def test_old_format_store_json_opens_and_old_layout_manifest_is_refused(tmp_path
     assert store.fsck().is_clean
 
 
+# A put of bytes(range(size)) into a store of seed 7, as written when each
+# manifest record listed a block with its role and nodes.
+BLOCK_RECORDS = {  # scheme: (nodes, block size, manifest, node files in hex)
+    "pentagon": (5, 8, (
+        '{"file":"f.bin","size":70,"scheme":"pentagon","block_size":8,"stripe_count":1,"stripes":['
+        '{"index":0,"node_order":[0,1,2,3,4],"blocks":['
+        '{"block":0,"role":"data:0","nodes":[0,1],"crc32":"88aa689f"},'
+        '{"block":1,"role":"data:1","nodes":[0,2],"crc32":"b9268f8c"},'
+        '{"block":2,"role":"data:2","nodes":[0,3],"crc32":"ebb3a6b9"},'
+        '{"block":3,"role":"data:3","nodes":[0,4],"crc32":"da3f41aa"},'
+        '{"block":4,"role":"data:4","nodes":[1,2],"crc32":"4e99f4d3"},'
+        '{"block":5,"role":"data:5","nodes":[1,3],"crc32":"7f1513c0"},'
+        '{"block":6,"role":"data:6","nodes":[1,4],"crc32":"2d803af5"},'
+        '{"block":7,"role":"data:7","nodes":[2,3],"crc32":"1c0cdde6"},'
+        '{"block":8,"role":"data:8","nodes":[2,4],"crc32":"91276af6"},'
+        '{"block":9,"role":"local_parity:0","nodes":[3,4],"crc32":"91276af6"}]}]}'
+    ), {
+        "n0/f.bin.s0.blk": "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+        "n1/f.bin.s0.blk": "0001020304050607202122232425262728292a2b2c2d2e2f3031323334353637",
+        "n2/f.bin.s0.blk": "08090a0b0c0d0e0f202122232425262738393a3b3c3d3e3f4041424344450000",
+        "n3/f.bin.s0.blk": "101112131415161728292a2b2c2d2e2f38393a3b3c3d3e3f4041424344450000",
+        "n4/f.bin.s0.blk": "18191a1b1c1d1e1f303132333435363740414243444500004041424344450000",
+    }),
+    "heptagon-local": (15, 4, (
+        '{"file":"f.bin","size":157,"scheme":"heptagon-local","block_size":4,"stripe_count":1,"stripes":['
+        '{"index":0,"node_order":[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14],"blocks":['
+        '{"block":0,"role":"data:0","nodes":[0,1],"crc32":"8bb98613"},'
+        '{"block":1,"role":"data:1","nodes":[0,2],"crc32":"60d3b885"},'
+        '{"block":2,"role":"data:2","nodes":[0,3],"crc32":"861cfd7e"},'
+        '{"block":3,"role":"data:3","nodes":[0,4],"crc32":"6d76c3e8"},'
+        '{"block":4,"role":"data:4","nodes":[0,5],"crc32":"90f370c9"},'
+        '{"block":5,"role":"data:5","nodes":[0,6],"crc32":"7b994e5f"},'
+        '{"block":6,"role":"data:6","nodes":[1,2],"crc32":"9d560ba4"},'
+        '{"block":7,"role":"data:7","nodes":[1,3],"crc32":"763c3532"},'
+        '{"block":8,"role":"data:8","nodes":[1,4],"crc32":"bd2c6ba7"},'
+        '{"block":9,"role":"data:9","nodes":[1,5],"crc32":"56465531"},'
+        '{"block":10,"role":"data:10","nodes":[1,6],"crc32":"b08910ca"},'
+        '{"block":11,"role":"data:11","nodes":[2,3],"crc32":"5be32e5c"},'
+        '{"block":12,"role":"data:12","nodes":[2,4],"crc32":"a6669d7d"},'
+        '{"block":13,"role":"data:13","nodes":[2,5],"crc32":"4d0ca3eb"},'
+        '{"block":14,"role":"data:14","nodes":[2,6],"crc32":"abc3e610"},'
+        '{"block":15,"role":"data:15","nodes":[3,4],"crc32":"40a9d886"},'
+        '{"block":16,"role":"data:16","nodes":[3,5],"crc32":"e6925d7b"},'
+        '{"block":17,"role":"data:17","nodes":[3,6],"crc32":"0df863ed"},'
+        '{"block":18,"role":"data:18","nodes":[4,5],"crc32":"eb372616"},'
+        '{"block":19,"role":"data:19","nodes":[4,6],"crc32":"005d1880"},'
+        '{"block":20,"role":"local_parity:0","nodes":[5,6],"crc32":"2144df1c"},'
+        '{"block":21,"role":"data:20","nodes":[7,8],"crc32":"fdd8aba1"},'
+        '{"block":22,"role":"data:21","nodes":[7,9],"crc32":"16b29537"},'
+        '{"block":23,"role":"data:22","nodes":[7,10],"crc32":"f07dd0cc"},'
+        '{"block":24,"role":"data:23","nodes":[7,11],"crc32":"1b17ee5a"},'
+        '{"block":25,"role":"data:24","nodes":[7,12],"crc32":"d007b0cf"},'
+        '{"block":26,"role":"data:25","nodes":[7,13],"crc32":"3b6d8e59"},'
+        '{"block":27,"role":"data:26","nodes":[8,9],"crc32":"dda2cba2"},'
+        '{"block":28,"role":"data:27","nodes":[8,10],"crc32":"36c8f534"},'
+        '{"block":29,"role":"data:28","nodes":[8,11],"crc32":"cb4d4615"},'
+        '{"block":30,"role":"data:29","nodes":[8,12],"crc32":"20277883"},'
+        '{"block":31,"role":"data:30","nodes":[8,13],"crc32":"c6e83d78"},'
+        '{"block":32,"role":"data:31","nodes":[9,10],"crc32":"2d8203ee"},'
+        '{"block":33,"role":"data:32","nodes":[9,11],"crc32":"51ee30c3"},'
+        '{"block":34,"role":"data:33","nodes":[9,12],"crc32":"ba840e55"},'
+        '{"block":35,"role":"data:34","nodes":[9,13],"crc32":"5c4b4bae"},'
+        '{"block":36,"role":"data:35","nodes":[10,11],"crc32":"b7217538"},'
+        '{"block":37,"role":"data:36","nodes":[10,12],"crc32":"4aa4c619"},'
+        '{"block":38,"role":"data:37","nodes":[10,13],"crc32":"a1cef88f"},'
+        '{"block":39,"role":"data:38","nodes":[11,12],"crc32":"4701bd74"},'
+        '{"block":40,"role":"data:39","nodes":[11,13],"crc32":"d6d28100"},'
+        '{"block":41,"role":"local_parity:1","nodes":[12,13],"crc32":"5bfdddfe"},'
+        '{"block":42,"role":"global_parity:0","nodes":[14],"crc32":"dbd8f8b2"},'
+        '{"block":43,"role":"global_parity:1","nodes":[14],"crc32":"48766ef2"}]}]}'
+    ), {
+        "n0/f.bin.s0.blk": "000102030405060708090a0b0c0d0e0f1011121314151617",
+        "n1/f.bin.s0.blk": "0001020318191a1b1c1d1e1f202122232425262728292a2b",
+        "n2/f.bin.s0.blk": "0405060718191a1b2c2d2e2f303132333435363738393a3b",
+        "n3/f.bin.s0.blk": "08090a0b1c1d1e1f2c2d2e2f3c3d3e3f4041424344454647",
+        "n4/f.bin.s0.blk": "0c0d0e0f20212223303132333c3d3e3f48494a4b4c4d4e4f",
+        "n5/f.bin.s0.blk": "1011121324252627343536374041424348494a4b00000000",
+        "n6/f.bin.s0.blk": "1415161728292a2b38393a3b444546474c4d4e4f00000000",
+        "n7/f.bin.s0.blk": "505152535455565758595a5b5c5d5e5f6061626364656667",
+        "n8/f.bin.s0.blk": "5051525368696a6b6c6d6e6f707172737475767778797a7b",
+        "n9/f.bin.s0.blk": "5455565768696a6b7c7d7e7f808182838485868788898a8b",
+        "n10/f.bin.s0.blk": "58595a5b6c6d6e6f7c7d7e7f8c8d8e8f9091929394959697",
+        "n11/f.bin.s0.blk": "5c5d5e5f70717273808182838c8d8e8f98999a9b9c000000",
+        "n12/f.bin.s0.blk": "6061626374757677848586879091929398999a9b009d9e9f",
+        "n13/f.bin.s0.blk": "6465666778797a7b88898a8b949596979c000000009d9e9f",
+        "n14/f.bin.s0.blk": "781622c50dad71ce",
+    }),
+    "raidm-3": (10, 8, (
+        '{"file":"f.bin","size":40,"scheme":"raidm-3","block_size":8,"stripe_count":2,"stripes":['
+        '{"index":0,"node_order":[6,1,4,9,2,8,0,7],"blocks":['
+        '{"block":0,"role":"data:0","nodes":[6,1],"crc32":"88aa689f"},'
+        '{"block":1,"role":"data:1","nodes":[4,9],"crc32":"b9268f8c"},'
+        '{"block":2,"role":"data:2","nodes":[2,8],"crc32":"ebb3a6b9"},'
+        '{"block":3,"role":"local_parity:0","nodes":[0,7],"crc32":"da3f41aa"}]},'
+        '{"index":1,"node_order":[4,3,1,8,2,6,7,5],"blocks":['
+        '{"block":0,"role":"data:0","nodes":[4,3],"crc32":"da3f41aa"},'
+        '{"block":1,"role":"data:1","nodes":[1,8],"crc32":"4e99f4d3"},'
+        '{"block":2,"role":"data:2","nodes":[2,6],"crc32":"6522df69"},'
+        '{"block":3,"role":"local_parity:0","nodes":[7,5],"crc32":"f1846a10"}]}]}'
+    ), {
+        "n0/f.bin.s0.blk": "18191a1b1c1d1e1f",
+        "n1/f.bin.s0.blk": "0001020304050607",
+        "n1/f.bin.s1.blk": "2021222324252627",
+        "n2/f.bin.s0.blk": "1011121314151617",
+        "n2/f.bin.s1.blk": "0000000000000000",
+        "n3/f.bin.s1.blk": "18191a1b1c1d1e1f",
+        "n4/f.bin.s0.blk": "08090a0b0c0d0e0f",
+        "n4/f.bin.s1.blk": "18191a1b1c1d1e1f",
+        "n5/f.bin.s1.blk": "3838383838383838",
+        "n6/f.bin.s0.blk": "0001020304050607",
+        "n6/f.bin.s1.blk": "0000000000000000",
+        "n7/f.bin.s0.blk": "18191a1b1c1d1e1f",
+        "n7/f.bin.s1.blk": "3838383838383838",
+        "n8/f.bin.s0.blk": "1011121314151617",
+        "n8/f.bin.s1.blk": "2021222324252627",
+        "n9/f.bin.s0.blk": "08090a0b0c0d0e0f",
+    }),
+}
+
+
+def block_record_store(tmp_path, name: str) -> BlockStore:
+    """A store holding f.bin as ``BLOCK_RECORDS[name]`` has it."""
+    nodes, block, manifest, files = BLOCK_RECORDS[name]
+    store = BlockStore.create(tmp_path / name, codes.parse_scheme(name), nodes=nodes,
+                              block_size=block, seed=7)
+    (store.root / "f.bin.manifest.json").write_text(manifest + "\n")
+    for fname, body in files.items():
+        (store.root / fname).write_bytes(bytes.fromhex(body))
+    return store
+
+
+@pytest.mark.parametrize("name,killed,stripes", [("pentagon", 0, [0]),
+                                                 ("heptagon-local", 0, [0]),
+                                                 ("raidm-3", 6, [0, 1])])
+def test_manifest_of_block_records_gets_fscks_and_repairs(tmp_path, name, killed, stripes):
+    store = block_record_store(tmp_path, name)
+    files = BLOCK_RECORDS[name][3]
+    payload = bytes(range(json.loads(BLOCK_RECORDS[name][2])["size"]))
+    assert store.get("f.bin") == payload and store.fsck().is_clean
+    store.kill_node(killed)
+    assert store.get("f.bin") == payload
+    report = store.fsck()
+    assert report.missing == [("f.bin", k, killed) for k in stripes]
+    assert not report.corrupt and not report.fatal_stripes
+    assert store.repair().plans_executed == len(stripes)
+    assert store.fsck().is_clean
+    assert store.get("f.bin") == payload
+    assert {f: (store.root / f).read_bytes().hex() for f in files} == files
+
+
+@pytest.mark.parametrize("change", ["role", "nodes", "block", "node_order", "crc32"])
+def test_stripe_records_that_do_not_fit_the_layout_are_refused(tmp_path, change):
+    store = block_record_store(tmp_path, "raidm-3")
+    raw = json.loads(BLOCK_RECORDS["raidm-3"][2])
+    stripe = raw["stripes"][1]
+    if change == "role":
+        stripe["blocks"][3]["role"] = "data:3"
+    elif change == "nodes":
+        stripe["blocks"][3]["nodes"].reverse()
+    elif change == "block":
+        del stripe["blocks"][0]
+    elif change == "node_order":
+        stripe["node_order"].pop()
+    else:
+        raw = in_slot_space(raw)
+        raw["stripes"][1]["crc32"].pop()
+    (store.root / "f.bin.manifest.json").write_text(json.dumps(raw))
+    message = r"^f\.bin stripe 1 disagrees with the raidm-3 layout$"
+    for read in (lambda: store.load_manifest("f.bin"), lambda: store.get("f.bin"),
+                 store.fsck, store.repair):
+        with pytest.raises(StoreError, match=message):
+            read()
+
+
+@pytest.mark.parametrize("scheme", [Polygon(5), HeptagonLocal(), RaidMirror(3), Replication(2)])
+def test_manifest_round_trips_through_its_dict(tmp_path, scheme):
+    store = BlockStore.create(tmp_path / "s", scheme, nodes=scheme.code_length + 2,
+                              block_size=16, seed=5)
+    for i, size in enumerate([0, 1, 3 * scheme.data_block_count * 16 - 5]):
+        manifest = store.put(write_file(tmp_path, size, seed=i, name=f"f{i}.bin"))
+        assert blockstore.StoreManifest.from_dict(manifest.to_dict()) == manifest
+        assert store.load_manifest(manifest.name) == manifest
+
+
+@pytest.mark.parametrize("name", sorted({*cli.REPORT_SCHEMES, "raidm-3", "2-rep"}))
+def test_slot_ranks_give_each_replica_one_offset(name):
+    """A node file holds its slot's blocks in ``blocks_on`` order, so the
+    order must ascend and a block's rank in it must place every (block,
+    slot) of the scheme at its own offset, 0, size, 2 size, ..."""
+    geo = codes._geometry(codes.parse_scheme(name))
+    size = 16
+    offsets = {}
+    for block_id, slots in geo.placements.items():
+        for slot in slots:
+            offsets[block_id, slot] = geo.blocks_on[slot].index(block_id) * size
+    for slot, ids in geo.blocks_on.items():
+        assert all(a < b for a, b in zip(ids, ids[1:]))
+        assert sorted(o for (_, s), o in offsets.items() if s == slot) == [
+            rank * size for rank in range(len(ids))]
+    assert set(offsets) == {(b, s) for s, ids in geo.blocks_on.items() for b in ids}
+
+
 # -- the streaming data path ------------------------------------------------
+
+
+def in_slot_space(raw: dict) -> dict:
+    """A manifest dict whose stripe records list their blocks, each with its
+    role, nodes and CRC, as the records of node order and CRCs."""
+    stripes = []
+    for stripe in raw["stripes"]:
+        assert [b["block"] for b in stripe["blocks"]] == list(range(len(stripe["blocks"])))
+        stripes.append({"index": stripe["index"], "node_order": stripe["node_order"],
+                        "crc32": [b["crc32"] for b in stripe["blocks"]]})
+    return {**raw, "stripes": stripes}
 
 
 def tree(root: Path) -> dict[str, bytes]:
@@ -812,8 +1060,10 @@ def tree(root: Path) -> dict[str, bytes]:
                                           (RaidMirror(3), 32), (Replication(2), 8)])
 def test_put_writes_the_bytes_the_whole_file_put_wrote(tmp_path, scheme, block):
     """The reference writes a file per replica and names them in its
-    manifest.  The put must record the same manifest without the names,
-    and hold each replica's bytes at its offset in its node's file."""
+    manifest, with each block's role and nodes.  The put must record the
+    same node order and CRCs, with roles and nodes that the loader finds
+    in agreement with the geometry, and hold each replica's bytes at its
+    offset in its node's file."""
     stripe = scheme.data_block_count * block
     sizes = [0, 1, block - 1, stripe - 1, stripe, stripe + 1, 3 * stripe - block]
     streamed = BlockStore.create(tmp_path / "new", scheme, nodes=scheme.code_length + 2,
@@ -822,29 +1072,28 @@ def test_put_writes_the_bytes_the_whole_file_put_wrote(tmp_path, scheme, block):
                                   block_size=block, seed=5)
     for i, size in enumerate(sizes):
         src = write_file(tmp_path, size, seed=i, name=f"f{i}.bin")
-        ref = put_reference(reference, src).to_dict()
+        ref = put_reference(reference, src)
         new = streamed.put(src)
         assert streamed.get(src.name) == src.read_bytes()
         for raw in ref["stripes"]:
             for record in raw["blocks"]:
                 files = record.pop("files")
                 assert len(files) == len(record["nodes"])
-        assert new.to_dict() == ref
+        assert new.to_dict() == in_slot_space(ref)
+        assert blockstore.StoreManifest.from_dict(ref) == new
     new, ref = tree(streamed.root), tree(reference.root)
     expected = {name: body for name, body in ref.items() if not name.endswith(".blk")}
     for name in ref:
         if name.endswith(".manifest.json"):
-            raw = json.loads(ref[name])
-            for record in (b for stripe in raw["stripes"] for b in stripe["blocks"]):
-                del record["files"]
+            raw = in_slot_space(json.loads(ref[name]))
             expected[name] = (json.dumps(raw, separators=(",", ":")) + "\n").encode()
     for manifest in streamed.manifests():
         for stripe in manifest.stripes:
-            for record in stripe.blocks:
-                for copy, node in enumerate(record.nodes):
-                    path, offset = replica(streamed, manifest, stripe, record.block_id, node)
+            for block_id in range(len(stripe.crc32)):
+                for copy, node in enumerate(hosts(manifest, stripe, block_id)):
+                    path, offset = replica(streamed, manifest, stripe, block_id, node)
                     fname = str(path.relative_to(streamed.root))
-                    old = f"{manifest.name}.s{stripe.index}_b{record.block_id}_r{copy}.blk"
+                    old = f"{manifest.name}.s{stripe.index}_b{block_id}_r{copy}.blk"
                     body = ref[f"n{node}/{old}"]
                     file = bytearray(expected.setdefault(fname, b""))
                     file[offset : offset + block] = body

@@ -128,43 +128,46 @@ def test_scheme_validation():
 
 
 def test_block_role_strings():
-    role = BlockRole("global_parity", 1)
-    assert BlockRole.from_string(role.as_string()) == role
-    with pytest.raises(ValueError):
-        BlockRole.from_string("nonsense:1")
+    roles = geometry(HeptagonLocal()).roles
+    assert BlockRole("global_parity", 1).as_string() == "global_parity:1"
+    assert roles[43].as_string() == "global_parity:1"
+    assert {r.as_string().partition(":")[0] for r in roles.values()} == {
+        "data", "local_parity", "global_parity"}
 
 
 def test_pentagon_layout_is_the_edge_construction():
-    layout = build_layout(Polygon(5), range(5), seed=0)
-    assert layout.replicas(0) == (0, 1)  # edge (0,1)
-    assert set(layout.blocks_on(0)) == {0, 1, 2, 3}  # edges (0,1)..(0,4)
-    for node in range(5):
-        assert len(layout.blocks_on(node)) == 4
-    roles = layout.block_roles
+    geo = geometry(Polygon(5))
+    assert build_layout(Polygon(5), range(5), seed=0) == (0, 1, 2, 3, 4)
+    assert geo.placements[0] == (0, 1)  # edge (0,1)
+    assert set(geo.blocks_on[0]) == {0, 1, 2, 3}  # edges (0,1)..(0,4)
+    for slot in range(5):
+        assert len(geo.blocks_on[slot]) == 4
+    roles = geo.roles
     assert sum(1 for r in roles.values() if r.kind == "local_parity") == 1
     assert roles[9] == BlockRole("local_parity", 0)  # last edge (3,4)
 
 
 def test_polygon_every_block_on_two_nodes():
     for n in (5, 7):
-        layout = build_layout(Polygon(n), range(n), seed=0)
-        for block in layout.block_roles:
-            assert len(set(layout.replicas(block))) == 2
-        for node in range(n):
-            assert len(layout.blocks_on(node)) == n - 1
+        geo = geometry(Polygon(n))
+        for block in geo.roles:
+            assert len(set(geo.placements[block])) == 2
+        for slot in range(n):
+            assert len(geo.blocks_on[slot]) == n - 1
 
 
 def test_heptagon_local_layout():
-    layout = build_layout(HeptagonLocal(), range(15), seed=0)
-    on_global = layout.blocks_on(14)
+    geo = geometry(HeptagonLocal())
+    assert build_layout(HeptagonLocal(), range(15), seed=0) == tuple(range(15))
+    on_global = geo.blocks_on[14]
     assert len(on_global) == 2
-    roles = layout.block_roles
+    roles = geo.roles
     assert all(roles[b].kind == "global_parity" for b in on_global)
-    # heptagon A on nodes 0-6, B on 7-13
+    # heptagon A on slots 0-6, B on 7-13
     for b in range(21):
-        assert set(layout.replicas(b)) <= set(range(7))
+        assert set(geo.placements[b]) <= set(range(7))
     for b in range(21, 42):
-        assert set(layout.replicas(b)) <= set(range(7, 14))
+        assert set(geo.placements[b]) <= set(range(7, 14))
     kinds = [r.kind for r in roles.values()]
     assert kinds.count("data") == 40
     assert kinds.count("local_parity") == 2
@@ -177,9 +180,9 @@ def test_random_layouts_deterministic_and_distinct(scheme):
     a = build_layout(scheme, pool, seed=11)
     b = build_layout(scheme, pool, seed=11)
     assert a == b
-    for block in a.block_roles:
-        ids = a.replicas(block)
-        assert len(set(ids)) == len(ids) == len(geometry(scheme).placements[block])
+    for block, slots in geometry(scheme).placements.items():
+        ids = [a[s] for s in slots]
+        assert len(set(ids)) == len(ids) == len(slots)
 
 
 def test_layout_pool_too_small():
