@@ -225,19 +225,6 @@ def _node_file(name: str, index: int, node: int) -> str:
     return f"n{node}/{name}.s{index}.blk"
 
 
-def _source_reader(sources: dict[int, bytes]):
-    """Block accessor over bytes already read and checked; a block with no
-    good replica left raises MissingBlockError, as a stripe reader does."""
-
-    def reader(block_id: int) -> bytes:
-        body = sources.get(block_id)
-        if body is None:
-            raise MissingBlockError(f"no live replica of block {block_id}")
-        return body
-
-    return reader
-
-
 class BlockStore:
     """A directory-per-node block store for one coding scheme."""
 
@@ -657,7 +644,7 @@ class BlockStore:
                         rewrite.setdefault(s, set()).add(block_id)
                     if failed:
                         plan = codes.plan_repair(scheme, frozenset(failed))
-                        good.update(codes.execute_plan(plan, _source_reader(good)))
+                        good.update(codes.execute_plan(plan, codes.memory_reader(good)))
                         bandwidth += plan.bandwidth_blocks
                     bandwidth += sum(s not in failed for _, s in corrupt)
                     order = stripe.node_order

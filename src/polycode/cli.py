@@ -145,22 +145,15 @@ COMMANDS: dict[str, list[tuple[str, dict]]] = {
 }
 
 
-def build_parser(argv: list[str] | None = None) -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level parser and the leaf parsers it holds, by COMMANDS key.
-
-    When argv names a leaf, only the group and leaf parsers on its path are
-    built, which is all parse_args visits; otherwise (no argv, help above a
-    leaf, an unknown command) the whole tree is, so help and usage errors
-    list every choice.
-    """
-    key = _command_key(argv or [], adjacent=True)
-    keys = [key] if key in COMMANDS else list(COMMANDS)
+def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and the leaf parsers it holds, by COMMANDS key:
+    the whole tree, so help and usage errors list every choice."""
     parser = _Parser(prog="polycode", description=__doc__)
     parser.add_argument("--config", help="key=value file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     groups = {}  # group name -> its subparsers action
     registry: dict[str, _Parser] = {}
-    for name in keys:
+    for name in COMMANDS:
         group, _, leaf = name.partition(" ")
         if not leaf:
             p = sub.add_parser(group)
@@ -178,7 +171,7 @@ def build_parser(argv: list[str] | None = None) -> tuple[_Parser, dict[str, _Par
 
 
 def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace build_parser(argv)[0].parse_args(argv) gives, read
+    """The Namespace build_parser()[0].parse_args(argv) gives, read
     straight from COMMANDS, for a plain argv: a leaf command followed by
     exact '--flag value' pairs and bare store_true flags, no value starting
     with '-' other than '-' itself.  None for any other argv (help,
@@ -241,19 +234,15 @@ def _extract_config_path(argv: list[str]) -> str | None:
     return None
 
 
-def _command_key(argv: list[str], adjacent: bool = False) -> str | None:
+def _command_key(argv: list[str]) -> str | None:
     """The '<command> <subcommand>' (or 'report') key named by argv, config
-    tokens excluded; it need not be a key of COMMANDS.  With *adjacent*,
-    None when config tokens split command from subcommand, because the
-    command's parser then reads the first of them as its subcommand."""
+    tokens excluded; it need not be a key of COMMANDS."""
     rest = []
-    split = False
     i = 0
     while i < len(argv):
         tok = argv[i]
         if tok == "--config" or tok.startswith("--config="):
             i += 1 if "=" in tok else 2
-            split = split or len(rest) == 1
             continue
         rest.append(tok)
         i += 1
@@ -261,7 +250,7 @@ def _command_key(argv: list[str], adjacent: bool = False) -> str | None:
         return None
     if rest[0] == "report":
         return "report"
-    if len(rest) >= 2 and not rest[1].startswith("-") and not (adjacent and split):
+    if len(rest) >= 2 and not rest[1].startswith("-"):
         return f"{rest[0]} {rest[1]}"
     return None
 
@@ -626,7 +615,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_plain(argv)
         if args is None:
-            parser, registry = build_parser(argv)
+            parser, registry = build_parser()
             _apply_config(registry, argv)
             args = parser.parse_args(argv)
         if args.command == "code":

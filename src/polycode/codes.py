@@ -685,6 +685,19 @@ def _flatten_surviving(
     return present
 
 
+def memory_reader(blocks: Mapping[int, bytes]) -> Callable[[int], bytes]:
+    """Block accessor over bytes already in memory and checked; a block not
+    among them raises MissingBlockError, as a stripe reader does."""
+
+    def reader(block_id: int) -> bytes:
+        body = blocks.get(block_id)
+        if body is None:
+            raise MissingBlockError(f"no surviving copy of block {block_id}")
+        return body
+
+    return reader
+
+
 def decode_stripe(
     scheme: Scheme,
     surviving: Mapping[int, Mapping[int, bytes]],
@@ -698,10 +711,10 @@ def decode_stripe(
     its degraded-read plan over the surviving blocks; the plan also rebuilds
     every other block its solve determines, so each group that lost data is
     solved once.  If a plan needs a block that is missing on a live slot,
-    the stripe is decoded by ``oracle_decode`` instead.  A final pass
-    checks every surviving block against the data, each parity as a fresh
-    encode yields it, which turns silent corruption into
-    ``InconsistentStripeError``.
+    or its slot pattern is fatal because of one, the stripe is decoded by
+    ``oracle_decode`` instead.  A final pass checks every surviving block
+    against the data, each parity as a fresh encode yields it, which turns
+    silent corruption into ``InconsistentStripeError``.
     """
     failed = frozenset(pattern)
     if not is_recoverable(scheme, failed):
@@ -717,12 +730,7 @@ def decode_stripe(
     if any(len(v) != width for v in present.values()):
         raise ValueError("surviving blocks differ in length")
 
-    def reader(block_id: int) -> bytes:
-        try:
-            return present[block_id]
-        except KeyError:
-            raise MissingBlockError(f"block {block_id} is not a surviving block") from None
-
+    reader = memory_reader(present)
     rebuilt: dict[int, bytes] = {}
     result = []
     try:
@@ -733,9 +741,10 @@ def decode_stripe(
                 plan = plan_degraded_read(scheme, b, failed | set(geo.placements[b]))
                 rebuilt.update(execute_plan(plan, reader))
             result.append(present[b] if b in present else rebuilt[b])
-    except MissingBlockError:
+    except (MissingBlockError, UnrecoverableError):
         # plans see only slots, so one may route through a block missing on
-        # a live slot; can_decode_from above shows the full solve succeeds
+        # a live slot, or find the slots of such a block fatal;
+        # can_decode_from above shows the full solve succeeds
         result = oracle_decode(scheme, present)
 
     # verify every surviving block against the data: a data block as is, a

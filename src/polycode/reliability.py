@@ -4,23 +4,25 @@ decodability oracle.
 
 Chain state spaces
 ------------------
-Replication and polygon codes lose data at the first failure beyond their
-tolerance, so the chain over the failed-node count is exact.  RAID+m and the
-heptagon-local code survive many larger patterns; for those the chain tracks
-the failure profile that recoverability actually depends on:
-
-* RAID+m: (pairs with one node down, pairs fully down); fatal iff two blocks
-  are fully erased (one XOR equation cannot restore both).
-* heptagon-local: (failures in each heptagon, global node down); the
-  exhaustive recoverability scan confirms this signature determines
-  decodability for every one of the 2^15 patterns.
+One builder serves every scheme.  It walks the failure masks from all-up
+and lumps them by a profile read from the scheme's geometry: the failed
+count in each local group plus the global slot, or over all slots when the
+scheme has no groups, and for RAID+m's interchangeable mirror pairs (pairs
+with one node down, pairs fully down).  The labels are ``(i,)`` for
+replication and polygons, ``(a, b)`` for RAID+m and ``(a, b, g)`` for
+heptagon-local.  The lumped chain is exact when the lumping is strong
+(Kemeny and Snell, *Finite Markov Chains*, 1960, sec. 6.3): every mask of a
+profile shares its fate and leaves at the same rates to each target
+profile.  The walk raises ``AssertionError`` when it meets a recoverable
+and a fatal mask of one profile, and the tests check both conditions mask
+by mask for every reported scheme.
 
 With parallel repair these lumpings are exact.  With serial (one-at-a-time,
-oldest-first) repair the profile chains approximate the repair-target choice
-as uniform over failed nodes; the count chains remain exact.  Published
-absolute MTTDL figures for these schemes depend on rate constants that are
-not public, so this module is for orderings and cross-checks, not for
-reproducing tabulated values; both caveats are carried in
+oldest-first) repair the chain approximates the repair target as uniform
+over failed nodes, which is exact for the one-component count profiles.
+Published absolute MTTDL figures for these schemes depend on rate constants
+that are not public, so this module is for orderings and cross-checks, not
+for reproducing tabulated values; both caveats are carried in
 ``MarkovChain.assumptions``.
 
 The chain is solved in integers: every rate is a ``Fraction`` (of a float,
@@ -42,7 +44,6 @@ event makes one ``expovariate`` and one ``random`` call, then the node draw's
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import statistics
@@ -50,14 +51,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .codes import (
-    HeptagonLocal,
-    Polygon,
-    RaidMirror,
-    Replication,
     Scheme,
     _geometry,
     fatal_pattern_count,
-    is_recoverable,
     is_recoverable_mask,
     tolerance,
 )
@@ -176,118 +172,70 @@ def _bareiss_last_row(rows: list[list[int]]) -> tuple[int, int]:
     return rows[-1][n], rows[-1][n - 1]
 
 
-def _repair_shares(mode: str, counts: list[Fraction], mu: Fraction):
-    """Repair rate leaving through each failed-node class.
-
-    Parallel repair: each failed node restores at mu independently.  Serial
-    repair: one restore at a time at mu, target approximated as uniform over
-    failed nodes (exact when all failed nodes are interchangeable).
-    """
-    total_failed = sum(counts)
-    if total_failed == 0:
-        return [Fraction(0)] * len(counts)
-    if mode == "parallel":
-        return [c * mu for c in counts]
-    return [c * mu / total_failed for c in counts]
+def _profiler(scheme: Scheme):
+    """The map from a failure mask to its profile, the chain's state label:
+    ``(i,)``, ``(a, b)`` for RAID+m or ``(a, b, g)`` for heptagon-local."""
+    geo = _geometry(scheme)
+    if not geo.groups and len(geo.placements) > 1:  # RAID+m's interchangeable pairs
+        pairs = [sum(1 << s for s in slots) for slots in geo.placements.values()]
+        return lambda mask: (
+            sum((mask & p).bit_count() == 1 for p in pairs),
+            sum(mask & p == p for p in pairs),
+        )
+    parts = [g.slots for g in geo.groups] or [range(scheme.code_length)]
+    if geo.global_slot is not None:
+        parts.append((geo.global_slot,))
+    part_masks = [sum(1 << s for s in part) for part in parts]
+    return lambda mask: tuple((mask & m).bit_count() for m in part_masks)
 
 
 def build_markov_chain(scheme: Scheme, model: FailureModel) -> MarkovChain:
+    """Walk the failure masks from all-up, one state per profile, each
+    represented by the first mask met with it.  Every up slot fails at
+    lambda (to LOSS when the new mask is fatal), every failed slot is
+    repaired at mu, or mu/k with k slots failed under serial repair, and
+    rates to one target profile are summed.  A recoverable and a fatal mask
+    of one profile raise AssertionError: the lumping would not be strong."""
     lam = Fraction(model.fail_rate)
     mu = Fraction(model.repair_rate)
-    t = tolerance(scheme)
+    serial = model.repair_mode == "serial"
+    profile = _profiler(scheme)
+    index = {profile(0): 0}
+    fate = {profile(0): True}  # profile -> recoverable, for every mask met
+    masks = [0]
+    transitions = []
+    for mask in masks:  # grows as the walk meets new profiles
+        failed = mask.bit_count()
+        outs: dict[int | None, Fraction] = {}
+        for s in range(scheme.code_length):
+            nxt = mask ^ (1 << s)
+            ok = is_recoverable_mask(scheme, nxt)
+            sig = profile(nxt)
+            if fate.setdefault(sig, ok) != ok:
+                raise AssertionError(f"profile {sig} does not decide recoverability")
+            if ok and sig not in index:
+                index[sig] = len(masks)
+                masks.append(nxt)
+            target = index[sig] if ok else LOSS
+            rate = (mu / failed if serial else mu) if mask >> s & 1 else lam
+            outs[target] = outs.get(target, 0) + rate
+        transitions.append(tuple(outs.items()))
+    states = tuple(index)
     assumptions = [
         "published absolute MTTDL tables for these schemes use uncited rate "
         "constants; this chain supports orderings and cross-checks only",
     ]
-
-    if isinstance(scheme, (Replication, Polygon)):
-        # every pattern of a given size behaves alike: count chain is exact
-        n = scheme.code_length
-        for f in range(1, min(t + 2, n + 1)):
-            fatal, total = fatal_pattern_count(scheme, f)
-            expect = 0 if f <= t else total
-            if fatal != expect:
-                raise AssertionError("count lumping violated")
-        states = [(i,) for i in range(t + 1)]
-        transitions = []
-        for i in range(t + 1):
-            outs = [((i + 1,), (n - i) * lam)] if i < t else [(LOSS, (n - i) * lam)]
-            if i:
-                share = _repair_shares(model.repair_mode, [Fraction(i)], mu)[0]
-                outs.append(((i - 1,), share))
-            transitions.append(outs)
-    elif isinstance(scheme, RaidMirror):
-        # state (a, b): mirror pairs with one node down / fully down.
-        # Recoverable iff b <= 1: a single fully-erased block falls out of
-        # the XOR parity, two cannot.
-        pairs = scheme.data_blocks + 1
-        states = [(a, b) for b in (0, 1) for a in range(pairs - b + 1)]
-        transitions = []
-        for a, b in states:
-            outs = []
-            intact = pairs - a - b
-            if intact:
-                outs.append(((a + 1, b), 2 * intact * lam))
-            if a:
-                target = (a - 1, b + 1) if b == 0 else LOSS
-                outs.append((target, a * lam))
-            shares = _repair_shares(
-                model.repair_mode, [Fraction(a), Fraction(2 * b)], mu
-            )
-            if a:
-                outs.append(((a - 1, b), shares[0]))
-            if b:
-                outs.append(((a + 1, b - 1), shares[1]))
-            transitions.append(outs)
-        if model.repair_mode == "serial":
-            assumptions.append(
-                "serial repair target approximated as uniform over failed nodes"
-            )
-    elif isinstance(scheme, HeptagonLocal):
-        # state (a, b, g): failures per heptagon plus the global node; the
-        # exhaustive 2^15 recoverability scan shows this determines fate
-        geo = _geometry(scheme)
-        parts = [g.slots for g in geo.groups] + [(geo.global_slot,)]
-        fatal_sig = {
-            sig: not is_recoverable(
-                scheme, [s for part, k in zip(parts, sig) for s in part[:k]]
-            )
-            for sig in itertools.product(*(range(len(p) + 1) for p in parts))
-        }
-        states = [s for s, fatal in sorted(fatal_sig.items()) if not fatal]
-        transitions = []
-        for sig in states:
-            outs = []
-            for k, part in enumerate(parts):
-                if sig[k] < len(part):
-                    up = sig[:k] + (sig[k] + 1,) + sig[k + 1 :]
-                    outs.append((LOSS if fatal_sig[up] else up, (len(part) - sig[k]) * lam))
-            shares = _repair_shares(model.repair_mode, [Fraction(c) for c in sig], mu)
-            for k, count in enumerate(sig):
-                if count:
-                    outs.append((sig[:k] + (count - 1,) + sig[k + 1 :], shares[k]))
-            transitions.append(outs)
-        if model.repair_mode == "serial":
-            assumptions.append(
-                "serial repair target approximated as uniform over failed nodes"
-            )
-    else:  # pragma: no cover
-        raise TypeError(f"unknown scheme type: {scheme!r}")
-
-    index = {s: i for i, s in enumerate(states)}
-    resolved = tuple(
-        tuple((LOSS if tgt is LOSS else index[tgt], rate) for tgt, rate in outs)
-        for outs in transitions
-    )
+    if serial and len(states[0]) > 1:
+        assumptions.append("serial repair target approximated as uniform over failed nodes")
     return MarkovChain(
         scheme_name=scheme.name,
         node_count=scheme.code_length,
-        tolerance=t,
+        tolerance=tolerance(scheme),
         fail_rate=model.fail_rate,
         repair_rate=model.repair_rate,
         repair_mode=model.repair_mode,
-        states=tuple(states),
-        transitions=resolved,
+        states=states,
+        transitions=tuple(transitions),
         assumptions=tuple(assumptions),
     )
 

@@ -392,6 +392,21 @@ def test_decode_block_left_out_of_surviving_view():
     assert decode_stripe(scheme, views, {0}) == data
 
 
+def test_decode_falls_back_to_oracle_when_a_plan_meets_a_fatal_slot_pattern():
+    # block 4 is edge (1, 2): left out of both live hosts, its degraded read
+    # has slots {0, 1, 2} down, which is fatal for a pentagon, yet the
+    # blocks that are present still determine the data
+    rng = random.Random(14)
+    scheme = Polygon(5)
+    data, blocks = full_blocks(scheme, rng, size=64)
+    views = {
+        n: {b: v for b, v in blocks_on.items() if b != 4}
+        for n, blocks_on in surviving_view(scheme, blocks, {0}).items()
+    }
+    assert can_decode_from(scheme, {b for blocks_on in views.values() for b in blocks_on})
+    assert decode_stripe(scheme, views, {0}) == data
+
+
 def test_decode_falls_back_to_oracle_when_a_plan_needs_a_missing_block(monkeypatch):
     rng = random.Random(13)
     scheme = HeptagonLocal()

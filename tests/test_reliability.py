@@ -1,6 +1,7 @@
 import collections
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -149,22 +150,110 @@ def test_chain_metadata():
     assert any("not reproduced" in note or "orderings" in note for note in chain.assumptions)
     serial_chain = build_markov_chain(HeptagonLocal(), FailureModel(0.01, 0.1, "serial"))
     assert any("serial" in note for note in serial_chain.assumptions)
+    # a count chain is exact under serial repair too, so it carries no note
+    count_chain = build_markov_chain(Polygon(5), FailureModel(0.01, 0.1, "serial"))
+    assert not any("serial" in note for note in count_chain.assumptions)
 
 
-def test_heptagon_local_signature_decides_recoverability():
-    # the chain lumps every failure mask into (failures per heptagon, global
-    # node down); each of the 2^15 masks must share its signature's fate
-    scheme = HeptagonLocal()
+# float.hex of mttdl_analytic per REPORT_SCHEMES scheme under each of
+# EXACT_MODELS: the golden CSVs round to .10g and the Fraction reference
+# solves the same chain, so only these catch a changed rate in a chain
+PINNED_MTTDL_HEX = {
+    "2-rep": ["0x1.871c100000000p+24", "0x1.4500000000000p+9",
+              "0x1.4500000000000p+9", "0x1.2e83c977ab2bfp+10"],
+    "3-rep": ["0x1.73e2c72c00000p+34", "0x1.24b5555555556p+12",
+              "0x1.3a95555555556p+11", "0x1.768fb9c697de3p+13"],
+    "pentagon": ["0x1.2a1efcb000000p+31", "0x1.3a2aaaaaaaaabp+9",
+                 "0x1.7a55555555555p+8", "0x1.5bad3fe4a7f2bp+10"],
+    "heptagon": ["0x1.5569591249249p+29", "0x1.d955555555556p+7",
+                 "0x1.376db6db6db6ep+7", "0x1.cd065797766fep+8"],
+    "heptagon-local": ["0x1.6d1f2034f7c87p+37", "0x1.cbaf313dca258p+8",
+                       "0x1.8ec4436ce9f62p+6", "0x1.0348b765f8d46p+9"],
+    "raidm-9": ["0x1.1af39e294e027p+39", "0x1.e516653e5ceddp+9",
+                "0x1.9202e7dd0e8f9p+6", "0x1.2b349abbb5a55p+9"],
+    "raidm-11": ["0x1.81d80718c2de6p+38", "0x1.56469b5431af0p+9",
+                 "0x1.3714895e162fdp+6", "0x1.40539b7811221p+8"],
+}
+
+
+@pytest.mark.parametrize("name", REPORT_SCHEMES)
+def test_mttdl_is_pinned_to_the_last_bit(name):
+    scheme = parse_scheme(name)
+    got = [mttdl_analytic(scheme, model).hex() for model in EXACT_MODELS]
+    assert got == PINNED_MTTDL_HEX[name]
+
+
+def _profile(scheme, mask):
+    # the chain's state label: RAID+m counts mirror pairs with one host down
+    # and with both down; every other scheme counts failed slots per local
+    # group plus the global slot, or over all slots when it has no groups
     geo = codes._geometry(scheme)
-    parts = [g.slots for g in geo.groups] + [(geo.global_slot,)]
-    fate = {}
-    for mask in range(1 << scheme.code_length):
-        sig = tuple(sum((mask >> s) & 1 for s in part) for part in parts)
+    if isinstance(scheme, RaidMirror):
+        down = [sum((mask >> s) & 1 for s in pair) for pair in geo.placements.values()]
+        return (down.count(1), down.count(2))
+    parts = [g.slots for g in geo.groups] or [range(scheme.code_length)]
+    if geo.global_slot is not None:
+        parts.append((geo.global_slot,))
+    return tuple(sum((mask >> s) & 1 for s in part) for part in parts)
+
+
+def _mask_row(scheme, model, mask):
+    # the mask's outgoing rates, summed per target profile (None: data loss),
+    # with serial repair uniform over the failed slots
+    lam = Fraction(model.fail_rate)
+    mu = Fraction(model.repair_rate)
+    failed = mask.bit_count()
+    row = collections.Counter()
+    for s in range(scheme.code_length):
+        nxt = mask ^ (1 << s)
+        if mask >> s & 1:
+            row[_profile(scheme, nxt)] += mu if model.repair_mode == "parallel" else mu / failed
+        else:
+            row[_profile(scheme, nxt) if codes.is_recoverable_mask(scheme, nxt) else None] += lam
+    return row
+
+
+@pytest.mark.parametrize("mode", ["parallel", "serial"])
+@pytest.mark.parametrize("name", [*REPORT_SCHEMES, "raidm-3", "polygon-6"])
+def test_chain_is_a_strong_lumping_of_the_mask_chain(name, mode):
+    # every mask of a profile shares the profile's fate, and every
+    # recoverable mask leaves at its state's rates to each target profile:
+    # the lumped chain is then exact (Kemeny and Snell 1960, sec. 6.3)
+    scheme = parse_scheme(name)
+    model = FailureModel(0.013, 0.37, mode)
+    chain = build_markov_chain(scheme, model)
+    index = {state: i for i, state in enumerate(chain.states)}
+    rows = []
+    for outs in chain.transitions:
+        row = collections.Counter()
+        for target, rate in outs:
+            row[None if target is None else chain.states[target]] += rate
+        rows.append(row)
+    L = scheme.code_length
+    if L <= 15:
+        masks = range(1 << L)
+    else:
+        rng = random.Random(29)
+        masks = [rng.getrandbits(L) for _ in range(3000)]
+    seen = set()
+    for mask in masks:
+        sig = _profile(scheme, mask)
         ok = codes.is_recoverable_mask(scheme, mask)
-        assert fate.setdefault(sig, ok) == ok, (sig, bin(mask))
-    assert len(fate) == 8 * 8 * 2
-    chain = build_markov_chain(scheme, DEFAULT_MODEL)
-    assert set(chain.states) == {sig for sig, ok in fate.items() if ok}
+        assert (sig in index) == ok, (sig, bin(mask))
+        if ok:
+            seen.add(sig)
+            assert _mask_row(scheme, model, mask) == rows[index[sig]], (sig, bin(mask))
+    assert chain.states[0] == _profile(scheme, 0)
+    if L <= 15:
+        assert seen == set(chain.states)
+
+
+def test_a_profile_that_does_not_decide_fate_is_refused(monkeypatch):
+    # four failures lose heptagon-local's data only in some placements, so
+    # the failed count alone is no lumping of its chain
+    monkeypatch.setattr(reliability, "_profiler", lambda scheme: lambda mask: (mask.bit_count(),))
+    with pytest.raises(AssertionError, match="does not decide recoverability"):
+        build_markov_chain(HeptagonLocal(), DEFAULT_MODEL)
 
 
 def _pair_rule(scheme, mask):
