@@ -61,10 +61,6 @@ class BlockAvailableError(CodeError):
     """Degraded read requested for a block that still has a live copy."""
 
 
-class UnsupportedPatternError(CodeError):
-    """The pattern is recoverable but outside the planner's supported sizes."""
-
-
 # ---------------------------------------------------------------------------
 # Scheme descriptors
 
@@ -219,6 +215,7 @@ class _Geometry:
     ``group_of[b]``      the group whose edge carries block b
     ``global_slot``      slot holding the global parities, or None
     ``global_blocks``    global parity block ids in parity-index order
+    ``fate``             failure mask -> recoverable, filled by ``recoverable``
     """
 
     def __init__(self, scheme: Scheme):
@@ -298,6 +295,22 @@ class _Geometry:
         self.groups = tuple(groups)
         self.group_of = {b: g for g in groups for b in g.block_of.values()}
         self.global_blocks = tuple(b for b in roles if roles[b].kind == "global_parity")
+        self.fate: dict[int, bool] = {}
+
+    def recoverable(self, mask: int) -> bool:
+        """True iff the blocks left when the slots in *mask* fail (bit s set
+        == slot s failed) determine every data block, kept in ``fate``.
+
+        A miss reads the slot masks: with no data block lost on every slot
+        it is True at once, and otherwise the parity rows still live
+        somewhere must solve for the lost data symbols."""
+        ok = self.fate.get(mask)
+        if ok is None:
+            lost = [i for slots, i in self.data_masks if slots & mask == slots]
+            ok = self.fate[mask] = not lost or _solves(
+                (row for slots, row in self.parity_masks if slots & ~mask), lost
+            )
+        return ok
 
 
 @lru_cache(maxsize=None)
@@ -317,7 +330,7 @@ def build_layout(scheme: Scheme, node_pool: Iterable[int], seed: int) -> tuple[i
     L = scheme.code_length
     if len(pool) < L:
         raise ValueError(f"node pool too small: {len(pool)} < {L}")
-    if isinstance(scheme, (Polygon, HeptagonLocal)):
+    if _geometry(scheme).groups:
         return tuple(pool[:L])
     return tuple(random.Random(seed).sample(pool, L))
 
@@ -595,9 +608,6 @@ def _solves(rows: Iterable[tuple[int, ...]], unknown: list[int]) -> bool:
     return _eliminate(reduced, len(unknown)) == len(unknown)
 
 
-_RECOVERABLE_CACHE: dict[tuple[Scheme, int], bool] = {}
-
-
 def _iter_pattern(scheme, pattern):
     L = scheme.code_length
     for n in pattern:
@@ -607,22 +617,9 @@ def _iter_pattern(scheme, pattern):
 
 
 def is_recoverable_mask(scheme: Scheme, mask: int) -> bool:
-    """Bitmask variant of ``is_recoverable`` (bit i set == slot i failed).
-
-    A miss reads the geometry's slot masks: with no data block lost on
-    every slot it is True at once, and otherwise the parity rows still live
-    somewhere must solve for the lost data symbols."""
-    key = (scheme, mask)
-    cached = _RECOVERABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    geo = _geometry(scheme)
-    lost = [i for slots, i in geo.data_masks if slots & mask == slots]
-    result = not lost or _solves(
-        (row for slots, row in geo.parity_masks if slots & ~mask), lost
-    )
-    _RECOVERABLE_CACHE[key] = result
-    return result
+    """Bitmask variant of ``is_recoverable`` (bit i set == slot i failed),
+    read from the geometry's fate table."""
+    return _geometry(scheme).recoverable(mask)
 
 
 def is_recoverable(scheme: Scheme, failed_nodes: Iterable[int]) -> bool:
@@ -642,20 +639,6 @@ def tolerance(scheme: Scheme) -> int:
             if not is_recoverable(scheme, pattern):
                 return f - 1
     return L
-
-
-def fatal_pattern_count(scheme: Scheme, failures: int) -> tuple[int, int]:
-    """(# unrecoverable patterns, # patterns) among all *failures*-node sets."""
-    L = scheme.code_length
-    if not 0 <= failures <= L:
-        raise ValueError(f"failure count {failures} outside [0, {L}]")
-    fatal = 0
-    total = 0
-    for pattern in itertools.combinations(range(L), failures):
-        total += 1
-        if not is_recoverable(scheme, pattern):
-            fatal += 1
-    return fatal, total
 
 
 # ---------------------------------------------------------------------------
@@ -998,12 +981,16 @@ def _mirror_rebuild(builder, block: int, dst: int) -> None:
 
 
 def plan_repair(scheme: Scheme, pattern: Iterable[int]) -> RepairPlan:
-    """Plan the transfers that restore every block lost by *pattern*.
+    """Plan the transfers that restore every block lost by *pattern*; it
+    refuses only a fatal pattern, with ``UnrecoverableError``.
 
     Polygon singles move n-1 whole copies; polygon doubles move 2(n-2)
     copies, n-2 partial parities and one redistribution copy (3(n-2)+1
     total).  Heptagon-local failures are planned locally per heptagon, with
-    triples solved from the other heptagon plus the global node.
+    triples solved from the other heptagon plus the global node.  Without
+    groups, a block with a live copy is copied whole from its lowest live
+    host to each failed one, and a RAID+m block lost on both hosts is
+    rebuilt from every other block.
     """
     failed = frozenset(_iter_pattern(scheme, pattern))
     if not failed:
@@ -1014,8 +1001,6 @@ def plan_repair(scheme: Scheme, pattern: Iterable[int]) -> RepairPlan:
     geo = builder.geo
 
     if geo.groups:
-        if isinstance(scheme, HeptagonLocal) and len(failed) > 3:
-            raise UnsupportedPatternError("heptagon-local repair supports up to 3 failures")
         for group in geo.groups:
             lost = group.failed(failed)
             if lost:
@@ -1025,15 +1010,6 @@ def plan_repair(scheme: Scheme, pattern: Iterable[int]) -> RepairPlan:
                 builder.recover(gb, _global_terms(builder, gb, geo.global_slot, ()))
         return builder.done()
 
-    if len(failed) > tolerance(scheme):
-        raise UnsupportedPatternError("pattern exceeds scheme tolerance")
-    if isinstance(scheme, Replication):
-        alive = min(s for s in range(scheme.copies) if s not in failed)
-        for f in sorted(failed):
-            builder.copy(alive, f, 0)
-        return builder.done()
-
-    assert isinstance(scheme, RaidMirror)
     fully_lost = []
     for b, slots in sorted(geo.placements.items()):
         lost = [s for s in slots if s in failed]
@@ -1071,8 +1047,6 @@ def plan_degraded_read(
         raise BlockAvailableError(f"block {block_id} still has a live copy")
     if not is_recoverable(scheme, down):
         raise UnrecoverableError(f"pattern {sorted(down)} is fatal for {scheme.name}")
-    if isinstance(scheme, Replication):
-        raise UnrecoverableError("replication has no parity to decode from")
 
     builder = _PlanBuilder(scheme, down)
     if block_id in geo.global_blocks:
@@ -1081,7 +1055,6 @@ def plan_degraded_read(
         group = geo.group_of[block_id]
         _solve_group(builder, group, group.failed(down), READER_NODE)
     else:
-        assert isinstance(scheme, RaidMirror)
         _mirror_rebuild(builder, block_id, READER_NODE)
     return builder.done(target=block_id)
 

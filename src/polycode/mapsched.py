@@ -55,7 +55,7 @@ from heapq import heappop, heappush
 from math import ceil, log
 from statistics import mean, pstdev
 
-from .codes import RaidMirror, Replication, Scheme, _geometry, parse_scheme
+from .codes import Scheme, _geometry, parse_scheme
 
 
 class OverloadError(Exception):
@@ -174,8 +174,9 @@ def build_cluster(
     stride (wrapping when the width does not divide the node count, so
     every node hosts data).  Each stripe goes to the window that keeps
     per-node block counts most balanced: the first window minimising the
-    sum of squared per-node counts after the stripe lands.  Replication and
-    RAID+m blocks land on seed-random distinct nodes.
+    sum of squared per-node counts after the stripe lands.  Without groups
+    (replication, RAID+m) each block's replicas land on seed-random
+    distinct nodes.
 
     Each window's score is kept as a running integer and each window's
     host sets (its tile) are made once, so a stripe costs O(windows) to
@@ -223,14 +224,11 @@ def build_cluster(
                     score[w] += 2 * p * l + 3 * p * p
             for hosts in tiles[best]:
                 catalog[len(catalog)] = hosts
-    elif isinstance(scheme, (Replication, RaidMirror)):
-        copies, per_stripe = (
-            (scheme.copies, 1) if isinstance(scheme, Replication) else (2, scheme.block_count)
-        )
-        for _ in range(stripes * per_stripe):
-            catalog[len(catalog)] = frozenset(_sample_range(getrandbits, node_count, copies))
-    else:  # pragma: no cover
-        raise TypeError(f"unknown scheme type: {scheme!r}")
+    else:
+        for _ in range(stripes):
+            for slots in hosted:
+                hosts = _sample_range(getrandbits, node_count, len(slots))
+                catalog[len(catalog)] = frozenset(hosts)
     return ClusterModel(scheme.name, node_count, slots_per_node, catalog)
 
 
@@ -577,16 +575,16 @@ def locality_sweep(
     stripes: int | None = None,
     rounds_before_remote: int = 1,
 ) -> list[dict]:
-    """One row per (scheme, scheduler, slots, load, repetition).
+    """One row per (scheme, scheduler, slots, load, repetition); *schemes*
+    are scheme names, as ``parse_scheme`` reads them.
 
     Rows for the same (scheme, slots, load, rep) share a cluster and
     workload across schedulers, so scheduler columns are comparable
     instance by instance.
     """
     rows = []
-    for scheme in schemes:
-        if isinstance(scheme, str):
-            scheme = parse_scheme(scheme)
+    for name in schemes:
+        scheme = parse_scheme(name)
         for mu in slot_counts:
             for load in loads:
                 for rep in range(reps):

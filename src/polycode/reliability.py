@@ -33,30 +33,26 @@ float it returns is the correctly rounded exact answer.
 
 Monte Carlo trials are independent and derive their RNG from
 ``(seed, trial index)``, so partitioning trials across workers changes
-nothing about the merged estimate.  Each worker's batch of trials keeps one
-table from failure mask to fate, filled from ``is_recoverable_mask`` the
-first time a mask occurs.  Within a trial, the event rates and the bit width
-of each node draw are read from small tables indexed by the failed count,
-and ``randrange`` is inlined as the ``getrandbits`` draws it makes.  An
-event makes one ``expovariate`` and one ``random`` call, then the node draw's
-``getrandbits`` calls: the same calls, in the same order, as ``randrange``.
+nothing about the merged estimate.  The loss test reads the scheme
+geometry's table from failure mask to fate (``_Geometry.fate``), one per
+scheme in each process, filled the first time a mask occurs.  Within a
+trial, the event rates and the bit width of each node draw are read from
+small tables indexed by the failed count, and ``randrange`` is inlined as
+the ``getrandbits`` draws it makes.  An event makes one ``expovariate`` and
+one ``random`` call, then the node draw's ``getrandbits`` calls: the same
+calls, in the same order, as ``randrange``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import (
-    Scheme,
-    _geometry,
-    fatal_pattern_count,
-    is_recoverable_mask,
-    tolerance,
-)
+from .codes import Scheme, _geometry, is_recoverable, is_recoverable_mask
 
 HOURS_PER_YEAR = 8760.0
 
@@ -90,8 +86,11 @@ STRESS_MODEL = FailureModel.from_mttf_mttr(100.0, 10.0)
 
 def fatal_fraction(scheme: Scheme, failures: int) -> float:
     """Fraction of *failures*-node patterns that lose data, exhaustively."""
-    fatal, total = fatal_pattern_count(scheme, failures)
-    return fatal / total
+    L = scheme.code_length
+    if not 0 <= failures <= L:
+        raise ValueError(f"failure count {failures} outside [0, {L}]")
+    fatal = sum(not is_recoverable(scheme, p) for p in itertools.combinations(range(L), failures))
+    return fatal / math.comb(L, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +109,6 @@ class MarkovChain:
 
     scheme_name: str
     node_count: int
-    tolerance: int
     fail_rate: float
     repair_rate: float
     repair_mode: str
@@ -230,7 +228,6 @@ def build_markov_chain(scheme: Scheme, model: FailureModel) -> MarkovChain:
     return MarkovChain(
         scheme_name=scheme.name,
         node_count=scheme.code_length,
-        tolerance=tolerance(scheme),
         fail_rate=model.fail_rate,
         repair_rate=model.repair_rate,
         repair_mode=model.repair_mode,
@@ -258,11 +255,10 @@ def _trial_rng(seed: int, index: int) -> random.Random:
     return random.Random((seed * 0x1F123BB5) ^ index)
 
 
-def _simulate_trial(
-    scheme: Scheme, model: FailureModel, rng: random.Random, fate: dict[int, bool]
-) -> float:
-    """Hours until the first unrecoverable failure pattern.  *fate* maps
-    failure masks already seen to recoverability and is filled on a miss.
+def _simulate_trial(scheme: Scheme, model: FailureModel, rng: random.Random) -> float:
+    """Hours until the first unrecoverable failure pattern.  A mask's fate
+    is read from the geometry's table, which solves it only the first time
+    the process meets it.
 
     Rates and draw widths depend only on the failed count k, so they are
     tabled once per trial.  ``rng.randrange(m)`` is inlined as CPython's
@@ -278,6 +274,9 @@ def _simulate_trial(
         frates[k] + (k * mu if parallel else (mu if k else 0.0)) for k in range(n + 1)
     ]
     widths = [m.bit_length() for m in range(n + 1)]
+    geo = _geometry(scheme)
+    fate = geo.fate
+    recoverable = geo.recoverable
     up = list(range(n))
     failed: list[int] = []
     mask = 0
@@ -302,7 +301,7 @@ def _simulate_trial(
             mask |= 1 << node
             ok = fate.get(mask)
             if ok is None:
-                ok = fate[mask] = is_recoverable_mask(scheme, mask)
+                ok = recoverable(mask)
             if not ok:
                 return t
         else:
@@ -319,11 +318,7 @@ def _simulate_trial(
 
 
 def _run_trials(scheme: Scheme, model: FailureModel, seed: int, start: int, count: int):
-    fate: dict[int, bool] = {}
-    return [
-        _simulate_trial(scheme, model, _trial_rng(seed, start + i), fate)
-        for i in range(count)
-    ]
+    return [_simulate_trial(scheme, model, _trial_rng(seed, start + i)) for i in range(count)]
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -534,6 +535,38 @@ def test_heptagon_local_store_roundtrip(tmp_path):
         result = store.repair()
         assert result.plans_executed == 1
         assert store.fsck().is_clean
+
+
+@pytest.mark.parametrize("name", ["raidm-3", "heptagon-local"])
+def test_repair_restores_every_kill_set_fsck_finds_recoverable(tmp_path, name):
+    # whether a kill set can be recovered is decided by fsck, per stripe: a
+    # RAID+m stripe draws its own layout, so a node set is not a slot pattern
+    scheme = codes.parse_scheme(name)
+    L = scheme.code_length
+    if name == "raidm-3":  # every kill set
+        kill_sets = [c for k in range(1, L + 1) for c in itertools.combinations(range(L), k)]
+    else:  # every kill set of up to 3 nodes survives; sample 4 and 5
+        rng = random.Random(name)
+        kill_sets = [tuple(rng.sample(range(L), k)) for k in (4, 5) for _ in range(70)]
+    template = tmp_path / "template"
+    store = BlockStore.create(template, scheme, nodes=L, block_size=64, seed=9)
+    src = write_file(tmp_path, 3 * scheme.data_block_count * 64 - 5, seed=9)
+    store.put(src)
+    payload = src.read_bytes()
+    recoverable = 0
+    for kills in kill_sets:
+        root = tmp_path / "case"
+        shutil.copytree(template, root)
+        store = BlockStore(root)
+        for node in kills:
+            store.kill_node(node)
+        if not store.fsck().fatal_stripes:
+            recoverable += 1
+            assert store.get(src.name) == payload, kills
+            store.repair()
+            assert store.fsck().is_clean, kills
+        shutil.rmtree(root)
+    assert recoverable > 100
 
 
 @settings(max_examples=12, deadline=None)

@@ -176,6 +176,21 @@ def test_repair_plan_bandwidth(capsys):
     assert "bandwidth_blocks: 16" in out
 
 
+def test_repair_plan_beyond_the_tolerance(capsys):
+    # four slots, one from each of four mirror pairs: recoverable, one copy each
+    code, out, err = run(capsys, "code", "repair-plan", "--scheme", "raidm-9", "--failed", "0,2,4,6")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "n1 -> n0: copy block 0",
+        "n3 -> n2: copy block 1",
+        "n5 -> n4: copy block 2",
+        "n7 -> n6: copy block 3",
+        "bandwidth_blocks: 4",
+    ]
+    code, _, err = run(capsys, "code", "repair-plan", "--scheme", "raidm-9", "--failed", "0,1,2,3")
+    assert code == 1 and "fatal" in err
+
+
 def test_store_cycle(tmp_path, capsys):
     root = tmp_path / "store"
     src = tmp_path / "f.bin"

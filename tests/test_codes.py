@@ -1,8 +1,10 @@
+import ast
 import functools
 import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,6 @@ from polycode.codes import (
     Replication,
     Transfer,
     UnrecoverableError,
-    UnsupportedPatternError,
     WholeCopy,
     build_layout,
     can_decode_from,
@@ -312,18 +313,20 @@ def _live_blocks(scheme, mask):
     "name", ["pentagon", "heptagon", "heptagon-local", "3-rep", "raidm-3", "raidm-4"]
 )
 def test_recoverable_mask_miss_agrees_with_can_decode_from_exhaustive(name, monkeypatch):
-    monkeypatch.setattr(codes, "_RECOVERABLE_CACHE", {})  # every call a miss
     scheme = parse_scheme(name)
+    geo = geometry(scheme)
+    monkeypatch.setattr(geo, "fate", {})  # every call a miss
     for mask in range(1 << scheme.code_length):
         want = can_decode_from(scheme, _live_blocks(scheme, mask))
         assert is_recoverable_mask(scheme, mask) == want, (name, mask)
-    assert len(codes._RECOVERABLE_CACHE) == 1 << scheme.code_length
+    assert len(geo.fate) == 1 << scheme.code_length
 
 
 @pytest.mark.parametrize("name", ["raidm-9", "raidm-11"])
 def test_recoverable_mask_miss_agrees_with_can_decode_from_sampled(name, monkeypatch):
-    monkeypatch.setattr(codes, "_RECOVERABLE_CACHE", {})
     scheme = parse_scheme(name)
+    geo = geometry(scheme)
+    monkeypatch.setattr(geo, "fate", {})
     rng = random.Random(name)
     L = scheme.code_length
     fates = set()
@@ -331,7 +334,7 @@ def test_recoverable_mask_miss_agrees_with_can_decode_from_sampled(name, monkeyp
         # failure counts spread over 0..L, so both answers come up often
         mask = sum(1 << s for s in rng.sample(range(L), rng.randrange(L + 1)))
         want = can_decode_from(scheme, _live_blocks(scheme, mask))
-        codes._RECOVERABLE_CACHE.pop((scheme, mask), None)
+        geo.fate.pop(mask, None)
         assert is_recoverable_mask(scheme, mask) == want, (name, mask)
         fates.add(want)
     assert fates == {True, False}
@@ -588,13 +591,55 @@ def test_replication_and_raidm_repair():
 def test_plan_repair_errors():
     with pytest.raises(UnrecoverableError):
         plan_repair(Polygon(5), {0, 1, 2})
-    with pytest.raises(UnsupportedPatternError):
-        plan_repair(HeptagonLocal(), {0, 1, 7, 8})  # recoverable but unsupported
-    with pytest.raises(UnsupportedPatternError):
-        plan_repair(RaidMirror(9), {0, 2, 4, 6})  # recoverable but beyond tolerance
+    rng = random.Random(22)
+    # recoverable patterns beyond 3 heptagon-local losses or the tolerance
+    # are planned like any other
+    for scheme, pattern in [(HeptagonLocal(), {0, 1, 7, 8}), (RaidMirror(9), {0, 2, 4, 6})]:
+        data, blocks = full_blocks(scheme, rng, size=16)
+        check_plan_execution(scheme, blocks, plan_repair(scheme, pattern), pattern)
+    assert plan_repair(RaidMirror(9), {0, 2, 4, 6}).bandwidth_blocks == 4
     with pytest.raises(ValueError):
         plan_repair(Polygon(5), {9})
     assert plan_repair(Polygon(5), set()).bandwidth_blocks == 0
+
+
+def _recoverable_masks(scheme, sample=None):
+    """Every recoverable failure mask of *scheme*, or of *sample* masks
+    drawn with their failure counts spread over 0..L."""
+    L = scheme.code_length
+    if sample is None:
+        masks = range(1 << L)
+    else:
+        rng = random.Random(scheme.name)
+        masks = [
+            sum(1 << s for s in rng.sample(range(L), rng.randrange(L + 1)))
+            for _ in range(sample)
+        ]
+    return [m for m in masks if is_recoverable_mask(scheme, m)]
+
+
+@pytest.mark.parametrize(
+    "name,sample",
+    [("heptagon-local", None), ("raidm-3", None), ("raidm-5", None), ("raidm-9", 3000)],
+)
+def test_every_recoverable_pattern_gets_a_plan(name, sample):
+    # repair restores every lost block of every recoverable mask, and every
+    # 16th mask's degraded reads deliver each fully lost block
+    scheme = parse_scheme(name)
+    geo = geometry(scheme)
+    data, blocks = full_blocks(scheme, random.Random(name), size=8)
+    masks = _recoverable_masks(scheme, sample)
+    for k, mask in enumerate(masks):
+        down = {s for s in range(scheme.code_length) if mask >> s & 1}
+        check_plan_execution(scheme, blocks, plan_repair(scheme, down), down)
+        if k % 16:
+            continue
+        reader = make_checked_reader(present_view(scheme, blocks, down))
+        for b, slots in geo.placements.items():
+            if all(s in down for s in slots):
+                plan = plan_degraded_read(scheme, b, down)
+                assert execute_plan(plan, reader)[b] == blocks[b], (name, down, b)
+    assert len(masks) > 100
 
 
 # ---------------------------------------------------------------------------
@@ -931,3 +976,36 @@ def test_roundtrip_property(case):
     out = decode_stripe(scheme, surviving_view(scheme, blocks, pattern), pattern)
     assert out == data
     assert oracle_decode(scheme, present_view(scheme, blocks, pattern)) == data
+
+
+# ---------------------------------------------------------------------------
+# structure
+
+
+def test_only_the_geometry_tells_scheme_classes_apart():
+    """``isinstance`` names a scheme class only in ``_Geometry.__init__``:
+    every other layer reads a scheme's kind from its geometry."""
+    classes = {"Replication", "RaidMirror", "Polygon", "HeptagonLocal"}
+    inside, outside = 0, []
+    for path in sorted(Path(codes.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "_Geometry"
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"):
+                continue
+            names = {
+                getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node.args[1])
+            }
+            if names & classes:
+                if id(node) in allowed:
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert inside > 0 and outside == []

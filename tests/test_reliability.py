@@ -131,7 +131,7 @@ def test_integer_solve_equals_fraction_reference(name):
 
 def test_singular_generator_raises():
     # a transient state with no way out never absorbs
-    chain = MarkovChain("stuck", 1, 0, 1.0, 1.0, "parallel", ((0,),), ((),), ())
+    chain = MarkovChain("stuck", 1, 1.0, 1.0, "parallel", ((0,),), ((),), ())
     with pytest.raises(ArithmeticError):
         chain.expected_hours_to_loss()
 
@@ -145,7 +145,6 @@ def test_mttdl_ordering_under_default_model():
 
 def test_chain_metadata():
     chain = build_markov_chain(HeptagonLocal(), DEFAULT_MODEL)
-    assert chain.tolerance == 3
     assert chain.states[0] == (0, 0, 0)
     assert any("not reproduced" in note or "orderings" in note for note in chain.assumptions)
     serial_chain = build_markov_chain(HeptagonLocal(), FailureModel(0.01, 0.1, "serial"))
@@ -316,15 +315,14 @@ def test_mc_deterministic_and_worker_invariant():
 @pytest.mark.parametrize("mode", ["parallel", "serial"])
 def test_mc_checks_each_failure_mask_once_per_run(monkeypatch, mode):
     calls = collections.Counter()
-    real = codes.is_recoverable_mask
+    real = codes._Geometry.recoverable
 
-    def counting(scheme, mask):
+    def counting(geo, mask):
         calls[mask] += 1
-        return real(scheme, mask)
+        return real(geo, mask)
 
-    # reliability holds its own binding of the name; patch both
-    for module in (codes, reliability):
-        monkeypatch.setattr(module, "is_recoverable_mask", counting)
+    monkeypatch.setattr(codes._Geometry, "recoverable", counting)
+    monkeypatch.setattr(codes._geometry(HeptagonLocal()), "fate", {})  # a fresh table
     model = FailureModel(0.01, 0.1, mode)
     mttdl_montecarlo(HeptagonLocal(), model, 300, seed=11)
     assert calls, "the loss test was never consulted"
@@ -338,12 +336,13 @@ TRIAL_MODELS = [STRESS_MODEL, FailureModel.from_mttf_mttr(100.0, 10.0, "serial")
 @pytest.mark.parametrize("scheme", TRIAL_SCHEMES, ids=lambda s: s.name)
 @pytest.mark.parametrize("model", TRIAL_MODELS, ids=lambda m: m.repair_mode)
 def test_simulate_trial_equals_reference_loop(scheme, model):
-    fate, ref_fate = {}, {}
+    ref_fate = {}
     for i in range(300):
-        got = reliability._simulate_trial(scheme, model, reliability._trial_rng(21, i), fate)
+        got = reliability._simulate_trial(scheme, model, reliability._trial_rng(21, i))
         want = simulate_trial_reference(scheme, model, reliability._trial_rng(21, i), ref_fate)
         assert got == want, i
-    assert fate == ref_fate
+    fate = codes._geometry(scheme).fate
+    assert ref_fate and all(fate[mask] == ok for mask, ok in ref_fate.items())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 17, 2**40 + 3])
