@@ -34,7 +34,8 @@ Memory: no operation holds a file.  ``put`` reads its input a data block at
 a time into one buffer that feeds ``codes.StripeEncoder`` and is written to
 the block's replicas at once; the parities are written at the stripe's end.
 ``read`` yields a stored file's bytes in order, a data block at a time with
-the tail cut off, and holds one block plus what a degraded-read plan holds;
+the tail cut off, and holds one block plus what a degraded-read plan holds,
+or a stripe when no plan fits and the stripe is solved whole;
 ``get`` builds its ``bytearray`` from it, and the CLI streams it to a temp
 file that replaces the output only once every block is written, so a failed
 read leaves the output as it was.  ``repair`` holds one stripe: one good
@@ -74,6 +75,7 @@ from .codes import (
     ChecksumMismatchError,
     MissingBlockError,
     Scheme,
+    UnrecoverableError,
     parse_scheme,
 )
 
@@ -515,7 +517,11 @@ class BlockStore:
         plan, and each executed plan's bandwidth is logged.  A plan also
         rebuilds the other blocks its solve determines, and those are kept
         for the rest of the stripe; nothing else outlives the block it
-        belongs to, so a read holds a block plus what a plan holds."""
+        belongs to, so a read holds a block plus what a plan holds.  A plan
+        works on slots, so it fails when a block is lost on a live slot too;
+        then every block of the stripe with a good replica is read, one
+        transfer each, and ``codes.oracle_decode`` rebuilds the stripe's
+        data, which is kept for the rest of the stripe."""
         return self._read_blocks(self.load_manifest(name))
 
     def _read_blocks(self, manifest: StoreManifest) -> Iterator[bytes | memoryview]:
@@ -533,16 +539,25 @@ class BlockStore:
                 except (MissingBlockError, ChecksumMismatchError):
                     # no good replica left: decode it from the stripe
                     if block_id not in rebuilt:
-                        plan = codes.plan_degraded_read(
-                            scheme, block_id, down_slots.union(geo.placements[block_id])
-                        )
-                        rebuilt.update(codes.execute_plan(plan, reader))
+                        try:
+                            plan = codes.plan_degraded_read(
+                                scheme, block_id, down_slots.union(geo.placements[block_id])
+                            )
+                            rebuilt.update(codes.execute_plan(plan, reader))
+                            transfers = plan.bandwidth_blocks
+                        except (UnrecoverableError, MissingBlockError, ChecksumMismatchError):
+                            # the plan sees slots, not lost blocks: solve the
+                            # stripe from every block with a good replica
+                            good = self._scan(manifest, stripe, geo, keep=True)[0]
+                            data = codes.oracle_decode(scheme, good)
+                            rebuilt.update((geo.data_block_of[k], d) for k, d in enumerate(data))
+                            transfers = len(good)
                         self.degraded_log.append(
-                            (manifest.name, stripe.index, block_id, plan.bandwidth_blocks)
+                            (manifest.name, stripe.index, block_id, transfers)
                         )
                         log.info(
                             "degraded read: %s stripe %d block %d via %d transfers",
-                            manifest.name, stripe.index, block_id, plan.bandwidth_blocks,
+                            manifest.name, stripe.index, block_id, transfers,
                         )
                     body = rebuilt[block_id]
                     if _crc(body) != stripe.crc32[block_id]:
@@ -611,10 +626,13 @@ class BlockStore:
         A corrupt replica whose block has a good replica is copied whole
         from it, one transfer; the code rebuilds the rest through one repair
         plan over the slots whose file is missing and the slots of blocks
-        with no good replica left.  Measured bandwidth is the plans'
-        transfer counts plus the copies.  Each damaged stripe is rebuilt
-        from the bytes its scan read and written back before the next is
-        scanned: a missing node file is written whole, and a corrupt replica
+        with no good replica left.  When those slots are fatal although the
+        good blocks determine the stripe, ``codes.oracle_decode`` solves it
+        from every good block, one transfer each, and each block on a
+        failed slot costs one more.  Measured bandwidth is the plans'
+        transfer counts, those of the solves, plus the copies.  Each
+        damaged stripe is rebuilt from the bytes its scan read and written
+        back before the next is scanned: a missing node file is written whole, and a corrupt replica
         in place, so a write that fails touches no good replica.  A stripe
         that cannot be rebuilt does not stop the others: FatalStripeError
         names the first one after every other stripe is restored.  Down
@@ -643,9 +661,15 @@ class BlockStore:
                     for block_id, s in corrupt:
                         rewrite.setdefault(s, set()).add(block_id)
                     if failed:
-                        plan = codes.plan_repair(scheme, frozenset(failed))
-                        good.update(codes.execute_plan(plan, codes.memory_reader(good)))
-                        bandwidth += plan.bandwidth_blocks
+                        try:
+                            plan = codes.plan_repair(scheme, frozenset(failed))
+                            good.update(codes.execute_plan(plan, codes.memory_reader(good)))
+                            bandwidth += plan.bandwidth_blocks
+                        except UnrecoverableError:
+                            # the failed slots are fatal but the good blocks
+                            # are not: solve the stripe from them
+                            bandwidth += len(good) + sum(len(geo.blocks_on[s]) for s in failed)
+                            good = codes.encode_stripe(scheme, codes.oracle_decode(scheme, good))
                     bandwidth += sum(s not in failed for _, s in corrupt)
                     order = stripe.node_order
                     for s in sorted(rewrite, key=order.__getitem__):

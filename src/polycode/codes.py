@@ -339,9 +339,6 @@ def build_layout(scheme: Scheme, node_pool: Iterable[int], seed: int) -> tuple[i
 # GF(2^8) linear algebra
 
 
-_WIDE = 8  # a target with more distinct coefficients than this, 0 and 1 aside, is wide
-
-
 def _reduced_basis(vectors: Iterable[int]) -> list[int]:
     """A reduced GF(2) basis of the span of *vectors*, ints read as bit
     vectors: the lowest set bit of each basis vector, its pivot, is clear in
@@ -365,111 +362,82 @@ class _Sums:
     pairs; an input may appear in many targets, or twice in one.
 
     Blocks are summed as little-endian ints, an input's int form is made at
-    most once, and nothing of an input is kept once it has been fed.
-    Coefficient 1 is never scaled and 0 is skipped.
+    most once, and nothing of an input is kept once it has been fed.  A
+    target whose coefficients are all 0 and 1 is a plain XOR, built as its
+    inputs are fed.
 
-    A narrow target's terms that share a coefficient are XORed and their
-    sum is scaled once, when the target is taken: GF(2^8) multiplication
-    distributes over XOR.  A lone term with a coefficient other than 1 is
-    scaled straight from the input's bytes.
-
-    A target with more than ``_WIDE`` distinct coefficients other than 0
-    and 1 is wide.  Multiplying by c is GF(2)-linear: c*d is the XOR of
-    2^b*d over the set bits b of c.  So each input's coefficients across
-    the wide targets stack into one bit vector, 8 bits a target, and over a
-    reduced GF(2) basis B_j of those vectors every wide target is the sum,
-    over j, of its byte of B_j times plane j, the XOR of the inputs whose
-    vectors have B_j's pivot set.  An input is only XORed into its planes
-    as it is fed.  When the first wide target is taken, which needs every
-    input fed, each plane becomes bytes once, is scaled at most once per
-    wide target and is dropped.  The two heptagon-local global parities
-    need 8 planes, not 16: their coefficients are alpha^i and
-    alpha^(2i) = (alpha^i)^2, and squaring is GF(2)-linear.
+    Every other target is scaled.  Multiplying by c is GF(2)-linear: c*d is
+    the XOR of 2^b*d over the set bits b of c.  So each input's coefficients
+    across the scaled targets stack into one bit vector, 8 bits a target,
+    and over a reduced GF(2) basis B_j of those vectors every scaled target
+    is the sum, over j, of its byte of B_j times plane j, the XOR of the
+    inputs whose vectors have B_j's pivot set.  An input is only XORed into
+    its planes as it is fed.  When the first scaled target is taken, which
+    needs every input fed, each plane becomes bytes once, is scaled at most
+    once per scaled target and is dropped.  A target with d distinct
+    coefficients above 1 thus takes at most min(8, d) scalings of its own.
+    The two heptagon-local global parities need 8 planes, not 16: their
+    coefficients are alpha^i and alpha^(2i) = (alpha^i)^2, and squaring is
+    GF(2)-linear.
     """
 
     def __init__(self, terms: Mapping, width: int | None = None):
         self.width = width  # block length in bytes; may be set before the first feed
-        self._uses: dict = {}  # input key -> [(target, coef, lone)]
-        self._shared: dict = {}  # target -> coefficients other than 1 on 2+ terms
+        self._uses: dict = {}  # input key -> the XOR targets it goes into, once a term
         self._acc: dict = {}  # target -> XOR of its finished terms
-        self._pending: dict = {}  # (target, coef) -> XOR of the inputs awaiting coef
-        self._planes: list[int] = []  # plane -> XOR of the inputs fed into it
         self._coords: dict = {}  # input key -> the planes it goes into
-        self._rows: list[list] = []  # plane -> [(wide target, nonzero coef)]
-        self._wide: set = set()
-        counts = {}
+        scaled = [t for t, pairs in terms.items() if any(c > 1 for _, c in pairs)]
+        self._scaled = set(scaled)
+        vectors: dict = {}
+        for w, target in enumerate(scaled):
+            for key, coef in terms[target]:
+                vectors[key] = vectors.get(key, 0) ^ coef << 8 * w
+        basis = _reduced_basis(vectors.values())
+        # plane -> [(scaled target, nonzero coef)], unit coefficients first,
+        # so a plane's int can go once it is bytes
+        self._rows: list[list] = [
+            sorted(
+                ((t, b >> 8 * w & 0xFF) for w, t in enumerate(scaled) if b >> 8 * w & 0xFF),
+                key=lambda tc: tc[1] != 1,
+            )
+            for b in basis
+        ]
+        self._planes = [0] * len(basis)  # plane -> XOR of the inputs fed into it
+        pivots = [b & -b for b in basis]
+        for key, v in vectors.items():
+            planes = [j for j, p in enumerate(pivots) if v & p]
+            if planes:
+                self._coords[key] = planes
         for target, pairs in terms.items():
-            count = counts[target] = {}
-            for _, coef in pairs:
-                count[coef] = count.get(coef, 0) + 1
-        wide = [t for t, count in counts.items() if sum(c > 1 for c in count) > _WIDE]
-        if wide:
-            vectors: dict = {}
-            for w, target in enumerate(wide):
-                for key, coef in terms[target]:
-                    vectors[key] = vectors.get(key, 0) ^ coef << 8 * w
-            basis = _reduced_basis(vectors.values())
-            # unit coefficients first, so a plane's int can go once it is bytes
-            self._rows = [
-                sorted(
-                    ((t, b >> 8 * w & 0xFF) for w, t in enumerate(wide) if b >> 8 * w & 0xFF),
-                    key=lambda tc: tc[1] != 1,
-                )
-                for b in basis
-            ]
-            self._planes = [0] * len(basis)
-            self._wide = set(wide)
-            pivots = [b & -b for b in basis]
-            for key, v in vectors.items():
-                planes = [j for j, p in enumerate(pivots) if v & p]
-                if planes:
-                    self._coords[key] = planes
-        for target, pairs in terms.items():
-            if target in self._wide:
-                continue
-            count = counts[target]
-            self._shared[target] = [c for c, n in count.items() if c > 1 and n > 1]
-            for key, coef in pairs:
-                if coef:
-                    self._uses.setdefault(key, []).append((target, coef, count[coef] == 1))
+            if target not in self._scaled:
+                for key, coef in pairs:
+                    if coef:
+                        self._uses.setdefault(key, []).append(target)
 
     def feed(self, key, data) -> None:
         """Add input *key*, any bytes-like object of ``width`` bytes, to
         every target that uses it."""
-        value = None
         planes = self._coords.pop(key, ())
-        if planes:
+        targets = self._uses.pop(key, ())
+        if planes or targets:
             value = int.from_bytes(data, "little")
             for j in planes:
                 self._planes[j] ^= value
-        acc, pending = self._acc, self._pending
-        for target, coef, lone in self._uses.pop(key, ()):
-            if lone and coef != 1:
-                term = int.from_bytes(scale_bytes(coef, data), "little")
-                acc[target] = acc.get(target, 0) ^ term
-                continue
-            if value is None:
-                value = int.from_bytes(data, "little")
-            if coef == 1:
+            acc = self._acc
+            for target in targets:
                 acc[target] = acc.get(target, 0) ^ value
-            else:
-                pending[target, coef] = pending.get((target, coef), 0) ^ value
 
     def take(self, target) -> int:
         """*target*'s finished sum as an int; the sums forget it."""
-        if target in self._wide and self._rows:
+        if target in self._scaled and self._rows:
             self._spread()
-        value = self._acc.pop(target, 0)
-        for coef in self._shared.pop(target, ()):
-            total = self._pending.pop((target, coef), 0).to_bytes(self.width, "little")
-            value ^= int.from_bytes(scale_bytes(coef, total), "little")
-        return value
+        return self._acc.pop(target, 0)
 
     def _spread(self) -> None:
-        """Add each plane, scaled, into every wide target, one plane at a
+        """Add each plane, scaled, into every scaled target, one plane at a
         time, dropping each plane once it is scaled."""
         if self._coords:
-            raise ValueError("a wide sum is taken before every input is fed")
+            raise ValueError("a scaled sum is taken before every input is fed")
         acc, planes, rows = self._acc, self._planes, self._rows
         self._planes, self._rows = [], []
         for j, row in enumerate(rows):
@@ -533,7 +501,7 @@ class StripeEncoder:
     """Encode one stripe fed a data block at a time.  Each block goes into
     the parity sums as it arrives and nothing of it is kept, so a caller
     may read every block into the same buffer.  The XOR parities are plain
-    sums; the heptagon-local global parities are ``_Sums``' wide targets,
+    sums; the heptagon-local global parities are ``_Sums``' scaled targets,
     summed through 8 shared bit-planes.  ``parities()`` yields the parity
     blocks once each data block has been fed exactly once."""
 
@@ -1088,7 +1056,7 @@ def execute_plan(plan: RepairPlan, reader: Callable[[int], bytes]) -> dict[int, 
     serves, substituting a recovered block's map wherever a later transfer
     reads it.  Then each source block is read once, in first-need order,
     and fed into one ``_Sums`` whose targets are the blocks the plan
-    returns, so the terms of every recovery meet in one sum and the wide
+    returns, so the terms of every recovery meet in one sum and the scaled
     ones share bit-planes.  A source is dropped once fed unless a
     delivering whole copy returns it: such a block is the accessor's bytes.
     Each recovered block becomes bytes once, one at a time.

@@ -67,7 +67,7 @@ class ClusterModel:
     scheme_name: str
     node_count: int
     slots_per_node: int
-    catalog: dict[int, frozenset[int]]  # block id -> hosting nodes
+    catalog: dict[int, tuple[int, ...]]  # block id -> hosting nodes, ascending
 
     @property
     def total_slots(self) -> int:
@@ -179,8 +179,9 @@ def build_cluster(
     distinct nodes.
 
     Each window's score is kept as a running integer and each window's
-    host sets (its tile) are made once, so a stripe costs O(windows) to
-    place.  Every draw goes through ``_sample_range``.
+    host tuples (its tile) are made once, so a stripe costs O(windows) to
+    place.  Every draw goes through ``_sample_range``.  A catalog entry
+    lists its hosts in ascending order, so no scheduler sorts them.
     """
     if slots_per_node < 1:
         raise ValueError("need at least one map slot per node")
@@ -196,7 +197,7 @@ def build_cluster(
         stripes = default_stripes(scheme)
     getrandbits = random.Random(seed).getrandbits
     perm = _sample_range(getrandbits, node_count, node_count)
-    catalog: dict[int, frozenset[int]] = {}
+    catalog: dict[int, tuple[int, ...]] = {}
 
     if geo.groups:
         window_count = -(-node_count // width)
@@ -204,7 +205,9 @@ def build_cluster(
             [perm[(w * width + k) % node_count] for k in range(width)]
             for w in range(window_count)
         ]
-        tiles = [[frozenset(window[s] for s in slots) for slots in hosted] for window in windows]
+        tiles = [
+            [tuple(sorted(window[s] for s in slots)) for slots in hosted] for window in windows
+        ]
         windows_of: list[list[int]] = [[] for _ in range(node_count)]
         for w, window in enumerate(windows):
             for v in window:
@@ -228,7 +231,7 @@ def build_cluster(
         for _ in range(stripes):
             for slots in hosted:
                 hosts = _sample_range(getrandbits, node_count, len(slots))
-                catalog[len(catalog)] = frozenset(hosts)
+                catalog[len(catalog)] = tuple(sorted(hosts))
     return ClusterModel(scheme.name, node_count, slots_per_node, catalog)
 
 
@@ -305,8 +308,7 @@ def schedule_maxmatch(cluster: ClusterModel, workload: Workload) -> Assignment:
     N nodes.
     """
     _check_capacity(cluster, workload)
-    catalog = cluster.catalog
-    hosts = [sorted(catalog[b]) for b in workload.tasks]
+    hosts = [cluster.catalog[b] for b in workload.tasks]
     node_of: list[int | None] = [None] * len(hosts)
     on_node: list[list[int]] = [[] for _ in range(cluster.node_count)]
     free = [cluster.slots_per_node] * cluster.node_count
@@ -432,7 +434,7 @@ def schedule_peeling(
     order = list(range(n_tasks))
     _shuffle(random.Random(seed).getrandbits, order)
     # from here on a task is named by its position p in the shuffled order
-    hosts = [sorted(cluster.catalog[tasks[ti]]) for ti in order]
+    hosts = [cluster.catalog[tasks[ti]] for ti in order]
     on_node: list[list[int]] = [[] for _ in range(cluster.node_count)]
     for p, hs in enumerate(hosts):
         for v in hs:

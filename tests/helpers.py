@@ -136,10 +136,10 @@ def build_cluster_reference(
         stripes = default_stripes(scheme)
     rng = random.Random(seed)
     perm = rng.sample(range(node_count), node_count)
-    catalog: dict[int, frozenset[int]] = {}
+    catalog: dict[int, tuple[int, ...]] = {}
 
     def add(hosts):
-        catalog[len(catalog)] = frozenset(hosts)
+        catalog[len(catalog)] = tuple(sorted(hosts))
 
     if geo.groups:
         window_count = -(-node_count // width)

@@ -569,6 +569,88 @@ def test_repair_restores_every_kill_set_fsck_finds_recoverable(tmp_path, name):
     assert recoverable > 100
 
 
+@pytest.mark.parametrize("name,down,lost", [  # down slots; the slots of a block lost on both
+    ("pentagon", (0,), (1, 2)),
+    ("heptagon", (0,), (1, 2)),
+    ("heptagon-local", (0, 1), (2, 3)),
+])
+def test_a_block_lost_on_live_slots_beside_a_down_one_is_read_and_repaired(tmp_path, name,
+                                                                          down, lost):
+    # the slots down + lost are a fatal pattern, yet the stripe lost only
+    # the blocks held on down slots alone and the one corrupt on both hosts
+    scheme = codes.parse_scheme(name)
+    geo = codes._geometry(scheme)
+    store = BlockStore.create(tmp_path / "s", scheme, nodes=scheme.code_length, block_size=64,
+                              seed=3)
+    src = write_file(tmp_path, scheme.data_block_count * 64, seed=27)
+    manifest = store.put(src)
+    stripe = manifest.stripes[0]
+    block_id = next(b for b, slots in geo.placements.items() if slots == lost)
+    for node in lost:  # a node plays its own slot: the scheme has groups
+        overwrite(*replica(store, manifest, stripe, block_id, node), b"\xff" * 64)
+    for node in down:
+        store.kill_node(node)
+    assert not codes.is_recoverable(scheme, {*down, *lost})
+    assert not store.fsck().fatal_stripes
+    good = [b for b, slots in geo.placements.items()
+            if b != block_id and not set(slots) <= set(down)]
+    store.degraded_log.clear()
+    assert store.get(src.name) == src.read_bytes()
+    assert len(good) in [bw for *_, bw in store.degraded_log]  # a transfer per block read
+    result = store.repair()
+    assert result.bandwidth_blocks == len(good) + sum(len(geo.blocks_on[s]) for s in {*down, *lost})
+    assert store.fsck().is_clean
+    assert store.get(src.name) == src.read_bytes()
+
+
+@st.composite
+def damaged_stores(draw):
+    """A scheme, a file of 1-2 stripes, nodes to kill, blocks to lose on
+    every host, and single replicas to flip a byte of or cut off."""
+    name = draw(st.sampled_from(["pentagon", "heptagon", "heptagon-local", "raidm-3"]))
+    scheme = codes.parse_scheme(name)
+    L, B = scheme.code_length, scheme.block_count
+    size = draw(st.integers(1, 2 * scheme.data_block_count * 16))
+    down = draw(st.sets(st.integers(0, L - 1), max_size=3))
+    lost = draw(st.lists(st.integers(0, B - 1), max_size=2))
+    hurt = draw(st.lists(st.tuples(st.integers(0, B - 1), st.integers(0, 2),
+                                   st.sampled_from(["flip", "cut"])), max_size=4))
+    return scheme, size, down, lost, hurt
+
+
+@settings(max_examples=40, deadline=None)
+@given(damaged_stores(), st.integers(0, 2**31))
+def test_get_and_repair_serve_every_stripe_fsck_finds_recoverable(case, content_seed):
+    scheme, size, down, lost, hurt = case
+    with tempfile.TemporaryDirectory() as td:
+        root = Path(td)
+        store = BlockStore.create(root / "s", scheme, nodes=scheme.code_length, block_size=16,
+                                  seed=5)
+        src = write_file(root, size, seed=content_seed)
+        manifest = store.put(src)
+        for node in down:
+            store.kill_node(node)
+        for stripe in manifest.stripes:
+            damage = {(b, node): "flip" for b in lost for node in hosts(manifest, stripe, b)}
+            for block_id, r, how in hurt:
+                nodes = hosts(manifest, stripe, block_id)
+                damage.setdefault((block_id, nodes[r % len(nodes)]), how)
+            for (block_id, node), how in damage.items():
+                path, offset = replica(store, manifest, stripe, block_id, node)
+                if not path.exists():
+                    continue
+                if how == "cut":
+                    os.truncate(path, min(offset + 5, path.stat().st_size))
+                else:
+                    overwrite(path, offset, bytes([path.read_bytes()[offset] ^ 0xFF]))
+        if store.fsck().fatal_stripes:
+            return
+        assert store.get(src.name) == src.read_bytes()
+        store.repair()
+        assert store.fsck().is_clean
+        assert store.get(src.name) == src.read_bytes()
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     size=st.integers(0, 4 * 9 * 256),

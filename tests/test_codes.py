@@ -898,6 +898,27 @@ def test_sums_match_per_term_scaling(case):
     assert sums.take("t").to_bytes(width, "little") == naive_sum(width, bodies, terms)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([0, 1, 7]),
+    st.integers(1, 24).flatmap(
+        lambda n: st.lists(st.tuples(st.integers(0, n - 1), COEFS), max_size=40)
+    ),
+)
+def test_a_sum_scales_at_most_min_8_and_its_distinct_coefficients(width, terms):
+    # one scaling per plane whose coefficient is not 1: a lone target spans
+    # at most 8 planes, and at most d for d distinct coefficients above 1
+    bodies = [random.Random(k).randbytes(width) for k in range(24)]
+    with pytest.MonkeyPatch.context() as mp:
+        scalings = count_scalings(mp)
+        sums = codes._Sums({"t": terms}, width)
+        for k, body in enumerate(bodies):
+            sums.feed(k, body)
+        value = sums.take("t")
+    assert len(scalings) <= min(8, len({c for _, c in terms if c > 1}))
+    assert value.to_bytes(width, "little") == naive_sum(width, bodies, terms)
+
+
 @st.composite
 def wide_sums(draw):
     width = draw(st.sampled_from([0, 1, 7, 16]))
@@ -982,30 +1003,50 @@ def test_roundtrip_property(case):
 # structure
 
 
-def test_only_the_geometry_tells_scheme_classes_apart():
-    """``isinstance`` names a scheme class only in ``_Geometry.__init__``:
-    every other layer reads a scheme's kind from its geometry."""
-    classes = {"Replication", "RaidMirror", "Polygon", "HeptagonLocal"}
+def call_sites(matches, cls: str, method: str) -> tuple[int, list[str]]:
+    """Calls in ``src/polycode`` for which *matches* holds: how many sit in
+    method *method* of class *cls*, and where the others are."""
     inside, outside = 0, []
     for path in sorted(Path(codes.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         allowed = {
             id(node)
-            for cls in ast.walk(tree)
-            if isinstance(cls, ast.ClassDef) and cls.name == "_Geometry"
-            for fn in cls.body
-            if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+            for c in ast.walk(tree)
+            if isinstance(c, ast.ClassDef) and c.name == cls
+            for fn in c.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == method
             for node in ast.walk(fn)
         }
         for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"):
-                continue
-            names = {
-                getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node.args[1])
-            }
-            if names & classes:
+            if isinstance(node, ast.Call) and matches(node):
                 if id(node) in allowed:
                     inside += 1
                 else:
                     outside.append(f"{path.name}:{node.lineno}")
+    return inside, outside
+
+
+def test_only_the_geometry_tells_scheme_classes_apart():
+    """``isinstance`` names a scheme class only in ``_Geometry.__init__``:
+    every other layer reads a scheme's kind from its geometry."""
+    classes = {"Replication", "RaidMirror", "Polygon", "HeptagonLocal"}
+
+    def names_a_scheme_class(call):
+        if ast.unparse(call.func) != "isinstance":
+            return False
+        names = {
+            getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(call.args[1])
+        }
+        return bool(names & classes)
+
+    inside, outside = call_sites(names_a_scheme_class, "_Geometry", "__init__")
     assert inside > 0 and outside == []
+
+
+def test_only_the_bit_planes_scale_blocks():
+    """``scale_bytes`` is called only where ``_Sums`` spreads its planes:
+    every scaled sum goes through them."""
+    inside, outside = call_sites(
+        lambda call: ast.unparse(call.func).split(".")[-1] == "scale_bytes", "_Sums", "_spread"
+    )
+    assert inside == 1 and outside == []

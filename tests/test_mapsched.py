@@ -32,7 +32,7 @@ from helpers import build_cluster_reference, delay_reference, maxmatch_reference
 
 
 def make_cluster(catalog, nodes, slots):
-    return ClusterModel("test", nodes, slots, {b: frozenset(h) for b, h in catalog.items()})
+    return ClusterModel("test", nodes, slots, {b: tuple(sorted(h)) for b, h in catalog.items()})
 
 
 def occupancy_ok(cluster, assignment):
