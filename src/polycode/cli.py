@@ -15,19 +15,26 @@ Flags override values from an optional key=value --config file.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import itertools
-import json
 import os
 import stat
 import sys
 import zlib
+from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
-from . import blockstore, codes, mapsched, reliability
+from . import codes
 from .codes import CodeError, parse_scheme, storage_overhead, tolerance
+
+if TYPE_CHECKING:
+    import argparse
+
+# A process runs one command, so each handler imports the modules it needs
+# (blockstore, mapsched, reliability, csv, json), and argparse is imported
+# only for an argv that the plain-argv path leaves to it.
 
 REPORT_SCHEMES = ["2-rep", "3-rep", "pentagon", "heptagon", "heptagon-local", "raidm-9", "raidm-11"]
 
@@ -36,9 +43,15 @@ class UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # return exit code 2 instead of sys.exit
-        raise UsageError(message)
+@cache
+def _parser_class() -> type[argparse.ArgumentParser]:
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # return exit code 2 instead of sys.exit
+            raise UsageError(message)
+
+    return _Parser
 
 
 def _fmt(value) -> str:
@@ -51,6 +64,8 @@ def emit_report(rows: list[dict], path: str | Path | None, fieldnames: list[str]
     """Write rows as RFC-4180 CSV (header always present, CRLF line ends);
     byte-stable for identical rows.  Returns the text; writes it when
     *path* is given ('-' or None prints to stdout)."""
+    import csv
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\r\n")
     writer.writeheader()
@@ -129,7 +144,7 @@ COMMANDS: dict[str, list[tuple[str, dict]]] = {
     ],
     "sim reliability": [
         ("--scheme", {"required": True, "help": "comma-separated scheme names"}),
-        ("--mttf-hours", {"type": float, "default": 4 * reliability.HOURS_PER_YEAR}),
+        ("--mttf-hours", {"type": float}),  # 4 years when None: see _cmd_sim_reliability
         ("--mttr-hours", {"type": float, "default": 24.0}),
         ("--mode", {"choices": ["parallel", "serial"], "default": "parallel"}),
         ("--trials", {"type": int, "default": 1000}),
@@ -145,14 +160,17 @@ COMMANDS: dict[str, list[tuple[str, dict]]] = {
 }
 
 
-def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and the leaf parsers it holds, by COMMANDS key:
     the whole tree, so help and usage errors list every choice."""
+    import argparse
+
+    _Parser = _parser_class()
     parser = _Parser(prog="polycode", description=__doc__)
     parser.add_argument("--config", help="key=value file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     groups = {}  # group name -> its subparsers action
-    registry: dict[str, _Parser] = {}
+    registry: dict[str, argparse.ArgumentParser] = {}
     for name in COMMANDS:
         group, _, leaf = name.partition(" ")
         if not leaf:
@@ -170,8 +188,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, registry
 
 
-def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace build_parser()[0].parse_args(argv) gives, read
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes build_parser()[0].parse_args(argv) gives, read
     straight from COMMANDS, for a plain argv: a leaf command followed by
     exact '--flag value' pairs and bare store_true flags, no value starting
     with '-' other than '-' itself.  None for any other argv (help,
@@ -204,7 +222,7 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
         if "type" in kwargs:  # each occurrence is converted, as argparse does
             try:
                 value = kwargs["type"](value)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
+            except (TypeError, ValueError):  # int and float raise no other
                 return None
         if "choices" in kwargs and value not in kwargs["choices"]:
             return None
@@ -220,7 +238,7 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
         else:
             value = kwargs.get("default")
         values[flag[2:].replace("-", "_")] = value
-    return argparse.Namespace(config=None, **values)
+    return SimpleNamespace(config=None, **values)
 
 
 def _extract_config_path(argv: list[str]) -> str | None:
@@ -255,9 +273,11 @@ def _command_key(argv: list[str]) -> str | None:
     return None
 
 
-def _apply_config(registry: dict[str, _Parser], argv: list[str]) -> None:
+def _apply_config(registry: dict[str, argparse.ArgumentParser], argv: list[str]) -> None:
     """Install config values as the target subcommand's defaults (and lift
     their required flags), so explicit argv flags keep precedence."""
+    import argparse
+
     config_path = _extract_config_path(argv)
     if config_path is None:
         return
@@ -398,6 +418,10 @@ def _cmd_code_info(args) -> int:
 
 
 def _cmd_code_encode(args) -> int:
+    import json
+
+    from .blockstore import fill
+
     scheme = parse_scheme(args.scheme)
     D = scheme.data_block_count
     with open(args.input, "rb", buffering=0) as src:
@@ -430,7 +454,7 @@ def _cmd_code_encode(args) -> int:
         block = bytearray(block_size)
         view = memoryview(block)
         for i in range(D):
-            n = blockstore.fill(src, view)
+            n = fill(src, view)
             if n < block_size:  # the input's end: pad the stripe with zeros
                 view[n:] = bytes(block_size - n)
             encoder.feed(i, block)
@@ -449,6 +473,8 @@ def _cmd_code_encode(args) -> int:
 
 
 def _cmd_code_decode(args) -> int:
+    import json
+
     src = Path(args.in_dir)
     meta = json.loads((src / "stripe.json").read_text())
     scheme = parse_scheme(meta["scheme"])
@@ -493,6 +519,8 @@ def _cmd_code_repair_plan(args) -> int:
 
 
 def _cmd_store(args) -> int:
+    from . import blockstore
+
     sub = args.subcommand
     if sub == "init":
         scheme = parse_scheme(args.scheme)
@@ -528,6 +556,8 @@ def _cmd_store(args) -> int:
 
 
 def _cmd_sim_locality(args) -> int:
+    from . import mapsched
+
     schemes = _parse_str_list(args.scheme)
     schedulers = _parse_str_list(args.scheduler)
     for s in schedulers:
@@ -552,8 +582,11 @@ def _cmd_sim_locality(args) -> int:
 
 
 def _cmd_sim_reliability(args) -> int:
+    from . import reliability
+
     schemes = [parse_scheme(s) for s in _parse_str_list(args.scheme)]
-    model = reliability.FailureModel.from_mttf_mttr(args.mttf_hours, args.mttr_hours, args.mode)
+    mttf = 4 * reliability.HOURS_PER_YEAR if args.mttf_hours is None else args.mttf_hours
+    model = reliability.FailureModel.from_mttf_mttr(mttf, args.mttr_hours, args.mode)
     chains = [reliability.build_markov_chain(scheme, model) for scheme in schemes]
     for scheme, chain in zip(schemes, chains):
         for note in chain.assumptions:
@@ -567,6 +600,8 @@ def _cmd_sim_reliability(args) -> int:
 
 def _cmd_report(args) -> int:
     if args.kind == "schemes":
+        from . import reliability
+
         rows = []
         for name in REPORT_SCHEMES:
             scheme = parse_scheme(name)
@@ -588,6 +623,10 @@ def _cmd_report(args) -> int:
         return 0
     if not args.input:
         raise UsageError("--input is required for locality-summary")
+    import csv
+
+    from . import mapsched
+
     with open(args.input, newline="") as fh:
         detail = list(csv.DictReader(fh))
     rows = []
@@ -608,6 +647,14 @@ def _cmd_report(args) -> int:
         )
     emit_report(mapsched.summarize_locality(rows), args.out, mapsched.SUMMARY_COLUMNS)
     return 0
+
+
+def _domain_errors() -> tuple[type[Exception], ...]:
+    """The errors main reports as 'error:' with exit 1.  An except clause
+    evaluates this only once an error reaches it, and a StoreError can only
+    come from a command that has imported blockstore by then."""
+    store = sys.modules.get("polycode.blockstore")
+    return (CodeError, ValueError) + ((store.StoreError,) if store else ())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -636,7 +683,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (CodeError, blockstore.StoreError, mapsched.OverloadError, ValueError) as exc:
+    except _domain_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # a path that cannot be read or written

@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import os
@@ -160,12 +161,64 @@ def test_decode_missing_block_file_beyond_tolerance_exits_one(tmp_path, capsys):
     assert not out_file.exists()
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
+# modules that only some commands need, so that cli imports none of them itself
+LAZY = ("polycode.blockstore", "polycode.mapsched", "polycode.reliability", "logging",
+        "argparse", "csv", "json", "concurrent.futures.process")
+
+
+def _in_fresh_process(*argvs, cwd=None):
+    """Import polycode.cli in a new interpreter and run each argv through
+    main: (exit codes, the LAZY modules loaded since start-up, stderr)."""
+    probe = "\n".join([
+        "import sys",
+        f"before = {{m for m in {LAZY!r} if m in sys.modules}}",
+        "from polycode import cli",
+        "def run(argv):",
+        "    try:",
+        "        return cli.main(argv)",
+        "    except SystemExit as exc:  # --help",
+        "        return exc.code",
+        f"codes = [run(argv) for argv in {[list(a) for a in argvs]!r}]",
+        f"print(repr((codes, sorted(set({LAZY!r}) & set(sys.modules) - before))))",
+    ])
     env = dict(os.environ, PYTHONPATH=str(Path(polycode.__file__).parent.parent))
-    probe = "import sys, polycode.cli; print('concurrent.futures.process' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True)
+    codes, loaded = ast.literal_eval(done.stdout.splitlines()[-1])
+    return codes, set(loaded), done.stderr
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    assert _in_fresh_process() == ([], set(), "")
+
+
+@pytest.mark.parametrize("argvs, unloaded", [
+    ([["sim", "reliability", "--scheme", "pentagon", "--mttf-hours", "100", "--mttr-hours",
+       "10", "--trials", "100", "--seed", "1"]],
+     {"polycode.blockstore", "polycode.mapsched", "logging", "argparse"}),
+    ([["sim", "locality", "--scheme", "pentagon", "--reps", "1", "--seed", "1"]],
+     {"polycode.blockstore", "polycode.reliability", "logging", "argparse"}),
+    ([["store", "init", "--root", "s", "--scheme", "pentagon", "--seed", "1"],
+      ["store", "fsck", "--root", "s"]],
+     {"polycode.mapsched", "polycode.reliability", "argparse", "csv"}),
+    ([["code", "info", "--scheme", "pentagon"]], set(LAZY)),
+    ([["--help"]], set(LAZY) - {"argparse"}),
+    ([["--config", "info.cfg", "code", "info"]], set(LAZY) - {"argparse"}),
+], ids=["sim-reliability", "sim-locality", "store-fsck", "code-info", "help", "config"])
+def test_a_command_leaves_the_modules_it_does_not_run_unloaded(argvs, unloaded, tmp_path):
+    (tmp_path / "info.cfg").write_text("scheme=pentagon\n")
+    codes, loaded, err = _in_fresh_process(*argvs, cwd=tmp_path)
+    assert codes == [0] * len(argvs), err
+    assert not loaded & unloaded
+
+
+def test_a_store_error_exits_one_when_blockstore_is_loaded_by_the_command(tmp_path, capsys):
+    assert main(["store", "init", "--root", str(tmp_path / "s"), "--scheme", "pentagon",
+                 "--seed", "1"]) == 0
+    argv = ["store", "get", "--root", "s", "--name", "missing", "--output", "o"]
+    codes, loaded, err = _in_fresh_process(argv, cwd=tmp_path)
+    assert codes == [1] and "polycode.blockstore" in loaded
+    assert err == "error: no such stored file: missing\n"
 
 
 def test_repair_plan_bandwidth(capsys):
@@ -504,6 +557,16 @@ def test_sim_reliability_csv(tmp_path, capsys):
     assert out_file.read_bytes() == first
 
 
+def test_sim_reliability_mttf_defaults_to_four_years(capsys):
+    argv = ["sim", "reliability", "--scheme", "2-rep,pentagon", "--mttr-hours", "5000",
+            "--trials", "100", "--seed", "3"]
+    default = run(capsys, *argv)
+    assert default[0] == 0
+    assert run(capsys, *argv, "--mttf-hours", "35040") == default  # 4 x 8760
+    source = Path(cli.__file__).read_text()
+    assert "8760" not in source and "35040" not in source
+
+
 def test_report_schemes(tmp_path, capsys):
     code, out, _ = run(capsys, "report", "--kind", "schemes")
     assert code == 0
@@ -595,13 +658,14 @@ def test_a_leaf_command_builds_only_the_parsers_on_its_path(tmp_path, monkeypatc
                  "--block-size", "256", "--seed", "1"]) == 0
     assert main(["store", "put", "--root", str(root), "--file", str(src)]) == 0
     built = []
-    real_init = cli._Parser.__init__
+    parser_class = cli._parser_class()
+    real_init = parser_class.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(kwargs.get("prog"))
         real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    monkeypatch.setattr(parser_class, "__init__", counting_init)
     out_file = tmp_path / "g.bin"
     assert main(["store", "get", "--root", str(root), "--name", "f.bin",
                  "--output", str(out_file)]) == 0

@@ -9,6 +9,7 @@ from polycode.cli import REPORT_SCHEMES
 from polycode.codes import HeptagonLocal, Polygon, RaidMirror, Replication, parse_scheme
 from polycode.mapsched import (
     LOCALITY_COLUMNS,
+    SCHEDULERS,
     SUMMARY_COLUMNS,
     Assignment,
     ClusterModel,
@@ -414,6 +415,26 @@ def test_run_scheduler_waves_above_full_load():
         schedule_maxmatch(cluster, w)
     with pytest.raises(ValueError):
         run_scheduler(cluster, w, "randomly")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(REPORT_SCHEMES),
+    extra_nodes=st.integers(0, 6),
+    slots=st.integers(1, 3),
+    load=st.floats(0.5, 200),
+    stripes=st.integers(1, 6),
+    rounds=st.integers(0, 3),
+    seed=st.integers(0, 2**32),
+)
+def test_no_sweep_cell_overloads(name, extra_nodes, slots, load, stripes, rounds, seed):
+    # run_scheduler's waves hold at most the slot count, so every scheduler
+    # finds a slot for every task and no OverloadError leaves a sweep
+    rows = locality_sweep([name], list(SCHEDULERS), [slots], [load], reps=1,
+                          node_count=parse_scheme(name).code_length + extra_nodes,
+                          base_seed=seed, stripes=stripes, rounds_before_remote=rounds)
+    assert [r["scheduler"] for r in rows] == list(SCHEDULERS)
+    assert all(r["tasks"] == int(load / 100 * r["nodes"] * slots) for r in rows)
 
 
 def test_locality_pct_empty_assignment():
