@@ -18,17 +18,16 @@ The store works in slots and reads the rest from ``codes._geometry``: a
 block's slots from ``placements``, the data blocks' order from
 ``data_block_of``, and a replica's offset from the block's rank in
 ``blocks_on`` of its slot, which lists a slot's blocks in ascending order.
-A node id appears only in a block file's name and in ``FsckReport``.  A
-manifest in the format that also recorded each block's role and nodes still
-loads: those are checked against the geometry and dropped.  Stripes are
-numbered from 0 within each file, whose name prefixes its block files, so
-puts share no counter and no block file.  Killing a node wipes its
+A node id appears only in a block file's name and in ``FsckReport``.
+Stripes are numbered from 0 within each file, whose name prefixes its block
+files, so puts share no counter and no block file.  Killing a node wipes its
 directory, which forces real repair traffic instead of replica
 re-registration.
 
-``fsck`` reports a node file that is not there as missing, once, so its
-``missing`` count is the number of block files the killed nodes held; a
-replica that fails its CRC, or that a short file cuts off, is corrupt.
+A node file that is not there is the only sign of a lost slot: ``fsck``
+reports it as missing, once, so its ``missing`` count is the number of
+block files the killed nodes held; a replica that fails its CRC, or that a
+short file cuts off, is corrupt.
 
 Memory: no operation holds a file.  ``put`` reads its input a data block at
 a time into one buffer that feeds ``codes.StripeEncoder`` and is written to
@@ -54,8 +53,14 @@ at most block files that no manifest names, or a replica that the next
 repair rewrites.  Nothing is fsynced.
 
 Concurrency: put, kill, revive and repair take an exclusive ``flock`` on
-``root/.lock``, which holds across handles, threads and processes, and
-re-read the down set inside it.  Reads take no lock.
+``root/.lock``, which holds across handles, threads and processes, and read
+the down set from ``store.json`` inside it; no handle keeps a copy.  That
+set decides placement and node status only.  Reads (``read``, ``get`` and
+``fsck``) take no lock and consult no down set: they see the node files as
+they are.  This is sound because ``kill_node`` removes a node's files
+before it marks the node down, and ``repair`` writes them before it marks
+the node up; a down node that holds files, after a repair that stopped,
+serves those whose CRCs pass.
 """
 
 from __future__ import annotations
@@ -137,30 +142,14 @@ class StoreManifest:
 
 
 def _stripe_record(d: dict, stripe: dict, scheme: Scheme) -> StripeRecord:
-    """A manifest's stripe record, refused unless it fits the scheme's
-    layout.  Of a record that lists its blocks with their role and nodes
-    only the CRCs are kept, and the roles and nodes must be the ones the
-    scheme's geometry and the record's node order give."""
-    order = stripe["node_order"]
-    unfit = StoreError(f"{d['file']} stripe {stripe['index']} disagrees with"
-                       f" the {scheme.name} layout")
-    if len(order) != scheme.code_length:
-        raise unfit
-    if "blocks" not in stripe:
-        if len(stripe["crc32"]) != scheme.block_count:
-            raise unfit
-        return StripeRecord(stripe["index"], list(order), list(stripe["crc32"]))
-    if any("files" in b for b in stripe["blocks"]):
-        raise StoreError(
-            f"{d['file']} is stored in the old layout of one file per replica"
-            " (its manifest lists 'files'), which this store does not read"
-        )
-    geo = codes._geometry(scheme)
-    expected = [(b, geo.roles[b].as_string(), [order[s] for s in geo.placements[b]])
-                for b in sorted(geo.placements)]
-    if [(b.get("block"), b.get("role"), b.get("nodes")) for b in stripe["blocks"]] != expected:
-        raise unfit
-    return StripeRecord(stripe["index"], list(order), [b["crc32"] for b in stripe["blocks"]])
+    """A manifest's stripe record, refused unless it has a node per slot
+    and a CRC per block of the scheme."""
+    order, crcs = stripe["node_order"], stripe.get("crc32")
+    if (len(order) != scheme.code_length or not isinstance(crcs, list)
+            or len(crcs) != scheme.block_count):
+        raise StoreError(f"{d['file']} stripe {stripe['index']} disagrees with"
+                         f" the {scheme.name} layout")
+    return StripeRecord(stripe["index"], list(order), list(crcs))
 
 
 @dataclass
@@ -238,7 +227,6 @@ class BlockStore:
         self.node_count: int = cfg["nodes"]
         self.block_size: int = cfg["block_size"]
         self.seed: int = cfg["seed"]
-        self._down: set[int] = set(cfg["down"])
         self.degraded_log: list[tuple[str, int, int, int]] = []
 
     @classmethod
@@ -272,34 +260,35 @@ class BlockStore:
             raise StoreError(f"no store at {self.root}")
         return cfg
 
-    def _save_config(self) -> None:
+    def _save_config(self, down: set[int]) -> None:
         cfg = {"scheme": self.scheme.name, "nodes": self.node_count,
-               "block_size": self.block_size, "seed": self.seed, "down": sorted(self._down)}
+               "block_size": self.block_size, "seed": self.seed, "down": sorted(down)}
         _write_json(self.root / "store.json", cfg)
 
     @contextmanager
     def _locked(self):
-        """Hold the store's lock, with the down set as store.json has it.
+        """Hold the store's lock and yield the down set as store.json has it.
         The lock is released when its file is closed."""
         with open(f"{self._root}/.lock", "a") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
-            self._down = set(self._read_config()["down"])
-            yield
+            yield set(self._read_config()["down"])
 
     def node_dir(self, node_id: int) -> Path:
         return self.root / f"n{node_id}"
 
+    def nodes(self) -> list[NodeState]:
+        """Each node's state as store.json has it now."""
+        down = self._read_config()["down"]
+        return [NodeState(i, "down" if i in down else "up", self.node_dir(i))
+                for i in range(self.node_count)]
+
     def node_state(self, node_id: int) -> NodeState:
         if not 0 <= node_id < self.node_count:
             raise StoreError(f"unknown node {node_id}")
-        status = "down" if node_id in self._down else "up"
-        return NodeState(node_id, status, self.node_dir(node_id))
-
-    def nodes(self) -> list[NodeState]:
-        return [self.node_state(i) for i in range(self.node_count)]
+        return self.nodes()[node_id]
 
     def up_nodes(self) -> list[int]:
-        return [i for i in range(self.node_count) if i not in self._down]
+        return [n.node_id for n in self.nodes() if n.status == "up"]
 
     def _manifest_path(self, name: str) -> Path:
         return self.root / f"{name}.manifest.json"
@@ -403,10 +392,10 @@ class BlockStore:
         block_size = block_size or self.block_size
         if block_size <= 0:
             raise StoreError("block size must be positive")
-        with self._locked():
+        with self._locked() as down:
             if self._manifest_path(name).exists():
                 raise StoreError(f"{name} is already stored")
-            pool = self.up_nodes()
+            pool = [i for i in range(self.node_count) if i not in down]
             if len(pool) < scheme.code_length:
                 raise StoreError("insufficient up nodes")
             geo = codes._geometry(scheme)
@@ -447,24 +436,21 @@ class BlockStore:
     # -- read path ----------------------------------------------------------
 
     def _scan(self, manifest: StoreManifest, stripe: StripeRecord, geo, keep: bool):
-        """Read each live node file of the stripe with one read into one
-        buffer, sized to the largest of them, and check each block's slice.
+        """Read each node file of the stripe with one read into one buffer,
+        sized to the largest of them, and check each block's slice.
         Returns (good, corrupt, missing): the ids of the blocks with a good
         replica, each corrupt replica as (block id, slot), and the slots
-        whose file is missing, in node order; a down node's file is missing
-        without being read, and a replica that a short file cuts off is
-        corrupt.  With *keep*, each good block id maps to a copy of its
-        first good replica, which serves for all of them because good
+        whose file is missing, in node order; a replica that a short file
+        cuts off is corrupt.  With *keep*, each good block id maps to a copy
+        of its first good replica, which serves for all of them because good
         replicas pass the same CRC; else it maps to None."""
         size, order = manifest.block_size, stripe.node_order
         buffer = bytearray(size * max(map(len, geo.blocks_on.values())))
         good, corrupt, missing = {}, [], []
         for slot in sorted(range(len(order)), key=order.__getitem__):
             ids = geo.blocks_on[slot]
-            body = None
-            if order[slot] not in self._down:
-                fname = _node_file(manifest.name, stripe.index, order[slot])
-                body = self._read_file(fname, 0, len(ids) * size, buffer)
+            fname = _node_file(manifest.name, stripe.index, order[slot])
+            body = self._read_file(fname, 0, len(ids) * size, buffer)
             if body is None:
                 missing.append(slot)
                 continue
@@ -480,9 +466,9 @@ class BlockStore:
     def _stripe_reader(self, manifest: StoreManifest, stripe: StripeRecord, geo):
         """Block accessor over the stripe's replicas: returns the first
         replica, in the block's slot order, that passes its CRC, skipping
-        down nodes, missing files and corrupt copies.  Raises
-        ChecksumMismatchError when only corrupt replicas remain,
-        MissingBlockError when none is left."""
+        missing files and corrupt copies.  Raises ChecksumMismatchError
+        when only corrupt replicas remain, MissingBlockError when none is
+        left."""
         size = manifest.block_size
 
         def reader(block_id: int) -> bytes:
@@ -491,10 +477,7 @@ class BlockStore:
                 raise MissingBlockError(f"unknown block {block_id}")
             corrupt = None
             for slot in slots:
-                node = stripe.node_order[slot]
-                if node in self._down:
-                    continue
-                fname = _node_file(manifest.name, stripe.index, node)
+                fname = _node_file(manifest.name, stripe.index, stripe.node_order[slot])
                 body = self._read_file(fname, geo.blocks_on[slot].index(block_id) * size, size)
                 if body is None:
                     continue
@@ -514,14 +497,16 @@ class BlockStore:
         so a missing file raises before anything is read.
 
         A block with no good replica is served through a degraded-read
-        plan, and each executed plan's bandwidth is logged.  A plan also
-        rebuilds the other blocks its solve determines, and those are kept
-        for the rest of the stripe; nothing else outlives the block it
-        belongs to, so a read holds a block plus what a plan holds.  A plan
-        works on slots, so it fails when a block is lost on a live slot too;
-        then every block of the stripe with a good replica is read, one
-        transfer each, and ``codes.oracle_decode`` rebuilds the stripe's
-        data, which is kept for the rest of the stripe."""
+        plan over the slots whose node file is not there, which the
+        stripe's first degraded read looks up, and each executed plan's
+        bandwidth is logged.  A plan also rebuilds the other blocks its
+        solve determines, and those are kept for the rest of the stripe;
+        nothing else outlives the block it belongs to, so a read holds a
+        block plus what a plan holds.  A plan works on slots, so it fails
+        when a block is lost on a live slot too; then every block of the
+        stripe with a good replica is read, one transfer each, and
+        ``codes.oracle_decode`` rebuilds the stripe's data, which is kept
+        for the rest of the stripe."""
         return self._read_blocks(self.load_manifest(name))
 
     def _read_blocks(self, manifest: StoreManifest) -> Iterator[bytes | memoryview]:
@@ -529,9 +514,9 @@ class BlockStore:
         geo = codes._geometry(scheme)
         left = manifest.size
         for stripe in manifest.stripes:
-            down_slots = {s for s, node in enumerate(stripe.node_order) if node in self._down}
             reader = self._stripe_reader(manifest, stripe, geo)
             rebuilt: dict[int, bytes] = {}
+            absent = None  # the slots whose node file is not there
             for i in range(scheme.data_block_count):
                 block_id = geo.data_block_of[i]
                 try:
@@ -539,9 +524,14 @@ class BlockStore:
                 except (MissingBlockError, ChecksumMismatchError):
                     # no good replica left: decode it from the stripe
                     if block_id not in rebuilt:
+                        if absent is None:
+                            fnames = (_node_file(manifest.name, stripe.index, node)
+                                      for node in stripe.node_order)
+                            absent = {s for s, fname in enumerate(fnames)
+                                      if self._read_file(fname, 0, 0) is None}
                         try:
                             plan = codes.plan_degraded_read(
-                                scheme, block_id, down_slots.union(geo.placements[block_id])
+                                scheme, block_id, absent.union(geo.placements[block_id])
                             )
                             rebuilt.update(codes.execute_plan(plan, reader))
                             transfers = plan.bandwidth_blocks
@@ -587,18 +577,16 @@ class BlockStore:
     def kill_node(self, node_id: int) -> NodeState:
         """Mark a node down and destroy its contents (idempotent)."""
         self.node_state(node_id)
-        with self._locked():
+        with self._locked() as down:
             self._remove_files(node_id)
-            self._down.add(node_id)
-            self._save_config()
+            self._save_config(down | {node_id})
         return self.node_state(node_id)
 
     def revive_node(self, node_id: int) -> NodeState:
         """Bring a node back up, empty; its blocks need repair."""
         self.node_state(node_id)
-        with self._locked():
-            self._down.discard(node_id)
-            self._save_config()
+        with self._locked() as down:
+            self._save_config(down - {node_id})
         return self.node_state(node_id)
 
     # -- scrub and repair ---------------------------------------------------
@@ -637,10 +625,10 @@ class BlockStore:
         that cannot be rebuilt does not stop the others: FatalStripeError
         names the first one after every other stripe is restored.  Down
         nodes are marked up only after every block is written back, so a
-        repair that fails leaves them down and the next repair writes their
-        blocks again.
+        repair that fails leaves them down, and the next repair rewrites
+        what is still missing or corrupt.
         """
-        with self._locked():
+        with self._locked() as down:
             plans = bandwidth = 0
             fatal = None
             for manifest in self.manifests():
@@ -689,7 +677,6 @@ class BlockStore:
                 raise FatalStripeError(fatal)
 
             # every down node now holds its blocks again
-            log.info("repair: nodes %s are back up", sorted(self._down))
-            self._down.clear()
-            self._save_config()
+            log.info("repair: nodes %s are back up", sorted(down))
+            self._save_config(set())
             return RepairResult(plans, bandwidth)

@@ -627,24 +627,24 @@ def _cmd_report(args) -> int:
 
     from . import mapsched
 
-    with open(args.input, newline="") as fh:
-        detail = list(csv.DictReader(fh))
+    kinds = {"scheme": str, "scheduler": str, "nodes": int, "slots": int, "load_pct": float,
+             "seed": int, "tasks": int, "local_tasks": int, "locality_pct": float,
+             "remote_blocks": int}
     rows = []
-    for r in detail:
-        rows.append(
-            {
-                "scheme": r["scheme"],
-                "scheduler": r["scheduler"],
-                "nodes": int(r["nodes"]),
-                "slots": int(r["slots"]),
-                "load_pct": float(r["load_pct"]),
-                "seed": int(r["seed"]),
-                "tasks": int(r["tasks"]),
-                "local_tasks": int(r["local_tasks"]),
-                "locality_pct": float(r["locality_pct"]),
-                "remote_blocks": int(r["remote_blocks"]),
-            }
-        )
+    with open(args.input, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in kinds if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{args.input} lacks the locality columns {', '.join(missing)}")
+        for r in reader:
+            row = {}
+            for column, kind in kinds.items():
+                try:
+                    row[column] = kind(r[column])
+                except (TypeError, ValueError):  # TypeError: a short row's None
+                    raise ValueError(f"{args.input} line {reader.line_num}: {column}"
+                                     f" is not a number: {r[column]!r}") from None
+            rows.append(row)
     emit_report(mapsched.summarize_locality(rows), args.out, mapsched.SUMMARY_COLUMNS)
     return 0
 

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import statistics
 from dataclasses import dataclass
@@ -64,8 +65,8 @@ class FailureModel:
     repair_mode: str = "parallel"  # "parallel" | "serial"
 
     def __post_init__(self):
-        if self.fail_rate <= 0 or self.repair_rate <= 0:
-            raise ValueError("rates must be positive")
+        if not (0 < self.fail_rate < math.inf and 0 < self.repair_rate < math.inf):
+            raise ValueError("rates must be positive and finite")
         if self.repair_mode not in ("parallel", "serial"):
             raise ValueError(f"unknown repair mode: {self.repair_mode}")
 
@@ -73,6 +74,8 @@ class FailureModel:
     def from_mttf_mttr(
         cls, mttf_hours: float, mttr_hours: float, repair_mode: str = "parallel"
     ) -> "FailureModel":
+        if not (0 < mttf_hours < math.inf and 0 < mttr_hours < math.inf):
+            raise ValueError("MTTF and MTTR hours must be positive and finite")
         return cls(1.0 / mttf_hours, 1.0 / mttr_hours, repair_mode)
 
 
@@ -357,7 +360,9 @@ def mttdl_montecarlo(
         # imported here so that starting the CLI does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a process per chunk at most, and no more than the CPUs can run
+        pool_size = min(workers, len(ranges), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             futures = [
                 pool.submit(_run_trials, scheme, model, seed, start, count)
                 for start, count in ranges

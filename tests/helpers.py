@@ -4,11 +4,9 @@ import random
 import zlib
 from collections import deque
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, Mapping
 
 from polycode import codes
-from polycode.blockstore import BlockStore, _crc, _write_json
 from polycode.codes import (
     ChecksumMismatchError,
     MissingBlockError,
@@ -304,49 +302,6 @@ def delay_reference(
         if pending and not progress and rounds_waited > rounds_before_remote:
             raise OverloadError("pending tasks but no free slots")
     return Assignment(tuple(node_of), tuple(local))
-
-
-def put_reference(
-    store: BlockStore, path: Path, scheme: Scheme | None = None, block_size: int | None = None
-) -> dict:
-    """``BlockStore.put`` as it read the whole file, then padded, encoded
-    and wrote a stripe at a time, a file per replica named
-    n<node>/<name>.s<stripe>_b<block>_r<copy>.blk: the reference whose
-    block bytes and manifest the streaming put must equal.  Its manifest
-    lists each block's role, nodes and files; it is written and returned
-    as a dict.  Name checks and the lock are left out."""
-    name = path.name
-    scheme = scheme or store.scheme
-    block_size = block_size or store.block_size
-    geo = codes._geometry(scheme)
-    data = path.read_bytes()
-    D = scheme.data_block_count
-    stripe_bytes = D * block_size
-    n_stripes = -(-len(data) // stripe_bytes) if data else 0
-    stripes = []
-    for k in range(n_stripes):
-        chunk = data[k * stripe_bytes : (k + 1) * stripe_bytes].ljust(stripe_bytes, b"\0")
-        layout_seed = zlib.crc32(f"{store.seed}:{name}:{k}".encode())
-        order = codes.build_layout(scheme, store.up_nodes(), layout_seed)
-        payload = [chunk[i * block_size : (i + 1) * block_size] for i in range(D)]
-        encoded = codes.encode_stripe(scheme, payload)
-        records = []
-        for block_id in sorted(encoded):
-            body = encoded[block_id]
-            nodes = [order[s] for s in geo.placements[block_id]]
-            files = []
-            for copy, node in enumerate(nodes):
-                fname = f"n{node}/{name}.s{k}_b{block_id}_r{copy}.blk"
-                (store.root / fname).write_bytes(body)
-                files.append(fname)
-            role = geo.roles[block_id].as_string()
-            records.append({"block": block_id, "role": role, "nodes": nodes,
-                            "crc32": _crc(body), "files": files})
-        stripes.append({"index": k, "node_order": list(order), "blocks": records})
-    manifest = {"file": name, "size": len(data), "scheme": scheme.name,
-                "block_size": block_size, "stripe_count": n_stripes, "stripes": stripes}
-    _write_json(store.root / f"{name}.manifest.json", manifest)
-    return manifest
 
 
 class SumsReference:

@@ -13,14 +13,15 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import zlib
 from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from helpers import put_reference
 from polycode import blockstore, cli, codes
 from polycode.blockstore import BlockStore, FatalStripeError, StoreError
 from polycode.codes import HeptagonLocal, Polygon, RaidMirror, Replication, UnrecoverableError
@@ -250,8 +251,9 @@ def test_repair_opens_each_live_replica_once(pentagon_store, tmp_path, monkeypat
     monkeypatch.setattr(os, "open", counting_os_open)
     assert pentagon_store.repair().plans_executed == 1
     # the 4 node files off node 0, holding 16 replicas, each once: the plan
-    # runs from the scan's bytes
-    assert len(read) == 4 and set(read.values()) == {1}
+    # runs from the scan's bytes; node 0's file is tried once, and its
+    # absence is what marks the slot lost
+    assert len(read) == 5 and set(read.values()) == {1}
     assert list(written) == [f"{pentagon_store.root}/n0/data.bin.s0.blk"]
     assert set(written.values()) == {1}
     monkeypatch.undo()
@@ -736,6 +738,135 @@ def test_a_put_waits_for_the_lock_another_handle_holds(pentagon_store, tmp_path)
     assert pentagon_store.get("data.bin") == src.read_bytes()
 
 
+def test_a_repair_through_another_handle_is_seen_by_reads(tmp_path):
+    """B kills node 0 and A repairs it, so node 0 is up and whole; once A
+    kills nodes 1 and 2 the pentagon stripe has lost two nodes, which it
+    survives, and B must see it so."""
+    root = BlockStore.create(tmp_path / "s", Polygon(5), nodes=5, block_size=32, seed=5).root
+    a, b = BlockStore(root), BlockStore(root)
+    src = write_file(tmp_path, 9 * 32, seed=41)
+    a.put(src)
+    b.kill_node(0)
+    a.repair()
+    assert b.fsck().is_clean and b.node_state(0).status == "up"
+    for node in (1, 2):
+        a.kill_node(node)
+    report = b.fsck()
+    assert report == BlockStore(root).fsck()
+    assert not report.fatal_stripes and len(report.missing) == 2
+    assert b.get(src.name) == src.read_bytes()
+    assert b.nodes() == BlockStore(root).nodes()
+
+
+def test_a_heptagon_local_repair_through_another_handle_is_seen_by_reads(tmp_path):
+    """A kills node 9 and B node 10; A repairs, kills node 8, and a byte of
+    node 7's first block is flipped.  B's fsck must find what a fresh
+    handle finds, a recoverable stripe, and B's repair must restore it."""
+    root = BlockStore.create(tmp_path / "s", HeptagonLocal(), nodes=15, block_size=32,
+                             seed=5).root
+    a, b = BlockStore(root), BlockStore(root)
+    src = write_file(tmp_path, 40 * 32, seed=1)
+    a.put(src)
+    a.kill_node(9)
+    b.kill_node(10)
+    a.repair()
+    a.kill_node(8)
+    target = root / f"n7/{src.name}.s0.blk"
+    overwrite(target, 0, bytes([target.read_bytes()[0] ^ 0xFF]))
+    report = b.fsck()
+    assert report == BlockStore(root).fsck()
+    assert not report.fatal_stripes and report.missing and report.corrupt
+    assert b.get(src.name) == src.read_bytes()
+    b.repair()
+    assert a.fsck().is_clean and b.fsck().is_clean
+    assert a.get(src.name) == src.read_bytes()
+
+
+class TwoHandles(RuleBasedStateMachine):
+    """Two handles on one store root, each of which puts, kills, revives
+    and repairs, while node files are hurt behind their backs.  Both must
+    read what a fresh handle reads."""
+
+    @initialize(name=st.sampled_from(["pentagon", "heptagon-local", "raidm-3"]),
+                spare=st.integers(0, 2))
+    def create(self, name, spare):
+        self.dir = Path(tempfile.mkdtemp())
+        scheme = codes.parse_scheme(name)
+        self.root = BlockStore.create(self.dir / "s", scheme, nodes=scheme.code_length + spare,
+                                      block_size=32, seed=5).root
+        self.handles = [BlockStore(self.root), BlockStore(self.root)]
+        self.stripe = scheme.data_block_count * 32
+        self.files: dict[str, bytes] = {}
+
+    def teardown(self):
+        if hasattr(self, "dir"):
+            shutil.rmtree(self.dir)
+
+    @rule(h=st.integers(0, 1), size=st.integers(0, 2 * 40 * 32), seed=st.integers(0, 2**16))
+    def put(self, h, size, seed):
+        src = write_file(self.dir, size % (2 * self.stripe + 1), seed=seed,
+                         name=f"f{len(self.files)}.bin")
+        store = self.handles[h]
+        if len(store.up_nodes()) < store.scheme.code_length:
+            with pytest.raises(StoreError, match="^insufficient up nodes$"):
+                store.put(src)
+        else:
+            store.put(src)
+            self.files[src.name] = src.read_bytes()
+
+    @rule(h=st.integers(0, 1), node=st.integers(0, 16))
+    def kill(self, h, node):
+        store = self.handles[h]
+        assert store.kill_node(node % store.node_count).status == "down"
+
+    @rule(h=st.integers(0, 1), node=st.integers(0, 16))
+    def revive(self, h, node):
+        store = self.handles[h]
+        assert store.revive_node(node % store.node_count).status == "up"
+
+    @rule(pick=st.integers(0, 2**16), at=st.integers(0, 2**16), cut=st.booleans())
+    def hurt(self, pick, at, cut):
+        """Flip a byte of a node file, or cut the file short."""
+        files = sorted(self.root.glob("n*/*.blk"))
+        if not files:
+            return
+        path = files[pick % len(files)]
+        size = path.stat().st_size
+        if not size:
+            return
+        if cut:
+            os.truncate(path, at % size)
+        else:
+            overwrite(path, at % size, bytes([path.read_bytes()[at % size] ^ 0xFF]))
+
+    @rule(h=st.integers(0, 1))
+    def repair(self, h):
+        store = self.handles[h]
+        if store.fsck().fatal_stripes:
+            with pytest.raises(FatalStripeError):
+                store.repair()
+        else:
+            store.repair()
+            assert store.fsck().is_clean
+
+    @invariant()
+    def handles_read_what_a_fresh_handle_reads(self):
+        fresh = BlockStore(self.root)
+        report = fresh.fsck()
+        fatal = {name for name, _ in report.fatal_stripes}
+        for store in self.handles:
+            assert store.fsck() == report
+            assert store.nodes() == fresh.nodes()
+            for name, payload in self.files.items():
+                if name not in fatal:
+                    assert store.get(name) == payload, name
+
+
+TwoHandles.TestCase.settings = settings(max_examples=60, stateful_step_count=20,
+                                        derandomize=True, deadline=None)
+test_two_handles_read_the_store_as_it_is = TwoHandles.TestCase
+
+
 # Opens its handle, says so, and waits for its stdin to close before it puts
 # the files named in argv, so that every writer holds an open handle first.
 WRITER = """
@@ -879,7 +1010,9 @@ def test_repair_failing_at_any_write_leaves_the_nodes_down(pentagon_store, tmp_p
     assert written[-1].endswith(".blk" if step < 8 else "/store.json.tmp")
     store = BlockStore(pentagon_store.root)
     assert [n.status for n in store.nodes()] == ["down", "down", "up", "up", "up"]
-    assert store.repair().plans_executed == 1
+    # once both node files are written only their up marks are left, and the
+    # next repair finds no damage
+    assert store.repair().plans_executed == int(step < 8)
     assert store.up_nodes() == [0, 1, 2, 3, 4]
     assert store.fsck().is_clean
     assert store.get("data.bin") == src.read_bytes()
@@ -916,205 +1049,39 @@ def test_repair_failing_partway_keeps_the_good_replicas_of_its_file(pentagon_sto
 # -- stores written in an older format ---------------------------------------
 
 
-def test_old_format_store_json_opens_and_old_layout_manifest_is_refused(tmp_path):
-    """store.json keeps a store-global next_stripe, which is ignored; a
-    manifest that lists a file per replica is refused by every command that
-    reads it, and new puts still work."""
+def test_old_format_store_json_opens(tmp_path):
+    """store.json once kept a store-global next_stripe: it is ignored, and
+    the next write of store.json drops it."""
     root = tmp_path / "old"
     BlockStore.create(root, Polygon(5), nodes=5, block_size=BS, seed=7)
     config = {"scheme": "pentagon", "nodes": 5, "block_size": BS, "seed": 7, "down": [],
               "next_stripe": 7}
     (root / "store.json").write_text(json.dumps(config, indent=2) + "\n")
-    src = write_file(tmp_path, 3 * 9 * BS - 200, seed=34, name="old.bin")
-    old = put_reference(BlockStore(root), src)
-    assert all("files" in b for s in old["stripes"] for b in s["blocks"])
-
     store = BlockStore(root)
-    message = r"^old\.bin is stored in the old layout of one file per replica"
-    for read in (lambda: store.get("old.bin"), store.fsck, store.repair):
-        with pytest.raises(StoreError, match=message):
-            read()
-    code = cli.main(["store", "fsck", "--root", str(root)])
-    assert code == 1
-
-    (root / "old.bin.manifest.json").unlink()
     new = write_file(tmp_path, 2 * 9 * BS, seed=35, name="new.bin")
     assert [s.index for s in store.put(new).stripes] == [0, 1]
     assert store.fsck().is_clean
     assert store.get("new.bin") == new.read_bytes()
-    store.kill_node(4)  # the next config write drops next_stripe
+    store.kill_node(4)
     assert json.loads((root / "store.json").read_text())["down"] == [4]
     assert "next_stripe" not in json.loads((root / "store.json").read_text())
     assert store.repair().plans_executed == 2
     assert store.fsck().is_clean
 
 
-# A put of bytes(range(size)) into a store of seed 7, as written when each
-# manifest record listed a block with its role and nodes.
-BLOCK_RECORDS = {  # scheme: (nodes, block size, manifest, node files in hex)
-    "pentagon": (5, 8, (
-        '{"file":"f.bin","size":70,"scheme":"pentagon","block_size":8,"stripe_count":1,"stripes":['
-        '{"index":0,"node_order":[0,1,2,3,4],"blocks":['
-        '{"block":0,"role":"data:0","nodes":[0,1],"crc32":"88aa689f"},'
-        '{"block":1,"role":"data:1","nodes":[0,2],"crc32":"b9268f8c"},'
-        '{"block":2,"role":"data:2","nodes":[0,3],"crc32":"ebb3a6b9"},'
-        '{"block":3,"role":"data:3","nodes":[0,4],"crc32":"da3f41aa"},'
-        '{"block":4,"role":"data:4","nodes":[1,2],"crc32":"4e99f4d3"},'
-        '{"block":5,"role":"data:5","nodes":[1,3],"crc32":"7f1513c0"},'
-        '{"block":6,"role":"data:6","nodes":[1,4],"crc32":"2d803af5"},'
-        '{"block":7,"role":"data:7","nodes":[2,3],"crc32":"1c0cdde6"},'
-        '{"block":8,"role":"data:8","nodes":[2,4],"crc32":"91276af6"},'
-        '{"block":9,"role":"local_parity:0","nodes":[3,4],"crc32":"91276af6"}]}]}'
-    ), {
-        "n0/f.bin.s0.blk": "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
-        "n1/f.bin.s0.blk": "0001020304050607202122232425262728292a2b2c2d2e2f3031323334353637",
-        "n2/f.bin.s0.blk": "08090a0b0c0d0e0f202122232425262738393a3b3c3d3e3f4041424344450000",
-        "n3/f.bin.s0.blk": "101112131415161728292a2b2c2d2e2f38393a3b3c3d3e3f4041424344450000",
-        "n4/f.bin.s0.blk": "18191a1b1c1d1e1f303132333435363740414243444500004041424344450000",
-    }),
-    "heptagon-local": (15, 4, (
-        '{"file":"f.bin","size":157,"scheme":"heptagon-local","block_size":4,"stripe_count":1,"stripes":['
-        '{"index":0,"node_order":[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14],"blocks":['
-        '{"block":0,"role":"data:0","nodes":[0,1],"crc32":"8bb98613"},'
-        '{"block":1,"role":"data:1","nodes":[0,2],"crc32":"60d3b885"},'
-        '{"block":2,"role":"data:2","nodes":[0,3],"crc32":"861cfd7e"},'
-        '{"block":3,"role":"data:3","nodes":[0,4],"crc32":"6d76c3e8"},'
-        '{"block":4,"role":"data:4","nodes":[0,5],"crc32":"90f370c9"},'
-        '{"block":5,"role":"data:5","nodes":[0,6],"crc32":"7b994e5f"},'
-        '{"block":6,"role":"data:6","nodes":[1,2],"crc32":"9d560ba4"},'
-        '{"block":7,"role":"data:7","nodes":[1,3],"crc32":"763c3532"},'
-        '{"block":8,"role":"data:8","nodes":[1,4],"crc32":"bd2c6ba7"},'
-        '{"block":9,"role":"data:9","nodes":[1,5],"crc32":"56465531"},'
-        '{"block":10,"role":"data:10","nodes":[1,6],"crc32":"b08910ca"},'
-        '{"block":11,"role":"data:11","nodes":[2,3],"crc32":"5be32e5c"},'
-        '{"block":12,"role":"data:12","nodes":[2,4],"crc32":"a6669d7d"},'
-        '{"block":13,"role":"data:13","nodes":[2,5],"crc32":"4d0ca3eb"},'
-        '{"block":14,"role":"data:14","nodes":[2,6],"crc32":"abc3e610"},'
-        '{"block":15,"role":"data:15","nodes":[3,4],"crc32":"40a9d886"},'
-        '{"block":16,"role":"data:16","nodes":[3,5],"crc32":"e6925d7b"},'
-        '{"block":17,"role":"data:17","nodes":[3,6],"crc32":"0df863ed"},'
-        '{"block":18,"role":"data:18","nodes":[4,5],"crc32":"eb372616"},'
-        '{"block":19,"role":"data:19","nodes":[4,6],"crc32":"005d1880"},'
-        '{"block":20,"role":"local_parity:0","nodes":[5,6],"crc32":"2144df1c"},'
-        '{"block":21,"role":"data:20","nodes":[7,8],"crc32":"fdd8aba1"},'
-        '{"block":22,"role":"data:21","nodes":[7,9],"crc32":"16b29537"},'
-        '{"block":23,"role":"data:22","nodes":[7,10],"crc32":"f07dd0cc"},'
-        '{"block":24,"role":"data:23","nodes":[7,11],"crc32":"1b17ee5a"},'
-        '{"block":25,"role":"data:24","nodes":[7,12],"crc32":"d007b0cf"},'
-        '{"block":26,"role":"data:25","nodes":[7,13],"crc32":"3b6d8e59"},'
-        '{"block":27,"role":"data:26","nodes":[8,9],"crc32":"dda2cba2"},'
-        '{"block":28,"role":"data:27","nodes":[8,10],"crc32":"36c8f534"},'
-        '{"block":29,"role":"data:28","nodes":[8,11],"crc32":"cb4d4615"},'
-        '{"block":30,"role":"data:29","nodes":[8,12],"crc32":"20277883"},'
-        '{"block":31,"role":"data:30","nodes":[8,13],"crc32":"c6e83d78"},'
-        '{"block":32,"role":"data:31","nodes":[9,10],"crc32":"2d8203ee"},'
-        '{"block":33,"role":"data:32","nodes":[9,11],"crc32":"51ee30c3"},'
-        '{"block":34,"role":"data:33","nodes":[9,12],"crc32":"ba840e55"},'
-        '{"block":35,"role":"data:34","nodes":[9,13],"crc32":"5c4b4bae"},'
-        '{"block":36,"role":"data:35","nodes":[10,11],"crc32":"b7217538"},'
-        '{"block":37,"role":"data:36","nodes":[10,12],"crc32":"4aa4c619"},'
-        '{"block":38,"role":"data:37","nodes":[10,13],"crc32":"a1cef88f"},'
-        '{"block":39,"role":"data:38","nodes":[11,12],"crc32":"4701bd74"},'
-        '{"block":40,"role":"data:39","nodes":[11,13],"crc32":"d6d28100"},'
-        '{"block":41,"role":"local_parity:1","nodes":[12,13],"crc32":"5bfdddfe"},'
-        '{"block":42,"role":"global_parity:0","nodes":[14],"crc32":"dbd8f8b2"},'
-        '{"block":43,"role":"global_parity:1","nodes":[14],"crc32":"48766ef2"}]}]}'
-    ), {
-        "n0/f.bin.s0.blk": "000102030405060708090a0b0c0d0e0f1011121314151617",
-        "n1/f.bin.s0.blk": "0001020318191a1b1c1d1e1f202122232425262728292a2b",
-        "n2/f.bin.s0.blk": "0405060718191a1b2c2d2e2f303132333435363738393a3b",
-        "n3/f.bin.s0.blk": "08090a0b1c1d1e1f2c2d2e2f3c3d3e3f4041424344454647",
-        "n4/f.bin.s0.blk": "0c0d0e0f20212223303132333c3d3e3f48494a4b4c4d4e4f",
-        "n5/f.bin.s0.blk": "1011121324252627343536374041424348494a4b00000000",
-        "n6/f.bin.s0.blk": "1415161728292a2b38393a3b444546474c4d4e4f00000000",
-        "n7/f.bin.s0.blk": "505152535455565758595a5b5c5d5e5f6061626364656667",
-        "n8/f.bin.s0.blk": "5051525368696a6b6c6d6e6f707172737475767778797a7b",
-        "n9/f.bin.s0.blk": "5455565768696a6b7c7d7e7f808182838485868788898a8b",
-        "n10/f.bin.s0.blk": "58595a5b6c6d6e6f7c7d7e7f8c8d8e8f9091929394959697",
-        "n11/f.bin.s0.blk": "5c5d5e5f70717273808182838c8d8e8f98999a9b9c000000",
-        "n12/f.bin.s0.blk": "6061626374757677848586879091929398999a9b009d9e9f",
-        "n13/f.bin.s0.blk": "6465666778797a7b88898a8b949596979c000000009d9e9f",
-        "n14/f.bin.s0.blk": "781622c50dad71ce",
-    }),
-    "raidm-3": (10, 8, (
-        '{"file":"f.bin","size":40,"scheme":"raidm-3","block_size":8,"stripe_count":2,"stripes":['
-        '{"index":0,"node_order":[6,1,4,9,2,8,0,7],"blocks":['
-        '{"block":0,"role":"data:0","nodes":[6,1],"crc32":"88aa689f"},'
-        '{"block":1,"role":"data:1","nodes":[4,9],"crc32":"b9268f8c"},'
-        '{"block":2,"role":"data:2","nodes":[2,8],"crc32":"ebb3a6b9"},'
-        '{"block":3,"role":"local_parity:0","nodes":[0,7],"crc32":"da3f41aa"}]},'
-        '{"index":1,"node_order":[4,3,1,8,2,6,7,5],"blocks":['
-        '{"block":0,"role":"data:0","nodes":[4,3],"crc32":"da3f41aa"},'
-        '{"block":1,"role":"data:1","nodes":[1,8],"crc32":"4e99f4d3"},'
-        '{"block":2,"role":"data:2","nodes":[2,6],"crc32":"6522df69"},'
-        '{"block":3,"role":"local_parity:0","nodes":[7,5],"crc32":"f1846a10"}]}]}'
-    ), {
-        "n0/f.bin.s0.blk": "18191a1b1c1d1e1f",
-        "n1/f.bin.s0.blk": "0001020304050607",
-        "n1/f.bin.s1.blk": "2021222324252627",
-        "n2/f.bin.s0.blk": "1011121314151617",
-        "n2/f.bin.s1.blk": "0000000000000000",
-        "n3/f.bin.s1.blk": "18191a1b1c1d1e1f",
-        "n4/f.bin.s0.blk": "08090a0b0c0d0e0f",
-        "n4/f.bin.s1.blk": "18191a1b1c1d1e1f",
-        "n5/f.bin.s1.blk": "3838383838383838",
-        "n6/f.bin.s0.blk": "0001020304050607",
-        "n6/f.bin.s1.blk": "0000000000000000",
-        "n7/f.bin.s0.blk": "18191a1b1c1d1e1f",
-        "n7/f.bin.s1.blk": "3838383838383838",
-        "n8/f.bin.s0.blk": "1011121314151617",
-        "n8/f.bin.s1.blk": "2021222324252627",
-        "n9/f.bin.s0.blk": "08090a0b0c0d0e0f",
-    }),
-}
-
-
-def block_record_store(tmp_path, name: str) -> BlockStore:
-    """A store holding f.bin as ``BLOCK_RECORDS[name]`` has it."""
-    nodes, block, manifest, files = BLOCK_RECORDS[name]
-    store = BlockStore.create(tmp_path / name, codes.parse_scheme(name), nodes=nodes,
-                              block_size=block, seed=7)
-    (store.root / "f.bin.manifest.json").write_text(manifest + "\n")
-    for fname, body in files.items():
-        (store.root / fname).write_bytes(bytes.fromhex(body))
-    return store
-
-
-@pytest.mark.parametrize("name,killed,stripes", [("pentagon", 0, [0]),
-                                                 ("heptagon-local", 0, [0]),
-                                                 ("raidm-3", 6, [0, 1])])
-def test_manifest_of_block_records_gets_fscks_and_repairs(tmp_path, name, killed, stripes):
-    store = block_record_store(tmp_path, name)
-    files = BLOCK_RECORDS[name][3]
-    payload = bytes(range(json.loads(BLOCK_RECORDS[name][2])["size"]))
-    assert store.get("f.bin") == payload and store.fsck().is_clean
-    store.kill_node(killed)
-    assert store.get("f.bin") == payload
-    report = store.fsck()
-    assert report.missing == [("f.bin", k, killed) for k in stripes]
-    assert not report.corrupt and not report.fatal_stripes
-    assert store.repair().plans_executed == len(stripes)
-    assert store.fsck().is_clean
-    assert store.get("f.bin") == payload
-    assert {f: (store.root / f).read_bytes().hex() for f in files} == files
-
-
-@pytest.mark.parametrize("change", ["role", "nodes", "block", "node_order", "crc32"])
+@pytest.mark.parametrize("change", ["block", "node_order", "crc32"])
 def test_stripe_records_that_do_not_fit_the_layout_are_refused(tmp_path, change):
-    store = block_record_store(tmp_path, "raidm-3")
-    raw = json.loads(BLOCK_RECORDS["raidm-3"][2])
+    store = BlockStore.create(tmp_path / "s", RaidMirror(3), nodes=10, block_size=8, seed=7)
+    src = tmp_path / "f.bin"
+    src.write_bytes(bytes(range(40)))
+    raw = store.put(src).to_dict()
     stripe = raw["stripes"][1]
-    if change == "role":
-        stripe["blocks"][3]["role"] = "data:3"
-    elif change == "nodes":
-        stripe["blocks"][3]["nodes"].reverse()
-    elif change == "block":
-        del stripe["blocks"][0]
+    if change == "block":  # the retired format listed each block, not the CRCs
+        stripe["blocks"] = [{"block": b, "crc32": crc} for b, crc in enumerate(stripe.pop("crc32"))]
     elif change == "node_order":
         stripe["node_order"].pop()
     else:
-        raw = in_slot_space(raw)
-        raw["stripes"][1]["crc32"].pop()
+        stripe["crc32"].pop()
     (store.root / "f.bin.manifest.json").write_text(json.dumps(raw))
     message = r"^f\.bin stripe 1 disagrees with the raidm-3 layout$"
     for read in (lambda: store.load_manifest("f.bin"), lambda: store.get("f.bin"),
@@ -1154,15 +1121,29 @@ def test_slot_ranks_give_each_replica_one_offset(name):
 # -- the streaming data path ------------------------------------------------
 
 
-def in_slot_space(raw: dict) -> dict:
-    """A manifest dict whose stripe records list their blocks, each with its
-    role, nodes and CRC, as the records of node order and CRCs."""
-    stripes = []
-    for stripe in raw["stripes"]:
-        assert [b["block"] for b in stripe["blocks"]] == list(range(len(stripe["blocks"])))
-        stripes.append({"index": stripe["index"], "node_order": stripe["node_order"],
-                        "crc32": [b["crc32"] for b in stripe["blocks"]]})
-    return {**raw, "stripes": stripes}
+def whole_file_put(store: BlockStore, path: Path) -> tuple[dict, dict[str, bytes]]:
+    """What a put of *path* into *store* must write, from the whole file
+    encoded a stripe at a time: the manifest's dict, and each node file's
+    bytes by root-relative name, its blocks in block-id order."""
+    scheme, block, name = store.scheme, store.block_size, path.name
+    geo = codes._geometry(scheme)
+    data = path.read_bytes()
+    stripe_bytes = scheme.data_block_count * block
+    stripes, files = [], {}
+    for k in range(-(-len(data) // stripe_bytes)):
+        chunk = data[k * stripe_bytes : (k + 1) * stripe_bytes].ljust(stripe_bytes, b"\0")
+        order = codes.build_layout(scheme, store.up_nodes(),
+                                   zlib.crc32(f"{store.seed}:{name}:{k}".encode()))
+        encoded = codes.encode_stripe(scheme, [chunk[i * block : (i + 1) * block]
+                                               for i in range(scheme.data_block_count)])
+        for slot, node in enumerate(order):
+            files[f"n{node}/{name}.s{k}.blk"] = b"".join(
+                encoded[b] for b in sorted(encoded) if slot in geo.placements[b])
+        stripes.append({"index": k, "node_order": list(order),
+                        "crc32": [f"{zlib.crc32(encoded[b]):08x}" for b in sorted(encoded)]})
+    manifest = {"file": name, "size": len(data), "scheme": scheme.name, "block_size": block,
+                "stripe_count": len(stripes), "stripes": stripes}
+    return manifest, files
 
 
 def tree(root: Path) -> dict[str, bytes]:
@@ -1174,46 +1155,22 @@ def tree(root: Path) -> dict[str, bytes]:
 @pytest.mark.parametrize("scheme,block", [(Polygon(5), 64), (HeptagonLocal(), 16),
                                           (RaidMirror(3), 32), (Replication(2), 8)])
 def test_put_writes_the_bytes_the_whole_file_put_wrote(tmp_path, scheme, block):
-    """The reference writes a file per replica and names them in its
-    manifest, with each block's role and nodes.  The put must record the
-    same node order and CRCs, with roles and nodes that the loader finds
-    in agreement with the geometry, and hold each replica's bytes at its
-    offset in its node's file."""
+    """A put streams its input a block at a time, yet must write the
+    manifest and node files that encoding the whole file gives."""
     stripe = scheme.data_block_count * block
     sizes = [0, 1, block - 1, stripe - 1, stripe, stripe + 1, 3 * stripe - block]
-    streamed = BlockStore.create(tmp_path / "new", scheme, nodes=scheme.code_length + 2,
-                                 block_size=block, seed=5)
-    reference = BlockStore.create(tmp_path / "ref", scheme, nodes=scheme.code_length + 2,
-                                  block_size=block, seed=5)
+    store = BlockStore.create(tmp_path / "new", scheme, nodes=scheme.code_length + 2,
+                              block_size=block, seed=5)
+    expected = {"store.json": (store.root / "store.json").read_bytes()}
     for i, size in enumerate(sizes):
         src = write_file(tmp_path, size, seed=i, name=f"f{i}.bin")
-        ref = put_reference(reference, src)
-        new = streamed.put(src)
-        assert streamed.get(src.name) == src.read_bytes()
-        for raw in ref["stripes"]:
-            for record in raw["blocks"]:
-                files = record.pop("files")
-                assert len(files) == len(record["nodes"])
-        assert new.to_dict() == in_slot_space(ref)
-        assert blockstore.StoreManifest.from_dict(ref) == new
-    new, ref = tree(streamed.root), tree(reference.root)
-    expected = {name: body for name, body in ref.items() if not name.endswith(".blk")}
-    for name in ref:
-        if name.endswith(".manifest.json"):
-            raw = in_slot_space(json.loads(ref[name]))
-            expected[name] = (json.dumps(raw, separators=(",", ":")) + "\n").encode()
-    for manifest in streamed.manifests():
-        for stripe in manifest.stripes:
-            for block_id in range(len(stripe.crc32)):
-                for copy, node in enumerate(hosts(manifest, stripe, block_id)):
-                    path, offset = replica(streamed, manifest, stripe, block_id, node)
-                    fname = str(path.relative_to(streamed.root))
-                    old = f"{manifest.name}.s{stripe.index}_b{block_id}_r{copy}.blk"
-                    body = ref[f"n{node}/{old}"]
-                    file = bytearray(expected.setdefault(fname, b""))
-                    file[offset : offset + block] = body
-                    expected[fname] = bytes(file)
-    assert new == expected and len(new) > len(sizes)
+        manifest, files = whole_file_put(store, src)
+        assert store.put(src).to_dict() == manifest
+        assert store.get(src.name) == src.read_bytes()
+        expected[f"{src.name}.manifest.json"] = (
+            json.dumps(manifest, separators=(",", ":")) + "\n").encode()
+        expected.update(files)
+    assert tree(store.root) == expected and len(expected) > len(sizes)
 
 
 def test_put_reads_a_pipe_to_its_end(pentagon_store, tmp_path):

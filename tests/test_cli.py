@@ -512,6 +512,37 @@ def test_report_missing_input_is_an_error(tmp_path, capsys):
     assert err == f"error: {missing}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("option", ["--mttf-hours", "--mttr-hours"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_sim_reliability_refuses_hours_that_are_not_positive_and_finite(capsys, option, value):
+    code, out, err = run(capsys, "sim", "reliability", "--scheme", "pentagon", "--seed", "1",
+                         "--trials", "100", option, value)
+    assert (code, out) == (1, "")
+    assert err == "error: MTTF and MTTR hours must be positive and finite\n"
+
+
+def test_report_locality_summary_names_the_columns_its_input_lacks(tmp_path, capsys):
+    detail = tmp_path / "ab.csv"
+    detail.write_text("a,b\n1,2\n")
+    code, out, err = run(capsys, "report", "--kind", "locality-summary", "--input", str(detail))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {detail} lacks the locality columns scheme, scheduler, nodes, slots,"
+                   " load_pct, seed, tasks, local_tasks, locality_pct, remote_blocks\n")
+
+
+@pytest.mark.parametrize("row,cell", [
+    ("pentagon,delay,x,2,100,1,10,5,50.0,5", "nodes is not a number: 'x'"),
+    ("pentagon,delay,5,2,100,1,10,5,50.0", "remote_blocks is not a number: None"),  # short row
+])
+def test_report_locality_summary_refuses_a_cell_that_is_not_a_number(tmp_path, capsys, row, cell):
+    detail = tmp_path / "detail.csv"
+    header = "scheme,scheduler,nodes,slots,load_pct,seed,tasks,local_tasks,locality_pct,remote_blocks"
+    detail.write_text(f"{header}\npentagon,delay,5,2,100,0,10,5,50.0,5\n{row}\n")
+    code, out, err = run(capsys, "report", "--kind", "locality-summary", "--input", str(detail))
+    assert (code, out) == (1, "")
+    assert err == f"error: {detail} line 3: {cell}\n"
+
+
 def test_sim_locality_csv(tmp_path, capsys):
     out_file = tmp_path / "loc.csv"
     argv = ["sim", "locality", "--scheme", "heptagon", "--nodes", "25", "--slots", "8",

@@ -312,6 +312,45 @@ def test_mc_deterministic_and_worker_invariant():
         assert one == two, scheme.name
 
 
+@pytest.mark.parametrize("workers,cpus,pool", [(1000, 4, 4), (1000, None, 1), (3, 8, 3),
+                                               (60, 64, 50)])
+def test_mc_pool_is_capped_by_chunks_and_cpus(monkeypatch, workers, cpus, pool):
+    """The pool is as large as the trial chunks and the CPUs allow, never
+    *workers* alone; the recorder runs each chunk inline and starts no
+    process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(reliability.os, "cpu_count", lambda: cpus)
+    capped = mttdl_montecarlo(Polygon(5), STRESS_MODEL, 100, seed=3, workers=workers)
+    assert sizes == [pool]
+    assert capped == mttdl_montecarlo(Polygon(5), STRESS_MODEL, 100, seed=3)
+
+
+@pytest.mark.parametrize("hours", [0.0, -1.0, math.nan, math.inf])
+def test_failure_model_refuses_hours_that_are_not_positive_and_finite(hours):
+    for mttf, mttr in ((hours, 24.0), (1000.0, hours)):
+        with pytest.raises(ValueError, match="^MTTF and MTTR hours must be positive and finite$"):
+            FailureModel.from_mttf_mttr(mttf, mttr)
+
+
 @pytest.mark.parametrize("mode", ["parallel", "serial"])
 def test_mc_checks_each_failure_mask_once_per_run(monkeypatch, mode):
     calls = collections.Counter()
