@@ -20,9 +20,9 @@ block's slots from ``placements``, the data blocks' order from
 ``blocks_on`` of its slot, which lists a slot's blocks in ascending order.
 A node id appears only in a block file's name and in ``FsckReport``.
 Stripes are numbered from 0 within each file, whose name prefixes its block
-files, so puts share no counter and no block file.  Killing a node wipes its
-directory, which forces real repair traffic instead of replica
-re-registration.
+files, so puts share no counter and no block file.  Every file takes the
+store's scheme and block size.  Killing a node wipes its directory, which
+forces real repair traffic instead of replica re-registration.
 
 A node file that is not there is the only sign of a lost slot: ``fsck``
 reports it as missing, once, so its ``missing`` count is the number of
@@ -44,8 +44,9 @@ read into one buffer, sized to the stripe's largest node file, and holds it.
 Three helpers, ``_read_file``, ``_write_file`` and ``_remove_files``, are the
 only code that opens or removes a block file; a read is one range of it, and
 a write one block.  ``store.json`` and the manifests are read by
-``_read_json`` and written compact (no indent, so ``json`` uses its C
-encoder) by ``_write_json``, to a temp file that is renamed over its target.
+``_read_json``, and refused by name when they are not JSON or lack a field
+the store reads; they are written compact (no indent, so ``json`` uses its
+C encoder) by ``_write_json``, to a temp file that is renamed over its target.
 The commit points are ``store.json`` for ``create``, the manifest for
 ``put``, and the last ``store.json`` write for ``repair``, which marks nodes
 up only after their blocks are written.  A write that fails earlier leaves
@@ -135,7 +136,8 @@ class StoreManifest:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "StoreManifest":
+    def from_dict(cls, d: dict, source: str = "manifest") -> "StoreManifest":
+        _require(d, source, file=str, size=int, scheme=str, block_size=int, stripes=list)
         scheme = parse_scheme(d["scheme"])
         stripes = [_stripe_record(d, s, scheme) for s in d["stripes"]]
         return cls(d["file"], d["size"], d["scheme"], d["block_size"], stripes)
@@ -144,9 +146,10 @@ class StoreManifest:
 def _stripe_record(d: dict, stripe: dict, scheme: Scheme) -> StripeRecord:
     """A manifest's stripe record, refused unless it has a node per slot
     and a CRC per block of the scheme."""
+    _require(stripe, f"{d['file']} stripe record", index=int, node_order=list)
     order, crcs = stripe["node_order"], stripe.get("crc32")
     if (len(order) != scheme.code_length or not isinstance(crcs, list)
-            or len(crcs) != scheme.block_count):
+            or len(crcs) != scheme.block_count or not all(isinstance(n, int) for n in order)):
         raise StoreError(f"{d['file']} stripe {stripe['index']} disagrees with"
                          f" the {scheme.name} layout")
     return StripeRecord(stripe["index"], list(order), list(crcs))
@@ -176,13 +179,21 @@ def _crc(data: bytes) -> str:
 
 
 def _read_json(path: str) -> dict | None:
-    """The JSON file's object, or None when the file does not exist.
+    """The JSON file's value, or None when the file does not exist.
     Unbuffered: the file is read whole, so a buffer would only add a copy."""
     try:
         with open(path, "rb", buffering=0) as fh:
             return json.loads(fh.readall())
     except (FileNotFoundError, NotADirectoryError):
         return None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise StoreError(f"{path} is not JSON: {exc}") from None
+
+
+def _require(obj, source: str, **kinds) -> None:
+    """Refuse *obj*, read from *source*, unless it maps each key of *kinds* to its type."""
+    if not (isinstance(obj, dict) and all(isinstance(obj.get(k), t) for k, t in kinds.items())):
+        raise StoreError(f"{source} is malformed: it needs {', '.join(kinds)}")
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -227,7 +238,7 @@ class BlockStore:
         self.node_count: int = cfg["nodes"]
         self.block_size: int = cfg["block_size"]
         self.seed: int = cfg["seed"]
-        self.degraded_log: list[tuple[str, int, int, int]] = []
+        self.degraded_transfers = 0  # summed over this handle's degraded reads
 
     @classmethod
     def create(
@@ -255,9 +266,13 @@ class BlockStore:
     # -- bookkeeping --------------------------------------------------------
 
     def _read_config(self) -> dict:
-        cfg = _read_json(f"{self._root}/store.json")
+        path = f"{self._root}/store.json"
+        cfg = _read_json(path)
         if cfg is None:
             raise StoreError(f"no store at {self.root}")
+        _require(cfg, path, scheme=str, nodes=int, block_size=int, seed=int, down=list)
+        if not all(isinstance(n, int) for n in cfg["down"]):
+            raise StoreError(f"{path} is malformed: its down list holds a non-number")
         return cfg
 
     def _save_config(self, down: set[int]) -> None:
@@ -287,9 +302,6 @@ class BlockStore:
             raise StoreError(f"unknown node {node_id}")
         return self.nodes()[node_id]
 
-    def up_nodes(self) -> list[int]:
-        return [n.node_id for n in self.nodes() if n.status == "up"]
-
     def _manifest_path(self, name: str) -> Path:
         return self.root / f"{name}.manifest.json"
 
@@ -297,12 +309,12 @@ class BlockStore:
         d = _read_json(f"{self._root}/{name}.manifest.json") if _valid_name(name) else None
         if d is None:
             raise StoreError(f"no such stored file: {name}")
-        return StoreManifest.from_dict(d)
+        return StoreManifest.from_dict(d, f"{self._root}/{name}.manifest.json")
 
     def manifests(self) -> list[StoreManifest]:
         with os.scandir(self._root) as entries:
-            names = sorted(e.name for e in entries if e.name.endswith(".manifest.json"))
-        return [StoreManifest.from_dict(_read_json(f"{self._root}/{n}")) for n in names]
+            paths = sorted(e.path for e in entries if e.name.endswith(".manifest.json"))
+        return [StoreManifest.from_dict(_read_json(path), path) for path in paths]
 
     # -- block files --------------------------------------------------------
     # The only code that opens or removes a block file; *fname* is a node
@@ -360,13 +372,7 @@ class BlockStore:
 
     # -- write path ---------------------------------------------------------
 
-    def put(
-        self,
-        path: str | Path,
-        name: str | None = None,
-        scheme: Scheme | None = None,
-        block_size: int | None = None,
-    ) -> StoreManifest:
+    def put(self, path: str | Path, name: str | None = None) -> StoreManifest:
         """Stripe, encode and place a file; persists and returns its manifest.
 
         The file is read one data block at a time into one buffer: each block
@@ -378,19 +384,18 @@ class BlockStore:
         closed before the next stripe.  The input may be any readable file,
         a pipe included; it is read to its end.
 
-        Scheme and block size default to the store's configuration but may
-        vary per file; each manifest records its own.  The manifest's rename
-        commits the file.  A put that fails before it may leave block files
-        that no manifest names; a retry of the same name overwrites them.
+        The file takes the store's scheme and block size, which its manifest
+        records.  The manifest's rename commits the file.  A put that fails
+        before it may leave block files that no manifest names; a retry of
+        the same name overwrites them.
         """
         path = Path(path)
         if name is None:
             name = path.name
         if not _valid_name(name):
             raise StoreError(f"invalid file name: {name!r}")
-        scheme = scheme or self.scheme
-        block_size = block_size or self.block_size
-        if block_size <= 0:
+        scheme, block_size = self.scheme, self.block_size
+        if block_size <= 0:  # store.json comes from outside the program
             raise StoreError("block size must be positive")
         with self._locked() as down:
             if self._manifest_path(name).exists():
@@ -498,15 +503,15 @@ class BlockStore:
 
         A block with no good replica is served through a degraded-read
         plan over the slots whose node file is not there, which the
-        stripe's first degraded read looks up, and each executed plan's
-        bandwidth is logged.  A plan also rebuilds the other blocks its
-        solve determines, and those are kept for the rest of the stripe;
-        nothing else outlives the block it belongs to, so a read holds a
-        block plus what a plan holds.  A plan works on slots, so it fails
-        when a block is lost on a live slot too; then every block of the
-        stripe with a good replica is read, one transfer each, and
-        ``codes.oracle_decode`` rebuilds the stripe's data, which is kept
-        for the rest of the stripe."""
+        stripe's first degraded read looks up; each executed plan's
+        bandwidth is logged and added to ``degraded_transfers``.  A plan
+        also rebuilds the other blocks its solve determines, and those are
+        kept for the rest of the stripe; nothing else outlives the block it
+        belongs to, so a read holds a block plus what a plan holds.  A plan
+        works on slots, so it fails when a block is lost on a live slot
+        too; then every block of the stripe with a good replica is read, one
+        transfer each, and ``codes.oracle_decode`` rebuilds the stripe's
+        data, which is kept for the rest of the stripe."""
         return self._read_blocks(self.load_manifest(name))
 
     def _read_blocks(self, manifest: StoreManifest) -> Iterator[bytes | memoryview]:
@@ -542,9 +547,7 @@ class BlockStore:
                             data = codes.oracle_decode(scheme, good)
                             rebuilt.update((geo.data_block_of[k], d) for k, d in enumerate(data))
                             transfers = len(good)
-                        self.degraded_log.append(
-                            (manifest.name, stripe.index, block_id, transfers)
-                        )
+                        self.degraded_transfers += transfers
                         log.info(
                             "degraded read: %s stripe %d block %d via %d transfers",
                             manifest.name, stripe.index, block_id, transfers,

@@ -477,6 +477,12 @@ def _cmd_code_decode(args) -> int:
 
     src = Path(args.in_dir)
     meta = json.loads((src / "stripe.json").read_text())
+    if not (isinstance(meta, dict) and isinstance(meta.get("scheme"), str)
+            and isinstance(meta.get("original_size"), int) and isinstance(meta.get("blocks"), dict)
+            and all(isinstance(b, dict) and isinstance(b.get("file"), str) and "crc32" in b
+                    and isinstance(b.get("nodes"), list) and all(type(n) is int for n in b["nodes"])
+                    for b in meta["blocks"].values())):
+        raise ValueError(f"{src / 'stripe.json'} is malformed")
     scheme = parse_scheme(meta["scheme"])
     killed = set(_parse_int_list(args.killed))
     surviving: dict[int, dict[int, bytes]] = {}
@@ -534,8 +540,7 @@ def _cmd_store(args) -> int:
         print(f"stored {manifest.name}: {manifest.size} bytes in {manifest.stripe_count} stripes")
     elif sub == "get":
         size = _write_output(args.output, store.read(args.name))
-        degraded = sum(bw for *_, bw in store.degraded_log)
-        print(f"read {size} bytes; degraded transfers: {degraded}")
+        print(f"read {size} bytes; degraded transfers: {store.degraded_transfers}")
     elif sub == "kill":
         state = store.kill_node(args.node)
         print(f"node {state.node_id} is {state.status}")
@@ -588,13 +593,14 @@ def _cmd_sim_reliability(args) -> int:
     mttf = 4 * reliability.HOURS_PER_YEAR if args.mttf_hours is None else args.mttf_hours
     model = reliability.FailureModel.from_mttf_mttr(mttf, args.mttr_hours, args.mode)
     chains = [reliability.build_markov_chain(scheme, model) for scheme in schemes]
-    for scheme, chain in zip(schemes, chains):
-        for note in chain.assumptions:
-            print(f"# {scheme.name}: {note}", file=sys.stderr)
     rows = reliability.reliability_rows(
         schemes, model, chains, args.trials, args.seed, args.threads
     )
     emit_report(rows, args.out, reliability.RELIABILITY_COLUMNS)
+    # the caveats follow the report, so a failed command writes its error first
+    for scheme, chain in zip(schemes, chains):
+        for note in chain.assumptions:
+            print(f"# {scheme.name}: {note}", file=sys.stderr)
     return 0
 
 

@@ -219,7 +219,6 @@ class _Geometry:
     """
 
     def __init__(self, scheme: Scheme):
-        self.scheme = scheme
         L = scheme.code_length
         D = scheme.data_block_count
         placements: dict[int, tuple[int, ...]] = {}
@@ -783,11 +782,8 @@ class Recovery:
 
 @dataclass(frozen=True)
 class RepairPlan:
-    scheme: Scheme
-    pattern: frozenset[int]
     transfers: tuple[Transfer, ...]
     recoveries: tuple[Recovery, ...] = ()
-    target_block: int | None = None  # set for degraded-read plans
 
     @property
     def bandwidth_blocks(self) -> int:
@@ -823,11 +819,9 @@ class _PlanBuilder:
     def recover(self, block_id, terms) -> None:
         self.recoveries.append(Recovery(block_id, tuple(terms)))
 
-    def done(self, target=None) -> RepairPlan:
+    def done(self) -> RepairPlan:
         recs = tuple(sorted(self.recoveries, key=lambda r: r.ready_after))
-        return RepairPlan(
-            self.geo.scheme, self.down, tuple(self.transfers), recs, target
-        )
+        return RepairPlan(tuple(self.transfers), recs)
 
 
 def _group_xor(builder, group: _Group, failed: list[int], dst: int):
@@ -962,7 +956,7 @@ def plan_repair(scheme: Scheme, pattern: Iterable[int]) -> RepairPlan:
     """
     failed = frozenset(_iter_pattern(scheme, pattern))
     if not failed:
-        return RepairPlan(scheme, failed, ())
+        return RepairPlan(())
     if not is_recoverable(scheme, failed):
         raise UnrecoverableError(f"pattern {sorted(failed)} is fatal for {scheme.name}")
     builder = _PlanBuilder(scheme, failed)
@@ -1004,8 +998,7 @@ def plan_degraded_read(
 
     The plan's recoveries also rebuild, from the same transfers, every other
     block its solve determines: in a polygon group, each block on an edge
-    between the group's failed nodes.  ``target_block`` names the block the
-    plan was made for."""
+    between the group's failed nodes."""
     geo = _geometry(scheme)
     if block_id not in geo.placements:
         raise ValueError(f"unknown block id {block_id}")
@@ -1024,7 +1017,7 @@ def plan_degraded_read(
         _solve_group(builder, group, group.failed(down), READER_NODE)
     else:
         _mirror_rebuild(builder, block_id, READER_NODE)
-    return builder.done(target=block_id)
+    return builder.done()
 
 
 # ---------------------------------------------------------------------------

@@ -65,14 +65,6 @@ def gf_inv(a: int) -> int:
     return _EXP[255 - _LOG[a]]
 
 
-def gf_div(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("division by zero in GF(2^8)")
-    if a == 0:
-        return 0
-    return _EXP[(_LOG[a] - _LOG[b]) % 255]
-
-
 def gf_pow(a: int, k: int) -> int:
     """a**k with 0**0 defined as 1."""
     if k < 0:

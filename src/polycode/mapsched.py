@@ -64,7 +64,6 @@ class OverloadError(Exception):
 
 @dataclass(frozen=True)
 class ClusterModel:
-    scheme_name: str
     node_count: int
     slots_per_node: int
     catalog: dict[int, tuple[int, ...]]  # block id -> hosting nodes, ascending
@@ -232,7 +231,7 @@ def build_cluster(
             for slots in hosted:
                 hosts = _sample_range(getrandbits, node_count, len(slots))
                 catalog[len(catalog)] = tuple(sorted(hosts))
-    return ClusterModel(scheme.name, node_count, slots_per_node, catalog)
+    return ClusterModel(node_count, slots_per_node, catalog)
 
 
 def generate_workload(cluster: ClusterModel, load_pct: float, seed: int) -> Workload:

@@ -45,7 +45,6 @@ calls, in the same order, as ``randrange``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import random
@@ -53,7 +52,7 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import Scheme, _geometry, is_recoverable, is_recoverable_mask
+from .codes import Scheme, _geometry, is_recoverable_mask
 
 HOURS_PER_YEAR = 8760.0
 
@@ -87,15 +86,6 @@ DEFAULT_MODEL = FailureModel.from_mttf_mttr(4 * HOURS_PER_YEAR, 24.0)
 STRESS_MODEL = FailureModel.from_mttf_mttr(100.0, 10.0)
 
 
-def fatal_fraction(scheme: Scheme, failures: int) -> float:
-    """Fraction of *failures*-node patterns that lose data, exhaustively."""
-    L = scheme.code_length
-    if not 0 <= failures <= L:
-        raise ValueError(f"failure count {failures} outside [0, {L}]")
-    fatal = sum(not is_recoverable(scheme, p) for p in itertools.combinations(range(L), failures))
-    return fatal / math.comb(L, failures)
-
-
 # ---------------------------------------------------------------------------
 # Absorbing chain
 
@@ -110,11 +100,6 @@ class MarkovChain:
     ``(target state index or LOSS, rate)`` with rates in 1/hours.
     """
 
-    scheme_name: str
-    node_count: int
-    fail_rate: float
-    repair_rate: float
-    repair_mode: str
     states: tuple[tuple, ...]
     transitions: tuple[tuple[tuple[int | None, Fraction], ...], ...]
     assumptions: tuple[str, ...]
@@ -228,16 +213,7 @@ def build_markov_chain(scheme: Scheme, model: FailureModel) -> MarkovChain:
     ]
     if serial and len(states[0]) > 1:
         assumptions.append("serial repair target approximated as uniform over failed nodes")
-    return MarkovChain(
-        scheme_name=scheme.name,
-        node_count=scheme.code_length,
-        fail_rate=model.fail_rate,
-        repair_rate=model.repair_rate,
-        repair_mode=model.repair_mode,
-        states=states,
-        transitions=tuple(transitions),
-        assumptions=tuple(assumptions),
-    )
+    return MarkovChain(states, tuple(transitions), tuple(assumptions))
 
 
 def mttdl_analytic(
@@ -329,11 +305,6 @@ class MonteCarloResult:
     mean_hours: float
     ci_low: float
     ci_high: float
-    trials: int
-    seed: int
-
-    def overlaps(self, value: float) -> bool:
-        return self.ci_low <= value <= self.ci_high
 
 
 def mttdl_montecarlo(
@@ -372,7 +343,7 @@ def mttdl_montecarlo(
                 times.extend(fut.result())
     mean = statistics.fmean(times)
     half = 1.96 * statistics.stdev(times, mean) / math.sqrt(len(times))
-    return MonteCarloResult(mean, mean - half, mean + half, trials, seed)
+    return MonteCarloResult(mean, mean - half, mean + half)
 
 
 # ---------------------------------------------------------------------------

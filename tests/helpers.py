@@ -46,6 +46,13 @@ def make_checked_reader(blocks: Mapping[int, bytes]) -> Callable[[int], bytes]:
     return reader
 
 
+def degraded_reads(caplog) -> list[tuple]:
+    """The (file, stripe, block, transfers) of each degraded read that the
+    block store logged while *caplog* listened."""
+    return [r.args for r in caplog.records
+            if r.name == "polycode.blockstore" and r.msg.startswith("degraded read:")]
+
+
 def expected_hours_reference(chain: MarkovChain) -> float:
     """``MarkovChain.expected_hours_to_loss`` as Gauss-Jordan over
     ``Fraction``: the reference the integer solve must match exactly."""
@@ -164,7 +171,7 @@ def build_cluster_reference(
         for _ in range(stripes):
             for _ in range(scheme.block_count):
                 add(rng.sample(range(node_count), 2))
-    return ClusterModel(scheme.name, node_count, slots_per_node, catalog)
+    return ClusterModel(node_count, slots_per_node, catalog)
 
 
 class _HopcroftKarp:

@@ -4,6 +4,7 @@ import errno
 import io
 import itertools
 import json
+import logging
 import os
 import random
 import re
@@ -25,6 +26,8 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from polycode import blockstore, cli, codes
 from polycode.blockstore import BlockStore, FatalStripeError, StoreError
 from polycode.codes import HeptagonLocal, Polygon, RaidMirror, Replication, UnrecoverableError
+
+from helpers import degraded_reads
 
 BS = 1024  # small blocks keep the unit suite fast; acceptance covers 4 MiB
 
@@ -352,19 +355,21 @@ def test_open_errors_keep_their_messages(pentagon_store, tmp_path, monkeypatch):
         pentagon_store.load_manifest("store.json/x")
 
 
-def test_degraded_get_logs_three_transfers(pentagon_store, tmp_path):
+def test_degraded_get_logs_three_transfers(pentagon_store, tmp_path, caplog):
     path = write_file(tmp_path, 2 * 9 * BS, seed=6)
     pentagon_store.put(path)
     pentagon_store.kill_node(0)
     pentagon_store.kill_node(1)
-    pentagon_store.degraded_log.clear()
+    caplog.set_level(logging.INFO, logger="polycode.blockstore")
     assert pentagon_store.get("data.bin") == path.read_bytes()
     # block of edge (0,1) fully lost in each stripe
-    assert len(pentagon_store.degraded_log) == 2
-    assert all(bw == 3 for *_, bw in pentagon_store.degraded_log)
+    reads = degraded_reads(caplog)
+    assert len(reads) == 2
+    assert all(bw == 3 for *_, bw in reads)
+    assert pentagon_store.degraded_transfers == 6
 
 
-def test_degraded_get_plans_once_per_stripe(tmp_path, monkeypatch):
+def test_degraded_get_plans_once_per_stripe(tmp_path, monkeypatch, caplog):
     store = BlockStore.create(tmp_path / "hl", HeptagonLocal(), nodes=15, block_size=64, seed=3)
     path = write_file(tmp_path, 3 * 40 * 64, seed=14)
     store.put(path)
@@ -378,10 +383,10 @@ def test_degraded_get_plans_once_per_stripe(tmp_path, monkeypatch):
         return real(scheme, block_id, down)
 
     monkeypatch.setattr(codes, "plan_degraded_read", counting)
-    store.degraded_log.clear()
+    caplog.set_level(logging.INFO, logger="polycode.blockstore")
     assert store.get("data.bin") == path.read_bytes()
     # the three lost data blocks of each stripe come from one plan
-    assert [stripe for _, stripe, *_ in store.degraded_log] == [0, 1, 2]
+    assert [stripe for _, stripe, *_ in degraded_reads(caplog)] == [0, 1, 2]
     assert len(calls) == 3
 
 
@@ -500,7 +505,7 @@ def test_repair_restores_the_other_stripes_before_reporting_a_fatal_one(pentagon
     report = store.fsck()
     assert report.missing == [("lost.bin", 0, node) for node in (0, 1, 2)]
     assert report.fatal_stripes == [("lost.bin", 0)] and not report.corrupt
-    assert store.get("kept.bin") == kept.read_bytes() and not store.degraded_log
+    assert store.get("kept.bin") == kept.read_bytes() and store.degraded_transfers == 0
 
 
 def test_roundtrip_under_every_recoverable_downset(tmp_path):
@@ -577,7 +582,7 @@ def test_repair_restores_every_kill_set_fsck_finds_recoverable(tmp_path, name):
     ("heptagon-local", (0, 1), (2, 3)),
 ])
 def test_a_block_lost_on_live_slots_beside_a_down_one_is_read_and_repaired(tmp_path, name,
-                                                                          down, lost):
+                                                                          down, lost, caplog):
     # the slots down + lost are a fatal pattern, yet the stripe lost only
     # the blocks held on down slots alone and the one corrupt on both hosts
     scheme = codes.parse_scheme(name)
@@ -596,9 +601,9 @@ def test_a_block_lost_on_live_slots_beside_a_down_one_is_read_and_repaired(tmp_p
     assert not store.fsck().fatal_stripes
     good = [b for b, slots in geo.placements.items()
             if b != block_id and not set(slots) <= set(down)]
-    store.degraded_log.clear()
+    caplog.set_level(logging.INFO, logger="polycode.blockstore")
     assert store.get(src.name) == src.read_bytes()
-    assert len(good) in [bw for *_, bw in store.degraded_log]  # a transfer per block read
+    assert len(good) in [bw for *_, bw in degraded_reads(caplog)]  # a transfer per block read
     result = store.repair()
     assert result.bandwidth_blocks == len(good) + sum(len(geo.blocks_on[s]) for s in {*down, *lost})
     assert store.fsck().is_clean
@@ -673,21 +678,6 @@ def test_roundtrip_property_random_files(size, content_seed, pattern):
         store.repair()
         assert store.fsck().is_clean
         assert store.get("f.bin") == payload
-
-
-def test_put_per_file_scheme_override(tmp_path):
-    store = BlockStore.create(tmp_path / "mixed", Polygon(7), nodes=7, block_size=BS, seed=1)
-    payload = random.Random(20).randbytes(5 * BS)
-    src = tmp_path / "mixed.bin"
-    src.write_bytes(payload)
-    manifest = store.put(src, scheme=Polygon(5), block_size=512)
-    assert manifest.scheme == "pentagon"
-    assert manifest.block_size == 512
-    assert store.get("mixed.bin") == payload
-    store.kill_node(6)  # outside the pentagon layout's five nodes... or a host
-    assert store.get("mixed.bin") == payload
-    store.repair()
-    assert store.fsck().is_clean
 
 
 def test_store_reopen(tmp_path, pentagon_store):
@@ -807,7 +797,7 @@ class TwoHandles(RuleBasedStateMachine):
         src = write_file(self.dir, size % (2 * self.stripe + 1), seed=seed,
                          name=f"f{len(self.files)}.bin")
         store = self.handles[h]
-        if len(store.up_nodes()) < store.scheme.code_length:
+        if sum(n.status == "up" for n in store.nodes()) < store.scheme.code_length:
             with pytest.raises(StoreError, match="^insufficient up nodes$"):
                 store.put(src)
         else:
@@ -1013,7 +1003,7 @@ def test_repair_failing_at_any_write_leaves_the_nodes_down(pentagon_store, tmp_p
     # once both node files are written only their up marks are left, and the
     # next repair finds no damage
     assert store.repair().plans_executed == int(step < 8)
-    assert store.up_nodes() == [0, 1, 2, 3, 4]
+    assert [n.status for n in store.nodes()] == ["up"] * 5
     assert store.fsck().is_clean
     assert store.get("data.bin") == src.read_bytes()
 
@@ -1132,8 +1122,8 @@ def whole_file_put(store: BlockStore, path: Path) -> tuple[dict, dict[str, bytes
     stripes, files = [], {}
     for k in range(-(-len(data) // stripe_bytes)):
         chunk = data[k * stripe_bytes : (k + 1) * stripe_bytes].ljust(stripe_bytes, b"\0")
-        order = codes.build_layout(scheme, store.up_nodes(),
-                                   zlib.crc32(f"{store.seed}:{name}:{k}".encode()))
+        up = [n.node_id for n in store.nodes() if n.status == "up"]
+        order = codes.build_layout(scheme, up, zlib.crc32(f"{store.seed}:{name}:{k}".encode()))
         encoded = codes.encode_stripe(scheme, [chunk[i * block : (i + 1) * block]
                                                for i in range(scheme.data_block_count)])
         for slot, node in enumerate(order):

@@ -1,11 +1,14 @@
 import ast
+import contextlib
 import csv
 import io
+import json
 import os
 import random
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -14,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polycode
-from polycode import cli
+from polycode import cli, codes
 from polycode.cli import emit_report, main
 
 
@@ -543,6 +546,43 @@ def test_report_locality_summary_refuses_a_cell_that_is_not_a_number(tmp_path, c
     assert err == f"error: {detail} line 3: {cell}\n"
 
 
+_STORE = ["--root", "s"]
+_DECODE = ["code", "decode", "--in-dir", "stripe", "--output", "out"]
+_GET = ["get", *_STORE, "--name", "f", "--output", "o"]
+
+
+@pytest.mark.parametrize("target,text,argv", [
+    ("stripe/stripe.json", "{}", _DECODE),
+    ("stripe/stripe.json", None, _DECODE),
+    ("s/f.manifest.json", '{"file":"f"}', ["store", "fsck", *_STORE]),
+    ("s/f.manifest.json", '{"file":"f"}', ["store", *_GET]),
+    *[("s/store.json", "[]", ["store", *argv]) for argv in (
+        ["put", *_STORE, "--file", "f"], _GET, ["kill", *_STORE, "--node", "0"],
+        ["revive", *_STORE, "--node", "0"], ["fsck", *_STORE], ["repair", *_STORE])],
+])
+def test_malformed_metadata_is_an_error_that_names_its_file(tmp_path, monkeypatch, capsys,
+                                                              target, text, argv):
+    """A stripe.json, manifest or store.json that lacks a field the command
+    reads is refused by name, with no traceback.  text None: drop the
+    "nodes" of one block entry."""
+    monkeypatch.chdir(tmp_path)
+    Path("f").write_bytes(random.Random(3).randbytes(300))
+    setups = (
+        ["store", "init", *_STORE, "--scheme", "pentagon", "--block-size", "64", "--seed", "1"],
+        ["store", "put", *_STORE, "--file", "f"],
+        ["code", "encode", "--scheme", "pentagon", "--input", "f", "--out-dir", "stripe"],
+    )
+    for setup in setups:
+        assert run(capsys, *setup)[0] == 0
+    if text is None:
+        meta = json.loads(Path(target).read_text())
+        del meta["blocks"]["3"]["nodes"]
+        text = json.dumps(meta)
+    Path(target).write_text(text)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith(f"error: {target} is malformed"), err
+
+
 def test_sim_locality_csv(tmp_path, capsys):
     out_file = tmp_path / "loc.csv"
     argv = ["sim", "locality", "--scheme", "heptagon", "--nodes", "25", "--slots", "8",
@@ -807,3 +847,136 @@ def test_every_leaf_with_its_flags_takes_the_fast_path(key):
 ])
 def test_other_argv_is_left_to_argparse(argv):
     assert cli._parse_plain(argv) is None
+
+
+# -- the argv contract ------------------------------------------------------
+
+# What the contract test puts where a command reads a file, by kind; "data"
+# is a small valid input and "missing" no file at all.
+_BROKEN = {"empty": b"", "binary": bytes(range(256)), "object": b"{}", "list": b"[]",
+           "csv": b"a,b\n1\n"}
+_FLOATS = ["0", "-1", "nan", "inf", "1e-300", "0.5", "10", "100"]
+_SCHEME_NAMES = st.sampled_from(["pentagon", "heptagon-local", "2-rep", "raidm-3", "bogus", ""])
+
+
+def _listed(items):
+    """Comma lists of *items*, with empty and repeated entries."""
+    return st.lists(st.one_of(items, st.just("")), max_size=2).map(",".join)
+
+
+_INT_LIST = _listed(st.integers(-1, 20).map(str))
+_INPUT = st.sampled_from(["missing", "data", *_BROKEN])
+# a value strategy for every flag in cli.COMMANDS; counts stay small so
+# that each command does little work
+_CONTRACT_VALUES = {
+    "--scheme": _SCHEME_NAMES,
+    "--input": _INPUT,
+    "--file": _INPUT,
+    "--root": st.sampled_from(["missing", "dir", "store", "degraded",
+                               *(f"store.json={k}" for k in _BROKEN),
+                               *(f"manifest={k}" for k in _BROKEN)]),
+    "--in-dir": st.sampled_from(["missing", "dir", "stripe",
+                                 *(f"stripe.json={k}" for k in _BROKEN)]),
+    "--out-dir": st.sampled_from(["new", "dir", "file"]),
+    "--output": st.sampled_from(["new", "dir", "nodir"]),
+    "--out": st.sampled_from(["-", "new", "dir", "nodir"]),
+    "--block-size": st.integers(-2, 64).map(str),
+    "--killed": _INT_LIST,
+    "--failed": _INT_LIST,
+    "--nodes": st.integers(-2, 64).map(str),
+    "--seed": st.integers(-5, 2**32).map(str),
+    "--name": st.sampled_from(["f", "g", "", "..", "a/b"]),
+    "--node": st.integers(-2, 16).map(str),
+    "--scheduler": _listed(st.sampled_from(["matching", "delay", "peeling", "bogus"])),
+    "--slots": _listed(st.integers(-1, 8).map(str)),
+    "--load": _listed(st.sampled_from([*_FLOATS, "200", "201"])),
+    "--reps": st.integers(-1, 2).map(str),
+    "--stripes": st.integers(-1, 64).map(str),
+    "--delay-rounds": st.integers(-2, 3).map(str),
+    "--summary": st.none(),
+    "--mttf-hours": st.sampled_from(_FLOATS),
+    "--mttr-hours": st.sampled_from(_FLOATS),
+    "--mode": st.sampled_from(["parallel", "serial", "bogus"]),
+    "--trials": st.sampled_from(["-1", "0", "99", "100", "120"]),
+    "--threads": st.integers(-2, 2).map(str),
+    "--kind": st.sampled_from(["schemes", "locality-summary", "bogus"]),
+}
+_ALWAYS = {"--trials", "--reps"}  # their defaults (1000 trials, 20 reps) take seconds
+_PATHS = {"--input", "--file", "--root", "--in-dir", "--out-dir", "--output", "--out"}
+
+
+@st.composite
+def _contract_argvs(draw):
+    """A leaf command and a value, or a kind of file, for each of its flags."""
+    key = draw(st.sampled_from(list(cli.COMMANDS)))
+    given = {}
+    for flag, kwargs in cli.COMMANDS[key]:
+        if kwargs.get("required") or flag in _ALWAYS or draw(st.integers(0, 3)):
+            values = _CONTRACT_VALUES[flag]
+            if flag == "--scheme" and key.startswith("sim"):
+                values = _listed(_SCHEME_NAMES)
+            given[flag] = draw(values)
+    if key == "sim reliability" and int(given["--trials"]) >= 100:
+        # an MTTR of at least a tenth of the MTTF keeps trials short, as in
+        # STRESS_MODEL; at the 4-year default one trial takes minutes
+        mttf = given.setdefault("--mttf-hours", "100")
+        mttr = given.get("--mttr-hours", "24")
+        if 0 < float(mttf) < float("inf") and 0 < float(mttr) < 0.1 * float(mttf):
+            given["--mttr-hours"] = mttf
+    return key, given
+
+
+def _make_input(flag: str, kind: str, d: Path) -> str:
+    """Put a file or directory of *kind* under *d* for *flag*; its path."""
+    path = d / flag.lstrip("-")
+    data = random.Random(1).randbytes(200)
+    if kind in ("missing", "new"):
+        return str(path)
+    if kind == "-":
+        return kind
+    if kind in ("dir", "nodir"):
+        path.mkdir()
+        return str(path / "x" / "o" if kind == "nodir" else path)
+    if flag in ("--root", "--in-dir") and kind != "dir":
+        what, _, broken = kind.partition("=")
+        if flag == "--root":
+            from polycode.blockstore import BlockStore
+
+            store = BlockStore.create(path, codes.Polygon(5), 5, 16, seed=1)
+            (d / "f").write_bytes(data)
+            store.put(d / "f")
+            if what == "degraded":
+                store.kill_node(0)
+            target = path / {"manifest": "f.manifest.json"}.get(what, "store.json")
+        else:
+            with contextlib.redirect_stdout(io.StringIO()):
+                (d / "f").write_bytes(data)
+                assert main(["code", "encode", "--scheme", "pentagon", "--input", str(d / "f"),
+                             "--out-dir", str(path)]) == 0
+            target = path / "stripe.json"
+        if broken:
+            target.write_bytes(_BROKEN[broken])
+        return str(path)
+    path.write_bytes(data if kind in ("data", "file") else _BROKEN[kind])
+    return str(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_contract_argvs())
+def test_every_argv_ends_in_exit_0_1_or_2_with_an_error_line(drawn):
+    """Any leaf command, with any values for its flags and any of the
+    inputs a user can hand it, exits 0, 1 or 2; a non-zero exit writes
+    ``error:`` or ``usage error:`` first on stderr, and no traceback."""
+    key, given = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = key.split()
+        for flag, value in given.items():
+            if flag in _PATHS:
+                value = _make_input(flag, value, Path(tmp))
+            argv += [flag] if value is None else [flag, value]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code:
+        assert err.getvalue().startswith(("error:", "usage error:")), (argv, err.getvalue())

@@ -2,7 +2,9 @@ import ast
 import functools
 import itertools
 import random
+import re
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -270,6 +272,7 @@ def test_heptagon_local_all_triples_recoverable():
         (Replication(2), 1),
         (Replication(3), 2),
         (Replication(1), 0),
+        (RaidMirror(11), 3),
     ],
 )
 def test_tolerance(scheme, expected):
@@ -652,7 +655,6 @@ def test_pentagon_degraded_read_three_transfers():
     data, blocks = full_blocks(scheme, rng, size=2048)
     plan = plan_degraded_read(scheme, 0, {0, 1})  # block 0 == edge (0,1)
     assert plan.bandwidth_blocks == 3
-    assert plan.target_block == 0
     reader = make_checked_reader(present_view(scheme, blocks, {0, 1}))
     assert execute_plan(plan, reader)[0] == blocks[0]
 
@@ -967,7 +969,7 @@ def test_execute_plan_matches_per_term_scaling(case, recovery_terms):
             key=lambda r: r.ready_after,
         )
     )
-    plan = RepairPlan(Polygon(5), frozenset(), transfers, recs)
+    plan = RepairPlan(transfers, recs)
     recovered = execute_plan(plan, make_checked_reader(dict(enumerate(bodies))))
     sums = [naive_sum(width, bodies, p) for p in parts]
     for j, t in enumerate(recovery_terms):
@@ -1041,6 +1043,25 @@ def test_only_the_geometry_tells_scheme_classes_apart():
 
     inside, outside = call_sites(names_a_scheme_class, "_Geometry", "__init__")
     assert inside > 0 and outside == []
+
+
+def test_every_definition_is_named_again():
+    """Each function, method and class that ``src/polycode`` defines, dunder
+    names aside, is named at least once more in the package or in
+    ``perfbench``, whose tracer names its targets in strings.  A definition
+    that only the tests name is dead."""
+    package = sorted(Path(codes.__file__).parent.glob("*.py"))
+    perfbench = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+    words = Counter(re.findall(r"\w+", "\n".join(p.read_text() for p in package + perfbench)))
+    defined = {
+        node.name
+        for path in package
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("__")
+    }
+    assert perfbench and len(defined) > 100
+    assert sorted(name for name in defined if words[name] < 2) == []
 
 
 def test_only_the_bit_planes_scale_blocks():

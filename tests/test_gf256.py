@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from polycode import gf256
 from polycode.gf256 import (
-    gf_div,
     gf_inv,
     gf_mul,
     gf_pow,
@@ -81,15 +80,6 @@ def test_pow_edge_cases():
     assert gf_pow(0, 5) == 0
     with pytest.raises(ValueError):
         gf_pow(3, -1)
-
-
-def test_division():
-    rng = random.Random(7)
-    for _ in range(1000):
-        a, b = rng.randrange(256), rng.randrange(1, 256)
-        assert gf_mul(gf_div(a, b), b) == a
-    with pytest.raises(ZeroDivisionError):
-        gf_div(5, 0)
 
 
 @given(st.binary(min_size=0, max_size=64), st.integers(0, 255))

@@ -33,7 +33,7 @@ from helpers import build_cluster_reference, delay_reference, maxmatch_reference
 
 
 def make_cluster(catalog, nodes, slots):
-    return ClusterModel("test", nodes, slots, {b: tuple(sorted(h)) for b, h in catalog.items()})
+    return ClusterModel(nodes, slots, {b: tuple(sorted(h)) for b, h in catalog.items()})
 
 
 def occupancy_ok(cluster, assignment):
@@ -115,7 +115,7 @@ def test_workload_determinism_and_validation():
         generate_workload(cluster, 0, seed=1)
     with pytest.raises(ValueError):
         generate_workload(cluster, 201, seed=1)
-    empty = ClusterModel("x", 4, 2, {})
+    empty = ClusterModel(4, 2, {})
     with pytest.raises(ValueError):
         generate_workload(empty, 50, seed=1)
 
