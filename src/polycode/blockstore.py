@@ -33,8 +33,7 @@ Memory: no operation holds a file.  ``put`` reads its input a data block at
 a time into one buffer that feeds ``codes.StripeEncoder`` and is written to
 the block's replicas at once; the parities are written at the stripe's end.
 ``read`` yields a stored file's bytes in order, a data block at a time with
-the tail cut off, and holds one block plus what a degraded-read plan holds,
-or a stripe when no plan fits and the stripe is solved whole;
+the tail cut off, and holds one block plus what a degraded-read plan holds;
 ``get`` builds its ``bytearray`` from it, and the CLI streams it to a temp
 file that replaces the output only once every block is written, so a failed
 read leaves the output as it was.  ``repair`` holds one stripe: one good
@@ -136,22 +135,33 @@ class StoreManifest:
         }
 
     @classmethod
-    def from_dict(cls, d: dict, source: str = "manifest") -> "StoreManifest":
+    def from_dict(cls, d: dict, source: str = "manifest",
+                  nodes: int | None = None) -> "StoreManifest":
+        """The manifest *d*, read from *source*; given the store's node
+        count *nodes*, a stripe record that names a node outside it is
+        refused too."""
         _require(d, source, file=str, size=int, scheme=str, block_size=int, stripes=list)
         scheme = parse_scheme(d["scheme"])
-        stripes = [_stripe_record(d, s, scheme) for s in d["stripes"]]
+        stripes = [_stripe_record(d, s, scheme, source, nodes) for s in d["stripes"]]
         return cls(d["file"], d["size"], d["scheme"], d["block_size"], stripes)
 
 
-def _stripe_record(d: dict, stripe: dict, scheme: Scheme) -> StripeRecord:
+def _stripe_record(d: dict, stripe: dict, scheme: Scheme, source: str,
+                   nodes: int | None) -> StripeRecord:
     """A manifest's stripe record, refused unless it has a node per slot
-    and a CRC per block of the scheme."""
+    and a CRC per block of the scheme, and unless its nodes are distinct
+    nodes of the store: two slots on one node would write over each
+    other's node file."""
     _require(stripe, f"{d['file']} stripe record", index=int, node_order=list)
     order, crcs = stripe["node_order"], stripe.get("crc32")
     if (len(order) != scheme.code_length or not isinstance(crcs, list)
             or len(crcs) != scheme.block_count or not all(isinstance(n, int) for n in order)):
         raise StoreError(f"{d['file']} stripe {stripe['index']} disagrees with"
                          f" the {scheme.name} layout")
+    if len(set(order)) < len(order) or any(n < 0 or nodes is not None and n >= nodes
+                                           for n in order):
+        raise StoreError(f"{source} is malformed: stripe {stripe['index']} node_order {order}"
+                         f" repeats a node or names one outside the store")
     return StripeRecord(stripe["index"], list(order), list(crcs))
 
 
@@ -309,12 +319,13 @@ class BlockStore:
         d = _read_json(f"{self._root}/{name}.manifest.json") if _valid_name(name) else None
         if d is None:
             raise StoreError(f"no such stored file: {name}")
-        return StoreManifest.from_dict(d, f"{self._root}/{name}.manifest.json")
+        return StoreManifest.from_dict(d, f"{self._root}/{name}.manifest.json", self.node_count)
 
     def manifests(self) -> list[StoreManifest]:
         with os.scandir(self._root) as entries:
             paths = sorted(e.path for e in entries if e.name.endswith(".manifest.json"))
-        return [StoreManifest.from_dict(_read_json(path), path) for path in paths]
+        return [StoreManifest.from_dict(_read_json(path), path, self.node_count)
+                for path in paths]
 
     # -- block files --------------------------------------------------------
     # The only code that opens or removes a block file; *fname* is a node
@@ -502,16 +513,15 @@ class BlockStore:
         so a missing file raises before anything is read.
 
         A block with no good replica is served through a degraded-read
-        plan over the slots whose node file is not there, which the
-        stripe's first degraded read looks up; each executed plan's
+        plan whose damage is the slots whose node file is not there, which
+        the stripe's first degraded read looks up, and the block's own
+        replicas.  When the plan meets another block with no good replica,
+        one scan of the stripe finds its damage exactly, without keeping
+        any bytes, and a second plan is made from it.  The executed plan's
         bandwidth is logged and added to ``degraded_transfers``.  A plan
         also rebuilds the other blocks its solve determines, and those are
         kept for the rest of the stripe; nothing else outlives the block it
-        belongs to, so a read holds a block plus what a plan holds.  A plan
-        works on slots, so it fails when a block is lost on a live slot
-        too; then every block of the stripe with a good replica is read, one
-        transfer each, and ``codes.oracle_decode`` rebuilds the stripe's
-        data, which is kept for the rest of the stripe."""
+        belongs to, so a read holds a block plus what a plan holds."""
         return self._read_blocks(self.load_manifest(name))
 
     def _read_blocks(self, manifest: StoreManifest) -> Iterator[bytes | memoryview]:
@@ -534,23 +544,19 @@ class BlockStore:
                                       for node in stripe.node_order)
                             absent = {s for s, fname in enumerate(fnames)
                                       if self._read_file(fname, 0, 0) is None}
+                        own = [(block_id, s) for s in geo.placements[block_id]]
+                        plan = codes.plan_degraded_read(scheme, block_id, absent, own)
                         try:
-                            plan = codes.plan_degraded_read(
-                                scheme, block_id, absent.union(geo.placements[block_id])
-                            )
                             rebuilt.update(codes.execute_plan(plan, reader))
-                            transfers = plan.bandwidth_blocks
-                        except (UnrecoverableError, MissingBlockError, ChecksumMismatchError):
-                            # the plan sees slots, not lost blocks: solve the
-                            # stripe from every block with a good replica
-                            good = self._scan(manifest, stripe, geo, keep=True)[0]
-                            data = codes.oracle_decode(scheme, good)
-                            rebuilt.update((geo.data_block_of[k], d) for k, d in enumerate(data))
-                            transfers = len(good)
-                        self.degraded_transfers += transfers
+                        except (MissingBlockError, ChecksumMismatchError):
+                            # another block is bad too: plan from the stripe's damage
+                            _, corrupt, missing = self._scan(manifest, stripe, geo, keep=False)
+                            plan = codes.plan_degraded_read(scheme, block_id, missing, corrupt)
+                            rebuilt.update(codes.execute_plan(plan, reader))
+                        self.degraded_transfers += plan.bandwidth_blocks
                         log.info(
                             "degraded read: %s stripe %d block %d via %d transfers",
-                            manifest.name, stripe.index, block_id, transfers,
+                            manifest.name, stripe.index, block_id, plan.bandwidth_blocks,
                         )
                     body = rebuilt[block_id]
                     if _crc(body) != stripe.crc32[block_id]:
@@ -614,22 +620,17 @@ class BlockStore:
     def repair(self) -> RepairResult:
         """Restore every damaged stripe, then bring the down nodes back up.
 
-        A corrupt replica whose block has a good replica is copied whole
-        from it, one transfer; the code rebuilds the rest through one repair
-        plan over the slots whose file is missing and the slots of blocks
-        with no good replica left.  When those slots are fatal although the
-        good blocks determine the stripe, ``codes.oracle_decode`` solves it
-        from every good block, one transfer each, and each block on a
-        failed slot costs one more.  Measured bandwidth is the plans'
-        transfer counts, those of the solves, plus the copies.  Each
+        Each damaged stripe gets one ``codes.plan_repair`` plan over the
+        slots whose file is missing and the corrupt replicas, which the
+        stripe's scan finds; the plans' bandwidth is the whole count.  Each
         damaged stripe is rebuilt from the bytes its scan read and written
-        back before the next is scanned: a missing node file is written whole, and a corrupt replica
-        in place, so a write that fails touches no good replica.  A stripe
-        that cannot be rebuilt does not stop the others: FatalStripeError
-        names the first one after every other stripe is restored.  Down
-        nodes are marked up only after every block is written back, so a
-        repair that fails leaves them down, and the next repair rewrites
-        what is still missing or corrupt.
+        back before the next is scanned: a missing node file is written
+        whole, and a corrupt replica in place, so a write that fails touches
+        no good replica.  A stripe that cannot be rebuilt does not stop the
+        others: FatalStripeError names the first one after every other
+        stripe is restored.  Down nodes are marked up only after every block
+        is written back, so a repair that fails leaves them down, and the
+        next repair rewrites what is still missing or corrupt.
         """
         with self._locked() as down:
             plans = bandwidth = 0
@@ -642,26 +643,17 @@ class BlockStore:
                     good, corrupt, missing = self._scan(manifest, stripe, geo, keep=True)
                     if not (corrupt or missing):
                         continue
-                    if not codes.can_decode_from(scheme, good):
+                    try:
+                        plan = codes.plan_repair(scheme, missing, corrupt)
+                    except UnrecoverableError:
                         fatal = fatal or f"{name} stripe {stripe.index} is unrecoverable"
                         continue
-                    # a block the plan reads has a replica off the failed
-                    # slots, which is good or has a good twin, so it has kept bytes
-                    failed = set(missing) | {s for block_id, s in corrupt if block_id not in good}
+                    # every block the plan reads has a good replica, so kept bytes
+                    good.update(codes.execute_plan(plan, codes.memory_reader(good)))
+                    bandwidth += plan.bandwidth_blocks
                     rewrite = {s: None for s in missing}  # None: the whole file
                     for block_id, s in corrupt:
                         rewrite.setdefault(s, set()).add(block_id)
-                    if failed:
-                        try:
-                            plan = codes.plan_repair(scheme, frozenset(failed))
-                            good.update(codes.execute_plan(plan, codes.memory_reader(good)))
-                            bandwidth += plan.bandwidth_blocks
-                        except UnrecoverableError:
-                            # the failed slots are fatal but the good blocks
-                            # are not: solve the stripe from them
-                            bandwidth += len(good) + sum(len(geo.blocks_on[s]) for s in failed)
-                            good = codes.encode_stripe(scheme, codes.oracle_decode(scheme, good))
-                    bandwidth += sum(s not in failed for _, s in corrupt)
                     order = stripe.node_order
                     for s in sorted(rewrite, key=order.__getitem__):
                         ids, fname = rewrite[s], _node_file(name, stripe.index, order[s])

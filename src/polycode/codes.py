@@ -58,7 +58,7 @@ class ChecksumMismatchError(CodeError):
 
 
 class BlockAvailableError(CodeError):
-    """Degraded read requested for a block that still has a live copy."""
+    """Degraded read requested for a block that still has a good copy."""
 
 
 # ---------------------------------------------------------------------------
@@ -656,46 +656,32 @@ def decode_stripe(
     """Recover all data blocks from surviving node contents.
 
     *surviving* maps canonical slot -> {block id -> bytes}; *pattern* is the
-    failed-slot set (checked for recoverability up front).  A data block
-    with a surviving copy is used as is.  One without is rebuilt by running
-    its degraded-read plan over the surviving blocks; the plan also rebuilds
-    every other block its solve determines, so each group that lost data is
-    solved once.  If a plan needs a block that is missing on a live slot,
-    or its slot pattern is fatal because of one, the stripe is decoded by
-    ``oracle_decode`` instead.  A final pass checks every surviving block
-    against the data, each parity as a fresh encode yields it, which turns
-    silent corruption into ``InconsistentStripeError``.
+    failed-slot set.  A data block with a surviving copy is used as is.  One
+    without is rebuilt by running its degraded-read plan over the surviving
+    blocks, with the live replicas of every block left out of *surviving*
+    as corrupt; the plan also rebuilds every other block its solve
+    determines, so each solve runs once.  A final pass checks every
+    surviving block against the data, each parity as a fresh encode yields
+    it, which turns silent corruption into ``InconsistentStripeError``.
     """
     failed = frozenset(pattern)
-    if not is_recoverable(scheme, failed):
-        raise UnrecoverableError(f"pattern {sorted(failed)} is fatal for {scheme.name}")
     geo = _geometry(scheme)
     present = _flatten_surviving(scheme, surviving, failed)
     if not present:
         raise UnrecoverableError("no surviving blocks given")
-    if not can_decode_from(scheme, present):
-        # a block left out of *surviving* may be lost on a live slot too
-        raise UnrecoverableError("the surviving blocks do not determine the data")
     width = len(next(iter(present.values())))
     if any(len(v) != width for v in present.values()):
         raise ValueError("surviving blocks differ in length")
 
+    left_out = [(b, s) for b, slots in geo.placements.items() if b not in present for s in slots]
     reader = memory_reader(present)
     rebuilt: dict[int, bytes] = {}
     result = []
-    try:
-        for i in range(scheme.data_block_count):
-            b = geo.data_block_of[i]
-            if b not in present and b not in rebuilt:
-                # a block left out of *surviving* counts as lost on every host
-                plan = plan_degraded_read(scheme, b, failed | set(geo.placements[b]))
-                rebuilt.update(execute_plan(plan, reader))
-            result.append(present[b] if b in present else rebuilt[b])
-    except (MissingBlockError, UnrecoverableError):
-        # plans see only slots, so one may route through a block missing on
-        # a live slot, or find the slots of such a block fatal;
-        # can_decode_from above shows the full solve succeeds
-        result = oracle_decode(scheme, present)
+    for i in range(scheme.data_block_count):
+        b = geo.data_block_of[i]
+        if b not in present and b not in rebuilt:
+            rebuilt.update(execute_plan(plan_degraded_read(scheme, b, failed, left_out), reader))
+        result.append(present[b] if b in present else rebuilt[b])
 
     # verify every surviving block against the data: a data block as is, a
     # parity as a fresh encode yields it, so one parity is held at a time
@@ -709,33 +695,6 @@ def decode_stripe(
         if b in present and present[b] != parity:
             raise InconsistentStripeError(f"block {b} violates the stripe's parity relations")
     return result
-
-
-def oracle_decode(scheme: Scheme, present: Mapping[int, bytes]) -> list[bytes]:
-    """Generic decode oracle: full Gaussian elimination of the surviving
-    linear system over GF(2^8), no scheme-specific shortcuts.  The only
-    full-stripe elimination in the package: it cross-checks the plan-based
-    ``decode_stripe``.
-
-    Raises UnrecoverableError when the surviving rows do not determine the
-    data and InconsistentStripeError when the bytes contradict them.
-    """
-    geo = _geometry(scheme)
-    order = sorted(present)
-    D = scheme.data_block_count
-    consts = [bytes(present[b]) for b in order]
-    rank, transform = _transform([list(geo.rows[b]) for b in order], D)
-    if rank < D:
-        raise UnrecoverableError("surviving blocks do not determine the data")
-    width = len(consts[0])
-    if any(len(c) != width for c in consts):
-        raise ValueError("blocks differ in length")
-    sums = _Sums({k: list(enumerate(t)) for k, t in enumerate(transform)}, width)
-    for i, const in enumerate(consts):
-        sums.feed(i, const)
-    if any(sums.take(k) for k in range(rank, len(transform))):
-        raise InconsistentStripeError("surviving bytes violate parity relations")
-    return [sums.take(k).to_bytes(width, "little") for k in range(D)]
 
 
 # ---------------------------------------------------------------------------
@@ -787,23 +746,45 @@ class RepairPlan:
 
     @property
     def bandwidth_blocks(self) -> int:
-        return len(self.transfers)
+        """Transfers between two nodes; a source read where it is used is none."""
+        return sum(t.src != t.dst for t in self.transfers)
 
 
 class _PlanBuilder:
-    """Accumulates one plan's transfers and recoveries for a scheme and a
-    set of down slots.  ``recovered`` maps a data index rebuilt earlier in
-    the plan to the slot that holds the rebuilt copy; ``covers`` maps
-    (data index, destination) to the XOR partial terms already sent there
-    for a data block with no copy left."""
+    """Accumulates one plan's transfers and recoveries for a scheme and its
+    damage: the down slots *pattern* and the *corrupt* replicas, as (block
+    id, slot) pairs; one on a down slot is lost with it anyway.  ``lost``
+    lists the blocks with no good replica, in block-id order; when each
+    was lost with its slots alone the damage is ``node_shaped``.  Damage
+    whose good blocks do not determine the data raises UnrecoverableError.
+    ``recovered`` maps a data index rebuilt earlier in the plan to the slot
+    that holds the rebuilt copy; ``covers`` maps (data index, destination)
+    to the XOR partial terms already sent there for a data block with no
+    copy left."""
 
-    def __init__(self, scheme: Scheme, down: frozenset[int]):
-        self.geo = _geometry(scheme)
-        self.down = down
+    def __init__(self, scheme: Scheme, pattern: Iterable[int], corrupt: Iterable[tuple[int, int]]):
+        geo = self.geo = _geometry(scheme)
+        down = self.down = frozenset(_iter_pattern(scheme, pattern))
+        self.bad = frozenset((b, s) for b, s in corrupt if s not in down)
+        if any(s not in geo.placements.get(b, ()) for b, s in self.bad):
+            raise ValueError(f"corrupt replicas {sorted(self.bad)} are not all placed")
+        self.lost = [b for b, slots in geo.placements.items()
+                     if all(s in down or (b, s) in self.bad for s in slots)]
+        self.node_shaped = all(s in down for b in self.lost for s in geo.placements[b])
+        if not (is_recoverable(scheme, down) if self.node_shaped else
+                can_decode_from(scheme, set(geo.placements) - set(self.lost))):
+            raise UnrecoverableError(f"fatal for {scheme.name}: with slots {sorted(down)}"
+                                     f" down, the good blocks do not determine the data")
         self.recovered: dict[int, int] = {}
         self.covers: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self.transfers: list[Transfer] = []
         self.recoveries: list[Recovery] = []
+
+    def source(self, block_id, dst=None) -> int:
+        """*dst* when it holds a good replica of the block, else its lowest good host."""
+        good = [s for s in self.geo.placements[block_id]
+                if s not in self.down and (block_id, s) not in self.bad]
+        return dst if dst in good else min(good)
 
     def copy(self, src, dst, block_id, delivers=True) -> int:
         self.transfers.append(Transfer(src, dst, WholeCopy(block_id), delivers))
@@ -931,92 +912,115 @@ def _repair_group(builder, group: _Group, failed: list[int]) -> None:
             builder.recovered[role.index] = solver
 
 
-def _mirror_rebuild(builder, block: int, dst: int) -> None:
-    """Rebuild RAID+m *block* at *dst* as the XOR of a whole copy of every
-    other block of the stripe, each from its lowest live host."""
-    idxs = [
-        builder.copy(min(s for s in slots if s not in builder.down), dst, other, delivers=False)
-        for other, slots in sorted(builder.geo.placements.items())
-        if other != block
-    ]
-    builder.recover(block, [(i, 1) for i in idxs])
+def _solve_blocks(builder, targets, dst: int) -> None:
+    """Rebuild the lost *targets* at *dst* from whole copies of good blocks.
 
-
-def plan_repair(scheme: Scheme, pattern: Iterable[int]) -> RepairPlan:
-    """Plan the transfers that restore every block lost by *pattern*; it
-    refuses only a fatal pattern, with ``UnrecoverableError``.
-
-    Polygon singles move n-1 whole copies; polygon doubles move 2(n-2)
-    copies, n-2 partial parities and one redistribution copy (3(n-2)+1
-    total).  Heptagon-local failures are planned locally per heptagon, with
-    triples solved from the other heptagon plus the global node.  Without
-    groups, a block with a live copy is copied whole from its lowest live
-    host to each failed one, and a RAID+m block lost on both hosts is
-    rebuilt from every other block.
+    The lost data symbols are solved from the good parity rows, in block-id
+    order, that ``_transform`` picks as pivots, and a lost parity is its row
+    over the data.  The sources are the blocks these sums need, in block-id
+    order, each copied from its lowest good host; one that *dst* holds good
+    is read there, which is no transfer.  Every other lost block that the
+    same sources determine is rebuilt too.
     """
-    failed = frozenset(_iter_pattern(scheme, pattern))
-    if not failed:
+    geo, lost = builder.geo, builder.lost
+    unknown = [geo.roles[b].index for b in lost if geo.roles[b].kind == "data"]
+    rows = [p for p, role in geo.roles.items() if role.kind != "data" and p not in lost]
+    _, inverse = _transform([[geo.rows[p][i] for i in unknown] for p in rows], len(unknown))
+    # each data symbol as a sum of good blocks; a pivot row less its known data solves a lost one
+    data = {i: {b: 1} for i, b in geo.data_block_of.items() if i not in unknown}
+    offsets = [_compose([({p: 1}, 1), *((data[i], c) for i, c in enumerate(geo.rows[p])
+                                         if i in data)]) for p in rows]
+    data.update((i, _compose(zip(offsets, inverse[k]))) for k, i in enumerate(unknown))
+    forms = {b: _compose((data[i], c) for i, c in enumerate(geo.rows[b])) for b in lost}
+    need = {s for b in targets for s, c in forms[b].items() if c}
+    idx = {s: builder.copy(builder.source(s, dst), dst, s, delivers=False) for s in sorted(need)}
+    for b, form in forms.items():
+        terms = [(s, c) for s, c in form.items() if c]
+        if all(s in need for s, _ in terms):
+            builder.recover(b, sorted((idx[s], c) for s, c in terms))
+
+
+def plan_repair(
+    scheme: Scheme, pattern: Iterable[int], corrupt: Iterable[tuple[int, int]] = ()
+) -> RepairPlan:
+    """Plan the transfers that restore every replica lost by the down slots
+    *pattern* or *corrupt*, a set of (block id, slot) pairs; it refuses only
+    damage whose good blocks do not determine the data, with
+    ``UnrecoverableError``.
+
+    When every lost block was lost with its slots alone, the slots decide
+    the plan.  Polygon singles move n-1 whole copies; polygon doubles move
+    2(n-2) copies, n-2 partial parities and one redistribution copy
+    (3(n-2)+1 total).  Heptagon-local failures are planned locally per
+    heptagon, with triples solved from the other heptagon plus the global
+    node; then each corrupt replica is copied whole from its lowest good
+    host.  Otherwise, and for every scheme without groups, each damaged
+    replica of a block with a good one is copied whole from its lowest
+    good host, and the lost blocks are solved by ``_solve_blocks`` at
+    their lowest live host, else their lowest host, and copied on to
+    their other hosts.
+    """
+    builder = _PlanBuilder(scheme, pattern, corrupt)
+    down, bad, lost = builder.down, builder.bad, builder.lost
+    if not (down or bad):
         return RepairPlan(())
-    if not is_recoverable(scheme, failed):
-        raise UnrecoverableError(f"pattern {sorted(failed)} is fatal for {scheme.name}")
-    builder = _PlanBuilder(scheme, failed)
     geo = builder.geo
 
-    if geo.groups:
+    if geo.groups and builder.node_shaped:
         for group in geo.groups:
-            lost = group.failed(failed)
-            if lost:
-                _repair_group(builder, group, lost)
-        if geo.global_slot in failed:
+            failed = group.failed(down)
+            if failed:
+                _repair_group(builder, group, failed)
+        if geo.global_slot in down:
             for gb in geo.global_blocks:
                 builder.recover(gb, _global_terms(builder, gb, geo.global_slot, ()))
+        for b, s in sorted(bad):
+            builder.copy(builder.source(b), s, b)
         return builder.done()
 
-    fully_lost = []
-    for b, slots in sorted(geo.placements.items()):
-        lost = [s for s in slots if s in failed]
-        alive = [s for s in slots if s not in failed]
-        if not lost:
-            continue
-        if alive:
-            for f in lost:
-                builder.copy(alive[0], f, b)
-        else:
-            fully_lost.append(b)
-    for b in fully_lost:
-        dst = min(geo.placements[b])
-        _mirror_rebuild(builder, b, dst)
-        builder.copy(dst, max(geo.placements[b]), b)
+    for b, slots in geo.placements.items():
+        if b not in lost:
+            for s in slots:
+                if s in down or (b, s) in bad:
+                    builder.copy(builder.source(b), s, b)
+    if lost:
+        live = [s for b in lost for s in geo.placements[b] if s not in down]
+        dst = min(live) if live else min(geo.placements[lost[0]])
+        _solve_blocks(builder, lost, dst)
+        for b in lost:
+            for s in geo.placements[b]:
+                if s != dst:
+                    builder.copy(dst, s, b)
     return builder.done()
 
 
 def plan_degraded_read(
-    scheme: Scheme, block_id: int, down_nodes: Iterable[int]
+    scheme: Scheme,
+    block_id: int,
+    down_nodes: Iterable[int],
+    corrupt: Iterable[tuple[int, int]] = (),
 ) -> RepairPlan:
-    """Plan the minimal transfers that deliver one fully-lost block to a
-    designated reader (pseudo-node ``READER_NODE``).
+    """Plan the transfers that deliver one block with no good replica to a
+    designated reader (pseudo-node ``READER_NODE``), given the down slots
+    and the *corrupt* replicas as in ``plan_repair``.
 
     The plan's recoveries also rebuild, from the same transfers, every other
     block its solve determines: in a polygon group, each block on an edge
-    between the group's failed nodes."""
+    between the group's failed nodes.  When a lost block has a live host,
+    or the scheme has no groups, ``_solve_blocks`` plans the read."""
     geo = _geometry(scheme)
     if block_id not in geo.placements:
         raise ValueError(f"unknown block id {block_id}")
-    down = frozenset(_iter_pattern(scheme, down_nodes))
-    hosts = geo.placements[block_id]
-    if any(h not in down for h in hosts):
-        raise BlockAvailableError(f"block {block_id} still has a live copy")
-    if not is_recoverable(scheme, down):
-        raise UnrecoverableError(f"pattern {sorted(down)} is fatal for {scheme.name}")
-
-    builder = _PlanBuilder(scheme, down)
-    if block_id in geo.global_blocks:
+    builder = _PlanBuilder(scheme, down_nodes, corrupt)
+    if block_id not in builder.lost:
+        raise BlockAvailableError(f"block {block_id} still has a good copy")
+    if not (geo.groups and builder.node_shaped):
+        _solve_blocks(builder, [block_id], READER_NODE)
+    elif block_id in geo.global_blocks:
         builder.recover(block_id, _global_terms(builder, block_id, READER_NODE, ()))
-    elif geo.groups:
-        group = geo.group_of[block_id]
-        _solve_group(builder, group, group.failed(down), READER_NODE)
     else:
-        _mirror_rebuild(builder, block_id, READER_NODE)
+        group = geo.group_of[block_id]
+        _solve_group(builder, group, group.failed(builder.down), READER_NODE)
     return builder.done()
 
 

@@ -74,12 +74,6 @@ class ClusterModel:
 
 
 @dataclass(frozen=True)
-class Workload:
-    tasks: tuple[int, ...]  # input block id per task
-    load_pct: float
-
-
-@dataclass(frozen=True)
 class Assignment:
     node_of: tuple[int, ...]
     local: tuple[bool, ...]
@@ -234,9 +228,9 @@ def build_cluster(
     return ClusterModel(node_count, slots_per_node, catalog)
 
 
-def generate_workload(cluster: ClusterModel, load_pct: float, seed: int) -> Workload:
+def generate_workload(cluster: ClusterModel, load_pct: float, seed: int) -> tuple[int, ...]:
     """Draw ``floor(load/100 * nodes * slots)`` task blocks uniformly with
-    replacement from the catalog."""
+    replacement from the catalog: the input block id of each task."""
     if not 0 < load_pct <= 200:
         raise ValueError("load must be in (0, 200] percent")
     if not cluster.catalog:
@@ -244,18 +238,16 @@ def generate_workload(cluster: ClusterModel, load_pct: float, seed: int) -> Work
     count = int(load_pct / 100.0 * cluster.total_slots)
     rng = random.Random(seed)
     blocks = sorted(cluster.catalog)
-    return Workload(tuple(rng.choices(blocks, k=count)), load_pct)
+    return tuple(rng.choices(blocks, k=count))
 
 
 # ---------------------------------------------------------------------------
 # Schedulers
 
 
-def _check_capacity(cluster: ClusterModel, workload: Workload) -> None:
-    if len(workload.tasks) > cluster.total_slots:
-        raise OverloadError(
-            f"{len(workload.tasks)} tasks exceed {cluster.total_slots} slots"
-        )
+def _check_capacity(cluster: ClusterModel, tasks: tuple[int, ...]) -> None:
+    if len(tasks) > cluster.total_slots:
+        raise OverloadError(f"{len(tasks)} tasks exceed {cluster.total_slots} slots")
 
 
 def _fill_remote(free: list[int], task_ids, node_of, local):
@@ -295,7 +287,7 @@ def _augment(start: int, hosts, node_of, on_node, free) -> bool:
     return False
 
 
-def schedule_maxmatch(cluster: ClusterModel, workload: Workload) -> Assignment:
+def schedule_maxmatch(cluster: ClusterModel, tasks: tuple[int, ...]) -> Assignment:
     """Locality-optimal assignment: a maximum matching of tasks to their
     hosting nodes, each node holding up to ``slots_per_node`` tasks, with
     the remainder filled remotely.
@@ -306,8 +298,8 @@ def schedule_maxmatch(cluster: ClusterModel, workload: Workload) -> Assignment:
     count is the maximum.  Each search is a BFS over at most T tasks and
     N nodes.
     """
-    _check_capacity(cluster, workload)
-    hosts = [cluster.catalog[b] for b in workload.tasks]
+    _check_capacity(cluster, tasks)
+    hosts = [cluster.catalog[b] for b in tasks]
     node_of: list[int | None] = [None] * len(hosts)
     on_node: list[list[int]] = [[] for _ in range(cluster.node_count)]
     free = [cluster.slots_per_node] * cluster.node_count
@@ -329,7 +321,7 @@ def schedule_maxmatch(cluster: ClusterModel, workload: Workload) -> Assignment:
 
 def schedule_delay(
     cluster: ClusterModel,
-    workload: Workload,
+    tasks: tuple[int, ...],
     rounds_before_remote: int = 1,
     seed: int = 0,
 ) -> Assignment:
@@ -347,8 +339,7 @@ def schedule_delay(
     """
     if rounds_before_remote < 0:
         raise ValueError("rounds_before_remote must be >= 0")
-    _check_capacity(cluster, workload)
-    tasks = workload.tasks
+    _check_capacity(cluster, tasks)
     n_tasks = len(tasks)
     catalog = cluster.catalog
     node_of: list[int | None] = [None] * n_tasks
@@ -402,7 +393,7 @@ def schedule_delay(
 
 
 def schedule_peeling(
-    cluster: ClusterModel, workload: Workload, seed: int = 0
+    cluster: ClusterModel, tasks: tuple[int, ...], seed: int = 0
 ) -> Assignment:
     """Modified peeling: degree-1 tasks (a single hosting node with free
     slots) are pinned first; otherwise the task with the greatest total
@@ -424,8 +415,7 @@ def schedule_peeling(
     operations for T tasks, h hosts per block and N nodes, against
     O(T^2*h) for rescanning every pending task at every step.
     """
-    _check_capacity(cluster, workload)
-    tasks = workload.tasks
+    _check_capacity(cluster, tasks)
     n_tasks = len(tasks)
     node_of: list[int | None] = [None] * n_tasks
     local = [False] * n_tasks
@@ -502,14 +492,13 @@ SCHEDULERS = ("matching", "delay", "peeling")
 
 def run_scheduler(
     cluster: ClusterModel,
-    workload: Workload,
+    tasks: tuple[int, ...],
     scheduler: str,
     seed: int = 0,
     rounds_before_remote: int = 1,
 ) -> Assignment:
     """Run one scheduler, splitting loads above 100% into sequential waves."""
     capacity = cluster.total_slots
-    tasks = workload.tasks
     if len(tasks) <= capacity:
         waves = [tasks]
     else:
@@ -517,13 +506,12 @@ def run_scheduler(
     nodes: list[int] = []
     locals_: list[bool] = []
     for w, wave in enumerate(waves):
-        sub = Workload(wave, workload.load_pct)
         if scheduler == "matching":
-            a = schedule_maxmatch(cluster, sub)
+            a = schedule_maxmatch(cluster, wave)
         elif scheduler == "delay":
-            a = schedule_delay(cluster, sub, rounds_before_remote, seed + w)
+            a = schedule_delay(cluster, wave, rounds_before_remote, seed + w)
         elif scheduler == "peeling":
-            a = schedule_peeling(cluster, sub, seed + w)
+            a = schedule_peeling(cluster, wave, seed + w)
         else:
             raise ValueError(f"unknown scheduler: {scheduler}")
         nodes.extend(a.node_of)
@@ -591,11 +579,11 @@ def locality_sweep(
                 for rep in range(reps):
                     iseed = _cell_seed(base_seed, scheme.name, mu, load, rep)
                     cluster = build_cluster(scheme, node_count, mu, stripes, iseed)
-                    workload = generate_workload(cluster, load, iseed ^ 0x5BD1E995)
+                    tasks = generate_workload(cluster, load, iseed ^ 0x5BD1E995)
                     for scheduler in schedulers:
                         a = run_scheduler(
                             cluster,
-                            workload,
+                            tasks,
                             scheduler,
                             seed=_cell_seed(iseed, scheduler),
                             rounds_before_remote=rounds_before_remote,

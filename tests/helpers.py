@@ -9,12 +9,16 @@ from typing import Callable, Mapping
 from polycode import codes
 from polycode.codes import (
     ChecksumMismatchError,
+    InconsistentStripeError,
     MissingBlockError,
     RepairPlan,
     Replication,
     Scheme,
+    UnrecoverableError,
     WholeCopy,
     _geometry,
+    _Sums,
+    _transform,
     is_recoverable_mask,
 )
 from polycode.gf256 import scale_bytes
@@ -22,7 +26,6 @@ from polycode.mapsched import (
     Assignment,
     ClusterModel,
     OverloadError,
-    Workload,
     _check_capacity,
     _fill_remote,
     default_stripes,
@@ -44,6 +47,33 @@ def make_checked_reader(blocks: Mapping[int, bytes]) -> Callable[[int], bytes]:
         return data
 
     return reader
+
+
+def oracle_decode(scheme: Scheme, present: Mapping[int, bytes]) -> list[bytes]:
+    """Generic decode oracle: full Gaussian elimination of the surviving
+    linear system over GF(2^8), no scheme-specific shortcuts.  The
+    independent reference that the plan-based ``codes.decode_stripe`` is
+    checked against.
+
+    Raises UnrecoverableError when the surviving rows do not determine the
+    data and InconsistentStripeError when the bytes contradict them.
+    """
+    geo = _geometry(scheme)
+    order = sorted(present)
+    D = scheme.data_block_count
+    consts = [bytes(present[b]) for b in order]
+    rank, transform = _transform([list(geo.rows[b]) for b in order], D)
+    if rank < D:
+        raise UnrecoverableError("surviving blocks do not determine the data")
+    width = len(consts[0])
+    if any(len(c) != width for c in consts):
+        raise ValueError("blocks differ in length")
+    sums = _Sums({k: list(enumerate(t)) for k, t in enumerate(transform)}, width)
+    for i, const in enumerate(consts):
+        sums.feed(i, const)
+    if any(sums.take(k) for k in range(rank, len(transform))):
+        raise InconsistentStripeError("surviving bytes violate parity relations")
+    return [sums.take(k).to_bytes(width, "little") for k in range(D)]
 
 
 def degraded_reads(caplog) -> list[tuple]:
@@ -223,18 +253,18 @@ class _HopcroftKarp:
         return self.match_left
 
 
-def maxmatch_reference(cluster: ClusterModel, workload: Workload) -> Assignment:
+def maxmatch_reference(cluster: ClusterModel, tasks: tuple[int, ...]) -> Assignment:
     """``mapsched.schedule_maxmatch`` as Hopcroft-Karp on the slot-expanded
     task/slot graph: the reference for the local count."""
-    _check_capacity(cluster, workload)
+    _check_capacity(cluster, tasks)
     mu = cluster.slots_per_node
     adjacency = [
         [host * mu + s for host in sorted(cluster.catalog[b]) for s in range(mu)]
-        for b in workload.tasks
+        for b in tasks
     ]
     match = _HopcroftKarp(adjacency).solve()
-    node_of: list[int | None] = [None] * len(workload.tasks)
-    local = [False] * len(workload.tasks)
+    node_of: list[int | None] = [None] * len(tasks)
+    local = [False] * len(tasks)
     free = [mu] * cluster.node_count
     unmatched = []
     for ti, slot in enumerate(match):
@@ -250,12 +280,11 @@ def maxmatch_reference(cluster: ClusterModel, workload: Workload) -> Assignment:
 
 
 def delay_reference(
-    cluster: ClusterModel, workload: Workload, rounds_before_remote: int = 1, seed: int = 0
+    cluster: ClusterModel, tasks: tuple[int, ...], rounds_before_remote: int = 1, seed: int = 0
 ) -> Assignment:
     """``mapsched.schedule_delay`` re-summing each candidate's live hosts
     at every heartbeat: the reference the counted loop must match."""
-    _check_capacity(cluster, workload)
-    tasks = workload.tasks
+    _check_capacity(cluster, tasks)
     n_tasks = len(tasks)
     catalog = cluster.catalog
     node_of: list[int | None] = [None] * n_tasks

@@ -23,7 +23,6 @@ from polycode.codes import (
     encode_stripe,
     execute_plan,
     is_recoverable,
-    oracle_decode,
     plan_degraded_read,
     plan_repair,
     storage_overhead,
@@ -38,7 +37,7 @@ from polycode.reliability import (
     mttdl_montecarlo,
 )
 
-from helpers import degraded_reads, make_checked_reader
+from helpers import degraded_reads, make_checked_reader, oracle_decode
 
 TABLE_SCHEMES = [
     Replication(2),

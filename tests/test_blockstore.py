@@ -291,6 +291,34 @@ def test_block_files_are_opened_and_removed_by_three_helpers_only():
     }
 
 
+def test_the_store_rebuilds_blocks_only_through_plans():
+    """The store calls into ``codes`` only for the geometry, encoding, the
+    decodability test, the two planners and plan execution, raising its
+    errors aside; every transfer it counts is a plan's bandwidth."""
+    tree = ast.parse(Path(blockstore.__file__).read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "codes"
+                for alias in node.names}
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if name.startswith("codes."):
+                called.add(name[len("codes."):])
+            elif name in imported:
+                called.add(name)
+    errors = {n for n in called if isinstance(getattr(codes, n), type)
+              and issubclass(getattr(codes, n), codes.CodeError)}
+    assert called - errors <= {
+        "_geometry", "build_layout", "parse_scheme", "StripeEncoder", "can_decode_from",
+        "plan_repair", "plan_degraded_read", "execute_plan", "memory_reader",
+    }
+    counts = [node for node in ast.walk(tree) if isinstance(node, ast.AugAssign)
+              and ast.unparse(node.target) in ("bandwidth", "self.degraded_transfers")]
+    assert len(counts) == 2
+    assert all(ast.unparse(node.value).endswith(".bandwidth_blocks") for node in counts)
+
+
 def test_kill_removes_orphan_block_files(pentagon_store, tmp_path):
     pentagon_store.put(write_file(tmp_path, 9 * BS, seed=3))
     orphan = pentagon_store.node_dir(2) / "gone.bin.s0_b0_r0.blk"  # a failed put's
@@ -378,9 +406,9 @@ def test_degraded_get_plans_once_per_stripe(tmp_path, monkeypatch, caplog):
     calls = []
     real = codes.plan_degraded_read
 
-    def counting(scheme, block_id, down):
+    def counting(scheme, block_id, down, corrupt=()):
         calls.append(block_id)
-        return real(scheme, block_id, down)
+        return real(scheme, block_id, down, corrupt)
 
     monkeypatch.setattr(codes, "plan_degraded_read", counting)
     caplog.set_level(logging.INFO, logger="polycode.blockstore")
@@ -576,13 +604,21 @@ def test_repair_restores_every_kill_set_fsck_finds_recoverable(tmp_path, name):
     assert recoverable > 100
 
 
+# the transfers of the degraded read and of the repair: one solve over the
+# lost blocks reads the good parity rows it picks and the known data they
+# cover; repair also copies each replica on a down slot from its good twin
+# and the solved blocks on to their other hosts
+LOST_ON_LIVE_SLOTS = {"pentagon": (9, 11), "heptagon": (20, 22), "heptagon-local": (40, 48)}
+
+
 @pytest.mark.parametrize("name,down,lost", [  # down slots; the slots of a block lost on both
     ("pentagon", (0,), (1, 2)),
     ("heptagon", (0,), (1, 2)),
     ("heptagon-local", (0, 1), (2, 3)),
 ])
 def test_a_block_lost_on_live_slots_beside_a_down_one_is_read_and_repaired(tmp_path, name,
-                                                                          down, lost, caplog):
+                                                                          down, lost, caplog,
+                                                                          monkeypatch):
     # the slots down + lost are a fatal pattern, yet the stripe lost only
     # the blocks held on down slots alone and the one corrupt on both hosts
     scheme = codes.parse_scheme(name)
@@ -599,13 +635,21 @@ def test_a_block_lost_on_live_slots_beside_a_down_one_is_read_and_repaired(tmp_p
         store.kill_node(node)
     assert not codes.is_recoverable(scheme, {*down, *lost})
     assert not store.fsck().fatal_stripes
-    good = [b for b, slots in geo.placements.items()
-            if b != block_id and not set(slots) <= set(down)]
+    read, moved = LOST_ON_LIVE_SLOTS[name]
     caplog.set_level(logging.INFO, logger="polycode.blockstore")
     assert store.get(src.name) == src.read_bytes()
-    assert len(good) in [bw for *_, bw in degraded_reads(caplog)]  # a transfer per block read
+    assert [bw for *_, bw in degraded_reads(caplog)] == [read]
+    executed = []
+    real = codes.execute_plan
+
+    def recording(plan, reader):
+        executed.append(plan)
+        return real(plan, reader)
+
+    monkeypatch.setattr(codes, "execute_plan", recording)
     result = store.repair()
-    assert result.bandwidth_blocks == len(good) + sum(len(geo.blocks_on[s]) for s in {*down, *lost})
+    (plan,) = executed
+    assert result.bandwidth_blocks == sum(t.src != t.dst for t in plan.transfers) == moved
     assert store.fsck().is_clean
     assert store.get(src.name) == src.read_bytes()
 

@@ -559,12 +559,17 @@ _GET = ["get", *_STORE, "--name", "f", "--output", "o"]
     *[("s/store.json", "[]", ["store", *argv]) for argv in (
         ["put", *_STORE, "--file", "f"], _GET, ["kill", *_STORE, "--node", "0"],
         ["revive", *_STORE, "--node", "0"], ["fsck", *_STORE], ["repair", *_STORE])],
+    *[("s/f.manifest.json", order, ["store", *argv])
+      for order in ([0, 0, 2, 3, 4], [0, 1, 2, 3, 9])
+      for argv in (["fsck", *_STORE], _GET, ["repair", *_STORE])],
 ])
 def test_malformed_metadata_is_an_error_that_names_its_file(tmp_path, monkeypatch, capsys,
                                                               target, text, argv):
     """A stripe.json, manifest or store.json that lacks a field the command
     reads is refused by name, with no traceback.  text None: drop the
-    "nodes" of one block entry."""
+    "nodes" of one block entry; a list: the node_order of the manifest's
+    stripe, which repeats a node or names one outside the store, and
+    nothing is written."""
     monkeypatch.chdir(tmp_path)
     Path("f").write_bytes(random.Random(3).randbytes(300))
     setups = (
@@ -578,9 +583,15 @@ def test_malformed_metadata_is_an_error_that_names_its_file(tmp_path, monkeypatc
         meta = json.loads(Path(target).read_text())
         del meta["blocks"]["3"]["nodes"]
         text = json.dumps(meta)
+    elif isinstance(text, list):
+        meta = json.loads(Path(target).read_text())
+        meta["stripes"][0]["node_order"] = text
+        text = json.dumps(meta)
     Path(target).write_text(text)
+    before = {p: p.read_bytes() for p in Path("s").glob("n*/*")}
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "") and err.startswith(f"error: {target} is malformed"), err
+    assert {p: p.read_bytes() for p in Path("s").glob("n*/*")} == before
 
 
 def test_sim_locality_csv(tmp_path, capsys):

@@ -37,7 +37,6 @@ from polycode.codes import (
     execute_plan,
     is_recoverable,
     is_recoverable_mask,
-    oracle_decode,
     parse_scheme,
     plan_degraded_read,
     plan_repair,
@@ -47,7 +46,7 @@ from polycode.codes import (
 )
 from polycode.gf256 import scale_bytes
 
-from helpers import execute_plan_reference, make_checked_reader
+from helpers import execute_plan_reference, make_checked_reader, oracle_decode
 
 ALL_SCHEMES = [
     Replication(2),
@@ -378,9 +377,9 @@ def test_decode_plans_once_per_group(monkeypatch):
     calls = []
     real = codes.plan_degraded_read
 
-    def counting(scheme, block_id, down):
+    def counting(scheme, block_id, down, corrupt=()):
         calls.append(block_id)
-        return real(scheme, block_id, down)
+        return real(scheme, block_id, down, corrupt)
 
     monkeypatch.setattr(codes, "plan_degraded_read", counting)
     # three nodes of one heptagon: three lost data blocks, one solve
@@ -398,9 +397,23 @@ def test_decode_block_left_out_of_surviving_view():
     assert decode_stripe(scheme, views, {0}) == data
 
 
-def test_decode_falls_back_to_oracle_when_a_plan_meets_a_fatal_slot_pattern():
-    # block 4 is edge (1, 2): left out of both live hosts, its degraded read
-    # has slots {0, 1, 2} down, which is fatal for a pentagon, yet the
+def recorded_plans(monkeypatch):
+    """The bandwidth of each degraded-read plan made from here on."""
+    counts = []
+    real = codes.plan_degraded_read
+
+    def recording(*args):
+        plan = real(*args)
+        counts.append(plan.bandwidth_blocks)
+        return plan
+
+    monkeypatch.setattr(codes, "plan_degraded_read", recording)
+    return counts
+
+
+def test_decode_plans_a_block_left_out_where_its_slots_would_be_fatal(monkeypatch):
+    # block 4 is edge (1, 2): left out of both live hosts, so slots
+    # {0, 1, 2} hold no copy of it, a fatal pattern for a pentagon, yet the
     # blocks that are present still determine the data
     rng = random.Random(14)
     scheme = Polygon(5)
@@ -410,34 +423,32 @@ def test_decode_falls_back_to_oracle_when_a_plan_meets_a_fatal_slot_pattern():
         for n, blocks_on in surviving_view(scheme, blocks, {0}).items()
     }
     assert can_decode_from(scheme, {b for blocks_on in views.values() for b in blocks_on})
+    plans = recorded_plans(monkeypatch)
     assert decode_stripe(scheme, views, {0}) == data
+    assert plans == [9]  # the parity and the 8 other data blocks
 
 
-def test_decode_falls_back_to_oracle_when_a_plan_needs_a_missing_block(monkeypatch):
+def test_decode_plans_around_a_block_missing_on_live_slots(monkeypatch):
     rng = random.Random(13)
     scheme = HeptagonLocal()
     data, blocks = full_blocks(scheme, rng, size=64)
-    calls = []
-    real = codes.oracle_decode
-
-    def counting(scheme, present):
-        calls.append(scheme)
-        return real(scheme, present)
-
-    monkeypatch.setattr(codes, "oracle_decode", counting)
+    plans = recorded_plans(monkeypatch)
     pattern = {0, 1}
     assert decode_stripe(scheme, surviving_view(scheme, blocks, pattern), pattern) == data
-    assert calls == []  # every block a plan reads is present: plans alone
+    assert plans == [5]  # block 0 from the heptagon's 5 XOR partials
     # block 11 is edge (2, 3): missing on both its live hosts, and the
-    # degraded reads of the blocks lost with slots 0 and 1 route through it
+    # degraded read of block 0 would route through it
     views = {
         n: {b: v for b, v in blocks_on.items() if b != 11}
         for n, blocks_on in surviving_view(scheme, blocks, pattern).items()
     }
     present = {b for blocks_on in views.values() for b in blocks_on}
     assert can_decode_from(scheme, present)
+    plans.clear()
     assert decode_stripe(scheme, views, pattern) == data
-    assert len(calls) == 1
+    # one solve for blocks 0 and 11: the heptagon's XOR parity, a global
+    # parity and the 38 other data blocks
+    assert plans == [40]
 
 
 def test_decode_verifies_blocks_the_plan_never_reads():
@@ -711,6 +722,60 @@ def test_degraded_read_errors():
         plan_degraded_read(Replication(2), 0, {0, 1})
     with pytest.raises(UnrecoverableError):
         plan_degraded_read(Polygon(5), 0, {0, 1, 2})
+
+
+@st.composite
+def damage(draw):
+    """A scheme, its down slots, the corrupt replicas on live slots, and
+    corrupt replicas on down slots, which are lost with them anyway."""
+    scheme = parse_scheme(draw(st.sampled_from(
+        ["pentagon", "heptagon", "heptagon-local", "polygon-6", "raidm-3"])))
+    placements = geometry(scheme).placements
+    down = draw(st.sets(st.integers(0, scheme.code_length - 1), max_size=3))
+    replicas = [(b, s) for b, slots in placements.items() for s in slots]
+    hurt = draw(st.sets(st.sampled_from(replicas), max_size=4))
+    return scheme, down, {r for r in hurt if r[1] not in down}, {r for r in hurt if r[1] in down}
+
+
+@settings(max_examples=200, deadline=None)
+@given(damage(), st.integers(0, 2**31))
+def test_plans_restore_every_damaged_replica_when_the_good_blocks_decode(case, seed):
+    scheme, down, corrupt, on_down = case
+    geo = geometry(scheme)
+    data, blocks = full_blocks(scheme, random.Random(seed), size=16)
+    damaged = {(b, s) for b, slots in geo.placements.items() for s in slots if s in down}
+    damaged |= corrupt
+    lost = [b for b, slots in geo.placements.items() if all((b, s) in damaged for s in slots)]
+    if not can_decode_from(scheme, set(geo.placements) - set(lost)):
+        with pytest.raises(UnrecoverableError):
+            plan_repair(scheme, down, corrupt)
+        for b in lost:
+            with pytest.raises(UnrecoverableError):
+                plan_degraded_read(scheme, b, down, corrupt)
+        return
+    # serves only good replicas: any plan that reads a lost block fails
+    reader = make_checked_reader({b: v for b, v in blocks.items() if b not in lost})
+    plan = plan_repair(scheme, down, corrupt)
+    assert plan.bandwidth_blocks == sum(t.src != t.dst for t in plan.transfers)
+    recovered = execute_plan(plan, reader)
+    assert {b for b, _ in damaged} <= set(recovered)
+    assert all(recovered[b] == blocks[b] for b in recovered)
+    # a corrupt replica on a down slot changes no plan, so with none on a
+    # live slot the plan is the one for corrupt=()
+    assert plan_repair(scheme, down, corrupt | on_down) == plan
+    for b in lost:
+        read = plan_degraded_read(scheme, b, down, corrupt)
+        assert read.bandwidth_blocks == sum(t.src != t.dst for t in read.transfers)
+        got = execute_plan(read, reader)
+        assert b in got and all(got[x] == blocks[x] for x in got)
+        assert plan_degraded_read(scheme, b, down, corrupt | on_down) == read
+
+
+def test_planners_refuse_a_corrupt_replica_that_is_not_there():
+    with pytest.raises(ValueError):
+        plan_repair(Polygon(5), {0}, [(4, 3)])  # block 4 is edge (1, 2)
+    with pytest.raises(BlockAvailableError):
+        plan_degraded_read(Polygon(5), 4, {0}, [(4, 1)])  # slot 2 holds it good
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from polycode.mapsched import (
     Assignment,
     ClusterModel,
     OverloadError,
-    Workload,
     _check_capacity,
     _fill_remote,
     _sample_range,
@@ -101,16 +100,16 @@ def test_cluster_validation():
 def test_workload_counts_match_load_definition():
     cluster = build_cluster(Replication(2), 100, 4, stripes=200, seed=1)
     workload = generate_workload(cluster, 62.5, seed=2)
-    assert len(workload.tasks) == 250
+    assert len(workload) == 250
     cluster = build_cluster(Replication(2), 25, 2, stripes=50, seed=1)
-    assert len(generate_workload(cluster, 100, seed=2).tasks) == 50
+    assert len(generate_workload(cluster, 100, seed=2)) == 50
 
 
 def test_workload_determinism_and_validation():
     cluster = build_cluster(Polygon(5), 25, 4, stripes=10, seed=3)
     a = generate_workload(cluster, 75, seed=4)
     assert a == generate_workload(cluster, 75, seed=4)
-    assert all(b in cluster.catalog for b in a.tasks)
+    assert all(b in cluster.catalog for b in a)
     with pytest.raises(ValueError):
         generate_workload(cluster, 0, seed=1)
     with pytest.raises(ValueError):
@@ -182,15 +181,15 @@ def test_matching_and_delay_match_references():
                 for load in (10, rng.randrange(11, 100), 100, rng.randrange(101, 200), 200):
                     w = generate_workload(cluster, load, iseed + load)
                     size = cluster.total_slots
-                    for k in range(0, len(w.tasks), size):
-                        wave = Workload(w.tasks[k : k + size], load)
+                    for k in range(0, len(w), size):
+                        wave = w[k : k + size]
                         got = schedule_maxmatch(cluster, wave)
                         want = maxmatch_reference(cluster, wave)
                         assert got.local_tasks == want.local_tasks, (name, nodes, slots, load)
                         assert occupancy_ok(cluster, got)
                         assert all(
                             (v in cluster.catalog[b]) == ok
-                            for v, b, ok in zip(got.node_of, wave.tasks, got.local)
+                            for v, b, ok in zip(got.node_of, wave, got.local)
                         )
                         for rounds in range(4):
                             seed = rng.randrange(1 << 30)
@@ -205,7 +204,7 @@ def test_maxmatch_augments_through_a_full_node():
     # greedy puts task 0 on node 0, its first host; task 1 can only use
     # node 0, so task 0 must move to node 1 for both to be local
     cluster = make_cluster({0: {0, 1}, 1: {0}}, 2, 1)
-    a = schedule_maxmatch(cluster, Workload((0, 1), 100.0))
+    a = schedule_maxmatch(cluster, (0, 1))
     assert a == Assignment((1, 0), (True, True))
 
 
@@ -216,7 +215,7 @@ def test_maxmatch_augments_through_a_full_node():
 def test_maxmatch_distinct_hosts_all_local():
     catalog = {b: {b} for b in range(10)}
     cluster = make_cluster(catalog, 10, 1)
-    workload = Workload(tuple(range(10)), 100.0)
+    workload = tuple(range(10))
     a = schedule_maxmatch(cluster, workload)
     assert a.locality_pct == 100.0
     assert occupancy_ok(cluster, a)
@@ -225,7 +224,7 @@ def test_maxmatch_distinct_hosts_all_local():
 def test_maxmatch_capacity_bound():
     # 4 tasks all on node 0 with 2 slots: exactly 2 can be local
     cluster = make_cluster({0: {0}}, 3, 2)
-    workload = Workload((0, 0, 0, 0), 100.0)
+    workload = (0, 0, 0, 0)
     a = schedule_maxmatch(cluster, workload)
     assert a.local_tasks == 2
     assert a.remote_blocks == 2
@@ -235,19 +234,19 @@ def test_maxmatch_capacity_bound():
 def test_maxmatch_overload():
     cluster = make_cluster({0: {0}}, 2, 1)
     with pytest.raises(OverloadError):
-        schedule_maxmatch(cluster, Workload((0, 0, 0), 150.0))
+        schedule_maxmatch(cluster, (0, 0, 0))
 
 
 def test_delay_all_local_when_spread():
     catalog = {b: {b} for b in range(8)}
     cluster = make_cluster(catalog, 8, 2)
-    a = schedule_delay(cluster, Workload(tuple(range(8)), 50.0), rounds_before_remote=5, seed=1)
+    a = schedule_delay(cluster, tuple(range(8)), rounds_before_remote=5, seed=1)
     assert a.locality_pct == 100.0
 
 
 def test_delay_zero_rounds_is_greedy_first_fit():
     cluster = make_cluster({0: {0}, 1: {1}}, 2, 1)
-    workload = Workload((0, 1), 100.0)
+    workload = (0, 1)
     a = schedule_delay(cluster, workload, rounds_before_remote=0, seed=0)
     assert occupancy_ok(cluster, a)
     b = schedule_maxmatch(cluster, workload)
@@ -265,7 +264,7 @@ def test_delay_determinism():
 def test_peeling_degree_one_first():
     # task 0's only live host is node 0; task 1 could go to node 0 or 1
     cluster = make_cluster({10: {0}, 11: {0, 1}}, 2, 1)
-    a = schedule_peeling(cluster, Workload((10, 11), 100.0), seed=0)
+    a = schedule_peeling(cluster, (10, 11), seed=0)
     assert a.local == (True, True)
     assert a.node_of == (0, 1)
 
@@ -280,11 +279,10 @@ def test_peeling_never_beats_matching():
         assert occupancy_ok(cluster, peel)
 
 
-def _peeling_reference(cluster, workload, seed=0):
+def _peeling_reference(cluster, tasks, seed=0):
     """The O(T^2*h) peeling loop that rescans every pending task at every
     step; ``schedule_peeling`` must give exactly its assignments."""
-    _check_capacity(cluster, workload)
-    tasks = workload.tasks
+    _check_capacity(cluster, tasks)
     n_tasks = len(tasks)
     node_of = [None] * n_tasks
     local = [False] * n_tasks
@@ -355,10 +353,10 @@ def test_peeling_waves_match_reference(load):
         w = generate_workload(cluster, load, seed=load + 1)
         expected_nodes, expected_local = [], []
         size = cluster.total_slots
-        waves = [w.tasks[i : i + size] for i in range(0, len(w.tasks), size)]
+        waves = [w[i : i + size] for i in range(0, len(w), size)]
         assert len(waves) == 2
         for k, wave in enumerate(waves):
-            a = _peeling_reference(cluster, Workload(wave, load), seed=7 + k)
+            a = _peeling_reference(cluster, wave, seed=7 + k)
             expected_nodes.extend(a.node_of)
             expected_local.extend(a.local)
         got = run_scheduler(cluster, w, "peeling", seed=7)
@@ -372,7 +370,7 @@ def test_peeling_remote_order_when_hosts_fill_together(seed):
     # 1; when node 1 fills, the other two lose their last host at the same
     # step and must be filled remotely in shuffled order: nodes 2, then 3.
     cluster = make_cluster({0: {0, 1}}, 4, 1)
-    workload = Workload((0, 0, 0, 0), 100.0)
+    workload = (0, 0, 0, 0)
     order = list(range(4))
     random.Random(seed).shuffle(order)
     a = schedule_peeling(cluster, workload, seed)
@@ -386,12 +384,12 @@ def test_peeling_hostless_block_goes_remote_first(seed):
     # block 0 has no host at all: its tasks head the remote list in shuffled
     # order, while both block-1 tasks are pinned to node 0
     cluster = make_cluster({0: set(), 1: {0}}, 2, 2)
-    workload = Workload((0, 1, 0, 1), 100.0)
+    workload = (0, 1, 0, 1)
     a = schedule_peeling(cluster, workload, seed)
     assert a == _peeling_reference(cluster, workload, seed)
     assert a.node_of == (1, 0, 1, 0)
     assert a.local == (False, True, False, True)
-    single = schedule_peeling(make_cluster({0: set(), 1: {0}}, 2, 1), Workload((0, 1), 100.0))
+    single = schedule_peeling(make_cluster({0: set(), 1: {0}}, 2, 1), (0, 1))
     assert single == Assignment((1, 0), (False, True))
 
 
@@ -400,7 +398,7 @@ def test_schedulers_fill_every_task():
     w = generate_workload(cluster, 100, seed=4)
     for name in ("matching", "delay", "peeling"):
         a = run_scheduler(cluster, w, name, seed=5)
-        assert a.total == len(w.tasks)
+        assert a.total == len(w)
         assert None not in a.node_of
         assert occupancy_ok(cluster, a)
 
@@ -408,7 +406,7 @@ def test_schedulers_fill_every_task():
 def test_run_scheduler_waves_above_full_load():
     cluster = build_cluster(Replication(2), 25, 2, stripes=100, seed=6)
     w = generate_workload(cluster, 150, seed=7)
-    assert len(w.tasks) == 75  # 1.5x the 50 slots
+    assert len(w) == 75  # 1.5x the 50 slots
     a = run_scheduler(cluster, w, "matching")
     assert a.total == 75  # two sequential waves
     with pytest.raises(OverloadError):
