@@ -160,17 +160,13 @@ COMMANDS: dict[str, list[tuple[str, dict]]] = {
 }
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the leaf parsers it holds, by COMMANDS key:
-    the whole tree, so help and usage errors list every choice."""
-    import argparse
-
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree, so help and usage errors list every choice."""
     _Parser = _parser_class()
     parser = _Parser(prog="polycode", description=__doc__)
     parser.add_argument("--config", help="key=value file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     groups = {}  # group name -> its subparsers action
-    registry: dict[str, argparse.ArgumentParser] = {}
     for name in COMMANDS:
         group, _, leaf = name.partition(" ")
         if not leaf:
@@ -183,19 +179,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
             p = groups[group].add_parser(leaf)
         for flag, kwargs in COMMANDS[name]:
             p.add_argument(flag, **kwargs)
-        p.add_argument("--config", help=argparse.SUPPRESS)
-        registry[name] = p
-    return parser, registry
+    return parser
 
 
 def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
-    """The attributes build_parser()[0].parse_args(argv) gives, read
-    straight from COMMANDS, for a plain argv: a leaf command followed by
-    exact '--flag value' pairs and bare store_true flags, no value starting
-    with '-' other than '-' itself.  None for any other argv (help,
-    --config, abbreviations, '--flag=value', negative numbers, unknown
-    tokens, a failed conversion or choice, a missing required flag), which
-    argparse then parses and reports as it always has."""
+    """The attributes build_parser().parse_args(argv) gives, read straight
+    from COMMANDS, for a plain argv: a leaf command followed by exact
+    '--flag value' pairs and bare store_true flags, no value starting with
+    '-' other than '-' itself.  None for any other argv (help, abbreviations,
+    '--flag=value' and so every value from a --config file, negative
+    numbers, unknown tokens, a failed conversion or choice, a missing
+    required flag), which argparse then parses and reports as it always
+    has."""
     if argv[:1] == ["report"]:
         key, pos, values = "report", 1, {"command": "report"}
     elif len(argv) >= 2 and f"{argv[0]} {argv[1]}" in COMMANDS:
@@ -241,82 +236,56 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(config=None, **values)
 
 
-def _extract_config_path(argv: list[str]) -> str | None:
-    for i, tok in enumerate(argv):
+def _expand_config(argv: list[str]) -> list[str]:
+    """*argv* with each '--config FILE' (or '--config=FILE') taken out,
+    wherever it stands, and the file's key=value lines written back right
+    after the command words: '--key=value', or a bare '--key' for a true
+    switch.  Flags typed on the line come later, so they win, and argparse
+    checks the file's values exactly as it checks flags.  A key is a flag
+    of the command, with '_' or '-' between words."""
+    rest, paths = [], []
+    tokens = iter(argv)
+    for tok in tokens:
         if tok == "--config":
-            if i + 1 >= len(argv):
+            arg = next(tokens, None)
+            if arg is None:
                 raise UsageError("--config needs a value")
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
-
-
-def _command_key(argv: list[str]) -> str | None:
-    """The '<command> <subcommand>' (or 'report') key named by argv, config
-    tokens excluded; it need not be a key of COMMANDS."""
-    rest = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config" or tok.startswith("--config="):
-            i += 1 if "=" in tok else 2
-            continue
-        rest.append(tok)
-        i += 1
-    if not rest or rest[0].startswith("-"):
-        return None
-    if rest[0] == "report":
-        return "report"
-    if len(rest) >= 2 and not rest[1].startswith("-"):
-        return f"{rest[0]} {rest[1]}"
-    return None
-
-
-def _apply_config(registry: dict[str, argparse.ArgumentParser], argv: list[str]) -> None:
-    """Install config values as the target subcommand's defaults (and lift
-    their required flags), so explicit argv flags keep precedence."""
-    import argparse
-
-    config_path = _extract_config_path(argv)
-    if config_path is None:
-        return
-    path = Path(config_path)
-    if not path.exists():
-        raise UsageError(f"config file not found: {path}")
-    values = {}
-    for ln, line in enumerate(path.read_text().splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise UsageError(f"{path}:{ln}: expected key=value")
-        values[key.strip().replace("-", "_")] = value.strip()
-
-    key = _command_key(argv)
+            paths.append(arg)
+        elif tok.startswith("--config="):
+            paths.append(tok.partition("=")[2])
+        else:
+            rest.append(tok)
+    if not paths:
+        return argv
+    words = 1 if rest[:1] == ["report"] else 2
+    key = " ".join(rest[:words])
     if key not in COMMANDS:
         raise UsageError("--config requires a recognizable subcommand")
-    known = {
-        a.dest: a for a in registry[key]._actions if a.dest not in ("help", "config")
-    }
-    unknown = set(values) - set(known)
+    options = {flag[2:].replace("-", "_"): (flag, kwargs) for flag, kwargs in COMMANDS[key]}
+    pairs, unknown = [], set()
+    for path in map(Path, paths):
+        if not path.exists():
+            raise UsageError(f"config file not found: {path}")
+        for ln, line in enumerate(path.read_text().splitlines(), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            name, sep, value = line.partition("=")
+            if not sep:
+                raise UsageError(f"{path}:{ln}: expected key=value")
+            name = name.strip().replace("-", "_")
+            if name not in options:
+                unknown.add(name)
+                continue
+            flag, kwargs = options[name]
+            value = value.strip()
+            if kwargs.get("action") != "store_true":
+                pairs.append(f"{flag}={value}")
+            elif value.lower() in ("1", "true", "yes"):
+                pairs.append(flag)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    defaults = {}
-    for dest, raw in values.items():
-        action = known[dest]
-        if isinstance(action, argparse._StoreTrueAction):
-            defaults[dest] = raw.lower() in ("1", "true", "yes")
-        elif action.type is not None:
-            defaults[dest] = action.type(raw)
-        else:
-            defaults[dest] = raw
-    target = registry[key]
-    target.set_defaults(**defaults)
-    for action in target._actions:
-        if action.dest in defaults:
-            action.required = False
+    return [*rest[:words], *pairs, *rest[words:]]
 
 
 # ---------------------------------------------------------------------------
@@ -476,19 +445,37 @@ def _cmd_code_decode(args) -> int:
     import json
 
     src = Path(args.in_dir)
-    meta = json.loads((src / "stripe.json").read_text())
+    malformed = ValueError(f"{src / 'stripe.json'} is malformed")
+    try:
+        meta = json.loads((src / "stripe.json").read_bytes())
+    except ValueError:  # not JSON, or not UTF-8
+        raise malformed from None
     if not (isinstance(meta, dict) and isinstance(meta.get("scheme"), str)
             and isinstance(meta.get("original_size"), int) and isinstance(meta.get("blocks"), dict)
             and all(isinstance(b, dict) and isinstance(b.get("file"), str) and "crc32" in b
                     and isinstance(b.get("nodes"), list) and all(type(n) is int for n in b["nodes"])
                     for b in meta["blocks"].values())):
-        raise ValueError(f"{src / 'stripe.json'} is malformed")
+        raise malformed
     scheme = parse_scheme(meta["scheme"])
-    killed = set(_parse_int_list(args.killed))
+    placements = codes._geometry(scheme).placements
+    slot_of: dict[int, int] = {}  # node id -> the slot it plays, from each block's hosts
+    for block_id, info in meta["blocks"].items():
+        slots = placements.get(int(block_id) if block_id.isdecimal() else None, ())
+        if len(info["nodes"]) != len(slots) or any(
+            slot_of.setdefault(n, s) != s for n, s in zip(info["nodes"], slots)
+        ):
+            raise malformed
+    if len(set(slot_of.values())) != len(slot_of):  # two nodes play one slot
+        raise malformed
+    killed = set()
+    for node in _parse_int_list(args.killed):
+        if node not in slot_of:
+            raise ValueError(f"node {node} holds no block of the stripe")
+        killed.add(slot_of[node])
     surviving: dict[int, dict[int, bytes]] = {}
     for block_id, info in meta["blocks"].items():
         block_id = int(block_id)
-        hosts = [n for n in info["nodes"] if n not in killed]
+        hosts = [s for s in placements[block_id] if s not in killed]
         if not hosts:
             continue
         try:
@@ -666,11 +653,8 @@ def _domain_errors() -> tuple[type[Exception], ...]:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _parse_plain(argv)
-        if args is None:
-            parser, registry = build_parser()
-            _apply_config(registry, argv)
-            args = parser.parse_args(argv)
+        argv = _expand_config(argv)
+        args = _parse_plain(argv) or build_parser().parse_args(argv)
         if args.command == "code":
             handler = {
                 "info": _cmd_code_info,

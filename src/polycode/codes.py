@@ -809,13 +809,14 @@ def _group_xor(builder, group: _Group, failed: list[int], dst: int):
     """One XOR partial per surviving node of *group*, sent to *dst*, that
     together cover every block of the group not on an edge between two
     *failed* nodes: an edge touching a failed node goes to its surviving
-    end, a survivor-survivor edge to its lower end.  Their sum is the XOR
-    of the blocks between failed nodes.  Returns (transfer, 1) terms."""
+    end, a survivor-survivor edge to its lower end unless that end's
+    replica is corrupt.  Their sum is the XOR of the blocks between failed
+    nodes.  Returns (transfer, 1) terms."""
     cover: dict[int, list[tuple[int, int]]] = {}
     for (i, j), b in group.block_of.items():
         if i in failed and j in failed:
             continue
-        owner = j if i in failed else i
+        owner = j if i in failed or (b, group.slots[i]) in builder.bad else i
         cover.setdefault(owner, []).append((b, 1))
     return [(builder.partial(group.slots[s], dst, cover[s]), 1) for s in sorted(cover)]
 
@@ -824,7 +825,7 @@ def _global_terms(builder, block: int, dst: int, skip):
     """Transfer terms, sent to *dst*, whose sum is global parity *block*'s
     alpha-weighted sum over every data block whose index is not in *skip*.
 
-    Each data block is read from its lowest live host, else from the slot
+    Each data block is read from its lowest good host, else from the slot
     holding a copy rebuilt earlier in the plan, else through the XOR
     partials of its group, sent once per destination.
     """
@@ -835,9 +836,10 @@ def _global_terms(builder, block: int, dst: int, skip):
     for i, b in geo.data_block_of.items():
         if i in skip:
             continue
-        alive = [s for s in geo.placements[b] if s not in builder.down]
-        if alive:
-            src = min(alive)
+        good = [s for s in geo.placements[b]
+                if s not in builder.down and (b, s) not in builder.bad]
+        if good:
+            src = min(good)
         elif i in builder.recovered:
             src = builder.recovered[i]
         else:

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import random
@@ -61,17 +62,37 @@ def test_missing_flag_is_usage_error(capsys):
     assert code == 2
 
 
-def test_encode_decode_roundtrip(tmp_path, capsys):
+@pytest.mark.parametrize("name", cli.REPORT_SCHEMES)
+def test_encode_decode_roundtrip(name, tmp_path, capsys):
+    """Decode with no node killed and with each recoverable kill of one or
+    two node ids; a RAID+m or replication stripe sits on nodes in a random
+    order, so a node id is not its slot."""
     src = tmp_path / "input.bin"
     src.write_bytes(random.Random(1).randbytes(5000))
-    code, *_ = run(capsys, "code", "encode", "--scheme", "pentagon",
+    code, *_ = run(capsys, "code", "encode", "--scheme", name,
                    "--input", str(src), "--out-dir", str(tmp_path / "stripe"))
     assert code == 0
+    scheme = codes.parse_scheme(name)
+    order = codes.build_layout(scheme, range(scheme.code_length), 0)  # node of each slot
+    kills = [()] + [k for size in (1, 2) for k in itertools.combinations(order, size)
+                    if codes.is_recoverable(scheme, {order.index(n) for n in k})]
     out_file = tmp_path / "out.bin"
-    code, *_ = run(capsys, "code", "decode", "--in-dir", str(tmp_path / "stripe"),
-                   "--killed", "0,1", "--output", str(out_file))
-    assert code == 0
-    assert out_file.read_bytes() == src.read_bytes()
+    for killed in kills:
+        code, _, err = run(capsys, "code", "decode", "--in-dir", str(tmp_path / "stripe"),
+                           "--killed", ",".join(map(str, killed)), "--output", str(out_file))
+        assert code == 0, (killed, err)
+        assert out_file.read_bytes() == src.read_bytes(), killed
+        out_file.unlink()
+
+
+def test_decode_refuses_a_killed_node_that_holds_no_block(tmp_path, capsys):
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"x" * 900)
+    run(capsys, "code", "encode", "--scheme", "pentagon",
+        "--input", str(src), "--out-dir", str(tmp_path / "stripe"))
+    code, out, err = run(capsys, "code", "decode", "--in-dir", str(tmp_path / "stripe"),
+                         "--killed", "0,5", "--output", str(tmp_path / "out.bin"))
+    assert (code, out, err) == (1, "", "error: node 5 holds no block of the stripe\n")
 
 
 def test_decode_unrecoverable_exit_one(tmp_path, capsys):
@@ -562,14 +583,19 @@ _GET = ["get", *_STORE, "--name", "f", "--output", "o"]
     *[("s/f.manifest.json", order, ["store", *argv])
       for order in ([0, 0, 2, 3, 4], [0, 1, 2, 3, 9])
       for argv in (["fsck", *_STORE], _GET, ["repair", *_STORE])],
+    ("stripe/stripe.json", "not json", _DECODE),
+    ("stripe/stripe.json", b"\xff\xfe", _DECODE),
+    *[("stripe/stripe.json", nodes, _DECODE) for nodes in ([0], [0, 1, 2], [1, 0], [5, 4])],
 ])
 def test_malformed_metadata_is_an_error_that_names_its_file(tmp_path, monkeypatch, capsys,
                                                               target, text, argv):
-    """A stripe.json, manifest or store.json that lacks a field the command
-    reads is refused by name, with no traceback.  text None: drop the
-    "nodes" of one block entry; a list: the node_order of the manifest's
-    stripe, which repeats a node or names one outside the store, and
-    nothing is written."""
+    """A stripe.json, manifest or store.json that is not JSON or lacks a
+    field the command reads is refused by name, with no traceback.  text
+    None: drop the "nodes" of one block entry; a list: the "nodes" of
+    stripe.json's block 3 (edge (0, 4)), of the wrong length, naming node
+    1 as a second slot or a second node for slot 0, or the node_order of
+    the manifest's stripe, which repeats a node or names one outside the
+    store, and nothing is written."""
     monkeypatch.chdir(tmp_path)
     Path("f").write_bytes(random.Random(3).randbytes(300))
     setups = (
@@ -585,9 +611,12 @@ def test_malformed_metadata_is_an_error_that_names_its_file(tmp_path, monkeypatc
         text = json.dumps(meta)
     elif isinstance(text, list):
         meta = json.loads(Path(target).read_text())
-        meta["stripes"][0]["node_order"] = text
+        if "blocks" in meta:
+            meta["blocks"]["3"]["nodes"] = text
+        else:
+            meta["stripes"][0]["node_order"] = text
         text = json.dumps(meta)
-    Path(target).write_text(text)
+    Path(target).write_bytes(text if isinstance(text, bytes) else text.encode())
     before = {p: p.read_bytes() for p in Path("s").glob("n*/*")}
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "") and err.startswith(f"error: {target} is malformed"), err
@@ -696,6 +725,42 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "bogus_option" in err
 
 
+@pytest.mark.parametrize("line, flag, message", [
+    ("reps=abc", "--reps", "usage error: argument --reps: invalid int value: 'abc'\n"),
+    ("mode=bogus", "--mode", "usage error: argument --mode: invalid choice: 'bogus'"
+                             " (choose from 'parallel', 'serial')\n"),
+])
+def test_config_values_are_checked_as_flags_are(tmp_path, capsys, line, flag, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{line}\n")
+    key = "sim locality" if flag == "--reps" else "sim reliability"
+    argv = [*key.split(), "--scheme", "pentagon", "--seed", "1"]
+    assert run(capsys, *argv, "--config", str(cfg)) == (2, "", message)
+    value = line.partition("=")[2]
+    assert run(capsys, *argv, flag, value) == (2, "", message)  # the same line as the flag's
+
+
+def test_config_may_stand_anywhere_and_reads_either_key_spelling(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment\n\nscheme = pentagon\ndelay-rounds=2\nreps=1\nsummary=true\n"
+                   "seed=3\n")
+    plain = run(capsys, "sim", "locality", "--scheme", "pentagon", "--delay-rounds", "2",
+                "--reps", "1", "--summary", "--seed", "3")
+    assert plain[0] == 0 and plain[1].startswith("scheme,scheduler,")
+    for argv in (["sim", "locality", "--config", str(cfg)],
+                 ["sim", "--config", str(cfg), "locality"],
+                 ["--config", str(cfg), "sim", "locality"],
+                 [f"--config={cfg}", "sim", "locality"],
+                 ["sim", "locality", f"--config={cfg}"]):
+        assert run(capsys, *argv) == plain, argv
+    cfg.write_text("scheme=pentagon\ndelay_rounds=2\nreps=1\nsummary=true\nseed=3\n")
+    assert run(capsys, "sim", "locality", "--config", str(cfg)) == plain
+    # flags on the line beat the file's values, a switch set false among them
+    cfg.write_text("scheme=heptagon\ndelay_rounds=2\nreps=1\nsummary=false\nseed=4\n")
+    assert run(capsys, "sim", "locality", "--config", str(cfg), "--scheme", "pentagon",
+               "--summary", "--seed", "3") == plain
+
+
 def test_emit_report_header_only_and_stability(tmp_path):
     path = tmp_path / "empty.csv"
     emit_report([], path, ["a", "b"])
@@ -726,10 +791,24 @@ def test_path_only_build_gives_the_full_tree_usage_errors(key, tmp_path, capsys)
         [*words, "--config", str(empty_cfg)],
     ]
     cases += [[*words, flag, "bogus"] for flag, kw in cli.COMMANDS[key] if "choices" in kw]
-    if len(words) == 2:  # the group parser reads the config path as its leaf
+    if len(words) == 2:  # a config between the command words: its leaf lacks a flag
         cases.append([words[0], "--config", str(empty_cfg), words[1]])
     for argv in cases:
         assert run(capsys, *argv)[0] == 2, argv
+
+
+def test_cli_reads_no_private_attribute_of_argparse():
+    """cli.py uses argparse through its public API alone: the only
+    underscore attributes it reads belong to the package's own modules."""
+    own = {path.stem for path in Path(cli.__file__).parent.glob("*.py")}
+    private = [
+        f"{ast.unparse(node)}:{node.lineno}"
+        for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in own)
+    ]
+    assert private == []
 
 
 def test_a_leaf_command_builds_only_the_parsers_on_its_path(tmp_path, monkeypatch, capsys):
@@ -776,7 +855,7 @@ def _same_namespace(fast, slow):
 
 
 def _argparse_namespace(argv):
-    return cli.build_parser()[0].parse_args(argv)
+    return cli.build_parser().parse_args(argv)
 
 
 def _plain_value(kwargs) -> str:

@@ -778,6 +778,34 @@ def test_planners_refuse_a_corrupt_replica_that_is_not_there():
         plan_degraded_read(Polygon(5), 4, {0}, [(4, 1)])  # slot 2 holds it good
 
 
+def test_node_shaped_plans_read_no_corrupt_replica():
+    """With 1-2 slots down and one corrupt replica on a live slot of a block
+    that keeps a good one, no transfer from that slot, a whole copy or a
+    partial parity, names the corrupt block: the plans read good replicas."""
+    # b7 is edge (2, 3): slot 3's partial carries it, not slot 2's
+    assert plan_repair(Polygon(5), {0, 1}, [(7, 2)]).transfers[6:8] == (
+        Transfer(2, 0, PartialParity(((1, 1), (4, 1), (8, 1)))),
+        Transfer(3, 0, PartialParity(((2, 1), (5, 1), (7, 1), (9, 1)))))
+    checked = 0
+    for scheme in (Polygon(5), Polygon(7), HeptagonLocal()):
+        geo = geometry(scheme)
+        for size in (1, 2):
+            for down in map(set, itertools.combinations(range(scheme.code_length), size)):
+                if not is_recoverable(scheme, down):
+                    continue
+                lost = [x for x, slots in geo.placements.items() if set(slots) <= down]
+                for b, s in [(b, s) for b, slots in geo.placements.items() for s in slots
+                             if not set(slots) <= down | {s}]:
+                    plans = [plan_repair(scheme, down, [(b, s)]),
+                             *(plan_degraded_read(scheme, x, down, [(b, s)]) for x in lost)]
+                    for t in (t for plan in plans for t in plan.transfers if t.src == s):
+                        named = ({t.payload.block_id} if isinstance(t.payload, WholeCopy)
+                                 else {x for x, _ in t.payload.terms})
+                        assert b not in named, (scheme, down, (b, s), t)
+                    checked += len(plans)
+    assert checked == 16028
+
+
 # ---------------------------------------------------------------------------
 # plan execution plumbing
 
