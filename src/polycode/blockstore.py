@@ -42,7 +42,11 @@ read into one buffer, sized to the stripe's largest node file, and holds it.
 
 Three helpers, ``_read_file``, ``_write_file`` and ``_remove_files``, are the
 only code that opens or removes a block file; a read is one range of it, and
-a write one block.  ``store.json`` and the manifests are read by
+a write one block.  ``_read_file`` opens a file at its first read and keeps
+it open until the reads are done, and each stripe gets its own: a stripe
+read opens each node file once, for its blocks, its degraded-read probe and
+plans, and its scan alike, and sees each node file as it was when first
+opened.  ``store.json`` and the manifests are read by
 ``_read_json``, and refused by name when they are not JSON or lack a field
 the store reads; they are written compact (no indent, so ``json`` uses its
 C encoder) by ``_write_json``, to a temp file that is renamed over its target.
@@ -331,21 +335,36 @@ class BlockStore:
     # The only code that opens or removes a block file; *fname* is a node
     # file's root-relative name, n<node>/<name>.s<stripe>.blk.
 
-    def _read_file(self, fname: str, offset: int, size: int, buffer: bytearray | None = None):
-        """Read *size* bytes at *offset* of the file, or return None when it
-        does not exist.  The read comes back as new bytes or, given
+    @contextmanager
+    def _read_file(self):
+        """Yield read(fname, offset, size, buffer=None), which reads *size*
+        bytes at *offset* of the file, or returns None when it does not
+        exist.  Each file is opened at its first read, or found missing
+        then, and closed on the way out, so the reads see each file as it
+        was when first read.  A read comes back as new bytes or, given
         *buffer*, as a view of its start; a read past the file's end comes
         back short."""
-        try:
-            fd = os.open(f"{self._root}/{fname}", os.O_RDONLY)
-        except (FileNotFoundError, NotADirectoryError):
-            return None
-        try:
+        fds: dict[str, int | None] = {}
+
+        def read(fname: str, offset: int, size: int, buffer: bytearray | None = None):
+            if fname not in fds:
+                try:
+                    fds[fname] = os.open(f"{self._root}/{fname}", os.O_RDONLY)
+                except (FileNotFoundError, NotADirectoryError):
+                    fds[fname] = None
+            fd = fds[fname]
+            if fd is None:
+                return None
             if buffer is None:
                 return os.pread(fd, size, offset)
             return memoryview(buffer)[: os.preadv(fd, [memoryview(buffer)[:size]], offset)]
+
+        try:
+            yield read
         finally:
-            os.close(fd)
+            for fd in fds.values():
+                if fd is not None:
+                    os.close(fd)
 
     @contextmanager
     def _write_file(self, fnames, whole: bool):
@@ -451,9 +470,10 @@ class BlockStore:
 
     # -- read path ----------------------------------------------------------
 
-    def _scan(self, manifest: StoreManifest, stripe: StripeRecord, geo, keep: bool):
-        """Read each node file of the stripe with one read into one buffer,
-        sized to the largest of them, and check each block's slice.
+    def _scan(self, manifest: StoreManifest, stripe: StripeRecord, geo, keep: bool, read):
+        """Read each node file of the stripe through *read*, one of
+        ``_read_file``'s, with one read into one buffer, sized to the
+        largest of them, and check each block's slice.
         Returns (good, corrupt, missing): the ids of the blocks with a good
         replica, each corrupt replica as (block id, slot), and the slots
         whose file is missing, in node order; a replica that a short file
@@ -466,7 +486,7 @@ class BlockStore:
         for slot in sorted(range(len(order)), key=order.__getitem__):
             ids = geo.blocks_on[slot]
             fname = _node_file(manifest.name, stripe.index, order[slot])
-            body = self._read_file(fname, 0, len(ids) * size, buffer)
+            body = read(fname, 0, len(ids) * size, buffer)
             if body is None:
                 missing.append(slot)
                 continue
@@ -479,12 +499,12 @@ class BlockStore:
                     corrupt.append((block_id, slot))
         return good, corrupt, missing
 
-    def _stripe_reader(self, manifest: StoreManifest, stripe: StripeRecord, geo):
-        """Block accessor over the stripe's replicas: returns the first
-        replica, in the block's slot order, that passes its CRC, skipping
-        missing files and corrupt copies.  Raises ChecksumMismatchError
-        when only corrupt replicas remain, MissingBlockError when none is
-        left."""
+    def _stripe_reader(self, manifest: StoreManifest, stripe: StripeRecord, geo, read):
+        """Block accessor over the stripe's replicas, read through *read*,
+        one of ``_read_file``'s: returns the first replica, in the block's
+        slot order, that passes its CRC, skipping missing files and corrupt
+        copies.  Raises ChecksumMismatchError when only corrupt replicas
+        remain, MissingBlockError when none is left."""
         size = manifest.block_size
 
         def reader(block_id: int) -> bytes:
@@ -494,7 +514,7 @@ class BlockStore:
             corrupt = None
             for slot in slots:
                 fname = _node_file(manifest.name, stripe.index, stripe.node_order[slot])
-                body = self._read_file(fname, geo.blocks_on[slot].index(block_id) * size, size)
+                body = read(fname, geo.blocks_on[slot].index(block_id) * size, size)
                 if body is None:
                     continue
                 if len(body) == size and _crc(body) == stripe.crc32[block_id]:
@@ -529,45 +549,46 @@ class BlockStore:
         geo = codes._geometry(scheme)
         left = manifest.size
         for stripe in manifest.stripes:
-            reader = self._stripe_reader(manifest, stripe, geo)
-            rebuilt: dict[int, bytes] = {}
-            absent = None  # the slots whose node file is not there
-            for i in range(scheme.data_block_count):
-                block_id = geo.data_block_of[i]
-                try:
-                    body = reader(block_id)
-                except (MissingBlockError, ChecksumMismatchError):
-                    # no good replica left: decode it from the stripe
-                    if block_id not in rebuilt:
-                        if absent is None:
-                            fnames = (_node_file(manifest.name, stripe.index, node)
-                                      for node in stripe.node_order)
-                            absent = {s for s, fname in enumerate(fnames)
-                                      if self._read_file(fname, 0, 0) is None}
-                        own = [(block_id, s) for s in geo.placements[block_id]]
-                        plan = codes.plan_degraded_read(scheme, block_id, absent, own)
-                        try:
-                            rebuilt.update(codes.execute_plan(plan, reader))
-                        except (MissingBlockError, ChecksumMismatchError):
-                            # another block is bad too: plan from the stripe's damage
-                            _, corrupt, missing = self._scan(manifest, stripe, geo, keep=False)
-                            plan = codes.plan_degraded_read(scheme, block_id, missing, corrupt)
-                            rebuilt.update(codes.execute_plan(plan, reader))
-                        self.degraded_transfers += plan.bandwidth_blocks
-                        log.info(
-                            "degraded read: %s stripe %d block %d via %d transfers",
-                            manifest.name, stripe.index, block_id, plan.bandwidth_blocks,
-                        )
-                    body = rebuilt[block_id]
-                    if _crc(body) != stripe.crc32[block_id]:
-                        raise ChecksumMismatchError(
-                            f"degraded read of block {block_id} failed its CRC check"
-                        )
-                if len(body) > left:
-                    body = memoryview(body)[:left]
-                if body:
-                    left -= len(body)
-                    yield body
+            with self._read_file() as read:
+                reader = self._stripe_reader(manifest, stripe, geo, read)
+                rebuilt: dict[int, bytes] = {}
+                absent = None  # the slots whose node file is not there
+                for i in range(scheme.data_block_count):
+                    block_id = geo.data_block_of[i]
+                    try:
+                        body = reader(block_id)
+                    except (MissingBlockError, ChecksumMismatchError):
+                        # no good replica left: decode it from the stripe
+                        if block_id not in rebuilt:
+                            if absent is None:
+                                fnames = (_node_file(manifest.name, stripe.index, node)
+                                          for node in stripe.node_order)
+                                absent = {s for s, fname in enumerate(fnames)
+                                          if read(fname, 0, 0) is None}
+                            own = [(block_id, s) for s in geo.placements[block_id]]
+                            plan = codes.plan_degraded_read(scheme, block_id, absent, own)
+                            try:
+                                rebuilt.update(codes.execute_plan(plan, reader))
+                            except (MissingBlockError, ChecksumMismatchError):
+                                # another block is bad too: plan from the stripe's damage
+                                _, corrupt, missing = self._scan(manifest, stripe, geo, False, read)
+                                plan = codes.plan_degraded_read(scheme, block_id, missing, corrupt)
+                                rebuilt.update(codes.execute_plan(plan, reader))
+                            self.degraded_transfers += plan.bandwidth_blocks
+                            log.info(
+                                "degraded read: %s stripe %d block %d via %d transfers",
+                                manifest.name, stripe.index, block_id, plan.bandwidth_blocks,
+                            )
+                        body = rebuilt[block_id]
+                        if _crc(body) != stripe.crc32[block_id]:
+                            raise ChecksumMismatchError(
+                                f"degraded read of block {block_id} failed its CRC check"
+                            )
+                    if len(body) > left:
+                        body = memoryview(body)[:left]
+                    if body:
+                        left -= len(body)
+                        yield body
 
     def get(self, name: str) -> bytearray:
         """Reassemble a stored file from ``read``."""
@@ -608,7 +629,8 @@ class BlockStore:
             scheme = parse_scheme(manifest.scheme)
             geo = codes._geometry(scheme)
             for stripe in manifest.stripes:
-                good, corrupt, missing = self._scan(manifest, stripe, geo, keep=False)
+                with self._read_file() as read:
+                    good, corrupt, missing = self._scan(manifest, stripe, geo, False, read)
                 order = stripe.node_order
                 report.missing += [(manifest.name, stripe.index, order[s]) for s in missing]
                 report.corrupt += [(manifest.name, stripe.index, block_id, order[s])
@@ -640,7 +662,8 @@ class BlockStore:
                 geo = codes._geometry(scheme)
                 size, name = manifest.block_size, manifest.name
                 for stripe in manifest.stripes:
-                    good, corrupt, missing = self._scan(manifest, stripe, geo, keep=True)
+                    with self._read_file() as read:
+                        good, corrupt, missing = self._scan(manifest, stripe, geo, True, read)
                     if not (corrupt or missing):
                         continue
                     try:

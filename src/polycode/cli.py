@@ -242,19 +242,21 @@ def _expand_config(argv: list[str]) -> list[str]:
     after the command words: '--key=value', or a bare '--key' for a true
     switch.  Flags typed on the line come later, so they win, and argparse
     checks the file's values exactly as it checks flags.  A key is a flag
-    of the command, with '_' or '-' between words."""
+    of the command, with '_' or '-' between words.  An abbreviation such
+    as '--conf' is read as '--config', as argparse would read it: no leaf
+    flag starts with '--c'."""
     rest, paths = [], []
     tokens = iter(argv)
     for tok in tokens:
-        if tok == "--config":
+        flag, eq, arg = tok.partition("=")
+        if len(flag) < 3 or not "--config".startswith(flag):
+            rest.append(tok)
+            continue
+        if not eq:
             arg = next(tokens, None)
             if arg is None:
-                raise UsageError("--config needs a value")
-            paths.append(arg)
-        elif tok.startswith("--config="):
-            paths.append(tok.partition("=")[2])
-        else:
-            rest.append(tok)
+                raise UsageError(f"{flag} needs a value")
+        paths.append(arg)
     if not paths:
         return argv
     words = 1 if rest[:1] == ["report"] else 2
@@ -266,7 +268,11 @@ def _expand_config(argv: list[str]) -> list[str]:
     for path in map(Path, paths):
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
-        for ln, line in enumerate(path.read_text().splitlines(), 1):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise UsageError(f"config file {path} is not UTF-8 text") from None
+        for ln, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -482,9 +488,8 @@ def _cmd_code_decode(args) -> int:
             body = (src / info["file"]).read_bytes()
         except FileNotFoundError:
             continue  # a lost block: decode_stripe rebuilds it if the code can
-        if f"{zlib.crc32(body):08x}" != info["crc32"]:
-            raise codes.ChecksumMismatchError(f"{info['file']} failed its CRC check")
-        surviving.setdefault(hosts[0], {})[block_id] = body
+        if f"{zlib.crc32(body):08x}" == info["crc32"]:  # a corrupt one is lost too
+            surviving.setdefault(hosts[0], {})[block_id] = body
     data = codes.decode_stripe(scheme, surviving, killed)
     size, width = meta["original_size"], len(data[0])
     written = _write_output(

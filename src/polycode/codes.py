@@ -23,6 +23,16 @@ payload is either a whole block or a partial parity (a GF-linear combination
 of blocks computed at the source node).  Plain XOR partials carry
 coefficient 1 on every term; the heptagon-local global parities additionally
 need alpha-weighted partials.
+
+One planner serves every loss, whole slots down or single replicas corrupt.
+A block with a good replica is copied whole.  The lost data symbols are
+solved from the good parity rows that an elimination picks as pivots: each
+pivot row less the known data it covers is one equation, and each slot that
+holds terms of it sends one partial parity of them, repair by transfer as
+in Shah, Rashmi, Kumar and Ramchandran (IEEE Trans. IT, 2012).  The source
+slots are the fewest good hosts that hold the terms, and a term the
+destination holds good is read there for free.  A lost parity is its row
+over the data, rebuilt the same way at its own host.
 """
 
 from __future__ import annotations
@@ -180,20 +190,11 @@ def polygon_edges(n: int) -> list[tuple[int, int]]:
 
 
 class _Group(NamedTuple):
-    """A complete-graph local group: local node i plays slot ``slots[i]``
-    and ``block_of[(i, j)]`` (i < j, lexicographic order) is the block on
-    edge (i, j).  The group's blocks XOR to zero."""
+    """A complete-graph local group: local node i plays slot ``slots[i]``,
+    each edge's block is stored on both its nodes, and the group's blocks
+    XOR to zero."""
 
     slots: tuple[int, ...]
-    block_of: dict[tuple[int, int], int]
-
-    def failed(self, down) -> list[int]:
-        """Local indices of the group's nodes in *down*, ascending."""
-        return [i for i, s in enumerate(self.slots) if s in down]
-
-    def internal(self, failed) -> list[tuple[tuple[int, int], int]]:
-        """(edge, block) for every edge joining two *failed* local nodes."""
-        return [(e, b) for e, b in self.block_of.items() if e[0] in failed and e[1] in failed]
 
 
 class _Geometry:
@@ -212,7 +213,6 @@ class _Geometry:
                          node's file of a stripe in the block store
     ``groups``           complete-graph local groups (``_Group``): one for a
                          polygon, two for heptagon-local, none otherwise
-    ``group_of[b]``      the group whose edge carries block b
     ``global_slot``      slot holding the global parities, or None
     ``global_blocks``    global parity block ids in parity-index order
     ``fate``             failure mask -> recoverable, filled by ``recoverable``
@@ -253,11 +253,10 @@ class _Geometry:
             per_group = len(edges) - 1  # data blocks per group
             for k in range(count):
                 slots = tuple(range(k * n, (k + 1) * n))
-                block_of = {e: k * len(edges) + x for x, e in enumerate(edges)}
-                groups.append(_Group(slots, block_of))
+                groups.append(_Group(slots))
                 first = k * per_group
                 for x, (i, j) in enumerate(edges):
-                    b = block_of[(i, j)]
+                    b = k * len(edges) + x
                     placements[b] = (slots[i], slots[j])
                     if x < per_group:
                         roles[b] = BlockRole("data", first + x)
@@ -292,7 +291,6 @@ class _Geometry:
             s: tuple(b for b in placements if s in placements[b]) for s in range(L)
         }
         self.groups = tuple(groups)
-        self.group_of = {b: g for g in groups for b in g.block_of.values()}
         self.global_blocks = tuple(b for b in roles if roles[b].kind == "global_parity")
         self.fate: dict[int, bool] = {}
 
@@ -753,193 +751,129 @@ class RepairPlan:
 class _PlanBuilder:
     """Accumulates one plan's transfers and recoveries for a scheme and its
     damage: the down slots *pattern* and the *corrupt* replicas, as (block
-    id, slot) pairs; one on a down slot is lost with it anyway.  ``lost``
-    lists the blocks with no good replica, in block-id order; when each
-    was lost with its slots alone the damage is ``node_shaped``.  Damage
-    whose good blocks do not determine the data raises UnrecoverableError.
-    ``recovered`` maps a data index rebuilt earlier in the plan to the slot
-    that holds the rebuilt copy; ``covers`` maps (data index, destination)
-    to the XOR partial terms already sent there for a data block with no
-    copy left."""
+    id, slot) pairs; one on a down slot is lost with it anyway.  ``held``
+    maps each block to the slots that hold it good, ascending, and ``lost``
+    lists the blocks held nowhere, in block-id order; a lost block that the
+    plan rebuilds is then held by the slot that rebuilt it alone.
+
+    The lost data symbols are solved from the good parity rows, in block-id
+    order, that ``_transform`` picks as pivots, so damage whose good blocks
+    do not determine the data raises UnrecoverableError.  ``solves`` maps
+    each lost data block to its pivot rows and their coefficients, one map
+    per set of blocks that share a pivot row, which are solved together."""
 
     def __init__(self, scheme: Scheme, pattern: Iterable[int], corrupt: Iterable[tuple[int, int]]):
         geo = self.geo = _geometry(scheme)
         down = self.down = frozenset(_iter_pattern(scheme, pattern))
-        self.bad = frozenset((b, s) for b, s in corrupt if s not in down)
-        if any(s not in geo.placements.get(b, ()) for b, s in self.bad):
-            raise ValueError(f"corrupt replicas {sorted(self.bad)} are not all placed")
-        self.lost = [b for b, slots in geo.placements.items()
-                     if all(s in down or (b, s) in self.bad for s in slots)]
-        self.node_shaped = all(s in down for b in self.lost for s in geo.placements[b])
-        if not (is_recoverable(scheme, down) if self.node_shaped else
-                can_decode_from(scheme, set(geo.placements) - set(self.lost))):
+        bad = self.bad = frozenset((b, s) for b, s in corrupt if s not in down)
+        if any(s not in geo.placements.get(b, ()) for b, s in bad):
+            raise ValueError(f"corrupt replicas {sorted(bad)} are not all placed")
+        self.held = {b: tuple(s for s in slots if s not in down and (b, s) not in bad)
+                     for b, slots in geo.placements.items()}
+        self.lost = [b for b, slots in self.held.items() if not slots]
+        unknown = [b for b in self.lost if geo.roles[b].kind == "data"]
+        rows = [p for p, role in geo.roles.items() if role.kind != "data" and self.held[p]]
+        rank, inverse = _transform(
+            [[geo.rows[p][geo.roles[b].index] for b in unknown] for p in rows], len(unknown))
+        if rank < len(unknown):
             raise UnrecoverableError(f"fatal for {scheme.name}: with slots {sorted(down)}"
                                      f" down, the good blocks do not determine the data")
-        self.recovered: dict[int, int] = {}
-        self.covers: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self.solves: list[dict[int, dict[int, int]]] = []
+        for b, coefs in zip(unknown, inverse):
+            solve = {b: {p: c for p, c in zip(rows, coefs) if c}}
+            for other in [s for s in self.solves if _pivots(s) & solve[b].keys()]:
+                self.solves.remove(other)
+                solve.update(other)
+            self.solves.append(solve)
         self.transfers: list[Transfer] = []
         self.recoveries: list[Recovery] = []
 
-    def source(self, block_id, dst=None) -> int:
-        """*dst* when it holds a good replica of the block, else its lowest good host."""
-        good = [s for s in self.geo.placements[block_id]
-                if s not in self.down and (block_id, s) not in self.bad]
-        return dst if dst in good else min(good)
+    def home(self, blocks) -> int:
+        """The lowest live slot that hosts one of *blocks*, else the lowest slot that does."""
+        slots = [s for b in blocks for s in self.geo.placements[b]]
+        return min((s for s in slots if s not in self.down), default=min(slots))
 
     def copy(self, src, dst, block_id, delivers=True) -> int:
         self.transfers.append(Transfer(src, dst, WholeCopy(block_id), delivers))
         return len(self.transfers) - 1
 
-    def partial(self, src, dst, terms) -> int:
-        terms = tuple((b, c) for b, c in terms)
-        if not terms:
-            raise ValueError("empty partial parity")
-        self.transfers.append(Transfer(src, dst, PartialParity(terms)))
-        return len(self.transfers) - 1
+    def send(self, terms, dst: int) -> list[int]:
+        """Send the sum of *terms*, (block id, coefficient) pairs, to *dst*
+        as one partial parity per source slot, a lone block whole, and
+        return their transfer indices.  The terms *dst* holds are read
+        there, which is no transfer; the others come from the fewest slots
+        that hold them (``_fewest``), each from the lowest of those."""
+        masks = {b: sum(1 << s for s in self.held[b]) for b, _ in terms if dst not in self.held[b]}
+        chosen = _fewest(masks.values())
+        by_src: dict[int, list[tuple[int, int]]] = {}
+        for b, c in terms:
+            mask = masks[b] & chosen if b in masks else 0
+            by_src.setdefault((mask & -mask).bit_length() - 1 if mask else dst, []).append((b, c))
+        sent = []
+        for src, part in sorted(by_src.items()):
+            if part == [(part[0][0], 1)]:
+                sent.append(self.copy(src, dst, part[0][0], delivers=False))
+            else:
+                self.transfers.append(Transfer(src, dst, PartialParity(tuple(sorted(part)))))
+                sent.append(len(self.transfers) - 1)
+        return sent
 
-    def recover(self, block_id, terms) -> None:
-        self.recoveries.append(Recovery(block_id, tuple(terms)))
+    def solve(self, solve: dict[int, dict[int, int]], dst: int) -> None:
+        """Rebuild the lost data blocks of *solve* at *dst*.  Each pivot row
+        less the known data it covers is one equation, sent on its own, and
+        each block is its pivot rows' combination of the equations."""
+        geo = self.geo
+        sent = {}
+        for p in sorted(_pivots(solve)):
+            covered = [(geo.data_block_of[i], c) for i, c in enumerate(geo.rows[p]) if c]
+            sent[p] = self.send([(p, 1), *((b, c) for b, c in covered if b not in self.lost)], dst)
+        for b in sorted(solve):
+            self.recoveries.append(Recovery(b, tuple(
+                (idx, c) for p, c in solve[b].items() for idx in sent[p])))
+            self.held[b] = (dst,)
+
+    def rebuild_parity(self, block_id: int, dst: int) -> None:
+        """Rebuild the lost parity *block_id* at *dst* from its row over the
+        data, a lost data block read where the plan rebuilt it."""
+        row = self.geo.rows[block_id]
+        sent = self.send([(self.geo.data_block_of[i], c) for i, c in enumerate(row) if c], dst)
+        self.recoveries.append(Recovery(block_id, tuple((idx, 1) for idx in sent)))
+        self.held[block_id] = (dst,)
 
     def done(self) -> RepairPlan:
         recs = tuple(sorted(self.recoveries, key=lambda r: r.ready_after))
         return RepairPlan(tuple(self.transfers), recs)
 
 
-def _group_xor(builder, group: _Group, failed: list[int], dst: int):
-    """One XOR partial per surviving node of *group*, sent to *dst*, that
-    together cover every block of the group not on an edge between two
-    *failed* nodes: an edge touching a failed node goes to its surviving
-    end, a survivor-survivor edge to its lower end unless that end's
-    replica is corrupt.  Their sum is the XOR of the blocks between failed
-    nodes.  Returns (transfer, 1) terms."""
-    cover: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), b in group.block_of.items():
-        if i in failed and j in failed:
-            continue
-        owner = j if i in failed or (b, group.slots[i]) in builder.bad else i
-        cover.setdefault(owner, []).append((b, 1))
-    return [(builder.partial(group.slots[s], dst, cover[s]), 1) for s in sorted(cover)]
+def _pivots(solve: dict[int, dict[int, int]]) -> set[int]:
+    return {p for coefs in solve.values() for p in coefs}
 
 
-def _global_terms(builder, block: int, dst: int, skip):
-    """Transfer terms, sent to *dst*, whose sum is global parity *block*'s
-    alpha-weighted sum over every data block whose index is not in *skip*.
-
-    Each data block is read from its lowest good host, else from the slot
-    holding a copy rebuilt earlier in the plan, else through the XOR
-    partials of its group, sent once per destination.
-    """
-    geo = builder.geo
-    row = geo.rows[block]
-    by_src: dict[int, list[tuple[int, int]]] = {}
-    cover_terms = []
-    for i, b in geo.data_block_of.items():
-        if i in skip:
-            continue
-        good = [s for s in geo.placements[b]
-                if s not in builder.down and (b, s) not in builder.bad]
-        if good:
-            src = min(good)
-        elif i in builder.recovered:
-            src = builder.recovered[i]
-        else:
-            cover = builder.covers.get((i, dst))
-            if cover is None:
-                group = geo.group_of[b]
-                cover = _group_xor(builder, group, group.failed(builder.down), dst)
-                builder.covers[i, dst] = cover
-            cover_terms.extend((idx, row[i]) for idx, _ in cover)
-            continue
-        by_src.setdefault(src, []).append((b, row[i]))
-    terms = [(builder.partial(src, dst, by_src[src]), 1) for src in sorted(by_src)]
-    return terms + cover_terms
-
-
-def _solve_group(builder, group: _Group, failed: list[int], dst: int):
-    """Rebuild at *dst* every block on an edge between *failed* nodes of
-    *group*.
-
-    The group's XOR relation determines one lost block; more lost blocks
-    add the global parity relations, each read whole from the global node
-    and offset by the weighted sum of the known data.
-    """
-    geo = builder.geo
-    unknowns = [b for _, b in group.internal(failed)]
-    equations = [_group_xor(builder, group, failed, dst)]
-    matrix = [[1] * len(unknowns)]
-    if len(unknowns) > 1:
-        roles = [geo.roles[b] for b in unknowns]
-        unknown_data = {r.index for r in roles if r.kind == "data"}
-        for gb in geo.global_blocks:
-            whole = builder.copy(geo.global_slot, dst, gb, delivers=False)
-            terms = _global_terms(builder, gb, dst, unknown_data)
-            equations.append([(whole, 1), *terms])
-            row = geo.rows[gb]
-            matrix.append([row[r.index] if r.kind == "data" else 0 for r in roles])
-    _, inverse = _transform(matrix, len(unknowns))
-    for j, b in enumerate(unknowns):
-        terms = [
-            (idx, gf_mul(inverse[j][k], c))
-            for k, eq in enumerate(equations)
-            if inverse[j][k]
-            for idx, c in eq
-        ]
-        builder.recover(b, terms)
-
-
-def _repair_group(builder, group: _Group, failed: list[int]) -> None:
-    """Restore every block of *group* lost with its 1-3 *failed* nodes.
-
-    Survivors copy each failed node its edge blocks; the blocks between
-    failed nodes are solved at the lowest failed node and copied on to
-    their other hosts.  Triples are solved before the survivor copies and
-    pairs after, which fixes the plans' transfer order.
-    """
-    solver = group.slots[failed[0]]
-    if len(failed) == 3:
-        _solve_group(builder, group, failed, solver)
-    for s in range(len(group.slots)):
-        if s in failed:
-            continue
-        for f in failed:
-            builder.copy(group.slots[s], group.slots[f], group.block_of[min(s, f), max(s, f)])
-    if len(failed) == 2:
-        _solve_group(builder, group, failed, solver)
-    for edge, b in group.internal(failed):
-        for host in edge:
-            if group.slots[host] != solver:
-                builder.copy(solver, group.slots[host], b)
-        role = builder.geo.roles[b]
-        if role.kind == "data":
-            builder.recovered[role.index] = solver
-
-
-def _solve_blocks(builder, targets, dst: int) -> None:
-    """Rebuild the lost *targets* at *dst* from whole copies of good blocks.
-
-    The lost data symbols are solved from the good parity rows, in block-id
-    order, that ``_transform`` picks as pivots, and a lost parity is its row
-    over the data.  The sources are the blocks these sums need, in block-id
-    order, each copied from its lowest good host; one that *dst* holds good
-    is read there, which is no transfer.  Every other lost block that the
-    same sources determine is rebuilt too.
-    """
-    geo, lost = builder.geo, builder.lost
-    unknown = [geo.roles[b].index for b in lost if geo.roles[b].kind == "data"]
-    rows = [p for p, role in geo.roles.items() if role.kind != "data" and p not in lost]
-    _, inverse = _transform([[geo.rows[p][i] for i in unknown] for p in rows], len(unknown))
-    # each data symbol as a sum of good blocks; a pivot row less its known data solves a lost one
-    data = {i: {b: 1} for i, b in geo.data_block_of.items() if i not in unknown}
-    offsets = [_compose([({p: 1}, 1), *((data[i], c) for i, c in enumerate(geo.rows[p])
-                                         if i in data)]) for p in rows]
-    data.update((i, _compose(zip(offsets, inverse[k]))) for k, i in enumerate(unknown))
-    forms = {b: _compose((data[i], c) for i, c in enumerate(geo.rows[b])) for b in lost}
-    need = {s for b in targets for s, c in forms[b].items() if c}
-    idx = {s: builder.copy(builder.source(s, dst), dst, s, delivers=False) for s in sorted(need)}
-    for b, form in forms.items():
-        terms = [(s, c) for s, c in form.items() if c]
-        if all(s in need for s, _ in terms):
-            builder.recover(b, sorted((idx[s], c) for s, c in terms))
+def _fewest(holders: Iterable[int]) -> int:
+    """The fewest slots that hold every term, as a bit mask, given each
+    term as the bit mask of the slots that hold it.  A term held once
+    forces its slot; the terms left are covered one connected part at a
+    time, by the first of the smallest sets of its slots in slot order."""
+    holders = set(holders)
+    chosen = 0
+    for h in holders:
+        if not h & h - 1:
+            chosen |= h
+    left = [h for h in holders if not h & chosen]
+    while left:
+        reach, last = left[0], 0
+        while reach != last:
+            last = reach
+            for h in left:
+                if h & reach:
+                    reach |= h
+        part = [h for h in left if h & reach]
+        left = [h for h in left if not h & reach]
+        slots = [1 << s for s in range(reach.bit_length()) if reach >> s & 1]
+        chosen |= next(m for k in range(1, len(slots) + 1)
+                       for m in map(sum, itertools.combinations(slots, k))
+                       if all(h & m for h in part))
+    return chosen
 
 
 def plan_repair(
@@ -950,49 +884,34 @@ def plan_repair(
     damage whose good blocks do not determine the data, with
     ``UnrecoverableError``.
 
-    When every lost block was lost with its slots alone, the slots decide
-    the plan.  Polygon singles move n-1 whole copies; polygon doubles move
-    2(n-2) copies, n-2 partial parities and one redistribution copy
-    (3(n-2)+1 total).  Heptagon-local failures are planned locally per
-    heptagon, with triples solved from the other heptagon plus the global
-    node; then each corrupt replica is copied whole from its lowest good
-    host.  Otherwise, and for every scheme without groups, each damaged
-    replica of a block with a good one is copied whole from its lowest
-    good host, and the lost blocks are solved by ``_solve_blocks`` at
-    their lowest live host, else their lowest host, and copied on to
-    their other hosts.
+    Each replica on a down slot of a block with a good one is first copied
+    whole from the block's lowest good host.  The blocks of each solve are
+    then rebuilt together at their lowest live host, else their lowest
+    host, every slot that holds terms of a pivot equation sending one
+    partial parity of them; each lost parity is rebuilt at its own such
+    host, from its row over the data.  Each rebuilt block is copied on to
+    its other hosts, and a corrupt replica with a good twin is copied over
+    last.  A polygon single thus moves n-1 whole copies and a double
+    2(n-2) copies, n-2 partial parities and one copy on (3(n-2)+1 in all).
     """
     builder = _PlanBuilder(scheme, pattern, corrupt)
-    down, bad, lost = builder.down, builder.bad, builder.lost
-    if not (down or bad):
-        return RepairPlan(())
-    geo = builder.geo
-
-    if geo.groups and builder.node_shaped:
-        for group in geo.groups:
-            failed = group.failed(down)
-            if failed:
-                _repair_group(builder, group, failed)
-        if geo.global_slot in down:
-            for gb in geo.global_blocks:
-                builder.recover(gb, _global_terms(builder, gb, geo.global_slot, ()))
-        for b, s in sorted(bad):
-            builder.copy(builder.source(b), s, b)
-        return builder.done()
-
+    geo, held = builder.geo, builder.held
     for b, slots in geo.placements.items():
-        if b not in lost:
-            for s in slots:
-                if s in down or (b, s) in bad:
-                    builder.copy(builder.source(b), s, b)
-    if lost:
-        live = [s for b in lost for s in geo.placements[b] if s not in down]
-        dst = min(live) if live else min(geo.placements[lost[0]])
-        _solve_blocks(builder, lost, dst)
-        for b in lost:
-            for s in geo.placements[b]:
-                if s != dst:
-                    builder.copy(dst, s, b)
+        for s in slots:
+            if held[b] and s in builder.down:
+                builder.copy(held[b][0], s, b)
+    for solve in builder.solves:
+        builder.solve(solve, builder.home(solve))
+    for b in builder.lost:
+        if geo.roles[b].kind != "data":
+            builder.rebuild_parity(b, builder.home([b]))
+    for b in builder.lost:
+        for s in geo.placements[b]:
+            if s != held[b][0]:
+                builder.copy(held[b][0], s, b)
+    for b, s in sorted(builder.bad):
+        if b not in builder.lost:
+            builder.copy(held[b][0], s, b)
     return builder.done()
 
 
@@ -1006,23 +925,21 @@ def plan_degraded_read(
     designated reader (pseudo-node ``READER_NODE``), given the down slots
     and the *corrupt* replicas as in ``plan_repair``.
 
-    The plan's recoveries also rebuild, from the same transfers, every other
-    block its solve determines: in a polygon group, each block on an edge
-    between the group's failed nodes.  When a lost block has a live host,
-    or the scheme has no groups, ``_solve_blocks`` plans the read."""
+    A data block is rebuilt with the rest of its solve, from the same
+    transfers, as ``plan_repair`` rebuilds it; a parity from its row over
+    the data, after the solves of the lost data blocks it covers."""
     geo = _geometry(scheme)
     if block_id not in geo.placements:
         raise ValueError(f"unknown block id {block_id}")
     builder = _PlanBuilder(scheme, down_nodes, corrupt)
     if block_id not in builder.lost:
         raise BlockAvailableError(f"block {block_id} still has a good copy")
-    if not (geo.groups and builder.node_shaped):
-        _solve_blocks(builder, [block_id], READER_NODE)
-    elif block_id in geo.global_blocks:
-        builder.recover(block_id, _global_terms(builder, block_id, READER_NODE, ()))
-    else:
-        group = geo.group_of[block_id]
-        _solve_group(builder, group, group.failed(builder.down), READER_NODE)
+    covered = {geo.data_block_of[i] for i, c in enumerate(geo.rows[block_id]) if c}
+    for solve in builder.solves:
+        if covered & solve.keys():
+            builder.solve(solve, READER_NODE)
+    if geo.roles[block_id].kind != "data":
+        builder.rebuild_parity(block_id, READER_NODE)
     return builder.done()
 
 

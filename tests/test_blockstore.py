@@ -233,6 +233,31 @@ def test_fsck_opens_each_replica_once_without_a_stat(pentagon_store, tmp_path, m
     assert not statted
 
 
+def test_a_stripe_read_opens_each_node_file_once(pentagon_store, tmp_path, monkeypatch):
+    src = write_file(tmp_path, 9 * BS, seed=8)
+    pentagon_store.put(src)
+    opened = Counter()
+    real_os_open = os.open
+
+    def counting_os_open(path, *args, **kwargs):
+        if str(path).endswith(".blk"):
+            opened[os.path.basename(os.path.dirname(path))] += 1
+        return real_os_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", counting_os_open)
+    assert pentagon_store.get("data.bin") == src.read_bytes()
+    # the 9 data blocks' first hosts, slots 0-2: 9 opens at one a block
+    assert opened == {"n0": 1, "n1": 1, "n2": 1}
+    for node in (0, 1):
+        pentagon_store.kill_node(node)
+    opened.clear()
+    assert pentagon_store.get("data.bin") == src.read_bytes()
+    # the served blocks, the probe for missing files and the plan's sources
+    # share one descriptor a node file, a missing one tried once: 36 opens
+    # when each read opened its own
+    assert opened == {f"n{k}": 1 for k in range(5)}
+
+
 def test_repair_opens_each_live_replica_once(pentagon_store, tmp_path, monkeypatch):
     src = write_file(tmp_path, 9 * BS, seed=6)
     pentagon_store.put(src)
@@ -283,6 +308,7 @@ def test_block_files_are_opened_and_removed_by_three_helpers_only():
         "_write_json": {"open", "os.replace"},
         "_locked": {"open"},
         "_read_file": {"os.open", "os.pread", "os.preadv", "os.close"},
+        "read": {"os.open", "os.pread", "os.preadv"},
         "_write_file": {"os.open", "os.pwrite", "os.close"},
         "write": {"os.pwrite"},
         "_remove_files": {"os.scandir", "os.unlink"},
@@ -605,10 +631,11 @@ def test_repair_restores_every_kill_set_fsck_finds_recoverable(tmp_path, name):
 
 
 # the transfers of the degraded read and of the repair: one solve over the
-# lost blocks reads the good parity rows it picks and the known data they
-# cover; repair also copies each replica on a down slot from its good twin
-# and the solved blocks on to their other hosts
-LOST_ON_LIVE_SLOTS = {"pentagon": (9, 11), "heptagon": (20, 22), "heptagon-local": (40, 48)}
+# lost blocks sends, for each good parity row it picks less the known data
+# the row covers, one partial parity from each slot that holds its terms;
+# repair also copies each replica on a down slot from its good twin and the
+# solved blocks on to their other hosts
+LOST_ON_LIVE_SLOTS = {"pentagon": (4, 8), "heptagon": (6, 12), "heptagon-local": (16, 27)}
 
 
 @pytest.mark.parametrize("name,down,lost", [  # down slots; the slots of a block lost on both

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -119,9 +120,62 @@ def test_decode_rejects_block_file_failing_its_crc(tmp_path, capsys):
     out_file = tmp_path / "out.bin"
     code, _, err = run(capsys, "code", "decode", "--in-dir", str(stripe),
                        "--killed", "0,1", "--output", str(out_file))
+    # a corrupt block file is a lost block, and b5 is edge (1, 3): with slots
+    # 0 and 1 killed, two blocks are lost beside one parity
     assert code == 1
-    assert "b5.blk" in err and "crc" in err.lower()
+    assert err.startswith("error:") and "determine the data" in err
     assert not out_file.exists()
+
+
+def test_decode_reads_around_a_corrupt_block_file(tmp_path, capsys):
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(5).randbytes(5000))
+    stripe = tmp_path / "stripe"
+    run(capsys, "code", "encode", "--scheme", "pentagon",
+        "--input", str(src), "--out-dir", str(stripe))
+    body = bytearray((stripe / "b0.blk").read_bytes())
+    body[0] ^= 0x01
+    (stripe / "b0.blk").write_bytes(body)
+    out_file = tmp_path / "out.bin"
+    code, _, err = run(capsys, "code", "decode", "--in-dir", str(stripe), "--killed", "",
+                       "--output", str(out_file))
+    assert code == 0, err
+    assert out_file.read_bytes() == src.read_bytes()
+
+
+def test_decode_every_mix_of_one_or_two_missing_or_corrupt_block_files(tmp_path, capsys):
+    """A missing and a corrupt block file are both a lost block: the stripe
+    decodes when the other blocks determine the data, and is refused with
+    ``error:`` and exit 1 otherwise."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(6).randbytes(5000))
+    stripe = tmp_path / "stripe"
+    run(capsys, "code", "encode", "--scheme", "pentagon",
+        "--input", str(src), "--out-dir", str(stripe))
+    scheme = codes.Polygon(5)
+    files = {b: (stripe / f"b{b}.blk").read_bytes() for b in range(scheme.block_count)}
+    out_file = tmp_path / "out.bin"
+    outcomes = Counter()
+    for size in (1, 2):
+        for lost in itertools.combinations(files, size):
+            for kinds in itertools.product(("missing", "corrupt"), repeat=size):
+                for b, kind in zip(lost, kinds):
+                    if kind == "missing":
+                        (stripe / f"b{b}.blk").unlink()
+                    else:
+                        (stripe / f"b{b}.blk").write_bytes(bytes(x ^ 0xFF for x in files[b]))
+                code, _, err = run(capsys, "code", "decode", "--in-dir", str(stripe),
+                                   "--output", str(out_file))
+                if codes.can_decode_from(scheme, set(files) - set(lost)):
+                    assert code == 0 and out_file.read_bytes() == src.read_bytes(), (lost, kinds)
+                else:
+                    assert code == 1 and err.startswith("error:"), (lost, kinds, err)
+                    assert not out_file.exists()
+                out_file.unlink(missing_ok=True)
+                outcomes[code] += 1
+                for b in lost:
+                    (stripe / f"b{b}.blk").write_bytes(files[b])
+    assert outcomes == {0: 20, 1: 180}
 
 
 def encode_and_lose_b5(tmp_path, capsys):
@@ -761,6 +815,26 @@ def test_config_may_stand_anywhere_and_reads_either_key_spelling(tmp_path, capsy
                "--summary", "--seed", "3") == plain
 
 
+def test_an_abbreviated_config_flag_reads_its_file(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("scheme=heptagon\n")
+    full = run(capsys, "--config", str(cfg), "code", "info")
+    assert full[0] == 0 and full[1].startswith("scheme: heptagon\n")
+    for argv in (["--conf", str(cfg), "code", "info"], [f"--co={cfg}", "code", "info"],
+                 ["code", "--c", str(cfg), "info"], ["code", "info", "--confi", str(cfg)]):
+        assert run(capsys, *argv) == full, argv
+    # sound only while no leaf flag is itself a '--c' abbreviation
+    assert not [flag for options in cli.COMMANDS.values() for flag, _ in options
+                if flag.startswith("--c")]
+
+
+def test_a_config_file_that_is_not_utf8_is_a_usage_error_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    assert run(capsys, "code", "info", "--config", str(cfg)) == (
+        2, "", f"usage error: config file {cfg} is not UTF-8 text\n")
+
+
 def test_emit_report_header_only_and_stability(tmp_path):
     path = tmp_path / "empty.csv"
     emit_report([], path, ["a", "b"])
@@ -995,9 +1069,18 @@ _ALWAYS = {"--trials", "--reps"}  # their defaults (1000 trials, 20 reps) take s
 _PATHS = {"--input", "--file", "--root", "--in-dir", "--out-dir", "--output", "--out"}
 
 
+# a --config file: what it holds, where it stands and how its flag is spelt
+_CONFIGS = st.one_of(st.none(), st.tuples(
+    st.sampled_from(["valid", "missing", "empty", "not-utf8", "unknown-key", "bad-value"]),
+    st.sampled_from(["before", "between", "after"]),
+    st.sampled_from(["--config", "--conf", "--config="]),
+))
+
+
 @st.composite
 def _contract_argvs(draw):
-    """A leaf command and a value, or a kind of file, for each of its flags."""
+    """A leaf command and a value, or a kind of file, for each of its
+    flags, and maybe a config file."""
     key = draw(st.sampled_from(list(cli.COMMANDS)))
     given = {}
     for flag, kwargs in cli.COMMANDS[key]:
@@ -1013,7 +1096,33 @@ def _contract_argvs(draw):
         mttr = given.get("--mttr-hours", "24")
         if 0 < float(mttf) < float("inf") and 0 < float(mttr) < 0.1 * float(mttf):
             given["--mttr-hours"] = mttf
-    return key, given
+    return key, given, draw(_CONFIGS)
+
+
+def _config_argv(key, argv, config, d: Path) -> list[str]:
+    """*argv* with a config file of the *config* kind put under *d*, and its
+    flag placed and spelt as *config* says; a valid file takes over the
+    last flag of *argv* after the command words, if there is one."""
+    kind, place, spelling = config
+    words = key.split()
+    path = d / "c.cfg"
+    rest = argv[len(words):]
+    if kind == "valid":
+        text = ""
+        if rest:
+            flag = max(i for i, tok in enumerate(rest) if tok.startswith("--"))
+            value = rest[flag + 1:] or ["true"]  # a switch
+            text = f"{rest[flag][2:]}={value[0]}\n"
+            rest = rest[:flag]
+        path.write_text(text)
+    elif kind == "bad-value":
+        typed = [flag for flag, kw in cli.COMMANDS[key] if "type" in kw or "choices" in kw]
+        path.write_text(f"{typed[0][2:]}=bogus\n" if typed else "no key and value\n")
+    elif kind != "missing":
+        path.write_bytes({"empty": b"", "not-utf8": b"\xff\xfe", "unknown-key": b"bogus=1\n"}[kind])
+    tokens = [f"{spelling}{path}"] if spelling.endswith("=") else [spelling, str(path)]
+    at = {"before": 0, "between": 1, "after": len(words)}[place]
+    return [*words[:at], *tokens, *words[at:], *rest]
 
 
 def _make_input(flag: str, kind: str, d: Path) -> str:
@@ -1057,16 +1166,20 @@ def test_every_argv_ends_in_exit_0_1_or_2_with_an_error_line(drawn):
     """Any leaf command, with any values for its flags and any of the
     inputs a user can hand it, exits 0, 1 or 2; a non-zero exit writes
     ``error:`` or ``usage error:`` first on stderr, and no traceback."""
-    key, given = drawn
+    key, given, config = drawn
     with tempfile.TemporaryDirectory() as tmp:
         argv = key.split()
         for flag, value in given.items():
             if flag in _PATHS:
                 value = _make_input(flag, value, Path(tmp))
             argv += [flag] if value is None else [flag, value]
+        if config is not None:
+            argv = _config_argv(key, argv, config, Path(tmp))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (0, 1, 2), argv
     if code:
         assert err.getvalue().startswith(("error:", "usage error:")), (argv, err.getvalue())
+    if config is not None and config[0] not in ("valid", "empty"):
+        assert code == 2, (argv, err.getvalue())

@@ -46,6 +46,7 @@ from polycode.codes import (
 )
 from polycode.gf256 import scale_bytes
 
+from bandwidth_table import bandwidth_lines
 from helpers import execute_plan_reference, make_checked_reader, oracle_decode
 
 ALL_SCHEMES = [
@@ -425,7 +426,9 @@ def test_decode_plans_a_block_left_out_where_its_slots_would_be_fatal(monkeypatc
     assert can_decode_from(scheme, {b for blocks_on in views.values() for b in blocks_on})
     plans = recorded_plans(monkeypatch)
     assert decode_stripe(scheme, views, {0}) == data
-    assert plans == [9]  # the parity and the 8 other data blocks
+    # the parity and the 8 other data blocks, one partial parity from each
+    # live slot
+    assert plans == [4]
 
 
 def test_decode_plans_around_a_block_missing_on_live_slots(monkeypatch):
@@ -446,9 +449,10 @@ def test_decode_plans_around_a_block_missing_on_live_slots(monkeypatch):
     assert can_decode_from(scheme, present)
     plans.clear()
     assert decode_stripe(scheme, views, pattern) == data
-    # one solve for blocks 0 and 11: the heptagon's XOR parity, a global
-    # parity and the 38 other data blocks
-    assert plans == [40]
+    # one solve for blocks 0 and 11 from two equations, the heptagon's XOR
+    # parity and a global parity, each less the data it covers: 5 partial
+    # parities for the first, 11 for the second
+    assert plans == [16]
 
 
 def test_decode_verifies_blocks_the_plan_never_reads():
@@ -722,6 +726,45 @@ def test_degraded_read_errors():
         plan_degraded_read(Replication(2), 0, {0, 1})
     with pytest.raises(UnrecoverableError):
         plan_degraded_read(Polygon(5), 0, {0, 1, 2})
+
+
+def _bandwidths(lines) -> dict:
+    """(scheme, down slots) -> (repair bandwidth, {block: degraded-read bandwidth})"""
+    table = {}
+    for line in lines:
+        if not line.startswith("#"):
+            name, down, repair, *reads = line.split()
+            table[name, down] = int(repair), {b: int(n) for b, n in (r.split(":") for r in reads)}
+    return table
+
+
+def test_no_plan_moves_more_than_before_the_planners_were_one():
+    """Each repair and each degraded read of a fully lost block, on every
+    recoverable pattern of 1 to tolerance slots of every report scheme,
+    moves no more blocks than in the table made before the two planners
+    became one.  Only the reads of the two data blocks a heptagon-local
+    polygon loses with its last two nodes and one more got cheaper: 24 ->
+    20, as the lost local parity is no longer solved beside them."""
+    before = _bandwidths((Path(__file__).parent / "bandwidth_table.txt").read_text().splitlines())
+    now = _bandwidths(bandwidth_lines())
+    assert now.keys() == before.keys()
+    fewer = []
+    for key, (repair, reads) in now.items():
+        old_repair, old_reads = before[key]
+        assert repair <= old_repair and reads.keys() == old_reads.keys(), key
+        assert all(reads[b] <= old_reads[b] for b in reads), (key, reads, old_reads)
+        fewer += [(key, reads[b], old_reads[b]) for b in reads if reads[b] < old_reads[b]]
+        fewer += [(key, repair, old_repair)] if repair < old_repair else []
+    assert len(fewer) == 20 and {(k[0], new, old) for k, new, old in fewer} == {
+        ("heptagon-local", 20, 24)}
+
+
+def test_a_solve_sends_one_partial_parity_per_source_slot():
+    # blocks 0 and 11 lost, on slots 0-1 down and 2-3 corrupt: two
+    # equations, each one partial parity from each slot holding its terms
+    plan = plan_degraded_read(HeptagonLocal(), 0, {0, 1}, [(11, 2), (11, 3)])
+    assert plan.bandwidth_blocks == 16 <= 22  # at most one transfer per (slot, equation)
+    assert [t.src for t in plan.transfers] == [2, 3, 4, 5, 6, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 14]
 
 
 @st.composite

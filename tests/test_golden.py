@@ -11,6 +11,14 @@ code as it stood before the tabled cluster builder, the slot-capacity
 matching and the live-host delay scheduler.  They cover the replicated and
 RAID+m host draws on both of ``random.sample``'s branches (20 nodes fit its
 pool, 25 take its set) and both delay settings that bracket the default.
+
+``repair-plans`` and ``degraded-reads`` were recorded again when the two
+loss planners became one.  A repair now copies onto the down slots in
+block-id order, solves, copies the rebuilt blocks on and copies over
+corrupt replicas last; a lone block is sent whole, not as a one-term
+partial parity; and a degraded read of a data block no longer rebuilds a
+lost parity beside it.  No plan moves more blocks than before, which
+``test_no_plan_moves_more_than_the_table`` in ``test_codes.py`` checks.
 """
 
 import argparse
@@ -43,8 +51,8 @@ GOLDEN = {
     "sim-locality-draws-25-r0": "de7f3df7eda1e25809e59dbb23f3f1462251ef059ab2e69f068cba5cd42fab51",
     "sim-locality-draws-25-r2": "e180cf47e399c13c6f7f322c419da555e348834f1ec9f720563dda0efe41589c",
     "code-encode": "f77049a4630aeb95c3d8a8aecba45263de8319aaff7c5b499eb7fba8969a1675",
-    "repair-plans": "6dde10e9cfa208f3583e30ee3015cbac327561c35f26406f676e5747e43a94b4",
-    "degraded-reads": "bd1fa2957d4caaae23a8dc5dd966b4bcaa832ecd72ae9ae9b88c7372f87ba280",
+    "repair-plans": "409fac4110e70aa1e58813760f8354430fdb15b5be85e92c4c94fa0dd284b17d",
+    "degraded-reads": "60111cddec03a941106c539a7530b466e3658f77f9f83a6cc257f69ff3656280",
 }
 
 
