@@ -33,10 +33,11 @@ Memory: no operation holds a file.  ``put`` reads its input a data block at
 a time into one buffer that feeds ``codes.StripeEncoder`` and is written to
 the block's replicas at once; the parities are written at the stripe's end.
 ``read`` yields a stored file's bytes in order, a data block at a time with
-the tail cut off, and holds one block plus what a degraded-read plan holds;
-``get`` builds its ``bytearray`` from it, and the CLI streams it to a temp
-file that replaces the output only once every block is written, so a failed
-read leaves the output as it was.  ``repair`` holds one stripe: one good
+the tail cut off, through ``codes.read_stripe``, the stripe reader that
+serves ``code decode`` too, and holds one block plus what a degraded-read
+plan holds and keeps; ``get`` builds its ``bytearray`` from it, and the CLI
+streams it to a temp file that replaces the output only once every block is
+written, so a failed read leaves the output as it was.  ``repair`` holds one stripe: one good
 body per block and the plan's sums.  ``fsck`` reads each node file with one
 read into one buffer, sized to the stripe's largest node file, and holds it.
 
@@ -73,9 +74,11 @@ import fcntl
 import json
 import logging
 import os
+import string
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 from typing import Iterator
 
@@ -166,7 +169,10 @@ def _stripe_record(d: dict, stripe: dict, scheme: Scheme, source: str,
                                            for n in order):
         raise StoreError(f"{source} is malformed: stripe {stripe['index']} node_order {order}"
                          f" repeats a node or names one outside the store")
-    return StripeRecord(stripe["index"], list(order), list(crcs))
+    if not all(map(is_crc, crcs)):
+        raise StoreError(f"{source} is malformed: stripe {stripe['index']} has a crc32"
+                         f" that is not 8 hex characters")
+    return StripeRecord(stripe["index"], list(order), [c.lower() for c in crcs])
 
 
 @dataclass
@@ -190,6 +196,14 @@ class RepairResult:
 
 def _crc(data: bytes) -> str:
     return f"{zlib.crc32(data):08x}"
+
+
+_HEX = frozenset(string.hexdigits)
+
+
+def is_crc(value) -> bool:
+    """True for a recorded CRC32: 8 hex characters, which ``_crc`` gives in lower case."""
+    return isinstance(value, str) and len(value) == 8 and _HEX.issuperset(value)
 
 
 def _read_json(path: str) -> dict | None:
@@ -234,6 +248,18 @@ def fill(src, view: memoryview) -> int:
             break
         n += got
     return n
+
+
+def head(blocks, size: int) -> Iterator[bytes | memoryview]:
+    """The first *size* bytes of the bytes-like *blocks*, a block at a time:
+    the block that reaches *size* cut short, and those wholly past it read
+    to the end but left out."""
+    for body in blocks:
+        if len(body) > size:
+            body = memoryview(body)[:size]
+        if body:
+            size -= len(body)
+            yield body
 
 
 def _node_file(name: str, index: int, node: int) -> str:
@@ -508,11 +534,8 @@ class BlockStore:
         size = manifest.block_size
 
         def reader(block_id: int) -> bytes:
-            slots = geo.placements.get(block_id)
-            if slots is None:
-                raise MissingBlockError(f"unknown block {block_id}")
             corrupt = None
-            for slot in slots:
+            for slot in geo.placements[block_id]:
                 fname = _node_file(manifest.name, stripe.index, stripe.node_order[slot])
                 body = read(fname, geo.blocks_on[slot].index(block_id) * size, size)
                 if body is None:
@@ -532,63 +555,47 @@ class BlockStore:
         out (each is still read and checked).  The manifest is loaded here,
         so a missing file raises before anything is read.
 
-        A block with no good replica is served through a degraded-read
-        plan whose damage is the slots whose node file is not there, which
-        the stripe's first degraded read looks up, and the block's own
-        replicas.  When the plan meets another block with no good replica,
-        one scan of the stripe finds its damage exactly, without keeping
-        any bytes, and a second plan is made from it.  The executed plan's
-        bandwidth is logged and added to ``degraded_transfers``.  A plan
-        also rebuilds the other blocks its solve determines, and those are
-        kept for the rest of the stripe; nothing else outlives the block it
-        belongs to, so a read holds a block plus what a plan holds."""
+        Each stripe is served by ``codes.read_stripe`` through
+        ``_stripe_reader``.  A block with no good replica is rebuilt by a
+        degraded-read plan whose damage is first the slots whose node file
+        is not there, looked up once per stripe, and then, when the plan
+        meets another block with no good replica, the damage that one scan
+        of the stripe finds exactly, without keeping any bytes.  Each
+        executed plan's bandwidth is logged and added to
+        ``degraded_transfers``, and each block it rebuilds must pass its
+        CRC.  A read holds a block plus what a plan holds and keeps."""
         return self._read_blocks(self.load_manifest(name))
 
     def _read_blocks(self, manifest: StoreManifest) -> Iterator[bytes | memoryview]:
         scheme = parse_scheme(manifest.scheme)
         geo = codes._geometry(scheme)
-        left = manifest.size
-        for stripe in manifest.stripes:
-            with self._read_file() as read:
-                reader = self._stripe_reader(manifest, stripe, geo, read)
-                rebuilt: dict[int, bytes] = {}
-                absent = None  # the slots whose node file is not there
-                for i in range(scheme.data_block_count):
-                    block_id = geo.data_block_of[i]
-                    try:
-                        body = reader(block_id)
-                    except (MissingBlockError, ChecksumMismatchError):
-                        # no good replica left: decode it from the stripe
-                        if block_id not in rebuilt:
-                            if absent is None:
-                                fnames = (_node_file(manifest.name, stripe.index, node)
-                                          for node in stripe.node_order)
-                                absent = {s for s, fname in enumerate(fnames)
-                                          if read(fname, 0, 0) is None}
-                            own = [(block_id, s) for s in geo.placements[block_id]]
-                            plan = codes.plan_degraded_read(scheme, block_id, absent, own)
-                            try:
-                                rebuilt.update(codes.execute_plan(plan, reader))
-                            except (MissingBlockError, ChecksumMismatchError):
-                                # another block is bad too: plan from the stripe's damage
-                                _, corrupt, missing = self._scan(manifest, stripe, geo, False, read)
-                                plan = codes.plan_degraded_read(scheme, block_id, missing, corrupt)
-                                rebuilt.update(codes.execute_plan(plan, reader))
-                            self.degraded_transfers += plan.bandwidth_blocks
-                            log.info(
-                                "degraded read: %s stripe %d block %d via %d transfers",
-                                manifest.name, stripe.index, block_id, plan.bandwidth_blocks,
-                            )
-                        body = rebuilt[block_id]
-                        if _crc(body) != stripe.crc32[block_id]:
-                            raise ChecksumMismatchError(
-                                f"degraded read of block {block_id} failed its CRC check"
-                            )
-                    if len(body) > left:
-                        body = memoryview(body)[:left]
-                    if body:
-                        left -= len(body)
-                        yield body
+
+        def blocks() -> Iterator[bytes]:
+            for stripe in manifest.stripes:
+                with self._read_file() as read:
+
+                    @cache
+                    def damage(exact: bool):
+                        if exact:
+                            _, corrupt, missing = self._scan(manifest, stripe, geo, False, read)
+                            return missing, corrupt
+                        fnames = (_node_file(manifest.name, stripe.index, node)
+                                  for node in stripe.node_order)
+                        return [s for s, f in enumerate(fnames) if read(f, 0, 0) is None], ()
+
+                    def rebuilt(block_id: int, plan, bodies: dict[int, bytes]) -> None:
+                        self.degraded_transfers += plan.bandwidth_blocks
+                        log.info("degraded read: %s stripe %d block %d via %d transfers",
+                                 manifest.name, stripe.index, block_id, plan.bandwidth_blocks)
+                        for b, body in bodies.items():
+                            if _crc(body) != stripe.crc32[b]:
+                                raise ChecksumMismatchError(
+                                    f"degraded read of block {b} failed its CRC check")
+
+                    reader = self._stripe_reader(manifest, stripe, geo, read)
+                    yield from codes.read_stripe(scheme, reader, damage, rebuilt)
+
+        return head(blocks(), manifest.size)
 
     def get(self, name: str) -> bytearray:
         """Reassemble a stored file from ``read``."""

@@ -450,6 +450,8 @@ def _cmd_code_encode(args) -> int:
 def _cmd_code_decode(args) -> int:
     import json
 
+    from .blockstore import head, is_crc
+
     src = Path(args.in_dir)
     malformed = ValueError(f"{src / 'stripe.json'} is malformed")
     try:
@@ -458,16 +460,16 @@ def _cmd_code_decode(args) -> int:
         raise malformed from None
     if not (isinstance(meta, dict) and isinstance(meta.get("scheme"), str)
             and isinstance(meta.get("original_size"), int) and isinstance(meta.get("blocks"), dict)
-            and all(isinstance(b, dict) and isinstance(b.get("file"), str) and "crc32" in b
-                    and isinstance(b.get("nodes"), list) and all(type(n) is int for n in b["nodes"])
-                    for b in meta["blocks"].values())):
+            and all(isinstance(b, dict) and isinstance(b.get("file"), str)
+                    and is_crc(b.get("crc32")) and isinstance(b.get("nodes"), list)
+                    and all(type(n) is int for n in b["nodes"]) for b in meta["blocks"].values())):
         raise malformed
     scheme = parse_scheme(meta["scheme"])
-    placements = codes._geometry(scheme).placements
+    geo = codes._geometry(scheme)
     slot_of: dict[int, int] = {}  # node id -> the slot it plays, from each block's hosts
     for block_id, info in meta["blocks"].items():
-        slots = placements.get(int(block_id) if block_id.isdecimal() else None, ())
-        if len(info["nodes"]) != len(slots) or any(
+        slots = geo.placements.get(int(block_id) if block_id.isdecimal() else None, ())
+        if not slots or len(info["nodes"]) != len(slots) or any(
             slot_of.setdefault(n, s) != s for n, s in zip(info["nodes"], slots)
         ):
             raise malformed
@@ -478,24 +480,43 @@ def _cmd_code_decode(args) -> int:
         if node not in slot_of:
             raise ValueError(f"node {node} holds no block of the stripe")
         killed.add(slot_of[node])
-    surviving: dict[int, dict[int, bytes]] = {}
-    for block_id, info in meta["blocks"].items():
-        block_id = int(block_id)
-        hosts = [s for s in placements[block_id] if s not in killed]
-        if not hosts:
-            continue
+    files = {int(b): (info["file"], int(info["crc32"], 16)) for b, info in meta["blocks"].items()}
+
+    def reader(block_id: int) -> bytes:  # raises as the store's stripe reader does
+        if block_id not in files or set(geo.placements[block_id]) <= killed:
+            raise codes.MissingBlockError(f"no live copy of block {block_id}")
+        name, crc = files[block_id]
         try:
-            body = (src / info["file"]).read_bytes()
+            body = (src / name).read_bytes()
         except FileNotFoundError:
-            continue  # a lost block: decode_stripe rebuilds it if the code can
-        if f"{zlib.crc32(body):08x}" == info["crc32"]:  # a corrupt one is lost too
-            surviving.setdefault(hosts[0], {})[block_id] = body
-    data = codes.decode_stripe(scheme, surviving, killed)
-    size, width = meta["original_size"], len(data[0])
+            raise codes.MissingBlockError(f"{name} is missing") from None
+        if zlib.crc32(body) != crc:
+            raise codes.ChecksumMismatchError(f"{name} failed its CRC check")
+        return body
+
+    def served(block_id: int) -> bytes | None:
+        try:
+            return reader(block_id)
+        except (codes.MissingBlockError, codes.ChecksumMismatchError):
+            return None
+
+    @cache
+    def damage(exact: bool):  # exact: each live replica of a lost block is corrupt
+        return killed, [(b, s) for b, slots in geo.placements.items()
+                        if exact and served(b) is None for s in slots]
+
+    def rebuilt(block_id, plan, blocks) -> None:
+        for b, body in blocks.items():
+            if b in files and zlib.crc32(body) != files[b][1]:
+                raise codes.ChecksumMismatchError(f"rebuilt block {b} fails its CRC in stripe.json")
+
+    def replicas(block_id: int) -> tuple:  # a served data block is its file
+        body = None if geo.roles[block_id].kind == "data" else served(block_id)
+        return () if body is None else (body,)
+
+    data = codes.read_stripe(scheme, reader, damage, rebuilt)
     written = _write_output(
-        args.output,
-        (memoryview(b)[: size - i * width] for i, b in enumerate(data) if i * width < size),
-    )
+        args.output, head(codes.check_stripe(scheme, data, replicas), meta["original_size"]))
     print(f"decoded {written} bytes to {args.output}")
     return 0
 

@@ -33,6 +33,14 @@ in Shah, Rashmi, Kumar and Ramchandran (IEEE Trans. IT, 2012).  The source
 slots are the fewest good hosts that hold the terms, and a term the
 destination holds good is read there for free.  A lost parity is its row
 over the data, rebuilt the same way at its own host.
+
+One stripe reader, ``read_stripe``, serves the block store's reads and
+``code decode``: it yields a stripe's data blocks in order from a block
+reader and plans a degraded read around each block the reader cannot
+serve.  It holds a block plus what a plan holds and keeps, so ``code
+decode``, which streams its blocks to the output and then checks each
+surviving parity against a fresh encode, peaks at 0.52 of a heptagon-local
+stripe with three nodes down.
 """
 
 from __future__ import annotations
@@ -610,29 +618,6 @@ def tolerance(scheme: Scheme) -> int:
 # Decoding
 
 
-def _flatten_surviving(
-    scheme: Scheme, surviving: Mapping[int, Mapping[int, bytes]], pattern
-) -> dict[int, bytes]:
-    geo = _geometry(scheme)
-    failed = set(pattern)
-    present: dict[int, bytes] = {}
-    for node, blocks in surviving.items():
-        if node in failed:
-            raise ValueError(f"node {node} is both failed and surviving")
-        for b, data in blocks.items():
-            if b not in geo.placements:
-                raise ValueError(f"unknown block id {b}")
-            if node not in geo.placements[b]:
-                raise ValueError(f"block {b} does not belong on slot {node}")
-            old = present.get(b)
-            if old is not None and old != bytes(data):
-                raise InconsistentStripeError(
-                    f"replicas of block {b} disagree byte-wise"
-                )
-            present[b] = bytes(data)
-    return present
-
-
 def memory_reader(blocks: Mapping[int, bytes]) -> Callable[[int], bytes]:
     """Block accessor over bytes already in memory and checked; a block not
     among them raises MissingBlockError, as a stripe reader does."""
@@ -646,53 +631,81 @@ def memory_reader(blocks: Mapping[int, bytes]) -> Callable[[int], bytes]:
     return reader
 
 
+def read_stripe(scheme: Scheme, reader, damage, rebuilt=lambda *_: None) -> Iterator[bytes]:
+    """Yield a stripe's data blocks in order from *reader*, a block accessor
+    as ``execute_plan`` takes.  A block it cannot serve is rebuilt by a
+    degraded-read plan, its own replicas counted corrupt, and the other
+    blocks that plan rebuilds are kept until their turn.  The plan's damage,
+    (down slots, corrupt (block id, slot) pairs), is ``damage(False)``, a
+    cheap guess, and then, if the plan meets another block the reader cannot
+    serve, ``damage(True)``, the exact damage.  ``rebuilt(block id, plan,
+    blocks)`` sees each executed plan and its blocks before they are used."""
+    geo = _geometry(scheme)
+    kept: dict[int, bytes] = {}
+    for i in range(scheme.data_block_count):
+        b = geo.data_block_of[i]
+        try:
+            body = reader(b)
+        except (MissingBlockError, ChecksumMismatchError):
+            if b not in kept:
+                own = [(b, s) for s in geo.placements[b]]
+                down, corrupt = damage(False)
+                plan = plan_degraded_read(scheme, b, down, [*corrupt, *own])
+                try:
+                    blocks = execute_plan(plan, reader)
+                except (MissingBlockError, ChecksumMismatchError):  # another block is bad too
+                    down, corrupt = damage(True)
+                    plan = plan_degraded_read(scheme, b, down, [*corrupt, *own])
+                    blocks = execute_plan(plan, reader)
+                rebuilt(b, plan, blocks)
+                kept.update(blocks)
+            body = kept.pop(b)
+        yield body
+
+
+def check_stripe(scheme: Scheme, data: Iterable, replicas: Callable) -> Iterator[bytes]:
+    """Yield the stripe's data blocks *data* and check each replica that
+    ``replicas(block id)`` gives against them, a data block's as it passes,
+    and, after the last, each parity's against a fresh encode, one parity
+    at a time; a replica that differs raises InconsistentStripeError."""
+    geo = _geometry(scheme)
+
+    def check(b: int, body) -> None:
+        if any(r != body for r in replicas(b)):
+            raise InconsistentStripeError(f"block {b} violates the stripe's parity relations")
+
+    encoder = None
+    for i, block in enumerate(data):
+        check(geo.data_block_of[i], block)
+        encoder = encoder or StripeEncoder(scheme, len(block))
+        encoder.feed(i, block)
+        yield block
+    for b, parity in encoder.parities():
+        check(b, parity)
+
+
 def decode_stripe(
     scheme: Scheme,
     surviving: Mapping[int, Mapping[int, bytes]],
     pattern: Iterable[int] = (),
 ) -> list[bytes]:
-    """Recover all data blocks from surviving node contents.
-
-    *surviving* maps canonical slot -> {block id -> bytes}; *pattern* is the
-    failed-slot set.  A data block with a surviving copy is used as is.  One
-    without is rebuilt by running its degraded-read plan over the surviving
-    blocks, with the live replicas of every block left out of *surviving*
-    as corrupt; the plan also rebuilds every other block its solve
-    determines, so each solve runs once.  A final pass checks every
-    surviving block against the data, each parity as a fresh encode yields
-    it, which turns silent corruption into ``InconsistentStripeError``.
-    """
-    failed = frozenset(pattern)
+    """Recover all data blocks from surviving node contents, *surviving*
+    mapping canonical slot -> {block id -> bytes} and *pattern* the failed
+    slots: ``read_stripe`` over a ``memory_reader`` of each block's first
+    replica, every block left out counted corrupt, then ``check_stripe``
+    against every replica in *surviving*."""
     geo = _geometry(scheme)
-    present = _flatten_surviving(scheme, surviving, failed)
-    if not present:
-        raise UnrecoverableError("no surviving blocks given")
-    width = len(next(iter(present.values())))
-    if any(len(v) != width for v in present.values()):
-        raise ValueError("surviving blocks differ in length")
-
-    left_out = [(b, s) for b, slots in geo.placements.items() if b not in present for s in slots]
-    reader = memory_reader(present)
-    rebuilt: dict[int, bytes] = {}
-    result = []
-    for i in range(scheme.data_block_count):
-        b = geo.data_block_of[i]
-        if b not in present and b not in rebuilt:
-            rebuilt.update(execute_plan(plan_degraded_read(scheme, b, failed, left_out), reader))
-        result.append(present[b] if b in present else rebuilt[b])
-
-    # verify every surviving block against the data: a data block as is, a
-    # parity as a fresh encode yields it, so one parity is held at a time
-    encoder = StripeEncoder(scheme, width)
-    for i, block in enumerate(result):
-        b = geo.data_block_of[i]
-        if b in present and present[b] != block:
-            raise InconsistentStripeError(f"block {b} violates the stripe's parity relations")
-        encoder.feed(i, block)
-    for b, parity in encoder.parities():
-        if b in present and present[b] != parity:
-            raise InconsistentStripeError(f"block {b} violates the stripe's parity relations")
-    return result
+    failed = frozenset(pattern)
+    copies: dict[int, list] = {}
+    for slot, blocks in surviving.items():
+        for b, body in blocks.items():
+            if slot in failed or slot not in geo.placements.get(b, ()):
+                raise ValueError(f"block {b} is not held on live slot {slot}")
+            copies.setdefault(b, []).append(body)
+    left_out = [(b, s) for b, slots in geo.placements.items() if b not in copies for s in slots]
+    reader = memory_reader({b: bodies[0] for b, bodies in copies.items()})
+    data = read_stripe(scheme, reader, lambda exact: (failed, left_out))
+    return list(check_stripe(scheme, data, lambda b: copies.get(b, ())))
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,10 @@ class MarkovChain:
                     row[m - 1 - target] -= r
             rows.append(row)
         num, den = _bareiss_last_row(rows)
-        return num / den  # int / int rounds the exact quotient correctly
+        try:
+            return num / den  # int / int rounds the exact quotient correctly
+        except OverflowError:
+            raise ValueError("the MTTDL is beyond the float range, over 1.8e+308 hours") from None
 
 
 def _bareiss_last_row(rows: list[list[int]]) -> tuple[int, int]:
@@ -307,6 +310,11 @@ class MonteCarloResult:
     ci_high: float
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 100:
+        raise ValueError("need at least 100 trials for a meaningful CI")
+
+
 def mttdl_montecarlo(
     scheme: Scheme,
     model: FailureModel,
@@ -319,8 +327,7 @@ def mttdl_montecarlo(
     Identical results for any *workers* value: trial i always uses the RNG
     derived from (seed, i).
     """
-    if trials < 100:
-        raise ValueError("need at least 100 trials for a meaningful CI")
+    _check_trials(trials)
     if workers <= 1:
         times = _run_trials(scheme, model, seed, 0, trials)
     else:
@@ -372,7 +379,9 @@ def reliability_rows(
     workers: int = 1,
 ) -> list[dict]:
     """One row per scheme.  *chains* are the schemes' chains under
-    *model*, already built by the caller."""
+    *model*, already built by the caller.  The trial count is checked
+    before any chain is solved."""
+    _check_trials(trials)
     rows = []
     for scheme, chain in zip(schemes, chains):
         analytic = mttdl_analytic(scheme, model, chain)

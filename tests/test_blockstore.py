@@ -319,8 +319,9 @@ def test_block_files_are_opened_and_removed_by_three_helpers_only():
 
 def test_the_store_rebuilds_blocks_only_through_plans():
     """The store calls into ``codes`` only for the geometry, encoding, the
-    decodability test, the two planners and plan execution, raising its
-    errors aside; every transfer it counts is a plan's bandwidth."""
+    decodability test, the repair planner, plan execution and the stripe
+    reader that plans its degraded reads, raising its errors aside; every
+    transfer it counts is a plan's bandwidth."""
     tree = ast.parse(Path(blockstore.__file__).read_text())
     imported = {alias.asname or alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module == "codes"
@@ -337,7 +338,7 @@ def test_the_store_rebuilds_blocks_only_through_plans():
               and issubclass(getattr(codes, n), codes.CodeError)}
     assert called - errors <= {
         "_geometry", "build_layout", "parse_scheme", "StripeEncoder", "can_decode_from",
-        "plan_repair", "plan_degraded_read", "execute_plan", "memory_reader",
+        "plan_repair", "execute_plan", "memory_reader", "read_stripe",
     }
     counts = [node for node in ast.walk(tree) if isinstance(node, ast.AugAssign)
               and ast.unparse(node.target) in ("bandwidth", "self.degraded_transfers")]
@@ -1147,6 +1148,24 @@ def test_stripe_records_that_do_not_fit_the_layout_are_refused(tmp_path, change)
     message = r"^f\.bin stripe 1 disagrees with the raidm-3 layout$"
     for read in (lambda: store.load_manifest("f.bin"), lambda: store.get("f.bin"),
                  store.fsck, store.repair):
+        with pytest.raises(StoreError, match=message):
+            read()
+
+
+@pytest.mark.parametrize("crc", [0x1234ABCD, "1234abc", "1234abcd0", "1234abcg", None])
+def test_a_crc_that_is_not_8_hex_characters_is_refused_by_name(tmp_path, crc):
+    store = BlockStore.create(tmp_path / "s", Polygon(5), nodes=5, block_size=16, seed=7)
+    src = write_file(tmp_path, 100, seed=8)
+    raw = store.put(src).to_dict()
+    path = store.root / "data.bin.manifest.json"
+    crcs = raw["stripes"][0]["crc32"] = [c.upper() for c in raw["stripes"][0]["crc32"]]
+    path.write_text(json.dumps(raw))  # upper case is hex too
+    assert store.fsck().is_clean and store.get("data.bin") == src.read_bytes()
+    crcs[4] = crc
+    path.write_text(json.dumps(raw))
+    message = (f"^{re.escape(str(path))} is malformed: stripe 0 has a crc32"
+               f" that is not 8 hex characters$")
+    for read in (lambda: store.get("data.bin"), store.fsck, store.repair):
         with pytest.raises(StoreError, match=message):
             read()
 
