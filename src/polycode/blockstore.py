@@ -29,25 +29,28 @@ reports it as missing, once, so its ``missing`` count is the number of
 block files the killed nodes held; a replica that fails its CRC, or that a
 short file cuts off, is corrupt.
 
-Memory: no operation holds a file.  ``put`` reads its input a data block at
-a time into one buffer that feeds ``codes.StripeEncoder`` and is written to
-the block's replicas at once; the parities are written at the stripe's end.
-``read`` yields a stored file's bytes in order, a data block at a time with
-the tail cut off, through ``codes.read_stripe``, the stripe reader that
-serves ``code decode`` too, and holds one block plus what a degraded-read
-plan holds and keeps; ``get`` builds its ``bytearray`` from it, and the CLI
-streams it to a temp file that replaces the output only once every block is
-written, so a failed read leaves the output as it was.  ``repair`` holds one stripe: one good
-body per block and the plan's sums.  ``fsck`` reads each node file with one
-read into one buffer, sized to the stripe's largest node file, and holds it.
+Memory: no operation holds a file.  ``put`` writes each stripe through
+``_write_stripe``, which reads its input a data block at a time into one
+buffer that feeds ``codes.StripeEncoder`` and is written to the block's
+replicas at once; the parities are written at the stripe's end.  ``read``
+yields a stored file's bytes in order, a data block at a time with the tail
+cut off, through ``codes.read_stripe`` over a ``_StripeReader``, and holds
+one block plus what a degraded-read plan holds and keeps; ``get`` builds its
+``bytearray`` from it, and the CLI streams it to a temp file that replaces
+the output only once every block is written.  ``repair`` holds one stripe:
+one good body per block and the plan's sums.  ``fsck`` reads each node file
+with one read into one buffer, sized to the stripe's largest node file.
 
 Three helpers, ``_read_file``, ``_write_file`` and ``_remove_files``, are the
 only code that opens or removes a block file; a read is one range of it, and
-a write one block.  ``_read_file`` opens a file at its first read and keeps
-it open until the reads are done, and each stripe gets its own: a stripe
-read opens each node file once, for its blocks, its degraded-read probe and
-plans, and its scan alike, and sees each node file as it was when first
-opened.  ``store.json`` and the manifests are read by
+a write one block.  They serve ``code encode`` and ``code decode`` too, which
+keep a stripe as one file per block, ``b<id>.blk``: the same
+``_write_stripe`` and ``_StripeReader`` take a (file, offset) per replica,
+in a node file or a block file alike.  ``_read_file`` opens a file at its
+first read and keeps it open until the reads are done, and each stripe gets
+its own: a stripe read opens each file once, for its blocks, its
+degraded-read probe and plans, and its scan alike, and sees each file as it
+was when first opened.  ``store.json`` and the manifests are read by
 ``_read_json``, and refused by name when they are not JSON or lack a field
 the store reads; they are written compact (no indent, so ``json`` uses its
 C encoder) by ``_write_json``, to a temp file that is renamed over its target.
@@ -267,6 +270,144 @@ def _node_file(name: str, index: int, node: int) -> str:
     return f"n{node}/{name}.s{index}.blk"
 
 
+def _node_places(geo, fnames: list[str], size: int) -> dict[int, list[tuple[str, int]]]:
+    """Each block's replicas, (file, offset) in slot order, slot s being ``fnames[s]``."""
+    return {b: [(fnames[s], geo.blocks_on[s].index(b) * size) for s in slots]
+            for b, slots in geo.placements.items()}
+
+
+# -- block files: *fname* is a block file's name relative to *root* --------
+
+
+@contextmanager
+def _read_file(root: str):
+    """Yield read(fname, offset, size, buffer=None), which reads *size*
+    bytes at *offset* of the file, or returns None when it does not
+    exist.  Each file is opened at its first read, or found missing
+    then, and closed on the way out, so the reads see each file as it
+    was when first read.  A read comes back as new bytes or, given
+    *buffer*, as a view of its start; a read past the file's end comes
+    back short."""
+    fds: dict[str, int | None] = {}
+
+    def read(fname: str, offset: int, size: int, buffer: bytearray | None = None):
+        if fname not in fds:
+            try:
+                fds[fname] = os.open(f"{root}/{fname}", os.O_RDONLY)
+            except (FileNotFoundError, NotADirectoryError):
+                fds[fname] = None
+        fd = fds[fname]
+        if fd is None:
+            return None
+        try:
+            if buffer is None:
+                return os.pread(fd, size, offset)
+            return memoryview(buffer)[: os.preadv(fd, [memoryview(buffer)[:size]], offset)]
+        except OSError as exc:  # as a directory in a block file's place gives
+            raise type(exc)(exc.errno, exc.strerror, f"{root}/{fname}") from None
+
+    try:
+        yield read
+    finally:
+        for fd in fds.values():
+            if fd is not None:
+                os.close(fd)
+
+
+@contextmanager
+def _write_file(root: str, fnames, whole: bool):
+    """Open the files for writing, made empty first when *whole*, and
+    yield write(fname, offset, body), which writes *body* at *offset*
+    of one of them.  Each file is opened once and closed on the way
+    out; a file written in place keeps every byte it is not given."""
+    flags = os.O_WRONLY | os.O_CREAT | (os.O_TRUNC if whole else 0)
+    fds = {}
+    try:
+        for fname in fnames:
+            fds[fname] = os.open(f"{root}/{fname}", flags, 0o666)
+
+        def write(fname: str, offset: int, body) -> None:
+            fd, view = fds[fname], memoryview(body)
+            while view:
+                n = os.pwrite(fd, view, offset)
+                view, offset = view[n:], offset + n
+
+        yield write
+    finally:
+        for fd in fds.values():
+            os.close(fd)
+
+
+def _write_stripe(root: str, scheme: Scheme, src, view, n: int, places) -> tuple[list, int]:
+    """Encode a stripe read from *src* through *view*, a data block's buffer
+    that holds the stripe's first *n* bytes already, and write block b to
+    each (file, offset) of ``places[b]``: each data block as it is read,
+    padded with zeros at the input's end, and each parity as it is made.
+    Returns the CRCs by block id and the count of input bytes taken."""
+    geo = codes._geometry(scheme)
+    size, taken = len(view), 0
+    crcs, encoder = [""] * scheme.block_count, codes.StripeEncoder(scheme, size)
+    fnames = dict.fromkeys(fname for replicas in places.values() for fname, _ in replicas)
+    with _write_file(root, fnames, whole=True) as write:
+
+        def place(b: int, body) -> None:
+            for fname, offset in places[b]:
+                write(fname, offset, body)
+            crcs[b] = _crc(body)
+
+        for i in range(scheme.data_block_count):
+            if i:
+                n = fill(src, view)
+            if n < size:  # the input's end: pad the stripe with zeros
+                view[n:] = bytes(size - n)
+            taken += n
+            encoder.feed(i, view)
+            place(geo.data_block_of[i], view)
+        for b, body in encoder.parities():
+            place(b, body)
+    return crcs, taken
+
+
+class _StripeReader:
+    """The block accessor ``codes.read_stripe`` takes, over a stripe's
+    replicas read through *read*, one of ``_read_file``'s: ``places[b]``
+    lists block b's as (file, offset) in slot order, and ``crcs[b]`` is its
+    CRC.  A replica is read as *span* bytes and is good when they are *size*
+    bytes that pass the CRC, so a span past *size* finds a longer file bad."""
+
+    def __init__(self, read, places, crcs: list[str], size: int, span: int):
+        self.read, self.places, self.crcs, self.size, self.span = read, places, crcs, size, span
+
+    def __call__(self, block_id: int) -> bytes:
+        """The block's first good replica.  Raises ChecksumMismatchError
+        when only corrupt ones remain, MissingBlockError when none is left."""
+        corrupt = None
+        for fname, offset in self.places[block_id]:
+            body = self.read(fname, offset, self.span)
+            if body is None:
+                continue
+            if len(body) == self.size and _crc(body) == self.crcs[block_id]:
+                return body
+            corrupt = fname
+        if corrupt is not None:
+            raise ChecksumMismatchError(f"block {block_id} in {corrupt} failed its CRC check")
+        raise MissingBlockError(f"no live replica of block {block_id}")
+
+    def good(self, block_id: int) -> bytes | None:
+        """The block's first good replica, or None when it has none."""
+        try:
+            return self(block_id)
+        except (MissingBlockError, ChecksumMismatchError):
+            return None
+
+
+def _check_rebuilt(blocks: dict[int, bytes], crcs: list[str]) -> None:
+    """Refuse a block a plan rebuilt that fails its recorded CRC."""
+    for b, body in blocks.items():
+        if _crc(body) != crcs[b]:
+            raise ChecksumMismatchError(f"rebuilt block {b} failed its CRC check")
+
+
 class BlockStore:
     """A directory-per-node block store for one coding scheme."""
 
@@ -357,84 +498,13 @@ class BlockStore:
         return [StoreManifest.from_dict(_read_json(path), path, self.node_count)
                 for path in paths]
 
-    # -- block files --------------------------------------------------------
-    # The only code that opens or removes a block file; *fname* is a node
-    # file's root-relative name, n<node>/<name>.s<stripe>.blk.
-
-    @contextmanager
-    def _read_file(self):
-        """Yield read(fname, offset, size, buffer=None), which reads *size*
-        bytes at *offset* of the file, or returns None when it does not
-        exist.  Each file is opened at its first read, or found missing
-        then, and closed on the way out, so the reads see each file as it
-        was when first read.  A read comes back as new bytes or, given
-        *buffer*, as a view of its start; a read past the file's end comes
-        back short."""
-        fds: dict[str, int | None] = {}
-
-        def read(fname: str, offset: int, size: int, buffer: bytearray | None = None):
-            if fname not in fds:
-                try:
-                    fds[fname] = os.open(f"{self._root}/{fname}", os.O_RDONLY)
-                except (FileNotFoundError, NotADirectoryError):
-                    fds[fname] = None
-            fd = fds[fname]
-            if fd is None:
-                return None
-            if buffer is None:
-                return os.pread(fd, size, offset)
-            return memoryview(buffer)[: os.preadv(fd, [memoryview(buffer)[:size]], offset)]
-
-        try:
-            yield read
-        finally:
-            for fd in fds.values():
-                if fd is not None:
-                    os.close(fd)
-
-    @contextmanager
-    def _write_file(self, fnames, whole: bool):
-        """Open the files for writing, made empty first when *whole*, and
-        yield write(fname, offset, body), which writes *body* at *offset*
-        of one of them.  Each file is opened once and closed on the way
-        out; a file written in place keeps every byte it is not given."""
-        flags = os.O_WRONLY | os.O_CREAT | (os.O_TRUNC if whole else 0)
-        fds = {}
-        try:
-            for fname in fnames:
-                fds[fname] = os.open(f"{self._root}/{fname}", flags, 0o666)
-
-            def write(fname: str, offset: int, body) -> None:
-                fd, view = fds[fname], memoryview(body)
-                while view:
-                    n = os.pwrite(fd, view, offset)
-                    view, offset = view[n:], offset + n
-
-            yield write
-        finally:
-            for fd in fds.values():
-                os.close(fd)
-
-    def _remove_files(self, node_id: int) -> None:
-        """Remove every block file on the node, named by a manifest or not."""
-        try:
-            entries = os.scandir(f"{self._root}/n{node_id}")
-        except FileNotFoundError:
-            return
-        with entries:
-            for entry in entries:
-                if entry.name.endswith(".blk"):
-                    os.unlink(entry.path)
-
     # -- write path ---------------------------------------------------------
 
     def put(self, path: str | Path, name: str | None = None) -> StoreManifest:
         """Stripe, encode and place a file; persists and returns its manifest.
 
-        The file is read one data block at a time into one buffer: each block
-        is fed to the parity sums and its replicas are written at once, and
-        the parities are written at the end of the stripe, each as it is
-        made, so a put holds a block and the parity sums, never a stripe or
+        Each stripe goes through ``_write_stripe``, as ``code encode``'s
+        does, so a put holds a block and the parity sums, never a stripe or
         the file.  Each replica is written at its offset in its node's file
         of the stripe; the stripe's node files are opened once each, and
         closed before the next stripe.  The input may be any readable file,
@@ -460,8 +530,7 @@ class BlockStore:
             if len(pool) < scheme.code_length:
                 raise StoreError("insufficient up nodes")
             geo = codes._geometry(scheme)
-            block = bytearray(block_size)
-            view = memoryview(block)
+            view = memoryview(bytearray(block_size))
             size = 0
             stripes: list[StripeRecord] = []
             with open(path, "rb", buffering=0) as src:
@@ -470,25 +539,9 @@ class BlockStore:
                     layout_seed = zlib.crc32(f"{self.seed}:{name}:{k}".encode())
                     order = codes.build_layout(scheme, pool, layout_seed)
                     fnames = [_node_file(name, k, node) for node in order]
-                    crcs = [""] * scheme.block_count
-                    encoder = codes.StripeEncoder(scheme, block_size)
-                    with self._write_file(fnames, whole=True) as write:
-
-                        def place(b: int, body) -> None:
-                            for s in geo.placements[b]:
-                                write(fnames[s], geo.blocks_on[s].index(b) * block_size, body)
-                            crcs[b] = _crc(body)
-
-                        for i in range(scheme.data_block_count):
-                            if i:
-                                n = fill(src, view)
-                            if n < block_size:  # the file's end: pad the stripe with zeros
-                                view[n:] = bytes(block_size - n)
-                            size += n
-                            encoder.feed(i, block)
-                            place(geo.data_block_of[i], block)
-                        for b, body in encoder.parities():
-                            place(b, body)
+                    crcs, taken = _write_stripe(self._root, scheme, src, view, n,
+                                                _node_places(geo, fnames, block_size))
+                    size += taken
                     stripes.append(StripeRecord(k, list(order), crcs))
             manifest = StoreManifest(name, size, scheme.name, block_size, stripes)
             _write_json(self._manifest_path(name), manifest.to_dict())
@@ -525,38 +578,14 @@ class BlockStore:
                     corrupt.append((block_id, slot))
         return good, corrupt, missing
 
-    def _stripe_reader(self, manifest: StoreManifest, stripe: StripeRecord, geo, read):
-        """Block accessor over the stripe's replicas, read through *read*,
-        one of ``_read_file``'s: returns the first replica, in the block's
-        slot order, that passes its CRC, skipping missing files and corrupt
-        copies.  Raises ChecksumMismatchError when only corrupt replicas
-        remain, MissingBlockError when none is left."""
-        size = manifest.block_size
-
-        def reader(block_id: int) -> bytes:
-            corrupt = None
-            for slot in geo.placements[block_id]:
-                fname = _node_file(manifest.name, stripe.index, stripe.node_order[slot])
-                body = read(fname, geo.blocks_on[slot].index(block_id) * size, size)
-                if body is None:
-                    continue
-                if len(body) == size and _crc(body) == stripe.crc32[block_id]:
-                    return body
-                corrupt = fname
-            if corrupt is not None:
-                raise ChecksumMismatchError(f"block {block_id} in {corrupt} failed its CRC check")
-            raise MissingBlockError(f"no live replica of block {block_id}")
-
-        return reader
-
     def read(self, name: str) -> Iterator[bytes | memoryview]:
         """The stored file's bytes in order, one data block at a time, the
         last block cut to the file's size and blocks wholly past it left
         out (each is still read and checked).  The manifest is loaded here,
         so a missing file raises before anything is read.
 
-        Each stripe is served by ``codes.read_stripe`` through
-        ``_stripe_reader``.  A block with no good replica is rebuilt by a
+        Each stripe is served by ``codes.read_stripe`` through a
+        ``_StripeReader``.  A block with no good replica is rebuilt by a
         degraded-read plan whose damage is first the slots whose node file
         is not there, looked up once per stripe, and then, when the plan
         meets another block with no good replica, the damage that one scan
@@ -567,33 +596,30 @@ class BlockStore:
         return self._read_blocks(self.load_manifest(name))
 
     def _read_blocks(self, manifest: StoreManifest) -> Iterator[bytes | memoryview]:
-        scheme = parse_scheme(manifest.scheme)
+        scheme, size = parse_scheme(manifest.scheme), manifest.block_size
         geo = codes._geometry(scheme)
 
         def blocks() -> Iterator[bytes]:
             for stripe in manifest.stripes:
-                with self._read_file() as read:
+                fnames = [_node_file(manifest.name, stripe.index, n) for n in stripe.node_order]
+                with _read_file(self._root) as read:
+                    replicas = _StripeReader(read, _node_places(geo, fnames, size),
+                                             stripe.crc32, size, size)
 
                     @cache
                     def damage(exact: bool):
                         if exact:
                             _, corrupt, missing = self._scan(manifest, stripe, geo, False, read)
                             return missing, corrupt
-                        fnames = (_node_file(manifest.name, stripe.index, node)
-                                  for node in stripe.node_order)
                         return [s for s, f in enumerate(fnames) if read(f, 0, 0) is None], ()
 
                     def rebuilt(block_id: int, plan, bodies: dict[int, bytes]) -> None:
                         self.degraded_transfers += plan.bandwidth_blocks
                         log.info("degraded read: %s stripe %d block %d via %d transfers",
                                  manifest.name, stripe.index, block_id, plan.bandwidth_blocks)
-                        for b, body in bodies.items():
-                            if _crc(body) != stripe.crc32[b]:
-                                raise ChecksumMismatchError(
-                                    f"degraded read of block {b} failed its CRC check")
+                        _check_rebuilt(bodies, stripe.crc32)
 
-                    reader = self._stripe_reader(manifest, stripe, geo, read)
-                    yield from codes.read_stripe(scheme, reader, damage, rebuilt)
+                    yield from codes.read_stripe(scheme, replicas, damage, rebuilt)
 
         return head(blocks(), manifest.size)
 
@@ -610,6 +636,17 @@ class BlockStore:
         return out  # as is: bytes(out) would fault in as many fresh pages again
 
     # -- fault injection ----------------------------------------------------
+
+    def _remove_files(self, node_id: int) -> None:
+        """Remove every block file on the node, named by a manifest or not."""
+        try:
+            entries = os.scandir(f"{self._root}/n{node_id}")
+        except FileNotFoundError:
+            return
+        with entries:
+            for entry in entries:
+                if entry.name.endswith(".blk"):
+                    os.unlink(entry.path)
 
     def kill_node(self, node_id: int) -> NodeState:
         """Mark a node down and destroy its contents (idempotent)."""
@@ -636,7 +673,7 @@ class BlockStore:
             scheme = parse_scheme(manifest.scheme)
             geo = codes._geometry(scheme)
             for stripe in manifest.stripes:
-                with self._read_file() as read:
+                with _read_file(self._root) as read:
                     good, corrupt, missing = self._scan(manifest, stripe, geo, False, read)
                 order = stripe.node_order
                 report.missing += [(manifest.name, stripe.index, order[s]) for s in missing]
@@ -669,7 +706,7 @@ class BlockStore:
                 geo = codes._geometry(scheme)
                 size, name = manifest.block_size, manifest.name
                 for stripe in manifest.stripes:
-                    with self._read_file() as read:
+                    with _read_file(self._root) as read:
                         good, corrupt, missing = self._scan(manifest, stripe, geo, True, read)
                     if not (corrupt or missing):
                         continue
@@ -679,7 +716,9 @@ class BlockStore:
                         fatal = fatal or f"{name} stripe {stripe.index} is unrecoverable"
                         continue
                     # every block the plan reads has a good replica, so kept bytes
-                    good.update(codes.execute_plan(plan, codes.memory_reader(good)))
+                    rebuilt = codes.execute_plan(plan, codes.memory_reader(good))
+                    _check_rebuilt(rebuilt, stripe.crc32)
+                    good.update(rebuilt)
                     bandwidth += plan.bandwidth_blocks
                     rewrite = {s: None for s in missing}  # None: the whole file
                     for block_id, s in corrupt:
@@ -687,16 +726,11 @@ class BlockStore:
                     order = stripe.node_order
                     for s in sorted(rewrite, key=order.__getitem__):
                         ids, fname = rewrite[s], _node_file(name, stripe.index, order[s])
-                        with self._write_file([fname], whole=ids is None) as write:
+                        with _write_file(self._root, [fname], whole=ids is None) as write:
                             for rank, block_id in enumerate(geo.blocks_on[s]):
                                 if ids is not None and block_id not in ids:
                                     continue
-                                body = good[block_id]
-                                if _crc(body) != stripe.crc32[block_id]:
-                                    raise codes.InconsistentStripeError(
-                                        f"repaired block {block_id} fails its CRC"
-                                    )
-                                write(fname, rank * size, body)
+                                write(fname, rank * size, good[block_id])
                     plans += 1
             if fatal is not None:
                 raise FatalStripeError(fatal)

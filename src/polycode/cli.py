@@ -20,7 +20,6 @@ import itertools
 import os
 import stat
 import sys
-import zlib
 from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
@@ -395,10 +394,11 @@ def _cmd_code_info(args) -> int:
 def _cmd_code_encode(args) -> int:
     import json
 
-    from .blockstore import fill
+    from .blockstore import _write_stripe, fill
 
     scheme = parse_scheme(args.scheme)
     D = scheme.data_block_count
+    geo = codes._geometry(scheme)
     with open(args.input, "rb", buffering=0) as src:
         info = os.fstat(src.fileno())
         size = info.st_size
@@ -410,38 +410,16 @@ def _cmd_code_encode(args) -> int:
             raise UsageError("input exceeds one stripe; raise --block-size or use the store")
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        order = codes.build_layout(scheme, range(scheme.code_length), 0)
-        geo = codes._geometry(scheme)
-        entries = {}
-
-        def write_block(block_id: int, body) -> None:
-            name = f"b{block_id}.blk"
-            (out / name).write_bytes(body)
-            entries[block_id] = {
-                "file": name,
-                "role": geo.roles[block_id].as_string(),
-                "nodes": [order[s] for s in geo.placements[block_id]],
-                "crc32": f"{zlib.crc32(body):08x}",
-            }
-
-        # one data block at a time through one buffer, as the store's put does
-        encoder = codes.StripeEncoder(scheme, block_size)
-        block = bytearray(block_size)
-        view = memoryview(block)
-        for i in range(D):
-            n = fill(src, view)
-            if n < block_size:  # the input's end: pad the stripe with zeros
-                view[n:] = bytes(block_size - n)
-            encoder.feed(i, block)
-            write_block(geo.data_block_of[i], block)
-    for block_id, body in encoder.parities():
-        write_block(block_id, body)
-    meta = {
-        "scheme": scheme.name,
-        "block_size": block_size,
-        "original_size": size,
-        "blocks": {str(b): entries[b] for b in sorted(entries)},
-    }
+        # one file per block, b<id>.blk, written as the store's put writes a stripe
+        view = memoryview(bytearray(block_size))
+        crcs, _ = _write_stripe(str(out), scheme, src, view, fill(src, view),
+                                {b: [(f"b{b}.blk", 0)] for b in geo.placements})
+    order = codes.build_layout(scheme, range(scheme.code_length), 0)
+    entries = {str(b): {"file": f"b{b}.blk", "role": geo.roles[b].as_string(),
+                        "nodes": [order[s] for s in slots], "crc32": crcs[b]}
+               for b, slots in geo.placements.items()}
+    meta = {"scheme": scheme.name, "block_size": block_size, "original_size": size,
+            "blocks": entries}
     (out / "stripe.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(f"encoded {size} bytes into {len(entries)} blocks under {out}")
     return 0
@@ -450,29 +428,32 @@ def _cmd_code_encode(args) -> int:
 def _cmd_code_decode(args) -> int:
     import json
 
-    from .blockstore import head, is_crc
+    from .blockstore import (_check_rebuilt, _read_file, _require, _StripeReader,
+                             _valid_name, head, is_crc)
 
     src = Path(args.in_dir)
-    malformed = ValueError(f"{src / 'stripe.json'} is malformed")
+    stripe_json = src / "stripe.json"
+    malformed = ValueError(f"{stripe_json} is malformed")
     try:
-        meta = json.loads((src / "stripe.json").read_bytes())
+        meta = json.loads(stripe_json.read_bytes())
     except ValueError:  # not JSON, or not UTF-8
         raise malformed from None
-    if not (isinstance(meta, dict) and isinstance(meta.get("scheme"), str)
-            and isinstance(meta.get("original_size"), int) and isinstance(meta.get("blocks"), dict)
-            and all(isinstance(b, dict) and isinstance(b.get("file"), str)
-                    and is_crc(b.get("crc32")) and isinstance(b.get("nodes"), list)
-                    and all(type(n) is int for n in b["nodes"]) for b in meta["blocks"].values())):
-        raise malformed
+    _require(meta, str(stripe_json), scheme=str, original_size=int, blocks=dict)
+    block_size = meta.get("block_size")
+    if type(block_size) is not int or block_size <= 0:
+        raise ValueError(f"{stripe_json} is malformed: its block_size is not a positive integer")
     scheme = parse_scheme(meta["scheme"])
     geo = codes._geometry(scheme)
+    blocks = [meta["blocks"].get(str(b)) for b in range(scheme.block_count)]
     slot_of: dict[int, int] = {}  # node id -> the slot it plays, from each block's hosts
-    for block_id, info in meta["blocks"].items():
-        slots = geo.placements.get(int(block_id) if block_id.isdecimal() else None, ())
-        if not slots or len(info["nodes"]) != len(slots) or any(
-            slot_of.setdefault(n, s) != s for n, s in zip(info["nodes"], slots)
-        ):
-            raise malformed
+    if len(meta["blocks"]) != len(blocks) or not all(  # one entry per block, in --in-dir
+            isinstance(info, dict) and isinstance(info.get("file"), str)
+            and _valid_name(info["file"]) and is_crc(info.get("crc32"))
+            and isinstance(info.get("nodes"), list) and len(info["nodes"]) == len(geo.placements[b])
+            and all(type(n) is int and slot_of.setdefault(n, s) == s
+                    for n, s in zip(info["nodes"], geo.placements[b]))
+            for b, info in enumerate(blocks)):
+        raise malformed
     if len(set(slot_of.values())) != len(slot_of):  # two nodes play one slot
         raise malformed
     killed = set()
@@ -480,43 +461,27 @@ def _cmd_code_decode(args) -> int:
         if node not in slot_of:
             raise ValueError(f"node {node} holds no block of the stripe")
         killed.add(slot_of[node])
-    files = {int(b): (info["file"], int(info["crc32"], 16)) for b, info in meta["blocks"].items()}
+    # a block's file is its one replica unless its slots are all killed; a
+    # span one byte past the block finds a file of another length bad
+    places = {b: [] if set(slots) <= killed else [(blocks[b]["file"], 0)]
+              for b, slots in geo.placements.items()}
+    crcs = [info["crc32"].lower() for info in blocks]
+    with _read_file(str(src)) as read:
+        replicas = _StripeReader(read, places, crcs, block_size, block_size + 1)
 
-    def reader(block_id: int) -> bytes:  # raises as the store's stripe reader does
-        if block_id not in files or set(geo.placements[block_id]) <= killed:
-            raise codes.MissingBlockError(f"no live copy of block {block_id}")
-        name, crc = files[block_id]
-        try:
-            body = (src / name).read_bytes()
-        except FileNotFoundError:
-            raise codes.MissingBlockError(f"{name} is missing") from None
-        if zlib.crc32(body) != crc:
-            raise codes.ChecksumMismatchError(f"{name} failed its CRC check")
-        return body
+        @cache
+        def damage(exact: bool):  # exact: each replica of a block with no good file is corrupt
+            return killed, [(b, s) for b, slots in geo.placements.items()
+                            if exact and replicas.good(b) is None for s in slots]
 
-    def served(block_id: int) -> bytes | None:
-        try:
-            return reader(block_id)
-        except (codes.MissingBlockError, codes.ChecksumMismatchError):
-            return None
+        def others(b: int) -> tuple:  # a served data block is its file
+            body = None if geo.roles[b].kind == "data" else replicas.good(b)
+            return () if body is None else (body,)
 
-    @cache
-    def damage(exact: bool):  # exact: each live replica of a lost block is corrupt
-        return killed, [(b, s) for b, slots in geo.placements.items()
-                        if exact and served(b) is None for s in slots]
-
-    def rebuilt(block_id, plan, blocks) -> None:
-        for b, body in blocks.items():
-            if b in files and zlib.crc32(body) != files[b][1]:
-                raise codes.ChecksumMismatchError(f"rebuilt block {b} fails its CRC in stripe.json")
-
-    def replicas(block_id: int) -> tuple:  # a served data block is its file
-        body = None if geo.roles[block_id].kind == "data" else served(block_id)
-        return () if body is None else (body,)
-
-    data = codes.read_stripe(scheme, reader, damage, rebuilt)
-    written = _write_output(
-        args.output, head(codes.check_stripe(scheme, data, replicas), meta["original_size"]))
+        data = codes.read_stripe(scheme, replicas, damage,
+                                 lambda b, plan, bodies: _check_rebuilt(bodies, crcs))
+        written = _write_output(
+            args.output, head(codes.check_stripe(scheme, data, others), meta["original_size"]))
     print(f"decoded {written} bytes to {args.output}")
     return 0
 

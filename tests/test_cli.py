@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
@@ -329,6 +330,155 @@ def test_decode_missing_block_file_beyond_tolerance_exits_one(tmp_path, capsys):
     assert err.startswith("error:") and "determine the data" in err
     assert "Traceback" not in err
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("name,killed", [("pentagon", "0,1"), ("heptagon-local", "0,1,2")])
+def test_decode_opens_each_block_file_once(tmp_path, capsys, monkeypatch, name, killed):
+    """The served blocks, the plans' sources and the final parity check
+    share one descriptor a block file: 9 and 41 opens where each read
+    opened its own made 18 and 81."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(16).randbytes(5000))
+    stripe = tmp_path / "stripe"
+    run(capsys, "code", "encode", "--scheme", name, "--input", str(src), "--out-dir", str(stripe))
+    scheme = codes.parse_scheme(name)
+    down = set(cli._parse_int_list(killed))  # a node plays its own slot
+    readable = {f"b{b}.blk" for b, slots in codes._geometry(scheme).placements.items()
+                if not set(slots) <= down}
+    opened = Counter()
+    real_open, real_os_open = io.open, os.open
+
+    def counting(real):
+        def opener(path, *args, **kwargs):
+            if str(path).endswith(".blk"):
+                opened[os.path.basename(path)] += 1
+            return real(path, *args, **kwargs)
+        return opener
+
+    monkeypatch.setattr(io, "open", counting(real_open))
+    monkeypatch.setattr(os, "open", counting(real_os_open))
+    code, _, err = run(capsys, "code", "decode", "--in-dir", str(stripe), "--killed", killed,
+                       "--output", str(tmp_path / "out.bin"))
+    monkeypatch.undo()
+    assert code == 0, err
+    assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
+    assert opened == dict.fromkeys(readable, 1)
+
+
+@pytest.mark.parametrize("edit", ["../other/b3.blk", "/b3.blk", "..", None])
+def test_decode_refuses_a_block_entry_that_leaves_its_directory(tmp_path, capsys, edit):
+    """A block's file is one name in ``--in-dir``, and stripe.json has an
+    entry for every block: b3 is moved out and named from outside, or its
+    entry dropped, and the stripe is refused by name though it would
+    decode without b3."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(17).randbytes(900))
+    stripe = tmp_path / "stripe"
+    run(capsys, "code", "encode", "--scheme", "pentagon", "--input", str(src),
+        "--out-dir", str(stripe))
+    (tmp_path / "other").mkdir()
+    (stripe / "b3.blk").rename(tmp_path / "other" / "b3.blk")
+    meta = json.loads((stripe / "stripe.json").read_text())
+    if edit is None:
+        del meta["blocks"]["3"]
+    else:
+        meta["blocks"]["3"]["file"] = edit
+    (stripe / "stripe.json").write_text(json.dumps(meta))
+    out_file = tmp_path / "out.bin"
+    code, out, err = run(capsys, "code", "decode", "--in-dir", str(stripe),
+                         "--output", str(out_file))
+    assert (code, out, err) == (1, "", f"error: {stripe / 'stripe.json'} is malformed\n")
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("block_size", ["missing", "x", 0, -100, 100.0, True, None])
+def test_decode_refuses_a_block_size_that_is_not_a_positive_integer(tmp_path, capsys,
+                                                                     block_size):
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(18).randbytes(900))
+    stripe = tmp_path / "stripe"
+    run(capsys, "code", "encode", "--scheme", "pentagon", "--input", str(src),
+        "--out-dir", str(stripe))
+    meta = json.loads((stripe / "stripe.json").read_text())
+    assert meta["block_size"] == 100
+    if block_size == "missing":
+        del meta["block_size"]
+    else:
+        meta["block_size"] = block_size
+    (stripe / "stripe.json").write_text(json.dumps(meta))
+    code, out, err = run(capsys, "code", "decode", "--in-dir", str(stripe),
+                         "--output", str(tmp_path / "out.bin"))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {stripe / 'stripe.json'} is malformed: its block_size is not a"
+                   f" positive integer\n")
+
+
+@pytest.mark.parametrize("change", [b"x", b""])
+def test_decode_reads_a_block_file_of_another_length_as_lost(tmp_path, capsys, change):
+    """A block file one byte longer (its block and a byte) or shorter than
+    ``block_size`` is a lost block, as a missing one is: read around when
+    the other blocks determine the data, and refused with exit 1 when b5
+    is lost beside killed nodes 0 and 1."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(19).randbytes(900))
+    stripe = tmp_path / "stripe"
+    run(capsys, "code", "encode", "--scheme", "pentagon", "--input", str(src),
+        "--out-dir", str(stripe))
+    body = (stripe / "b5.blk").read_bytes()
+    (stripe / "b5.blk").write_bytes(body + change if change else body[:-1])
+    out_file = tmp_path / "out.bin"
+    argv = ["code", "decode", "--in-dir", str(stripe), "--output", str(out_file)]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out_file.read_bytes() == src.read_bytes()
+    out_file.unlink()
+    code, _, err = run(capsys, *argv, "--killed", "0,1")
+    assert code == 1 and err.startswith("error:") and "determine the data" in err
+    assert not out_file.exists()
+
+
+def test_decode_names_a_block_file_it_cannot_read(tmp_path, capsys):
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(20).randbytes(900))
+    stripe = tmp_path / "stripe"
+    run(capsys, "code", "encode", "--scheme", "pentagon", "--input", str(src),
+        "--out-dir", str(stripe))
+    (stripe / "b3.blk").unlink()
+    (stripe / "b3.blk").mkdir()
+    code, out, err = run(capsys, "code", "decode", "--in-dir", str(stripe),
+                         "--output", str(tmp_path / "out.bin"))
+    assert (code, out, err) == (1, "", f"error: {stripe / 'b3.blk'}: Is a directory\n")
+
+
+def test_no_cli_function_opens_a_block_file():
+    """Each function of cli that opens, reads, writes or removes a file,
+    and each call by which it does so, with its first argument.  Block
+    files are opened, read and written by ``blockstore``'s helpers alone:
+    ``code encode`` and ``code decode`` touch only their input and
+    stripe.json themselves, and the other calls touch a config file, a
+    report's input or output, or the output that ``_write_output``
+    replaces."""
+    calls = {}
+    for fn in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                name = ast.unparse(node.func) if isinstance(node, ast.Call) else ""
+                if re.fullmatch(r"open|os\.\w+|.*\.(unlink|open|glob|iterdir|readall"
+                                r"|(read|write)_(bytes|text))", name):
+                    first = ast.unparse(node.args[0]) if node.args else ""
+                    calls.setdefault(fn.name, set()).add(f"{name}({first})")
+    assert calls == {
+        "emit_report": {"Path(path).write_bytes(text.encode())"},
+        "_expand_config": {"path.read_text()"},
+        "_writev_all": {"os.writev(fd)", "os.write(fd)"},
+        "_write_output": {"os.stat(path)", "os.open(path)", "os.open(tmp)", "os.close(fd)",
+                          "os.getpid()", "os.fchmod(fd)", "os.replace(tmp)", "os.unlink(tmp)"},
+        "_cmd_code_encode": {"open(args.input)", "os.fstat(src.fileno())", "src.readall()",
+                             "(out / 'stripe.json').write_text(json.dumps(meta, indent=2,"
+                             " sort_keys=True) + '\\n')"},
+        "_cmd_code_decode": {"stripe_json.read_bytes()"},
+        "_cmd_report": {"open(args.input)"},
+    }
 
 
 # modules that only some commands need, so that cli imports none of them itself
