@@ -153,6 +153,9 @@ class StoreManifest:
         _require(d, source, file=str, size=int, scheme=str, block_size=int, stripes=list)
         scheme = parse_scheme(d["scheme"])
         stripes = [_stripe_record(d, s, scheme, source, nodes) for s in d["stripes"]]
+        limit = len(stripes) * scheme.data_block_count * d["block_size"]
+        if not 0 <= d["size"] <= limit:  # the size its stripes can hold
+            raise StoreError(f"{source} is malformed: its size is outside 0..{limit}")
         return cls(d["file"], d["size"], d["scheme"], d["block_size"], stripes)
 
 

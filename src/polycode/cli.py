@@ -443,6 +443,9 @@ def _cmd_code_decode(args) -> int:
     if type(block_size) is not int or block_size <= 0:
         raise ValueError(f"{stripe_json} is malformed: its block_size is not a positive integer")
     scheme = parse_scheme(meta["scheme"])
+    limit = scheme.data_block_count * block_size
+    if not 0 <= meta["original_size"] <= limit:  # the size the stripe's data blocks hold
+        raise ValueError(f"{stripe_json} is malformed: its original_size is outside 0..{limit}")
     geo = codes._geometry(scheme)
     blocks = [meta["blocks"].get(str(b)) for b in range(scheme.block_count)]
     slot_of: dict[int, int] = {}  # node id -> the slot it plays, from each block's hosts

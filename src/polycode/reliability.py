@@ -35,12 +35,13 @@ Monte Carlo trials are independent and derive their RNG from
 ``(seed, trial index)``, so partitioning trials across workers changes
 nothing about the merged estimate.  The loss test reads the scheme
 geometry's table from failure mask to fate (``_Geometry.fate``), one per
-scheme in each process, filled the first time a mask occurs.  Within a
-trial, the event rates and the bit width of each node draw are read from
-small tables indexed by the failed count, and ``randrange`` is inlined as
-the ``getrandbits`` draws it makes.  An event makes one ``expovariate`` and
-one ``random`` call, then the node draw's ``getrandbits`` calls: the same
-calls, in the same order, as ``randrange``.
+scheme in each process, filled the first time a mask occurs.  The event
+rates and the bit width of each node draw are read from small tables
+indexed by the failed count, built once per scheme and model by
+``_trial_loop``.  An event is two ``random`` draws, its time (the body of
+``expovariate``, inlined) and its kind, then the node draw's
+``getrandbits`` calls: the same draws, in the same order, as
+``expovariate``, ``random`` and ``randrange``.
 """
 
 from __future__ import annotations
@@ -237,70 +238,82 @@ def _trial_rng(seed: int, index: int) -> random.Random:
     return random.Random((seed * 0x1F123BB5) ^ index)
 
 
-def _simulate_trial(scheme: Scheme, model: FailureModel, rng: random.Random) -> float:
-    """Hours until the first unrecoverable failure pattern.  A mask's fate
-    is read from the geometry's table, which solves it only the first time
-    the process meets it.
+def _trial_loop(scheme: Scheme, model: FailureModel):
+    """``trial(rng)``: the hours until the first unrecoverable failure
+    pattern of *scheme* under *model*, drawn from *rng*.  A mask's fate is
+    read from the geometry's table, which solves it only the first time the
+    process meets it.
 
     Rates and draw widths depend only on the failed count k, so they are
-    tabled once per trial.  ``rng.randrange(m)`` is inlined as CPython's
-    ``_randbelow_with_getrandbits``: draw ``m.bit_length()`` bits and redraw
-    while the value is at least m, which consumes the same random stream.
+    tabled here, once per scheme and model.  ``rng.expovariate(total)`` is
+    inlined as its CPython body, ``-log(1.0 - random()) / total``, and
+    ``rng.randrange(m)`` as ``_randbelow_with_getrandbits``: draw
+    ``m.bit_length()`` bits and redraw while the value is at least m.  Both
+    consume the same random stream as the calls they replace.  Serial
+    repair (oldest first) draws with width 0: ``getrandbits(0)`` is 0 and
+    consumes nothing.
     """
     n = scheme.code_length
     lam = model.fail_rate
     mu = model.repair_rate
     parallel = model.repair_mode == "parallel"
-    frates = [(n - k) * lam for k in range(n + 1)]
-    totals = [
-        frates[k] + (k * mu if parallel else (mu if k else 0.0)) for k in range(n + 1)
-    ]
-    widths = [m.bit_length() for m in range(n + 1)]
+    # per failed count k: (total rate, failure rate, up-draw width, failed-draw width)
+    rows = []
+    for k in range(n + 1):
+        frate = (n - k) * lam
+        total = frate + (k * mu if parallel else (mu if k else 0.0))
+        rows.append((total, frate, (n - k).bit_length(), k.bit_length() if parallel else 0))
+    bits = [1 << s for s in range(n)]
     geo = _geometry(scheme)
     fate = geo.fate
     recoverable = geo.recoverable
-    up = list(range(n))
-    failed: list[int] = []
-    mask = 0
-    t = 0.0
-    expovariate = rng.expovariate
-    rand = rng.random
-    getrandbits = rng.getrandbits
-    while True:
-        k = len(failed)
-        total = totals[k]
-        t += expovariate(total)
-        if rand() * total < frates[k]:
-            m = n - k
-            w = widths[m]
-            i = getrandbits(w)
-            while i >= m:
-                i = getrandbits(w)
-            node = up[i]
-            up[i] = up[-1]
-            up.pop()
-            failed.append(node)
-            mask |= 1 << node
-            ok = fate.get(mask)
-            if ok is None:
-                ok = recoverable(mask)
-            if not ok:
-                return t
-        else:
-            if parallel:
-                w = widths[k]
-                i = getrandbits(w)
-                while i >= k:
-                    i = getrandbits(w)
+    log = math.log
+
+    def trial(rng: random.Random) -> float:
+        rand = rng.random
+        getrandbits = rng.getrandbits
+        up = bits.copy()
+        failed = []
+        k = 0  # failed nodes; n - k are up
+        mask = 0
+        t = 0.0
+        while True:
+            total, frate, up_width, failed_width = rows[k]
+            t -= log(1.0 - rand()) / total
+            if rand() * total < frate:
+                m = n - k
+                i = getrandbits(up_width)
+                while i >= m:
+                    i = getrandbits(up_width)
+                bit = up[i]
+                up[i] = up[-1]
+                up.pop()
+                failed.append(bit)
+                k += 1
+                mask |= bit
+                try:
+                    if not fate[mask]:
+                        return t
+                except KeyError:
+                    if not recoverable(mask):
+                        return t
             else:
-                i = 0  # serial repairs oldest first
-            node = failed.pop(i)
-            mask &= ~(1 << node)
-            up.append(node)
+                i = getrandbits(failed_width)
+                while i >= k:
+                    i = getrandbits(failed_width)
+                bit = failed.pop(i)
+                k -= 1
+                mask ^= bit
+                up.append(bit)
+
+    return trial
 
 
 def _run_trials(scheme: Scheme, model: FailureModel, seed: int, start: int, count: int):
-    return [_simulate_trial(scheme, model, _trial_rng(seed, start + i)) for i in range(count)]
+    # each trial's RNG comes through the module global, so a wrapped
+    # _trial_rng sees every trial
+    trial = _trial_loop(scheme, model)
+    return [trial(_trial_rng(seed, start + i)) for i in range(count)]
 
 
 @dataclass(frozen=True)

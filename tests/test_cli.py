@@ -413,6 +413,28 @@ def test_decode_refuses_a_block_size_that_is_not_a_positive_integer(tmp_path, ca
                    f" positive integer\n")
 
 
+@pytest.mark.parametrize("size", [-5, -1, 901, 10**6])
+def test_decode_refuses_an_original_size_its_data_blocks_cannot_hold(tmp_path, capsys, size):
+    """A recorded size below 0 or past the stripe's 900 data bytes is
+    refused by name: -5 used to cut the output to 95 bytes by negative
+    slicing, and 10**6 to write the 900 bytes, both with exit 0."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(19).randbytes(900))
+    stripe = tmp_path / "stripe"
+    run(capsys, "code", "encode", "--scheme", "pentagon", "--input", str(src),
+        "--out-dir", str(stripe))
+    meta = json.loads((stripe / "stripe.json").read_text())
+    meta["original_size"] = size
+    (stripe / "stripe.json").write_text(json.dumps(meta))
+    out_file = tmp_path / "out.bin"
+    code, out, err = run(capsys, "code", "decode", "--in-dir", str(stripe),
+                         "--output", str(out_file))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {stripe / 'stripe.json'} is malformed: its original_size is"
+                   f" outside 0..900\n")
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("change", [b"x", b""])
 def test_decode_reads_a_block_file_of_another_length_as_lost(tmp_path, capsys, change):
     """A block file one byte longer (its block and a byte) or shorter than
@@ -927,6 +949,30 @@ def test_malformed_metadata_is_an_error_that_names_its_file(tmp_path, monkeypatc
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "") and err.startswith(f"error: {target} is malformed"), err
     assert {p: p.read_bytes() for p in Path("s").glob("n*/*")} == before
+
+
+@pytest.mark.parametrize("size", [-5, -1, 5185])
+def test_store_refuses_a_manifest_size_its_stripes_cannot_hold(tmp_path, monkeypatch, capsys,
+                                                                size):
+    """A manifest's size below 0 or past what its 9 stripes of 9 data
+    blocks of 64 bytes hold is refused by name by every command that reads
+    the manifest: -5 used to make get write 1,019 of the 5,000 bytes with
+    exit 0."""
+    monkeypatch.chdir(tmp_path)
+    Path("f").write_bytes(random.Random(4).randbytes(5000))
+    for setup in (["store", "init", *_STORE, "--scheme", "pentagon", "--block-size", "64",
+                   "--seed", "1"], ["store", "put", *_STORE, "--file", "f"]):
+        assert run(capsys, *setup)[0] == 0
+    target = Path("s/f.manifest.json")
+    meta = json.loads(target.read_text())
+    assert (meta["size"], len(meta["stripes"])) == (5000, 9)
+    meta["size"] = size
+    target.write_text(json.dumps(meta))
+    for argv in (_GET, ["fsck", *_STORE], ["repair", *_STORE]):
+        code, out, err = run(capsys, "store", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {target} is malformed: its size is outside 0..5184\n"
+    assert not Path("o").exists()
 
 
 def test_sim_locality_csv(tmp_path, capsys):

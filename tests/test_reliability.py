@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -377,15 +378,22 @@ def test_mc_checks_each_failure_mask_once_per_run(monkeypatch, mode):
 
 
 TRIAL_SCHEMES = [Polygon(5), RaidMirror(9), HeptagonLocal()]
-TRIAL_MODELS = [STRESS_MODEL, FailureModel.from_mttf_mttr(100.0, 10.0, "serial")]
+TRIAL_MODELS = {
+    "parallel": STRESS_MODEL,
+    "serial": FailureModel.from_mttf_mttr(100.0, 10.0, "serial"),
+    # mu/lam = 2: trials reach deep failure counts
+    "slow-parallel": FailureModel(0.01, 0.02),
+    "slow-serial": FailureModel(0.01, 0.02, "serial"),
+}
 
 
-@pytest.mark.parametrize("scheme", TRIAL_SCHEMES, ids=lambda s: s.name)
-@pytest.mark.parametrize("model", TRIAL_MODELS, ids=lambda m: m.repair_mode)
+@pytest.mark.parametrize("scheme", map(parse_scheme, REPORT_SCHEMES), ids=lambda s: s.name)
+@pytest.mark.parametrize("model", TRIAL_MODELS.values(), ids=TRIAL_MODELS)
 def test_simulate_trial_equals_reference_loop(scheme, model):
+    trial = reliability._trial_loop(scheme, model)
     ref_fate = {}
     for i in range(300):
-        got = reliability._simulate_trial(scheme, model, reliability._trial_rng(21, i))
+        got = trial(reliability._trial_rng(21, i))
         want = simulate_trial_reference(scheme, model, reliability._trial_rng(21, i), ref_fate)
         assert got == want, i
     fate = codes._geometry(scheme).fate
@@ -394,7 +402,7 @@ def test_simulate_trial_equals_reference_loop(scheme, model):
 
 @pytest.mark.parametrize("seed", [0, 1, 17, 2**40 + 3])
 def test_bit_draw_equals_randrange(seed):
-    # _simulate_trial inlines randrange(m) as CPython's getrandbits draw;
+    # the trial loop inlines randrange(m) as CPython's getrandbits draw;
     # a change to random._randbelow must fail here first
     a, b = random.Random(seed), random.Random(seed)
     for m in list(range(1, 26)) * 8:
@@ -406,35 +414,83 @@ def test_bit_draw_equals_randrange(seed):
     assert a.random() == b.random()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 17, 2**40 + 3])
+def test_exponential_draw_equals_expovariate(seed):
+    # the trial loop inlines expovariate as CPython's body; a change to
+    # random.expovariate must fail here first
+    a, b = random.Random(seed), random.Random(seed)
+    for rate in [0.05, 0.1, 0.13, 1.0, 2.6, 1e-9, 1e9] * 30:
+        assert -math.log(1.0 - a.random()) / rate == b.expovariate(rate)
+    assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 2**40 + 3])
+def test_zero_bit_draw_is_zero_and_draws_nothing(seed):
+    # serial repair draws its failed node with width 0
+    a, b = random.Random(seed), random.Random(seed)
+    assert [a.getrandbits(0) for _ in range(5)] == [0] * 5
+    assert a.random() == b.random()
+
+
 @pytest.mark.parametrize("scheme", TRIAL_SCHEMES, ids=lambda s: s.name)
-def test_one_expovariate_call_per_event(monkeypatch, scheme):
-    # wrap each trial's expovariate the way the benchmark tracer does: on
-    # the RNG instance, after the module-level factory returns it
+def test_two_random_calls_per_event(monkeypatch, scheme):
+    # wrap each trial's draws the way the benchmark tracer does: on the RNG
+    # instance, after the module-level factory returns it
     counts = collections.Counter()
     factory = reliability._trial_rng
 
     def counted_rng(seed, index):
         rng = factory(seed, index)
-        expovariate = rng.expovariate
         counts["trials"] += 1
+        for name in ("random", "expovariate"):
+            draw = getattr(rng, name)
 
-        def counted(rate):
-            counts["events"] += 1
-            return expovariate(rate)
+            def counted(*args, name=name, draw=draw):
+                counts[name] += 1
+                return draw(*args)
 
-        rng.expovariate = counted
+            setattr(rng, name, counted)
         return rng
 
     monkeypatch.setattr(reliability, "_trial_rng", counted_rng)
     mttdl_montecarlo(scheme, STRESS_MODEL, 300, seed=31)
     assert counts["trials"] == 300
-    traced = counts["events"]
+    traced = counts["random"]
     counts.clear()
-    # the reference loop calls expovariate once per event by construction
+    # the reference loop calls expovariate once per event by construction,
+    # and the trial loop draws an event's time and its kind from random
     fate = {}
     for i in range(300):
         simulate_trial_reference(scheme, STRESS_MODEL, counted_rng(31, i), fate)
-    assert counts["events"] == traced > 300
+    assert traced == 2 * counts["expovariate"] > 600
+
+
+@pytest.mark.parametrize("mode", ["parallel", "serial"])
+def test_no_python_call_per_event(mode):
+    # once a trial's masks are in the fate table, running it again calls
+    # no Python function: a helper or expovariate in the event loop fails
+    scheme = HeptagonLocal()
+    trial = reliability._trial_loop(scheme, FailureModel(0.01, 0.1, mode))
+    # the longest of 20 trials, which fills the table with its masks
+    hours, index = max((trial(reliability._trial_rng(5, i)), i) for i in range(20))
+    calls = []
+    draws = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+        elif event == "c_call":
+            draws[arg.__name__] += 1
+
+    rng = reliability._trial_rng(5, index)
+    sys.setprofile(profile)
+    try:
+        again = trial(rng)
+    finally:
+        sys.setprofile(None)
+    assert again == hours
+    assert calls == ["trial"], calls  # the trial itself, and nothing it calls
+    assert draws["random"] > 100, draws
 
 
 def test_mc_doubling_repair_rate_never_hurts():
