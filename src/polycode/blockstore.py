@@ -27,7 +27,9 @@ forces real repair traffic instead of replica re-registration.
 A node file that is not there is the only sign of a lost slot: ``fsck``
 reports it as missing, once, so its ``missing`` count is the number of
 block files the killed nodes held; a replica that fails its CRC, or that a
-short file cuts off, is corrupt.
+short file cuts off, is corrupt.  A stripe is fatal exactly when
+``codes.plan_repair`` refuses its missing slots and corrupt replicas, so
+``fsck`` and ``repair`` give one verdict.
 
 Memory: no operation holds a file.  ``put`` writes each stripe through
 ``_write_stripe``, which reads its input a data block at a time into one
@@ -96,6 +98,8 @@ from .codes import (
 
 log = logging.getLogger(__name__)
 
+MAX_BLOCK_SIZE = 1 << 28  # bytes (256 MiB): a larger block size is refused wherever it is read
+
 
 class StoreError(Exception):
     pass
@@ -153,6 +157,7 @@ class StoreManifest:
         _require(d, source, file=str, size=int, scheme=str, block_size=int, stripes=list)
         scheme = parse_scheme(d["scheme"])
         stripes = [_stripe_record(d, s, scheme, source, nodes) for s in d["stripes"]]
+        _check_block_size(d["block_size"], source)
         limit = len(stripes) * scheme.data_block_count * d["block_size"]
         if not 0 <= d["size"] <= limit:  # the size its stripes can hold
             raise StoreError(f"{source} is malformed: its size is outside 0..{limit}")
@@ -228,6 +233,12 @@ def _require(obj, source: str, **kinds) -> None:
     """Refuse *obj*, read from *source*, unless it maps each key of *kinds* to its type."""
     if not (isinstance(obj, dict) and all(isinstance(obj.get(k), t) for k, t in kinds.items())):
         raise StoreError(f"{source} is malformed: it needs {', '.join(kinds)}")
+
+
+def _check_block_size(size: int, source: str) -> None:
+    """Refuse a block size read from *source* outside 1..MAX_BLOCK_SIZE, by name."""
+    if not 0 < size <= MAX_BLOCK_SIZE:
+        raise StoreError(f"{source} is malformed: its block_size is outside 1..{MAX_BLOCK_SIZE}")
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -428,8 +439,8 @@ class BlockStore:
     def create(
         cls, root: str | Path, scheme: Scheme, nodes: int, block_size: int, seed: int = 0
     ) -> "BlockStore":
-        if block_size <= 0:
-            raise StoreError("block size must be positive")
+        if not 0 < block_size <= MAX_BLOCK_SIZE:
+            raise StoreError(f"block_size {block_size} is outside 1..{MAX_BLOCK_SIZE}")
         if nodes < scheme.code_length:
             raise StoreError(
                 f"need at least {scheme.code_length} nodes for {scheme.name}, got {nodes}"
@@ -457,6 +468,7 @@ class BlockStore:
         _require(cfg, path, scheme=str, nodes=int, block_size=int, seed=int, down=list)
         if not all(isinstance(n, int) for n in cfg["down"]):
             raise StoreError(f"{path} is malformed: its down list holds a non-number")
+        _check_block_size(cfg["block_size"], path)
         return cfg
 
     def _save_config(self, down: set[int]) -> None:
@@ -482,9 +494,11 @@ class BlockStore:
                 for i in range(self.node_count)]
 
     def node_state(self, node_id: int) -> NodeState:
+        """The node's state as store.json has it now, read without the others'."""
         if not 0 <= node_id < self.node_count:
             raise StoreError(f"unknown node {node_id}")
-        return self.nodes()[node_id]
+        down = self._read_config()["down"]
+        return NodeState(node_id, "down" if node_id in down else "up", self.node_dir(node_id))
 
     def _manifest_path(self, name: str) -> Path:
         return self.root / f"{name}.manifest.json"
@@ -524,8 +538,6 @@ class BlockStore:
         if not _valid_name(name):
             raise StoreError(f"invalid file name: {name!r}")
         scheme, block_size = self.scheme, self.block_size
-        if block_size <= 0:  # store.json comes from outside the program
-            raise StoreError("block size must be positive")
         with self._locked() as down:
             if self._manifest_path(name).exists():
                 raise StoreError(f"{name} is already stored")
@@ -670,19 +682,22 @@ class BlockStore:
 
     def fsck(self) -> FsckReport:
         """Read-only scan: missing node files, replicas that fail their CRC
-        or that a short file cuts off, fatal stripes."""
+        or that a short file cuts off, fatal stripes: those whose damage
+        ``codes.plan_repair`` refuses, the call ``repair`` makes."""
         report = FsckReport()
         for manifest in self.manifests():
             scheme = parse_scheme(manifest.scheme)
             geo = codes._geometry(scheme)
             for stripe in manifest.stripes:
                 with _read_file(self._root) as read:
-                    good, corrupt, missing = self._scan(manifest, stripe, geo, False, read)
+                    _, corrupt, missing = self._scan(manifest, stripe, geo, False, read)
                 order = stripe.node_order
                 report.missing += [(manifest.name, stripe.index, order[s]) for s in missing]
                 report.corrupt += [(manifest.name, stripe.index, block_id, order[s])
                                    for block_id, s in corrupt]
-                if not codes.can_decode_from(scheme, good):
+                try:
+                    codes.plan_repair(scheme, missing, corrupt)
+                except UnrecoverableError:
                     report.fatal_stripes.append((manifest.name, stripe.index))
         return report
 

@@ -394,7 +394,7 @@ def _cmd_code_info(args) -> int:
 def _cmd_code_encode(args) -> int:
     import json
 
-    from .blockstore import _write_stripe, fill
+    from .blockstore import MAX_BLOCK_SIZE, _write_stripe, fill
 
     scheme = parse_scheme(args.scheme)
     D = scheme.data_block_count
@@ -405,7 +405,9 @@ def _cmd_code_encode(args) -> int:
         if not stat.S_ISREG(info.st_mode):  # a pipe has no size to plan the stripe by
             data = src.readall()
             size, src = len(data), io.BytesIO(data)
-        block_size = args.block_size or max(1, -(-size // D))
+        block_size = args.block_size or min(max(1, -(-size // D)), MAX_BLOCK_SIZE)
+        if not 0 < block_size <= MAX_BLOCK_SIZE:
+            raise UsageError(f"--block-size {block_size} is outside 1..{MAX_BLOCK_SIZE}")
         if size > D * block_size:
             raise UsageError("input exceeds one stripe; raise --block-size or use the store")
         out = Path(args.out_dir)
@@ -428,8 +430,8 @@ def _cmd_code_encode(args) -> int:
 def _cmd_code_decode(args) -> int:
     import json
 
-    from .blockstore import (_check_rebuilt, _read_file, _require, _StripeReader,
-                             _valid_name, head, is_crc)
+    from .blockstore import (_check_block_size, _check_rebuilt, _read_file, _require,
+                             _StripeReader, _valid_name, head, is_crc)
 
     src = Path(args.in_dir)
     stripe_json = src / "stripe.json"
@@ -442,6 +444,7 @@ def _cmd_code_decode(args) -> int:
     block_size = meta.get("block_size")
     if type(block_size) is not int or block_size <= 0:
         raise ValueError(f"{stripe_json} is malformed: its block_size is not a positive integer")
+    _check_block_size(block_size, str(stripe_json))
     scheme = parse_scheme(meta["scheme"])
     limit = scheme.data_block_count * block_size
     if not 0 <= meta["original_size"] <= limit:  # the size the stripe's data blocks hold

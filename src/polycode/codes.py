@@ -554,20 +554,6 @@ def encode_stripe(scheme: Scheme, data: list[bytes]) -> dict[int, bytes]:
 # Recoverability
 
 
-def can_decode_from(scheme: Scheme, present_blocks: Iterable[int]) -> bool:
-    """True iff the given set of distinct surviving blocks determines every
-    data block (rank of the known-symbol system over GF(2^8))."""
-    geo = _geometry(scheme)
-    present = set(present_blocks)
-    known = {geo.roles[b].index for b in present if geo.roles[b].kind == "data"}
-    unknown = [i for i in range(scheme.data_block_count) if i not in known]
-    if not unknown:
-        return True
-    return _solves(
-        [geo.rows[b] for b in present if geo.roles[b].kind != "data"], unknown
-    )
-
-
 def _solves(rows: Iterable[tuple[int, ...]], unknown: list[int]) -> bool:
     """True iff the parity *rows* determine the data symbols *unknown*, the
     others being known: their columns of *rows* have full rank."""
@@ -752,8 +738,15 @@ class Recovery:
 
 @dataclass(frozen=True)
 class RepairPlan:
+    """Transfers, recoveries and their GF(2^8)-linear map: ``sources``, the
+    blocks the accessor serves in first-need order, and ``returns``, each
+    returned block's form (source block -> coefficient), None for a block
+    that a delivering whole copy returns as the accessor serves it."""
+
     transfers: tuple[Transfer, ...]
-    recoveries: tuple[Recovery, ...] = ()
+    recoveries: tuple[Recovery, ...]
+    sources: tuple[int, ...]
+    returns: Mapping[int, Mapping[int, int] | None]
 
     @property
     def bandwidth_blocks(self) -> int:
@@ -761,10 +754,22 @@ class RepairPlan:
         return sum(t.src != t.dst for t in self.transfers)
 
 
+def _compose(pairs) -> dict[int, int]:
+    """The sum of coef * form over (form, coef) *pairs*, each form a map
+    from source block to coefficient."""
+    out: dict[int, int] = {}
+    for form, coef in pairs:
+        if not coef:
+            continue
+        for b, c in form.items():
+            out[b] = out.get(b, 0) ^ (c if coef == 1 else gf_mul(coef, c))
+    return out
+
+
 class _PlanBuilder:
     """Accumulates one plan's transfers and recoveries for a scheme and its
-    damage: the down slots *pattern* and the *corrupt* replicas, as (block
-    id, slot) pairs; one on a down slot is lost with it anyway.  ``held``
+    damage: the slots *down* and the corrupt replicas on live slots *bad*,
+    as (block id, slot) pairs, which ``_damage`` gives.  ``held``
     maps each block to the slots that hold it good, ascending, and ``lost``
     lists the blocks held nowhere, in block-id order; a lost block that the
     plan rebuilds is then held by the slot that rebuilt it alone.
@@ -773,12 +778,15 @@ class _PlanBuilder:
     order, that ``_transform`` picks as pivots, so damage whose good blocks
     do not determine the data raises UnrecoverableError.  ``solves`` maps
     each lost data block to its pivot rows and their coefficients, one map
-    per set of blocks that share a pivot row, which are solved together."""
+    per set of blocks that share a pivot row, which are solved together.
 
-    def __init__(self, scheme: Scheme, pattern: Iterable[int], corrupt: Iterable[tuple[int, int]]):
+    Each payload and recovery is written as it is added as a form over the
+    sources, a rebuilt block that a later transfer reads standing for its
+    own form, so the plan carries the map that ``execute_plan`` runs."""
+
+    def __init__(self, scheme: Scheme, down: frozenset[int], bad: frozenset[tuple[int, int]]):
         geo = self.geo = _geometry(scheme)
-        down = self.down = frozenset(_iter_pattern(scheme, pattern))
-        bad = self.bad = frozenset((b, s) for b, s in corrupt if s not in down)
+        self.down, self.bad = down, bad
         if any(s not in geo.placements.get(b, ()) for b, s in bad):
             raise ValueError(f"corrupt replicas {sorted(bad)} are not all placed")
         self.held = {b: tuple(s for s in slots if s not in down and (b, s) not in bad)
@@ -800,15 +808,40 @@ class _PlanBuilder:
             self.solves.append(solve)
         self.transfers: list[Transfer] = []
         self.recoveries: list[Recovery] = []
+        self.forms: list[dict[int, int]] = []  # transfer -> its payload's form
+        self.sources: dict[int, None] = {}  # blocks the accessor serves, in first-need order
+        self.returns: dict[int, dict[int, int] | None] = {}
 
     def home(self, blocks) -> int:
         """The lowest live slot that hosts one of *blocks*, else the lowest slot that does."""
         slots = [s for b in blocks for s in self.geo.placements[b]]
         return min((s for s in slots if s not in self.down), default=min(slots))
 
-    def copy(self, src, dst, block_id, delivers=True) -> int:
-        self.transfers.append(Transfer(src, dst, WholeCopy(block_id), delivers))
-        return len(self.transfers) - 1
+    def form(self, block_id: int) -> dict[int, int]:
+        """The block's form: the one it was rebuilt as, else itself as a source."""
+        form = self.returns.get(block_id)
+        if form is None:
+            self.sources[block_id] = None
+            form = {block_id: 1}
+        return form
+
+    def add(self, src, dst, payload, delivers=False) -> int:
+        """Append a transfer and its payload's form; returns its index."""
+        if isinstance(payload, WholeCopy):
+            if delivers:
+                self.returns.setdefault(payload.block_id, None)
+            form = self.form(payload.block_id)
+        else:
+            form = _compose((self.form(b), c) for b, c in payload.terms)
+        self.transfers.append(Transfer(src, dst, payload, delivers))
+        self.forms.append(form)
+        return len(self.forms) - 1
+
+    def recover(self, block_id: int, terms, dst: int) -> None:
+        """Rebuild the block at *dst* alone as *terms*, (transfer, coefficient) pairs."""
+        self.recoveries.append(Recovery(block_id, terms))
+        self.returns[block_id] = _compose((self.forms[i], c) for i, c in terms)
+        self.held[block_id] = (dst,)
 
     def send(self, terms, dst: int) -> list[int]:
         """Send the sum of *terms*, (block id, coefficient) pairs, to *dst*
@@ -825,10 +858,9 @@ class _PlanBuilder:
         sent = []
         for src, part in sorted(by_src.items()):
             if part == [(part[0][0], 1)]:
-                sent.append(self.copy(src, dst, part[0][0], delivers=False))
+                sent.append(self.add(src, dst, WholeCopy(part[0][0])))
             else:
-                self.transfers.append(Transfer(src, dst, PartialParity(tuple(sorted(part)))))
-                sent.append(len(self.transfers) - 1)
+                sent.append(self.add(src, dst, PartialParity(tuple(sorted(part)))))
         return sent
 
     def solve(self, solve: dict[int, dict[int, int]], dst: int) -> None:
@@ -841,21 +873,18 @@ class _PlanBuilder:
             covered = [(geo.data_block_of[i], c) for i, c in enumerate(geo.rows[p]) if c]
             sent[p] = self.send([(p, 1), *((b, c) for b, c in covered if b not in self.lost)], dst)
         for b in sorted(solve):
-            self.recoveries.append(Recovery(b, tuple(
-                (idx, c) for p, c in solve[b].items() for idx in sent[p])))
-            self.held[b] = (dst,)
+            self.recover(b, tuple((idx, c) for p, c in solve[b].items() for idx in sent[p]), dst)
 
     def rebuild_parity(self, block_id: int, dst: int) -> None:
         """Rebuild the lost parity *block_id* at *dst* from its row over the
         data, a lost data block read where the plan rebuilt it."""
         row = self.geo.rows[block_id]
         sent = self.send([(self.geo.data_block_of[i], c) for i, c in enumerate(row) if c], dst)
-        self.recoveries.append(Recovery(block_id, tuple((idx, 1) for idx in sent)))
-        self.held[block_id] = (dst,)
+        self.recover(block_id, tuple((idx, 1) for idx in sent), dst)
 
     def done(self) -> RepairPlan:
         recs = tuple(sorted(self.recoveries, key=lambda r: r.ready_after))
-        return RepairPlan(tuple(self.transfers), recs)
+        return RepairPlan(tuple(self.transfers), recs, tuple(self.sources), self.returns)
 
 
 def _pivots(solve: dict[int, dict[int, int]]) -> set[int]:
@@ -906,13 +935,27 @@ def plan_repair(
     its other hosts, and a corrupt replica with a good twin is copied over
     last.  A polygon single thus moves n-1 whole copies and a double
     2(n-2) copies, n-2 partial parities and one copy on (3(n-2)+1 in all).
+
+    A plan is made once per damage and kept, as a degraded-read plan is, in
+    a bounded cache; damage refused or malformed is refused on every call.
     """
-    builder = _PlanBuilder(scheme, pattern, corrupt)
+    return _repair_plan(scheme, *_damage(scheme, pattern, corrupt))
+
+
+def _damage(scheme: Scheme, pattern, corrupt) -> tuple[frozenset, frozenset]:
+    """The down slots and the corrupt pairs on live slots, as a plan's cache key."""
+    down = frozenset(_iter_pattern(scheme, pattern))
+    return down, frozenset((b, s) for b, s in corrupt if s not in down)
+
+
+@lru_cache(maxsize=256)
+def _repair_plan(scheme: Scheme, down: frozenset, bad: frozenset) -> RepairPlan:
+    builder = _PlanBuilder(scheme, down, bad)
     geo, held = builder.geo, builder.held
     for b, slots in geo.placements.items():
         for s in slots:
             if held[b] and s in builder.down:
-                builder.copy(held[b][0], s, b)
+                builder.add(held[b][0], s, WholeCopy(b), delivers=True)
     for solve in builder.solves:
         builder.solve(solve, builder.home(solve))
     for b in builder.lost:
@@ -921,10 +964,10 @@ def plan_repair(
     for b in builder.lost:
         for s in geo.placements[b]:
             if s != held[b][0]:
-                builder.copy(held[b][0], s, b)
+                builder.add(held[b][0], s, WholeCopy(b), delivers=True)
     for b, s in sorted(builder.bad):
         if b not in builder.lost:
-            builder.copy(held[b][0], s, b)
+            builder.add(held[b][0], s, WholeCopy(b), delivers=True)
     return builder.done()
 
 
@@ -941,10 +984,15 @@ def plan_degraded_read(
     A data block is rebuilt with the rest of its solve, from the same
     transfers, as ``plan_repair`` rebuilds it; a parity from its row over
     the data, after the solves of the lost data blocks it covers."""
+    return _read_plan(scheme, block_id, *_damage(scheme, down_nodes, corrupt))
+
+
+@lru_cache(maxsize=256)
+def _read_plan(scheme: Scheme, block_id: int, down: frozenset, bad: frozenset) -> RepairPlan:
     geo = _geometry(scheme)
     if block_id not in geo.placements:
         raise ValueError(f"unknown block id {block_id}")
-    builder = _PlanBuilder(scheme, down_nodes, corrupt)
+    builder = _PlanBuilder(scheme, down, bad)
     if block_id not in builder.lost:
         raise BlockAvailableError(f"block {block_id} still has a good copy")
     covered = {geo.data_block_of[i] for i, c in enumerate(geo.rows[block_id]) if c}
@@ -960,83 +1008,28 @@ def plan_degraded_read(
 # Plan execution
 
 
-def _compose(pairs) -> dict[int, int]:
-    """The sum of coef * form over (form, coef) *pairs*, each form a map
-    from source block to coefficient."""
-    out: dict[int, int] = {}
-    for form, coef in pairs:
-        if not coef:
-            continue
-        for b, c in form.items():
-            out[b] = out.get(b, 0) ^ (c if coef == 1 else gf_mul(coef, c))
-    return out
-
-
 def execute_plan(plan: RepairPlan, reader: Callable[[int], bytes]) -> dict[int, bytes]:
-    """Run a plan against a block accessor, returning recovered blocks.
-
-    The accessor serves surviving blocks and may raise MissingBlockError or
-    ChecksumMismatchError; blocks recovered earlier in the plan are readable
-    by later transfers.
-
-    The plan is composed before any byte moves.  One pass walks the
-    transfers in plan order and writes each payload, and each recovery as
-    it becomes ready, as a GF(2^8)-linear map over the blocks the accessor
-    serves, substituting a recovered block's map wherever a later transfer
-    reads it.  Then each source block is read once, in first-need order,
-    and fed into one ``_Sums`` whose targets are the blocks the plan
-    returns, so the terms of every recovery meet in one sum and the scaled
-    ones share bit-planes.  A source is dropped once fed unless a
-    delivering whole copy returns it: such a block is the accessor's bytes.
-    Each recovered block becomes bytes once, one at a time.
-    """
-    transfers, recoveries = plan.transfers, plan.recoveries
-    sources: dict[int, None] = {}  # blocks the accessor serves, in first-need order
-    version: dict[int, dict] = {}  # block -> its latest recovered form
-    forms: list[dict] = []  # transfer -> its payload's form
-    out: dict[int, dict | None] = {}  # block returned -> its form, None for served bytes
-
-    def form(b: int) -> dict:
-        f = version.get(b)
-        if f is None:
-            sources[b] = None
-            return {b: 1}
-        return f
-
-    k = 0
-    for idx in range(len(transfers) + 1):  # the last round settles the recoveries left
-        while k < len(recoveries) and recoveries[k].ready_after < idx:
-            rec = recoveries[k]
-            version[rec.block_id] = out[rec.block_id] = _compose(
-                (forms[i], c) for i, c in rec.terms
-            )
-            k += 1
-        if idx == len(transfers):
-            break
-        tr = transfers[idx]
-        p = tr.payload
-        if isinstance(p, WholeCopy):
-            if tr.delivers and p.block_id not in version:
-                out[p.block_id] = None
-            forms.append(form(p.block_id))
-        else:
-            forms.append(_compose((form(b), c) for b, c in p.terms))
-    if k < len(recoveries):
-        raise AssertionError("plan recoveries reference transfers that never ran")
-
-    sums = _Sums({b: list(f.items()) for b, f in out.items() if f is not None})
+    """The blocks a plan returns, from a block accessor that serves its
+    ``sources`` and may raise MissingBlockError or ChecksumMismatchError.
+    Each source is read once, in order, and fed into one ``_Sums`` whose
+    targets are the forms of the plan's ``returns``, so the scaled terms
+    share bit-planes.  A source is dropped once fed unless a delivering
+    whole copy returns it as is.  Each recovered block becomes bytes once,
+    one at a time."""
+    returns = plan.returns
+    sums = _Sums({b: f.items() for b, f in returns.items() if f is not None})
     served: dict[int, bytes] = {}
-    for b in sources:
+    for b in plan.sources:
         data = reader(b)
         if sums.width is None:
             sums.width = len(data)
         elif len(data) != sums.width:
             raise ValueError("blocks differ in length")
         sums.feed(b, data)
-        if b in out and out[b] is None:
+        if b in returns and returns[b] is None:
             served[b] = data
         del data  # not held while the next source is read or the sums are taken
     return {
         b: served.pop(b) if f is None else sums.take(b).to_bytes(sums.width, "little")
-        for b, f in out.items()
+        for b, f in returns.items()
     }

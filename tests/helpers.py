@@ -21,7 +21,7 @@ from polycode.codes import (
     _transform,
     is_recoverable_mask,
 )
-from polycode.gf256 import scale_bytes
+from polycode.gf256 import gf_inv, gf_mul, scale_bytes
 from polycode.mapsched import (
     Assignment,
     ClusterModel,
@@ -74,6 +74,32 @@ def oracle_decode(scheme: Scheme, present: Mapping[int, bytes]) -> list[bytes]:
     if any(sums.take(k) for k in range(rank, len(transform))):
         raise InconsistentStripeError("surviving bytes violate parity relations")
     return [sums.take(k).to_bytes(width, "little") for k in range(D)]
+
+
+def can_decode_from(scheme: Scheme, present) -> bool:
+    """True iff the distinct blocks *present* determine every data block:
+    Gaussian elimination over GF(2^8) of their whole coefficient rows,
+    kept sparse, finds a pivot in each of the D data columns.  The rank
+    reference that the planners' refusals and the fate table are checked
+    against, independent of both."""
+    geo = _geometry(scheme)
+    pool = [{i: c for i, c in enumerate(geo.rows[b]) if c} for b in sorted(set(present))]
+    for col in range(scheme.data_block_count):
+        pivot = next((row for row in pool if col in row), None)
+        if pivot is None:
+            return False
+        pool.remove(pivot)
+        inv = gf_inv(pivot[col])
+        for row in pool:
+            if col in row:
+                f = gf_mul(row[col], inv)
+                for i, c in pivot.items():
+                    v = row.get(i, 0) ^ gf_mul(f, c)
+                    if v:
+                        row[i] = v
+                    else:
+                        del row[i]
+    return True
 
 
 def degraded_reads(caplog) -> list[tuple]:

@@ -319,9 +319,9 @@ def test_block_files_are_opened_and_removed_by_three_helpers_only():
 
 def test_the_store_rebuilds_blocks_only_through_plans():
     """The store calls into ``codes`` only for the geometry, encoding, the
-    decodability test, the repair planner, plan execution and the stripe
-    reader that plans its degraded reads, raising its errors aside; every
-    transfer it counts is a plan's bandwidth."""
+    repair planner, whose refusal is also fsck's verdict, plan execution
+    and the stripe reader that plans its degraded reads, raising its errors
+    aside; every transfer it counts is a plan's bandwidth."""
     tree = ast.parse(Path(blockstore.__file__).read_text())
     imported = {alias.asname or alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module == "codes"
@@ -337,13 +337,28 @@ def test_the_store_rebuilds_blocks_only_through_plans():
     errors = {n for n in called if isinstance(getattr(codes, n), type)
               and issubclass(getattr(codes, n), codes.CodeError)}
     assert called - errors <= {
-        "_geometry", "build_layout", "parse_scheme", "StripeEncoder", "can_decode_from",
+        "_geometry", "build_layout", "parse_scheme", "StripeEncoder",
         "plan_repair", "execute_plan", "memory_reader", "read_stripe",
     }
     counts = [node for node in ast.walk(tree) if isinstance(node, ast.AugAssign)
               and ast.unparse(node.target) in ("bandwidth", "self.degraded_transfers")]
     assert len(counts) == 2
     assert all(ast.unparse(node.value).endswith(".bandwidth_blocks") for node in counts)
+
+
+def test_kill_and_revive_read_one_node_state(pentagon_store, monkeypatch):
+    """kill and revive read only the node they name from store.json, so
+    their time does not grow with the node count: with 2**40 nodes recorded
+    and the node list off limits, each answers at once."""
+    path = pentagon_store.root / "store.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), nodes=2**40)))
+    store = BlockStore(pentagon_store.root)
+    monkeypatch.setattr(BlockStore, "nodes", lambda self: pytest.fail("every node was built"))
+    for node in (2**40 - 1, 1):
+        assert store.kill_node(node) == blockstore.NodeState(node, "down", store.node_dir(node))
+        assert store.revive_node(node).status == "up"
+    with pytest.raises(StoreError, match="^unknown node"):
+        store.kill_node(2**40)
 
 
 def test_kill_removes_orphan_block_files(pentagon_store, tmp_path):
@@ -443,6 +458,37 @@ def test_degraded_get_plans_once_per_stripe(tmp_path, monkeypatch, caplog):
     # the three lost data blocks of each stripe come from one plan
     assert [stripe for _, stripe, *_ in degraded_reads(caplog)] == [0, 1, 2]
     assert len(calls) == 3
+
+
+def test_one_damage_is_planned_once_store_wide(pentagon_store, tmp_path, monkeypatch):
+    """Two killed nodes damage every pentagon stripe alike, so fsck, a
+    degraded get and repair over six stripes build one plan each, and
+    repair takes the one fsck built."""
+    path = write_file(tmp_path, 6 * 9 * BS, seed=15)
+    pentagon_store.put(path)
+    builds = []
+
+    class Counting(codes._PlanBuilder):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(codes, "_PlanBuilder", Counting)
+    for forget in (False, True):  # with repair's plan kept from fsck, then not
+        codes._repair_plan.cache_clear()
+        codes._read_plan.cache_clear()
+        builds.clear()
+        for node in (0, 1):
+            pentagon_store.kill_node(node)
+        report = pentagon_store.fsck()
+        assert len(report.missing) == 12 and not report.fatal_stripes
+        assert pentagon_store.get("data.bin") == path.read_bytes()  # block 0 is edge (0, 1)
+        assert len(builds) == 2
+        if forget:
+            codes._repair_plan.cache_clear()
+        assert pentagon_store.repair().plans_executed == 6
+        assert len(builds) == 2 + forget
+        assert pentagon_store.fsck().is_clean
 
 
 def test_get_unrecoverable(pentagon_store, tmp_path):

@@ -25,6 +25,8 @@ import polycode
 from polycode import cli, codes
 from polycode.cli import emit_report, main
 
+from helpers import can_decode_from
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -188,7 +190,7 @@ def test_decode_every_mix_of_one_or_two_missing_or_corrupt_block_files(tmp_path,
                     code, _, err = run(capsys, "code", "decode", "--in-dir", str(stripe),
                                        "--killed", killed, "--output", str(out_file))
                     good = set(range(scheme.block_count)) - gone - set(lost)
-                    if codes.can_decode_from(scheme, good):
+                    if can_decode_from(scheme, good):
                         assert code == 0 and out_file.read_bytes() == src.read_bytes(), (
                             name, lost, kinds, err)
                     else:
@@ -389,6 +391,62 @@ def test_decode_refuses_a_block_entry_that_leaves_its_directory(tmp_path, capsys
                          "--output", str(out_file))
     assert (code, out, err) == (1, "", f"error: {stripe / 'stripe.json'} is malformed\n")
     assert not out_file.exists()
+
+
+def _run_in_limited_process(*argv) -> subprocess.CompletedProcess:
+    """Run the CLI on *argv* in a new interpreter that first caps its own
+    address space at 2 GiB, so a huge allocation fails fast there."""
+    limit = 2 << 30
+    probe = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}));"
+             " from polycode.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(polycode.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-c", probe, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("where", ["store init", "code encode", "store.json", "manifest",
+                                   "stripe.json"])
+def test_a_block_size_past_the_limit_is_refused_by_name(tmp_path, capsys, where):
+    """A block size of 2**40 bytes, given as --block-size or read from a
+    metadata file, ends in a refusal that names it, not in a MemoryError:
+    a store.json's in store put, a manifest's in store get, a stripe.json's
+    in code decode."""
+    from polycode.blockstore import MAX_BLOCK_SIZE
+
+    huge, root, stripe, out = 2**40, tmp_path / "store", tmp_path / "stripe", tmp_path / "out.bin"
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(20).randbytes(900))
+    meta = None
+    if where == "store init":
+        argv = ["store", "init", "--root", root, "--scheme", "pentagon",
+                "--block-size", huge, "--seed", 1]
+        named = f"error: block_size {huge}"
+    elif where == "code encode":
+        argv = ["code", "encode", "--scheme", "pentagon", "--input", src, "--out-dir", stripe,
+                "--block-size", huge]
+        named = f"usage error: --block-size {huge}"
+    elif where == "stripe.json":
+        run(capsys, "code", "encode", "--scheme", "pentagon", "--input", str(src),
+            "--out-dir", str(stripe))
+        meta = stripe / "stripe.json"
+        argv = ["code", "decode", "--in-dir", stripe, "--output", out]
+    else:
+        run(capsys, "store", "init", "--root", str(root), "--scheme", "pentagon",
+            "--block-size", "64", "--seed", "1")
+        run(capsys, "store", "put", "--root", str(root), "--file", str(src), "--name", "f")
+        if where == "store.json":
+            meta = root / "store.json"
+            argv = ["store", "put", "--root", root, "--file", src, "--name", "g"]
+        else:
+            meta = root / "f.manifest.json"
+            argv = ["store", "get", "--root", root, "--name", "f", "--output", out]
+    if meta is not None:
+        meta.write_text(json.dumps(dict(json.loads(meta.read_text()), block_size=huge)))
+        named = f"error: {meta} is malformed: its block_size"
+    done = _run_in_limited_process(*argv)
+    assert done.returncode in (1, 2) and done.stdout == "", done.stderr
+    assert done.stderr == f"{named} is outside 1..{MAX_BLOCK_SIZE}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("block_size", ["missing", "x", 0, -100, 100.0, True, None])

@@ -24,14 +24,11 @@ from polycode.codes import (
     PartialParity,
     Polygon,
     RaidMirror,
-    Recovery,
-    RepairPlan,
     Replication,
     Transfer,
     UnrecoverableError,
     WholeCopy,
     build_layout,
-    can_decode_from,
     decode_stripe,
     encode_stripe,
     execute_plan,
@@ -47,7 +44,7 @@ from polycode.codes import (
 from polycode.gf256 import scale_bytes
 
 from bandwidth_table import bandwidth_lines
-from helpers import execute_plan_reference, make_checked_reader, oracle_decode
+from helpers import can_decode_from, execute_plan_reference, make_checked_reader, oracle_decode
 
 ALL_SCHEMES = [
     Replication(2),
@@ -821,6 +818,24 @@ def test_planners_refuse_a_corrupt_replica_that_is_not_there():
         plan_degraded_read(Polygon(5), 4, {0}, [(4, 1)])  # slot 2 holds it good
 
 
+def test_a_plan_is_made_once_per_damage():
+    """The planners key a plan by its damage as sets: down slots in any
+    order, and corrupt pairs in any order, with one on a down slot left
+    out, give the same plan object, and malformed damage is refused on
+    every call."""
+    s = Polygon(5)
+    assert plan_repair(s, [1, 0]) is plan_repair(s, (0, 1))
+    # block 0, edge (0, 1), is corrupt on both hosts; block 1, edge (0, 2),
+    # is on down slot 2
+    assert plan_degraded_read(s, 0, [2], [(0, 1), (0, 0)]) is plan_degraded_read(
+        s, 0, {2}, [(1, 2), (0, 0), (0, 1)])
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            plan_repair(s, [5])
+        with pytest.raises(ValueError):
+            plan_repair(s, [0], [(4, 3)])  # block 4 is edge (1, 2)
+
+
 def test_node_shaped_plans_read_no_corrupt_replica():
     """With 1-2 slots down and one corrupt replica on a live slot of a block
     that keeps a good one, no transfer from that slot, a whole copy or a
@@ -976,36 +991,54 @@ def run_executor(execute, plan, present, victim=None, corrupt=False):
         return type(exc), reads
 
 
+def executor_damages(scheme, limit):
+    """(down slots, corrupt replicas) of every set of 1 to *limit* down
+    slots, and, with at most one slot down, one corrupt replica of each
+    block on its first live host: those of a block whose other host is
+    down lose it, and the others leave it a good twin."""
+    placements = geometry(scheme).placements
+    for size in range(limit + 1):
+        for down in map(set, itertools.combinations(range(scheme.code_length), size)):
+            if size:
+                yield down, set()
+            if size <= 1:
+                for b, slots in placements.items():
+                    live = [s for s in slots if s not in down]
+                    if live:
+                        yield down, {(b, live[0])}
+
+
 @pytest.mark.parametrize(
     "scheme", [HeptagonLocal(), Polygon(5), Polygon(7), RaidMirror(3)], ids=lambda s: s.name
 )
 def test_execute_plan_matches_reference_executor(scheme):
     # every recoverable repair and degraded-read pattern up to 3 losses
-    # (heptagon-local) or the tolerance: the same bytes, the same blocks
-    # read in the same order, and the same error for a missing or corrupt
-    # source, here the last one read and the first
+    # (heptagon-local) or the tolerance, and mixed damage of a corrupt
+    # replica on a live slot: the same bytes, the same blocks read in the
+    # same order, and the same error for a missing or corrupt source, here
+    # the last one read and the first
     geo = geometry(scheme)
     data, blocks = full_blocks(scheme, random.Random(52), size=16)
     limit = 3 if isinstance(scheme, HeptagonLocal) else tolerance(scheme)
-    plans = 0
-    for size in range(1, limit + 1):
-        for pattern in itertools.combinations(range(scheme.code_length), size):
-            down = set(pattern)
-            if not is_recoverable(scheme, down):
-                continue
-            present = present_view(scheme, blocks, down)
-            lost = [b for b, slots in geo.placements.items() if all(s in down for s in slots)]
-            for plan in [plan_repair(scheme, down)] + [
-                plan_degraded_read(scheme, b, down) for b in lost
-            ]:
-                expected, reads = run_executor(execute_plan_reference, plan, present)
-                assert run_executor(execute_plan, plan, present) == (expected, reads)
-                for victim, corrupt in [(reads[-1], False), (reads[0], True)]:
-                    ref = run_executor(execute_plan_reference, plan, present, victim, corrupt)
-                    new = run_executor(execute_plan, plan, present, victim, corrupt)
-                    assert new[0] == ref[0] in (MissingBlockError, ChecksumMismatchError)
-                plans += 1
-    assert plans > 0
+    plans = mixed = 0
+    for down, corrupt in executor_damages(scheme, limit):
+        lost = [b for b, slots in geo.placements.items()
+                if all(s in down or (b, s) in corrupt for s in slots)]
+        present = {b: v for b, v in blocks.items() if b not in lost}
+        if not can_decode_from(scheme, present):
+            continue
+        for plan in [plan_repair(scheme, down, corrupt)] + [
+            plan_degraded_read(scheme, b, down, corrupt) for b in lost
+        ]:
+            expected, reads = run_executor(execute_plan_reference, plan, present)
+            assert run_executor(execute_plan, plan, present) == (expected, reads)
+            for victim, bad in [(reads[-1], False), (reads[0], True)]:
+                ref = run_executor(execute_plan_reference, plan, present, victim, bad)
+                new = run_executor(execute_plan, plan, present, victim, bad)
+                assert new[0] == ref[0] in (MissingBlockError, ChecksumMismatchError)
+            plans += 1
+            mixed += bool(corrupt)
+    assert plans > mixed > 0
 
 
 COEFS = st.one_of(st.sampled_from([0, 1, 2, 0x8E]), st.integers(0, 255))
@@ -1095,17 +1128,17 @@ def test_wide_sums_match_per_term_scaling(case):
 )
 def test_execute_plan_matches_per_term_scaling(case, recovery_terms):
     # three partial parities over the source blocks, then recoveries that
-    # combine them; the source terms are reused so keys repeat across sums
+    # combine them, added through the plan builder, which writes their
+    # forms; the source terms are reused so keys repeat across sums
     width, bodies, terms = case
     parts = [terms[i::3] or [(0, 1)] for i in range(3)]
-    transfers = tuple(Transfer(0, 1, PartialParity(tuple(p))) for p in parts)
-    recs = tuple(
-        sorted(
-            (Recovery(100 + j, tuple(t)) for j, t in enumerate(recovery_terms)),
-            key=lambda r: r.ready_after,
-        )
-    )
-    plan = RepairPlan(transfers, recs)
+    builder = codes._PlanBuilder(Polygon(5), frozenset(), frozenset())
+    for p in parts:
+        builder.add(0, 1, PartialParity(tuple(p)))
+    for j, t in enumerate(recovery_terms):
+        builder.recover(100 + j, tuple(t), 1)
+    plan = builder.done()
+    assert plan.sources == tuple(dict.fromkeys(k for p in parts for k, _ in p))
     recovered = execute_plan(plan, make_checked_reader(dict(enumerate(bodies))))
     sums = [naive_sum(width, bodies, p) for p in parts]
     for j, t in enumerate(recovery_terms):
