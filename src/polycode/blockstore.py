@@ -3,33 +3,46 @@
 Tree layout::
 
     root/store.json             store config and the set of down nodes
+    root/next_offset            the next free offset in the node files
     root/.lock                  taken by every mutating operation
     root/n<k>/                  one directory per simulated node
     root/<name>.manifest.json   one manifest per stored file
-    n<k>/<name>.s<stripe>.blk   node k's blocks of one stripe
+    n<k>/blocks.blk             every block node k holds, of every stripe
 
 The codes keep several blocks of a stripe on one node, and a node keeps
-them in one file: its blocks of the stripe concatenated in block-id order,
-``block_size`` bytes each, with no header.  Where each block goes follows
-from the scheme alone, so a stripe's manifest record holds two things: its
-``node_order``, the node that plays each of the scheme's slots, and the
-CRC32 (IEEE polynomial) of every block, by block id, as 8 hex characters.
-The store works in slots and reads the rest from ``codes._geometry``: a
-block's slots from ``placements``, the data blocks' order from
-``data_block_of``, and a replica's offset from the block's rank in
-``blocks_on`` of its slot, which lists a slot's blocks in ascending order.
-A node id appears only in a block file's name and in ``FsckReport``.
-Stripes are numbered from 0 within each file, whose name prefixes its block
-files, so puts share no counter and no block file.  Every file takes the
-store's scheme and block size.  Killing a node wipes its directory, which
-forces real repair traffic instead of replica re-registration.
+every stripe it holds in one file.  A stripe's record in its manifest holds
+its ``offset``: in each of its nodes' files, the node's blocks of the
+stripe start there, in block-id order, ``block_size`` bytes each, with no
+header.  A slot that holds fewer blocks than the scheme's longest run
+leaves a hole after them.  Where each block goes follows from the scheme
+alone, so the record holds two more things: its ``node_order``, the node
+that plays each of the scheme's slots, and the CRC32 (IEEE polynomial) of
+every block, by block id, as 8 hex characters.  The store works in slots
+and reads the rest from ``codes._geometry``: a block's slots from
+``placements``, the data blocks' order from ``data_block_of``, and a
+replica's place in its run from the block's rank in ``blocks_on`` of its
+slot, which lists a slot's blocks in ascending order.  A node id appears
+only in a node file's name and in ``FsckReport``.  Stripes are numbered
+from 0 within each file.  Every file takes the store's scheme and block
+size.  Killing a node wipes its directory, which forces real repair
+traffic instead of replica re-registration.
+
+``next_offset`` is the store's next free offset, 20 decimal digits and a
+newline.  ``create`` writes it as 0, and ``put`` reads it under the lock
+and writes it past each stripe's longest run before it writes a block of
+the stripe, in place: it only grows and keeps its width, so a write that
+stops partway leaves it at a value no smaller than before.  So a put
+creates no file once every node holds its file, and a put that fails
+leaves at most a range that no manifest names.  No node file is ever cut
+short by the store.
 
 A node file that is not there is the only sign of a lost slot: ``fsck``
-reports it as missing, once, so its ``missing`` count is the number of
-block files the killed nodes held; a replica that fails its CRC, or that a
-short file cuts off, is corrupt.  A stripe is fatal exactly when
-``codes.plan_repair`` refuses its missing slots and corrupt replicas, so
-``fsck`` and ``repair`` give one verdict.
+reports it as missing, once for all the stripes that use it, so its
+``missing`` count is the number of node files the killed nodes held; a
+replica that fails its CRC, or that a short file or a hole cuts off, is
+corrupt.  A stripe is fatal exactly when ``codes.plan_repair`` refuses its
+missing slots and corrupt replicas, so ``fsck`` and ``repair`` give one
+verdict.
 
 Memory: no operation holds a file.  ``put`` writes each stripe through
 ``_write_stripe``, which reads its input a data block at a time into one
@@ -40,37 +53,36 @@ cut off, through ``codes.read_stripe`` over a ``_StripeReader``, and holds
 one block plus what a degraded-read plan holds and keeps; ``get`` builds its
 ``bytearray`` from it, and the CLI streams it to a temp file that replaces
 the output only once every block is written.  ``repair`` holds one stripe:
-one good body per block and the plan's sums.  ``fsck`` reads each node file
-with one read into one buffer, sized to the stripe's largest node file.
+one good body per block and the plan's sums.  ``fsck`` reads each node's run
+of a stripe with one read into one buffer, sized to the longest run.
 
 Three helpers, ``_read_file``, ``_write_file`` and ``_remove_files``, are the
 only code that opens or removes a block file; a read is one range of it, and
 a write one block.  They serve ``code encode`` and ``code decode`` too, which
 keep a stripe as one file per block, ``b<id>.blk``: the same
 ``_write_stripe`` and ``_StripeReader`` take a (file, offset) per replica,
-in a node file or a block file alike.  ``_read_file`` opens a file at its
-first read and keeps it open until the reads are done, and each stripe gets
-its own: a stripe read opens each file once, for its blocks, its
-degraded-read probe and plans, and its scan alike, and sees each file as it
-was when first opened.  ``store.json`` and the manifests are read by
-``_read_json``, and refused by name when they are not JSON or lack a field
-the store reads; they are written compact (no indent, so ``json`` uses its
-C encoder) by ``_write_json``, to a temp file that is renamed over its target.
-The commit points are ``store.json`` for ``create``, the manifest for
-``put``, and the last ``store.json`` write for ``repair``, which marks nodes
-up only after their blocks are written.  A write that fails earlier leaves
-at most block files that no manifest names, or a replica that the next
-repair rewrites.  Nothing is fsynced.
+in a node file or a block file alike.  ``_read_file`` and ``_write_file``
+open a file at its first use and keep it open until they are done, so
+``read``, ``put``, ``fsck`` and ``repair`` each open a node file at most
+once to read it and once to write it, and read it as it was when first
+opened.  ``store.json`` and the manifests are read by ``_read_json``, and
+refused by name when they are not JSON or lack a field the store reads;
+they are written compact (no indent, so ``json`` uses its C encoder) by
+``_write_json``, to a temp file that is renamed over its target.  The commit points are ``store.json`` for ``create``, the
+manifest for ``put``, and the last ``store.json`` write for ``repair``,
+which marks nodes up only after their blocks are written.  A write that
+fails earlier leaves at most bytes that no manifest names, or a replica
+that the next repair rewrites.  Nothing is fsynced.
 
 Concurrency: put, kill, revive and repair take an exclusive ``flock`` on
 ``root/.lock``, which holds across handles, threads and processes, and read
 the down set from ``store.json`` inside it; no handle keeps a copy.  That
 set decides placement and node status only.  Reads (``read``, ``get`` and
 ``fsck``) take no lock and consult no down set: they see the node files as
-they are.  This is sound because ``kill_node`` removes a node's files
-before it marks the node down, and ``repair`` writes them before it marks
-the node up; a down node that holds files, after a repair that stopped,
-serves those whose CRCs pass.
+they are.  This is sound because ``kill_node`` removes a node's file
+before it marks the node down, and ``repair`` writes it before it marks
+the node up; a down node that holds a file, after a repair that stopped,
+serves the replicas whose CRCs pass.
 """
 
 from __future__ import annotations
@@ -99,6 +111,10 @@ from .codes import (
 log = logging.getLogger(__name__)
 
 MAX_BLOCK_SIZE = 1 << 28  # bytes (256 MiB): a larger block size is refused wherever it is read
+MAX_NODES = 512  # store init makes a directory per node; a read holds a descriptor per node file
+MAX_OFFSET = 1 << 62  # bytes: past it a run's file offsets would overflow the OS's
+MARK = "next_offset"  # in the root: the next free offset, MARK_WIDTH digits and a newline
+MARK_WIDTH = 20
 
 
 class StoreError(Exception):
@@ -118,7 +134,7 @@ class NodeState:
 
 @dataclass
 class StripeRecord:
-    index: int  # stripe number within its file
+    offset: int  # where the stripe's run starts in each of its nodes' files
     node_order: list[int]  # node_order[s] is the node that plays slot s
     crc32: list[str]  # by block id
 
@@ -143,7 +159,7 @@ class StoreManifest:
             "block_size": self.block_size,
             "stripe_count": self.stripe_count,
             "stripes": [
-                {"index": s.index, "node_order": s.node_order, "crc32": s.crc32}
+                {"offset": s.offset, "node_order": s.node_order, "crc32": s.crc32}
                 for s in self.stripes
             ],
         }
@@ -156,7 +172,8 @@ class StoreManifest:
         refused too."""
         _require(d, source, file=str, size=int, scheme=str, block_size=int, stripes=list)
         scheme = parse_scheme(d["scheme"])
-        stripes = [_stripe_record(d, s, scheme, source, nodes) for s in d["stripes"]]
+        stripes = [_stripe_record(d, k, s, scheme, source, nodes)
+                   for k, s in enumerate(d["stripes"])]
         _check_block_size(d["block_size"], source)
         limit = len(stripes) * scheme.data_block_count * d["block_size"]
         if not 0 <= d["size"] <= limit:  # the size its stripes can hold
@@ -164,33 +181,40 @@ class StoreManifest:
         return cls(d["file"], d["size"], d["scheme"], d["block_size"], stripes)
 
 
-def _stripe_record(d: dict, stripe: dict, scheme: Scheme, source: str,
+def _stripe_record(d: dict, k: int, stripe: dict, scheme: Scheme, source: str,
                    nodes: int | None) -> StripeRecord:
-    """A manifest's stripe record, refused unless it has a node per slot
-    and a CRC per block of the scheme, and unless its nodes are distinct
-    nodes of the store: two slots on one node would write over each
-    other's node file."""
-    _require(stripe, f"{d['file']} stripe record", index=int, node_order=list)
-    order, crcs = stripe["node_order"], stripe.get("crc32")
+    """A manifest's stripe record *k*, refused unless it has an offset, a
+    node per slot and a CRC per block of the scheme, and unless its nodes
+    are distinct nodes of the store: two slots on one node would write over
+    each other's run.  A record of the per-stripe layout, which kept each
+    node's blocks of a stripe in a file of their own, has an index in place
+    of the offset, and is refused by name."""
+    if isinstance(stripe, dict) and "index" in stripe and "offset" not in stripe:
+        raise StoreError(f"{source} is in the per-stripe layout (n<k>/<name>.s<i>.blk),"
+                         f" which this store does not read")
+    _require(stripe, f"{d['file']} stripe record", node_order=list)
+    order, crcs, offset = stripe["node_order"], stripe.get("crc32"), stripe.get("offset")
     if (len(order) != scheme.code_length or not isinstance(crcs, list)
             or len(crcs) != scheme.block_count or not all(isinstance(n, int) for n in order)):
-        raise StoreError(f"{d['file']} stripe {stripe['index']} disagrees with"
-                         f" the {scheme.name} layout")
+        raise StoreError(f"{d['file']} stripe {k} disagrees with the {scheme.name} layout")
+    if type(offset) is not int or not 0 <= offset <= MAX_OFFSET:  # bool is an int, too
+        raise StoreError(f"{source} is malformed: stripe {k} has an offset that is not"
+                         f" an integer in 0..{MAX_OFFSET}")
     if len(set(order)) < len(order) or any(n < 0 or nodes is not None and n >= nodes
                                            for n in order):
-        raise StoreError(f"{source} is malformed: stripe {stripe['index']} node_order {order}"
+        raise StoreError(f"{source} is malformed: stripe {k} node_order {order}"
                          f" repeats a node or names one outside the store")
     if not all(map(is_crc, crcs)):
-        raise StoreError(f"{source} is malformed: stripe {stripe['index']} has a crc32"
+        raise StoreError(f"{source} is malformed: stripe {k} has a crc32"
                          f" that is not 8 hex characters")
-    return StripeRecord(stripe["index"], list(order), [c.lower() for c in crcs])
+    return StripeRecord(offset, list(order), [c.lower() for c in crcs])
 
 
 @dataclass
 class FsckReport:
-    # missing node files as (file, stripe, node); corrupt replicas as
+    # missing node files by node id, ascending; corrupt replicas as
     # (file, stripe, block, node)
-    missing: list[tuple[str, int, int]] = field(default_factory=list)
+    missing: list[int] = field(default_factory=list)
     corrupt: list[tuple[str, int, int, int]] = field(default_factory=list)
     fatal_stripes: list[tuple[str, int]] = field(default_factory=list)
 
@@ -279,15 +303,22 @@ def head(blocks, size: int) -> Iterator[bytes | memoryview]:
             yield body
 
 
-def _node_file(name: str, index: int, node: int) -> str:
-    """The root-relative name of *node*'s block file of stripe *index*."""
-    return f"n{node}/{name}.s{index}.blk"
+def _node_file(node: int) -> str:
+    """The root-relative name of *node*'s block file."""
+    return f"n{node}/blocks.blk"
 
 
-def _node_places(geo, fnames: list[str], size: int) -> dict[int, list[tuple[str, int]]]:
-    """Each block's replicas, (file, offset) in slot order, slot s being ``fnames[s]``."""
-    return {b: [(fnames[s], geo.blocks_on[s].index(b) * size) for s in slots]
+def _node_places(geo, fnames: list[str], size: int,
+                 offset: int) -> dict[int, list[tuple[str, int]]]:
+    """Each block's replicas, (file, offset) in slot order, slot s being
+    ``fnames[s]`` and its run starting at *offset*."""
+    return {b: [(fnames[s], offset + geo.blocks_on[s].index(b) * size) for s in slots]
             for b, slots in geo.placements.items()}
+
+
+def _mark(offset: int) -> bytes:
+    """``next_offset``'s bytes for *offset*."""
+    return b"%0*d\n" % (MARK_WIDTH, offset)
 
 
 # -- block files: *fname* is a block file's name relative to *root* --------
@@ -329,56 +360,56 @@ def _read_file(root: str):
 
 
 @contextmanager
-def _write_file(root: str, fnames, whole: bool):
-    """Open the files for writing, made empty first when *whole*, and
-    yield write(fname, offset, body), which writes *body* at *offset*
-    of one of them.  Each file is opened once and closed on the way
-    out; a file written in place keeps every byte it is not given."""
+def _write_file(root: str, whole: bool):
+    """Yield write(fname, offset, body), which writes *body* at *offset*
+    of the file.  Each file is opened at its first write, created when it
+    does not exist and made empty first when *whole*, and closed on the
+    way out; a file written in place keeps every byte it is not given."""
     flags = os.O_WRONLY | os.O_CREAT | (os.O_TRUNC if whole else 0)
-    fds = {}
+    fds: dict[str, int] = {}
+
+    def write(fname: str, offset: int, body) -> None:
+        fd = fds.get(fname)
+        if fd is None:
+            fd = fds[fname] = os.open(f"{root}/{fname}", flags, 0o666)
+        view = memoryview(body)
+        while view:
+            n = os.pwrite(fd, view, offset)
+            view, offset = view[n:], offset + n
+
     try:
-        for fname in fnames:
-            fds[fname] = os.open(f"{root}/{fname}", flags, 0o666)
-
-        def write(fname: str, offset: int, body) -> None:
-            fd, view = fds[fname], memoryview(body)
-            while view:
-                n = os.pwrite(fd, view, offset)
-                view, offset = view[n:], offset + n
-
         yield write
     finally:
         for fd in fds.values():
             os.close(fd)
 
 
-def _write_stripe(root: str, scheme: Scheme, src, view, n: int, places) -> tuple[list, int]:
+def _write_stripe(write, scheme: Scheme, src, view, n: int, places) -> tuple[list, int]:
     """Encode a stripe read from *src* through *view*, a data block's buffer
-    that holds the stripe's first *n* bytes already, and write block b to
-    each (file, offset) of ``places[b]``: each data block as it is read,
-    padded with zeros at the input's end, and each parity as it is made.
-    Returns the CRCs by block id and the count of input bytes taken."""
+    that holds the stripe's first *n* bytes already, and write block b
+    through *write*, one of ``_write_file``'s, to each (file, offset) of
+    ``places[b]``: each data block as it is read, padded with zeros at the
+    input's end, and each parity as it is made.  Returns the CRCs by block
+    id and the count of input bytes taken."""
     geo = codes._geometry(scheme)
     size, taken = len(view), 0
     crcs, encoder = [""] * scheme.block_count, codes.StripeEncoder(scheme, size)
-    fnames = dict.fromkeys(fname for replicas in places.values() for fname, _ in replicas)
-    with _write_file(root, fnames, whole=True) as write:
 
-        def place(b: int, body) -> None:
-            for fname, offset in places[b]:
-                write(fname, offset, body)
-            crcs[b] = _crc(body)
+    def place(b: int, body) -> None:
+        for fname, offset in places[b]:
+            write(fname, offset, body)
+        crcs[b] = _crc(body)
 
-        for i in range(scheme.data_block_count):
-            if i:
-                n = fill(src, view)
-            if n < size:  # the input's end: pad the stripe with zeros
-                view[n:] = bytes(size - n)
-            taken += n
-            encoder.feed(i, view)
-            place(geo.data_block_of[i], view)
-        for b, body in encoder.parities():
-            place(b, body)
+    for i in range(scheme.data_block_count):
+        if i:
+            n = fill(src, view)
+        if n < size:  # the input's end: pad the stripe with zeros
+            view[n:] = bytes(size - n)
+        taken += n
+        encoder.feed(i, view)
+        place(geo.data_block_of[i], view)
+    for b, body in encoder.parities():
+        place(b, body)
     return crcs, taken
 
 
@@ -445,14 +476,18 @@ class BlockStore:
             raise StoreError(
                 f"need at least {scheme.code_length} nodes for {scheme.name}, got {nodes}"
             )
+        if nodes > MAX_NODES:
+            raise StoreError(f"{nodes} nodes is more than the {MAX_NODES} a store can have")
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
         if (root / "store.json").exists():
             raise StoreError(f"store already exists at {root}")
         # store.json is the commit point: a crashed create leaves node
-        # directories that the next create reuses
+        # directories and a mark that the next create reuses
         for i in range(nodes):
             (root / f"n{i}").mkdir(exist_ok=True)
+        with _write_file(str(root), whole=True) as write:
+            write(MARK, 0, _mark(0))
         cfg = {"scheme": scheme.name, "nodes": nodes,
                "block_size": block_size, "seed": seed, "down": []}
         _write_json(root / "store.json", cfg)
@@ -483,6 +518,19 @@ class BlockStore:
         with open(f"{self._root}/.lock", "a") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
             yield set(self._read_config()["down"])
+
+    def _next_offset(self) -> int:
+        """The next free offset, as ``next_offset`` has it now."""
+        path = f"{self._root}/{MARK}"
+        with _read_file(self._root) as read:
+            text = read(MARK, 0, MARK_WIDTH + 2)
+        if text is None:
+            raise StoreError(f"{path} is missing")
+        if (len(text) != MARK_WIDTH + 1 or not text[:-1].isdigit() or text[-1:] != b"\n"
+                or int(text) > MAX_OFFSET):
+            raise StoreError(f"{path} is malformed: it needs {MARK_WIDTH} digits"
+                             f" of an offset in 0..{MAX_OFFSET} and a newline")
+        return int(text)
 
     def node_dir(self, node_id: int) -> Path:
         return self.root / f"n{node_id}"
@@ -522,15 +570,17 @@ class BlockStore:
 
         Each stripe goes through ``_write_stripe``, as ``code encode``'s
         does, so a put holds a block and the parity sums, never a stripe or
-        the file.  Each replica is written at its offset in its node's file
-        of the stripe; the stripe's node files are opened once each, and
-        closed before the next stripe.  The input may be any readable file,
-        a pipe included; it is read to its end.
+        the file.  Each stripe takes the next free offset, and
+        ``next_offset`` is moved past its longest run before any of its
+        blocks is written; each replica is written at its place in its
+        node's file, which is opened once for the whole put, and created
+        only when the node holds none yet.  The input may be any readable
+        file, a pipe included; it is read to its end.
 
         The file takes the store's scheme and block size, which its manifest
         records.  The manifest's rename commits the file.  A put that fails
-        before it may leave block files that no manifest names; a retry of
-        the same name overwrites them.
+        before it leaves at most runs that no manifest names, past which the
+        next put writes.
         """
         path = Path(path)
         if name is None:
@@ -545,19 +595,24 @@ class BlockStore:
             if len(pool) < scheme.code_length:
                 raise StoreError("insufficient up nodes")
             geo = codes._geometry(scheme)
+            run = block_size * max(map(len, geo.blocks_on.values()))
+            offset = self._next_offset()
             view = memoryview(bytearray(block_size))
             size = 0
             stripes: list[StripeRecord] = []
-            with open(path, "rb", buffering=0) as src:
+            with open(path, "rb", buffering=0) as src, \
+                    _write_file(self._root, whole=False) as write:
                 while n := fill(src, view):
                     k = len(stripes)
                     layout_seed = zlib.crc32(f"{self.seed}:{name}:{k}".encode())
                     order = codes.build_layout(scheme, pool, layout_seed)
-                    fnames = [_node_file(name, k, node) for node in order]
-                    crcs, taken = _write_stripe(self._root, scheme, src, view, n,
-                                                _node_places(geo, fnames, block_size))
+                    write(MARK, 0, _mark(offset + run))  # claimed before a block is written
+                    fnames = [_node_file(node) for node in order]
+                    crcs, taken = _write_stripe(write, scheme, src, view, n,
+                                                _node_places(geo, fnames, block_size, offset))
                     size += taken
-                    stripes.append(StripeRecord(k, list(order), crcs))
+                    stripes.append(StripeRecord(offset, list(order), crcs))
+                    offset += run
             manifest = StoreManifest(name, size, scheme.name, block_size, stripes)
             _write_json(self._manifest_path(name), manifest.to_dict())
             return manifest
@@ -565,9 +620,9 @@ class BlockStore:
     # -- read path ----------------------------------------------------------
 
     def _scan(self, manifest: StoreManifest, stripe: StripeRecord, geo, keep: bool, read):
-        """Read each node file of the stripe through *read*, one of
+        """Read each node's run of the stripe through *read*, one of
         ``_read_file``'s, with one read into one buffer, sized to the
-        largest of them, and check each block's slice.
+        longest run, and check each block's slice.
         Returns (good, corrupt, missing): the ids of the blocks with a good
         replica, each corrupt replica as (block id, slot), and the slots
         whose file is missing, in node order; a replica that a short file
@@ -579,8 +634,7 @@ class BlockStore:
         good, corrupt, missing = {}, [], []
         for slot in sorted(range(len(order)), key=order.__getitem__):
             ids = geo.blocks_on[slot]
-            fname = _node_file(manifest.name, stripe.index, order[slot])
-            body = read(fname, 0, len(ids) * size, buffer)
+            body = read(_node_file(order[slot]), stripe.offset, len(ids) * size, buffer)
             if body is None:
                 missing.append(slot)
                 continue
@@ -600,7 +654,8 @@ class BlockStore:
         so a missing file raises before anything is read.
 
         Each stripe is served by ``codes.read_stripe`` through a
-        ``_StripeReader``.  A block with no good replica is rebuilt by a
+        ``_StripeReader``, over one ``_read_file`` that opens each node file
+        once for the whole read.  A block with no good replica is rebuilt by a
         degraded-read plan whose damage is first the slots whose node file
         is not there, looked up once per stripe, and then, when the plan
         meets another block with no good replica, the damage that one scan
@@ -615,10 +670,10 @@ class BlockStore:
         geo = codes._geometry(scheme)
 
         def blocks() -> Iterator[bytes]:
-            for stripe in manifest.stripes:
-                fnames = [_node_file(manifest.name, stripe.index, n) for n in stripe.node_order]
-                with _read_file(self._root) as read:
-                    replicas = _StripeReader(read, _node_places(geo, fnames, size),
+            with _read_file(self._root) as read:
+                for k, stripe in enumerate(manifest.stripes):
+                    fnames = [_node_file(n) for n in stripe.node_order]
+                    replicas = _StripeReader(read, _node_places(geo, fnames, size, stripe.offset),
                                              stripe.crc32, size, size)
 
                     @cache
@@ -631,7 +686,7 @@ class BlockStore:
                     def rebuilt(block_id: int, plan, bodies: dict[int, bytes]) -> None:
                         self.degraded_transfers += plan.bandwidth_blocks
                         log.info("degraded read: %s stripe %d block %d via %d transfers",
-                                 manifest.name, stripe.index, block_id, plan.bandwidth_blocks)
+                                 manifest.name, k, block_id, plan.bandwidth_blocks)
                         _check_rebuilt(bodies, stripe.crc32)
 
                     yield from codes.read_stripe(scheme, replicas, damage, rebuilt)
@@ -681,24 +736,27 @@ class BlockStore:
     # -- scrub and repair ---------------------------------------------------
 
     def fsck(self) -> FsckReport:
-        """Read-only scan: missing node files, replicas that fail their CRC
-        or that a short file cuts off, fatal stripes: those whose damage
-        ``codes.plan_repair`` refuses, the call ``repair`` makes."""
-        report = FsckReport()
-        for manifest in self.manifests():
-            scheme = parse_scheme(manifest.scheme)
-            geo = codes._geometry(scheme)
-            for stripe in manifest.stripes:
-                with _read_file(self._root) as read:
+        """Read-only scan: missing node files, each once, replicas that
+        fail their CRC or that a short file cuts off, fatal stripes: those
+        whose damage ``codes.plan_repair`` refuses, the call ``repair``
+        makes.  One ``_read_file`` serves every stripe, so each node file is
+        opened once."""
+        report, missing_nodes = FsckReport(), set()
+        with _read_file(self._root) as read:
+            for manifest in self.manifests():
+                scheme = parse_scheme(manifest.scheme)
+                geo = codes._geometry(scheme)
+                for k, stripe in enumerate(manifest.stripes):
                     _, corrupt, missing = self._scan(manifest, stripe, geo, False, read)
-                order = stripe.node_order
-                report.missing += [(manifest.name, stripe.index, order[s]) for s in missing]
-                report.corrupt += [(manifest.name, stripe.index, block_id, order[s])
-                                   for block_id, s in corrupt]
-                try:
-                    codes.plan_repair(scheme, missing, corrupt)
-                except UnrecoverableError:
-                    report.fatal_stripes.append((manifest.name, stripe.index))
+                    order = stripe.node_order
+                    missing_nodes.update(order[s] for s in missing)
+                    report.corrupt += [(manifest.name, k, block_id, order[s])
+                                       for block_id, s in corrupt]
+                    try:
+                        codes.plan_repair(scheme, missing, corrupt)
+                    except UnrecoverableError:
+                        report.fatal_stripes.append((manifest.name, k))
+        report.missing = sorted(missing_nodes)
         return report
 
     def repair(self) -> RepairResult:
@@ -708,47 +766,49 @@ class BlockStore:
         slots whose file is missing and the corrupt replicas, which the
         stripe's scan finds; the plans' bandwidth is the whole count.  Each
         damaged stripe is rebuilt from the bytes its scan read and written
-        back before the next is scanned: a missing node file is written
-        whole, and a corrupt replica in place, so a write that fails touches
-        no good replica.  A stripe that cannot be rebuilt does not stop the
-        others: FatalStripeError names the first one after every other
-        stripe is restored.  Down nodes are marked up only after every block
+        back before the next is scanned: a missing node file is created
+        once, at the first stripe that uses it, and gets each stripe's whole
+        run at its offset; a corrupt replica is written in place, so a write
+        that fails touches no good replica.  Each node file is opened once
+        for reading and once for writing.  A stripe that cannot be rebuilt
+        does not stop the others: FatalStripeError names the first one after
+        every other stripe is restored.  Down nodes are marked up only after every block
         is written back, so a repair that fails leaves them down, and the
         next repair rewrites what is still missing or corrupt.
         """
-        with self._locked() as down:
+        with self._locked() as down, _read_file(self._root) as read, \
+                _write_file(self._root, whole=False) as write:
             plans = bandwidth = 0
             fatal = None
             for manifest in self.manifests():
                 scheme = parse_scheme(manifest.scheme)
                 geo = codes._geometry(scheme)
                 size, name = manifest.block_size, manifest.name
-                for stripe in manifest.stripes:
-                    with _read_file(self._root) as read:
-                        good, corrupt, missing = self._scan(manifest, stripe, geo, True, read)
+                for k, stripe in enumerate(manifest.stripes):
+                    # a node file this repair created still reads as missing,
+                    # as the runs it has not written yet are
+                    good, corrupt, missing = self._scan(manifest, stripe, geo, True, read)
                     if not (corrupt or missing):
                         continue
                     try:
                         plan = codes.plan_repair(scheme, missing, corrupt)
                     except UnrecoverableError:
-                        fatal = fatal or f"{name} stripe {stripe.index} is unrecoverable"
+                        fatal = fatal or f"{name} stripe {k} is unrecoverable"
                         continue
                     # every block the plan reads has a good replica, so kept bytes
                     rebuilt = codes.execute_plan(plan, codes.memory_reader(good))
                     _check_rebuilt(rebuilt, stripe.crc32)
                     good.update(rebuilt)
                     bandwidth += plan.bandwidth_blocks
-                    rewrite = {s: None for s in missing}  # None: the whole file
+                    rewrite = {s: None for s in missing}  # None: the whole run
                     for block_id, s in corrupt:
                         rewrite.setdefault(s, set()).add(block_id)
                     order = stripe.node_order
                     for s in sorted(rewrite, key=order.__getitem__):
-                        ids, fname = rewrite[s], _node_file(name, stripe.index, order[s])
-                        with _write_file(self._root, [fname], whole=ids is None) as write:
-                            for rank, block_id in enumerate(geo.blocks_on[s]):
-                                if ids is not None and block_id not in ids:
-                                    continue
-                                write(fname, rank * size, good[block_id])
+                        ids, fname = rewrite[s], _node_file(order[s])
+                        for rank, block_id in enumerate(geo.blocks_on[s]):
+                            if ids is None or block_id in ids:
+                                write(fname, stripe.offset + rank * size, good[block_id])
                     plans += 1
             if fatal is not None:
                 raise FatalStripeError(fatal)

@@ -394,7 +394,7 @@ def _cmd_code_info(args) -> int:
 def _cmd_code_encode(args) -> int:
     import json
 
-    from .blockstore import MAX_BLOCK_SIZE, _write_stripe, fill
+    from .blockstore import MAX_BLOCK_SIZE, _write_file, _write_stripe, fill
 
     scheme = parse_scheme(args.scheme)
     D = scheme.data_block_count
@@ -414,8 +414,9 @@ def _cmd_code_encode(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         # one file per block, b<id>.blk, written as the store's put writes a stripe
         view = memoryview(bytearray(block_size))
-        crcs, _ = _write_stripe(str(out), scheme, src, view, fill(src, view),
-                                {b: [(f"b{b}.blk", 0)] for b in geo.placements})
+        with _write_file(str(out), whole=True) as write:
+            crcs, _ = _write_stripe(write, scheme, src, view, fill(src, view),
+                                    {b: [(f"b{b}.blk", 0)] for b in geo.placements})
     order = codes.build_layout(scheme, range(scheme.code_length), 0)
     entries = {str(b): {"file": f"b{b}.blk", "role": geo.roles[b].as_string(),
                         "nodes": [order[s] for s in slots], "crc32": crcs[b]}

@@ -937,9 +937,14 @@ def plan_repair(
     2(n-2) copies, n-2 partial parities and one copy on (3(n-2)+1 in all).
 
     A plan is made once per damage and kept, as a degraded-read plan is, in
-    a bounded cache; damage refused or malformed is refused on every call.
+    a bounded cache, and so is a refusal: each call on refused damage
+    raises a new ``UnrecoverableError`` with the kept message.  Malformed
+    damage is refused on every call.
     """
-    return _repair_plan(scheme, *_damage(scheme, pattern, corrupt))
+    plan = _repair_plan(scheme, *_damage(scheme, pattern, corrupt))
+    if isinstance(plan, str):
+        raise UnrecoverableError(plan)
+    return plan
 
 
 def _damage(scheme: Scheme, pattern, corrupt) -> tuple[frozenset, frozenset]:
@@ -949,8 +954,12 @@ def _damage(scheme: Scheme, pattern, corrupt) -> tuple[frozenset, frozenset]:
 
 
 @lru_cache(maxsize=256)
-def _repair_plan(scheme: Scheme, down: frozenset, bad: frozenset) -> RepairPlan:
-    builder = _PlanBuilder(scheme, down, bad)
+def _repair_plan(scheme: Scheme, down: frozenset, bad: frozenset) -> RepairPlan | str:
+    """The plan for the damage, or the message of its refusal."""
+    try:
+        builder = _PlanBuilder(scheme, down, bad)
+    except UnrecoverableError as exc:
+        return str(exc)
     geo, held = builder.geo, builder.held
     for b, slots in geo.placements.items():
         for s in slots:

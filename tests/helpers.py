@@ -1,8 +1,12 @@
 """Shared test helpers."""
 
+import builtins
+import io
+import os
 import random
 import zlib
 from collections import deque
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -100,6 +104,37 @@ def can_decode_from(scheme: Scheme, present) -> bool:
                     else:
                         del row[i]
     return True
+
+
+@contextmanager
+def created_files(monkeypatch):
+    """Yield a list that gathers each path an open creates while the block
+    runs: an ``os.open`` with ``O_CREAT``, or an ``open`` in a ``w``, ``x``
+    or ``a`` mode, of a path that did not exist before it.  Reopening a
+    file that exists creates no inode, and is not counted."""
+    created = []
+    real_open, real_os_open = builtins.open, os.open
+
+    def counting_os_open(path, flags, *args, **kwargs):
+        new = flags & os.O_CREAT and not os.path.lexists(path)
+        fd = real_os_open(path, flags, *args, **kwargs)
+        if new:
+            created.append(str(path))
+        return fd
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        new = (not isinstance(file, int) and any(c in mode for c in "wxa")
+               and not os.path.lexists(file))
+        fh = real_open(file, mode, *args, **kwargs)
+        if new:
+            created.append(str(file))
+        return fh
+
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", counting_open)
+        m.setattr(io, "open", counting_open)  # pathlib opens through io.open
+        m.setattr(os, "open", counting_os_open)
+        yield created
 
 
 def degraded_reads(caplog) -> list[tuple]:

@@ -319,8 +319,8 @@ def test_criterion_7_blockstore_property_suite(tmp_path):
         rng = random.Random(7)
         store = BlockStore.create(tmp_path / "s", Polygon(5), 5, block_size, seed=9)
 
-        # 36 MiB == one pentagon stripe -> 20 replicas in one file of 4
-        # blocks on each of the 5 node dirs
+        # 36 MiB == one pentagon stripe -> 20 replicas, 4 blocks in the one
+        # file of each of the 5 node dirs
         exact = rng.randbytes(9 * block_size)
         src = tmp_path / "exact.bin"
         src.write_bytes(exact)
@@ -328,7 +328,7 @@ def test_criterion_7_blockstore_property_suite(tmp_path):
         assert manifest.stripe_count == 1
         files = sorted(store.root.glob("n*/*.blk"))
         assert [f.relative_to(store.root).as_posix() for f in files] == [
-            f"n{k}/exact.bin.s0.blk" for k in range(5)
+            f"n{k}/blocks.blk" for k in range(5)
         ]
         assert all(f.stat().st_size == 4 * block_size for f in files)
 

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import traceback
 import tracemalloc
 import zlib
 from collections import Counter
@@ -27,7 +28,7 @@ from polycode import blockstore, cli, codes
 from polycode.blockstore import BlockStore, FatalStripeError, StoreError
 from polycode.codes import HeptagonLocal, Polygon, RaidMirror, Replication, UnrecoverableError
 
-from helpers import degraded_reads
+from helpers import created_files, degraded_reads
 
 BS = 1024  # small blocks keep the unit suite fast; acceptance covers 4 MiB
 
@@ -52,10 +53,11 @@ def hosts(manifest, stripe, block_id) -> list[int]:
 
 def replica(store, manifest, stripe, block_id, node) -> tuple[Path, int]:
     """The node file that holds a replica, and the replica's offset in it:
-    a node's blocks of a stripe follow each other in block-id order."""
+    a node's blocks of a stripe follow each other in block-id order from
+    the stripe's offset."""
     held = [b for b in range(len(stripe.crc32)) if node in hosts(manifest, stripe, b)]
-    path = store.root / f"n{node}" / f"{manifest.name}.s{stripe.index}.blk"
-    return path, held.index(block_id) * manifest.block_size
+    path = store.root / f"n{node}" / "blocks.blk"
+    return path, stripe.offset + held.index(block_id) * manifest.block_size
 
 
 def overwrite(path: Path, offset: int, data: bytes) -> None:
@@ -82,7 +84,7 @@ def test_put_get_roundtrip_exact_stripe(pentagon_store, tmp_path):
     assert manifest.stripe_count == 1
     files = sorted(pentagon_store.root.glob("n*/*.blk"))
     assert [str(f.relative_to(pentagon_store.root)) for f in files] == [
-        f"n{node}/data.bin.s0.blk" for node in range(5)
+        f"n{node}/blocks.blk" for node in range(5)
     ]
     assert all(f.stat().st_size == 4 * BS for f in files)
     assert pentagon_store.get("data.bin") == path.read_bytes()
@@ -91,27 +93,34 @@ def test_put_get_roundtrip_exact_stripe(pentagon_store, tmp_path):
 def test_one_stripe_pentagon_put_creates_five_block_files(pentagon_store, tmp_path,
                                                           monkeypatch):
     src = write_file(tmp_path, 9 * BS, seed=1)
-    created = []
-    real_open, real_os_open = builtins.open, os.open
-
-    def counting_open(file, mode="r", *args, **kwargs):
-        if str(file).endswith(".blk") and "w" in mode:
-            created.append(str(file))
-        return real_open(file, mode, *args, **kwargs)
-
-    def counting_os_open(path, flags, *args, **kwargs):
-        if str(path).endswith(".blk") and flags & os.O_CREAT:
-            created.append(str(path))
-        return real_os_open(path, flags, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "open", counting_open)
-    monkeypatch.setattr(io, "open", counting_open)
-    monkeypatch.setattr(os, "open", counting_os_open)
-    pentagon_store.put(src)
-    monkeypatch.undo()
-    assert sorted(created) == [f"{pentagon_store.root}/n{node}/data.bin.s0.blk"
-                               for node in range(5)]  # 20 at one file per replica
+    with created_files(monkeypatch) as created:
+        pentagon_store.put(src)
+    assert sorted(f for f in created if f.endswith(".blk")) == [
+        f"{pentagon_store.root}/n{node}/blocks.blk" for node in range(5)
+    ]  # 20 at one file per replica
     assert pentagon_store.get("data.bin") == src.read_bytes()
+
+
+@pytest.mark.parametrize("killed", [(), (3,), (0, 4)])
+def test_only_a_node_without_its_file_gets_one_created(pentagon_store, tmp_path, monkeypatch,
+                                                       killed):
+    """Once every node holds its file, a put creates no block file, and a
+    repair creates one per killed node, not one per damaged stripe."""
+    first = write_file(tmp_path, 9 * BS, seed=1, name="first.bin")
+    pentagon_store.put(first)
+    second = write_file(tmp_path, 3 * 9 * BS - 5, seed=2, name="second.bin")
+    with created_files(monkeypatch) as created:
+        pentagon_store.put(second)
+    assert [f for f in created if f.endswith(".blk")] == []  # 15 at a file per node and stripe
+    for node in killed:
+        pentagon_store.kill_node(node)
+    with created_files(monkeypatch) as created:
+        assert pentagon_store.repair().plans_executed == 4 * bool(killed)
+    assert sorted(f for f in created if f.endswith(".blk")) == [
+        f"{pentagon_store.root}/n{node}/blocks.blk" for node in killed]
+    assert pentagon_store.fsck().is_clean
+    for src in (first, second):
+        assert pentagon_store.get(src.name) == src.read_bytes()
 
 
 def test_put_pads_partial_stripe(pentagon_store, tmp_path):
@@ -147,8 +156,8 @@ def test_manifest_schema(pentagon_store, tmp_path):
     assert raw["block_size"] == BS
     assert raw["stripe_count"] == 1
     (stripe,) = raw["stripes"]
-    assert set(stripe) == {"index", "node_order", "crc32"}
-    assert stripe["index"] == 0 and stripe["node_order"] == [0, 1, 2, 3, 4]
+    assert set(stripe) == {"offset", "node_order", "crc32"}
+    assert stripe["offset"] == 0 and stripe["node_order"] == [0, 1, 2, 3, 4]
     assert len(stripe["crc32"]) == 10
     for crc in stripe["crc32"]:
         assert len(crc) == 8
@@ -157,7 +166,7 @@ def test_manifest_schema(pentagon_store, tmp_path):
     for block_id, slots in geo.placements.items():  # a file for every (slot, block)
         for slot in slots:
             node = stripe["node_order"][slot]
-            assert (pentagon_store.root / f"n{node}/data.bin.s0.blk").exists()
+            assert (pentagon_store.root / f"n{node}/blocks.blk").exists()
     roles = [geo.roles[b].as_string() for b in range(len(stripe["crc32"]))]
     assert roles.count("local_parity:0") == 1
     size = (pentagon_store.root / "data.bin.manifest.json").stat().st_size
@@ -186,7 +195,7 @@ def test_fsck_reports(pentagon_store, tmp_path):
 
     pentagon_store.kill_node(0)
     report = pentagon_store.fsck()
-    assert report.missing == [("data.bin", 0, 0)]  # node 0's one file, of its 4 replicas
+    assert report.missing == [0]  # node 0's one file, of its 4 replicas
     assert not report.corrupt and not report.fatal_stripes
 
     pentagon_store.revive_node(0)
@@ -205,6 +214,7 @@ def test_fsck_reports(pentagon_store, tmp_path):
 
 def test_fsck_opens_each_replica_once_without_a_stat(pentagon_store, tmp_path, monkeypatch):
     pentagon_store.put(write_file(tmp_path, 9 * BS, seed=5))
+    pentagon_store.put(write_file(tmp_path, 2 * 9 * BS, seed=6, name="more.bin"))
     opened, statted = Counter(), Counter()
     real_open, real_os_open, real_stat = builtins.open, os.open, os.stat
 
@@ -228,7 +238,8 @@ def test_fsck_opens_each_replica_once_without_a_stat(pentagon_store, tmp_path, m
     monkeypatch.setattr(os, "open", counting_os_open)
     monkeypatch.setattr(os, "stat", counting_stat)  # Path.exists and os.path.exists
     assert pentagon_store.fsck().is_clean
-    # each node file once, which reads its 4 replicas: 20 opens at one file a replica
+    # each node file once, which holds 4 replicas of each of the 3 stripes:
+    # 60 opens at one file a replica, 15 at one a node and stripe
     assert len(opened) == 5 and set(opened.values()) == {1}
     assert not statted
 
@@ -282,7 +293,7 @@ def test_repair_opens_each_live_replica_once(pentagon_store, tmp_path, monkeypat
     # runs from the scan's bytes; node 0's file is tried once, and its
     # absence is what marks the slot lost
     assert len(read) == 5 and set(read.values()) == {1}
-    assert list(written) == [f"{pentagon_store.root}/n0/data.bin.s0.blk"]
+    assert list(written) == [f"{pentagon_store.root}/n0/blocks.blk"]
     assert set(written.values()) == {1}
     monkeypatch.undo()
     assert pentagon_store.fsck().is_clean
@@ -310,7 +321,7 @@ def test_block_files_are_opened_and_removed_by_three_helpers_only():
         "_read_file": {"os.open", "os.pread", "os.preadv", "os.close"},
         "read": {"os.open", "os.pread", "os.preadv"},
         "_write_file": {"os.open", "os.pwrite", "os.close"},
-        "write": {"os.pwrite"},
+        "write": {"os.open", "os.pwrite"},
         "_remove_files": {"os.scandir", "os.unlink"},
         "manifests": {"os.scandir"},
         "put": {"open"},
@@ -383,14 +394,14 @@ def test_fsck_reads_deleted_replica_as_missing_and_flipped_byte_as_corrupt(
     gone = hosts(manifest, stripe, 1)[0]
     flipped = next(b for b in range(len(stripe.crc32)) if gone not in hosts(manifest, stripe, b))
     node = hosts(manifest, stripe, flipped)[1]
-    (pentagon_store.root / f"n{gone}/data.bin.s0.blk").unlink()  # its node stays up
+    (pentagon_store.root / f"n{gone}/blocks.blk").unlink()  # its node stays up
     target, offset = replica(pentagon_store, manifest, stripe, flipped, node)
     body = bytearray(target.read_bytes())
     body[offset] ^= 0x01
     target.write_bytes(bytes(body))
     report = pentagon_store.fsck()
-    assert report.missing == [("data.bin", stripe.index, gone)]
-    assert report.corrupt == [("data.bin", stripe.index, flipped, node)]
+    assert report.missing == [gone]
+    assert report.corrupt == [("data.bin", 0, flipped, node)]
     assert not report.fatal_stripes
     assert pentagon_store.get("data.bin") == (tmp_path / "data.bin").read_bytes()
 
@@ -399,7 +410,7 @@ def test_fsck_reads_replicas_a_short_file_cuts_off_as_corrupt(pentagon_store, tm
     src = write_file(tmp_path, 9 * BS, seed=15)
     manifest = pentagon_store.put(src)
     stripe = manifest.stripes[0]
-    target = pentagon_store.root / "n3/data.bin.s0.blk"
+    target = pentagon_store.root / "n3/blocks.blk"
     held = sorted(b for b in range(len(stripe.crc32)) if 3 in hosts(manifest, stripe, b))
     with open(target, "r+b") as fh:
         fh.truncate(2 * BS + 100)  # keeps two replicas whole and cuts the third
@@ -410,6 +421,142 @@ def test_fsck_reads_replicas_a_short_file_cuts_off_as_corrupt(pentagon_store, tm
     assert pentagon_store.repair().plans_executed == 1
     assert target.stat().st_size == 4 * BS
     assert pentagon_store.fsck().is_clean
+
+
+def test_a_put_after_a_kill_and_a_revive_is_repaired_with_the_rest(pentagon_store, tmp_path):
+    """A revived node is empty: a put creates its file afresh, its bytes
+    before the new run a hole, which fsck reads as corrupt replicas of the
+    older stripes, and which repair fills in."""
+    first = write_file(tmp_path, 2 * 9 * BS - 7, seed=50, name="first.bin")
+    pentagon_store.put(first)
+    pentagon_store.kill_node(2)
+    pentagon_store.revive_node(2)
+    second = write_file(tmp_path, 9 * BS, seed=51, name="second.bin")
+    assert pentagon_store.put(second).stripes[0].offset == 8 * BS
+    report = pentagon_store.fsck()
+    assert not report.missing and not report.fatal_stripes
+    assert Counter((name, k, node) for name, k, _, node in report.corrupt) == {
+        ("first.bin", 0, 2): 4, ("first.bin", 1, 2): 4}
+    assert pentagon_store.repair().plans_executed == 2
+    assert pentagon_store.fsck().is_clean
+    for src in (first, second):
+        assert pentagon_store.get(src.name) == src.read_bytes()
+
+
+def test_node_files_cut_short_are_repaired_past_a_later_put(pentagon_store, tmp_path):
+    """Every node file cut one block short loses each node's last replica
+    of the stripe, block 9 on both its hosts.  A put placed by the files'
+    sizes would land on the cut range; the next_offset mark keeps it past
+    the stripe's runs, so repair restores both files."""
+    first = write_file(tmp_path, 9 * BS, seed=52, name="first.bin")
+    manifest = pentagon_store.put(first)
+    stripe = manifest.stripes[0]
+    for node in range(5):
+        os.truncate(pentagon_store.root / f"n{node}/blocks.blk", 3 * BS)
+    cut = [(b, node) for node in range(5) for b in range(10)
+           if node in hosts(manifest, stripe, b)
+           and replica(pentagon_store, manifest, stripe, b, node)[1] == 3 * BS]
+    assert cut == [(3, 0), (6, 1), (8, 2), (9, 3), (9, 4)]
+    report = pentagon_store.fsck()
+    assert report.corrupt == [("first.bin", 0, b, node) for b, node in cut]
+    assert not report.missing and not report.fatal_stripes
+    second = write_file(tmp_path, 9 * BS, seed=53, name="second.bin")
+    assert pentagon_store.put(second).stripes[0].offset == 4 * BS
+    assert pentagon_store.repair().plans_executed == 1
+    assert pentagon_store.fsck().is_clean
+    for src in (first, second):
+        assert pentagon_store.get(src.name) == src.read_bytes()
+
+
+def test_a_manifest_in_the_per_stripe_layout_is_refused_by_name(pentagon_store, tmp_path):
+    pentagon_store.put(write_file(tmp_path, 2 * 9 * BS, seed=54))
+    path = pentagon_store.root / "data.bin.manifest.json"
+    raw = json.loads(path.read_text())
+    for k, stripe in enumerate(raw["stripes"]):  # as the per-stripe layout recorded it
+        stripe.pop("offset")
+        stripe["index"] = k
+    path.write_text(json.dumps(raw))
+    message = (f"^{re.escape(str(path))} is in the per-stripe layout"
+               r" \(n<k>/<name>\.s<i>\.blk\), which this store does not read$")
+    for command in (lambda: pentagon_store.get("data.bin"), pentagon_store.fsck,
+                    pentagon_store.repair):
+        with pytest.raises(StoreError, match=message):
+            command()
+
+
+@pytest.mark.parametrize("offset", [-1, -4096, 1.5, "0", None, True, [0], 2**62 + 1, "gone"])
+def test_an_offset_that_is_not_a_non_negative_integer_is_refused_by_name(pentagon_store,
+                                                                         tmp_path, offset):
+    pentagon_store.put(write_file(tmp_path, 9 * BS, seed=55))
+    path = pentagon_store.root / "data.bin.manifest.json"
+    raw = json.loads(path.read_text())
+    if offset == "gone":
+        del raw["stripes"][0]["offset"]
+    else:
+        raw["stripes"][0]["offset"] = offset
+    path.write_text(json.dumps(raw))
+    message = (f"^{re.escape(str(path))} is malformed: stripe 0 has an offset that is not an"
+               f" integer in 0..{2**62}$")
+    for command in (lambda: pentagon_store.get("data.bin"), pentagon_store.fsck,
+                    pentagon_store.repair):
+        with pytest.raises(StoreError, match=message):
+            command()
+
+
+@pytest.mark.parametrize("text", [None, b"", b"12\n", b"%020d" % 0, b"%020d\n\n" % 0,
+                                  b"%020d\n" % (2**62 + 1), b"-%019d\n" % 1])
+def test_a_next_offset_mark_that_is_gone_or_malformed_stops_a_put(pentagon_store, tmp_path,
+                                                                   text):
+    """Only a put reads the mark; it refuses one that is gone or is not 20
+    digits of an offset and a newline, by name, before it writes a block."""
+    kept = write_file(tmp_path, 9 * BS, seed=56, name="kept.bin")
+    pentagon_store.put(kept)
+    mark = pentagon_store.root / "next_offset"
+    assert mark.read_bytes() == b"%020d\n" % (4 * BS)
+    if text is None:
+        mark.unlink()
+    else:
+        mark.write_bytes(text)
+    blocks = {p: p.read_bytes() for p in pentagon_store.root.glob("n*/*.blk")}
+    detail = "missing" if text is None else "malformed"
+    with pytest.raises(StoreError, match=f"^{re.escape(str(mark))} is {detail}"):
+        pentagon_store.put(write_file(tmp_path, 9 * BS, seed=57, name="new.bin"))
+    assert {p: p.read_bytes() for p in pentagon_store.root.glob("n*/*.blk")} == blocks
+    assert pentagon_store.fsck().is_clean
+    assert pentagon_store.get("kept.bin") == kept.read_bytes()
+
+
+def test_a_refused_damage_is_planned_once_store_wide(tmp_path, monkeypatch):
+    """Nodes 0, 1 and 2 lost together are fatal to every pentagon stripe:
+    fsck and then repair of 50 one-stripe files make one elimination
+    between them, and each refusal is a new exception with one message."""
+    store = BlockStore.create(tmp_path / "s", Polygon(5), nodes=5, block_size=16, seed=7)
+    for i in range(50):
+        store.put(write_file(tmp_path, 9 * 16 - i, seed=i, name=f"f{i:02d}.bin"))
+    for node in (0, 1, 2):
+        store.kill_node(node)
+    builds = []
+
+    class Counting(codes._PlanBuilder):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(codes, "_PlanBuilder", Counting)
+    codes._repair_plan.cache_clear()
+    report = store.fsck()
+    assert len(report.fatal_stripes) == 50 and report.missing == [0, 1, 2]
+    with pytest.raises(FatalStripeError, match=r"^f00\.bin stripe 0 is unrecoverable$"):
+        store.repair()
+    assert len(builds) == 1  # 100 when a refusal was not kept
+    refusals = []
+    for _ in range(3):
+        with pytest.raises(UnrecoverableError) as caught:
+            codes.plan_repair(Polygon(5), [2, 1, 0])
+        refusals.append(caught.value)
+    assert len(builds) == 1 and len({id(e) for e in refusals}) == 3
+    assert len({str(e) for e in refusals}) == 1 and str(refusals[0]).startswith("fatal for")
+    assert len({len(traceback.extract_tb(e.__traceback__)) for e in refusals}) == 1
 
 
 def test_open_errors_keep_their_messages(pentagon_store, tmp_path, monkeypatch):
@@ -481,7 +628,7 @@ def test_one_damage_is_planned_once_store_wide(pentagon_store, tmp_path, monkeyp
         for node in (0, 1):
             pentagon_store.kill_node(node)
         report = pentagon_store.fsck()
-        assert len(report.missing) == 12 and not report.fatal_stripes
+        assert report.missing == [0, 1] and not report.fatal_stripes
         assert pentagon_store.get("data.bin") == path.read_bytes()  # block 0 is edge (0, 1)
         assert len(builds) == 2
         if forget:
@@ -595,17 +742,21 @@ def test_repair_restores_the_other_stripes_before_reporting_a_fatal_one(pentagon
     kept = write_file(tmp_path, 2 * 9 * BS - 100, seed=13, name="kept.bin")
     pentagon_store.put(kept)
     lost = pentagon_store.put(write_file(tmp_path, 9 * BS, seed=14, name="lost.bin"))
+    (stripe,) = lost.stripes
     pentagon_store.kill_node(0)
     for node in (1, 2):  # lost.bin now misses nodes 0, 1 and 2
-        (pentagon_store.root / f"n{node}/lost.bin.s0.blk").unlink()
+        overwrite(pentagon_store.root / f"n{node}/blocks.blk", stripe.offset, bytes(4 * BS))
     with pytest.raises(FatalStripeError, match=r"^lost.bin stripe 0 is unrecoverable$"):
         pentagon_store.repair()
     store = BlockStore(pentagon_store.root)
     assert [n.status for n in store.nodes()] == ["down", "up", "up", "up", "up"]
     store.revive_node(0)
     report = store.fsck()
-    assert report.missing == [("lost.bin", 0, node) for node in (0, 1, 2)]
-    assert report.fatal_stripes == [("lost.bin", 0)] and not report.corrupt
+    # node 0's file is back with kept.bin's runs, and lost.bin's is cut off
+    assert not report.missing and report.fatal_stripes == [("lost.bin", 0)]
+    assert sorted(report.corrupt) == sorted(
+        ("lost.bin", 0, b, node) for node in (0, 1, 2) for b in range(10)
+        if node in hosts(lost, stripe, b))
     assert store.get("kept.bin") == kept.read_bytes() and store.degraded_transfers == 0
 
 
@@ -879,7 +1030,7 @@ def test_a_heptagon_local_repair_through_another_handle_is_seen_by_reads(tmp_pat
     b.kill_node(10)
     a.repair()
     a.kill_node(8)
-    target = root / f"n7/{src.name}.s0.blk"
+    target = root / "n7/blocks.blk"
     overwrite(target, 0, bytes([target.read_bytes()[0] ^ 0xFF]))
     report = b.fsck()
     assert report == BlockStore(root).fsck()
@@ -1044,8 +1195,9 @@ class _DiskFull:
 
 def fail_step(monkeypatch, step: int, writes: int) -> list[str]:
     """Make write step *step* of the store fail.  Steps 0 to writes-1 are
-    the store's writes in order: each replica written into its node file,
-    and each temp JSON file opened for writing; step *writes* is the rename
+    the store's writes in order: each write of the next_offset mark, each
+    replica written into its node file, and each temp JSON file opened for
+    writing; step *writes* is the rename
     that follows them.  The failing write writes half of its bytes first.
     Returns the file of each write step taken."""
     real_open, real_os_open, real_pwrite = builtins.open, os.open, os.pwrite
@@ -1083,17 +1235,19 @@ def fail_step(monkeypatch, step: int, writes: int) -> list[str]:
     return written
 
 
-@pytest.mark.parametrize("step", range(22))  # 20 replica writes, the temp manifest, its rename
+# the next_offset mark, 20 replica writes, the temp manifest, its rename
+@pytest.mark.parametrize("step", range(23))
 def test_put_failing_at_any_write_commits_nothing(pentagon_store, tmp_path, monkeypatch, step):
     kept = write_file(tmp_path, 2 * 9 * BS - 300, seed=21, name="kept.bin")
     pentagon_store.put(kept)
     src = write_file(tmp_path, 9 * BS, seed=22, name="new.bin")
     with monkeypatch.context() as m:
-        written = fail_step(m, step, writes=21)
+        written = fail_step(m, step, writes=22)
         with pytest.raises(OSError):
             pentagon_store.put(src)
-    assert len(written) == min(step + 1, 21)
-    assert written[-1].endswith(".blk" if step < 20 else "/new.bin.manifest.json.tmp")
+    assert len(written) == min(step + 1, 22)
+    assert written[-1].endswith("/next_offset" if step == 0 else ".blk" if step < 21
+                                else "/new.bin.manifest.json.tmp")
     store = BlockStore(pentagon_store.root)  # as the next process finds it
     assert store.get("kept.bin") == kept.read_bytes()
     assert store.fsck().is_clean
@@ -1131,7 +1285,7 @@ def test_repair_failing_partway_keeps_the_good_replicas_of_its_file(pentagon_sto
     src = write_file(tmp_path, 9 * BS, seed=24)
     manifest = pentagon_store.put(src)
     stripe = manifest.stripes[0]
-    target = pentagon_store.root / "n2/data.bin.s0.blk"
+    target = pentagon_store.root / "n2/blocks.blk"
     held = sorted(b for b in range(len(stripe.crc32)) if 2 in hosts(manifest, stripe, b))
     before = target.read_bytes()
     junk = random.Random(25).randbytes(BS)
@@ -1167,7 +1321,7 @@ def test_old_format_store_json_opens(tmp_path):
     (root / "store.json").write_text(json.dumps(config, indent=2) + "\n")
     store = BlockStore(root)
     new = write_file(tmp_path, 2 * 9 * BS, seed=35, name="new.bin")
-    assert [s.index for s in store.put(new).stripes] == [0, 1]
+    assert [s.offset for s in store.put(new).stripes] == [0, 4 * BS]
     assert store.fsck().is_clean
     assert store.get("new.bin") == new.read_bytes()
     store.kill_node(4)
@@ -1247,15 +1401,20 @@ def test_slot_ranks_give_each_replica_one_offset(name):
 # -- the streaming data path ------------------------------------------------
 
 
-def whole_file_put(store: BlockStore, path: Path) -> tuple[dict, dict[str, bytes]]:
+def whole_file_put(store: BlockStore, path: Path, files: dict[str, bytearray],
+                   offset: int) -> tuple[dict, int]:
     """What a put of *path* into *store* must write, from the whole file
-    encoded a stripe at a time: the manifest's dict, and each node file's
-    bytes by root-relative name, its blocks in block-id order."""
+    encoded a stripe at a time, its stripes from *offset* on, each
+    *run* bytes past the last, run being the longest slot's blocks: each
+    node's blocks of a stripe in block-id order at the stripe's offset of
+    ``files[f"n{node}/blocks.blk"]``, its bytes before them zero where
+    nothing was written.  Returns the manifest's dict and the next offset."""
     scheme, block, name = store.scheme, store.block_size, path.name
     geo = codes._geometry(scheme)
+    run = block * max(len(ids) for ids in geo.blocks_on.values())
     data = path.read_bytes()
     stripe_bytes = scheme.data_block_count * block
-    stripes, files = [], {}
+    stripes = []
     for k in range(-(-len(data) // stripe_bytes)):
         chunk = data[k * stripe_bytes : (k + 1) * stripe_bytes].ljust(stripe_bytes, b"\0")
         up = [n.node_id for n in store.nodes() if n.status == "up"]
@@ -1263,13 +1422,15 @@ def whole_file_put(store: BlockStore, path: Path) -> tuple[dict, dict[str, bytes
         encoded = codes.encode_stripe(scheme, [chunk[i * block : (i + 1) * block]
                                                for i in range(scheme.data_block_count)])
         for slot, node in enumerate(order):
-            files[f"n{node}/{name}.s{k}.blk"] = b"".join(
-                encoded[b] for b in sorted(encoded) if slot in geo.placements[b])
-        stripes.append({"index": k, "node_order": list(order),
+            body = files.setdefault(f"n{node}/blocks.blk", bytearray())
+            held = b"".join(encoded[b] for b in sorted(encoded) if slot in geo.placements[b])
+            body += bytes(offset - len(body)) + held  # a hole since the node's last run
+        stripes.append({"offset": offset, "node_order": list(order),
                         "crc32": [f"{zlib.crc32(encoded[b]):08x}" for b in sorted(encoded)]})
+        offset += run
     manifest = {"file": name, "size": len(data), "scheme": scheme.name, "block_size": block,
                 "stripe_count": len(stripes), "stripes": stripes}
-    return manifest, files
+    return manifest, offset
 
 
 def tree(root: Path) -> dict[str, bytes]:
@@ -1282,20 +1443,23 @@ def tree(root: Path) -> dict[str, bytes]:
                                           (RaidMirror(3), 32), (Replication(2), 8)])
 def test_put_writes_the_bytes_the_whole_file_put_wrote(tmp_path, scheme, block):
     """A put streams its input a block at a time, yet must write the
-    manifest and node files that encoding the whole file gives."""
+    manifest and node files that encoding the whole file gives, and the
+    next_offset mark past its stripes."""
     stripe = scheme.data_block_count * block
     sizes = [0, 1, block - 1, stripe - 1, stripe, stripe + 1, 3 * stripe - block]
     store = BlockStore.create(tmp_path / "new", scheme, nodes=scheme.code_length + 2,
                               block_size=block, seed=5)
     expected = {"store.json": (store.root / "store.json").read_bytes()}
+    files, offset = {}, 0
     for i, size in enumerate(sizes):
         src = write_file(tmp_path, size, seed=i, name=f"f{i}.bin")
-        manifest, files = whole_file_put(store, src)
+        manifest, offset = whole_file_put(store, src, files, offset)
         assert store.put(src).to_dict() == manifest
         assert store.get(src.name) == src.read_bytes()
         expected[f"{src.name}.manifest.json"] = (
             json.dumps(manifest, separators=(",", ":")) + "\n").encode()
-        expected.update(files)
+    expected.update(files)
+    expected["next_offset"] = b"%020d\n" % offset
     assert tree(store.root) == expected and len(expected) > len(sizes)
 
 

@@ -682,7 +682,7 @@ def test_store_fsck_missing_counts_the_block_files_of_the_killed_nodes(
         src.write_bytes(rng.randbytes(count * data_blocks * block - rng.randrange(32, 96)))
         assert main(["store", "put", "--root", str(root), "--file", str(src)]) == 0
     held = sum(len(list((root / f"n{k}").glob("*.blk"))) for k in killed)
-    assert held == sum(stripes) * len(killed)  # one file per node and stripe
+    assert held == len(killed)  # one file per node, whatever its stripes
     for k in killed:
         assert main(["store", "kill", "--root", str(root), "--node", str(k)]) == 0
     capsys.readouterr()
@@ -856,6 +856,34 @@ def test_code_encode_reads_a_pipe(tmp_path, capsys):
     assert not reader.is_alive() and got == [payload]
 
 
+@pytest.mark.parametrize("nodes", [513, 2**40])
+def test_store_init_refuses_more_nodes_than_the_bound_before_making_a_directory(
+    tmp_path, monkeypatch, capsys, nodes
+):
+    """A store has at most blockstore.MAX_NODES nodes, checked before any
+    directory is made: a 2**40 init once made millions of them."""
+    from polycode.blockstore import MAX_NODES
+
+    assert MAX_NODES == 512
+    root = tmp_path / "store"
+
+    def no_mkdir(*args, **kwargs):
+        raise AssertionError("a directory was made")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "mkdir", no_mkdir)
+        m.setattr(Path, "mkdir", no_mkdir)
+        code, out, err = run(capsys, "store", "init", "--root", str(root), "--scheme",
+                             "pentagon", "--nodes", str(nodes), "--block-size", "64",
+                             "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: {nodes} nodes is more than the 512 a store can have\n"
+    assert not root.exists()
+    code, out, _ = run(capsys, "store", "init", "--root", str(root), "--scheme", "pentagon",
+                       "--nodes", "512", "--block-size", "64", "--seed", "1")
+    assert code == 0 and len(list(root.glob("n[0-9]*"))) == 512
+
+
 def test_store_init_after_a_crashed_init(tmp_path, capsys):
     root = tmp_path / "store"
     (root / "n0").mkdir(parents=True)  # made before the crash; store.json never was
@@ -873,8 +901,8 @@ def test_store_init_after_a_crashed_init(tmp_path, capsys):
 
 @pytest.mark.parametrize("spare", [len(".manifest.json"), 5])
 def test_store_put_name_too_long_for_its_files_is_an_error(tmp_path, capsys, spare):
-    # the first name leaves room for the manifest and the block files but not
-    # for the temp manifest; the second for none of them
+    # the first name leaves room for the manifest but not for the temp
+    # manifest; the second for neither
     root = _pentagon_store(tmp_path, capsys)
     name = "x" * (os.pathconf(root, "PC_NAME_MAX") - spare)
     src = tmp_path / "f.bin"
