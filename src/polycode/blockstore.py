@@ -34,7 +34,8 @@ the stripe, in place: it only grows and keeps its width, so a write that
 stops partway leaves it at a value no smaller than before.  So a put
 creates no file once every node holds its file, and a put that fails
 leaves at most a range that no manifest names.  No node file is ever cut
-short by the store.
+short by the store.  ``repair`` mends a mark that is missing, malformed or
+behind the furthest run a manifest names; it never lowers a valid one.
 
 A node file that is not there is the only sign of a lost slot: ``fsck``
 reports it as missing, once for all the stripes that use it, so its
@@ -44,35 +45,30 @@ corrupt.  A stripe is fatal exactly when ``codes.plan_repair`` refuses its
 missing slots and corrupt replicas, so ``fsck`` and ``repair`` give one
 verdict.
 
-Memory: no operation holds a file.  ``put`` writes each stripe through
-``_write_stripe``, which reads its input a data block at a time into one
-buffer that feeds ``codes.StripeEncoder`` and is written to the block's
-replicas at once; the parities are written at the stripe's end.  ``read``
-yields a stored file's bytes in order, a data block at a time with the tail
-cut off, through ``codes.read_stripe`` over a ``_StripeReader``, and holds
-one block plus what a degraded-read plan holds and keeps; ``get`` builds its
-``bytearray`` from it, and the CLI streams it to a temp file that replaces
-the output only once every block is written.  ``repair`` holds one stripe:
-one good body per block and the plan's sums.  ``fsck`` reads each node's run
-of a stripe with one read into one buffer, sized to the longest run.
+Memory: no operation holds a file.  ``put`` holds a data block and the
+parity sums, ``read`` a block plus what a degraded-read plan keeps (``get``
+builds its ``bytearray`` from it, and the CLI streams it to a temp file),
+``repair`` one stripe, and ``fsck`` one node's run of a stripe.
 
 Three helpers, ``_read_file``, ``_write_file`` and ``_remove_files``, are the
-only code that opens or removes a block file; a read is one range of it, and
-a write one block.  They serve ``code encode`` and ``code decode`` too, which
-keep a stripe as one file per block, ``b<id>.blk``: the same
-``_write_stripe`` and ``_StripeReader`` take a (file, offset) per replica,
-in a node file or a block file alike.  ``_read_file`` and ``_write_file``
-open a file at its first use and keep it open until they are done, so
-``read``, ``put``, ``fsck`` and ``repair`` each open a node file at most
-once to read it and once to write it, and read it as it was when first
-opened.  ``store.json`` and the manifests are read by ``_read_json``, and
-refused by name when they are not JSON or lack a field the store reads;
-they are written compact (no indent, so ``json`` uses its C encoder) by
-``_write_json``, to a temp file that is renamed over its target.  The commit points are ``store.json`` for ``create``, the
-manifest for ``put``, and the last ``store.json`` write for ``repair``,
-which marks nodes up only after their blocks are written.  A write that
-fails earlier leaves at most bytes that no manifest names, or a replica
-that the next repair rewrites.  Nothing is fsynced.
+only code that opens or removes a block file, a range at a time; the first
+two open a file at its first use and keep it open until they are done, so
+a command opens a node file at most once to read it and once to write it.
+They serve ``code encode`` and ``code decode`` too, whose stripe is a file
+per block, ``b<id>.blk``, written by the same ``_write_stripe`` and read by
+the same ``_StripeReader`` as a node file's runs.
+
+This module owns every metadata file: ``store.json``, ``next_offset``, the
+manifests and ``stripe.json`` (``write_stripe_dir``, ``read_stripe_dir``).
+Each field is refused by name, ``<file> is malformed``, where it is parsed;
+an integer, and each entry of an integer list, is an ``int`` in its stated
+range and never a ``bool`` (``_is_int``).  ``_write_json`` writes to a temp
+file renamed over its target, compact (so ``json`` uses its C encoder) but
+``stripe.json`` indented.  The commit points are ``store.json`` for
+``create``, the manifest for ``put``, and the last ``store.json`` write for
+``repair``, which marks nodes up only after their blocks are written.  A
+write that fails earlier leaves at most bytes that no manifest names, or a
+replica that the next repair rewrites.  Nothing is fsynced.
 
 Concurrency: put, kill, revive and repair take an exclusive ``flock`` on
 ``root/.lock``, which holds across handles, threads and processes, and read
@@ -152,17 +148,10 @@ class StoreManifest:
         return len(self.stripes)
 
     def to_dict(self) -> dict:
-        return {
-            "file": self.name,
-            "size": self.size,
-            "scheme": self.scheme,
-            "block_size": self.block_size,
-            "stripe_count": self.stripe_count,
-            "stripes": [
-                {"offset": s.offset, "node_order": s.node_order, "crc32": s.crc32}
-                for s in self.stripes
-            ],
-        }
+        return {"file": self.name, "size": self.size, "scheme": self.scheme,
+                "block_size": self.block_size, "stripe_count": self.stripe_count,
+                "stripes": [{"offset": s.offset, "node_order": s.node_order, "crc32": s.crc32}
+                            for s in self.stripes]}
 
     @classmethod
     def from_dict(cls, d: dict, source: str = "manifest",
@@ -170,38 +159,35 @@ class StoreManifest:
         """The manifest *d*, read from *source*; given the store's node
         count *nodes*, a stripe record that names a node outside it is
         refused too."""
-        _require(d, source, file=str, size=int, scheme=str, block_size=int, stripes=list)
+        _require(d, source, file=str, scheme=str, stripes=list)
         scheme = parse_scheme(d["scheme"])
+        block_size = _int_field(d, "block_size", source, 1, MAX_BLOCK_SIZE)
         stripes = [_stripe_record(d, k, s, scheme, source, nodes)
                    for k, s in enumerate(d["stripes"])]
-        _check_block_size(d["block_size"], source)
-        limit = len(stripes) * scheme.data_block_count * d["block_size"]
-        if not 0 <= d["size"] <= limit:  # the size its stripes can hold
-            raise StoreError(f"{source} is malformed: its size is outside 0..{limit}")
-        return cls(d["file"], d["size"], d["scheme"], d["block_size"], stripes)
+        size = _int_field(d, "size", source, 0,  # what its stripes' data blocks hold
+                          len(stripes) * scheme.data_block_count * block_size)
+        return cls(d["file"], size, d["scheme"], block_size, stripes)
 
 
 def _stripe_record(d: dict, k: int, stripe: dict, scheme: Scheme, source: str,
                    nodes: int | None) -> StripeRecord:
     """A manifest's stripe record *k*, refused unless it has an offset, a
-    node per slot and a CRC per block of the scheme, and unless its nodes
-    are distinct nodes of the store: two slots on one node would write over
-    each other's run.  A record of the per-stripe layout, which kept each
-    node's blocks of a stripe in a file of their own, has an index in place
-    of the offset, and is refused by name."""
+    node per slot and a CRC per block, and its nodes are distinct nodes of
+    the store (two slots on one node would write over each other's run).
+    A record of the per-stripe layout, with an index for its offset, is
+    refused by name."""
     if isinstance(stripe, dict) and "index" in stripe and "offset" not in stripe:
         raise StoreError(f"{source} is in the per-stripe layout (n<k>/<name>.s<i>.blk),"
                          f" which this store does not read")
     _require(stripe, f"{d['file']} stripe record", node_order=list)
     order, crcs, offset = stripe["node_order"], stripe.get("crc32"), stripe.get("offset")
     if (len(order) != scheme.code_length or not isinstance(crcs, list)
-            or len(crcs) != scheme.block_count or not all(isinstance(n, int) for n in order)):
+            or len(crcs) != scheme.block_count):
         raise StoreError(f"{d['file']} stripe {k} disagrees with the {scheme.name} layout")
-    if type(offset) is not int or not 0 <= offset <= MAX_OFFSET:  # bool is an int, too
+    if not _is_int(offset, 0, MAX_OFFSET):
         raise StoreError(f"{source} is malformed: stripe {k} has an offset that is not"
                          f" an integer in 0..{MAX_OFFSET}")
-    if len(set(order)) < len(order) or any(n < 0 or nodes is not None and n >= nodes
-                                           for n in order):
+    if not _is_node_list(order, nodes):
         raise StoreError(f"{source} is malformed: stripe {k} node_order {order}"
                          f" repeats a node or names one outside the store")
     if not all(map(is_crc, crcs)):
@@ -250,7 +236,31 @@ def _read_json(path: str) -> dict | None:
     except (FileNotFoundError, NotADirectoryError):
         return None
     except ValueError as exc:  # not JSON, or not UTF-8
-        raise StoreError(f"{path} is not JSON: {exc}") from None
+        raise StoreError(f"{path} is malformed: it is not JSON: {exc}") from None
+
+
+_UNBOUNDED = float("inf")
+
+
+def _is_int(value, lo=-_UNBOUNDED, hi=_UNBOUNDED) -> bool:
+    """The one integer rule of every metadata file: an int in lo..hi, and
+    not a bool, which Python counts as an int."""
+    return type(value) is int and lo <= value <= hi
+
+
+def _int_field(d: dict, key: str, source: str, lo=-_UNBOUNDED, hi=_UNBOUNDED) -> int:
+    """``d[key]``, read from *source*, refused by name unless ``_is_int``."""
+    value = d.get(key)
+    if not _is_int(value, lo, hi):
+        what = f"is outside {lo}..{hi}" if _is_int(value) else "is not an integer"
+        raise StoreError(f"{source} is malformed: its {key} {what}")
+    return value
+
+
+def _is_node_list(order: list, nodes: int | None) -> bool:
+    """True for distinct node ids in 0..nodes-1 (any when *nodes* is None)."""
+    hi = _UNBOUNDED if nodes is None else nodes - 1
+    return all(_is_int(n, 0, hi) for n in order) and len(set(order)) == len(order)
 
 
 def _require(obj, source: str, **kinds) -> None:
@@ -259,17 +269,12 @@ def _require(obj, source: str, **kinds) -> None:
         raise StoreError(f"{source} is malformed: it needs {', '.join(kinds)}")
 
 
-def _check_block_size(size: int, source: str) -> None:
-    """Refuse a block size read from *source* outside 1..MAX_BLOCK_SIZE, by name."""
-    if not 0 < size <= MAX_BLOCK_SIZE:
-        raise StoreError(f"{source} is malformed: its block_size is outside 1..{MAX_BLOCK_SIZE}")
-
-
-def _write_json(path: Path, obj: dict) -> None:
-    """Write *obj* to a temp file and rename it over *path*."""
+def _write_json(path: Path | str, obj: dict, **style) -> None:
+    """Write *obj* to a temp file and rename it over *path*, compact unless
+    *style* gives ``json.dumps`` other keywords."""
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        fh.write(json.dumps(obj, **(style or {"separators": (",", ":")})) + "\n")
     os.replace(tmp, path)
 
 
@@ -314,6 +319,10 @@ def _node_places(geo, fnames: list[str], size: int,
     ``fnames[s]`` and its run starting at *offset*."""
     return {b: [(fnames[s], offset + geo.blocks_on[s].index(b) * size) for s in slots]
             for b, slots in geo.placements.items()}
+
+
+def _run_bytes(geo, size: int) -> int:  # a stripe's longest run in one node file
+    return size * max(map(len, geo.blocks_on.values()))
 
 
 def _mark(offset: int) -> bytes:
@@ -453,6 +462,86 @@ def _check_rebuilt(blocks: dict[int, bytes], crcs: list[str]) -> None:
             raise ChecksumMismatchError(f"rebuilt block {b} failed its CRC check")
 
 
+# -- stripe directories: code encode's one stripe, a file per block ---------
+
+
+def write_stripe_dir(directory: str, scheme: Scheme, src, block_size: int) -> int:
+    """Encode *src*, one stripe at most, into *directory* as ``put`` writes
+    a stripe, block b in ``b<id>.blk``, and describe it in ``stripe.json``.
+    Returns the byte count encoded."""
+    geo = codes._geometry(scheme)
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    view = memoryview(bytearray(block_size))
+    with _write_file(directory, whole=True) as write:
+        crcs, size = _write_stripe(write, scheme, src, view, fill(src, view),
+                                   {b: [(f"b{b}.blk", 0)] for b in geo.placements})
+    order = codes.build_layout(scheme, range(scheme.code_length), 0)
+    entries = {str(b): {"file": f"b{b}.blk", "role": geo.roles[b].as_string(),
+                        "nodes": [order[s] for s in slots], "crc32": crcs[b]}
+               for b, slots in geo.placements.items()}
+    meta = {"scheme": scheme.name, "block_size": block_size, "original_size": size,
+            "blocks": entries}
+    _write_json(f"{directory}/stripe.json", meta, indent=2, sort_keys=True)
+    return size
+
+
+def read_stripe_dir(directory: str, killed: list[int]) -> Iterator[bytes | memoryview]:
+    """The bytes ``write_stripe_dir`` encoded into *directory*, a data
+    block at a time, with the nodes in *killed* lost; ``stripe.json`` is
+    checked before anything is read.  A block's file, its one replica
+    unless its slots are all killed, is lost when it has another length; a
+    lost block is rebuilt by a degraded-read plan, and every replica left
+    is checked against the data.  Each block file is opened once."""
+    path = f"{directory}/stripe.json"
+    meta = _read_json(path)
+    if meta is None:
+        raise StoreError(f"{path} is missing")
+    _require(meta, path, scheme=str, blocks=dict)
+    block_size = _int_field(meta, "block_size", path, 1, MAX_BLOCK_SIZE)
+    scheme = parse_scheme(meta["scheme"])
+    size = _int_field(meta, "original_size", path, 0, scheme.data_block_count * block_size)
+    geo = codes._geometry(scheme)
+    entries = [meta["blocks"].get(str(b)) for b in range(scheme.block_count)]
+    order: dict[int, int] = {}  # slot -> the node that plays it, from each block's hosts
+    if len(meta["blocks"]) != len(entries) or not all(  # one entry per block, in *directory*
+            isinstance(info, dict) and isinstance(info.get("file"), str)
+            and _valid_name(info["file"]) and is_crc(info.get("crc32"))
+            and isinstance(info.get("nodes"), list) and len(info["nodes"]) == len(geo.placements[b])
+            and all(_is_int(n) and order.setdefault(s, n) == n
+                    for n, s in zip(info["nodes"], geo.placements[b]))
+            for b, info in enumerate(entries)):
+        raise StoreError(f"{path} is malformed")
+    nodes = [order.get(s) for s in range(scheme.code_length)]
+    if not _is_node_list(nodes, None):
+        raise StoreError(f"{path} is malformed")
+    for node in killed:
+        if node not in nodes:
+            raise StoreError(f"node {node} holds no block of the stripe")
+    down = {s for s, node in enumerate(nodes) if node in killed}
+    places = {b: [] if set(slots) <= down else [(entries[b]["file"], 0)]
+              for b, slots in geo.placements.items()}
+    crcs = [info["crc32"].lower() for info in entries]
+
+    def blocks() -> Iterator[bytes]:
+        with _read_file(directory) as read:
+            replicas = _StripeReader(read, places, crcs, block_size, block_size + 1)
+
+            @cache
+            def damage(exact: bool):
+                return down, [(b, s) for b, slots in geo.placements.items()
+                              if exact and replicas.good(b) is None for s in slots]
+
+            def others(b: int) -> tuple:  # a served data block is its file
+                body = None if geo.roles[b].kind == "data" else replicas.good(b)
+                return () if body is None else (body,)
+
+            data = codes.read_stripe(scheme, replicas, damage,
+                                     lambda b, plan, bodies: _check_rebuilt(bodies, crcs))
+            yield from codes.check_stripe(scheme, data, others)
+
+    return head(blocks(), size)
+
+
 class BlockStore:
     """A directory-per-node block store for one coding scheme."""
 
@@ -500,10 +589,13 @@ class BlockStore:
         cfg = _read_json(path)
         if cfg is None:
             raise StoreError(f"no store at {self.root}")
-        _require(cfg, path, scheme=str, nodes=int, block_size=int, seed=int, down=list)
-        if not all(isinstance(n, int) for n in cfg["down"]):
-            raise StoreError(f"{path} is malformed: its down list holds a non-number")
-        _check_block_size(cfg["block_size"], path)
+        _require(cfg, path, scheme=str, down=list)
+        nodes = _int_field(cfg, "nodes", path, 1)
+        _int_field(cfg, "block_size", path, 1, MAX_BLOCK_SIZE)
+        _int_field(cfg, "seed", path)
+        if not all(_is_int(n, 0, nodes - 1) for n in cfg["down"]):
+            raise StoreError(f"{path} is malformed: its down list holds a value"
+                             f" that is not a node of the store")
         return cfg
 
     def _save_config(self, down: set[int]) -> None:
@@ -531,6 +623,17 @@ class BlockStore:
             raise StoreError(f"{path} is malformed: it needs {MARK_WIDTH} digits"
                              f" of an offset in 0..{MAX_OFFSET} and a newline")
         return int(text)
+
+    def _mend_mark(self, end: int) -> None:
+        """Set ``next_offset`` to *end* unless it is a valid mark at or past it."""
+        try:
+            if self._next_offset() >= end:
+                return
+        except StoreError:  # missing or malformed
+            pass
+        log.info("repair: next_offset is set to %d", end)
+        with _write_file(self._root, whole=True) as write:
+            write(MARK, 0, _mark(end))
 
     def node_dir(self, node_id: int) -> Path:
         return self.root / f"n{node_id}"
@@ -568,23 +671,14 @@ class BlockStore:
     def put(self, path: str | Path, name: str | None = None) -> StoreManifest:
         """Stripe, encode and place a file; persists and returns its manifest.
 
-        Each stripe goes through ``_write_stripe``, as ``code encode``'s
-        does, so a put holds a block and the parity sums, never a stripe or
-        the file.  Each stripe takes the next free offset, and
-        ``next_offset`` is moved past its longest run before any of its
-        blocks is written; each replica is written at its place in its
-        node's file, which is opened once for the whole put, and created
-        only when the node holds none yet.  The input may be any readable
-        file, a pipe included; it is read to its end.
-
-        The file takes the store's scheme and block size, which its manifest
-        records.  The manifest's rename commits the file.  A put that fails
-        before it leaves at most runs that no manifest names, past which the
-        next put writes.
+        Each stripe goes through ``_write_stripe`` at the next free offset,
+        and ``next_offset`` is moved past its longest run before any of its
+        blocks is written; a node file is created only when the node holds
+        none yet.  The input may be any readable file, a pipe included; it
+        is read to its end.  The file takes the store's scheme and block
+        size, and the manifest's rename commits it.
         """
-        path = Path(path)
-        if name is None:
-            name = path.name
+        name = Path(path).name if name is None else name
         if not _valid_name(name):
             raise StoreError(f"invalid file name: {name!r}")
         scheme, block_size = self.scheme, self.block_size
@@ -595,7 +689,7 @@ class BlockStore:
             if len(pool) < scheme.code_length:
                 raise StoreError("insufficient up nodes")
             geo = codes._geometry(scheme)
-            run = block_size * max(map(len, geo.blocks_on.values()))
+            run = _run_bytes(geo, block_size)
             offset = self._next_offset()
             view = memoryview(bytearray(block_size))
             size = 0
@@ -621,16 +715,14 @@ class BlockStore:
 
     def _scan(self, manifest: StoreManifest, stripe: StripeRecord, geo, keep: bool, read):
         """Read each node's run of the stripe through *read*, one of
-        ``_read_file``'s, with one read into one buffer, sized to the
-        longest run, and check each block's slice.
+        ``_read_file``'s, into one buffer, and check each block's slice.
         Returns (good, corrupt, missing): the ids of the blocks with a good
-        replica, each corrupt replica as (block id, slot), and the slots
-        whose file is missing, in node order; a replica that a short file
-        cuts off is corrupt.  With *keep*, each good block id maps to a copy
-        of its first good replica, which serves for all of them because good
-        replicas pass the same CRC; else it maps to None."""
+        replica, each corrupt replica (one a short file cuts off too) as
+        (block id, slot), and the slots whose file is missing, in node
+        order.  With *keep*, each good block id maps to a copy of its first
+        good replica (good replicas pass the same CRC); else to None."""
         size, order = manifest.block_size, stripe.node_order
-        buffer = bytearray(size * max(map(len, geo.blocks_on.values())))
+        buffer = bytearray(_run_bytes(geo, size))
         good, corrupt, missing = {}, [], []
         for slot in sorted(range(len(order)), key=order.__getitem__):
             ids = geo.blocks_on[slot]
@@ -648,21 +740,16 @@ class BlockStore:
         return good, corrupt, missing
 
     def read(self, name: str) -> Iterator[bytes | memoryview]:
-        """The stored file's bytes in order, one data block at a time, the
-        last block cut to the file's size and blocks wholly past it left
-        out (each is still read and checked).  The manifest is loaded here,
-        so a missing file raises before anything is read.
-
-        Each stripe is served by ``codes.read_stripe`` through a
-        ``_StripeReader``, over one ``_read_file`` that opens each node file
-        once for the whole read.  A block with no good replica is rebuilt by a
+        """The stored file's bytes in order, one data block at a time, cut
+        to the file's size (blocks past it are still read and checked).  The
+        manifest is loaded here, so a missing file raises before anything is
+        read.  Each stripe is served by ``codes.read_stripe`` through a
+        ``_StripeReader``.  A block with no good replica is rebuilt by a
         degraded-read plan whose damage is first the slots whose node file
-        is not there, looked up once per stripe, and then, when the plan
-        meets another block with no good replica, the damage that one scan
-        of the stripe finds exactly, without keeping any bytes.  Each
-        executed plan's bandwidth is logged and added to
-        ``degraded_transfers``, and each block it rebuilds must pass its
-        CRC.  A read holds a block plus what a plan holds and keeps."""
+        is not there, and then, when the plan meets another block with no
+        good replica, what one scan of the stripe finds.  Each executed
+        plan's bandwidth is logged and added to ``degraded_transfers``, and
+        each block it rebuilds must pass its CRC."""
         return self._read_blocks(self.load_manifest(name))
 
     def _read_blocks(self, manifest: StoreManifest) -> Iterator[bytes | memoryview]:
@@ -737,10 +824,8 @@ class BlockStore:
 
     def fsck(self) -> FsckReport:
         """Read-only scan: missing node files, each once, replicas that
-        fail their CRC or that a short file cuts off, fatal stripes: those
-        whose damage ``codes.plan_repair`` refuses, the call ``repair``
-        makes.  One ``_read_file`` serves every stripe, so each node file is
-        opened once."""
+        fail their CRC or that a short file cuts off, and fatal stripes,
+        whose damage ``codes.plan_repair`` refuses, as in ``repair``."""
         report, missing_nodes = FsckReport(), set()
         with _read_file(self._root) as read:
             for manifest in self.manifests():
@@ -763,28 +848,28 @@ class BlockStore:
         """Restore every damaged stripe, then bring the down nodes back up.
 
         Each damaged stripe gets one ``codes.plan_repair`` plan over the
-        slots whose file is missing and the corrupt replicas, which the
-        stripe's scan finds; the plans' bandwidth is the whole count.  Each
-        damaged stripe is rebuilt from the bytes its scan read and written
-        back before the next is scanned: a missing node file is created
-        once, at the first stripe that uses it, and gets each stripe's whole
-        run at its offset; a corrupt replica is written in place, so a write
-        that fails touches no good replica.  Each node file is opened once
-        for reading and once for writing.  A stripe that cannot be rebuilt
-        does not stop the others: FatalStripeError names the first one after
-        every other stripe is restored.  Down nodes are marked up only after every block
-        is written back, so a repair that fails leaves them down, and the
-        next repair rewrites what is still missing or corrupt.
+        slots whose file is missing and the corrupt replicas its scan finds;
+        the plans' bandwidth is the whole count.  It is rebuilt from the
+        bytes the scan read and written back before the next is scanned: a
+        missing node file, created once, gets each stripe's whole run at its
+        offset, and a corrupt replica is rewritten in place, so a failed
+        write touches no good replica.  A fatal stripe does not stop the
+        others: FatalStripeError names the first once the rest are restored.
+        ``_mend_mark`` sets the mark past every run a manifest names.  Down
+        nodes are marked up only after every block is written back, so the
+        next repair rewrites what a failed one left.
         """
         with self._locked() as down, _read_file(self._root) as read, \
                 _write_file(self._root, whole=False) as write:
-            plans = bandwidth = 0
+            plans = bandwidth = end = 0  # end: of the furthest run a manifest names
             fatal = None
             for manifest in self.manifests():
                 scheme = parse_scheme(manifest.scheme)
                 geo = codes._geometry(scheme)
                 size, name = manifest.block_size, manifest.name
+                run = _run_bytes(geo, size)
                 for k, stripe in enumerate(manifest.stripes):
+                    end = max(end, stripe.offset + run)
                     # a node file this repair created still reads as missing,
                     # as the runs it has not written yet are
                     good, corrupt, missing = self._scan(manifest, stripe, geo, True, read)
@@ -810,6 +895,7 @@ class BlockStore:
                             if ids is None or block_id in ids:
                                 write(fname, stripe.offset + rank * size, good[block_id])
                     plans += 1
+            self._mend_mark(end)
             if fatal is not None:
                 raise FatalStripeError(fatal)
 

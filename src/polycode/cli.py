@@ -32,7 +32,7 @@ if TYPE_CHECKING:
     import argparse
 
 # A process runs one command, so each handler imports the modules it needs
-# (blockstore, mapsched, reliability, csv, json), and argparse is imported
+# (blockstore, mapsched, reliability, csv), and argparse is imported
 # only for an argv that the plain-argv path leaves to it.
 
 REPORT_SCHEMES = ["2-rep", "3-rep", "pentagon", "heptagon", "heptagon-local", "raidm-9", "raidm-11"]
@@ -392,13 +392,10 @@ def _cmd_code_info(args) -> int:
 
 
 def _cmd_code_encode(args) -> int:
-    import json
-
-    from .blockstore import MAX_BLOCK_SIZE, _write_file, _write_stripe, fill
+    from .blockstore import MAX_BLOCK_SIZE, write_stripe_dir
 
     scheme = parse_scheme(args.scheme)
     D = scheme.data_block_count
-    geo = codes._geometry(scheme)
     with open(args.input, "rb", buffering=0) as src:
         info = os.fstat(src.fileno())
         size = info.st_size
@@ -410,86 +407,16 @@ def _cmd_code_encode(args) -> int:
             raise UsageError(f"--block-size {block_size} is outside 1..{MAX_BLOCK_SIZE}")
         if size > D * block_size:
             raise UsageError("input exceeds one stripe; raise --block-size or use the store")
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        # one file per block, b<id>.blk, written as the store's put writes a stripe
-        view = memoryview(bytearray(block_size))
-        with _write_file(str(out), whole=True) as write:
-            crcs, _ = _write_stripe(write, scheme, src, view, fill(src, view),
-                                    {b: [(f"b{b}.blk", 0)] for b in geo.placements})
-    order = codes.build_layout(scheme, range(scheme.code_length), 0)
-    entries = {str(b): {"file": f"b{b}.blk", "role": geo.roles[b].as_string(),
-                        "nodes": [order[s] for s in slots], "crc32": crcs[b]}
-               for b, slots in geo.placements.items()}
-    meta = {"scheme": scheme.name, "block_size": block_size, "original_size": size,
-            "blocks": entries}
-    (out / "stripe.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    print(f"encoded {size} bytes into {len(entries)} blocks under {out}")
+        size = write_stripe_dir(args.out_dir, scheme, src, block_size)
+    print(f"encoded {size} bytes into {scheme.block_count} blocks under {Path(args.out_dir)}")
     return 0
 
 
 def _cmd_code_decode(args) -> int:
-    import json
+    from .blockstore import read_stripe_dir
 
-    from .blockstore import (_check_block_size, _check_rebuilt, _read_file, _require,
-                             _StripeReader, _valid_name, head, is_crc)
-
-    src = Path(args.in_dir)
-    stripe_json = src / "stripe.json"
-    malformed = ValueError(f"{stripe_json} is malformed")
-    try:
-        meta = json.loads(stripe_json.read_bytes())
-    except ValueError:  # not JSON, or not UTF-8
-        raise malformed from None
-    _require(meta, str(stripe_json), scheme=str, original_size=int, blocks=dict)
-    block_size = meta.get("block_size")
-    if type(block_size) is not int or block_size <= 0:
-        raise ValueError(f"{stripe_json} is malformed: its block_size is not a positive integer")
-    _check_block_size(block_size, str(stripe_json))
-    scheme = parse_scheme(meta["scheme"])
-    limit = scheme.data_block_count * block_size
-    if not 0 <= meta["original_size"] <= limit:  # the size the stripe's data blocks hold
-        raise ValueError(f"{stripe_json} is malformed: its original_size is outside 0..{limit}")
-    geo = codes._geometry(scheme)
-    blocks = [meta["blocks"].get(str(b)) for b in range(scheme.block_count)]
-    slot_of: dict[int, int] = {}  # node id -> the slot it plays, from each block's hosts
-    if len(meta["blocks"]) != len(blocks) or not all(  # one entry per block, in --in-dir
-            isinstance(info, dict) and isinstance(info.get("file"), str)
-            and _valid_name(info["file"]) and is_crc(info.get("crc32"))
-            and isinstance(info.get("nodes"), list) and len(info["nodes"]) == len(geo.placements[b])
-            and all(type(n) is int and slot_of.setdefault(n, s) == s
-                    for n, s in zip(info["nodes"], geo.placements[b]))
-            for b, info in enumerate(blocks)):
-        raise malformed
-    if len(set(slot_of.values())) != len(slot_of):  # two nodes play one slot
-        raise malformed
-    killed = set()
-    for node in _parse_int_list(args.killed):
-        if node not in slot_of:
-            raise ValueError(f"node {node} holds no block of the stripe")
-        killed.add(slot_of[node])
-    # a block's file is its one replica unless its slots are all killed; a
-    # span one byte past the block finds a file of another length bad
-    places = {b: [] if set(slots) <= killed else [(blocks[b]["file"], 0)]
-              for b, slots in geo.placements.items()}
-    crcs = [info["crc32"].lower() for info in blocks]
-    with _read_file(str(src)) as read:
-        replicas = _StripeReader(read, places, crcs, block_size, block_size + 1)
-
-        @cache
-        def damage(exact: bool):  # exact: each replica of a block with no good file is corrupt
-            return killed, [(b, s) for b, slots in geo.placements.items()
-                            if exact and replicas.good(b) is None for s in slots]
-
-        def others(b: int) -> tuple:  # a served data block is its file
-            body = None if geo.roles[b].kind == "data" else replicas.good(b)
-            return () if body is None else (body,)
-
-        data = codes.read_stripe(scheme, replicas, damage,
-                                 lambda b, plan, bodies: _check_rebuilt(bodies, crcs))
-        written = _write_output(
-            args.output, head(codes.check_stripe(scheme, data, others), meta["original_size"]))
-    print(f"decoded {written} bytes to {args.output}")
+    blocks = read_stripe_dir(args.in_dir, _parse_int_list(args.killed))
+    print(f"decoded {_write_output(args.output, blocks)} bytes to {args.output}")
     return 0
 
 
@@ -526,11 +453,8 @@ def _cmd_store(args) -> int:
     elif sub == "get":
         size = _write_output(args.output, store.read(args.name))
         print(f"read {size} bytes; degraded transfers: {store.degraded_transfers}")
-    elif sub == "kill":
-        state = store.kill_node(args.node)
-        print(f"node {state.node_id} is {state.status}")
-    elif sub == "revive":
-        state = store.revive_node(args.node)
+    elif sub in ("kill", "revive"):
+        state = (store.kill_node if sub == "kill" else store.revive_node)(args.node)
         print(f"node {state.node_id} is {state.status}")
     elif sub == "fsck":
         report = store.fsck()

@@ -330,9 +330,10 @@ def test_block_files_are_opened_and_removed_by_three_helpers_only():
 
 def test_the_store_rebuilds_blocks_only_through_plans():
     """The store calls into ``codes`` only for the geometry, encoding, the
-    repair planner, whose refusal is also fsck's verdict, plan execution
-    and the stripe reader that plans its degraded reads, raising its errors
-    aside; every transfer it counts is a plan's bandwidth."""
+    repair planner, whose refusal is also fsck's verdict, plan execution,
+    the stripe reader that plans its degraded reads and the stripe check
+    that ``code decode``'s reader makes, raising its errors aside; every
+    transfer it counts is a plan's bandwidth."""
     tree = ast.parse(Path(blockstore.__file__).read_text())
     imported = {alias.asname or alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module == "codes"
@@ -349,7 +350,7 @@ def test_the_store_rebuilds_blocks_only_through_plans():
               and issubclass(getattr(codes, n), codes.CodeError)}
     assert called - errors <= {
         "_geometry", "build_layout", "parse_scheme", "StripeEncoder",
-        "plan_repair", "execute_plan", "memory_reader", "read_stripe",
+        "plan_repair", "execute_plan", "memory_reader", "read_stripe", "check_stripe",
     }
     counts = [node for node in ast.walk(tree) if isinstance(node, ast.AugAssign)
               and ast.unparse(node.target) in ("bandwidth", "self.degraded_transfers")]
@@ -524,6 +525,31 @@ def test_a_next_offset_mark_that_is_gone_or_malformed_stops_a_put(pentagon_store
     assert {p: p.read_bytes() for p in pentagon_store.root.glob("n*/*.blk")} == blocks
     assert pentagon_store.fsck().is_clean
     assert pentagon_store.get("kept.bin") == kept.read_bytes()
+
+
+@pytest.mark.parametrize("text", [None, b"12\n", b"%020d\n" % 0, b"%020d\n" % (9 * BS)])
+def test_repair_mends_a_next_offset_mark_that_is_gone_malformed_or_behind(pentagon_store,
+                                                                         tmp_path, text):
+    """repair sets a mark that is gone, malformed or behind the end of the
+    furthest run a manifest names to that end, and leaves a valid mark past
+    it as it is; the next put then writes past every stored run.  A mark
+    set to 0 let that put write over kept.bin's runs."""
+    kept = write_file(tmp_path, 9 * BS, seed=58, name="kept.bin")
+    pentagon_store.put(kept)
+    mark = pentagon_store.root / "next_offset"
+    end = mark.read_bytes()
+    assert end == b"%020d\n" % (4 * BS)
+    if text is None:
+        mark.unlink()
+    else:
+        mark.write_bytes(text)
+    assert pentagon_store.repair() == blockstore.RepairResult(0, 0)
+    assert mark.read_bytes() == (text if text == b"%020d\n" % (9 * BS) else end)
+    new = write_file(tmp_path, 9 * BS, seed=59, name="new.bin")
+    pentagon_store.put(new)
+    assert pentagon_store.fsck().is_clean
+    assert pentagon_store.get("kept.bin") == kept.read_bytes()
+    assert pentagon_store.get("new.bin") == new.read_bytes()
 
 
 def test_a_refused_damage_is_planned_once_store_wide(tmp_path, monkeypatch):

@@ -466,9 +466,10 @@ def test_decode_refuses_a_block_size_that_is_not_a_positive_integer(tmp_path, ca
     (stripe / "stripe.json").write_text(json.dumps(meta))
     code, out, err = run(capsys, "code", "decode", "--in-dir", str(stripe),
                          "--output", str(tmp_path / "out.bin"))
+    # an integer outside the bound is named by it, and any other value as no integer
+    what = "is outside 1..268435456" if type(block_size) is int else "is not an integer"
     assert (code, out) == (1, "")
-    assert err == (f"error: {stripe / 'stripe.json'} is malformed: its block_size is not a"
-                   f" positive integer\n")
+    assert err == f"error: {stripe / 'stripe.json'} is malformed: its block_size {what}\n"
 
 
 @pytest.mark.parametrize("size", [-5, -1, 901, 10**6])
@@ -533,11 +534,10 @@ def test_decode_names_a_block_file_it_cannot_read(tmp_path, capsys):
 def test_no_cli_function_opens_a_block_file():
     """Each function of cli that opens, reads, writes or removes a file,
     and each call by which it does so, with its first argument.  Block
-    files are opened, read and written by ``blockstore``'s helpers alone:
-    ``code encode`` and ``code decode`` touch only their input and
-    stripe.json themselves, and the other calls touch a config file, a
-    report's input or output, or the output that ``_write_output``
-    replaces."""
+    files and stripe.json are opened, read and written by ``blockstore``
+    alone: ``code encode`` reads only its input, ``code decode`` touches
+    no file itself, and the other calls touch a config file, a report's
+    input or output, or the output that ``_write_output`` replaces."""
     calls = {}
     for fn in ast.walk(ast.parse(Path(cli.__file__).read_text())):
         if isinstance(fn, ast.FunctionDef):
@@ -553,12 +553,24 @@ def test_no_cli_function_opens_a_block_file():
         "_writev_all": {"os.writev(fd)", "os.write(fd)"},
         "_write_output": {"os.stat(path)", "os.open(path)", "os.open(tmp)", "os.close(fd)",
                           "os.getpid()", "os.fchmod(fd)", "os.replace(tmp)", "os.unlink(tmp)"},
-        "_cmd_code_encode": {"open(args.input)", "os.fstat(src.fileno())", "src.readall()",
-                             "(out / 'stripe.json').write_text(json.dumps(meta, indent=2,"
-                             " sort_keys=True) + '\\n')"},
-        "_cmd_code_decode": {"stripe_json.read_bytes()"},
+        "_cmd_code_encode": {"open(args.input)", "os.fstat(src.fileno())", "src.readall()"},
         "_cmd_report": {"open(args.input)"},
     }
+
+
+def test_cli_uses_no_private_name_of_blockstore():
+    """``blockstore`` knows every metadata format and block-file layout, and
+    cli reaches it only through public names: it imports no underscore name
+    from it and reads no underscore attribute of the module."""
+    private = []
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module in ("blockstore",
+                                                                 "polycode.blockstore"):
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and ast.unparse(node.value) == "blockstore"
+              and node.attr.startswith("_")):
+            private.append(node.attr)
+    assert private == []
 
 
 # modules that only some commands need, so that cli imports none of them itself
@@ -984,6 +996,9 @@ def test_report_locality_summary_refuses_a_cell_that_is_not_a_number(tmp_path, c
 _STORE = ["--root", "s"]
 _DECODE = ["code", "decode", "--in-dir", "stripe", "--output", "out"]
 _GET = ["get", *_STORE, "--name", "f", "--output", "o"]
+_READS_MANIFEST = (["fsck", *_STORE], _GET, ["repair", *_STORE])
+_READS_STORE_JSON = (["put", *_STORE, "--file", "f"], _GET, ["kill", *_STORE, "--node", "0"],
+                     ["revive", *_STORE, "--node", "0"], ["fsck", *_STORE], ["repair", *_STORE])
 
 
 @pytest.mark.parametrize("target,text,argv", [
@@ -991,15 +1006,20 @@ _GET = ["get", *_STORE, "--name", "f", "--output", "o"]
     ("stripe/stripe.json", None, _DECODE),
     ("s/f.manifest.json", '{"file":"f"}', ["store", "fsck", *_STORE]),
     ("s/f.manifest.json", '{"file":"f"}', ["store", *_GET]),
-    *[("s/store.json", "[]", ["store", *argv]) for argv in (
-        ["put", *_STORE, "--file", "f"], _GET, ["kill", *_STORE, "--node", "0"],
-        ["revive", *_STORE, "--node", "0"], ["fsck", *_STORE], ["repair", *_STORE])],
+    *[("s/store.json", "[]", ["store", *argv]) for argv in _READS_STORE_JSON],
     *[("s/f.manifest.json", order, ["store", *argv])
-      for order in ([0, 0, 2, 3, 4], [0, 1, 2, 3, 9])
-      for argv in (["fsck", *_STORE], _GET, ["repair", *_STORE])],
+      for order in ([0, 0, 2, 3, 4], [0, 1, 2, 3, 9]) for argv in _READS_MANIFEST],
     ("stripe/stripe.json", "not json", _DECODE),
     ("stripe/stripe.json", b"\xff\xfe", _DECODE),
     *[("stripe/stripe.json", nodes, _DECODE) for nodes in ([0], [0, 1, 2], [1, 0], [5, 4])],
+    # a bool is no integer, though Python counts it as one
+    *[("s/f.manifest.json", edit, ["store", *argv])
+      for edit in ({"size": True}, {"size": False}, {"block_size": True})
+      for argv in _READS_MANIFEST],
+    *[("stripe/stripe.json", {"original_size": flag}, _DECODE) for flag in (True, False)],
+    *[("s/store.json", edit, ["store", *argv])
+      for edit in ({"nodes": True}, {"block_size": True}, {"seed": True}, {"down": [True]})
+      for argv in _READS_STORE_JSON],
 ])
 def test_malformed_metadata_is_an_error_that_names_its_file(tmp_path, monkeypatch, capsys,
                                                               target, text, argv):
@@ -1009,7 +1029,8 @@ def test_malformed_metadata_is_an_error_that_names_its_file(tmp_path, monkeypatc
     stripe.json's block 3 (edge (0, 4)), of the wrong length, naming node
     1 as a second slot or a second node for slot 0, or the node_order of
     the manifest's stripe, which repeats a node or names one outside the
-    store, and nothing is written."""
+    store; a dict: top-level fields set to a bool, or a down list that
+    holds one.  Nothing is written."""
     monkeypatch.chdir(tmp_path)
     Path("f").write_bytes(random.Random(3).randbytes(300))
     setups = (
@@ -1030,11 +1051,14 @@ def test_malformed_metadata_is_an_error_that_names_its_file(tmp_path, monkeypatc
         else:
             meta["stripes"][0]["node_order"] = text
         text = json.dumps(meta)
+    elif isinstance(text, dict):
+        text = json.dumps(dict(json.loads(Path(target).read_text()), **text))
     Path(target).write_bytes(text if isinstance(text, bytes) else text.encode())
     before = {p: p.read_bytes() for p in Path("s").glob("n*/*")}
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "") and err.startswith(f"error: {target} is malformed"), err
     assert {p: p.read_bytes() for p in Path("s").glob("n*/*")} == before
+    assert not Path("o").exists() and not Path("out").exists()
 
 
 @pytest.mark.parametrize("size", [-5, -1, 5185])
