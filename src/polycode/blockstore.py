@@ -24,8 +24,10 @@ replica's place in its run from the block's rank in ``blocks_on`` of its
 slot, which lists a slot's blocks in ascending order.  A node id appears
 only in a node file's name and in ``FsckReport``.  Stripes are numbered
 from 0 within each file.  Every file takes the store's scheme and block
-size.  Killing a node wipes its directory, which forces real repair
-traffic instead of replica re-registration.
+size: a handle reads them, and the geometry and run length that follow,
+from ``store.json`` once, and a manifest that records another scheme or
+block size is refused.  Killing a node wipes its directory, which forces
+real repair traffic instead of replica re-registration.
 
 ``next_offset`` is the store's next free offset, 20 decimal digits and a
 newline.  ``create`` writes it as 0, and ``put`` reads it under the lock
@@ -36,6 +38,7 @@ creates no file once every node holds its file, and a put that fails
 leaves at most a range that no manifest names.  No node file is ever cut
 short by the store.  ``repair`` mends a mark that is missing, malformed or
 behind the furthest run a manifest names; it never lowers a valid one.
+``fsck`` reports such a mark.
 
 A node file that is not there is the only sign of a lost slot: ``fsck``
 reports it as missing, once for all the stripes that use it, so its
@@ -62,7 +65,9 @@ This module owns every metadata file: ``store.json``, ``next_offset``, the
 manifests and ``stripe.json`` (``write_stripe_dir``, ``read_stripe_dir``).
 Each field is refused by name, ``<file> is malformed``, where it is parsed;
 an integer, and each entry of an integer list, is an ``int`` in its stated
-range and never a ``bool`` (``_is_int``).  ``_write_json`` writes to a temp
+range and never a ``bool`` (``_is_int``).  Every byte past a file's end is
+zero padding, so a read refuses a recorded size that cuts off a nonzero
+byte (``head``).  ``_write_json`` writes to a temp
 file renamed over its target, compact (so ``json`` uses its C encoder) but
 ``stripe.json`` indented.  The commit points are ``store.json`` for
 ``create``, the manifest for ``put``, and the last ``store.json`` write for
@@ -91,7 +96,7 @@ import string
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -155,13 +160,21 @@ class StoreManifest:
 
     @classmethod
     def from_dict(cls, d: dict, source: str = "manifest",
-                  nodes: int | None = None) -> "StoreManifest":
-        """The manifest *d*, read from *source*; given the store's node
-        count *nodes*, a stripe record that names a node outside it is
-        refused too."""
+                  store: BlockStore | None = None) -> "StoreManifest":
+        """The manifest *d*, read from *source*.  Given the *store* that
+        holds it, its scheme and block size must be the store's, and a
+        stripe record that names a node outside the store is refused too;
+        else its scheme is its own."""
         _require(d, source, file=str, scheme=str, stripes=list)
-        scheme = parse_scheme(d["scheme"])
         block_size = _int_field(d, "block_size", source, 1, MAX_BLOCK_SIZE)
+        if store is None:
+            scheme, nodes = parse_scheme(d["scheme"]), None
+        else:
+            scheme, nodes = store.scheme, store.node_count
+            for key, value in (("scheme", scheme.name), ("block_size", store.block_size)):
+                if d[key] != value:
+                    raise StoreError(f"{source} is malformed: its {key} {d[key]!r}"
+                                     f" is not the store's, {value!r}")
         stripes = [_stripe_record(d, k, s, scheme, source, nodes)
                    for k, s in enumerate(d["stripes"])]
         size = _int_field(d, "size", source, 0,  # what its stripes' data blocks hold
@@ -203,10 +216,11 @@ class FsckReport:
     missing: list[int] = field(default_factory=list)
     corrupt: list[tuple[str, int, int, int]] = field(default_factory=list)
     fatal_stripes: list[tuple[str, int]] = field(default_factory=list)
+    mark: str = ""  # what is wrong with next_offset, if anything
 
     @property
     def is_clean(self) -> bool:
-        return not (self.missing or self.corrupt or self.fatal_stripes)
+        return not (self.missing or self.corrupt or self.fatal_stripes or self.mark)
 
 
 @dataclass
@@ -296,15 +310,20 @@ def fill(src, view: memoryview) -> int:
     return n
 
 
-def head(blocks, size: int) -> Iterator[bytes | memoryview]:
+def head(blocks, size: int, source: str, key: str) -> Iterator[bytes | memoryview]:
     """The first *size* bytes of the bytes-like *blocks*, a block at a time:
     the block that reaches *size* cut short, and those wholly past it read
-    to the end but left out."""
+    to the end but left out.  Every byte past *size* is padding, which is
+    zero, so a nonzero one refuses *size*, the *key* of *source*, by name."""
+    left = size
     for body in blocks:
-        if len(body) > size:
-            body = memoryview(body)[:size]
+        if len(body) > left:
+            if bytes(body).count(0, left) != len(body) - left:
+                raise StoreError(f"{source} is malformed: its {key} {size}"
+                                 f" cuts off bytes that are not zero")
+            body = memoryview(body)[:left]
         if body:
-            size -= len(body)
+            left -= len(body)
             yield body
 
 
@@ -319,10 +338,6 @@ def _node_places(geo, fnames: list[str], size: int,
     ``fnames[s]`` and its run starting at *offset*."""
     return {b: [(fnames[s], offset + geo.blocks_on[s].index(b) * size) for s in slots]
             for b, slots in geo.placements.items()}
-
-
-def _run_bytes(geo, size: int) -> int:  # a stripe's longest run in one node file
-    return size * max(map(len, geo.blocks_on.values()))
 
 
 def _mark(offset: int) -> bytes:
@@ -539,7 +554,7 @@ def read_stripe_dir(directory: str, killed: list[int]) -> Iterator[bytes | memor
                                      lambda b, plan, bodies: _check_rebuilt(bodies, crcs))
             yield from codes.check_stripe(scheme, data, others)
 
-    return head(blocks(), size)
+    return head(blocks(), size, path, "original_size")
 
 
 class BlockStore:
@@ -554,6 +569,12 @@ class BlockStore:
         self.block_size: int = cfg["block_size"]
         self.seed: int = cfg["seed"]
         self.degraded_transfers = 0  # summed over this handle's degraded reads
+
+    # the scheme's geometry and the bytes of a stripe's longest run in one
+    # node file, made at their first use: kill and revive need neither
+    _geo = cached_property(lambda self: codes._geometry(self.scheme))
+    _run = cached_property(
+        lambda self: self.block_size * max(map(len, self._geo.blocks_on.values())))
 
     @classmethod
     def create(
@@ -611,6 +632,16 @@ class BlockStore:
             fcntl.flock(fh, fcntl.LOCK_EX)
             yield set(self._read_config()["down"])
 
+    def _mark_fault(self, end: int) -> str:
+        """What is wrong with ``next_offset`` given *end*, the end of the
+        furthest run a manifest names: '' when it is a valid mark at or
+        past *end*."""
+        try:
+            mark = self._next_offset()
+        except StoreError as exc:  # missing or malformed
+            return str(exc)
+        return "" if mark >= end else f"{self._root}/{MARK} is behind the runs, which end at {end}"
+
     def _next_offset(self) -> int:
         """The next free offset, as ``next_offset`` has it now."""
         path = f"{self._root}/{MARK}"
@@ -623,17 +654,6 @@ class BlockStore:
             raise StoreError(f"{path} is malformed: it needs {MARK_WIDTH} digits"
                              f" of an offset in 0..{MAX_OFFSET} and a newline")
         return int(text)
-
-    def _mend_mark(self, end: int) -> None:
-        """Set ``next_offset`` to *end* unless it is a valid mark at or past it."""
-        try:
-            if self._next_offset() >= end:
-                return
-        except StoreError:  # missing or malformed
-            pass
-        log.info("repair: next_offset is set to %d", end)
-        with _write_file(self._root, whole=True) as write:
-            write(MARK, 0, _mark(end))
 
     def node_dir(self, node_id: int) -> Path:
         return self.root / f"n{node_id}"
@@ -658,12 +678,12 @@ class BlockStore:
         d = _read_json(f"{self._root}/{name}.manifest.json") if _valid_name(name) else None
         if d is None:
             raise StoreError(f"no such stored file: {name}")
-        return StoreManifest.from_dict(d, f"{self._root}/{name}.manifest.json", self.node_count)
+        return StoreManifest.from_dict(d, f"{self._root}/{name}.manifest.json", self)
 
     def manifests(self) -> list[StoreManifest]:
         with os.scandir(self._root) as entries:
             paths = sorted(e.path for e in entries if e.name.endswith(".manifest.json"))
-        return [StoreManifest.from_dict(_read_json(path), path, self.node_count)
+        return [StoreManifest.from_dict(_read_json(path), path, self)
                 for path in paths]
 
     # -- write path ---------------------------------------------------------
@@ -681,15 +701,16 @@ class BlockStore:
         name = Path(path).name if name is None else name
         if not _valid_name(name):
             raise StoreError(f"invalid file name: {name!r}")
-        scheme, block_size = self.scheme, self.block_size
+        if self.node_count > MAX_NODES:  # before put lists the nodes
+            raise StoreError(f"{self._root}/store.json is malformed: its nodes"
+                             f" {self.node_count} is more than the {MAX_NODES} a store can have")
+        scheme, block_size, geo, run = self.scheme, self.block_size, self._geo, self._run
         with self._locked() as down:
             if self._manifest_path(name).exists():
                 raise StoreError(f"{name} is already stored")
             pool = [i for i in range(self.node_count) if i not in down]
             if len(pool) < scheme.code_length:
                 raise StoreError("insufficient up nodes")
-            geo = codes._geometry(scheme)
-            run = _run_bytes(geo, block_size)
             offset = self._next_offset()
             view = memoryview(bytearray(block_size))
             size = 0
@@ -713,7 +734,7 @@ class BlockStore:
 
     # -- read path ----------------------------------------------------------
 
-    def _scan(self, manifest: StoreManifest, stripe: StripeRecord, geo, keep: bool, read):
+    def _scan(self, stripe: StripeRecord, keep: bool, read):
         """Read each node's run of the stripe through *read*, one of
         ``_read_file``'s, into one buffer, and check each block's slice.
         Returns (good, corrupt, missing): the ids of the blocks with a good
@@ -721,8 +742,8 @@ class BlockStore:
         (block id, slot), and the slots whose file is missing, in node
         order.  With *keep*, each good block id maps to a copy of its first
         good replica (good replicas pass the same CRC); else to None."""
-        size, order = manifest.block_size, stripe.node_order
-        buffer = bytearray(_run_bytes(geo, size))
+        size, order, geo = self.block_size, stripe.node_order, self._geo
+        buffer = bytearray(self._run)
         good, corrupt, missing = {}, [], []
         for slot in sorted(range(len(order)), key=order.__getitem__):
             ids = geo.blocks_on[slot]
@@ -753,8 +774,7 @@ class BlockStore:
         return self._read_blocks(self.load_manifest(name))
 
     def _read_blocks(self, manifest: StoreManifest) -> Iterator[bytes | memoryview]:
-        scheme, size = parse_scheme(manifest.scheme), manifest.block_size
-        geo = codes._geometry(scheme)
+        scheme, size, geo = self.scheme, self.block_size, self._geo
 
         def blocks() -> Iterator[bytes]:
             with _read_file(self._root) as read:
@@ -766,7 +786,7 @@ class BlockStore:
                     @cache
                     def damage(exact: bool):
                         if exact:
-                            _, corrupt, missing = self._scan(manifest, stripe, geo, False, read)
+                            _, corrupt, missing = self._scan(stripe, False, read)
                             return missing, corrupt
                         return [s for s, f in enumerate(fnames) if read(f, 0, 0) is None], ()
 
@@ -778,7 +798,7 @@ class BlockStore:
 
                     yield from codes.read_stripe(scheme, replicas, damage, rebuilt)
 
-        return head(blocks(), manifest.size)
+        return head(blocks(), manifest.size, self._manifest_path(manifest.name), "size")
 
     def get(self, name: str) -> bytearray:
         """Reassemble a stored file from ``read``."""
@@ -824,24 +844,27 @@ class BlockStore:
 
     def fsck(self) -> FsckReport:
         """Read-only scan: missing node files, each once, replicas that
-        fail their CRC or that a short file cuts off, and fatal stripes,
-        whose damage ``codes.plan_repair`` refuses, as in ``repair``."""
-        report, missing_nodes = FsckReport(), set()
+        fail their CRC or that a short file cuts off, fatal stripes, whose
+        damage ``codes.plan_repair`` refuses, as in ``repair``, and a
+        ``next_offset`` that ``repair`` would mend.  The mark is read after
+        the manifests, and a put moves it before it commits one, so a put
+        that runs beside the scan does not make it look behind."""
+        report, missing_nodes, end = FsckReport(), set(), 0
         with _read_file(self._root) as read:
             for manifest in self.manifests():
-                scheme = parse_scheme(manifest.scheme)
-                geo = codes._geometry(scheme)
                 for k, stripe in enumerate(manifest.stripes):
-                    _, corrupt, missing = self._scan(manifest, stripe, geo, False, read)
+                    end = max(end, stripe.offset + self._run)
+                    _, corrupt, missing = self._scan(stripe, False, read)
                     order = stripe.node_order
                     missing_nodes.update(order[s] for s in missing)
                     report.corrupt += [(manifest.name, k, block_id, order[s])
                                        for block_id, s in corrupt]
                     try:
-                        codes.plan_repair(scheme, missing, corrupt)
+                        codes.plan_repair(self.scheme, missing, corrupt)
                     except UnrecoverableError:
                         report.fatal_stripes.append((manifest.name, k))
         report.missing = sorted(missing_nodes)
+        report.mark = self._mark_fault(end)
         return report
 
     def repair(self) -> RepairResult:
@@ -855,7 +878,7 @@ class BlockStore:
         offset, and a corrupt replica is rewritten in place, so a failed
         write touches no good replica.  A fatal stripe does not stop the
         others: FatalStripeError names the first once the rest are restored.
-        ``_mend_mark`` sets the mark past every run a manifest names.  Down
+        A mark that ``fsck`` would report is set past every run a manifest names.  Down
         nodes are marked up only after every block is written back, so the
         next repair rewrites what a failed one left.
         """
@@ -863,22 +886,19 @@ class BlockStore:
                 _write_file(self._root, whole=False) as write:
             plans = bandwidth = end = 0  # end: of the furthest run a manifest names
             fatal = None
+            size, geo = self.block_size, self._geo
             for manifest in self.manifests():
-                scheme = parse_scheme(manifest.scheme)
-                geo = codes._geometry(scheme)
-                size, name = manifest.block_size, manifest.name
-                run = _run_bytes(geo, size)
                 for k, stripe in enumerate(manifest.stripes):
-                    end = max(end, stripe.offset + run)
+                    end = max(end, stripe.offset + self._run)
                     # a node file this repair created still reads as missing,
                     # as the runs it has not written yet are
-                    good, corrupt, missing = self._scan(manifest, stripe, geo, True, read)
+                    good, corrupt, missing = self._scan(stripe, True, read)
                     if not (corrupt or missing):
                         continue
                     try:
-                        plan = codes.plan_repair(scheme, missing, corrupt)
+                        plan = codes.plan_repair(self.scheme, missing, corrupt)
                     except UnrecoverableError:
-                        fatal = fatal or f"{name} stripe {k} is unrecoverable"
+                        fatal = fatal or f"{manifest.name} stripe {k} is unrecoverable"
                         continue
                     # every block the plan reads has a good replica, so kept bytes
                     rebuilt = codes.execute_plan(plan, codes.memory_reader(good))
@@ -895,7 +915,10 @@ class BlockStore:
                             if ids is None or block_id in ids:
                                 write(fname, stripe.offset + rank * size, good[block_id])
                     plans += 1
-            self._mend_mark(end)
+            if self._mark_fault(end):  # a valid mark is never lowered
+                log.info("repair: next_offset is set to %d", end)
+                with _write_file(self._root, whole=True) as write_mark:
+                    write_mark(MARK, 0, _mark(end))
             if fatal is not None:
                 raise FatalStripeError(fatal)
 

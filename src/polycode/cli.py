@@ -461,6 +461,8 @@ def _cmd_store(args) -> int:
         print(f"missing: {len(report.missing)}")
         print(f"corrupt: {len(report.corrupt)}")
         print(f"fatal_stripes: {len(report.fatal_stripes)}")
+        if report.mark:
+            print(f"next_offset: {report.mark}")
         print("clean" if report.is_clean else "damaged")
     elif sub == "repair":
         result = store.repair()

@@ -14,6 +14,11 @@ Schemes
                      over all 40 data blocks (coefficients alpha^i and
                      alpha^{2i} with alpha = 0x02).
 
+A scheme class states only its parameters, its name and their checks.
+Where each block lives is ``_geometry``'s alone, and a scheme's counts
+(``code_length`` slots, ``data_block_count``, ``block_count`` and
+``stored_block_count``) are read from it once (``_Counts``).
+
 Block ids are stripe-local integers.  Node ids in recoverability checks and
 repair plans are canonical slots ``0 .. code_length-1``; ``build_layout``
 maps slots onto a concrete node pool.
@@ -49,8 +54,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .gf256 import gf_inv, gf_mul, gf_pow, scale_bytes
 
@@ -83,8 +88,19 @@ class BlockAvailableError(CodeError):
 # Scheme descriptors
 
 
+class _Counts:
+    """Every scheme class's counts of slots, data blocks, coded blocks and
+    stored replicas, read from its geometry once and kept on the instance."""
+
+    code_length = cached_property(lambda self: len(_geometry(self).blocks_on))
+    data_block_count = cached_property(lambda self: len(_geometry(self).data_block_of))
+    block_count = cached_property(lambda self: len(_geometry(self).placements))
+    stored_block_count = cached_property(
+        lambda self: sum(map(len, _geometry(self).placements.values())))
+
+
 @dataclass(frozen=True)
-class Replication:
+class Replication(_Counts):
     copies: int = 2
 
     def __post_init__(self):
@@ -95,14 +111,9 @@ class Replication:
     def name(self) -> str:
         return f"{self.copies}-rep"
 
-    code_length = property(lambda self: self.copies)
-    data_block_count = property(lambda self: 1)
-    block_count = property(lambda self: 1)
-    stored_block_count = property(lambda self: self.copies)
-
 
 @dataclass(frozen=True)
-class RaidMirror:
+class RaidMirror(_Counts):
     """k data blocks + 1 XOR parity, each of the k+1 blocks mirrored."""
 
     data_blocks: int
@@ -115,14 +126,9 @@ class RaidMirror:
     def name(self) -> str:
         return f"raidm-{self.data_blocks}"
 
-    code_length = property(lambda self: 2 * (self.data_blocks + 1))
-    data_block_count = property(lambda self: self.data_blocks)
-    block_count = property(lambda self: self.data_blocks + 1)
-    stored_block_count = property(lambda self: 2 * (self.data_blocks + 1))
-
 
 @dataclass(frozen=True)
-class Polygon:
+class Polygon(_Counts):
     nodes: int
 
     def __post_init__(self):
@@ -137,31 +143,22 @@ class Polygon:
             return "heptagon"
         return f"polygon-{self.nodes}"
 
-    code_length = property(lambda self: self.nodes)
-    block_count = property(lambda self: self.nodes * (self.nodes - 1) // 2)
-    data_block_count = property(lambda self: self.block_count - 1)
-    stored_block_count = property(lambda self: 2 * self.block_count)
-
 
 @dataclass(frozen=True)
-class HeptagonLocal:
+class HeptagonLocal(_Counts):
     @property
     def name(self) -> str:
         return "heptagon-local"
-
-    code_length = property(lambda self: 15)
-    data_block_count = property(lambda self: 40)
-    block_count = property(lambda self: 44)
-    # two mirrored heptagons (2*42) plus two single-copy global parities
-    stored_block_count = property(lambda self: 86)
 
 
 Scheme = Replication | RaidMirror | Polygon | HeptagonLocal
 
 
+@lru_cache(maxsize=64)
 def parse_scheme(text: str) -> Scheme:
     """Parse a scheme selector such as ``pentagon``, ``3-rep``, ``raidm-9``
-    or ``polygon-6``.  Inverse of ``scheme.name``."""
+    or ``polygon-6``.  Inverse of ``scheme.name``.  Kept per text, so a
+    scheme parsed again brings the counts it has read already."""
     t = text.strip().lower()
     if t == "pentagon":
         return Polygon(5)
@@ -197,18 +194,14 @@ def polygon_edges(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-class _Group(NamedTuple):
-    """A complete-graph local group: local node i plays slot ``slots[i]``,
-    each edge's block is stored on both its nodes, and the group's blocks
-    XOR to zero."""
-
-    slots: tuple[int, ...]
+MAX_BLOCKS = 1 << 10  # a stripe's blocks, and a block's slots: each block has a row over the data
 
 
 class _Geometry:
     """Canonical block placement, roles and coefficient rows for a scheme:
     the one description of a scheme's structure that encoding, planning,
-    the store, the locality simulator and the reliability chain read.
+    the store, the locality simulator and the reliability chain read, and
+    the source of every scheme's counts (``_Counts``).
 
     ``placements[b]``    slots holding block b, in replica order
     ``data_masks``       (slot mask, data index) per data block, by block id;
@@ -219,85 +212,75 @@ class _Geometry:
     ``data_block_of[i]`` block id of data symbol i
     ``blocks_on[s]``     blocks stored on slot s, ascending: the order of a
                          node's file of a stripe in the block store
-    ``groups``           complete-graph local groups (``_Group``): one for a
-                         polygon, two for heptagon-local, none otherwise
+    ``groups``           the slots of each complete-graph local group, whose
+                         node i plays slot ``group[i]`` and whose blocks XOR
+                         to zero: one for a polygon, two for heptagon-local
     ``global_slot``      slot holding the global parities, or None
     ``global_blocks``    global parity block ids in parity-index order
     ``fate``             failure mask -> recoverable, filled by ``recoverable``
     """
 
     def __init__(self, scheme: Scheme):
-        L = scheme.code_length
-        D = scheme.data_block_count
         placements: dict[int, tuple[int, ...]] = {}
         roles: dict[int, BlockRole] = {}
-        rows: dict[int, tuple[int, ...]] = {}
-        groups: list[_Group] = []
+        terms: dict[int, dict[int, int]] = {}  # block -> data index -> coefficient
+        data_block_of: dict[int, int] = {}
+        groups: list[tuple[int, ...]] = []
         self.global_slot: int | None = None
 
-        def unit(i):
-            row = [0] * D
-            row[i] = 1
-            return tuple(row)
+        def bound(count: int) -> None:  # before *count* blocks or slots are laid out
+            if count > MAX_BLOCKS:
+                raise ValueError(f"{scheme.name} lays out more than {MAX_BLOCKS} blocks or slots")
+
+        def place(slots, kind="data", index=0, over=None) -> None:
+            """Lay the next block out on *slots*: the next data block, or
+            parity *index* of its *kind* with the coefficients *over*."""
+            b = len(placements)
+            bound(max(b + 1, len(slots)))
+            placements[b] = tuple(slots)
+            if kind == "data":
+                index, over = len(data_block_of), {len(data_block_of): 1}
+                data_block_of[index] = b
+            roles[b], terms[b] = BlockRole(kind, index), over
 
         if isinstance(scheme, Replication):
-            placements[0] = tuple(range(L))
-            roles[0] = BlockRole("data", 0)
-            rows[0] = unit(0)
+            place(range(scheme.copies))
         elif isinstance(scheme, RaidMirror):
-            for b in range(scheme.block_count):
-                placements[b] = (2 * b, 2 * b + 1)
-                if b < D:
-                    roles[b] = BlockRole("data", b)
-                    rows[b] = unit(b)
-                else:
-                    roles[b] = BlockRole("local_parity", 0)
-                    rows[b] = tuple([1] * D)
+            k = scheme.data_blocks
+            for b in range(k):
+                place((2 * b, 2 * b + 1))
+            place((2 * k, 2 * k + 1), "local_parity", 0, dict.fromkeys(range(k), 1))
         elif isinstance(scheme, (Polygon, HeptagonLocal)):
             # heptagon-local: two heptagons on slots 0-6 and 7-13, each with
             # its own XOR parity on its last edge, plus the global node
             n, count = (scheme.nodes, 1) if isinstance(scheme, Polygon) else (7, 2)
-            edges = polygon_edges(n)
-            per_group = len(edges) - 1  # data blocks per group
+            bound(n)
+            *data_edges, (i, j) = polygon_edges(n)
             for k in range(count):
                 slots = tuple(range(k * n, (k + 1) * n))
-                groups.append(_Group(slots))
-                first = k * per_group
-                for x, (i, j) in enumerate(edges):
-                    b = k * len(edges) + x
-                    placements[b] = (slots[i], slots[j])
-                    if x < per_group:
-                        roles[b] = BlockRole("data", first + x)
-                        rows[b] = unit(first + x)
-                    else:
-                        roles[b] = BlockRole("local_parity", k)
-                        rows[b] = tuple(int(first <= d < first + per_group) for d in range(D))
+                groups.append(slots)
+                first = len(data_block_of)
+                for a, z in data_edges:
+                    place((slots[a], slots[z]))
+                place((slots[i], slots[j]), "local_parity", k,
+                      dict.fromkeys(range(first, len(data_block_of)), 1))
             if isinstance(scheme, HeptagonLocal):
                 self.global_slot = count * n
                 for g in (0, 1):
-                    b = count * len(edges) + g
-                    placements[b] = (self.global_slot,)
-                    roles[b] = BlockRole("global_parity", g)
-                    rows[b] = tuple(gf_pow(2, (g + 1) * i) for i in range(D))
+                    place((self.global_slot,), "global_parity", g,
+                          {d: gf_pow(2, (g + 1) * d) for d in data_block_of})
         else:  # pragma: no cover
             raise TypeError(f"unknown scheme type: {scheme!r}")
 
-        self.placements = placements
-        slot_masks = {b: sum(1 << s for s in slots) for b, slots in placements.items()}
-        self.data_masks = tuple(
-            (slot_masks[b], roles[b].index) for b in roles if roles[b].kind == "data"
-        )
-        self.parity_masks = tuple(
-            (slot_masks[b], rows[b]) for b in roles if roles[b].kind != "data"
-        )
-        self.roles = roles
-        self.rows = rows
-        self.data_block_of = {
-            roles[b].index: b for b in roles if roles[b].kind == "data"
-        }
+        L = 1 + max(max(slots) for slots in placements.values())
+        rows = {b: tuple(over.get(d, 0) for d in data_block_of) for b, over in terms.items()}
+        self.placements, self.roles, self.rows = placements, roles, rows
+        self.data_block_of = data_block_of
+        masks = {b: sum(1 << s for s in slots) for b, slots in placements.items()}
+        self.data_masks = tuple((masks[b], r.index) for b, r in roles.items() if r.kind == "data")
+        self.parity_masks = tuple((masks[b], rows[b]) for b, r in roles.items() if r.kind != "data")
         self.blocks_on: dict[int, tuple[int, ...]] = {
-            s: tuple(b for b in placements if s in placements[b]) for s in range(L)
-        }
+            s: tuple(b for b, slots in placements.items() if s in slots) for s in range(L)}
         self.groups = tuple(groups)
         self.global_blocks = tuple(b for b in roles if roles[b].kind == "global_parity")
         self.fate: dict[int, bool] = {}
@@ -306,15 +289,17 @@ class _Geometry:
         """True iff the blocks left when the slots in *mask* fail (bit s set
         == slot s failed) determine every data block, kept in ``fate``.
 
-        A miss reads the slot masks: with no data block lost on every slot
-        it is True at once, and otherwise the parity rows still live
-        somewhere must solve for the lost data symbols."""
+        A miss is the planner's rank test, ``_eliminate``: the parity rows
+        still live somewhere must have full rank over the data symbols lost
+        on every slot.  Rows that miss them all are left out, so none is
+        kept when no symbol is lost, and too few rows fail at once."""
         ok = self.fate.get(mask)
         if ok is None:
             lost = [i for slots, i in self.data_masks if slots & mask == slots]
-            ok = self.fate[mask] = not lost or _solves(
-                (row for slots, row in self.parity_masks if slots & ~mask), lost
-            )
+            rows = [part for slots, row in self.parity_masks
+                    if slots & ~mask and any(part := [row[i] for i in lost])]
+            need = len(lost)
+            ok = self.fate[mask] = len(rows) >= need and _eliminate(rows, need) == need
         return ok
 
 
@@ -552,19 +537,6 @@ def encode_stripe(scheme: Scheme, data: list[bytes]) -> dict[int, bytes]:
 
 # ---------------------------------------------------------------------------
 # Recoverability
-
-
-def _solves(rows: Iterable[tuple[int, ...]], unknown: list[int]) -> bool:
-    """True iff the parity *rows* determine the data symbols *unknown*, the
-    others being known: their columns of *rows* have full rank."""
-    reduced = []
-    for row in rows:
-        part = [row[i] for i in unknown]
-        if any(part):
-            reduced.append(part)
-    if len(reduced) < len(unknown):
-        return False
-    return _eliminate(reduced, len(unknown)) == len(unknown)
 
 
 def _iter_pattern(scheme, pattern):

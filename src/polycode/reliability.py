@@ -172,7 +172,7 @@ def _profiler(scheme: Scheme):
             sum((mask & p).bit_count() == 1 for p in pairs),
             sum(mask & p == p for p in pairs),
         )
-    parts = [g.slots for g in geo.groups] or [range(scheme.code_length)]
+    parts = list(geo.groups) or [range(scheme.code_length)]
     if geo.global_slot is not None:
         parts.append((geo.global_slot,))
     part_masks = [sum(1 << s for s in part) for part in parts]

@@ -508,8 +508,9 @@ def test_an_offset_that_is_not_a_non_negative_integer_is_refused_by_name(pentago
                                   b"%020d\n" % (2**62 + 1), b"-%019d\n" % 1])
 def test_a_next_offset_mark_that_is_gone_or_malformed_stops_a_put(pentagon_store, tmp_path,
                                                                    text):
-    """Only a put reads the mark; it refuses one that is gone or is not 20
-    digits of an offset and a newline, by name, before it writes a block."""
+    """A put refuses a mark that is gone or is not 20 digits of an offset
+    and a newline, by name, before it writes a block; fsck finds the blocks
+    whole and reports the mark."""
     kept = write_file(tmp_path, 9 * BS, seed=56, name="kept.bin")
     pentagon_store.put(kept)
     mark = pentagon_store.root / "next_offset"
@@ -523,11 +524,14 @@ def test_a_next_offset_mark_that_is_gone_or_malformed_stops_a_put(pentagon_store
     with pytest.raises(StoreError, match=f"^{re.escape(str(mark))} is {detail}"):
         pentagon_store.put(write_file(tmp_path, 9 * BS, seed=57, name="new.bin"))
     assert {p: p.read_bytes() for p in pentagon_store.root.glob("n*/*.blk")} == blocks
-    assert pentagon_store.fsck().is_clean
+    report = pentagon_store.fsck()
+    assert report.missing == report.corrupt == report.fatal_stripes == []
+    assert report.mark.startswith(f"{mark} is {detail}")
     assert pentagon_store.get("kept.bin") == kept.read_bytes()
 
 
-@pytest.mark.parametrize("text", [None, b"12\n", b"%020d\n" % 0, b"%020d\n" % (9 * BS)])
+@pytest.mark.parametrize("text", [None, b"12\n", b"%020d\n" % 0, b"%020d\n" % (9 * BS),
+                                  b"%020d\n\n" % (4 * BS)])
 def test_repair_mends_a_next_offset_mark_that_is_gone_malformed_or_behind(pentagon_store,
                                                                          tmp_path, text):
     """repair sets a mark that is gone, malformed or behind the end of the

@@ -449,6 +449,66 @@ def test_a_block_size_past_the_limit_is_refused_by_name(tmp_path, capsys, where)
     assert not out.exists()
 
 
+def test_put_refuses_a_node_count_past_the_limit_by_name(tmp_path, capsys):
+    """A store.json node count of 2**40 is refused by name before put lists
+    the up nodes, where it used to end in a MemoryError; kill and revive
+    still take it (test_kill_and_revive_read_one_node_state)."""
+    from polycode.blockstore import MAX_NODES
+
+    root, src = tmp_path / "store", tmp_path / "input.bin"
+    src.write_bytes(random.Random(21).randbytes(900))
+    run(capsys, "store", "init", "--root", str(root), "--scheme", "pentagon",
+        "--block-size", "64", "--seed", "1")
+    config = root / "store.json"
+    config.write_text(json.dumps(dict(json.loads(config.read_text()), nodes=2**40)))
+    done = _run_in_limited_process("store", "put", "--root", root, "--file", src)
+    assert (done.returncode, done.stdout) == (1, ""), done.stderr
+    assert done.stderr == (f"error: {config} is malformed: its nodes {2**40} is more than"
+                           f" the {MAX_NODES} a store can have\n")
+    assert sorted(p.name for p in root.glob("*.json")) == ["store.json"]
+    assert not list(root.glob("n*/*.blk"))
+
+
+@pytest.mark.parametrize("argv", [["store", "init", "--scheme", "100000000-rep", "--seed", "1"],
+                                  ["code", "info", "--scheme", "polygon-100000"]])
+def test_a_scheme_too_large_to_lay_out_is_refused_by_name(tmp_path, argv):
+    """A scheme's counts are read from its geometry, which refuses more
+    than MAX_BLOCKS blocks or slots before it lays them out: a polygon of
+    10**5 nodes used to end code info in a MemoryError."""
+    root = ["--root", tmp_path / "s"] if argv[0] == "store" else []
+    done = _run_in_limited_process(*argv, *root)
+    assert done.returncode == 1
+    assert done.stderr == (f"error: {argv[3]} lays out more than {codes.MAX_BLOCKS}"
+                           f" blocks or slots\n")
+
+
+@pytest.mark.parametrize("where", ["manifest", "stripe.json"])
+def test_a_recorded_size_that_cuts_off_data_is_refused_by_name(tmp_path, monkeypatch, capsys,
+                                                                 where):
+    """Every byte past a file's end is zero padding, so a manifest size or
+    a stripe.json original_size that cuts off a nonzero byte is refused by
+    name, and no output is written: a manifest size of 255, of 5,000, used
+    to make get write 255 bytes with exit 0.  A size raised into the
+    padding is not found (README)."""
+    monkeypatch.chdir(tmp_path)
+    Path("f").write_bytes(random.Random(4).randbytes(5000 if where == "manifest" else 900))
+    if where == "manifest":
+        setups = (["store", "init", *_STORE, "--scheme", "pentagon", "--block-size", "64",
+                   "--seed", "1"], ["store", "put", *_STORE, "--file", "f"])
+        target, key, size, argv = Path("s/f.manifest.json"), "size", 255, ["store", *_GET]
+    else:
+        setups = (["code", "encode", "--scheme", "pentagon", "--input", "f", "--out-dir",
+                   "stripe"],)
+        target, key, size, argv = Path("stripe/stripe.json"), "original_size", 450, _DECODE
+    for setup in setups:
+        assert run(capsys, *setup)[0] == 0
+    target.write_text(json.dumps(dict(json.loads(target.read_text()), **{key: size})))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {target} is malformed: its {key} {size} cuts off bytes that are not zero\n"
+    assert not Path("o").exists() and not Path("out").exists()
+
+
 @pytest.mark.parametrize("block_size", ["missing", "x", 0, -100, 100.0, True, None])
 def test_decode_refuses_a_block_size_that_is_not_a_positive_integer(tmp_path, capsys,
                                                                      block_size):
@@ -704,6 +764,35 @@ def test_store_fsck_missing_counts_the_block_files_of_the_killed_nodes(
     assert main(["store", "repair", "--root", str(root)]) == 0
     capsys.readouterr()
     assert run(capsys, "store", "fsck", "--root", str(root))[1].endswith("clean\n")
+
+
+@pytest.mark.parametrize("text", [None, b"12\n", b"%020d\n" % 0])
+def test_fsck_reports_a_next_offset_mark_that_is_gone_malformed_or_behind(tmp_path, monkeypatch,
+                                                                         capsys, text):
+    """fsck compares the mark with the end of the furthest run a manifest
+    names, as repair does: a mark that is gone, malformed or behind it is
+    damage, named on a line of its own, and repair mends it.  A mark set
+    to 0 used to leave fsck clean, and the next put wrote over stored runs."""
+    monkeypatch.chdir(tmp_path)
+    Path("f").write_bytes(random.Random(5).randbytes(3000))  # 6 stripes of 4-block runs
+    for setup in (["store", "init", *_STORE, "--scheme", "pentagon", "--block-size", "64",
+                   "--seed", "1"], ["store", "put", *_STORE, "--file", "f"]):
+        assert run(capsys, *setup)[0] == 0
+    mark = Path("s/next_offset")
+    assert mark.read_bytes() == b"%020d\n" % (6 * 4 * 64)
+    if text is None:
+        mark.unlink()
+    else:
+        mark.write_bytes(text)
+    fault = {None: "is missing",
+             b"12\n": f"is malformed: it needs 20 digits of an offset in 0..{2**62} and a newline",
+             }.get(text, f"is behind the runs, which end at {6 * 4 * 64}")
+    counts = "missing: 0\ncorrupt: 0\nfatal_stripes: 0\n"
+    assert run(capsys, "store", "fsck", *_STORE) == (
+        0, f"{counts}next_offset: {mark} {fault}\ndamaged\n", "")
+    assert run(capsys, "store", "repair", *_STORE)[0] == 0
+    assert mark.read_bytes() == b"%020d\n" % (6 * 4 * 64)
+    assert run(capsys, "store", "fsck", *_STORE) == (0, f"{counts}clean\n", "")
 
 
 def test_store_init_requires_seed(capsys):
@@ -1019,7 +1108,9 @@ _READS_STORE_JSON = (["put", *_STORE, "--file", "f"], _GET, ["kill", *_STORE, "-
     *[("stripe/stripe.json", {"original_size": flag}, _DECODE) for flag in (True, False)],
     *[("s/store.json", edit, ["store", *argv])
       for edit in ({"nodes": True}, {"block_size": True}, {"seed": True}, {"down": [True]})
-      for argv in _READS_STORE_JSON],
+      for argv in _READS_STORE_JSON],    # a manifest whose block size (64 in this store) or scheme is not the store's
+    *[("s/f.manifest.json", edit, ["store", *argv])
+      for edit in ({"block_size": 2048}, {"scheme": "5-rep"}) for argv in _READS_MANIFEST],
 ])
 def test_malformed_metadata_is_an_error_that_names_its_file(tmp_path, monkeypatch, capsys,
                                                               target, text, argv):

@@ -1214,6 +1214,27 @@ def test_only_the_geometry_tells_scheme_classes_apart():
     assert inside > 0 and outside == []
 
 
+def test_no_scheme_class_states_its_own_counts():
+    """A scheme class keeps its parameters, name and checks; its counts
+    come from its geometry, through the one definition the classes share."""
+    counts = {"code_length", "data_block_count", "block_count", "stored_block_count"}
+    classes = {cls.__name__ for cls in codes.Scheme.__args__}
+
+    def names_bound(stmt) -> set[str]:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            return {stmt.name}
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+
+    tree = ast.parse(Path(codes.__file__).read_text())
+    found = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    stated = sorted(f"{node.name}.{name}" for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name in classes
+                    for stmt in node.body for name in names_bound(stmt) & counts)
+    assert len(classes) == 4 and classes <= found
+    assert stated == []
+
+
 def test_every_definition_is_named_again():
     """Each function, method and class that ``src/polycode`` defines, dunder
     names aside, is named at least once more in the package or in

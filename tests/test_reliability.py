@@ -199,7 +199,7 @@ def _profile(scheme, mask):
     if isinstance(scheme, RaidMirror):
         down = [sum((mask >> s) & 1 for s in pair) for pair in geo.placements.values()]
         return (down.count(1), down.count(2))
-    parts = [g.slots for g in geo.groups] or [range(scheme.code_length)]
+    parts = list(geo.groups) or [range(scheme.code_length)]
     if geo.global_slot is not None:
         parts.append((geo.global_slot,))
     return tuple(sum((mask >> s) & 1 for s in part) for part in parts)
