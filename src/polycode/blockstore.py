@@ -90,15 +90,14 @@ from __future__ import annotations
 
 import fcntl
 import json
-import logging
 import os
 import string
+import sys
 import zlib
+from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from pathlib import Path
-from typing import Iterator
 
 from . import codes
 from .codes import (
@@ -106,10 +105,9 @@ from .codes import (
     MissingBlockError,
     Scheme,
     UnrecoverableError,
+    _Record,
     parse_scheme,
 )
-
-log = logging.getLogger(__name__)
 
 MAX_BLOCK_SIZE = 1 << 28  # bytes (256 MiB): a larger block size is refused wherever it is read
 MAX_NODES = 512  # store init makes a directory per node; a read holds a descriptor per node file
@@ -126,27 +124,41 @@ class FatalStripeError(StoreError):
     """A stripe has lost more than the scheme can recover."""
 
 
-@dataclass
-class NodeState:
+def _log(msg: str, *args) -> None:
+    """Log *msg* % *args* at INFO as ``polycode.blockstore``.  Until
+    something has imported ``logging`` no handler can exist to take the
+    record, so a command that has not pays neither the import nor the call."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).info(msg, *args)
+
+
+class NodeState(_Record):
     node_id: int
     status: str  # "up" | "down"
     path: Path
 
 
-@dataclass
-class StripeRecord:
+class StripeRecord(_Record):
     offset: int  # where the stripe's run starts in each of its nodes' files
     node_order: list[int]  # node_order[s] is the node that plays slot s
     crc32: list[str]  # by block id
 
+    def __init__(self, offset: int, node_order: list[int], crc32: list[str]):
+        self.offset, self.node_order, self.crc32 = offset, node_order, crc32
 
-@dataclass
-class StoreManifest:
+
+class StoreManifest(_Record):
     name: str
     size: int
     scheme: str
     block_size: int
     stripes: list[StripeRecord]
+
+    def __init__(self, name: str, size: int, scheme: str, block_size: int,
+                 stripes: list[StripeRecord]):
+        self.name, self.size, self.scheme = name, size, scheme
+        self.block_size, self.stripes = block_size, stripes
 
     @property
     def stripe_count(self) -> int:
@@ -168,7 +180,7 @@ class StoreManifest:
         _require(d, source, file=str, scheme=str, stripes=list)
         block_size = _int_field(d, "block_size", source, 1, MAX_BLOCK_SIZE)
         if store is None:
-            scheme, nodes = parse_scheme(d["scheme"]), None
+            scheme, nodes = _scheme_field(d, source), None
         else:
             scheme, nodes = store.scheme, store.node_count
             for key, value in (("scheme", scheme.name), ("block_size", store.block_size)):
@@ -209,22 +221,23 @@ def _stripe_record(d: dict, k: int, stripe: dict, scheme: Scheme, source: str,
     return StripeRecord(offset, list(order), [c.lower() for c in crcs])
 
 
-@dataclass
-class FsckReport:
+class FsckReport(_Record):
     # missing node files by node id, ascending; corrupt replicas as
     # (file, stripe, block, node)
-    missing: list[int] = field(default_factory=list)
-    corrupt: list[tuple[str, int, int, int]] = field(default_factory=list)
-    fatal_stripes: list[tuple[str, int]] = field(default_factory=list)
-    mark: str = ""  # what is wrong with next_offset, if anything
+    missing: list[int]
+    corrupt: list[tuple[str, int, int, int]]
+    fatal_stripes: list[tuple[str, int]]
+    mark: str  # what is wrong with next_offset, if anything
+
+    def __init__(self):
+        self.missing, self.corrupt, self.fatal_stripes, self.mark = [], [], [], ""
 
     @property
     def is_clean(self) -> bool:
         return not (self.missing or self.corrupt or self.fatal_stripes or self.mark)
 
 
-@dataclass
-class RepairResult:
+class RepairResult(_Record):
     plans_executed: int
     bandwidth_blocks: int
 
@@ -275,6 +288,15 @@ def _is_node_list(order: list, nodes: int | None) -> bool:
     """True for distinct node ids in 0..nodes-1 (any when *nodes* is None)."""
     hi = _UNBOUNDED if nodes is None else nodes - 1
     return all(_is_int(n, 0, hi) for n in order) and len(set(order)) == len(order)
+
+
+def _scheme_field(d: dict, source: str) -> Scheme:
+    """The scheme that ``d["scheme"]``, read from *source*, names, refused by name."""
+    try:
+        return parse_scheme(d["scheme"])
+    except ValueError:
+        raise StoreError(f"{source} is malformed: its scheme {d['scheme']!r}"
+                         f" is not a valid scheme") from None
 
 
 def _require(obj, source: str, **kinds) -> None:
@@ -513,7 +535,7 @@ def read_stripe_dir(directory: str, killed: list[int]) -> Iterator[bytes | memor
         raise StoreError(f"{path} is missing")
     _require(meta, path, scheme=str, blocks=dict)
     block_size = _int_field(meta, "block_size", path, 1, MAX_BLOCK_SIZE)
-    scheme = parse_scheme(meta["scheme"])
+    scheme = _scheme_field(meta, path)
     size = _int_field(meta, "original_size", path, 0, scheme.data_block_count * block_size)
     geo = codes._geometry(scheme)
     entries = [meta["blocks"].get(str(b)) for b in range(scheme.block_count)]
@@ -564,7 +586,7 @@ class BlockStore:
         self.root = Path(root)
         self._root = str(self.root)
         cfg = self._read_config()
-        self.scheme: Scheme = parse_scheme(cfg["scheme"])
+        self.scheme: Scheme = _scheme_field(cfg, f"{self._root}/store.json")
         self.node_count: int = cfg["nodes"]
         self.block_size: int = cfg["block_size"]
         self.seed: int = cfg["seed"]
@@ -792,8 +814,8 @@ class BlockStore:
 
                     def rebuilt(block_id: int, plan, bodies: dict[int, bytes]) -> None:
                         self.degraded_transfers += plan.bandwidth_blocks
-                        log.info("degraded read: %s stripe %d block %d via %d transfers",
-                                 manifest.name, k, block_id, plan.bandwidth_blocks)
+                        _log("degraded read: %s stripe %d block %d via %d transfers",
+                             manifest.name, k, block_id, plan.bandwidth_blocks)
                         _check_rebuilt(bodies, stripe.crc32)
 
                     yield from codes.read_stripe(scheme, replicas, damage, rebuilt)
@@ -916,13 +938,13 @@ class BlockStore:
                                 write(fname, stripe.offset + rank * size, good[block_id])
                     plans += 1
             if self._mark_fault(end):  # a valid mark is never lowered
-                log.info("repair: next_offset is set to %d", end)
+                _log("repair: next_offset is set to %d", end)
                 with _write_file(self._root, whole=True) as write_mark:
                     write_mark(MARK, 0, _mark(end))
             if fatal is not None:
                 raise FatalStripeError(fatal)
 
             # every down node now holds its blocks again
-            log.info("repair: nodes %s are back up", sorted(down))
+            _log("repair: nodes %s are back up", sorted(down))
             self._save_config(set())
             return RepairResult(plans, bandwidth)

@@ -23,17 +23,18 @@ import sys
 from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from . import codes
 from .codes import CodeError, parse_scheme, storage_overhead, tolerance
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     import argparse
 
 # A process runs one command, so each handler imports the modules it needs
 # (blockstore, mapsched, reliability, csv), and argparse is imported
-# only for an argv that the plain-argv path leaves to it.
+# only for an argv that the plain-argv path leaves to it.  No polycode module
+# imports typing, dataclasses or logging, nor fractions or random before use.
 
 REPORT_SCHEMES = ["2-rep", "3-rep", "pentagon", "heptagon", "heptagon-local", "raidm-9", "raidm-11"]
 

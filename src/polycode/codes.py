@@ -51,13 +51,15 @@ stripe with three nodes down.
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass
-from fractions import Fraction
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Mapping
+from operator import attrgetter
 
 from .gf256 import gf_inv, gf_mul, gf_pow, scale_bytes
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class CodeError(Exception):
@@ -84,11 +86,55 @@ class BlockAvailableError(CodeError):
     """Degraded read requested for a block that still has a good copy."""
 
 
+class _Record:
+    """Base of polycode's records.  The fields are the class's annotated
+    names, in order, given by position or keyword; a field the class gives
+    a value defaults to it.  Records are equal when their classes and
+    fields are, so ``Polygon(5) != RaidMirror(5)``.  A class made with
+    ``frozen=True`` refuses assignment, and hashes by class and fields."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = False):
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+        cls._key = attrgetter("__class__", *cls._fields)  # what equality and hash read
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _Record._refuse
+            cls.__hash__ = _Record._hash
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}")
+        kwargs.update(zip(fields, args))
+        for name in fields:  # a field left out with no default is an AttributeError
+            object.__setattr__(self, name, kwargs[name] if name in kwargs else getattr(cls, name))
+        self._check()
+
+    def _check(self) -> None:
+        """Refuse field values out of range; nothing to check by default."""
+
+    def __eq__(self, other):
+        if not isinstance(other, _Record):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def _hash(self) -> int:
+        return hash(self._key(self))
+
+    def _refuse(self, name, *value):
+        raise AttributeError(f"cannot set {name} of a frozen {type(self).__name__}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # Scheme descriptors
 
 
-class _Counts:
+class _Counts(_Record):
     """Every scheme class's counts of slots, data blocks, coded blocks and
     stored replicas, read from its geometry once and kept on the instance."""
 
@@ -99,11 +145,10 @@ class _Counts:
         lambda self: sum(map(len, _geometry(self).placements.values())))
 
 
-@dataclass(frozen=True)
-class Replication(_Counts):
+class Replication(_Counts, frozen=True):
     copies: int = 2
 
-    def __post_init__(self):
+    def _check(self):
         if self.copies < 1:
             raise ValueError("replication factor must be >= 1")
 
@@ -112,13 +157,12 @@ class Replication(_Counts):
         return f"{self.copies}-rep"
 
 
-@dataclass(frozen=True)
-class RaidMirror(_Counts):
+class RaidMirror(_Counts, frozen=True):
     """k data blocks + 1 XOR parity, each of the k+1 blocks mirrored."""
 
     data_blocks: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.data_blocks < 1:
             raise ValueError("need at least one data block")
 
@@ -127,11 +171,10 @@ class RaidMirror(_Counts):
         return f"raidm-{self.data_blocks}"
 
 
-@dataclass(frozen=True)
-class Polygon(_Counts):
+class Polygon(_Counts, frozen=True):
     nodes: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.nodes < 3:
             raise ValueError("polygon codes need at least 3 nodes")
 
@@ -144,8 +187,7 @@ class Polygon(_Counts):
         return f"polygon-{self.nodes}"
 
 
-@dataclass(frozen=True)
-class HeptagonLocal(_Counts):
+class HeptagonLocal(_Counts, frozen=True):
     @property
     def name(self) -> str:
         return "heptagon-local"
@@ -177,11 +219,12 @@ def parse_scheme(text: str) -> Scheme:
 
 def storage_overhead(scheme: Scheme) -> Fraction:
     """Stored blocks per data block, as an exact rational."""
+    from fractions import Fraction  # imported here: most commands need no rationals
+
     return Fraction(scheme.stored_block_count, scheme.data_block_count)
 
 
-@dataclass(frozen=True)
-class BlockRole:
+class BlockRole(_Record, frozen=True):
     kind: str  # "data" | "local_parity" | "global_parity"
     index: int  # data index, local parity group, or global parity index
 
@@ -322,6 +365,8 @@ def build_layout(scheme: Scheme, node_pool: Iterable[int], seed: int) -> tuple[i
         raise ValueError(f"node pool too small: {len(pool)} < {L}")
     if _geometry(scheme).groups:
         return tuple(pool[:L])
+    import random  # imported here: only a replication or RAID+m put draws nodes
+
     return tuple(random.Random(seed).sample(pool, L))
 
 
@@ -672,13 +717,11 @@ def decode_stripe(
 READER_NODE = -1  # destination pseudo-node for degraded reads
 
 
-@dataclass(frozen=True)
-class WholeCopy:
+class WholeCopy(_Record, frozen=True):
     block_id: int
 
 
-@dataclass(frozen=True)
-class PartialParity:
+class PartialParity(_Record, frozen=True):
     """GF-linear combination computed at the source node.
 
     ``terms`` holds (block id, coefficient) pairs; coefficient 1 on every
@@ -688,16 +731,14 @@ class PartialParity:
     terms: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(_Record, frozen=True):
     src: int
     dst: int
     payload: WholeCopy | PartialParity
     delivers: bool = False  # True: this copy re-materializes the block at dst
 
 
-@dataclass(frozen=True)
-class Recovery:
+class Recovery(_Record, frozen=True):
     """A lost block expressed as a GF-linear combination of transfer payloads."""
 
     block_id: int
@@ -708,8 +749,7 @@ class Recovery:
         return max(i for i, _ in self.terms)
 
 
-@dataclass(frozen=True)
-class RepairPlan:
+class RepairPlan(_Record, frozen=True):
     """Transfers, recoveries and their GF(2^8)-linear map: ``sources``, the
     blocks the accessor serves in first-need order, and ``returns``, each
     returned block's form (source block -> coefficient), None for a block

@@ -50,20 +50,18 @@ from __future__ import annotations
 import random
 import zlib
 from collections import deque
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import ceil, log
 from statistics import mean, pstdev
 
-from .codes import Scheme, _geometry, parse_scheme
+from .codes import Scheme, _Record, _geometry, parse_scheme
 
 
 class OverloadError(Exception):
     """More tasks than map slots; size waves before scheduling."""
 
 
-@dataclass(frozen=True)
-class ClusterModel:
+class ClusterModel(_Record, frozen=True):
     node_count: int
     slots_per_node: int
     catalog: dict[int, tuple[int, ...]]  # block id -> hosting nodes, ascending
@@ -73,8 +71,7 @@ class ClusterModel:
         return self.node_count * self.slots_per_node
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(_Record, frozen=True):
     node_of: tuple[int, ...]
     local: tuple[bool, ...]
 

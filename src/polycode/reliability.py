@@ -50,21 +50,19 @@ import math
 import os
 import random
 import statistics
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import Scheme, _geometry, is_recoverable_mask
+from .codes import Scheme, _Record, _geometry, is_recoverable_mask
 
 HOURS_PER_YEAR = 8760.0
 
 
-@dataclass(frozen=True)
-class FailureModel:
+class FailureModel(_Record, frozen=True):
     fail_rate: float  # per-node failures per hour
     repair_rate: float  # per-failed-node repairs per hour
     repair_mode: str = "parallel"  # "parallel" | "serial"
 
-    def __post_init__(self):
+    def _check(self):
         if not (0 < self.fail_rate < math.inf and 0 < self.repair_rate < math.inf):
             raise ValueError("rates must be positive and finite")
         if self.repair_mode not in ("parallel", "serial"):
@@ -93,8 +91,7 @@ STRESS_MODEL = FailureModel.from_mttf_mttr(100.0, 10.0)
 LOSS = None  # transition target marking the absorbing data-loss state
 
 
-@dataclass(frozen=True)
-class MarkovChain:
+class MarkovChain(_Record, frozen=True):
     """Absorbing chain over a scheme's survivable failure profiles.
 
     ``states[0]`` is the all-up state; ``transitions[i]`` lists
@@ -316,8 +313,7 @@ def _run_trials(scheme: Scheme, model: FailureModel, seed: int, start: int, coun
     return [trial(_trial_rng(seed, start + i)) for i in range(count)]
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
+class MonteCarloResult(_Record, frozen=True):
     mean_hours: float
     ci_low: float
     ci_high: float

@@ -1410,6 +1410,14 @@ def test_manifest_round_trips_through_its_dict(tmp_path, scheme):
         assert store.load_manifest(manifest.name) == manifest
 
 
+def test_a_manifest_read_without_a_store_refuses_a_scheme_by_its_name():
+    """Read without its store, a manifest's scheme is its own, so one that
+    names no scheme is refused by the manifest's name."""
+    d = {"file": "f", "size": 0, "scheme": "bogus", "block_size": 16, "stripes": []}
+    with pytest.raises(StoreError, match="^m is malformed: its scheme 'bogus' is not a valid"):
+        blockstore.StoreManifest.from_dict(d, "m")
+
+
 @pytest.mark.parametrize("name", sorted({*cli.REPORT_SCHEMES, "raidm-3", "2-rep"}))
 def test_slot_ranks_give_each_replica_one_offset(name):
     """A node file holds its slot's blocks in ``blocks_on`` order, so the

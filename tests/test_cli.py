@@ -636,14 +636,20 @@ def test_cli_uses_no_private_name_of_blockstore():
 # modules that only some commands need, so that cli imports none of them itself
 LAZY = ("polycode.blockstore", "polycode.mapsched", "polycode.reliability", "logging",
         "argparse", "csv", "json", "concurrent.futures.process")
+# standard modules that no store command needs: records are plain classes,
+# annotations need no typing, and only the simulators use rationals
+UNUSED = ("dataclasses", "inspect", "typing", "fractions", "decimal")
+WATCHED = LAZY + UNUSED
 
 
 def _in_fresh_process(*argvs, cwd=None):
-    """Import polycode.cli in a new interpreter and run each argv through
-    main: (exit codes, the LAZY modules loaded since start-up, stderr)."""
+    """Import polycode.cli in a new interpreter, with no site module, so
+    that no .pth file of the environment loads a module first, and run each
+    argv through main: (exit codes, the WATCHED modules loaded since
+    start-up, stderr)."""
     probe = "\n".join([
         "import sys",
-        f"before = {{m for m in {LAZY!r} if m in sys.modules}}",
+        f"before = {{m for m in {WATCHED!r} if m in sys.modules}}",
         "from polycode import cli",
         "def run(argv):",
         "    try:",
@@ -651,10 +657,10 @@ def _in_fresh_process(*argvs, cwd=None):
         "    except SystemExit as exc:  # --help",
         "        return exc.code",
         f"codes = [run(argv) for argv in {[list(a) for a in argvs]!r}]",
-        f"print(repr((codes, sorted(set({LAZY!r}) & set(sys.modules) - before))))",
+        f"print(repr((codes, sorted(set({WATCHED!r}) & set(sys.modules) - before))))",
     ])
     env = dict(os.environ, PYTHONPATH=str(Path(polycode.__file__).parent.parent))
-    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd,
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, cwd=cwd,
                           capture_output=True, text=True, check=True)
     codes, loaded = ast.literal_eval(done.stdout.splitlines()[-1])
     return codes, set(loaded), done.stderr
@@ -667,13 +673,15 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 @pytest.mark.parametrize("argvs, unloaded", [
     ([["sim", "reliability", "--scheme", "pentagon", "--mttf-hours", "100", "--mttr-hours",
        "10", "--trials", "100", "--seed", "1"]],
-     {"polycode.blockstore", "polycode.mapsched", "logging", "argparse"}),
+     {"polycode.blockstore", "polycode.mapsched", "logging", "argparse", "dataclasses",
+      "inspect"}),
     ([["sim", "locality", "--scheme", "pentagon", "--reps", "1", "--seed", "1"]],
-     {"polycode.blockstore", "polycode.reliability", "logging", "argparse"}),
+     {"polycode.blockstore", "polycode.reliability", "logging", "argparse", "dataclasses",
+      "inspect"}),
     ([["store", "init", "--root", "s", "--scheme", "pentagon", "--seed", "1"],
       ["store", "fsck", "--root", "s"]],
-     {"polycode.mapsched", "polycode.reliability", "argparse", "csv"}),
-    ([["code", "info", "--scheme", "pentagon"]], set(LAZY)),
+     {"polycode.mapsched", "polycode.reliability", "argparse", "csv", "logging", *UNUSED}),
+    ([["code", "info", "--scheme", "pentagon"]], set(LAZY) | {"dataclasses", "inspect", "typing"}),
     ([["--help"]], set(LAZY) - {"argparse"}),
     ([["--config", "info.cfg", "code", "info"]], set(LAZY) - {"argparse"}),
 ], ids=["sim-reliability", "sim-locality", "store-fsck", "code-info", "help", "config"])
@@ -1111,6 +1119,9 @@ _READS_STORE_JSON = (["put", *_STORE, "--file", "f"], _GET, ["kill", *_STORE, "-
       for argv in _READS_STORE_JSON],    # a manifest whose block size (64 in this store) or scheme is not the store's
     *[("s/f.manifest.json", edit, ["store", *argv])
       for edit in ({"block_size": 2048}, {"scheme": "5-rep"}) for argv in _READS_MANIFEST],
+    # a scheme that names none
+    *[("s/store.json", {"scheme": "bogus"}, ["store", *argv]) for argv in _READS_STORE_JSON],
+    ("stripe/stripe.json", {"scheme": "bogus"}, _DECODE),
 ])
 def test_malformed_metadata_is_an_error_that_names_its_file(tmp_path, monkeypatch, capsys,
                                                               target, text, argv):
@@ -1120,8 +1131,8 @@ def test_malformed_metadata_is_an_error_that_names_its_file(tmp_path, monkeypatc
     stripe.json's block 3 (edge (0, 4)), of the wrong length, naming node
     1 as a second slot or a second node for slot 0, or the node_order of
     the manifest's stripe, which repeats a node or names one outside the
-    store; a dict: top-level fields set to a bool, or a down list that
-    holds one.  Nothing is written."""
+    store; a dict: top-level fields set to a bool, a down list that holds
+    one, or a scheme that names none.  Nothing is written."""
     monkeypatch.chdir(tmp_path)
     Path("f").write_bytes(random.Random(3).randbytes(300))
     setups = (

@@ -118,6 +118,20 @@ def test_parse_scheme_roundtrip():
         parse_scheme("nonagon")
 
 
+def test_schemes_and_plans_compare_by_class_and_stay_as_cached():
+    """Schemes key the geometry, parse and plan caches, so two schemes of
+    different classes with equal fields differ, and neither a scheme nor a
+    cached plan can be changed in place."""
+    assert Polygon(5) != RaidMirror(5) and geometry(Polygon(5)) is not geometry(RaidMirror(5))
+    assert parse_scheme("pentagon") == Polygon(5)
+    assert hash(parse_scheme("pentagon")) == hash(Polygon(5))
+    plan = plan_repair(Polygon(5), [0])
+    assert plan is plan_repair(Polygon(5), [0])
+    for record, field in ((Polygon(5), "nodes"), (plan, "transfers"), (plan.transfers[0], "src")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
 def test_scheme_validation():
     with pytest.raises(ValueError):
         Polygon(2)
