@@ -63,11 +63,11 @@ the same ``_StripeReader`` as a node file's runs.
 
 This module owns every metadata file: ``store.json``, ``next_offset``, the
 manifests and ``stripe.json`` (``write_stripe_dir``, ``read_stripe_dir``).
-Each field is refused by name, ``<file> is malformed``, where it is parsed;
-an integer, and each entry of an integer list, is an ``int`` in its stated
-range and never a ``bool`` (``_is_int``).  Every byte past a file's end is
-zero padding, so a read refuses a recorded size that cuts off a nonzero
-byte (``head``).  ``_write_json`` writes to a temp
+A JSON file is read against the table of its fields (``_STORE_JSON``,
+``BlockStore._manifest_table``, ``_STRIPE_JSON``) and refused at its first
+bad one as ``<path> is malformed: its <field> <what is wrong>``.  Every byte
+past a file's end is zero padding, so a read refuses a recorded size that
+cuts off a nonzero byte (``head``).  ``_write_json`` writes to a temp
 file renamed over its target, compact (so ``json`` uses its C encoder) but
 ``stripe.json`` indented.  The commit points are ``store.json`` for
 ``create``, the manifest for ``put``, and the last ``store.json`` write for
@@ -97,6 +97,7 @@ import zlib
 from collections.abc import Iterator
 from contextlib import contextmanager
 from functools import cache, cached_property
+from itertools import repeat
 from pathlib import Path
 
 from . import codes
@@ -171,54 +172,20 @@ class StoreManifest(_Record):
                             for s in self.stripes]}
 
     @classmethod
-    def from_dict(cls, d: dict, source: str = "manifest",
-                  store: BlockStore | None = None) -> "StoreManifest":
-        """The manifest *d*, read from *source*.  Given the *store* that
-        holds it, its scheme and block size must be the store's, and a
-        stripe record that names a node outside the store is refused too;
-        else its scheme is its own."""
-        _require(d, source, file=str, scheme=str, stripes=list)
-        block_size = _int_field(d, "block_size", source, 1, MAX_BLOCK_SIZE)
-        if store is None:
-            scheme, nodes = _scheme_field(d, source), None
-        else:
-            scheme, nodes = store.scheme, store.node_count
-            for key, value in (("scheme", scheme.name), ("block_size", store.block_size)):
-                if d[key] != value:
-                    raise StoreError(f"{source} is malformed: its {key} {d[key]!r}"
-                                     f" is not the store's, {value!r}")
-        stripes = [_stripe_record(d, k, s, scheme, source, nodes)
-                   for k, s in enumerate(d["stripes"])]
-        size = _int_field(d, "size", source, 0,  # what its stripes' data blocks hold
-                          len(stripes) * scheme.data_block_count * block_size)
-        return cls(d["file"], size, d["scheme"], block_size, stripes)
-
-
-def _stripe_record(d: dict, k: int, stripe: dict, scheme: Scheme, source: str,
-                   nodes: int | None) -> StripeRecord:
-    """A manifest's stripe record *k*, refused unless it has an offset, a
-    node per slot and a CRC per block, and its nodes are distinct nodes of
-    the store (two slots on one node would write over each other's run).
-    A record of the per-stripe layout, with an index for its offset, is
-    refused by name."""
-    if isinstance(stripe, dict) and "index" in stripe and "offset" not in stripe:
-        raise StoreError(f"{source} is in the per-stripe layout (n<k>/<name>.s<i>.blk),"
-                         f" which this store does not read")
-    _require(stripe, f"{d['file']} stripe record", node_order=list)
-    order, crcs, offset = stripe["node_order"], stripe.get("crc32"), stripe.get("offset")
-    if (len(order) != scheme.code_length or not isinstance(crcs, list)
-            or len(crcs) != scheme.block_count):
-        raise StoreError(f"{d['file']} stripe {k} disagrees with the {scheme.name} layout")
-    if not _is_int(offset, 0, MAX_OFFSET):
-        raise StoreError(f"{source} is malformed: stripe {k} has an offset that is not"
-                         f" an integer in 0..{MAX_OFFSET}")
-    if not _is_node_list(order, nodes):
-        raise StoreError(f"{source} is malformed: stripe {k} node_order {order}"
-                         f" repeats a node or names one outside the store")
-    if not all(map(is_crc, crcs)):
-        raise StoreError(f"{source} is malformed: stripe {k} has a crc32"
-                         f" that is not 8 hex characters")
-    return StripeRecord(offset, list(order), [c.lower() for c in crcs])
+    def from_dict(cls, d: dict, source: str, store: BlockStore) -> "StoreManifest":
+        """The manifest *d*, read from *source* in *store*; one in the per-stripe
+        layout, whose stripe records have an index for an offset, is refused by name."""
+        try:
+            _check(source, _fault(d, store._manifest_table))
+        except StoreError:
+            if type(d) is dict and type(records := d.get("stripes")) is list and any(
+                    type(s) is dict and "index" in s and "offset" not in s for s in records):
+                raise StoreError(f"{source} is in the per-stripe layout (n<k>/<name>.s<i>.blk),"
+                                 f" which this store does not read") from None
+            raise
+        stripes = [StripeRecord(s["offset"], list(s["node_order"]),
+                                list(map(str.lower, s["crc32"]))) for s in d["stripes"]]
+        return cls(d["file"], d["size"], d["scheme"], d["block_size"], stripes)
 
 
 class FsckReport(_Record):
@@ -247,11 +214,7 @@ def _crc(data: bytes) -> str:
 
 
 _HEX = frozenset(string.hexdigits)
-
-
-def is_crc(value) -> bool:
-    """True for a recorded CRC32: 8 hex characters, which ``_crc`` gives in lower case."""
-    return isinstance(value, str) and len(value) == 8 and _HEX.issuperset(value)
+_UNBOUNDED = float("inf")
 
 
 def _read_json(path: str) -> dict | None:
@@ -266,43 +229,78 @@ def _read_json(path: str) -> dict | None:
         raise StoreError(f"{path} is malformed: it is not JSON: {exc}") from None
 
 
-_UNBOUNDED = float("inf")
+# -- metadata files: a table of (field, kind) per JSON object, in read order -
 
 
-def _is_int(value, lo=-_UNBOUNDED, hi=_UNBOUNDED) -> bool:
-    """The one integer rule of every metadata file: an int in lo..hi, and
-    not a bool, which Python counts as an int."""
-    return type(value) is int and lo <= value <= hi
+def _check(path: str, what: str | None) -> None:
+    """Refuse the file at *path* for *what*, if any, a fault in ``_fault``'s words."""
+    if what is not None:
+        raise StoreError(f"{path} is malformed: it{'s ' + what[1:] if what[0] == '.' else what}")
 
 
-def _int_field(d: dict, key: str, source: str, lo=-_UNBOUNDED, hi=_UNBOUNDED) -> int:
-    """``d[key]``, read from *source*, refused by name unless ``_is_int``."""
-    value = d.get(key)
-    if not _is_int(value, lo, hi):
-        what = f"is outside {lo}..{hi}" if _is_int(value) else "is not an integer"
-        raise StoreError(f"{source} is malformed: its {key} {what}")
-    return value
+def _fault(obj, table: dict) -> str | None:
+    """*obj*'s first fault by *table*, as '.<field> <words>', or None: a kind takes
+    a field's value and *obj*, whose earlier fields are good, and returns its words."""
+    if type(obj) is not dict:
+        return " is not an object"
+    for name, kind in table.items():
+        what = kind(obj.get(name), obj)
+        if what is not None:  # no kind takes a field that is missing
+            return f".{name}{what if name in obj else ' is missing'}"
 
 
-def _is_node_list(order: list, nodes: int | None) -> bool:
-    """True for distinct node ids in 0..nodes-1 (any when *nodes* is None)."""
-    hi = _UNBOUNDED if nodes is None else nodes - 1
-    return all(_is_int(n, 0, hi) for n in order) and len(set(order)) == len(order)
+def _int(lo, hi=_UNBOUNDED):
+    """An int in lo..hi, never a bool; *hi* may be a function of the object."""
+    def fault(v, obj):
+        top = hi(obj) if callable(hi) else hi
+        if not (type(v) is int and lo <= v <= top):
+            return f" is not an integer in {lo}..{top}"
+    return fault
 
 
-def _scheme_field(d: dict, source: str) -> Scheme:
-    """The scheme that ``d["scheme"]``, read from *source*, names, refused by name."""
+def _list(item, length=None, distinct=False):
+    """A list of *item*s (kinds or tables): *length* of them, no two alike when *distinct*."""
+    kind = item if callable(item) else lambda v, _: _fault(v, item)
+
+    def fault(v, obj):
+        if type(v) is not list:
+            return " is not a list"
+        if length is not None and len(v) != length:
+            return f" has {len(v)} entries, not {length}"
+        if any(map(kind, v, repeat(obj))):  # then find the first fault
+            return next(f"[{i}]{w}" for i, w in enumerate(map(kind, v, repeat(obj))) if w)
+        if distinct and len(set(v)) < len(v):
+            return f"[{next(i for i, x in enumerate(v) if x in v[:i])}] repeats one before it"
+    return fault
+
+
+def _scheme(v, obj):
     try:
-        return parse_scheme(d["scheme"])
+        parse_scheme(v if type(v) is str else "")  # "" names no scheme
     except ValueError:
-        raise StoreError(f"{source} is malformed: its scheme {d['scheme']!r}"
-                         f" is not a valid scheme") from None
+        return f" {v!r} is not a valid scheme"
 
 
-def _require(obj, source: str, **kinds) -> None:
-    """Refuse *obj*, read from *source*, unless it maps each key of *kinds* to its type."""
-    if not (isinstance(obj, dict) and all(isinstance(obj.get(k), t) for k, t in kinds.items())):
-        raise StoreError(f"{source} is malformed: it needs {', '.join(kinds)}")
+def _crc32(v, obj):  # as ``_crc`` gives it, in lower case or upper
+    return None if type(v) is str and len(v) == 8 and _HEX.issuperset(v) else " is not 8 hex digits"
+
+
+def _blocks(blocks, meta):  # stripe.json's: a _BLOCK per block id, as a string
+    n = parse_scheme(meta["scheme"]).block_count
+    if type(blocks) is not dict or len(blocks) != n:
+        return f" is not an object of {n} entries"
+    return _list(_BLOCK)([blocks.get(str(b)) for b in range(n)], meta)
+
+
+_STORE_JSON = dict(scheme=_scheme, nodes=_int(1), block_size=_int(1, MAX_BLOCK_SIZE),
+                   seed=_int(-_UNBOUNDED), down=_list(_int(0, lambda cfg: cfg["nodes"] - 1)))
+_BLOCK = dict(
+    file=lambda v, _: None if type(v) is str and _valid_name(v) else " is not a file name",
+    crc32=_crc32, nodes=_list(_int(0)))
+_STRIPE_JSON = dict(
+    scheme=_scheme, block_size=_int(1, MAX_BLOCK_SIZE),
+    original_size=_int(0, lambda m: parse_scheme(m["scheme"]).data_block_count * m["block_size"]),
+    blocks=_blocks)
 
 
 def _write_json(path: Path | str, obj: dict, **style) -> None:
@@ -533,24 +531,17 @@ def read_stripe_dir(directory: str, killed: list[int]) -> Iterator[bytes | memor
     meta = _read_json(path)
     if meta is None:
         raise StoreError(f"{path} is missing")
-    _require(meta, path, scheme=str, blocks=dict)
-    block_size = _int_field(meta, "block_size", path, 1, MAX_BLOCK_SIZE)
-    scheme = _scheme_field(meta, path)
-    size = _int_field(meta, "original_size", path, 0, scheme.data_block_count * block_size)
-    geo = codes._geometry(scheme)
-    entries = [meta["blocks"].get(str(b)) for b in range(scheme.block_count)]
-    order: dict[int, int] = {}  # slot -> the node that plays it, from each block's hosts
-    if len(meta["blocks"]) != len(entries) or not all(  # one entry per block, in *directory*
-            isinstance(info, dict) and isinstance(info.get("file"), str)
-            and _valid_name(info["file"]) and is_crc(info.get("crc32"))
-            and isinstance(info.get("nodes"), list) and len(info["nodes"]) == len(geo.placements[b])
-            and all(_is_int(n) and order.setdefault(s, n) == n
-                    for n, s in zip(info["nodes"], geo.placements[b]))
-            for b, info in enumerate(entries)):
-        raise StoreError(f"{path} is malformed")
-    nodes = [order.get(s) for s in range(scheme.code_length)]
-    if not _is_node_list(nodes, None):
-        raise StoreError(f"{path} is malformed")
+    _check(path, _fault(meta, _STRIPE_JSON))
+    block_size, scheme = meta["block_size"], parse_scheme(meta["scheme"])
+    size, geo = meta["original_size"], codes._geometry(scheme)
+    entries = [meta["blocks"][str(b)] for b in range(scheme.block_count)]
+    order, slot = {}, {}  # each slot's node, as every block on it names it, and back
+    for b, slots in geo.placements.items():
+        hosts = entries[b]["nodes"]
+        if len(hosts) != len(slots) or any(order.setdefault(s, n) != n or slot.setdefault(n, s) != s
+                                           for n, s in zip(hosts, slots)):
+            _check(path, f".blocks[{b}].nodes {hosts} disagree with the others on slots {slots}")
+    nodes = [order[s] for s in range(scheme.code_length)]
     for node in killed:
         if node not in nodes:
             raise StoreError(f"node {node} holds no block of the stripe")
@@ -586,7 +577,7 @@ class BlockStore:
         self.root = Path(root)
         self._root = str(self.root)
         cfg = self._read_config()
-        self.scheme: Scheme = _scheme_field(cfg, f"{self._root}/store.json")
+        self.scheme: Scheme = parse_scheme(cfg["scheme"])
         self.node_count: int = cfg["nodes"]
         self.block_size: int = cfg["block_size"]
         self.seed: int = cfg["seed"]
@@ -597,6 +588,20 @@ class BlockStore:
     _geo = cached_property(lambda self: codes._geometry(self.scheme))
     _run = cached_property(
         lambda self: self.block_size * max(map(len, self._geo.blocks_on.values())))
+
+    @cached_property
+    def _manifest_table(self) -> dict:
+        """A manifest's fields: the store's scheme, block size and nodes."""
+        scheme, name, size = self.scheme, self.scheme.name, self.block_size
+        return dict(
+            file=lambda v, _: None if type(v) is str else " is not a string",
+            scheme=lambda v, _: None if v == name else f" {v!r} is not the store's, {name!r}",
+            block_size=_int(size, size),
+            stripes=_list(dict(offset=_int(0, MAX_OFFSET),
+                               node_order=_list(_int(0, self.node_count - 1), scheme.code_length,
+                                                distinct=True),
+                               crc32=_list(_crc32, scheme.block_count))),
+            size=_int(0, lambda m: len(m["stripes"]) * scheme.data_block_count * size))
 
     @classmethod
     def create(
@@ -632,13 +637,7 @@ class BlockStore:
         cfg = _read_json(path)
         if cfg is None:
             raise StoreError(f"no store at {self.root}")
-        _require(cfg, path, scheme=str, down=list)
-        nodes = _int_field(cfg, "nodes", path, 1)
-        _int_field(cfg, "block_size", path, 1, MAX_BLOCK_SIZE)
-        _int_field(cfg, "seed", path)
-        if not all(_is_int(n, 0, nodes - 1) for n in cfg["down"]):
-            raise StoreError(f"{path} is malformed: its down list holds a value"
-                             f" that is not a node of the store")
+        _check(path, _fault(cfg, _STORE_JSON))
         return cfg
 
     def _save_config(self, down: set[int]) -> None:

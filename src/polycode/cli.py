@@ -21,7 +21,6 @@ import os
 import stat
 import sys
 from functools import cache
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import codes
@@ -30,9 +29,10 @@ from .codes import CodeError, parse_scheme, storage_overhead, tolerance
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     import argparse
+    from pathlib import Path
 
 # A process runs one command, so each handler imports the modules it needs
-# (blockstore, mapsched, reliability, csv), and argparse is imported
+# (blockstore, mapsched, reliability, csv, pathlib), and argparse is imported
 # only for an argv that the plain-argv path leaves to it.  No polycode module
 # imports typing, dataclasses or logging, nor fractions or random before use.
 
@@ -77,7 +77,8 @@ def emit_report(rows: list[dict], path: str | Path | None, fieldnames: list[str]
     if path is None or str(path) == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_bytes(text.encode())
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
     return text
 
 
@@ -265,6 +266,8 @@ def _expand_config(argv: list[str]) -> list[str]:
         raise UsageError("--config requires a recognizable subcommand")
     options = {flag[2:].replace("-", "_"): (flag, kwargs) for flag, kwargs in COMMANDS[key]}
     pairs, unknown = [], set()
+    from pathlib import Path
+
     for path in map(Path, paths):
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
@@ -393,6 +396,8 @@ def _cmd_code_info(args) -> int:
 
 
 def _cmd_code_encode(args) -> int:
+    from pathlib import Path
+
     from .blockstore import MAX_BLOCK_SIZE, write_stripe_dir
 
     scheme = parse_scheme(args.scheme)

@@ -328,6 +328,26 @@ def test_block_files_are_opened_and_removed_by_three_helpers_only():
     }
 
 
+def test_a_metadata_refusal_is_worded_in_one_place():
+    """The words ``is malformed`` are written only by the checker of the
+    JSON files' tables, the JSON reader, ``head``'s recorded-size check,
+    ``next_offset``'s reader and ``put``'s node bound: a field checked
+    anywhere else would word its own refusal, and fails here."""
+    tree = ast.parse(Path(blockstore.__file__).read_text())
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and ast.get_docstring(node) is not None}
+
+    def literals(node) -> int:
+        return sum(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                   and "is malformed" in n.value and id(n) not in docs for n in ast.walk(node))
+
+    where = {fn.name: literals(fn) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    where = {name: count for name, count in where.items() if count}
+    assert set(where) == {"_check", "_read_json", "head", "_next_offset", "put"}
+    assert sum(where.values()) == literals(tree)  # none outside a function
+
+
 def test_the_store_rebuilds_blocks_only_through_plans():
     """The store calls into ``codes`` only for the geometry, encoding, the
     repair planner, whose refusal is also fsck's verdict, plan execution,
@@ -496,11 +516,11 @@ def test_an_offset_that_is_not_a_non_negative_integer_is_refused_by_name(pentago
     else:
         raw["stripes"][0]["offset"] = offset
     path.write_text(json.dumps(raw))
-    message = (f"^{re.escape(str(path))} is malformed: stripe 0 has an offset that is not an"
-               f" integer in 0..{2**62}$")
+    what = "is missing" if offset == "gone" else f"is not an integer in 0..{2**62}"
+    message = f"{path} is malformed: its stripes[0].offset {what}"
     for command in (lambda: pentagon_store.get("data.bin"), pentagon_store.fsck,
                     pentagon_store.repair):
-        with pytest.raises(StoreError, match=message):
+        with pytest.raises(StoreError, match=f"^{re.escape(message)}$"):
             command()
 
 
@@ -1361,8 +1381,12 @@ def test_old_format_store_json_opens(tmp_path):
     assert store.fsck().is_clean
 
 
-@pytest.mark.parametrize("change", ["block", "node_order", "crc32"])
-def test_stripe_records_that_do_not_fit_the_layout_are_refused(tmp_path, change):
+@pytest.mark.parametrize("change,what", [
+    ("block", "crc32 is missing"),
+    ("node_order", "node_order has 7 entries, not 8"),
+    ("crc32", "crc32 has 3 entries, not 4"),
+], ids=["block", "node_order", "crc32"])
+def test_stripe_records_that_do_not_fit_the_layout_are_refused(tmp_path, change, what):
     store = BlockStore.create(tmp_path / "s", RaidMirror(3), nodes=10, block_size=8, seed=7)
     src = tmp_path / "f.bin"
     src.write_bytes(bytes(range(40)))
@@ -1374,11 +1398,12 @@ def test_stripe_records_that_do_not_fit_the_layout_are_refused(tmp_path, change)
         stripe["node_order"].pop()
     else:
         stripe["crc32"].pop()
-    (store.root / "f.bin.manifest.json").write_text(json.dumps(raw))
-    message = r"^f\.bin stripe 1 disagrees with the raidm-3 layout$"
+    path = store.root / "f.bin.manifest.json"
+    path.write_text(json.dumps(raw))
+    message = f"{path} is malformed: its stripes[1].{what}"
     for read in (lambda: store.load_manifest("f.bin"), lambda: store.get("f.bin"),
                  store.fsck, store.repair):
-        with pytest.raises(StoreError, match=message):
+        with pytest.raises(StoreError, match=f"^{re.escape(message)}$"):
             read()
 
 
@@ -1393,10 +1418,9 @@ def test_a_crc_that_is_not_8_hex_characters_is_refused_by_name(tmp_path, crc):
     assert store.fsck().is_clean and store.get("data.bin") == src.read_bytes()
     crcs[4] = crc
     path.write_text(json.dumps(raw))
-    message = (f"^{re.escape(str(path))} is malformed: stripe 0 has a crc32"
-               f" that is not 8 hex characters$")
+    message = f"{path} is malformed: its stripes[0].crc32[4] is not 8 hex digits"
     for read in (lambda: store.get("data.bin"), store.fsck, store.repair):
-        with pytest.raises(StoreError, match=message):
+        with pytest.raises(StoreError, match=f"^{re.escape(message)}$"):
             read()
 
 
@@ -1406,16 +1430,8 @@ def test_manifest_round_trips_through_its_dict(tmp_path, scheme):
                               block_size=16, seed=5)
     for i, size in enumerate([0, 1, 3 * scheme.data_block_count * 16 - 5]):
         manifest = store.put(write_file(tmp_path, size, seed=i, name=f"f{i}.bin"))
-        assert blockstore.StoreManifest.from_dict(manifest.to_dict()) == manifest
+        assert blockstore.StoreManifest.from_dict(manifest.to_dict(), "m", store) == manifest
         assert store.load_manifest(manifest.name) == manifest
-
-
-def test_a_manifest_read_without_a_store_refuses_a_scheme_by_its_name():
-    """Read without its store, a manifest's scheme is its own, so one that
-    names no scheme is refused by the manifest's name."""
-    d = {"file": "f", "size": 0, "scheme": "bogus", "block_size": 16, "stripes": []}
-    with pytest.raises(StoreError, match="^m is malformed: its scheme 'bogus' is not a valid"):
-        blockstore.StoreManifest.from_dict(d, "m")
 
 
 @pytest.mark.parametrize("name", sorted({*cli.REPORT_SCHEMES, "raidm-3", "2-rep"}))

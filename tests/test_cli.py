@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import shutil
 import stat
 import subprocess
 import sys
@@ -224,7 +225,9 @@ def test_decode_refuses_a_crc_that_is_not_8_hex_characters_by_name(tmp_path, cap
     meta["blocks"]["0"]["crc32"] = crc
     (stripe / "stripe.json").write_text(json.dumps(meta))
     code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (1, "", f"error: {stripe / 'stripe.json'} is malformed\n")
+    assert (code, out) == (1, "")
+    assert err == (f"error: {stripe / 'stripe.json'} is malformed: its blocks[0].crc32 is not 8"
+                   f" hex digits\n")
     assert not out_file.exists()
 
 
@@ -389,7 +392,10 @@ def test_decode_refuses_a_block_entry_that_leaves_its_directory(tmp_path, capsys
     out_file = tmp_path / "out.bin"
     code, out, err = run(capsys, "code", "decode", "--in-dir", str(stripe),
                          "--output", str(out_file))
-    assert (code, out, err) == (1, "", f"error: {stripe / 'stripe.json'} is malformed\n")
+    what = ("blocks is not an object of 10 entries" if edit is None
+            else "blocks[3].file is not a file name")
+    assert (code, out) == (1, "")
+    assert err == f"error: {stripe / 'stripe.json'} is malformed: its {what}\n"
     assert not out_file.exists()
 
 
@@ -420,11 +426,11 @@ def test_a_block_size_past_the_limit_is_refused_by_name(tmp_path, capsys, where)
     if where == "store init":
         argv = ["store", "init", "--root", root, "--scheme", "pentagon",
                 "--block-size", huge, "--seed", 1]
-        named = f"error: block_size {huge}"
+        named = f"error: block_size {huge} is outside 1..{MAX_BLOCK_SIZE}"
     elif where == "code encode":
         argv = ["code", "encode", "--scheme", "pentagon", "--input", src, "--out-dir", stripe,
                 "--block-size", huge]
-        named = f"usage error: --block-size {huge}"
+        named = f"usage error: --block-size {huge} is outside 1..{MAX_BLOCK_SIZE}"
     elif where == "stripe.json":
         run(capsys, "code", "encode", "--scheme", "pentagon", "--input", str(src),
             "--out-dir", str(stripe))
@@ -440,12 +446,13 @@ def test_a_block_size_past_the_limit_is_refused_by_name(tmp_path, capsys, where)
         else:
             meta = root / "f.manifest.json"
             argv = ["store", "get", "--root", root, "--name", "f", "--output", out]
-    if meta is not None:
+    if meta is not None:  # a manifest's block size is the store's, 64
         meta.write_text(json.dumps(dict(json.loads(meta.read_text()), block_size=huge)))
-        named = f"error: {meta} is malformed: its block_size"
+        bounds = "64..64" if where == "manifest" else f"1..{MAX_BLOCK_SIZE}"
+        named = f"error: {meta} is malformed: its block_size is not an integer in {bounds}"
     done = _run_in_limited_process(*argv)
     assert done.returncode in (1, 2) and done.stdout == "", done.stderr
-    assert done.stderr == f"{named} is outside 1..{MAX_BLOCK_SIZE}\n"
+    assert done.stderr == f"{named}\n"
     assert not out.exists()
 
 
@@ -526,8 +533,7 @@ def test_decode_refuses_a_block_size_that_is_not_a_positive_integer(tmp_path, ca
     (stripe / "stripe.json").write_text(json.dumps(meta))
     code, out, err = run(capsys, "code", "decode", "--in-dir", str(stripe),
                          "--output", str(tmp_path / "out.bin"))
-    # an integer outside the bound is named by it, and any other value as no integer
-    what = "is outside 1..268435456" if type(block_size) is int else "is not an integer"
+    what = "is missing" if block_size == "missing" else "is not an integer in 1..268435456"
     assert (code, out) == (1, "")
     assert err == f"error: {stripe / 'stripe.json'} is malformed: its block_size {what}\n"
 
@@ -549,8 +555,8 @@ def test_decode_refuses_an_original_size_its_data_blocks_cannot_hold(tmp_path, c
     code, out, err = run(capsys, "code", "decode", "--in-dir", str(stripe),
                          "--output", str(out_file))
     assert (code, out) == (1, "")
-    assert err == (f"error: {stripe / 'stripe.json'} is malformed: its original_size is"
-                   f" outside 0..900\n")
+    assert err == (f"error: {stripe / 'stripe.json'} is malformed: its original_size is not an"
+                   f" integer in 0..900\n")
     assert not out_file.exists()
 
 
@@ -608,7 +614,7 @@ def test_no_cli_function_opens_a_block_file():
                     first = ast.unparse(node.args[0]) if node.args else ""
                     calls.setdefault(fn.name, set()).add(f"{name}({first})")
     assert calls == {
-        "emit_report": {"Path(path).write_bytes(text.encode())"},
+        "emit_report": {"open(path)"},
         "_expand_config": {"path.read_text()"},
         "_writev_all": {"os.writev(fd)", "os.write(fd)"},
         "_write_output": {"os.stat(path)", "os.open(path)", "os.open(tmp)", "os.close(fd)",
@@ -635,7 +641,7 @@ def test_cli_uses_no_private_name_of_blockstore():
 
 # modules that only some commands need, so that cli imports none of them itself
 LAZY = ("polycode.blockstore", "polycode.mapsched", "polycode.reliability", "logging",
-        "argparse", "csv", "json", "concurrent.futures.process")
+        "argparse", "csv", "json", "concurrent.futures.process", "pathlib")
 # standard modules that no store command needs: records are plain classes,
 # annotations need no typing, and only the simulators use rationals
 UNUSED = ("dataclasses", "inspect", "typing", "fractions", "decimal")
@@ -674,17 +680,19 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     ([["sim", "reliability", "--scheme", "pentagon", "--mttf-hours", "100", "--mttr-hours",
        "10", "--trials", "100", "--seed", "1"]],
      {"polycode.blockstore", "polycode.mapsched", "logging", "argparse", "dataclasses",
-      "inspect"}),
+      "inspect", "pathlib"}),
     ([["sim", "locality", "--scheme", "pentagon", "--reps", "1", "--seed", "1"]],
      {"polycode.blockstore", "polycode.reliability", "logging", "argparse", "dataclasses",
-      "inspect"}),
+      "inspect", "pathlib"}),
     ([["store", "init", "--root", "s", "--scheme", "pentagon", "--seed", "1"],
       ["store", "fsck", "--root", "s"]],
      {"polycode.mapsched", "polycode.reliability", "argparse", "csv", "logging", *UNUSED}),
     ([["code", "info", "--scheme", "pentagon"]], set(LAZY) | {"dataclasses", "inspect", "typing"}),
     ([["--help"]], set(LAZY) - {"argparse"}),
-    ([["--config", "info.cfg", "code", "info"]], set(LAZY) - {"argparse"}),
-], ids=["sim-reliability", "sim-locality", "store-fsck", "code-info", "help", "config"])
+    ([["--config", "info.cfg", "code", "info"]], set(LAZY) - {"argparse", "pathlib"}),
+    ([["report", "--kind", "schemes", "--out", "schemes.csv"]],
+     {"polycode.blockstore", "polycode.mapsched", "logging", "argparse", "pathlib"}),
+], ids=["sim-reliability", "sim-locality", "store-fsck", "code-info", "help", "config", "report"])
 def test_a_command_leaves_the_modules_it_does_not_run_unloaded(argvs, unloaded, tmp_path):
     (tmp_path / "info.cfg").write_text("scheme=pentagon\n")
     codes, loaded, err = _in_fresh_process(*argvs, cwd=tmp_path)
@@ -1094,8 +1102,9 @@ _STORE = ["--root", "s"]
 _DECODE = ["code", "decode", "--in-dir", "stripe", "--output", "out"]
 _GET = ["get", *_STORE, "--name", "f", "--output", "o"]
 _READS_MANIFEST = (["fsck", *_STORE], _GET, ["repair", *_STORE])
-_READS_STORE_JSON = (["put", *_STORE, "--file", "f"], _GET, ["kill", *_STORE, "--node", "0"],
-                     ["revive", *_STORE, "--node", "0"], ["fsck", *_STORE], ["repair", *_STORE])
+_READS_STORE_JSON = (["put", *_STORE, "--file", "f", "--name", "g"], _GET,
+                     ["kill", *_STORE, "--node", "0"], ["revive", *_STORE, "--node", "0"],
+                     ["fsck", *_STORE], ["repair", *_STORE])
 
 
 @pytest.mark.parametrize("target,text,argv", [
@@ -1183,8 +1192,82 @@ def test_store_refuses_a_manifest_size_its_stripes_cannot_hold(tmp_path, monkeyp
     for argv in (_GET, ["fsck", *_STORE], ["repair", *_STORE]):
         code, out, err = run(capsys, "store", *argv)
         assert (code, out) == (1, "")
-        assert err == f"error: {target} is malformed: its size is outside 0..5184\n"
+        assert err == f"error: {target} is malformed: its size is not an integer in 0..5184\n"
     assert not Path("o").exists()
+
+
+_GONE = object()  # an edit that deletes the field
+
+
+def test_every_edit_of_a_metadata_field_reads_alike_or_is_refused_by_name(tmp_path,
+                                                                           monkeypatch, capsys):
+    """Each field of store.json, of the manifest (its top level and stripe
+    0's record) and of stripe.json (its top level and block 3's entry), as
+    a one-file pentagon store and ``code encode`` wrote them, is deleted or
+    set to each of true, 1.5, "1", -1, 2**62 + 1, null and [] in turn, and
+    every command that reads the file runs on a fresh copy.  Each run reads
+    the file alike, exit 0 with the stdout and output bytes of the unedited
+    run, or refuses it on one line that names the file and a field (or
+    the file as a whole), and changes no node file."""
+    base = tmp_path / "base"
+    base.mkdir()
+    monkeypatch.chdir(base)
+    Path("f").write_bytes(random.Random(5).randbytes(300))
+    for setup in (["store", "init", *_STORE, "--scheme", "pentagon", "--block-size", "64",
+                   "--seed", "1"], ["store", "put", *_STORE, "--file", "f"],
+                  ["code", "encode", "--scheme", "pentagon", "--input", "f",
+                   "--out-dir", "stripe"]):
+        assert run(capsys, *setup)[0] == 0
+    store = [["store", *argv] for argv in _READS_STORE_JSON]
+    manifest = [["store", *argv] for argv in _READS_MANIFEST]
+    targets = [("s/store.json", (), store), ("s/f.manifest.json", (), manifest),
+               ("s/f.manifest.json", ("stripes", 0), manifest),
+               ("stripe/stripe.json", (), [_DECODE]),
+               ("stripe/stripe.json", ("blocks", "3"), [_DECODE])]
+    runs = itertools.count()
+
+    def run_on_a_copy(argv, target=None, text=None):
+        """(exit code, stdout, stderr, the output file's bytes or None), and
+        whether the node files are as they were."""
+        case = tmp_path / str(next(runs))
+        shutil.copytree(base, case)
+        monkeypatch.chdir(case)
+        if target is not None:
+            Path(target).write_text(text)
+        before = {p: p.read_bytes() for p in Path("s").glob("n*/*")}
+        code, out, err = run(capsys, *argv)
+        output = Path(argv[argv.index("--output") + 1]) if "--output" in argv else None
+        kept = {p: p.read_bytes() for p in Path("s").glob("n*/*")} == before
+        return code, out, err, output.read_bytes() if output and output.exists() else None, kept
+
+    unedited = {tuple(argv): run_on_a_copy(argv)[:4] for _, _, argvs in targets for argv in argvs}
+    assert all(code == 0 for code, *_ in unedited.values())
+    outcomes = Counter()
+    for target, where, argvs in targets:
+        meta = json.loads((base / target).read_text())
+        obj = meta
+        for key in where:
+            obj = obj[key]
+        for field in list(obj):
+            for edit in (_GONE, True, 1.5, "1", -1, 2**62 + 1, None, []):
+                saved = obj.pop(field)
+                if edit is not _GONE:
+                    obj[field] = edit
+                text = json.dumps(meta)
+                obj[field] = saved
+                for argv in argvs:
+                    code, out, err, output, kept = run_on_a_copy(argv, target, text)
+                    case = (target, where, field, edit, argv)
+                    if code == 0:
+                        assert (out, err, output) == unedited[tuple(argv)][1:], case
+                    else:
+                        assert (code, out, output, kept) == (1, "", None, True), case
+                        assert re.fullmatch(rf"error: {re.escape(target)} is malformed:"
+                                            rf" (its [\w.\[\]]+|it) [^\n]+\n", err), (case, err)
+                    outcomes[target, code] += 1
+    assert outcomes == {("s/store.json", 0): 23, ("s/store.json", 1): 217,
+                        ("s/f.manifest.json", 0): 27, ("s/f.manifest.json", 1): 189,
+                        ("stripe/stripe.json", 0): 9, ("stripe/stripe.json", 1): 55}
 
 
 def test_sim_locality_csv(tmp_path, capsys):
