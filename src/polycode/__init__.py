@@ -5,7 +5,7 @@ replication and RAID+mirroring baselines, a fault-injectable on-disk block
 store, MTTDL reliability estimation, and a map-task data-locality simulator.
 """
 
-from .codes import (
+from .schemes import (
     HeptagonLocal,
     Polygon,
     RaidMirror,

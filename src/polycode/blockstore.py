@@ -18,7 +18,7 @@ leaves a hole after them.  Where each block goes follows from the scheme
 alone, so the record holds two more things: its ``node_order``, the node
 that plays each of the scheme's slots, and the CRC32 (IEEE polynomial) of
 every block, by block id, as 8 hex characters.  The store works in slots
-and reads the rest from ``codes._geometry``: a block's slots from
+and reads the rest from ``schemes._geometry``: a block's slots from
 ``placements``, the data blocks' order from ``data_block_of``, and a
 replica's place in its run from the block's rank in ``blocks_on`` of its
 slot, which lists a slot's blocks in ascending order.  A node id appears
@@ -100,15 +100,9 @@ from functools import cache, cached_property
 from itertools import repeat
 from pathlib import Path
 
-from . import codes
-from .codes import (
-    ChecksumMismatchError,
-    MissingBlockError,
-    Scheme,
-    UnrecoverableError,
-    _Record,
-    parse_scheme,
-)
+from . import codes, schemes
+from .codes import ChecksumMismatchError, MissingBlockError, UnrecoverableError
+from .schemes import Scheme, _Record, parse_scheme
 
 MAX_BLOCK_SIZE = 1 << 28  # bytes (256 MiB): a larger block size is refused wherever it is read
 MAX_NODES = 512  # store init makes a directory per node; a read holds a descriptor per node file
@@ -435,7 +429,7 @@ def _write_stripe(write, scheme: Scheme, src, view, n: int, places) -> tuple[lis
     ``places[b]``: each data block as it is read, padded with zeros at the
     input's end, and each parity as it is made.  Returns the CRCs by block
     id and the count of input bytes taken."""
-    geo = codes._geometry(scheme)
+    geo = schemes._geometry(scheme)
     size, taken = len(view), 0
     crcs, encoder = [""] * scheme.block_count, codes.StripeEncoder(scheme, size)
 
@@ -504,13 +498,13 @@ def write_stripe_dir(directory: str, scheme: Scheme, src, block_size: int) -> in
     """Encode *src*, one stripe at most, into *directory* as ``put`` writes
     a stripe, block b in ``b<id>.blk``, and describe it in ``stripe.json``.
     Returns the byte count encoded."""
-    geo = codes._geometry(scheme)
+    geo = schemes._geometry(scheme)
     Path(directory).mkdir(parents=True, exist_ok=True)
     view = memoryview(bytearray(block_size))
     with _write_file(directory, whole=True) as write:
         crcs, size = _write_stripe(write, scheme, src, view, fill(src, view),
                                    {b: [(f"b{b}.blk", 0)] for b in geo.placements})
-    order = codes.build_layout(scheme, range(scheme.code_length), 0)
+    order = schemes.build_layout(scheme, range(scheme.code_length), 0)
     entries = {str(b): {"file": f"b{b}.blk", "role": geo.roles[b].as_string(),
                         "nodes": [order[s] for s in slots], "crc32": crcs[b]}
                for b, slots in geo.placements.items()}
@@ -533,7 +527,7 @@ def read_stripe_dir(directory: str, killed: list[int]) -> Iterator[bytes | memor
         raise StoreError(f"{path} is missing")
     _check(path, _fault(meta, _STRIPE_JSON))
     block_size, scheme = meta["block_size"], parse_scheme(meta["scheme"])
-    size, geo = meta["original_size"], codes._geometry(scheme)
+    size, geo = meta["original_size"], schemes._geometry(scheme)
     entries = [meta["blocks"][str(b)] for b in range(scheme.block_count)]
     order, slot = {}, {}  # each slot's node, as every block on it names it, and back
     for b, slots in geo.placements.items():
@@ -585,7 +579,7 @@ class BlockStore:
 
     # the scheme's geometry and the bytes of a stripe's longest run in one
     # node file, made at their first use: kill and revive need neither
-    _geo = cached_property(lambda self: codes._geometry(self.scheme))
+    _geo = cached_property(lambda self: schemes._geometry(self.scheme))
     _run = cached_property(
         lambda self: self.block_size * max(map(len, self._geo.blocks_on.values())))
 
@@ -741,7 +735,7 @@ class BlockStore:
                 while n := fill(src, view):
                     k = len(stripes)
                     layout_seed = zlib.crc32(f"{self.seed}:{name}:{k}".encode())
-                    order = codes.build_layout(scheme, pool, layout_seed)
+                    order = schemes.build_layout(scheme, pool, layout_seed)
                     write(MARK, 0, _mark(offset + run))  # claimed before a block is written
                     fnames = [_node_file(node) for node in order]
                     crcs, taken = _write_stripe(write, scheme, src, view, n,

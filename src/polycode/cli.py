@@ -23,8 +23,7 @@ import sys
 from functools import cache
 from types import SimpleNamespace
 
-from . import codes
-from .codes import CodeError, parse_scheme, storage_overhead, tolerance
+from .schemes import parse_scheme, storage_overhead, tolerance
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -32,9 +31,10 @@ if TYPE_CHECKING:
     from pathlib import Path
 
 # A process runs one command, so each handler imports the modules it needs
-# (blockstore, mapsched, reliability, csv, pathlib), and argparse is imported
-# only for an argv that the plain-argv path leaves to it.  No polycode module
-# imports typing, dataclasses or logging, nor fractions or random before use.
+# (codes, blockstore, mapsched, reliability, csv, pathlib), and argparse is
+# imported only for an argv that the plain-argv path leaves to it.  No
+# polycode module imports typing, dataclasses or logging, nor fractions or
+# random before use.
 
 REPORT_SCHEMES = ["2-rep", "3-rep", "pentagon", "heptagon", "heptagon-local", "raidm-9", "raidm-11"]
 
@@ -427,6 +427,8 @@ def _cmd_code_decode(args) -> int:
 
 
 def _cmd_code_repair_plan(args) -> int:
+    from . import codes
+
     scheme = parse_scheme(args.scheme)
     plan = codes.plan_repair(scheme, _parse_int_list(args.failed))
     for t in plan.transfers:
@@ -574,10 +576,12 @@ def _cmd_report(args) -> int:
 
 def _domain_errors() -> tuple[type[Exception], ...]:
     """The errors main reports as 'error:' with exit 1.  An except clause
-    evaluates this only once an error reaches it, and a StoreError can only
-    come from a command that has imported blockstore by then."""
-    store = sys.modules.get("polycode.blockstore")
-    return (CodeError, ValueError) + ((store.StoreError,) if store else ())
+    evaluates this only once an error reaches it, and a CodeError or a
+    StoreError can only come from a command that has imported codes or
+    blockstore by then."""
+    codes, store = sys.modules.get("polycode.codes"), sys.modules.get("polycode.blockstore")
+    return ((ValueError,) + ((codes.CodeError,) if codes else ())
+            + ((store.StoreError,) if store else ()))
 
 
 def main(argv: list[str] | None = None) -> int:

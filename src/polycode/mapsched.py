@@ -33,8 +33,8 @@ Schedulers
 Loads above 100% are split into ``ceil(load/100)`` sequential waves by
 ``run_scheduler``; the schedulers themselves require tasks <= total slots.
 
-Block placements come from ``codes``: the cluster tiles each stripe's
-canonical slots (``codes._Geometry.placements``) onto a window of nodes,
+Block placements come from ``schemes``: the cluster tiles each stripe's
+canonical slots (``schemes._Geometry.placements``) onto a window of nodes,
 picked from per-window integer scores kept as stripes land; replicated and
 RAID+m hosts are seed-random, drawn by ``_sample_range``.  For
 the heptagon-local code only the two heptagons are placed: the global parity
@@ -54,7 +54,7 @@ from heapq import heappop, heappush
 from math import ceil, log
 from statistics import mean, pstdev
 
-from .codes import Scheme, _Record, _geometry, parse_scheme
+from .schemes import Scheme, _Record, _geometry, parse_scheme
 
 
 class OverloadError(Exception):

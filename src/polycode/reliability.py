@@ -52,7 +52,7 @@ import random
 import statistics
 from fractions import Fraction
 
-from .codes import Scheme, _Record, _geometry, is_recoverable_mask
+from .schemes import Scheme, _Record, _geometry, is_recoverable_mask
 
 HOURS_PER_YEAR = 8760.0
 

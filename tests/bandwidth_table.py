@@ -10,7 +10,7 @@ by running this file, as its first line says, on a copy of that commit.
 
 import itertools
 
-from polycode import codes
+from polycode import codes, schemes
 from polycode.cli import REPORT_SCHEMES
 
 COMMAND = "PYTHONPATH=src python3 tests/bandwidth_table.py > tests/bandwidth_table.txt"
@@ -18,9 +18,9 @@ COMMAND = "PYTHONPATH=src python3 tests/bandwidth_table.py > tests/bandwidth_tab
 
 def bandwidth_lines():
     for name in REPORT_SCHEMES:
-        scheme = codes.parse_scheme(name)
-        placements = codes._geometry(scheme).placements
-        for size in range(1, codes.tolerance(scheme) + 1):
+        scheme = schemes.parse_scheme(name)
+        placements = schemes._geometry(scheme).placements
+        for size in range(1, schemes.tolerance(scheme) + 1):
             for down in itertools.combinations(range(scheme.code_length), size):
                 reads = " ".join(
                     f"{b}:{codes.plan_degraded_read(scheme, b, down).bandwidth_blocks}"

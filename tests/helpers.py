@@ -16,14 +16,10 @@ from polycode.codes import (
     InconsistentStripeError,
     MissingBlockError,
     RepairPlan,
-    Replication,
-    Scheme,
     UnrecoverableError,
     WholeCopy,
-    _geometry,
     _Sums,
     _transform,
-    is_recoverable_mask,
 )
 from polycode.gf256 import gf_inv, gf_mul, scale_bytes
 from polycode.mapsched import (
@@ -35,6 +31,7 @@ from polycode.mapsched import (
     default_stripes,
 )
 from polycode.reliability import LOSS, FailureModel, MarkovChain
+from polycode.schemes import Replication, Scheme, _geometry, is_recoverable_mask
 
 
 def make_checked_reader(blocks: Mapping[int, bytes]) -> Callable[[int], bytes]:

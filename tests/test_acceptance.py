@@ -11,22 +11,15 @@ import time
 
 import pytest
 
-from polycode import codes
+from polycode import schemes
 from polycode.blockstore import BlockStore
 from polycode.codes import (
-    HeptagonLocal,
-    Polygon,
-    RaidMirror,
-    Replication,
     UnrecoverableError,
     decode_stripe,
     encode_stripe,
     execute_plan,
-    is_recoverable,
     plan_degraded_read,
     plan_repair,
-    storage_overhead,
-    tolerance,
 )
 from polycode.mapsched import locality_sweep, summarize_locality
 from polycode.reliability import (
@@ -35,6 +28,15 @@ from polycode.reliability import (
     build_markov_chain,
     mttdl_analytic,
     mttdl_montecarlo,
+)
+from polycode.schemes import (
+    HeptagonLocal,
+    Polygon,
+    RaidMirror,
+    Replication,
+    is_recoverable,
+    storage_overhead,
+    tolerance,
 )
 
 from helpers import degraded_reads, make_checked_reader, oracle_decode
@@ -69,7 +71,7 @@ def criterion(num, description, budget_seconds=None):
 
 
 def geometry(scheme):
-    return codes._geometry(scheme)
+    return schemes._geometry(scheme)
 
 
 def stripe_views(scheme, blocks, pattern):

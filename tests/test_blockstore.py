@@ -24,9 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from polycode import blockstore, cli, codes
+from polycode import blockstore, cli, codes, schemes
 from polycode.blockstore import BlockStore, FatalStripeError, StoreError
-from polycode.codes import HeptagonLocal, Polygon, RaidMirror, Replication, UnrecoverableError
+from polycode.codes import UnrecoverableError
+from polycode.schemes import HeptagonLocal, Polygon, RaidMirror, Replication
 
 from helpers import created_files, degraded_reads
 
@@ -47,7 +48,7 @@ def write_file(tmp_path, size, seed=0, name="data.bin"):
 
 def hosts(manifest, stripe, block_id) -> list[int]:
     """The nodes that hold a block's replicas, in replica order."""
-    geo = codes._geometry(codes.parse_scheme(manifest.scheme))
+    geo = schemes._geometry(schemes.parse_scheme(manifest.scheme))
     return [stripe.node_order[s] for s in geo.placements[block_id]]
 
 
@@ -162,7 +163,7 @@ def test_manifest_schema(pentagon_store, tmp_path):
     for crc in stripe["crc32"]:
         assert len(crc) == 8
         int(crc, 16)
-    geo = codes._geometry(Polygon(5))
+    geo = schemes._geometry(Polygon(5))
     for block_id, slots in geo.placements.items():  # a file for every (slot, block)
         for slot in slots:
             node = stripe["node_order"][slot]
@@ -349,11 +350,11 @@ def test_a_metadata_refusal_is_worded_in_one_place():
 
 
 def test_the_store_rebuilds_blocks_only_through_plans():
-    """The store calls into ``codes`` only for the geometry, encoding, the
-    repair planner, whose refusal is also fsck's verdict, plan execution,
-    the stripe reader that plans its degraded reads and the stripe check
-    that ``code decode``'s reader makes, raising its errors aside; every
-    transfer it counts is a plan's bandwidth."""
+    """The store calls into ``codes`` only for encoding, the repair
+    planner, whose refusal is also fsck's verdict, plan execution, the
+    stripe reader that plans its degraded reads and the stripe check that
+    ``code decode``'s reader makes, raising its errors aside (the geometry
+    is ``schemes``'); every transfer it counts is a plan's bandwidth."""
     tree = ast.parse(Path(blockstore.__file__).read_text())
     imported = {alias.asname or alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module == "codes"
@@ -369,8 +370,8 @@ def test_the_store_rebuilds_blocks_only_through_plans():
     errors = {n for n in called if isinstance(getattr(codes, n), type)
               and issubclass(getattr(codes, n), codes.CodeError)}
     assert called - errors <= {
-        "_geometry", "build_layout", "parse_scheme", "StripeEncoder",
-        "plan_repair", "execute_plan", "memory_reader", "read_stripe", "check_stripe",
+        "StripeEncoder", "plan_repair", "execute_plan", "memory_reader", "read_stripe",
+        "check_stripe",
     }
     counts = [node for node in ast.walk(tree) if isinstance(node, ast.AugAssign)
               and ast.unparse(node.target) in ("bandwidth", "self.degraded_transfers")]
@@ -820,7 +821,7 @@ def test_roundtrip_under_every_recoverable_downset(tmp_path):
         src = tmp_path / f"{scheme.name}.bin"
         src.write_bytes(payload)
         store.put(src)
-        t = codes.tolerance(scheme)
+        t = schemes.tolerance(scheme)
         for size in range(1, t + 1):
             for pattern in itertools.combinations(range(nodes), size):
                 for node in pattern:
@@ -850,7 +851,7 @@ def test_heptagon_local_store_roundtrip(tmp_path):
 def test_repair_restores_every_kill_set_fsck_finds_recoverable(tmp_path, name):
     # whether a kill set can be recovered is decided by fsck, per stripe: a
     # RAID+m stripe draws its own layout, so a node set is not a slot pattern
-    scheme = codes.parse_scheme(name)
+    scheme = schemes.parse_scheme(name)
     L = scheme.code_length
     if name == "raidm-3":  # every kill set
         kill_sets = [c for k in range(1, L + 1) for c in itertools.combinations(range(L), k)]
@@ -896,8 +897,8 @@ def test_a_block_lost_on_live_slots_beside_a_down_one_is_read_and_repaired(tmp_p
                                                                           monkeypatch):
     # the slots down + lost are a fatal pattern, yet the stripe lost only
     # the blocks held on down slots alone and the one corrupt on both hosts
-    scheme = codes.parse_scheme(name)
-    geo = codes._geometry(scheme)
+    scheme = schemes.parse_scheme(name)
+    geo = schemes._geometry(scheme)
     store = BlockStore.create(tmp_path / "s", scheme, nodes=scheme.code_length, block_size=64,
                               seed=3)
     src = write_file(tmp_path, scheme.data_block_count * 64, seed=27)
@@ -908,7 +909,7 @@ def test_a_block_lost_on_live_slots_beside_a_down_one_is_read_and_repaired(tmp_p
         overwrite(*replica(store, manifest, stripe, block_id, node), b"\xff" * 64)
     for node in down:
         store.kill_node(node)
-    assert not codes.is_recoverable(scheme, {*down, *lost})
+    assert not schemes.is_recoverable(scheme, {*down, *lost})
     assert not store.fsck().fatal_stripes
     read, moved = LOST_ON_LIVE_SLOTS[name]
     caplog.set_level(logging.INFO, logger="polycode.blockstore")
@@ -934,7 +935,7 @@ def damaged_stores(draw):
     """A scheme, a file of 1-2 stripes, nodes to kill, blocks to lose on
     every host, and single replicas to flip a byte of or cut off."""
     name = draw(st.sampled_from(["pentagon", "heptagon", "heptagon-local", "raidm-3"]))
-    scheme = codes.parse_scheme(name)
+    scheme = schemes.parse_scheme(name)
     L, B = scheme.code_length, scheme.block_count
     size = draw(st.integers(1, 2 * scheme.data_block_count * 16))
     down = draw(st.sets(st.integers(0, L - 1), max_size=3))
@@ -1100,7 +1101,7 @@ class TwoHandles(RuleBasedStateMachine):
                 spare=st.integers(0, 2))
     def create(self, name, spare):
         self.dir = Path(tempfile.mkdtemp())
-        scheme = codes.parse_scheme(name)
+        scheme = schemes.parse_scheme(name)
         self.root = BlockStore.create(self.dir / "s", scheme, nodes=scheme.code_length + spare,
                                       block_size=32, seed=5).root
         self.handles = [BlockStore(self.root), BlockStore(self.root)]
@@ -1439,7 +1440,7 @@ def test_slot_ranks_give_each_replica_one_offset(name):
     """A node file holds its slot's blocks in ``blocks_on`` order, so the
     order must ascend and a block's rank in it must place every (block,
     slot) of the scheme at its own offset, 0, size, 2 size, ..."""
-    geo = codes._geometry(codes.parse_scheme(name))
+    geo = schemes._geometry(schemes.parse_scheme(name))
     size = 16
     offsets = {}
     for block_id, slots in geo.placements.items():
@@ -1464,7 +1465,7 @@ def whole_file_put(store: BlockStore, path: Path, files: dict[str, bytearray],
     ``files[f"n{node}/blocks.blk"]``, its bytes before them zero where
     nothing was written.  Returns the manifest's dict and the next offset."""
     scheme, block, name = store.scheme, store.block_size, path.name
-    geo = codes._geometry(scheme)
+    geo = schemes._geometry(scheme)
     run = block * max(len(ids) for ids in geo.blocks_on.values())
     data = path.read_bytes()
     stripe_bytes = scheme.data_block_count * block
@@ -1472,7 +1473,7 @@ def whole_file_put(store: BlockStore, path: Path, files: dict[str, bytearray],
     for k in range(-(-len(data) // stripe_bytes)):
         chunk = data[k * stripe_bytes : (k + 1) * stripe_bytes].ljust(stripe_bytes, b"\0")
         up = [n.node_id for n in store.nodes() if n.status == "up"]
-        order = codes.build_layout(scheme, up, zlib.crc32(f"{store.seed}:{name}:{k}".encode()))
+        order = schemes.build_layout(scheme, up, zlib.crc32(f"{store.seed}:{name}:{k}".encode()))
         encoded = codes.encode_stripe(scheme, [chunk[i * block : (i + 1) * block]
                                                for i in range(scheme.data_block_count)])
         for slot, node in enumerate(order):

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polycode
-from polycode import cli, codes
+from polycode import cli, codes, schemes
 from polycode.cli import emit_report, main
 
 from helpers import can_decode_from
@@ -79,10 +79,10 @@ def test_encode_decode_roundtrip(name, tmp_path, capsys):
     code, *_ = run(capsys, "code", "encode", "--scheme", name,
                    "--input", str(src), "--out-dir", str(tmp_path / "stripe"))
     assert code == 0
-    scheme = codes.parse_scheme(name)
-    order = codes.build_layout(scheme, range(scheme.code_length), 0)  # node of each slot
+    scheme = schemes.parse_scheme(name)
+    order = schemes.build_layout(scheme, range(scheme.code_length), 0)  # node of each slot
     kills = [()] + [k for size in (1, 2) for k in itertools.combinations(order, size)
-                    if codes.is_recoverable(scheme, {order.index(n) for n in k})]
+                    if schemes.is_recoverable(scheme, {order.index(n) for n in k})]
     out_file = tmp_path / "out.bin"
     for killed in kills:
         code, _, err = run(capsys, "code", "decode", "--in-dir", str(tmp_path / "stripe"),
@@ -175,9 +175,10 @@ def test_decode_every_mix_of_one_or_two_missing_or_corrupt_block_files(tmp_path,
         stripe = tmp_path / name
         run(capsys, "code", "encode", "--scheme", name, "--input", str(src),
             "--out-dir", str(stripe))
-        scheme = codes.parse_scheme(name)
+        scheme = schemes.parse_scheme(name)
         down = set(cli._parse_int_list(killed))  # a node plays its own slot
-        gone = {b for b, slots in codes._geometry(scheme).placements.items() if set(slots) <= down}
+        gone = {b for b, slots in schemes._geometry(scheme).placements.items()
+                if set(slots) <= down}
         files = {b: (stripe / f"b{b}.blk").read_bytes() for b in candidates}
         for size in (1, 2):
             for lost in itertools.combinations(files, size):
@@ -346,9 +347,9 @@ def test_decode_opens_each_block_file_once(tmp_path, capsys, monkeypatch, name, 
     src.write_bytes(random.Random(16).randbytes(5000))
     stripe = tmp_path / "stripe"
     run(capsys, "code", "encode", "--scheme", name, "--input", str(src), "--out-dir", str(stripe))
-    scheme = codes.parse_scheme(name)
+    scheme = schemes.parse_scheme(name)
     down = set(cli._parse_int_list(killed))  # a node plays its own slot
-    readable = {f"b{b}.blk" for b, slots in codes._geometry(scheme).placements.items()
+    readable = {f"b{b}.blk" for b, slots in schemes._geometry(scheme).placements.items()
                 if not set(slots) <= down}
     opened = Counter()
     real_open, real_os_open = io.open, os.open
@@ -485,7 +486,7 @@ def test_a_scheme_too_large_to_lay_out_is_refused_by_name(tmp_path, argv):
     root = ["--root", tmp_path / "s"] if argv[0] == "store" else []
     done = _run_in_limited_process(*argv, *root)
     assert done.returncode == 1
-    assert done.stderr == (f"error: {argv[3]} lays out more than {codes.MAX_BLOCKS}"
+    assert done.stderr == (f"error: {argv[3]} lays out more than {schemes.MAX_BLOCKS}"
                            f" blocks or slots\n")
 
 
@@ -640,8 +641,8 @@ def test_cli_uses_no_private_name_of_blockstore():
 
 
 # modules that only some commands need, so that cli imports none of them itself
-LAZY = ("polycode.blockstore", "polycode.mapsched", "polycode.reliability", "logging",
-        "argparse", "csv", "json", "concurrent.futures.process", "pathlib")
+LAZY = ("polycode.codes", "polycode.blockstore", "polycode.mapsched", "polycode.reliability",
+        "logging", "argparse", "csv", "json", "concurrent.futures.process", "pathlib")
 # standard modules that no store command needs: records are plain classes,
 # annotations need no typing, and only the simulators use rationals
 UNUSED = ("dataclasses", "inspect", "typing", "fractions", "decimal")
@@ -679,11 +680,11 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 @pytest.mark.parametrize("argvs, unloaded", [
     ([["sim", "reliability", "--scheme", "pentagon", "--mttf-hours", "100", "--mttr-hours",
        "10", "--trials", "100", "--seed", "1"]],
-     {"polycode.blockstore", "polycode.mapsched", "logging", "argparse", "dataclasses",
-      "inspect", "pathlib"}),
+     {"polycode.codes", "polycode.blockstore", "polycode.mapsched", "logging", "argparse",
+      "dataclasses", "inspect", "pathlib"}),
     ([["sim", "locality", "--scheme", "pentagon", "--reps", "1", "--seed", "1"]],
-     {"polycode.blockstore", "polycode.reliability", "logging", "argparse", "dataclasses",
-      "inspect", "pathlib"}),
+     {"polycode.codes", "polycode.blockstore", "polycode.reliability", "logging", "argparse",
+      "dataclasses", "inspect", "pathlib"}),
     ([["store", "init", "--root", "s", "--scheme", "pentagon", "--seed", "1"],
       ["store", "fsck", "--root", "s"]],
      {"polycode.mapsched", "polycode.reliability", "argparse", "csv", "logging", *UNUSED}),
@@ -691,13 +692,48 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     ([["--help"]], set(LAZY) - {"argparse"}),
     ([["--config", "info.cfg", "code", "info"]], set(LAZY) - {"argparse", "pathlib"}),
     ([["report", "--kind", "schemes", "--out", "schemes.csv"]],
-     {"polycode.blockstore", "polycode.mapsched", "logging", "argparse", "pathlib"}),
+     {"polycode.codes", "polycode.blockstore", "polycode.mapsched", "logging", "argparse",
+      "pathlib"}),
 ], ids=["sim-reliability", "sim-locality", "store-fsck", "code-info", "help", "config", "report"])
 def test_a_command_leaves_the_modules_it_does_not_run_unloaded(argvs, unloaded, tmp_path):
     (tmp_path / "info.cfg").write_text("scheme=pentagon\n")
     codes, loaded, err = _in_fresh_process(*argvs, cwd=tmp_path)
     assert codes == [0] * len(argvs), err
     assert not loaded & unloaded
+
+
+def test_only_the_byte_path_imports_codes():
+    """``schemes`` imports no polycode module but ``gf256``, and neither the
+    simulators nor ``cli``'s module level import ``codes``, so a command
+    that moves no block never loads the byte path."""
+    src = Path(polycode.__file__).parent
+
+    def imported(name, top_level_only=False):
+        tree = ast.parse((src / f"{name}.py").read_text())
+        out = set()
+        for node in tree.body if top_level_only else ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = ("polycode." if node.level else "") + (node.module or "")
+                names = [module] if node.module else [module + a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            out |= {n.removeprefix("polycode.") for n in names if n.startswith("polycode.")}
+        return out
+
+    assert imported("schemes") == {"gf256"}
+    assert "codes" not in imported("reliability") | imported("mapsched")
+    assert "codes" not in imported("cli", top_level_only=True)
+    assert "codes" in imported("cli")  # code repair-plan imports it itself
+
+
+def test_a_code_error_exits_one_when_codes_is_loaded_by_the_command():
+    argv = ["code", "repair-plan", "--scheme", "pentagon", "--failed", "0,1,2"]
+    codes, loaded, err = _in_fresh_process(argv)
+    assert codes == [1] and "polycode.codes" in loaded
+    assert err == ("error: fatal for pentagon: with slots [0, 1, 2] down,"
+                   " the good blocks do not determine the data\n")
 
 
 def test_a_store_error_exits_one_when_blockstore_is_loaded_by_the_command(tmp_path, capsys):
@@ -1734,7 +1770,7 @@ def _make_input(flag: str, kind: str, d: Path) -> str:
         if flag == "--root":
             from polycode.blockstore import BlockStore
 
-            store = BlockStore.create(path, codes.Polygon(5), 5, 16, seed=1)
+            store = BlockStore.create(path, schemes.Polygon(5), 5, 16, seed=1)
             (d / "f").write_bytes(data)
             store.put(d / "f")
             if what == "degraded":

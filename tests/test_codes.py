@@ -12,36 +12,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycode import codes
+from polycode import codes, schemes
 from polycode.codes import (
     BlockAvailableError,
-    BlockRole,
     ChecksumMismatchError,
     CodeError,
-    HeptagonLocal,
     InconsistentStripeError,
     MissingBlockError,
     PartialParity,
-    Polygon,
-    RaidMirror,
-    Replication,
     Transfer,
     UnrecoverableError,
     WholeCopy,
-    build_layout,
     decode_stripe,
     encode_stripe,
     execute_plan,
+    plan_degraded_read,
+    plan_repair,
+)
+from polycode.gf256 import scale_bytes
+from polycode.schemes import (
+    BlockRole,
+    HeptagonLocal,
+    Polygon,
+    RaidMirror,
+    Replication,
+    build_layout,
     is_recoverable,
     is_recoverable_mask,
     parse_scheme,
-    plan_degraded_read,
-    plan_repair,
     polygon_edges,
     storage_overhead,
     tolerance,
 )
-from polycode.gf256 import scale_bytes
 
 from bandwidth_table import bandwidth_lines
 from helpers import can_decode_from, execute_plan_reference, make_checked_reader, oracle_decode
@@ -58,7 +60,7 @@ ALL_SCHEMES = [
 
 
 def geometry(scheme):
-    return codes._geometry(scheme)
+    return schemes._geometry(scheme)
 
 
 def full_blocks(scheme, rng, size=256):
@@ -319,7 +321,7 @@ def test_can_decode_from_direct():
 
 def _live_blocks(scheme, mask):
     """Blocks with a replica on a slot whose bit in *mask* is clear."""
-    placements = codes._geometry(scheme).placements
+    placements = schemes._geometry(scheme).placements
     return [b for b, slots in placements.items() if any(not mask >> s & 1 for s in slots)]
 
 
@@ -1232,7 +1234,7 @@ def test_no_scheme_class_states_its_own_counts():
     """A scheme class keeps its parameters, name and checks; its counts
     come from its geometry, through the one definition the classes share."""
     counts = {"code_length", "data_block_count", "block_count", "stored_block_count"}
-    classes = {cls.__name__ for cls in codes.Scheme.__args__}
+    classes = {cls.__name__ for cls in schemes.Scheme.__args__}
 
     def names_bound(stmt) -> set[str]:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -1240,7 +1242,7 @@ def test_no_scheme_class_states_its_own_counts():
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
         return {t.id for t in targets if isinstance(t, ast.Name)}
 
-    tree = ast.parse(Path(codes.__file__).read_text())
+    tree = ast.parse(Path(schemes.__file__).read_text())
     found = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
     stated = sorted(f"{node.name}.{name}" for node in tree.body
                     if isinstance(node, ast.ClassDef) and node.name in classes

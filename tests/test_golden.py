@@ -29,16 +29,10 @@ import itertools
 
 import pytest
 
-from polycode import cli, codes
+from polycode import cli, schemes
 from polycode.cli import REPORT_SCHEMES, main
-from polycode.codes import (
-    BlockAvailableError,
-    CodeError,
-    WholeCopy,
-    parse_scheme,
-    plan_degraded_read,
-    tolerance,
-)
+from polycode.codes import BlockAvailableError, CodeError, WholeCopy, plan_degraded_read
+from polycode.schemes import parse_scheme, tolerance
 
 GOLDEN = {
     "report-schemes": "78d04520c218c599529e67194caf99e94bce411f0dcceabb72fd5edd7eedba67",
@@ -156,7 +150,7 @@ def _transfer_text(t) -> str:
 def _degraded_reads(tmp_path):
     for name in REPORT_SCHEMES:
         scheme = parse_scheme(name)
-        placements = codes._geometry(scheme).placements
+        placements = schemes._geometry(scheme).placements
         for size in (1, 2, 3):
             for pattern in itertools.combinations(range(scheme.code_length), size):
                 for block in sorted(placements):

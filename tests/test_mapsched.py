@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycode.cli import REPORT_SCHEMES
-from polycode.codes import HeptagonLocal, Polygon, RaidMirror, Replication, parse_scheme
 from polycode.mapsched import (
     LOCALITY_COLUMNS,
     SCHEDULERS,
@@ -27,6 +26,7 @@ from polycode.mapsched import (
     schedule_peeling,
     summarize_locality,
 )
+from polycode.schemes import HeptagonLocal, Polygon, RaidMirror, Replication, parse_scheme
 
 from helpers import build_cluster_reference, delay_reference, maxmatch_reference
 

@@ -7,9 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from polycode import codes, reliability
+from polycode import reliability, schemes
 from polycode.cli import REPORT_SCHEMES
-from polycode.codes import HeptagonLocal, Polygon, RaidMirror, Replication, parse_scheme
 from polycode.reliability import (
     DEFAULT_MODEL,
     RELIABILITY_COLUMNS,
@@ -21,6 +20,7 @@ from polycode.reliability import (
     mttdl_montecarlo,
     reliability_rows,
 )
+from polycode.schemes import HeptagonLocal, Polygon, RaidMirror, Replication, parse_scheme
 
 from helpers import expected_hours_reference, simulate_trial_reference
 
@@ -55,7 +55,7 @@ def fatal_fraction(scheme, failures):
     """Fraction of *failures*-node patterns that lose data, exhaustively."""
     L = scheme.code_length
     patterns = itertools.combinations(range(L), failures)
-    fatal = sum(not codes.is_recoverable(scheme, p) for p in patterns)
+    fatal = sum(not schemes.is_recoverable(scheme, p) for p in patterns)
     return fatal / math.comb(L, failures)
 
 
@@ -195,7 +195,7 @@ def _profile(scheme, mask):
     # the chain's state label: RAID+m counts mirror pairs with one host down
     # and with both down; every other scheme counts failed slots per local
     # group plus the global slot, or over all slots when it has no groups
-    geo = codes._geometry(scheme)
+    geo = schemes._geometry(scheme)
     if isinstance(scheme, RaidMirror):
         down = [sum((mask >> s) & 1 for s in pair) for pair in geo.placements.values()]
         return (down.count(1), down.count(2))
@@ -217,7 +217,7 @@ def _mask_row(scheme, model, mask):
         if mask >> s & 1:
             row[_profile(scheme, nxt)] += mu if model.repair_mode == "parallel" else mu / failed
         else:
-            row[_profile(scheme, nxt) if codes.is_recoverable_mask(scheme, nxt) else None] += lam
+            row[_profile(scheme, nxt) if schemes.is_recoverable_mask(scheme, nxt) else None] += lam
     return row
 
 
@@ -246,7 +246,7 @@ def test_chain_is_a_strong_lumping_of_the_mask_chain(name, mode):
     seen = set()
     for mask in masks:
         sig = _profile(scheme, mask)
-        ok = codes.is_recoverable_mask(scheme, mask)
+        ok = schemes.is_recoverable_mask(scheme, mask)
         assert (sig in index) == ok, (sig, bin(mask))
         if ok:
             seen.add(sig)
@@ -266,14 +266,14 @@ def test_a_profile_that_does_not_decide_fate_is_refused(monkeypatch):
 
 def _pair_rule(scheme, mask):
     # recoverable iff at most one mirror pair is fully down
-    pairs = codes._geometry(scheme).placements.values()
+    pairs = schemes._geometry(scheme).placements.values()
     return sum(all((mask >> s) & 1 for s in pair) for pair in pairs) <= 1
 
 
 @pytest.mark.parametrize("scheme", [RaidMirror(3), RaidMirror(4)])
 def test_raidm_pair_rule_exhaustive(scheme):
     for mask in range(1 << scheme.code_length):
-        assert codes.is_recoverable_mask(scheme, mask) == _pair_rule(scheme, mask), bin(mask)
+        assert schemes.is_recoverable_mask(scheme, mask) == _pair_rule(scheme, mask), bin(mask)
 
 
 def test_raidm_pair_rule_sampled():
@@ -281,7 +281,7 @@ def test_raidm_pair_rule_sampled():
     rng = random.Random(23)
     for _ in range(3000):
         mask = rng.getrandbits(scheme.code_length)
-        assert codes.is_recoverable_mask(scheme, mask) == _pair_rule(scheme, mask), bin(mask)
+        assert schemes.is_recoverable_mask(scheme, mask) == _pair_rule(scheme, mask), bin(mask)
 
 
 def test_mttdl_monotone_in_rates():
@@ -363,14 +363,14 @@ def test_failure_model_refuses_hours_that_are_not_positive_and_finite(hours):
 @pytest.mark.parametrize("mode", ["parallel", "serial"])
 def test_mc_checks_each_failure_mask_once_per_run(monkeypatch, mode):
     calls = collections.Counter()
-    real = codes._Geometry.recoverable
+    real = schemes._Geometry.recoverable
 
     def counting(geo, mask):
         calls[mask] += 1
         return real(geo, mask)
 
-    monkeypatch.setattr(codes._Geometry, "recoverable", counting)
-    monkeypatch.setattr(codes._geometry(HeptagonLocal()), "fate", {})  # a fresh table
+    monkeypatch.setattr(schemes._Geometry, "recoverable", counting)
+    monkeypatch.setattr(schemes._geometry(HeptagonLocal()), "fate", {})  # a fresh table
     model = FailureModel(0.01, 0.1, mode)
     mttdl_montecarlo(HeptagonLocal(), model, 300, seed=11)
     assert calls, "the loss test was never consulted"
@@ -396,7 +396,7 @@ def test_simulate_trial_equals_reference_loop(scheme, model):
         got = trial(reliability._trial_rng(21, i))
         want = simulate_trial_reference(scheme, model, reliability._trial_rng(21, i), ref_fate)
         assert got == want, i
-    fate = codes._geometry(scheme).fate
+    fate = schemes._geometry(scheme).fate
     assert ref_fate and all(fate[mask] == ok for mask, ok in ref_fate.items())
 
 
