@@ -353,26 +353,33 @@ def test_the_store_rebuilds_blocks_only_through_plans():
     """The store calls into ``codes`` only for encoding, the repair
     planner, whose refusal is also fsck's verdict, plan execution, the
     stripe reader that plans its degraded reads and the stripe check that
-    ``code decode``'s reader makes, raising its errors aside (the geometry
-    is ``schemes``'); every transfer it counts is a plan's bandwidth."""
+    ``code decode``'s reader makes, raising its errors aside, and into
+    ``schemes`` only for the geometry, the layout and the scheme parser;
+    every transfer it counts is a plan's bandwidth."""
     tree = ast.parse(Path(blockstore.__file__).read_text())
-    imported = {alias.asname or alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.module == "codes"
-                for alias in node.names}
-    called = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            name = ast.unparse(node.func)
-            if name.startswith("codes."):
-                called.add(name[len("codes."):])
-            elif name in imported:
-                called.add(name)
-    errors = {n for n in called if isinstance(getattr(codes, n), type)
+
+    def called(module: str) -> set[str]:
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == module
+                    for alias in node.names}
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if name.startswith(module + "."):
+                    names.add(name[len(module) + 1:])
+                elif name in imported:
+                    names.add(name)
+        return names
+
+    into_codes = called("codes")
+    errors = {n for n in into_codes if isinstance(getattr(codes, n), type)
               and issubclass(getattr(codes, n), codes.CodeError)}
-    assert called - errors <= {
+    assert into_codes - errors <= {
         "StripeEncoder", "plan_repair", "execute_plan", "memory_reader", "read_stripe",
         "check_stripe",
     }
+    assert called("schemes") <= {"_geometry", "build_layout", "parse_scheme"}
     counts = [node for node in ast.walk(tree) if isinstance(node, ast.AugAssign)
               and ast.unparse(node.target) in ("bandwidth", "self.degraded_transfers")]
     assert len(counts) == 2
