@@ -40,13 +40,14 @@ short by the store.  ``repair`` mends a mark that is missing, malformed or
 behind the furthest run a manifest names; it never lowers a valid one.
 ``fsck`` reports such a mark.
 
-A node file that is not there is the only sign of a lost slot: ``fsck``
-reports it as missing, once for all the stripes that use it, so its
-``missing`` count is the number of node files the killed nodes held; a
-replica that fails its CRC, or that a short file or a hole cuts off, is
-corrupt.  A stripe is fatal exactly when ``codes.plan_repair`` refuses its
-missing slots and corrupt replicas, so ``fsck`` and ``repair`` give one
-verdict.
+A node file that is not there, or that cannot be opened, is the only sign
+of a lost slot: ``fsck`` reports it as missing, once for all the stripes
+that use it, so its ``missing`` count is the number of node files the
+killed nodes held; a replica that fails its CRC, or that a short file, a
+hole or a failed read cuts off, is corrupt.  Either is rebuilt from the
+other replicas as a lost block is, and ``repair`` rewrites it.  A stripe
+is fatal exactly when ``codes.plan_repair`` refuses its missing slots and
+corrupt replicas, so ``fsck`` and ``repair`` give one verdict.
 
 Memory: no operation holds a file.  ``put`` holds a data block and the
 parity sums, ``read`` a block plus what a degraded-read plan keeps (``get``
@@ -366,19 +367,23 @@ def _mark(offset: int) -> bytes:
 def _read_file(root: str):
     """Yield read(fname, offset, size, buffer=None), which reads *size*
     bytes at *offset* of the file, or returns None when it does not
-    exist.  Each file is opened at its first read, or found missing
-    then, and closed on the way out, so the reads see each file as it
-    was when first read.  A read comes back as new bytes or, given
-    *buffer*, as a view of its start; a read past the file's end comes
-    back short."""
+    exist or cannot be opened.  Each file is opened at its first read, or
+    found missing then, and closed on the way out, so the reads see each
+    file as it was when first read.  A read comes back as new bytes or,
+    given *buffer*, as a view of its start; a read past the file's end,
+    or one that fails (an ``EIO``, or a directory in a block file's place),
+    comes back short, so its replicas are corrupt and the code rebuilds
+    them.  Each failed open or read is logged."""
     fds: dict[str, int | None] = {}
 
     def read(fname: str, offset: int, size: int, buffer: bytearray | None = None):
         if fname not in fds:
             try:
                 fds[fname] = os.open(f"{root}/{fname}", os.O_RDONLY)
-            except (FileNotFoundError, NotADirectoryError):
+            except OSError as exc:
                 fds[fname] = None
+                if not isinstance(exc, (FileNotFoundError, NotADirectoryError)):
+                    _log("read: %s/%s cannot be opened: %s", root, fname, exc.strerror)
         fd = fds[fname]
         if fd is None:
             return None
@@ -386,8 +391,9 @@ def _read_file(root: str):
             if buffer is None:
                 return os.pread(fd, size, offset)
             return memoryview(buffer)[: os.preadv(fd, [memoryview(buffer)[:size]], offset)]
-        except OSError as exc:  # as a directory in a block file's place gives
-            raise type(exc)(exc.errno, exc.strerror, f"{root}/{fname}") from None
+        except OSError as exc:
+            _log("read: %s/%s at %d cannot be read: %s", root, fname, offset, exc.strerror)
+            return b"" if buffer is None else memoryview(buffer)[:0]
 
     try:
         yield read
@@ -753,10 +759,11 @@ class BlockStore:
         """Read each node's run of the stripe through *read*, one of
         ``_read_file``'s, into one buffer, and check each block's slice.
         Returns (good, corrupt, missing): the ids of the blocks with a good
-        replica, each corrupt replica (one a short file cuts off too) as
-        (block id, slot), and the slots whose file is missing, in node
-        order.  With *keep*, each good block id maps to a copy of its first
-        good replica (good replicas pass the same CRC); else to None."""
+        replica, each corrupt replica (one a short file or a failed read
+        cuts off too) as (block id, slot), and the slots whose file is
+        missing or cannot be opened, in node order.  With *keep*, each good
+        block id maps to a copy of its first good replica (good replicas
+        pass the same CRC); else to None."""
         size, order, geo = self.block_size, stripe.node_order, self._geo
         buffer = bytearray(self._run)
         good, corrupt, missing = {}, [], []
@@ -859,11 +866,12 @@ class BlockStore:
 
     def fsck(self) -> FsckReport:
         """Read-only scan: missing node files, each once, replicas that
-        fail their CRC or that a short file cuts off, fatal stripes, whose
-        damage ``codes.plan_repair`` refuses, as in ``repair``, and a
-        ``next_offset`` that ``repair`` would mend.  The mark is read after
-        the manifests, and a put moves it before it commits one, so a put
-        that runs beside the scan does not make it look behind."""
+        fail their CRC or that a short file or a failed read cuts off,
+        fatal stripes, whose damage ``codes.plan_repair`` refuses, as in
+        ``repair``, and a ``next_offset`` that ``repair`` would mend.  The
+        mark is read after the manifests, and a put moves it before it
+        commits one, so a put that runs beside the scan does not make it
+        look behind."""
         report, missing_nodes, end = FsckReport(), set(), 0
         with _read_file(self._root) as read:
             for manifest in self.manifests():

@@ -35,7 +35,10 @@ Monte Carlo trials are independent and derive their RNG from
 ``(seed, trial index)``, so partitioning trials across workers changes
 nothing about the merged estimate.  The loss test reads the scheme
 geometry's table from failure mask to fate (``_Geometry.fate``), one per
-scheme in each process, filled the first time a mask occurs.  The event
+scheme in each process, filled the first time a mask occurs: a byte per
+mask (0 not yet known, 1 recoverable, 2 fatal), so raidm-9's 2^20 masks
+take 1 MiB however many trials run, and a dict read the same way for a
+code longer than ``schemes.MAX_FATE_BITS`` slots.  The event
 rates and the bit width of each node draw are read from small tables
 indexed by the failed count, built once per scheme and model by
 ``_trial_loop``.  An event is two ``random`` draws, its time (the body of
@@ -239,7 +242,7 @@ def _trial_loop(scheme: Scheme, model: FailureModel):
     """``trial(rng)``: the hours until the first unrecoverable failure
     pattern of *scheme* under *model*, drawn from *rng*.  A mask's fate is
     read from the geometry's table, which solves it only the first time the
-    process meets it.
+    process meets it; a fate known already costs no Python call.
 
     Rates and draw widths depend only on the failed count k, so they are
     tabled here, once per scheme and model.  ``rng.expovariate(total)`` is
@@ -288,12 +291,9 @@ def _trial_loop(scheme: Scheme, model: FailureModel):
                 failed.append(bit)
                 k += 1
                 mask |= bit
-                try:
-                    if not fate[mask]:
-                        return t
-                except KeyError:
-                    if not recoverable(mask):
-                        return t
+                f = fate[mask]  # 0 not yet known, 1 recoverable, 2 fatal
+                if f == 2 or (not f and not recoverable(mask)):
+                    return t
             else:
                 i = getrandbits(failed_width)
                 while i >= k:

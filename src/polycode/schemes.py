@@ -198,6 +198,15 @@ def polygon_edges(n: int) -> list[tuple[int, int]]:
 
 
 MAX_BLOCKS = 1 << 10  # a stripe's blocks, and a block's slots: each block has a row over the data
+MAX_FATE_BITS = 20  # a fate table of a byte per mask up to this code length (1 MiB)
+
+
+class _Fates(dict):
+    """The fate table of a code too long for a byte per mask: a dict read
+    as the ``bytearray`` is, an absent mask reading 0."""
+
+    def __missing__(self, mask: int) -> int:
+        return 0
 
 
 class _Geometry:
@@ -220,7 +229,10 @@ class _Geometry:
                          to zero: one for a polygon, two for heptagon-local
     ``global_slot``      slot holding the global parities, or None
     ``global_blocks``    global parity block ids in parity-index order
-    ``fate``             failure mask -> recoverable, filled by ``recoverable``
+    ``fate``             failure mask -> 0 not yet known, 1 recoverable or
+                         2 fatal, filled by ``recoverable``: a ``bytearray``
+                         of 2^L bytes when L <= ``MAX_FATE_BITS``, else a
+                         ``_Fates`` dict; made at its first use
     """
 
     def __init__(self, scheme: Scheme):
@@ -286,24 +298,30 @@ class _Geometry:
             s: tuple(b for b, slots in placements.items() if s in slots) for s in range(L)}
         self.groups = tuple(groups)
         self.global_blocks = tuple(b for b in roles if roles[b].kind == "global_parity")
-        self.fate: dict[int, bool] = {}
+
+    @cached_property
+    def fate(self) -> bytearray | _Fates:
+        L = len(self.blocks_on)
+        return bytearray(1 << L) if L <= MAX_FATE_BITS else _Fates()
 
     def recoverable(self, mask: int) -> bool:
         """True iff the blocks left when the slots in *mask* fail (bit s set
-        == slot s failed) determine every data block, kept in ``fate``.
+        == slot s failed, 0 <= mask < 2^L) determine every data block, kept
+        in ``fate``.
 
         A miss is the planner's rank test, ``_eliminate``: the parity rows
         still live somewhere must have full rank over the data symbols lost
         on every slot.  Rows that miss them all are left out, so none is
         kept when no symbol is lost, and too few rows fail at once."""
-        ok = self.fate.get(mask)
-        if ok is None:
+        fate = self.fate
+        f = fate[mask]
+        if not f:
             lost = [i for slots, i in self.data_masks if slots & mask == slots]
             rows = [part for slots, row in self.parity_masks
                     if slots & ~mask and any(part := [row[i] for i in lost])]
             need = len(lost)
-            ok = self.fate[mask] = len(rows) >= need and _eliminate(rows, need) == need
-        return ok
+            f = fate[mask] = 1 if len(rows) >= need and _eliminate(rows, need) == need else 2
+        return f == 1
 
 
 @lru_cache(maxsize=None)
@@ -377,7 +395,11 @@ def _iter_pattern(scheme, pattern):
 
 def is_recoverable_mask(scheme: Scheme, mask: int) -> bool:
     """Bitmask variant of ``is_recoverable`` (bit i set == slot i failed),
-    read from the geometry's fate table."""
+    read from the geometry's fate table.  A negative mask, or one with a
+    bit at or past the code length, is refused."""
+    L = scheme.code_length
+    if mask >> L:  # a bit at or past L, or a negative mask, whose shift is -1
+        raise ValueError(f"mask {mask} outside code length {L}")
     return _geometry(scheme).recoverable(mask)
 
 

@@ -722,6 +722,61 @@ def test_get_falls_back_past_corrupt_replica(pentagon_store, tmp_path):
     assert pentagon_store.get("data.bin") == path.read_bytes()
 
 
+def unreadable(monkeypatch, path: Path, at: str) -> None:
+    """Make *path* fail as a bad disk does: its opens for reading raise
+    EACCES (*at* "open"), or its reads raise EIO (*at* "read").  Writes
+    go through."""
+    real_open, real_close, real_pread, real_preadv = os.open, os.close, os.pread, os.preadv
+    bad = set()  # descriptors open on *path*
+
+    def os_open(name, flags, *args, **kwargs):
+        if str(name) == str(path) and not flags & (os.O_WRONLY | os.O_RDWR):
+            if at == "open":
+                raise OSError(errno.EACCES, "Permission denied")
+            fd = real_open(name, flags, *args, **kwargs)
+            bad.add(fd)
+            return fd
+        return real_open(name, flags, *args, **kwargs)
+
+    def os_close(fd):
+        bad.discard(fd)
+        real_close(fd)
+
+    def failing(real):
+        def call(fd, *args):
+            if fd in bad:
+                raise OSError(errno.EIO, "Input/output error")
+            return real(fd, *args)
+        return call
+
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(os, "close", os_close)
+    monkeypatch.setattr(os, "pread", failing(real_pread))
+    monkeypatch.setattr(os, "preadv", failing(real_preadv))
+
+
+@pytest.mark.parametrize("at", ["read", "open"])
+def test_a_node_file_that_cannot_be_read_is_a_lost_replica(pentagon_store, tmp_path,
+                                                           monkeypatch, at):
+    # pentagon survives two lost nodes, so one unreadable node file loses
+    # nothing: reads rebuild its blocks, and repair rewrites them
+    path = write_file(tmp_path, 30000, seed=40)
+    stripes = pentagon_store.put(path).stripe_count
+    with monkeypatch.context() as m:
+        unreadable(m, pentagon_store.root / "n0" / "blocks.blk", at)
+        assert pentagon_store.get("data.bin") == path.read_bytes()
+        report = pentagon_store.fsck()
+        assert not report.fatal_stripes and not report.is_clean
+        if at == "open":  # a file that cannot be opened is a missing one
+            assert (report.missing, report.corrupt) == ([0], [])
+        else:  # a range that cannot be read is a corrupt replica
+            assert report.missing == [] and {c[3] for c in report.corrupt} == {0}
+            assert len(report.corrupt) == 4 * stripes  # four blocks on each node
+        assert pentagon_store.repair().plans_executed == stripes
+    assert pentagon_store.fsck().is_clean
+    assert pentagon_store.get("data.bin") == path.read_bytes()
+
+
 def test_repair_bandwidth_matches_plans(pentagon_store, tmp_path):
     path = write_file(tmp_path, 3 * 9 * BS, seed=8)
     pentagon_store.put(path)

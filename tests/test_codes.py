@@ -30,6 +30,7 @@ from polycode.codes import (
     plan_repair,
 )
 from polycode.gf256 import scale_bytes
+from polycode.reliability import STRESS_MODEL, mttdl_montecarlo
 from polycode.schemes import (
     BlockRole,
     HeptagonLocal,
@@ -292,6 +293,16 @@ def test_tolerance(scheme, expected):
     assert tolerance(scheme) == expected
 
 
+@pytest.mark.parametrize("mask", [-1, -2, -(1 << 5), 1 << 5, 1 << 7, (1 << 6) - 1])
+def test_a_mask_outside_the_code_length_is_refused(mask):
+    # pentagon's slots are bits 0-4: no other bit names a slot, and a byte
+    # table would read a negative mask from its end
+    with pytest.raises(ValueError, match=f"^mask {mask} outside code length 5$"):
+        is_recoverable_mask(Polygon(5), mask)
+    with pytest.raises(ValueError, match="^node 5 outside code length 5$"):
+        is_recoverable(Polygon(5), [5])
+
+
 def test_raidm_fatal_quadruple():
     # both replicas of two distinct blocks -> one XOR equation, two unknowns
     assert not is_recoverable(RaidMirror(9), {0, 1, 2, 3})
@@ -331,18 +342,18 @@ def _live_blocks(scheme, mask):
 def test_recoverable_mask_miss_agrees_with_can_decode_from_exhaustive(name, monkeypatch):
     scheme = parse_scheme(name)
     geo = geometry(scheme)
-    monkeypatch.setattr(geo, "fate", {})  # every call a miss
+    monkeypatch.delattr(geo, "fate")  # a fresh table: every call a miss
     for mask in range(1 << scheme.code_length):
         want = can_decode_from(scheme, _live_blocks(scheme, mask))
         assert is_recoverable_mask(scheme, mask) == want, (name, mask)
-    assert len(geo.fate) == 1 << scheme.code_length
+    assert len(geo.fate) - geo.fate.count(0) == 1 << scheme.code_length  # every mask filled
 
 
 @pytest.mark.parametrize("name", ["raidm-9", "raidm-11"])
 def test_recoverable_mask_miss_agrees_with_can_decode_from_sampled(name, monkeypatch):
     scheme = parse_scheme(name)
     geo = geometry(scheme)
-    monkeypatch.setattr(geo, "fate", {})
+    monkeypatch.delattr(geo, "fate")
     rng = random.Random(name)
     L = scheme.code_length
     fates = set()
@@ -350,10 +361,31 @@ def test_recoverable_mask_miss_agrees_with_can_decode_from_sampled(name, monkeyp
         # failure counts spread over 0..L, so both answers come up often
         mask = sum(1 << s for s in rng.sample(range(L), rng.randrange(L + 1)))
         want = can_decode_from(scheme, _live_blocks(scheme, mask))
-        geo.fate.pop(mask, None)
+        geo.fate[mask] = 0  # not yet known: this call a miss
         assert is_recoverable_mask(scheme, mask) == want, (name, mask)
         fates.add(want)
     assert fates == {True, False}
+
+
+def test_fate_table_is_a_byte_per_mask_up_to_20_slots(monkeypatch):
+    # raidm-9's 20 slots: 2^20 bytes however many masks the trials meet,
+    # each nonzero one the rank reference's answer
+    scheme = RaidMirror(9)
+    geo = geometry(scheme)
+    monkeypatch.delattr(geo, "fate")  # a fresh table
+    mttdl_montecarlo(scheme, STRESS_MODEL, 300, seed=13)
+    fate = geo.fate
+    assert type(fate) is bytearray and len(fate) == 1 << 20
+    known = [(mask, f) for mask, f in enumerate(fate) if f]
+    assert len(known) > 1000 and {f for _, f in known} == {1, 2}
+    for mask, f in known:
+        assert f == (1 if can_decode_from(scheme, _live_blocks(scheme, mask)) else 2), bin(mask)
+    # raidm-11's 24 slots would take 16 MiB: its table is a dict, read alike
+    geo = geometry(RaidMirror(11))
+    monkeypatch.delattr(geo, "fate")
+    fate = geo.fate
+    assert isinstance(fate, dict) and fate[(1 << 24) - 1] == 0 and not fate
+    assert is_recoverable_mask(RaidMirror(11), 0b11) and fate == {0b11: 1}
 
 
 # ---------------------------------------------------------------------------

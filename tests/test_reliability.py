@@ -370,7 +370,7 @@ def test_mc_checks_each_failure_mask_once_per_run(monkeypatch, mode):
         return real(geo, mask)
 
     monkeypatch.setattr(schemes._Geometry, "recoverable", counting)
-    monkeypatch.setattr(schemes._geometry(HeptagonLocal()), "fate", {})  # a fresh table
+    monkeypatch.delattr(schemes._geometry(HeptagonLocal()), "fate")  # a fresh table
     model = FailureModel(0.01, 0.1, mode)
     mttdl_montecarlo(HeptagonLocal(), model, 300, seed=11)
     assert calls, "the loss test was never consulted"
@@ -397,7 +397,7 @@ def test_simulate_trial_equals_reference_loop(scheme, model):
         want = simulate_trial_reference(scheme, model, reliability._trial_rng(21, i), ref_fate)
         assert got == want, i
     fate = schemes._geometry(scheme).fate
-    assert ref_fate and all(fate[mask] == ok for mask, ok in ref_fate.items())
+    assert ref_fate and all(fate[mask] == (1 if ok else 2) for mask, ok in ref_fate.items())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 17, 2**40 + 3])
