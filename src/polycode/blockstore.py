@@ -47,7 +47,9 @@ killed nodes held; a replica that fails its CRC, or that a short file, a
 hole or a failed read cuts off, is corrupt.  Either is rebuilt from the
 other replicas as a lost block is, and ``repair`` rewrites it.  A stripe
 is fatal exactly when ``codes.plan_repair`` refuses its missing slots and
-corrupt replicas, so ``fsck`` and ``repair`` give one verdict.
+corrupt replicas, so ``fsck`` and ``repair`` give one verdict.  ``fsck``
+also lists each node file whose open or a read failed, other than by
+absence, as unreadable, so a failing disk shows apart from bit rot.
 
 Memory: no operation holds a file.  ``put`` holds a data block and the
 parity sums, ``read`` a block plus what a degraded-read plan keeps (``get``
@@ -162,7 +164,7 @@ class StoreManifest(_Record):
 
     def to_dict(self) -> dict:
         return {"file": self.name, "size": self.size, "scheme": self.scheme,
-                "block_size": self.block_size, "stripe_count": self.stripe_count,
+                "block_size": self.block_size,
                 "stripes": [{"offset": s.offset, "node_order": s.node_order, "crc32": s.crc32}
                             for s in self.stripes]}
 
@@ -184,15 +186,18 @@ class StoreManifest(_Record):
 
 
 class FsckReport(_Record):
-    # missing node files by node id, ascending; corrupt replicas as
+    # missing node files by node id, ascending, and likewise those whose
+    # open or a read failed other than by absence; corrupt replicas as
     # (file, stripe, block, node)
     missing: list[int]
+    unreadable: list[int]
     corrupt: list[tuple[str, int, int, int]]
     fatal_stripes: list[tuple[str, int]]
     mark: str  # what is wrong with next_offset, if anything
 
     def __init__(self):
-        self.missing, self.corrupt, self.fatal_stripes, self.mark = [], [], [], ""
+        self.missing, self.unreadable, self.corrupt, self.fatal_stripes = [], [], [], []
+        self.mark = ""
 
     @property
     def is_clean(self) -> bool:
@@ -364,7 +369,7 @@ def _mark(offset: int) -> bytes:
 
 
 @contextmanager
-def _read_file(root: str):
+def _read_file(root: str, failed: set[str] | None = None):
     """Yield read(fname, offset, size, buffer=None), which reads *size*
     bytes at *offset* of the file, or returns None when it does not
     exist or cannot be opened.  Each file is opened at its first read, or
@@ -373,8 +378,10 @@ def _read_file(root: str):
     given *buffer*, as a view of its start; a read past the file's end,
     or one that fails (an ``EIO``, or a directory in a block file's place),
     comes back short, so its replicas are corrupt and the code rebuilds
-    them.  Each failed open or read is logged."""
+    them.  Each failed open or read is logged, and its file added to
+    *failed* when it is given."""
     fds: dict[str, int | None] = {}
+    failed = set() if failed is None else failed
 
     def read(fname: str, offset: int, size: int, buffer: bytearray | None = None):
         if fname not in fds:
@@ -384,6 +391,7 @@ def _read_file(root: str):
                 fds[fname] = None
                 if not isinstance(exc, (FileNotFoundError, NotADirectoryError)):
                     _log("read: %s/%s cannot be opened: %s", root, fname, exc.strerror)
+                    failed.add(fname)
         fd = fds[fname]
         if fd is None:
             return None
@@ -393,6 +401,7 @@ def _read_file(root: str):
             return memoryview(buffer)[: os.preadv(fd, [memoryview(buffer)[:size]], offset)]
         except OSError as exc:
             _log("read: %s/%s at %d cannot be read: %s", root, fname, offset, exc.strerror)
+            failed.add(fname)
             return b"" if buffer is None else memoryview(buffer)[:0]
 
     try:
@@ -511,8 +520,7 @@ def write_stripe_dir(directory: str, scheme: Scheme, src, block_size: int) -> in
         crcs, size = _write_stripe(write, scheme, src, view, fill(src, view),
                                    {b: [(f"b{b}.blk", 0)] for b in geo.placements})
     order = schemes.build_layout(scheme, range(scheme.code_length), 0)
-    entries = {str(b): {"file": f"b{b}.blk", "role": geo.roles[b].as_string(),
-                        "nodes": [order[s] for s in slots], "crc32": crcs[b]}
+    entries = {str(b): {"file": f"b{b}.blk", "nodes": [order[s] for s in slots], "crc32": crcs[b]}
                for b, slots in geo.placements.items()}
     meta = {"scheme": scheme.name, "block_size": block_size, "original_size": size,
             "blocks": entries}
@@ -565,7 +573,11 @@ def read_stripe_dir(directory: str, killed: list[int]) -> Iterator[bytes | memor
 
             data = codes.read_stripe(scheme, replicas, damage,
                                      lambda b, plan, bodies: _check_rebuilt(bodies, crcs))
-            yield from codes.check_stripe(scheme, data, others)
+            try:
+                yield from codes.check_stripe(scheme, data, others)
+            except UnrecoverableError as exc:
+                raise UnrecoverableError(
+                    f"the stripe in {directory} is unrecoverable: {exc}") from None
 
     return head(blocks(), size, path, "original_size")
 
@@ -818,7 +830,11 @@ class BlockStore:
                              manifest.name, k, block_id, plan.bandwidth_blocks)
                         _check_rebuilt(bodies, stripe.crc32)
 
-                    yield from codes.read_stripe(scheme, replicas, damage, rebuilt)
+                    try:
+                        yield from codes.read_stripe(scheme, replicas, damage, rebuilt)
+                    except UnrecoverableError as exc:
+                        raise UnrecoverableError(
+                            f"{manifest.name} stripe {k} is unrecoverable: {exc}") from None
 
         return head(blocks(), manifest.size, self._manifest_path(manifest.name), "size")
 
@@ -865,15 +881,15 @@ class BlockStore:
     # -- scrub and repair ---------------------------------------------------
 
     def fsck(self) -> FsckReport:
-        """Read-only scan: missing node files, each once, replicas that
-        fail their CRC or that a short file or a failed read cuts off,
-        fatal stripes, whose damage ``codes.plan_repair`` refuses, as in
-        ``repair``, and a ``next_offset`` that ``repair`` would mend.  The
-        mark is read after the manifests, and a put moves it before it
-        commits one, so a put that runs beside the scan does not make it
-        look behind."""
-        report, missing_nodes, end = FsckReport(), set(), 0
-        with _read_file(self._root) as read:
+        """Read-only scan: missing node files, each once, the node files
+        whose open or a read failed, replicas that fail their CRC or that a
+        short file or a failed read cuts off, fatal stripes, whose damage
+        ``codes.plan_repair`` refuses, as in ``repair``, and a
+        ``next_offset`` that ``repair`` would mend.  The mark is read after
+        the manifests, and a put moves it before it commits one, so a put
+        that runs beside the scan does not make it look behind."""
+        report, missing_nodes, end, failed = FsckReport(), set(), 0, set()
+        with _read_file(self._root, failed) as read:
             for manifest in self.manifests():
                 for k, stripe in enumerate(manifest.stripes):
                     end = max(end, stripe.offset + self._run)
@@ -887,6 +903,7 @@ class BlockStore:
                     except UnrecoverableError:
                         report.fatal_stripes.append((manifest.name, k))
         report.missing = sorted(missing_nodes)
+        report.unreadable = sorted(int(f[1:f.index("/")]) for f in failed)  # n<k>/blocks.blk
         report.mark = self._mark_fault(end)
         return report
 

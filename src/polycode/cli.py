@@ -468,6 +468,8 @@ def _cmd_store(args) -> int:
         report = store.fsck()
         print(f"missing: {len(report.missing)}")
         print(f"corrupt: {len(report.corrupt)}")
+        if report.unreadable:
+            print(f"unreadable: {len(report.unreadable)}")
         print(f"fatal_stripes: {len(report.fatal_stripes)}")
         if report.mark:
             print(f"next_offset: {report.mark}")

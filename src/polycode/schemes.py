@@ -188,9 +188,6 @@ class BlockRole(_Record, frozen=True):
     kind: str  # "data" | "local_parity" | "global_parity"
     index: int  # data index, local parity group, or global parity index
 
-    def as_string(self) -> str:
-        return f"{self.kind}:{self.index}"
-
 
 def polygon_edges(n: int) -> list[tuple[int, int]]:
     """Edges of K_n in lexicographic order; block id == position."""

@@ -1,14 +1,17 @@
 """Shared test helpers."""
 
+import ast
 import builtins
+import errno
 import io
 import os
 import random
+import re
 import zlib
 from collections import deque
-from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable, Mapping
+from pathlib import Path
+from typing import Callable, Mapping, NamedTuple
 
 from polycode import codes
 from polycode.codes import (
@@ -103,35 +106,328 @@ def can_decode_from(scheme: Scheme, present) -> bool:
     return True
 
 
-@contextmanager
-def created_files(monkeypatch):
-    """Yield a list that gathers each path an open creates while the block
-    runs: an ``os.open`` with ``O_CREAT``, or an ``open`` in a ``w``, ``x``
-    or ``a`` mode, of a path that did not exist before it.  Reopening a
-    file that exists creates no inode, and is not counted."""
-    created = []
-    real_open, real_os_open = builtins.open, os.open
+_FILE_CALL = re.compile(r"open|os\.\w+|.*\.(unlink|open|glob|iterdir|(read|write)_(bytes|text))")
 
-    def counting_os_open(path, flags, *args, **kwargs):
-        new = flags & os.O_CREAT and not os.path.lexists(path)
-        fd = real_os_open(path, flags, *args, **kwargs)
-        if new:
-            created.append(str(path))
-        return fd
 
-    def counting_open(file, mode="r", *args, **kwargs):
-        new = (not isinstance(file, int) and any(c in mode for c in "wxa")
-               and not os.path.lexists(file))
-        fh = real_open(file, mode, *args, **kwargs)
-        if new:
-            created.append(str(file))
-        return fh
+def file_calls(module) -> dict[str, set[str]]:
+    """Each function of *module* that opens, removes or lists files, by
+    name, and the calls by which it does so: ``open``, an ``os`` function,
+    or a path method that opens, removes or lists."""
+    calls = {}
+    for fn in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                name = ast.unparse(node.func) if isinstance(node, ast.Call) else ""
+                if _FILE_CALL.fullmatch(name):
+                    calls.setdefault(fn.name, set()).add(name)
+    return calls
 
-    with monkeypatch.context() as m:
-        m.setattr(builtins, "open", counting_open)
-        m.setattr(io, "open", counting_open)  # pathlib opens through io.open
-        m.setattr(os, "open", counting_os_open)
-        yield created
+
+# -- RecordedOS: the file calls of the store and the CLI, logged and faulted --
+
+READS = ("pread", "preadv", "readall")
+
+
+class Call(NamedTuple):
+    """One call that ``RecordedOS`` saw.  *op* is the ``os`` function's name,
+    "open" for ``open`` too, and "readall" or "write" for a method of a
+    file that ``open`` returned.  *path* is the file's
+    name relative to the root, absolute outside it, and "" for a
+    descriptor opened before recording began; a rename's is its target.
+    *offset* and *length* are the range a read or write asks for (None
+    where it has none, or reads to the end).  *result* is the byte count a
+    read or write moved, the descriptor an ``os.open`` returned, the
+    OSError the call raised, or else None.  *flags* are an open's
+    ``os.O_*`` flags, an ``open`` mode's too, and *created* tells whether
+    the open made the file."""
+    op: str
+    path: str
+    offset: int | None = None
+    length: int | None = None
+    result: object = None
+    flags: int = 0
+    created: bool = False
+
+    @property
+    def writes(self) -> bool:
+        """An open for writing."""
+        return bool(self.flags & (os.O_WRONLY | os.O_RDWR))
+
+    @property
+    def reads(self) -> bool:
+        """A call that reads: a read, or an open for reading."""
+        return self.op in READS or (self.op == "open" and not self.writes)
+
+
+class _Fault:
+    def __init__(self, match, k, error, short):
+        self.match, self.k, self.error, self.short = match, k, error, short
+        self.seen = 0
+
+    def takes(self, call: Call) -> bool:
+        """Whether *call* is the one this fault fails; each match is counted."""
+        if not self.match(call):
+            return False
+        self.seen += 1
+        return self.k is None or self.seen - 1 == self.k
+
+
+def _mode_flags(mode: str) -> int:
+    """The ``os.O_*`` flags of an ``open`` mode."""
+    flags = os.O_RDWR if "+" in mode else os.O_RDONLY if "r" in mode else os.O_WRONLY
+    for char, more in (("w", os.O_CREAT | os.O_TRUNC), ("a", os.O_CREAT | os.O_APPEND),
+                       ("x", os.O_CREAT | os.O_EXCL)):
+        if char in mode:
+            flags |= more
+    return flags
+
+
+def _end(call: Call) -> float:
+    """Where the range of a read or write ends: at the file's end when it has no length."""
+    return float("inf") if call.length is None else call.offset + call.length
+
+
+def _cut(buffers, n: int) -> list:
+    """The first *n* bytes of *buffers*, as a buffer list for ``writev`` or ``preadv``."""
+    out = []
+    for buf in map(memoryview, buffers):
+        out.append(buf.cast("B")[:n])
+        n -= len(out[-1])
+    return out
+
+
+class RecordedOS:
+    """A context manager, given ``monkeypatch`` and the *root* that paths
+    are logged relative to, that wraps the file calls the store and the
+    CLI make: ``os.open``, ``close``, ``pread``, ``preadv``, ``pwrite``,
+    ``writev``, ``write``, ``replace``, ``unlink``, ``mkdir`` and ``stat``,
+    and ``open`` (``io.open`` too, which pathlib calls), whose files log
+    their reads and writes.  Each call is appended to ``calls`` as it ends.
+
+    ``fail`` fails the k-th call that a predicate accepts.  As a disk with
+    a latent sector error does (IRON's fail-partial model), a read that
+    fails leaves its range unreadable, for every later read that overlaps
+    it, until a ``pwrite`` rewrites it or the file is truncated or
+    replaced: the sector is remapped."""
+
+    WRAPPED = ("open", "close", "pread", "preadv", "pwrite", "writev", "write", "replace",
+               "unlink", "mkdir", "stat")
+    # the file calls of blockstore and cli._write_output that are left
+    # unrecorded, with why
+    UNRECORDED = {
+        "os.scandir": "lists a directory: it reads or writes no file",
+        "os.getpid": "names a temp output: it touches no file",
+        "os.fchmod": "sets a temp output's mode on its descriptor: it moves no byte",
+    }
+
+    def __init__(self, monkeypatch, root):
+        self.calls: list[Call] = []
+        self._monkeypatch, self._root = monkeypatch, os.path.abspath(root)
+        self._faults: list[_Fault] = []
+        self._paths: dict[int, str] = {}  # descriptor -> path, for each os.open
+        self._bad: dict[str, list[tuple[float, float]]] = {}  # unreadable ranges by path
+
+    def fail(self, match, k: int | None = 0, error: int | None = errno.EIO, short=None) -> None:
+        """Fail the *k*-th call (from 0; every one when None) that
+        ``match(call)`` accepts, a ``Call`` without its result: it raises
+        OSError with errno *error*, or, given *short*, a function of the
+        call's length, first moves that many bytes; with no *error* it
+        then returns that short count."""
+        self._faults.append(_Fault(match, k, error, short))
+
+    def __enter__(self) -> "RecordedOS":
+        self._patch = self._monkeypatch.context()
+        m = self._patch.__enter__()
+        for name in self.WRAPPED:
+            m.setattr(os, name, getattr(self, f"_{name}")(getattr(os, name)))
+        m.setattr(builtins, "open", self._builtin_open(builtins.open))
+        m.setattr(io, "open", builtins.open)  # pathlib opens through io.open
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._patch.__exit__(*exc)
+
+    # -- the log and the faults ------------------------------------------
+
+    def _name(self, path) -> str:
+        path = os.path.abspath(os.fsdecode(path))
+        return path[len(self._root) + 1:] if path.startswith(self._root + "/") else path
+
+    def _run(self, call: Call, real, partial=None):
+        """Log *call* and return real(), unless a fault takes it or it reads
+        a range that a failed read left unreadable.  partial(n) makes the
+        call move only n bytes."""
+        faults = [f for f in self._faults if f.takes(call)]  # every fault counts its matches
+        try:
+            if faults:
+                result = self._apply(faults[0], call, partial)
+            elif call.op in READS and self._unreadable(call):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            else:
+                result = real()
+        except OSError as exc:
+            self.calls.append(call._replace(result=exc))
+            raise
+        logged = len(result) if isinstance(result, (bytes, str)) else result
+        self.calls.append(call._replace(result=logged if isinstance(logged, int) else None))
+        return result
+
+    def _apply(self, fault: _Fault, call: Call, partial):
+        n = 0
+        if fault.short is not None:
+            n = fault.short(call.length)
+            done = partial(n)
+            if fault.error is None:
+                return done
+        if call.op in READS and call.offset is not None:
+            self._bad.setdefault(call.path, []).append((call.offset + n, _end(call)))
+        named = call.op in ("open", "replace", "unlink", "mkdir", "stat")  # as the OS names them
+        raise OSError(fault.error, os.strerror(fault.error),
+                      *([os.path.join(self._root, call.path)] if named else []))
+
+    def _unreadable(self, call: Call) -> bool:
+        return call.offset is not None and any(
+            lo < _end(call) and call.offset < hi for lo, hi in self._bad.get(call.path, ()))
+
+    def _remap(self, path: str, lo: int, hi: int) -> None:
+        """Make [lo, hi) of *path* readable: keep what is left of each unreadable range."""
+        if path in self._bad:
+            self._bad[path] = [(a, b) for old in self._bad[path]
+                               for a, b in ((old[0], min(old[1], lo)), (max(old[0], hi), old[1]))
+                               if a < b]
+
+    # -- the wrapped calls -------------------------------------------------
+
+    def _open(self, real):
+        def os_open(path, flags, mode=0o777, *, dir_fd=None):
+            name = self._name(path)
+            call = Call("open", name, flags=flags,
+                        created=bool(flags & os.O_CREAT) and not os.path.lexists(path))
+            fd = self._run(call, lambda: real(path, flags, mode, dir_fd=dir_fd))
+            self._paths[fd] = name
+            if flags & os.O_TRUNC:
+                self._bad.pop(name, None)
+            return fd
+        return os_open
+
+    def _builtin_open(self, real):
+        def open_(file, mode="r", *args, **kwargs):
+            if isinstance(file, int):
+                return real(file, mode, *args, **kwargs)
+            name, flags = self._name(file), _mode_flags(mode)
+            call = Call("open", name, flags=flags,
+                        created=bool(flags & os.O_CREAT) and not os.path.lexists(file))
+            fh = self._run(call, lambda: real(file, mode, *args, **kwargs))
+            if flags & os.O_TRUNC:
+                self._bad.pop(name, None)
+            return _RecordedFile(self, fh, name)
+        return open_
+
+    def _close(self, real):
+        def close(fd):
+            return self._run(Call("close", self._paths.pop(fd, "")), lambda: real(fd))
+        return close
+
+    def _pread(self, real):
+        def pread(fd, n, offset):
+            return self._run(Call("pread", self._paths.get(fd, ""), offset, n),
+                             lambda: real(fd, n, offset), lambda m: real(fd, m, offset))
+        return pread
+
+    def _preadv(self, real):
+        def preadv(fd, buffers, offset, *flags):
+            n = sum(memoryview(b).nbytes for b in buffers)
+            return self._run(Call("preadv", self._paths.get(fd, ""), offset, n),
+                             lambda: real(fd, buffers, offset, *flags),
+                             lambda m: real(fd, _cut(buffers, m), offset, *flags))
+        return preadv
+
+    def _pwrite(self, real):
+        def pwrite(fd, data, offset):
+            name = self._paths.get(fd, "")
+
+            def write(view):
+                done = real(fd, view, offset)
+                self._remap(name, offset, offset + done)
+                return done
+            view = memoryview(data).cast("B")
+            return self._run(Call("pwrite", name, offset, len(view)),
+                             lambda: write(view), lambda m: write(view[:m]))
+        return pwrite
+
+    def _writev(self, real):
+        def writev(fd, buffers):
+            n = sum(memoryview(b).nbytes for b in buffers)
+            return self._run(Call("writev", self._paths.get(fd, ""), None, n),
+                             lambda: real(fd, buffers), lambda m: real(fd, _cut(buffers, m)))
+        return writev
+
+    def _write(self, real):
+        def write(fd, data):
+            view = memoryview(data).cast("B")
+            return self._run(Call("write", self._paths.get(fd, ""), None, len(view)),
+                             lambda: real(fd, view), lambda m: real(fd, view[:m]))
+        return write
+
+    def _replace(self, real):
+        def replace(src, dst, **kwargs):
+            source, target = self._name(src), self._name(dst)
+
+            def rename():
+                real(src, dst, **kwargs)
+                self._bad[target] = self._bad.pop(source, [])
+            return self._run(Call("replace", target), rename)
+        return replace
+
+    def _unlink(self, real):
+        def unlink(path, **kwargs):
+            name = self._name(path)
+
+            def remove():
+                real(path, **kwargs)
+                self._bad.pop(name, None)
+            return self._run(Call("unlink", name), remove)
+        return unlink
+
+    def _mkdir(self, real):
+        def mkdir(path, *args, **kwargs):
+            return self._run(Call("mkdir", self._name(path)), lambda: real(path, *args, **kwargs))
+        return mkdir
+
+    def _stat(self, real):
+        def stat(path, *args, **kwargs):
+            return self._run(Call("stat", self._name(path)), lambda: real(path, *args, **kwargs))
+        return stat
+
+
+class _RecordedFile:
+    """A file that ``open`` returned, whose reads and writes go through its
+    ``RecordedOS``; the range of a read or write starts where the file
+    stands."""
+
+    def __init__(self, recorder: RecordedOS, fh, path: str):
+        self._recorder, self._fh, self._path = recorder, fh, path
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def _where(self) -> int | None:
+        return self._fh.tell() if self._fh.seekable() else None
+
+    def readall(self):
+        return self._recorder._run(Call("readall", self._path, self._where()),
+                                   self._fh.readall, self._fh.read)
+
+    def write(self, data):
+        return self._recorder._run(Call("write", self._path, self._where(), len(data)),
+                                   lambda: self._fh.write(data),
+                                   lambda m: self._fh.write(data[:m]))
 
 
 def degraded_reads(caplog) -> list[tuple]:

@@ -1,7 +1,5 @@
 import ast
-import builtins
 import errno
-import io
 import itertools
 import json
 import logging
@@ -29,7 +27,7 @@ from polycode.blockstore import BlockStore, FatalStripeError, StoreError
 from polycode.codes import UnrecoverableError
 from polycode.schemes import HeptagonLocal, Polygon, RaidMirror, Replication
 
-from helpers import created_files, degraded_reads
+from helpers import RecordedOS, degraded_reads, file_calls
 
 BS = 1024  # small blocks keep the unit suite fast; acceptance covers 4 MiB
 
@@ -38,6 +36,12 @@ BS = 1024  # small blocks keep the unit suite fast; acceptance covers 4 MiB
 def pentagon_store(tmp_path):
     store = BlockStore.create(tmp_path / "store", Polygon(5), nodes=5, block_size=BS, seed=7)
     return store
+
+
+def created(rec: RecordedOS, suffix: str) -> list[str]:
+    """Each path with *suffix* that an open made while *rec* recorded: an
+    open of a file that exists creates no inode, and is not counted."""
+    return [c.path for c in rec.calls if c.op == "open" and c.created and c.path.endswith(suffix)]
 
 
 def write_file(tmp_path, size, seed=0, name="data.bin"):
@@ -94,10 +98,10 @@ def test_put_get_roundtrip_exact_stripe(pentagon_store, tmp_path):
 def test_one_stripe_pentagon_put_creates_five_block_files(pentagon_store, tmp_path,
                                                           monkeypatch):
     src = write_file(tmp_path, 9 * BS, seed=1)
-    with created_files(monkeypatch) as created:
+    with RecordedOS(monkeypatch, pentagon_store.root) as rec:
         pentagon_store.put(src)
-    assert sorted(f for f in created if f.endswith(".blk")) == [
-        f"{pentagon_store.root}/n{node}/blocks.blk" for node in range(5)
+    assert sorted(created(rec, ".blk")) == [
+        f"n{node}/blocks.blk" for node in range(5)
     ]  # 20 at one file per replica
     assert pentagon_store.get("data.bin") == src.read_bytes()
 
@@ -110,15 +114,14 @@ def test_only_a_node_without_its_file_gets_one_created(pentagon_store, tmp_path,
     first = write_file(tmp_path, 9 * BS, seed=1, name="first.bin")
     pentagon_store.put(first)
     second = write_file(tmp_path, 3 * 9 * BS - 5, seed=2, name="second.bin")
-    with created_files(monkeypatch) as created:
+    with RecordedOS(monkeypatch, pentagon_store.root) as rec:
         pentagon_store.put(second)
-    assert [f for f in created if f.endswith(".blk")] == []  # 15 at a file per node and stripe
+    assert created(rec, ".blk") == []  # 15 at a file per node and stripe
     for node in killed:
         pentagon_store.kill_node(node)
-    with created_files(monkeypatch) as created:
+    with RecordedOS(monkeypatch, pentagon_store.root) as rec:
         assert pentagon_store.repair().plans_executed == 4 * bool(killed)
-    assert sorted(f for f in created if f.endswith(".blk")) == [
-        f"{pentagon_store.root}/n{node}/blocks.blk" for node in killed]
+    assert sorted(created(rec, ".blk")) == [f"n{node}/blocks.blk" for node in killed]
     assert pentagon_store.fsck().is_clean
     for src in (first, second):
         assert pentagon_store.get(src.name) == src.read_bytes()
@@ -151,11 +154,11 @@ def test_manifest_schema(pentagon_store, tmp_path):
     path = write_file(tmp_path, 9 * BS, seed=3)
     pentagon_store.put(path)
     raw = json.loads((pentagon_store.root / "data.bin.manifest.json").read_text())
+    assert set(raw) == {"file", "size", "scheme", "block_size", "stripes"}
     assert raw["file"] == "data.bin"
     assert raw["size"] == 9 * BS
     assert raw["scheme"] == "pentagon"
     assert raw["block_size"] == BS
-    assert raw["stripe_count"] == 1
     (stripe,) = raw["stripes"]
     assert set(stripe) == {"offset", "node_order", "crc32"}
     assert stripe["offset"] == 0 and stripe["node_order"] == [0, 1, 2, 3, 4]
@@ -168,8 +171,8 @@ def test_manifest_schema(pentagon_store, tmp_path):
         for slot in slots:
             node = stripe["node_order"][slot]
             assert (pentagon_store.root / f"n{node}/blocks.blk").exists()
-    roles = [geo.roles[b].as_string() for b in range(len(stripe["crc32"]))]
-    assert roles.count("local_parity:0") == 1
+    roles = [geo.roles[b] for b in range(len(stripe["crc32"]))]
+    assert roles.count(schemes.BlockRole("local_parity", 0)) == 1
     size = (pentagon_store.root / "data.bin.manifest.json").stat().st_size
     assert size <= 260  # 759 when each block record named its role and nodes
 
@@ -216,29 +219,10 @@ def test_fsck_reports(pentagon_store, tmp_path):
 def test_fsck_opens_each_replica_once_without_a_stat(pentagon_store, tmp_path, monkeypatch):
     pentagon_store.put(write_file(tmp_path, 9 * BS, seed=5))
     pentagon_store.put(write_file(tmp_path, 2 * 9 * BS, seed=6, name="more.bin"))
-    opened, statted = Counter(), Counter()
-    real_open, real_os_open, real_stat = builtins.open, os.open, os.stat
-
-    def counting_open(file, *args, **kwargs):
-        if str(file).endswith(".blk"):
-            opened[file] += 1
-        return real_open(file, *args, **kwargs)
-
-    def counting_os_open(path, *args, **kwargs):
-        if str(path).endswith(".blk"):
-            opened[path] += 1
-        return real_os_open(path, *args, **kwargs)
-
-    def counting_stat(path, *args, **kwargs):
-        if str(path).endswith(".blk"):
-            statted[os.path.basename(path)] += 1
-        return real_stat(path, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "open", counting_open)
-    monkeypatch.setattr(io, "open", counting_open)  # pathlib opens through io.open
-    monkeypatch.setattr(os, "open", counting_os_open)
-    monkeypatch.setattr(os, "stat", counting_stat)  # Path.exists and os.path.exists
-    assert pentagon_store.fsck().is_clean
+    with RecordedOS(monkeypatch, pentagon_store.root) as rec:  # stat: Path.exists, os.path.exists
+        assert pentagon_store.fsck().is_clean
+    opened = Counter(c.path for c in rec.calls if c.op == "open" and c.path.endswith(".blk"))
+    statted = [c for c in rec.calls if c.op == "stat" and c.path.endswith(".blk")]
     # each node file once, which holds 4 replicas of each of the 3 stripes:
     # 60 opens at one file a replica, 15 at one a node and stripe
     assert len(opened) == 5 and set(opened.values()) == {1}
@@ -248,55 +232,41 @@ def test_fsck_opens_each_replica_once_without_a_stat(pentagon_store, tmp_path, m
 def test_a_stripe_read_opens_each_node_file_once(pentagon_store, tmp_path, monkeypatch):
     src = write_file(tmp_path, 9 * BS, seed=8)
     pentagon_store.put(src)
-    opened = Counter()
-    real_os_open = os.open
+    data = src.read_bytes()
 
-    def counting_os_open(path, *args, **kwargs):
-        if str(path).endswith(".blk"):
-            opened[os.path.basename(os.path.dirname(path))] += 1
-        return real_os_open(path, *args, **kwargs)
+    def opened() -> Counter:
+        """The opens of each node's file by a get of the file."""
+        with RecordedOS(monkeypatch, pentagon_store.root) as rec:
+            assert pentagon_store.get("data.bin") == data
+        return Counter(os.path.dirname(c.path) for c in rec.calls
+                       if c.op == "open" and c.path.endswith(".blk"))
 
-    monkeypatch.setattr(os, "open", counting_os_open)
-    assert pentagon_store.get("data.bin") == src.read_bytes()
     # the 9 data blocks' first hosts, slots 0-2: 9 opens at one a block
-    assert opened == {"n0": 1, "n1": 1, "n2": 1}
+    assert opened() == {"n0": 1, "n1": 1, "n2": 1}
     for node in (0, 1):
         pentagon_store.kill_node(node)
-    opened.clear()
-    assert pentagon_store.get("data.bin") == src.read_bytes()
     # the served blocks, the probe for missing files and the plan's sources
     # share one descriptor a node file, a missing one tried once: 36 opens
     # when each read opened its own
-    assert opened == {f"n{k}": 1 for k in range(5)}
+    assert opened() == {f"n{k}": 1 for k in range(5)}
 
 
 def test_repair_opens_each_live_replica_once(pentagon_store, tmp_path, monkeypatch):
     src = write_file(tmp_path, 9 * BS, seed=6)
     pentagon_store.put(src)
     pentagon_store.kill_node(0)
+    with RecordedOS(monkeypatch, pentagon_store.root) as rec:
+        assert pentagon_store.repair().plans_executed == 1
     read, written = Counter(), Counter()
-    real_open, real_os_open = builtins.open, os.open
-
-    def counting_open(file, mode="r", *args, **kwargs):
-        if str(file).endswith(".blk"):
-            (written if "w" in mode else read)[os.path.basename(file)] += 1
-        return real_open(file, mode, *args, **kwargs)
-
-    def counting_os_open(path, flags, *args, **kwargs):
-        if str(path).endswith(".blk"):
-            (written if flags & os.O_WRONLY else read)[path] += 1
-        return real_os_open(path, flags, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "open", counting_open)
-    monkeypatch.setattr(os, "open", counting_os_open)
-    assert pentagon_store.repair().plans_executed == 1
+    for c in rec.calls:
+        if c.op == "open" and c.path.endswith(".blk"):
+            (written if c.writes else read)[c.path] += 1
     # the 4 node files off node 0, holding 16 replicas, each once: the plan
     # runs from the scan's bytes; node 0's file is tried once, and its
     # absence is what marks the slot lost
     assert len(read) == 5 and set(read.values()) == {1}
-    assert list(written) == [f"{pentagon_store.root}/n0/blocks.blk"]
+    assert list(written) == ["n0/blocks.blk"]
     assert set(written.values()) == {1}
-    monkeypatch.undo()
     assert pentagon_store.fsck().is_clean
     assert pentagon_store.get("data.bin") == src.read_bytes()
 
@@ -307,15 +277,7 @@ def test_block_files_are_opened_and_removed_by_three_helpers_only():
     reads and writes they hand out on the descriptors they open) only the
     JSON reader and writer, the lock and put's read of its input file touch
     a file."""
-    calls = {}
-    for fn in ast.walk(ast.parse(Path(blockstore.__file__).read_text())):
-        if isinstance(fn, ast.FunctionDef):
-            for node in ast.walk(fn):
-                name = ast.unparse(node.func) if isinstance(node, ast.Call) else ""
-                if re.fullmatch(r"open|os\.\w+|.*\.(unlink|open|glob|iterdir|(read|write)_(bytes|text))",
-                                name):
-                    calls.setdefault(fn.name, set()).add(name)
-    assert calls == {
+    assert file_calls(blockstore) == {
         "_read_json": {"open"},
         "_write_json": {"open", "os.replace"},
         "_locked": {"open"},
@@ -722,39 +684,6 @@ def test_get_falls_back_past_corrupt_replica(pentagon_store, tmp_path):
     assert pentagon_store.get("data.bin") == path.read_bytes()
 
 
-def unreadable(monkeypatch, path: Path, at: str) -> None:
-    """Make *path* fail as a bad disk does: its opens for reading raise
-    EACCES (*at* "open"), or its reads raise EIO (*at* "read").  Writes
-    go through."""
-    real_open, real_close, real_pread, real_preadv = os.open, os.close, os.pread, os.preadv
-    bad = set()  # descriptors open on *path*
-
-    def os_open(name, flags, *args, **kwargs):
-        if str(name) == str(path) and not flags & (os.O_WRONLY | os.O_RDWR):
-            if at == "open":
-                raise OSError(errno.EACCES, "Permission denied")
-            fd = real_open(name, flags, *args, **kwargs)
-            bad.add(fd)
-            return fd
-        return real_open(name, flags, *args, **kwargs)
-
-    def os_close(fd):
-        bad.discard(fd)
-        real_close(fd)
-
-    def failing(real):
-        def call(fd, *args):
-            if fd in bad:
-                raise OSError(errno.EIO, "Input/output error")
-            return real(fd, *args)
-        return call
-
-    monkeypatch.setattr(os, "open", os_open)
-    monkeypatch.setattr(os, "close", os_close)
-    monkeypatch.setattr(os, "pread", failing(real_pread))
-    monkeypatch.setattr(os, "preadv", failing(real_preadv))
-
-
 @pytest.mark.parametrize("at", ["read", "open"])
 def test_a_node_file_that_cannot_be_read_is_a_lost_replica(pentagon_store, tmp_path,
                                                            monkeypatch, at):
@@ -762,9 +691,17 @@ def test_a_node_file_that_cannot_be_read_is_a_lost_replica(pentagon_store, tmp_p
     # nothing: reads rebuild its blocks, and repair rewrites them
     path = write_file(tmp_path, 30000, seed=40)
     stripes = pentagon_store.put(path).stripe_count
-    with monkeypatch.context() as m:
-        unreadable(m, pentagon_store.root / "n0" / "blocks.blk", at)
-        assert pentagon_store.get("data.bin") == path.read_bytes()
+    data = path.read_bytes()
+    with RecordedOS(monkeypatch, pentagon_store.root) as rec:
+        # n0's file fails as a bad disk does: its opens for reading raise
+        # EACCES, or its reads raise EIO; writes go through
+        if at == "open":
+            rec.fail(lambda c: c.op == "open" and c.path == "n0/blocks.blk" and not c.writes,
+                     k=None, error=errno.EACCES)
+        else:
+            rec.fail(lambda c: c.op in ("pread", "preadv") and c.path == "n0/blocks.blk",
+                     k=None, error=errno.EIO)
+        assert pentagon_store.get("data.bin") == data
         report = pentagon_store.fsck()
         assert not report.fatal_stripes and not report.is_clean
         if at == "open":  # a file that cannot be opened is a missing one
@@ -1288,64 +1225,22 @@ def test_concurrent_writer_processes(tmp_path):
 # -- a write that fails at any step -----------------------------------------
 
 
-class _DiskFull:
-    """A file open for writing that takes half of what it is given and then
-    fails like a full disk."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        self.fh.write(data[: len(data) // 2])
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-
-def fail_step(monkeypatch, step: int, writes: int) -> list[str]:
+def fail_step(rec: RecordedOS, step: int, writes: int) -> None:
     """Make write step *step* of the store fail.  Steps 0 to writes-1 are
     the store's writes in order: each write of the next_offset mark, each
-    replica written into its node file, and each temp JSON file opened for
-    writing; step *writes* is the rename
-    that follows them.  The failing write writes half of its bytes first.
-    Returns the file of each write step taken."""
-    real_open, real_os_open, real_pwrite = builtins.open, os.open, os.pwrite
-    path_of, written = {}, []
-
-    def failing(path: str) -> bool:
-        written.append(path)
-        return len(written) - 1 == step
-
-    def open_(file, mode="r", *args, **kwargs):
-        fh = real_open(file, mode, *args, **kwargs)
-        if "w" not in mode:
-            return fh
-        return _DiskFull(fh) if failing(str(file)) else fh
-
-    def os_open(path, *args, **kwargs):
-        fd = real_os_open(path, *args, **kwargs)
-        path_of[fd] = str(path)
-        return fd
-
-    def pwrite(fd, data, offset):
-        if failing(path_of[fd]):
-            real_pwrite(fd, memoryview(data)[: len(data) // 2], offset)
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return real_pwrite(fd, data, offset)
-
-    def replace(*args):
-        raise OSError(errno.EIO, "Input/output error")
-
-    monkeypatch.setattr(blockstore, "open", open_, raising=False)
-    monkeypatch.setattr(os, "open", os_open)
-    monkeypatch.setattr(os, "pwrite", pwrite)
+    replica written into its node file, and each temp JSON file's write;
+    step *writes* is the rename that follows them.  The failing write
+    writes half of its bytes first and then fails as a full disk does."""
     if step == writes:
-        monkeypatch.setattr(os, "replace", replace)
-    return written
+        rec.fail(lambda c: c.op == "replace", error=errno.EIO)
+    else:
+        rec.fail(lambda c: c.op in ("pwrite", "write"), k=step, error=errno.ENOSPC,
+                 short=lambda n: n // 2)
+
+
+def written(rec: RecordedOS) -> list[str]:
+    """The file of each write step that *rec* saw taken."""
+    return [c.path for c in rec.calls if c.op in ("pwrite", "write")]
 
 
 # the next_offset mark, 20 replica writes, the temp manifest, its rename
@@ -1354,13 +1249,16 @@ def test_put_failing_at_any_write_commits_nothing(pentagon_store, tmp_path, monk
     kept = write_file(tmp_path, 2 * 9 * BS - 300, seed=21, name="kept.bin")
     pentagon_store.put(kept)
     src = write_file(tmp_path, 9 * BS, seed=22, name="new.bin")
-    with monkeypatch.context() as m:
-        written = fail_step(m, step, writes=22)
+    with RecordedOS(monkeypatch, pentagon_store.root) as rec:
+        fail_step(rec, step, writes=22)
         with pytest.raises(OSError):
             pentagon_store.put(src)
-    assert len(written) == min(step + 1, 22)
-    assert written[-1].endswith("/next_offset" if step == 0 else ".blk" if step < 21
-                                else "/new.bin.manifest.json.tmp")
+    steps = written(rec)
+    assert len(steps) == min(step + 1, 22)
+    if step == 0 or step >= 21:
+        assert steps[-1] == ("next_offset" if step == 0 else "new.bin.manifest.json.tmp")
+    else:
+        assert steps[-1].endswith(".blk")
     store = BlockStore(pentagon_store.root)  # as the next process finds it
     assert store.get("kept.bin") == kept.read_bytes()
     assert store.fsck().is_clean
@@ -1378,11 +1276,14 @@ def test_repair_failing_at_any_write_leaves_the_nodes_down(pentagon_store, tmp_p
     pentagon_store.put(src)
     pentagon_store.kill_node(0)
     pentagon_store.kill_node(1)
-    with monkeypatch.context() as m:
-        written = fail_step(m, step, writes=9)
+    with RecordedOS(monkeypatch, pentagon_store.root) as rec:
+        fail_step(rec, step, writes=9)
         with pytest.raises(OSError):
             pentagon_store.repair()
-    assert written[-1].endswith(".blk" if step < 8 else "/store.json.tmp")
+    if step < 8:
+        assert written(rec)[-1].endswith(".blk")
+    else:
+        assert written(rec)[-1] == "store.json.tmp"
     store = BlockStore(pentagon_store.root)
     assert [n.status for n in store.nodes()] == ["down", "down", "up", "up", "up"]
     # once both node files are written only their up marks are left, and the
@@ -1404,11 +1305,11 @@ def test_repair_failing_partway_keeps_the_good_replicas_of_its_file(pentagon_sto
     junk = random.Random(25).randbytes(BS)
     for rank in (1, 3):
         overwrite(target, rank * BS, junk)
-    with monkeypatch.context() as m:
-        written = fail_step(m, 1, writes=3)  # rank 1 is rewritten, rank 3 fails halfway
+    with RecordedOS(monkeypatch, pentagon_store.root) as rec:
+        fail_step(rec, 1, writes=3)  # rank 1 is rewritten, rank 3 fails halfway
         with pytest.raises(OSError):
             pentagon_store.repair()
-    assert written == [str(target)] * 2
+    assert written(rec) == ["n2/blocks.blk"] * 2
     after = target.read_bytes()
     assert len(after) == 4 * BS
     for rank in (0, 1, 2):
@@ -1546,7 +1447,7 @@ def whole_file_put(store: BlockStore, path: Path, files: dict[str, bytearray],
                         "crc32": [f"{zlib.crc32(encoded[b]):08x}" for b in sorted(encoded)]})
         offset += run
     manifest = {"file": name, "size": len(data), "scheme": scheme.name, "block_size": block,
-                "stripe_count": len(stripes), "stripes": stripes}
+                "stripes": stripes}
     return manifest, offset
 
 

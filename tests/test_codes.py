@@ -144,12 +144,11 @@ def test_scheme_validation():
         RaidMirror(0)
 
 
-def test_block_role_strings():
+def test_block_roles_name_a_kind_and_an_index():
     roles = geometry(HeptagonLocal()).roles
-    assert BlockRole("global_parity", 1).as_string() == "global_parity:1"
-    assert roles[43].as_string() == "global_parity:1"
-    assert {r.as_string().partition(":")[0] for r in roles.values()} == {
-        "data", "local_parity", "global_parity"}
+    assert roles[43] == BlockRole("global_parity", 1)
+    assert roles[43] != BlockRole("global_parity", 0) != BlockRole("local_parity", 1)
+    assert {r.kind for r in roles.values()} == {"data", "local_parity", "global_parity"}
 
 
 def test_pentagon_layout_is_the_edge_construction():
