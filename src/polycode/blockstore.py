@@ -44,12 +44,13 @@ A node file that is not there, or that cannot be opened, is the only sign
 of a lost slot: ``fsck`` reports it as missing, once for all the stripes
 that use it, so its ``missing`` count is the number of node files the
 killed nodes held; a replica that fails its CRC, or that a short file, a
-hole or a failed read cuts off, is corrupt.  Either is rebuilt from the
-other replicas as a lost block is, and ``repair`` rewrites it.  A stripe
-is fatal exactly when ``codes.plan_repair`` refuses its missing slots and
-corrupt replicas, so ``fsck`` and ``repair`` give one verdict.  ``fsck``
-also lists each node file whose open or a read failed, other than by
-absence, as unreadable, so a failing disk shows apart from bit rot.
+hole or a failed read cuts off, is corrupt, and a failed read cuts off only
+the replicas it covers.  Either is rebuilt from the other replicas as a
+lost block is, and ``repair`` rewrites it.  A stripe is fatal exactly
+when ``codes.plan_repair`` refuses its missing slots and corrupt replicas,
+so ``fsck`` and ``repair`` give one verdict.  ``fsck`` also lists each
+node file whose open or a read failed, other than by absence, as
+unreadable, so a failing disk shows apart from bit rot.
 
 Memory: no operation holds a file.  ``put`` holds a data block and the
 parity sums, ``read`` a block plus what a degraded-read plan keeps (``get``
@@ -218,7 +219,8 @@ _UNBOUNDED = float("inf")
 
 
 def _read_json(path: str) -> dict | None:
-    """The JSON file's value, or None when the file does not exist.
+    """The JSON file's value, or None when the file does not exist; an
+    open or a read that fails raises an OSError that names the file.
     Unbuffered: the file is read whole, so a buffer would only add a copy."""
     try:
         with open(path, "rb", buffering=0) as fh:
@@ -227,6 +229,8 @@ def _read_json(path: str) -> dict | None:
         return None
     except ValueError as exc:  # not JSON, or not UTF-8
         raise StoreError(f"{path} is malformed: it is not JSON: {exc}") from None
+    except OSError as exc:  # a read's error names no file, so name it as an open's does
+        raise type(exc)(exc.errno, exc.strerror, path) from None
 
 
 # -- metadata files: a table of (field, kind) per JSON object, in read order -
@@ -769,24 +773,27 @@ class BlockStore:
 
     def _scan(self, stripe: StripeRecord, keep: bool, read):
         """Read each node's run of the stripe through *read*, one of
-        ``_read_file``'s, into one buffer, and check each block's slice.
-        Returns (good, corrupt, missing): the ids of the blocks with a good
-        replica, each corrupt replica (one a short file or a failed read
-        cuts off too) as (block id, slot), and the slots whose file is
-        missing or cannot be opened, in node order.  With *keep*, each good
-        block id maps to a copy of its first good replica (good replicas
-        pass the same CRC); else to None."""
+        ``_read_file``'s, into one buffer, each block the run comes back
+        short of again alone, and check each block's slice.  Returns (good,
+        corrupt, missing): the ids of the blocks with a good replica, each
+        corrupt replica (one a short file or a failed read cuts off too) as
+        (block id, slot), and the slots whose file is missing or cannot be
+        opened, in node order.  With *keep*, each good block id maps to a
+        copy of its first good replica (good replicas pass the same CRC);
+        else to None."""
         size, order, geo = self.block_size, stripe.node_order, self._geo
         buffer = bytearray(self._run)
         good, corrupt, missing = {}, [], []
         for slot in sorted(range(len(order)), key=order.__getitem__):
-            ids = geo.blocks_on[slot]
-            body = read(_node_file(order[slot]), stripe.offset, len(ids) * size, buffer)
+            ids, fname = geo.blocks_on[slot], _node_file(order[slot])
+            body = read(fname, stripe.offset, len(ids) * size, buffer)
             if body is None:
                 missing.append(slot)
                 continue
             for rank, block_id in enumerate(ids):
                 block = body[rank * size : (rank + 1) * size]
+                if len(block) < size:  # the run came back short: read the block alone
+                    block = read(fname, stripe.offset + rank * size, size)
                 if len(block) == size and _crc(block) == stripe.crc32[block_id]:
                     if good.get(block_id) is None:
                         good[block_id] = bytes(block) if keep else None

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .gf256 import gf_mul, scale_bytes
 from .schemes import Scheme, _eliminate, _geometry, _iter_pattern, _Record
@@ -377,20 +377,40 @@ class Recovery(_Record, frozen=True):
 
 
 class RepairPlan(_Record, frozen=True):
-    """Transfers, recoveries and their GF(2^8)-linear map: ``sources``, the
-    blocks the accessor serves in first-need order, and ``returns``, each
-    returned block's form (source block -> coefficient), None for a block
-    that a delivering whole copy returns as the accessor serves it."""
+    """The transfers and the recoveries that combine their payloads, the
+    recoveries by ``ready_after``: all that a planner decides.  Its map,
+    ``linear_map``, is derived at the plan's first execution and kept."""
 
     transfers: tuple[Transfer, ...]
     recoveries: tuple[Recovery, ...]
-    sources: tuple[int, ...]
-    returns: Mapping[int, Mapping[int, int] | None]
 
     @property
     def bandwidth_blocks(self) -> int:
         """Transfers between two nodes; a source read where it is used is none."""
         return sum(t.src != t.dst for t in self.transfers)
+
+    @cached_property
+    def linear_map(self) -> tuple[tuple[int, ...], dict[int, dict[int, int] | None]]:
+        """(sources, returns), the GF(2^8)-linear map that ``execute_plan``
+        runs: the blocks the accessor serves, in first-need order, and each
+        returned block's form (source block -> coefficient), None for one
+        that a delivering whole copy returns as served.  A block that a
+        transfer reads once a recovery has rebuilt it stands for its form."""
+        sources: dict[int, dict[int, int]] = {}  # source block -> its form, itself
+        returns: dict[int, dict[int, int] | None] = {}
+        forms: list[dict[int, int]] = []  # transfer -> its payload's form
+        pending = list(self.recoveries)
+        for i, t in enumerate(self.transfers):
+            p = t.payload
+            if t.delivers:
+                returns.setdefault(p.block_id, None)
+            terms = p.terms if isinstance(p, PartialParity) else ((p.block_id, 1),)
+            forms.append(_compose((sources.setdefault(b, {b: 1}) if returns.get(b) is None
+                                   else returns[b], c) for b, c in terms))
+            while pending and pending[0].ready_after <= i:
+                rec = pending.pop(0)
+                returns[rec.block_id] = _compose((forms[j], c) for j, c in rec.terms)
+        return tuple(sources), returns
 
 
 def _compose(pairs) -> dict[int, int]:
@@ -418,10 +438,8 @@ class _PlanBuilder:
     do not determine the data raises UnrecoverableError.  ``solves`` maps
     each lost data block to its pivot rows and their coefficients, one map
     per set of blocks that share a pivot row, which are solved together.
-
-    Each payload and recovery is written as it is added as a form over the
-    sources, a rebuilt block that a later transfer reads standing for its
-    own form, so the plan carries the map that ``execute_plan`` runs."""
+    Transfers and recoveries are only appended: the plan's linear map waits
+    for its first execution (``RepairPlan.linear_map``)."""
 
     def __init__(self, scheme: Scheme, down: frozenset[int], bad: frozenset[tuple[int, int]]):
         geo = self.geo = _geometry(scheme)
@@ -447,39 +465,20 @@ class _PlanBuilder:
             self.solves.append(solve)
         self.transfers: list[Transfer] = []
         self.recoveries: list[Recovery] = []
-        self.forms: list[dict[int, int]] = []  # transfer -> its payload's form
-        self.sources: dict[int, None] = {}  # blocks the accessor serves, in first-need order
-        self.returns: dict[int, dict[int, int] | None] = {}
 
     def home(self, blocks) -> int:
         """The lowest live slot that hosts one of *blocks*, else the lowest slot that does."""
         slots = [s for b in blocks for s in self.geo.placements[b]]
         return min((s for s in slots if s not in self.down), default=min(slots))
 
-    def form(self, block_id: int) -> dict[int, int]:
-        """The block's form: the one it was rebuilt as, else itself as a source."""
-        form = self.returns.get(block_id)
-        if form is None:
-            self.sources[block_id] = None
-            form = {block_id: 1}
-        return form
-
     def add(self, src, dst, payload, delivers=False) -> int:
-        """Append a transfer and its payload's form; returns its index."""
-        if isinstance(payload, WholeCopy):
-            if delivers:
-                self.returns.setdefault(payload.block_id, None)
-            form = self.form(payload.block_id)
-        else:
-            form = _compose((self.form(b), c) for b, c in payload.terms)
+        """Append a transfer; returns its index."""
         self.transfers.append(Transfer(src, dst, payload, delivers))
-        self.forms.append(form)
-        return len(self.forms) - 1
+        return len(self.transfers) - 1
 
     def recover(self, block_id: int, terms, dst: int) -> None:
         """Rebuild the block at *dst* alone as *terms*, (transfer, coefficient) pairs."""
         self.recoveries.append(Recovery(block_id, terms))
-        self.returns[block_id] = _compose((self.forms[i], c) for i, c in terms)
         self.held[block_id] = (dst,)
 
     def send(self, terms, dst: int) -> list[int]:
@@ -523,7 +522,7 @@ class _PlanBuilder:
 
     def done(self) -> RepairPlan:
         recs = tuple(sorted(self.recoveries, key=lambda r: r.ready_after))
-        return RepairPlan(tuple(self.transfers), recs, tuple(self.sources), self.returns)
+        return RepairPlan(tuple(self.transfers), recs)
 
 
 def _pivots(solve: dict[int, dict[int, int]]) -> set[int]:
@@ -657,17 +656,18 @@ def _read_plan(scheme: Scheme, block_id: int, down: frozenset, bad: frozenset) -
 
 
 def execute_plan(plan: RepairPlan, reader: Callable[[int], bytes]) -> dict[int, bytes]:
-    """The blocks a plan returns, from a block accessor that serves its
-    ``sources`` and may raise MissingBlockError or ChecksumMismatchError.
+    """The blocks a plan returns, from a block accessor that serves the
+    ``sources`` of its ``linear_map``, derived at the plan's first
+    execution, and may raise MissingBlockError or ChecksumMismatchError.
     Each source is read once, in order, and fed into one ``_Sums`` whose
-    targets are the forms of the plan's ``returns``, so the scaled terms
+    targets are the forms of the map's ``returns``, so the scaled terms
     share bit-planes.  A source is dropped once fed unless a delivering
     whole copy returns it as is.  Each recovered block becomes bytes once,
     one at a time."""
-    returns = plan.returns
+    sources, returns = plan.linear_map
     sums = _Sums({b: f.items() for b, f in returns.items() if f is not None})
     served: dict[int, bytes] = {}
-    for b in plan.sources:
+    for b in sources:
         data = reader(b)
         if sums.width is None:
             sums.width = len(data)

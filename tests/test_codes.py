@@ -942,6 +942,36 @@ def test_execute_plan_missing_block():
         execute_plan(plan, make_checked_reader({}))
 
 
+def test_a_plan_composes_its_map_once_at_its_first_execution(monkeypatch):
+    """Planning composes no form: a plan's linear map is made when it is
+    first executed, and kept, so a second execution composes nothing.  An
+    executed plan still equals, and hashes as, a fresh plan of its damage."""
+    composed = []
+    real_compose = codes._compose
+    monkeypatch.setattr(codes, "_compose", lambda pairs: composed.append(1) or real_compose(pairs))
+    scheme = HeptagonLocal()
+    data, blocks = full_blocks(scheme, random.Random(44), size=64)
+    down = {0, 1, 2}
+    reader = make_checked_reader(present_view(scheme, blocks, down))
+    codes._repair_plan.cache_clear()
+    codes._read_plan.cache_clear()
+    plans = [plan_repair(scheme, down), plan_degraded_read(scheme, 0, down)]
+    assert composed == []
+    for plan in plans:
+        first = execute_plan(plan, reader)
+        assert composed and all(first[b] == blocks[b] for b in first)
+        count = len(composed)
+        assert execute_plan(plan, reader) == first
+        assert len(composed) == count
+        composed.clear()
+    codes._repair_plan.cache_clear()
+    codes._read_plan.cache_clear()
+    fresh = [plan_repair(scheme, down), plan_degraded_read(scheme, 0, down)]
+    assert composed == []
+    for plan, new in zip(plans, fresh):
+        assert new is not plan and new == plan and hash(new) == hash(plan)
+
+
 def count_scalings(monkeypatch) -> list[int]:
     """Patch ``codes.scale_bytes`` to record each coefficient it scales by."""
     scalings = []
@@ -1175,8 +1205,8 @@ def test_wide_sums_match_per_term_scaling(case):
 )
 def test_execute_plan_matches_per_term_scaling(case, recovery_terms):
     # three partial parities over the source blocks, then recoveries that
-    # combine them, added through the plan builder, which writes their
-    # forms; the source terms are reused so keys repeat across sums
+    # combine them, added through the plan builder, whose plan composes
+    # their forms; the source terms are reused so keys repeat across sums
     width, bodies, terms = case
     parts = [terms[i::3] or [(0, 1)] for i in range(3)]
     builder = codes._PlanBuilder(Polygon(5), frozenset(), frozenset())
@@ -1185,7 +1215,7 @@ def test_execute_plan_matches_per_term_scaling(case, recovery_terms):
     for j, t in enumerate(recovery_terms):
         builder.recover(100 + j, tuple(t), 1)
     plan = builder.done()
-    assert plan.sources == tuple(dict.fromkeys(k for p in parts for k, _ in p))
+    assert plan.linear_map[0] == tuple(dict.fromkeys(k for p in parts for k, _ in p))
     recovered = execute_plan(plan, make_checked_reader(dict(enumerate(bodies))))
     sums = [naive_sum(width, bodies, p) for p in parts]
     for j, t in enumerate(recovery_terms):

@@ -96,6 +96,32 @@ def stripes(tmp_path_factory):
     return made
 
 
+def test_one_unreadable_block_costs_only_its_own_replica(stripes, tmp_path, monkeypatch):
+    """With nodes 0 and 1 down, ``get`` fails to read one replica on node
+    2, which stays unreadable.  ``fsck`` and ``repair`` read node 2's run
+    of the stripe in one call, which fails over that range, and then each
+    of its blocks alone, so they lose that one replica, not the run: the
+    stripe that ``get`` served is repaired."""
+    base = tmp_path / "base"
+    shutil.copytree(stripes["pentagon"], base, ignore=shutil.ignore_patterns("stripe"))
+    root, out = str(base / "s"), str(base / "out")
+    for node in ("0", "1"):
+        assert run(["store", "kill", "--root", root, "--node", node])[0] == 0
+    with RecordedOS(monkeypatch, base) as rec:
+        rec.fail(lambda c: c.op in ("pread", "preadv") and c.path == "s/n2/blocks.blk"
+                 and c.offset < 3 * BS and 2 * BS < c.offset + c.length)
+        code, text, err = run(["store", "get", "--root", root, "--name", "f", "--output", out])
+        assert (code, err) == (0, "") and (base / "out").read_bytes() == (base / "f").read_bytes()
+        assert {c[:4] for c in rec.calls if c.op != "open" and c.reads  # one block's replica
+                and isinstance(c.result, OSError)} == {("pread", "s/n2/blocks.blk", 2 * BS, BS)}
+        code, text, err = run(["store", "fsck", "--root", root])
+        assert (code, err) == (0, "")
+        assert "missing: 2\ncorrupt: 1\nunreadable: 1\nfatal_stripes: 0\n" in text, text
+        code, text, err = run(["store", "repair", "--root", root])
+        assert (code, err) == (0, "") and "plans_executed: 1\n" in text, (text, err)
+        assert run(["store", "fsck", "--root", root])[1].endswith("clean\n")
+
+
 def _damage(base, scheme, killed: list[int], call) -> tuple[set, set] | None:
     """The down slots and corrupt (block, slot) pairs that *killed* and the
     failed *call* leave, or None when it failed on a metadata file: an
@@ -149,10 +175,11 @@ def test_every_read_fault_is_survived_or_refused_on_one_line(stripes, tmp_path, 
     read with EIO, on the undamaged store and stripe and on both with
     ``tolerance(scheme)`` nodes lost.  Each run exits 0 with the right
     bytes (the right verdict, for fsck) when ``plan_repair`` accepts the
-    damage the fault leaves, and otherwise exits 1 on one ``error:`` line;
-    a fault on a range that the command had read whole before may cost it
-    nothing.  No run raises, and none loses a byte: after each repair the
-    store reads back whole."""
+    damage the fault leaves, and otherwise exits 1 on one ``error:`` line,
+    which names the file when it is a JSON metadata file's; a fault on a
+    range that the command had read whole before may cost it nothing.  No
+    run raises, and none loses a byte: after each repair the store reads
+    back whole."""
     scheme = schemes.parse_scheme(name)
     base = tmp_path / "base"
     shutil.copytree(stripes[name], base)
@@ -206,6 +233,8 @@ def test_every_read_fault_is_survived_or_refused_on_one_line(stripes, tmp_path, 
                 assert (copy / "out").read_bytes() == data, what
         else:
             assert code == 1 and out == "" and re.fullmatch(r"error: [^\n]+\n", err), (what, err)
+            named = f"error: {copy / call.path}: "  # a metadata file's fault names the file
+            assert not call.path.endswith(".json") or err.startswith(named), (what, err)
             assert not (copy / "out").exists(), what
         if command == "repair":  # nothing is lost: the next repair restores every byte
             assert run(["store", "repair", "--root", str(copy / "s")])[0] == 0, what
